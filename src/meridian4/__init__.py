@@ -12,8 +12,7 @@ from .families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                        constant_kappa_directrix, generate, integrate_autonomous,
                        y_of_t)
 from .invariants import (InvariantRecord, eight_invariants, gauss_curvature,
-                         invariant_k, mean_curvature,
-                         normal_connection_curvature, oracle_invariants,
+                         invariant_k, mean_curvature, oracle_invariants,
                          oracle_second_fundamental)
 from .jets import Jet, jet_eval, variable
 from .minkowski import LightlikePair, Vec4, lightlike_basis, minkowski_dot

@@ -36,10 +36,7 @@ from .invariants import eight_invariants, gauss_curvature, invariant_k, \
     mean_curvature
 from .profile import Directrix, ProfileCurve, g_from_f
 from .surface import MeridianSurface, PointCase, classify_point, embed
-from .verification import (VerificationReport, check_defining_property,
-                           check_derivative_formulas, check_family_targets,
-                           check_frame_gram, check_identity_suite,
-                           check_oracle_equivalence, sample_general_points)
+from .verification import verify_generated
 
 INVARIANT_COLUMNS = ["gamma1", "gamma2", "nu1", "nu2", "lambda", "mu",
                      "beta1", "beta2", "K", "k", "varkappa", "H_norm",
@@ -271,26 +268,11 @@ def cmd_verify(args) -> int:
     # dense output between knots, so interpolation noise must sit well below
     # the comparison tolerance.
     gen = build_surface(spec, phi_text, args.f0, (u0, u1), (v0, v1), step=1e-4)
-    import numpy as np
-    report = VerificationReport()
     n_pts = 50
     if args.grid:
         nu, nv = _grid_counts(args, ustep, vstep, (u0, u1), (v0, v1))
         n_pts = min(nu * nv, 100)
-    pts = sample_general_points(gen.surface, n_pts, np.random.default_rng(0))
-    for rec in check_oracle_equivalence(gen.surface, pts, args.oracle_step,
-                                        richardson=True):
-        report.add(rec)
-    for rec in check_identity_suite(gen.surface, pts):
-        report.add(rec)
-    report.add(check_frame_gram(gen.surface, pts))
-    for rec in check_derivative_formulas(gen.surface, pts, args.oracle_step,
-                                         richardson=True):
-        report.add(rec)
-    if gen.spec is not None:
-        report.add(check_defining_property(gen))
-        for rec in check_family_targets(gen):
-            report.add(rec)
+    report = verify_generated(gen, n_pts, args.oracle_step)
     for line in report.lines():
         print(line)
     if args.out:
@@ -364,14 +346,17 @@ def _build_parser():
         sp.add_argument("--u", required=True, help="start:end[:step]")
         sp.add_argument("--v", required=(name != "family"),
                         help="start:end[:step]")
-        sp.add_argument("--grid", default=None, help="NUxNV")
-        sp.add_argument("--fields", default=None)
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--oracle-step", type=float, default=1e-4)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--projection", choices=("none", "drop-e4"),
-                        default="none")
+        if name != "family":
+            sp.add_argument("--grid", default=None, help="NUxNV")
+        if name == "invariants":
+            sp.add_argument("--tol", type=float, default=1e-9)
+        if name == "verify":
+            sp.add_argument("--oracle-step", type=float, default=1e-4)
+        if name == "mesh":
+            sp.add_argument("--fields", default=None)
+            sp.add_argument("--projection", choices=("none", "drop-e4"),
+                            default="none")
         sp.set_defaults(fn=fn)
     return p
 

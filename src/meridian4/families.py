@@ -269,7 +269,8 @@ def _trim_closed_form(f, u_range, samples=2000):
     u0, u1 = u_range
     last_good = None
     for i in range(samples + 1):
-        u = u0 + (u1 - u0) * i / samples
+        # u1 itself as the last sample: u0 + (u1 - u0) can round below u1
+        u = u1 if i == samples else u0 + (u1 - u0) * i / samples
         try:
             fj = jet_eval(f, u)
         except DomainError:

@@ -10,11 +10,11 @@ raw embedding.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, FlatPointError, MarginallyTrappedError
+from .errors import DomainError
 from .minkowski import Vec4, minkowski_dot
-from .surface import (MeridianSurface, PointCase, classify_point,
-                      coordinate_tangents, normal_frame, normal_pair,
-                      point_data, tangent_frame)
+from .surface import (MeridianSurface, PointData, TangentFrame, _normal_frame,
+                      _normal_pair, _require_general, _tangent_frame,
+                      normal_pair, point_data)
 
 __all__ = [
     "InvariantRecord",
@@ -22,7 +22,6 @@ __all__ = [
     "mean_curvature",
     "invariant_k",
     "eight_invariants",
-    "normal_connection_curvature",
     "oracle_invariants",
     "oracle_second_fundamental",
     "oracle_frame_derivatives",
@@ -63,25 +62,20 @@ def gauss_curvature(s: MeridianSurface, u: float) -> float:
     return -fj.d2 / fj.f
 
 
-def _require_general(s, u, v):
-    case = classify_point(s, u, v)
-    if case is PointCase.MARGINALLY_TRAPPED:
-        raise MarginallyTrappedError(
-            f"marginally trapped point at (u, v) = ({u}, {v})")
-    if case is not PointCase.GENERAL:
-        raise FlatPointError(f"flat point ({case.value}) at (u, v) = ({u}, {v})")
-
-
-def mean_curvature(s: MeridianSurface, u: float, v: float) -> tuple:
-    """(H_n1, H_n2, ||H||, epsilon): components of H along n1, n2, its norm and
-    the sign of <H,H>. Only defined at general points."""
-    _require_general(s, u, v)
-    d = point_data(s, u, v)
+def _mean_curvature(d: PointData) -> tuple:
     h1 = d.kappa / (2.0 * d.f)
     h2 = -d.q / (2.0 * d.f * d.fp)
     eps = 1 if d.disc > 0 else -1
     norm = math.sqrt(abs(d.disc)) / (2.0 * d.f * abs(d.fp))
     return h1, h2, norm, eps
+
+
+def mean_curvature(s: MeridianSurface, u: float, v: float) -> tuple:
+    """(H_n1, H_n2, ||H||, epsilon): components of H along n1, n2, its norm and
+    the sign of <H,H>. Only defined at general points."""
+    d = point_data(s, u, v)
+    _require_general(d, d.case)
+    return _mean_curvature(d)
 
 
 def invariant_k(s: MeridianSurface, u: float, v: float) -> float:
@@ -90,10 +84,7 @@ def invariant_k(s: MeridianSurface, u: float, v: float) -> float:
     return -(d.kappa_m**2) * d.kappa**2 / d.f**2
 
 
-def eight_invariants(s: MeridianSurface, u: float, v: float) -> InvariantRecord:
-    """Closed-form record at a general point."""
-    _require_general(s, u, v)
-    d = point_data(s, u, v)
+def _eight_invariants(d: PointData) -> InvariantRecord:
     eps = 1 if d.disc > 0 else -1
     absdisc = abs(d.disc)     # eps * disc
     root = math.sqrt(absdisc)
@@ -110,7 +101,7 @@ def eight_invariants(s: MeridianSurface, u: float, v: float) -> InvariantRecord:
     beta1 = -d.fp**2 / (_SQRT2 * absdisc) * (d.kappa * q_du - cross)
     beta2 = d.fp**2 / (_SQRT2 * absdisc) * (d.kappa * q_du + cross)
 
-    h1, h2, hnorm, _ = mean_curvature(s, u, v)
+    h1, h2, hnorm, _ = _mean_curvature(d)
     return InvariantRecord(
         gamma1=gamma1, gamma2=-gamma1,
         nu1=nu, nu2=nu, lam=lam, mu=mu,
@@ -123,10 +114,11 @@ def eight_invariants(s: MeridianSurface, u: float, v: float) -> InvariantRecord:
     )
 
 
-def normal_connection_curvature(s: MeridianSurface, u: float, v: float) -> float:
-    """varkappa = (nu1 - nu2) mu; identically zero here (flat normal connection)."""
-    rec = eight_invariants(s, u, v)
-    return (rec.nu1 - rec.nu2) * rec.mu
+def eight_invariants(s: MeridianSurface, u: float, v: float) -> InvariantRecord:
+    """Closed-form record at a general point."""
+    d = point_data(s, u, v)
+    _require_general(d, d.case)
+    return _eight_invariants(d)
 
 
 # --- finite-difference oracle -------------------------------------------------
@@ -139,20 +131,43 @@ def _check_stencil(s: MeridianSurface, u: float, v: float, h: float):
             f"oracle stencil of radius 2h = {2 * h} leaves the domain at ({u}, {v})")
 
 
-def _d_du(field, u, v, h):
-    return (field(u + h, v) - field(u - h, v)) / (2.0 * h)
+def _frame_fields(d: PointData) -> dict:
+    """X, Y, x, y, n1, n2 at one point; defined at every regular point."""
+    tf = _tangent_frame(d)
+    n1, n2 = _normal_pair(d)
+    return {"X": tf.X, "Y": tf.Y, "x": tf.xdir, "y": tf.ydir, "n1": n1, "n2": n2}
 
 
-def _d_dv(field, u, v, h):
-    return (field(u, v + h) - field(u, v - h)) / (2.0 * h)
+def _geometric_fields(d: PointData) -> dict:
+    """x, y, b, l at a general point."""
+    _require_general(d, d.case)
+    tf = _tangent_frame(d)
+    nf = _normal_frame(d)
+    return {"x": tf.xdir, "y": tf.ydir, "b": nf.b, "l": nf.l}
 
 
-def _directional(field, u, v, h, a, c) -> Vec4:
-    """Ambient derivative of a Vec4 field along a*d/du + c*d/dv."""
-    out = _d_du(field, u, v, h) * a if a != 0.0 else Vec4(0, 0, 0, 0)
+def _stencil(s: MeridianSurface, u: float, v: float, h: float, fields) -> tuple:
+    """fields(point_data) at (u+h, v), (u-h, v), (u, v+h), (u, v-h), each
+    point evaluated once."""
+    return tuple(fields(point_data(s, uu, vv))
+                 for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h)))
+
+
+def _directional(stencil, name, h, a, c) -> Vec4:
+    """Ambient derivative of the field `name` along a*d/du + c*d/dv, by
+    central differences over the stencil records."""
+    up, um, vp, vm = (rec[name] for rec in stencil)
+    out = (up - um) / (2.0 * h) * a if a != 0.0 else Vec4(0, 0, 0, 0)
     if c != 0.0:
-        out = out + _d_dv(field, u, v, h) * c
+        out = out + (vp - vm) / (2.0 * h) * c
     return out
+
+
+def _normal_part(Dx_x: Vec4, Dy_y: Vec4, tf: TangentFrame) -> Vec4:
+    """H = (1/2) (D_x x + D_y y)^perp, projecting off the tangent plane with
+    the orthonormal pair (X, Y)."""
+    W = (Dx_x + Dy_y) * 0.5
+    return W - tf.X * minkowski_dot(W, tf.X) - tf.Y * minkowski_dot(W, tf.Y)
 
 
 def oracle_invariants(s: MeridianSurface, u: float, v: float,
@@ -161,36 +176,21 @@ def oracle_invariants(s: MeridianSurface, u: float, v: float,
     differencing the geometric frame fields x, y, b, l. O(h^2) accurate and
     fully independent of the closed forms."""
     _check_stencil(s, u, v, h)
-    _require_general(s, u, v)
-
-    def x_field(uu, vv):
-        return tangent_frame(s, uu, vv).xdir
-
-    def y_field(uu, vv):
-        return tangent_frame(s, uu, vv).ydir
-
-    def b_field(uu, vv):
-        return normal_frame(s, uu, vv).b
-
-    def l_field(uu, vv):
-        return normal_frame(s, uu, vv).l
-
     d = point_data(s, u, v)
+    _require_general(d, d.case)
+    tf, frame = _tangent_frame(d), _normal_frame(d)
+    stencil = _stencil(s, u, v, h, _geometric_fields)
     # x = (X + Y)/sqrt2 with X = z_u, Y = z_v/(f sqrt(D)):
     # coordinate-direction coefficients of x and y at the centre point.
     a_x, c_x = 1.0 / _SQRT2, 1.0 / (_SQRT2 * d.f * math.sqrt(d.D))
     a_y, c_y = -a_x, c_x
+    b, l, x, y = frame.b, frame.l, tf.xdir, tf.ydir
 
-    frame = normal_frame(s, u, v)
-    tf = tangent_frame(s, u, v)
-    b, l = frame.b, frame.l
-    x, y = tf.xdir, tf.ydir
-
-    Dx_x = _directional(x_field, u, v, h, a_x, c_x)
-    Dy_y = _directional(y_field, u, v, h, a_y, c_y)
-    Dx_y = _directional(y_field, u, v, h, a_x, c_x)
-    Dx_b = _directional(b_field, u, v, h, a_x, c_x)
-    Dy_b = _directional(b_field, u, v, h, a_y, c_y)
+    Dx_x = _directional(stencil, "x", h, a_x, c_x)
+    Dy_y = _directional(stencil, "y", h, a_y, c_y)
+    Dx_y = _directional(stencil, "y", h, a_x, c_x)
+    Dx_b = _directional(stencil, "b", h, a_x, c_x)
+    Dy_b = _directional(stencil, "b", h, a_y, c_y)
 
     nu1 = minkowski_dot(Dx_x, b)
     nu2 = minkowski_dot(Dy_y, b)
@@ -206,15 +206,14 @@ def oracle_invariants(s: MeridianSurface, u: float, v: float,
     k = -4.0 * nu1 * nu2 * mu**2
     varkappa = (nu1 - nu2) * mu
     K = eps * (nu1 * nu2 - lam**2 + mu**2)
-    Hvec = oracle_mean_curvature_vector(s, u, v, h)
+    Hvec = _normal_part(Dx_x, Dy_y, tf)
     hh = minkowski_dot(Hvec, Hvec)
-    n1, n2 = normal_pair(s, u, v)
     return InvariantRecord(
         gamma1=gamma1, gamma2=gamma2, nu1=nu1, nu2=nu2,
         lam=lam, mu=mu, beta1=beta1, beta2=beta2,
         K=K, k=k, varkappa=varkappa,
-        H_n1=minkowski_dot(Hvec, n1),
-        H_n2=-minkowski_dot(Hvec, n2),   # <n2,n2> = -1
+        H_n1=minkowski_dot(Hvec, frame.n1),
+        H_n2=-minkowski_dot(Hvec, frame.n2),   # <n2,n2> = -1
         H_norm=math.sqrt(abs(hh)),
         epsilon=eps,
     )
@@ -225,21 +224,12 @@ def oracle_mean_curvature_vector(s: MeridianSurface, u: float, v: float,
     """Numerical H = (1/2) (D_x x + D_y y)^perp, projecting off the tangent
     plane with the orthonormal pair (X, Y)."""
     _check_stencil(s, u, v, h)
-
-    def x_field(uu, vv):
-        return tangent_frame(s, uu, vv).xdir
-
-    def y_field(uu, vv):
-        return tangent_frame(s, uu, vv).ydir
-
     d = point_data(s, u, v)
+    stencil = _stencil(s, u, v, h, _frame_fields)
     a_x, c_x = 1.0 / _SQRT2, 1.0 / (_SQRT2 * d.f * math.sqrt(d.D))
-    Dx_x = _directional(x_field, u, v, h, a_x, c_x)
-    Dy_y = _directional(y_field, u, v, h, -a_x, c_x)
-    W = (Dx_x + Dy_y) * 0.5
-    tf = tangent_frame(s, u, v)
-    W = W - tf.X * minkowski_dot(W, tf.X) - tf.Y * minkowski_dot(W, tf.Y)
-    return W
+    Dx_x = _directional(stencil, "x", h, a_x, c_x)
+    Dy_y = _directional(stencil, "y", h, -a_x, c_x)
+    return _normal_part(Dx_x, Dy_y, _tangent_frame(d))
 
 
 def oracle_frame_derivatives(s: MeridianSurface, u: float, v: float,
@@ -247,26 +237,13 @@ def oracle_frame_derivatives(s: MeridianSurface, u: float, v: float,
     """Ambient derivatives of the frame fields X, Y, n1, n2 along X and Y,
     as Vec4s, keyed 'XX', 'XY', 'YX', 'YY', 'Xn1', 'Yn1', 'Xn2', 'Yn2'."""
     _check_stencil(s, u, v, h)
-
-    def X_field(uu, vv):
-        return tangent_frame(s, uu, vv).X
-
-    def Y_field(uu, vv):
-        return tangent_frame(s, uu, vv).Y
-
-    def n1_field(uu, vv):
-        return normal_pair(s, uu, vv)[0]
-
-    def n2_field(uu, vv):
-        return normal_pair(s, uu, vv)[1]
-
     d = point_data(s, u, v)
+    stencil = _stencil(s, u, v, h, _frame_fields)
     cY = 1.0 / (d.f * math.sqrt(d.D))   # Y = cY * z_v
     out = {}
-    for name, field in (("X", X_field), ("Y", Y_field),
-                        ("n1", n1_field), ("n2", n2_field)):
-        out["X" + name] = _directional(field, u, v, h, 1.0, 0.0)
-        out["Y" + name] = _directional(field, u, v, h, 0.0, cY)
+    for name in ("X", "Y", "n1", "n2"):
+        out["X" + name] = _directional(stencil, name, h, 1.0, 0.0)
+        out["Y" + name] = _directional(stencil, name, h, 0.0, cY)
     return out
 
 

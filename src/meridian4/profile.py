@@ -16,7 +16,6 @@ __all__ = [
     "validate_profile",
     "kappa_m",
     "kappa",
-    "kappa_with_derivative",
     "g_from_f",
     "meridian_curvature_general",
 ]
@@ -134,19 +133,6 @@ def kappa(d: Directrix, v: float) -> float:
     if den < 1e-15:
         raise DegenerateDirectrixError(f"phi'^2 + phi^2 = 0 at v = {v}")
     return num / den**1.5
-
-
-def kappa_with_derivative(d: Directrix, v: float) -> tuple:
-    """Return (kappa(v), d kappa / dv), using phi''' from the jet."""
-    pj = d.phi_jet(v)
-    num, den = _kappa_parts(pj)
-    if den < 1e-15:
-        raise DegenerateDirectrixError(f"phi'^2 + phi^2 = 0 at v = {v}")
-    num_dot = pj.f * pj.d3 - 3.0 * pj.d1 * pj.d2 - 2.0 * pj.f * pj.d1
-    den_dot = 2.0 * pj.d1 * pj.d2 + 2.0 * pj.f * pj.d1
-    k = num / den**1.5
-    kdot = num_dot / den**1.5 - 1.5 * num * den_dot / den**2.5
-    return k, kdot
 
 
 def g_from_f(p: ProfileCurve, u: float, tol: float = 1e-10) -> float:

@@ -7,13 +7,13 @@ The surface is z(u,v) = f phi cos v e1 + f phi sin v e2
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (DegenerateDirectrixError, FlatPointError,
                      MarginallyTrappedError)
 from .minkowski import Vec4, from_lightlike
-from .profile import Directrix, ProfileCurve, g_from_f, kappa, kappa_m
+from .profile import Directrix, ProfileCurve, _kappa_parts, g_from_f
 
 __all__ = [
     "MeridianSurface",
@@ -66,7 +66,8 @@ class NormalFrame:
 
 @dataclass(frozen=True)
 class PointData:
-    """All scalars the frames and invariants need at one (u, v)."""
+    """All scalars the frames and invariants need at one (u, v), and the
+    point's case under CLASSIFY_TOL."""
 
     u: float
     v: float
@@ -84,24 +85,42 @@ class PointData:
     D: float           # phi'^2 + phi^2
     q: float           # f f'' + f'^2
     disc: float        # kappa^2 f'^2 - q^2  (sign of <H,H>)
+    case: PointCase = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "case", self.classify(CLASSIFY_TOL))
+
+    def classify(self, tol: float) -> PointCase:
+        """The point's case with degeneracies decided under tolerance tol."""
+        if abs(self.kappa) <= tol:
+            return PointCase.HYPERPLANAR_FLAT
+        if abs(self.kappa_m) <= tol:
+            return PointCase.DEVELOPABLE_RULED_FLAT
+        scale = max(abs(self.kappa * self.fp), abs(self.q), tol)
+        if abs(self.disc) <= tol * scale**2:
+            return PointCase.MARGINALLY_TRAPPED
+        return PointCase.GENERAL
 
 
 def point_data(s: MeridianSurface, u: float, v: float) -> PointData:
-    from .profile import kappa_with_derivative
-
+    """One evaluation of the profile and directrix jets at (u, v); the
+    frames, the invariants and the oracle all derive from this record."""
     fj = s.profile.f_jet(u)
     pj = s.directrix.phi_jet(v)
-    D = pj.d1**2 + pj.f**2
+    num, D = _kappa_parts(pj)
     if D < 1e-15:
         raise DegenerateDirectrixError(f"phi'^2 + phi^2 = 0 at v = {v}")
-    k, kdot = kappa_with_derivative(s.directrix, v)
+    num_dot = pj.f * pj.d3 - 3.0 * pj.d1 * pj.d2 - 2.0 * pj.f * pj.d1
+    D_dot = 2.0 * pj.d1 * pj.d2 + 2.0 * pj.f * pj.d1
+    k = num / D**1.5
     q = fj.f * fj.d2 + fj.d1**2
     return PointData(
         u=u, v=v,
         f=fj.f, fp=fj.d1, fpp=fj.d2, fppp=fj.d3,
         gp=-0.5 / fj.d1,
         phi=pj.f, phid=pj.d1, phidd=pj.d2,
-        kappa=k, kappa_dot=kdot, kappa_m=fj.d2 / fj.d1,
+        kappa=k, kappa_dot=num_dot / D**1.5 - 1.5 * num * D_dot / D**2.5,
+        kappa_m=fj.d2 / fj.d1,
         D=D, q=q, disc=k**2 * fj.d1**2 - q**2,
     )
 
@@ -119,10 +138,8 @@ def embed(s: MeridianSurface, u: float, v: float) -> Vec4:
     )
 
 
-def coordinate_tangents(s: MeridianSurface, u: float, v: float) -> tuple:
-    """Unnormalized z_u, z_v in e-coordinates."""
-    d = point_data(s, u, v)
-    cv, sv = math.cos(v), math.sin(v)
+def _tangent_frame(d: PointData) -> TangentFrame:
+    cv, sv = math.cos(d.v), math.sin(d.v)
     z_u = from_lightlike(
         d.fp * d.phi * cv,
         d.fp * d.phi * sv,
@@ -135,17 +152,15 @@ def coordinate_tangents(s: MeridianSurface, u: float, v: float) -> tuple:
         d.f * d.phi * d.phid,
         0.0,
     )
-    return z_u, z_v
+    Y = z_v / (d.f * math.sqrt(d.D))
+    X = z_u
+    return TangentFrame(X, Y, (X + Y) / _SQRT2, (-1.0 * X + Y) / _SQRT2)
 
 
 def tangent_frame(s: MeridianSurface, u: float, v: float) -> TangentFrame:
     """Orthonormal tangents X = z_u, Y = z_v/(f sqrt(D)) and the principal
     tangents x = (X+Y)/sqrt2, y = (-X+Y)/sqrt2."""
-    z_u, z_v = coordinate_tangents(s, u, v)
-    d = point_data(s, u, v)
-    Y = z_v / (d.f * math.sqrt(d.D))
-    X = z_u
-    return TangentFrame(X, Y, (X + Y) / _SQRT2, (-1.0 * X + Y) / _SQRT2)
+    return _tangent_frame(point_data(s, u, v))
 
 
 def first_fundamental_form(s: MeridianSurface, u: float, v: float) -> tuple:
@@ -157,22 +172,11 @@ def first_fundamental_form(s: MeridianSurface, u: float, v: float) -> tuple:
 
 def classify_point(s: MeridianSurface, u: float, v: float,
                    tol: float = CLASSIFY_TOL) -> PointCase:
-    d = point_data(s, u, v)
-    if abs(d.kappa) <= tol:
-        return PointCase.HYPERPLANAR_FLAT
-    if abs(d.kappa_m) <= tol:
-        return PointCase.DEVELOPABLE_RULED_FLAT
-    scale = max(abs(d.kappa * d.fp), abs(d.q), tol)
-    if abs(d.disc) <= tol * scale**2:
-        return PointCase.MARGINALLY_TRAPPED
-    return PointCase.GENERAL
+    return point_data(s, u, v).classify(tol)
 
 
-def normal_pair(s: MeridianSurface, u: float, v: float) -> tuple:
-    """The orthonormal normals (n1, n2) with <n1,n1> = 1, <n2,n2> = -1,
-    defined at every regular point (no case restriction)."""
-    d = point_data(s, u, v)
-    cv, sv = math.cos(v), math.sin(v)
+def _normal_pair(d: PointData) -> tuple:
+    cv, sv = math.cos(d.v), math.sin(d.v)
     rD = math.sqrt(d.D)
     n1 = from_lightlike(
         (d.phid * sv + d.phi * cv) / rD,
@@ -191,21 +195,27 @@ def normal_pair(s: MeridianSurface, u: float, v: float) -> tuple:
     return n1, n2
 
 
-def normal_frame(s: MeridianSurface, u: float, v: float,
-                 tol: float = CLASSIFY_TOL) -> NormalFrame:
-    """Full normal frame including the geometric pair {b, l} (b collinear
-    with H). Defined only at general points; flat points raise
-    FlatPointError and marginally trapped points raise
-    MarginallyTrappedError."""
-    case = classify_point(s, u, v, tol)
+def normal_pair(s: MeridianSurface, u: float, v: float) -> tuple:
+    """The orthonormal normals (n1, n2) with <n1,n1> = 1, <n2,n2> = -1,
+    defined at every regular point (no case restriction)."""
+    return _normal_pair(point_data(s, u, v))
+
+
+def _require_general(d: PointData, case: PointCase) -> None:
+    """Raise unless `case` (the classification of d) is general: b, l and the
+    invariants built on them are undefined at flat and marginally trapped
+    points."""
     if case is PointCase.MARGINALLY_TRAPPED:
         raise MarginallyTrappedError(
-            f"<H,H> = 0 at (u, v) = ({u}, {v}); geometric frame undefined")
+            f"<H,H> = 0 at (u, v) = ({d.u}, {d.v}); geometric frame undefined")
     if case is not PointCase.GENERAL:
         raise FlatPointError(
-            f"flat point ({case.value}) at (u, v) = ({u}, {v}); b, l undefined")
-    d = point_data(s, u, v)
-    n1, n2 = normal_pair(s, u, v)
+            f"flat point ({case.value}) at (u, v) = ({d.u}, {d.v}); b, l undefined")
+
+
+def _normal_frame(d: PointData) -> NormalFrame:
+    """The normal frame at a point already checked to be general."""
+    n1, n2 = _normal_pair(d)
     if d.disc > 0.0:
         root = math.sqrt(d.disc)
         b = (d.kappa * d.fp * n1 - d.q * n2) / root
@@ -217,3 +227,14 @@ def normal_frame(s: MeridianSurface, u: float, v: float,
         l = (-d.q * n1 + d.kappa * d.fp * n2) / root
         eps = -1
     return NormalFrame(n1, n2, b, l, eps)
+
+
+def normal_frame(s: MeridianSurface, u: float, v: float,
+                 tol: float = CLASSIFY_TOL) -> NormalFrame:
+    """Full normal frame including the geometric pair {b, l} (b collinear
+    with H). Defined only at general points; flat points raise
+    FlatPointError and marginally trapped points raise
+    MarginallyTrappedError."""
+    d = point_data(s, u, v)
+    _require_general(d, d.classify(tol))
+    return _normal_frame(d)

@@ -83,6 +83,21 @@ def test_family_exit_2_on_truncation(tmp_path):
     assert echo["realized_range"][1] < 10.0
 
 
+def test_closed_form_range_end_is_not_reported_as_truncation(tmp_path):
+    # 0.321 + (0.856 - 0.321) rounds one ulp below 0.856; the profile is
+    # valid on the whole range, so nothing may be reported as trimmed.
+    out = tmp_path / "cg.csv"
+    code = main(["family", "--spec", "constant-gauss K=1 alpha=1 beta=0",
+                 "--u", "0.321:0.856:0.05", "--out", str(out)])
+    assert code == 0
+    echo = json.loads((tmp_path / "cg.json").read_text())
+    assert echo["truncated"] is False
+    assert echo["realized_range"] == [0.321, 0.856]
+    assert main(["invariants", "--spec", "parallel-a c=1 d=1 a=0 sign=+",
+                 "--u", "0.321:0.856", "--v", "0:6.28", "--grid", "2x2",
+                 "--out", str(tmp_path / "inv.csv")]) == 0
+
+
 # --- invariants command -------------------------------------------------------
 
 def test_invariants_header_and_determinism(tmp_path):
@@ -128,6 +143,19 @@ def test_verify_passes_on_parallel_a(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["pass"] is True
     assert report["realized_range"] == pytest.approx([0.0, 3.0])
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("family", "--format", "csv"), ("family", "--grid", "2x2"),
+    ("verify", "--tol", "1e-9"),
+    ("mesh", "--oracle-step", "1e-4"), ("invariants", "--fields", "K"),
+    ("verify", "--projection", "none")])
+def test_flags_exist_only_where_they_are_read(tmp_path, command, flag, value):
+    argv = [command, "--spec", "parallel-a c=1 d=1 a=0 sign=+", "--u", "0:1",
+            "--v", "0:1", "--out", str(tmp_path / "x"), flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 # --- mesh command -------------------------------------------------------------

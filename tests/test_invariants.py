@@ -8,7 +8,6 @@ from meridian4.errors import FlatPointError, MarginallyTrappedError
 from meridian4.expressions import compile_expression
 from meridian4.invariants import (eight_invariants, gauss_curvature,
                                   invariant_k, mean_curvature,
-                                  normal_connection_curvature,
                                   oracle_invariants,
                                   oracle_mean_curvature_vector,
                                   oracle_second_fundamental)
@@ -66,7 +65,7 @@ def test_identity_suite_on_two_surfaces():
                                         abs=1e-12)
             assert r.K == pytest.approx(
                 r.epsilon * (r.nu1 * r.nu2 - r.lam**2 + r.mu**2), abs=1e-12)
-            assert normal_connection_curvature(s, u, v) == pytest.approx(
+            assert eight_invariants(s, u, v).varkappa == pytest.approx(
                 0.0, abs=1e-12)
 
 

@@ -9,8 +9,9 @@ from meridian4.errors import ProfileInvariantError
 from meridian4.expressions import compile_expression
 from meridian4.jets import jcos, jsqrt, variable
 from meridian4.profile import (Directrix, ProfileCurve, g_from_f, kappa,
-                               kappa_m, kappa_with_derivative,
-                               meridian_curvature_general, validate_profile)
+                               kappa_m, meridian_curvature_general,
+                               validate_profile)
+from meridian4.surface import MeridianSurface, point_data
 
 SQRT_PROFILE = ProfileCurve(lambda u: jsqrt(u + 1.0), (0.0, 3.0),
                             g_origin=-2.0 / 3.0)
@@ -71,7 +72,7 @@ def test_directrix_kappa_secant_vanishes():
 def test_kappa_derivative_against_finite_difference():
     d = Directrix(compile_expression("2 + 0.5*sin(v)", "v"), (0.0, 6.0))
     v, h = 1.3, 1e-5
-    _, kdot = kappa_with_derivative(d, v)
+    kdot = point_data(MeridianSurface(SQRT_PROFILE, d), 1.0, v).kappa_dot
     fd = (kappa(d, v + h) - kappa(d, v - h)) / (2.0 * h)
     assert kdot == pytest.approx(fd, abs=1e-8)
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from meridian4.expressions import compile_expression
-from meridian4.families import ParallelA, generate
-from meridian4.profile import Directrix
+from meridian4.families import GeneratedSurface, ParallelA, generate
+from meridian4.profile import Directrix, ProfileCurve
+from meridian4.surface import MeridianSurface
 from meridian4.verification import (CheckRecord, VerificationReport,
                                     check_frame_gram, check_identity_suite,
                                     sample_general_points, verify_generated)
@@ -53,3 +54,14 @@ def test_verify_generated_parallel_a_passes():
     assert any(name.startswith("oracle:") for name in names)
     assert any(name.startswith("deriv:") for name in names)
     assert any(name.startswith("defining:") for name in names)
+
+
+def test_verify_generated_direct_surface_skips_family_checks():
+    s = MeridianSurface(ProfileCurve(compile_expression("sqrt(u+1)"), (0.0, 3.0)),
+                        UNIT_PHI)
+    gen = GeneratedSurface(s, None, "expression", (0.0, 3.0), False)
+    report = verify_generated(gen, n_points=5)
+    assert report.passed, "\n".join(report.lines())
+    names = [c.name for c in report.checks]
+    assert any(name.startswith("oracle:") for name in names)
+    assert not any(name.startswith("defining:") for name in names)
