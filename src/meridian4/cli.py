@@ -41,8 +41,6 @@ from .verification import verify_generated
 INVARIANT_COLUMNS = ["gamma1", "gamma2", "nu1", "nu2", "lambda", "mu",
                      "beta1", "beta2", "K", "k", "varkappa", "H_norm",
                      "epsilon"]
-_RECORD_FIELDS = ["gamma1", "gamma2", "nu1", "nu2", "lam", "mu",
-                  "beta1", "beta2", "K", "k", "varkappa", "H_norm", "epsilon"]
 MESH_FIELDS = ("K", "H_norm", "k", "lambda", "beta1", "beta2")
 
 
@@ -247,12 +245,13 @@ def cmd_invariants(args) -> int:
     uu0, uu1 = gen.u_range
     vv0, vv1 = s.directrix.domain
     rows = ["u,v," + ",".join(INVARIANT_COLUMNS) + ",case"]
+    attrs = [_record_attr(c) for c in INVARIANT_COLUMNS]
     for u in _samples(uu0, uu1, nu):
         for v in _samples(vv0, vv1, nv):
             case = classify_point(s, u, v, args.tol)
             if case is PointCase.GENERAL:
                 rec = eight_invariants(s, u, v)
-                vals = [_fmt(getattr(rec, f)) for f in _RECORD_FIELDS]
+                vals = [_fmt(getattr(rec, a)) for a in attrs]
             else:
                 vals = [""] * len(INVARIANT_COLUMNS)
             rows.append(",".join([_fmt(u), _fmt(v)] + vals + [case.value]))
@@ -314,7 +313,6 @@ def cmd_mesh(args) -> int:
         "projection": args.projection,
         "vertices": vertices,
         "fields": fields,
-        "checks": [],
     }
     _write(args.out, json.dumps(payload) + "\n")
     return 2 if gen.truncated else 0
@@ -328,10 +326,14 @@ def _field_value(s, u, v, name):
             return invariant_k(s, u, v)
         if name == "H_norm":
             return mean_curvature(s, u, v)[2]
-        rec = eight_invariants(s, u, v)
-        return rec.lam if name == "lambda" else getattr(rec, name)
+        return getattr(eight_invariants(s, u, v), _record_attr(name))
     except (FlatPointError, MarginallyTrappedError):
         return None
+
+
+def _record_attr(column):
+    """The InvariantRecord field behind an output column name."""
+    return "lam" if column == "lambda" else column
 
 
 def _build_parser():

@@ -394,10 +394,10 @@ def _closed_form_profile(spec: FamilySpec, u_range: tuple):
         r = math.sqrt(abs(K))
         if K > 0:
             def f(x):
-                return al * jets.jcos(r * _as_jet(x)) + be * jets.jsin(r * _as_jet(x))
+                return al * jets.jcos(r * x) + be * jets.jsin(r * x)
         else:
             def f(x):
-                return al * jets.jcosh(r * _as_jet(x)) + be * jets.jsinh(r * _as_jet(x))
+                return al * jets.jcosh(r * x) + be * jets.jsinh(r * x)
         realized, truncated = _trim_closed_form(f, u_range)
         return ProfileCurve(f, realized, 0.0), realized, truncated
     if isinstance(spec, ParallelA):
@@ -407,15 +407,11 @@ def _closed_form_profile(spec: FamilySpec, u_range: tuple):
         c, dd, a = spec.c, spec.d, spec.a
 
         def f(x):
-            return jets.jsqrt(c * _as_jet(x) + dd)
+            return jets.jsqrt(c * x + dd)
         realized, truncated = _trim_closed_form(f, u_range)
         g_origin = -(2.0 / (3.0 * c * c)) * (c * realized[0] + dd) ** 1.5 + a
         return ProfileCurve(f, realized, g_origin), realized, truncated
     raise SpecMismatchError(f"{type(spec).__name__} has no closed-form profile")
-
-
-def _as_jet(x):
-    return x if isinstance(x, Jet) else jets.constant(x)
 
 
 def generate(spec: FamilySpec, f0: Optional[float], u_range: tuple,

@@ -21,6 +21,16 @@ __all__ = [
 ]
 
 FPRIME_FLOOR = 1e-9  # |f'| below this counts as a normalization breakdown
+G_PANELS = 64        # equal panels of the profile domain in the g table
+G_TOL = 1e-10        # absolute error bound of g_from_f
+
+
+def _require_fprime(fp: float, u: float) -> float:
+    """fp = f'(u), or ProfileInvariantError when |f'| < FPRIME_FLOOR (the
+    normalization -2 f' g' = 1 breaks down there)."""
+    if abs(fp) < FPRIME_FLOOR:
+        raise ProfileInvariantError(f"f'({u}) = {fp} too close to zero")
+    return fp
 
 
 @dataclass(frozen=True)
@@ -34,6 +44,9 @@ class ProfileCurve:
     f: Callable[[Jet], Jet]
     domain: tuple
     g_origin: float = 0.0
+    # g table, filled by g_from_f: [f'(u0) > 0, g at node 0, g at node 1, ...]
+    _g_table: list = field(default_factory=list, init=False, repr=False,
+                           compare=False)
 
     def _check(self, u: float):
         u0, u1 = self.domain
@@ -48,10 +61,7 @@ class ProfileCurve:
         return g_from_f(self, u)
 
     def g_prime(self, u: float) -> float:
-        fp = self.f_jet(u).d1
-        if abs(fp) < FPRIME_FLOOR:
-            raise ProfileInvariantError(f"f'({u}) = {fp} too close to zero")
-        return -0.5 / fp
+        return -0.5 / _require_fprime(self.f_jet(u).d1, u)
 
 
 @dataclass(frozen=True)
@@ -103,9 +113,7 @@ def validate_profile(p: ProfileCurve, samples: int) -> ValidationReport:
 def kappa_m(p: ProfileCurve, u: float) -> float:
     """Meridian curvature f''/f' (arc-length normalized profile)."""
     jet = p.f_jet(u)
-    if abs(jet.d1) < FPRIME_FLOOR:
-        raise ProfileInvariantError(f"f'({u}) = {jet.d1} too close to zero")
-    return jet.d2 / jet.d1
+    return jet.d2 / _require_fprime(jet.d1, u)
 
 
 def meridian_curvature_general(f: Callable[[Jet], Jet], g: Callable[[Jet], Jet],
@@ -135,29 +143,43 @@ def kappa(d: Directrix, v: float) -> float:
     return num / den**1.5
 
 
-def g_from_f(p: ProfileCurve, u: float, tol: float = 1e-10) -> float:
-    """g(u) = g_origin + integral from the domain's left end of -1/(2 f'(t)) dt.
+def _g_node(p: ProfileCurve, j: int) -> float:
+    u0, u1 = p.domain
+    return u1 if j == G_PANELS else u0 + (u1 - u0) * j / G_PANELS
 
-    Raises ProfileInvariantError if f' changes sign over the integration range
-    (the normalization would be meaningless there).
+
+def g_from_f(p: ProfileCurve, u: float) -> float:
+    """g(u) = g_origin + integral from the domain's left end of -1/(2 f'(t)) dt,
+    to absolute error G_TOL.
+
+    The profile keeps g at the left ends of G_PANELS equal panels of its
+    domain, filled left to right only as far as queries reach; a query adds
+    the integral from the left end of its own panel. Each panel integral is
+    one fixed computation and the nodes are summed in index order, so g(u)
+    does not depend on which points were queried before.
+
+    Raises ProfileInvariantError if f' vanishes or changes sign (from its
+    sign at u0) over [u0, u]: the normalization would be meaningless there.
     """
     p._check(u)
-    u0 = p.domain[0]
+    u0, u1 = p.domain
     if u == u0:
         return p.g_origin
-
-    sign0 = None
+    table = p._g_table
+    if not table:
+        table += [_require_fprime(jet_eval(p.f, u0).d1, u0) > 0, p.g_origin]
+    positive = table[0]
 
     def integrand(t):
-        nonlocal sign0
-        fp = jet_eval(p.f, t).d1
-        if abs(fp) < FPRIME_FLOOR:
-            raise ProfileInvariantError(f"f'({t}) = {fp} too close to zero in g quadrature")
-        s = 1.0 if fp > 0 else -1.0
-        if sign0 is None:
-            sign0 = s
-        elif s != sign0:
+        fp = _require_fprime(jet_eval(p.f, t).d1, t)
+        if (fp > 0) != positive:
             raise ProfileInvariantError(f"f' changes sign inside [{u0}, {u}] (at t = {t})")
         return -0.5 / fp
 
-    return p.g_origin + adaptive_simpson(integrand, u0, u, tol=tol)
+    # int() truncates toward zero: u in the domain slack left of u0 is in panel 0
+    k = min(int((u - u0) / (u1 - u0) * G_PANELS), G_PANELS - 1)
+    while len(table) < k + 2:
+        j = len(table) - 2
+        table.append(table[-1] + adaptive_simpson(
+            integrand, _g_node(p, j), _g_node(p, j + 1), tol=G_TOL / (2 * G_PANELS)))
+    return table[k + 1] + adaptive_simpson(integrand, _g_node(p, k), u, tol=G_TOL / 2)

@@ -11,9 +11,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (DegenerateDirectrixError, FlatPointError,
-                     MarginallyTrappedError)
+                     MarginallyTrappedError, ProfileInvariantError)
 from .minkowski import Vec4, from_lightlike
-from .profile import Directrix, ProfileCurve, _kappa_parts, g_from_f
+from .profile import (FPRIME_FLOOR, Directrix, ProfileCurve, _kappa_parts,
+                      g_from_f)
 
 __all__ = [
     "MeridianSurface",
@@ -106,6 +107,8 @@ def point_data(s: MeridianSurface, u: float, v: float) -> PointData:
     """One evaluation of the profile and directrix jets at (u, v); the
     frames, the invariants and the oracle all derive from this record."""
     fj = s.profile.f_jet(u)
+    if abs(fj.d1) < FPRIME_FLOOR:
+        raise ProfileInvariantError(f"f'({u}) = {fj.d1} too close to zero")
     pj = s.directrix.phi_jet(v)
     num, D = _kappa_parts(pj)
     if D < 1e-15:

@@ -131,6 +131,16 @@ def test_invariants_flat_rows_have_empty_cells(tmp_path):
         assert all(c == "" for c in cells[2:-1])
 
 
+def test_invariants_exit_1_on_vanishing_f_prime(tmp_path, capsys):
+    # f = u^2 + 1 has f'(0) = 0, where the normalization -2 f' g' = 1 fails.
+    code = main(["invariants", "--spec", "direct f=u^2+1 phi=1",
+                 "--u", "0:1", "--v", "0:1", "--grid", "3x3",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: f'(0.0)")
+
+
 # --- verify command -----------------------------------------------------------
 
 def test_verify_passes_on_parallel_a(tmp_path, capsys):

@@ -1,27 +1,109 @@
 """Profile curve, arc-length normalization, and the two scalar curvatures."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from meridian4.errors import ProfileInvariantError
 from meridian4.expressions import compile_expression
-from meridian4.jets import jcos, jsqrt, variable
-from meridian4.profile import (Directrix, ProfileCurve, g_from_f, kappa,
-                               kappa_m, meridian_curvature_general,
+from meridian4.families import (ConstantGauss, ConstantMean, ParallelA,
+                                constant_kappa_directrix, generate)
+from meridian4.jets import constant, jcos, jet_eval, jsqrt, variable
+from meridian4.profile import (G_PANELS, Directrix, ProfileCurve, g_from_f,
+                               kappa, kappa_m, meridian_curvature_general,
                                validate_profile)
-from meridian4.surface import MeridianSurface, point_data
+from meridian4.quadrature import adaptive_simpson
+from meridian4.surface import MeridianSurface, embed, point_data
 
 SQRT_PROFILE = ProfileCurve(lambda u: jsqrt(u + 1.0), (0.0, 3.0),
                             g_origin=-2.0 / 3.0)
 
 
+class Counted:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+def samples(domain, n):
+    u0, u1 = domain
+    return [u0 + (u1 - u0) * i / (n - 1) for i in range(n)]
+
+
 def test_g_matches_closed_form():
     # f = sqrt(u+1) gives g' = -sqrt(u+1), so g = -(2/3)(u+1)^(3/2).
-    for u in (0.0, 0.5, 1.0, 2.0, 3.0):
+    for u in samples((0.0, 3.0), 201):
         expected = -(2.0 / 3.0) * (u + 1.0) ** 1.5
-        assert g_from_f(SQRT_PROFILE, u) == pytest.approx(expected, abs=1e-9)
+        assert g_from_f(SQRT_PROFILE, u) == pytest.approx(expected, abs=1e-10)
+
+
+def test_g_matches_parallel_a_closed_form():
+    c, d, a = 2.0, 0.5, 0.25
+    gen = generate(ParallelA(c=c, d=d, a=a, sign=1), None, (0.0, 2.0),
+                   Directrix(lambda v: constant(1.0), (0.0, 1.0)))
+    for u in samples(gen.u_range, 101):
+        expected = -(2.0 / (3.0 * c * c)) * (c * u + d) ** 1.5 + a
+        assert gen.surface.profile.g(u) == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("spec, f0, directrix", [
+    (ConstantGauss(K=1.0, alpha=1.0, beta=0.0), None,
+     Directrix(lambda v: constant(1.0), (0.0, 1.0))),
+    (ConstantMean(a=0.5, b=2.0, C=0.0, epsilon=1, branch=1), 0.6,
+     constant_kappa_directrix(2.0, (0.0, 0.3))),
+])
+def test_g_matches_single_shot_quadrature(spec, f0, directrix):
+    profile = generate(spec, f0, (0.1, 0.7), directrix).surface.profile
+    u0 = profile.domain[0]
+
+    def g_prime(t):
+        return -0.5 / jet_eval(profile.f, t).d1
+    for u in samples(profile.domain, 41):
+        expected = profile.g_origin + adaptive_simpson(g_prime, u0, u, tol=1e-12)
+        assert g_from_f(profile, u) == pytest.approx(expected, abs=1e-10)
+
+
+def test_g_does_not_depend_on_query_order():
+    rng = random.Random(7)
+    us = samples((0.0, 3.0), 2 * G_PANELS + 1) + [rng.uniform(0.0, 3.0)
+                                                   for _ in range(60)]
+    forward = list(us)
+    reverse = forward[::-1]
+    shuffled = list(us)
+    rng.shuffle(shuffled)
+    results = []
+    for order in (forward, reverse, shuffled):
+        p = ProfileCurve(lambda u: jsqrt(u + 1.0), (0.0, 3.0))
+        results.append({u: g_from_f(p, u) for u in order})
+    assert results[0] == results[1] == results[2]
+
+
+def test_g_left_of_sign_change_survives_failed_query():
+    # f' = -sin u changes sign at pi; a failed query must not spoil the table.
+    p = ProfileCurve(lambda u: jcos(u) + 2.0, (0.1, 3.5))
+    with pytest.raises(ProfileInvariantError):
+        g_from_f(p, 3.4)
+    fresh = ProfileCurve(lambda u: jcos(u) + 2.0, (0.1, 3.5))
+    for u in (0.5, 2.9, 3.1):
+        assert g_from_f(p, u) == g_from_f(fresh, u)
+
+
+def test_g_work_of_embed_on_a_mesh_grid():
+    # The 16x40 grid of the mesh benchmark. Integrating g from u0 at every
+    # vertex evaluates f 82,200 times here; the panel table needs under a tenth.
+    f = Counted(lambda u: jsqrt(u + 1.0))
+    s = MeridianSurface(ProfileCurve(f, (0.0, 3.0)),
+                        Directrix(lambda v: constant(1.0), (0.0, 6.28)))
+    for u in samples((0.0, 3.0), 16):
+        for v in samples((0.0, 6.28), 40):
+            embed(s, u, v)
+    assert f.calls <= 8220
 
 
 def test_normalization_identity():

@@ -4,11 +4,13 @@ import math
 
 import pytest
 
-from meridian4.errors import FlatPointError, MarginallyTrappedError
+from meridian4.errors import (FlatPointError, MarginallyTrappedError,
+                              ProfileInvariantError)
 from meridian4.expressions import compile_expression
 from meridian4.jets import jcos, jsqrt, variable
 from meridian4.minkowski import Vec4, minkowski_dot
 from meridian4.profile import Directrix, ProfileCurve
+from meridian4.invariants import eight_invariants
 from meridian4.surface import (MeridianSurface, PointCase, classify_point,
                                embed, first_fundamental_form, normal_frame,
                                normal_pair, point_data, tangent_frame)
@@ -124,3 +126,12 @@ def test_point_data_scalars():
     assert d.kappa_m == pytest.approx(-0.5)
     assert d.q == pytest.approx(0.0, abs=1e-15)
     assert d.disc == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("fn", [point_data, classify_point, tangent_frame,
+                                eight_invariants])
+def test_vanishing_f_prime_raises_profile_invariant_error(fn):
+    s = MeridianSurface(ProfileCurve(compile_expression("u^2 + 1"), (0.0, 1.0)),
+                        UNIT_PHI)
+    with pytest.raises(ProfileInvariantError):
+        fn(s, 0.0, 0.5)
