@@ -16,7 +16,8 @@ expression values must not contain spaces):
   parallel-b a=1 c=1 b=-2
   direct f=<expr> phi=<expr> [g0=<real>]
 
-Exit codes: 0 success, 1 spec/parse error, 2 truncated generation.
+Exit codes: 0 success, 1 spec/parse error, 2 truncated generation (the
+profile, or for invariants and mesh also the directrix, ends early).
 All numeric output uses shortest round-trip float formatting; outputs carry
 no timestamps, so identical invocations are byte-identical.
 """
@@ -26,8 +27,8 @@ import json
 import math
 import sys
 
-from .errors import MeridianError, ExpressionError, FlatPointError, \
-    MarginallyTrappedError, SpecMismatchError
+from .errors import MeridianError, FlatPointError, MarginallyTrappedError, \
+    SpecMismatchError
 from .expressions import compile_expression
 from .families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                        GeneratedSurface, ParallelA, ParallelB,
@@ -176,7 +177,7 @@ def _spec_dict(spec, phi_text):
     return d
 
 
-def build_surface(spec, phi_text, f0, u_range, v_range, step=1e-3):
+def build_surface(spec, phi_text, f0, u_range, v_range):
     """Realize the spec as a GeneratedSurface (direct specs get wrapped)."""
     if isinstance(spec, dict):
         profile = ProfileCurve(compile_expression(spec["f"], "u"), u_range,
@@ -186,10 +187,10 @@ def build_surface(spec, phi_text, f0, u_range, v_range, step=1e-3):
         return GeneratedSurface(surf, None, "expression", u_range, False)
     b = spec.kappa_constant
     if b is not None:
-        directrix = constant_kappa_directrix(b, v_range, step=step)
+        directrix = constant_kappa_directrix(b, v_range)
     else:
         directrix = Directrix(compile_expression(phi_text or "1", "v"), v_range)
-    return generate(spec, f0, u_range, directrix, step=step)
+    return generate(spec, f0, u_range, directrix)
 
 
 def _samples(lo, hi, n):
@@ -256,17 +257,14 @@ def cmd_invariants(args) -> int:
                 vals = [""] * len(INVARIANT_COLUMNS)
             rows.append(",".join([_fmt(u), _fmt(v)] + vals + [case.value]))
     _write(args.out, "\n".join(rows) + "\n")
-    return 2 if gen.truncated else 0
+    return 2 if gen.truncated or vv1 < v1 else 0
 
 
 def cmd_verify(args) -> int:
     spec, phi_text = parse_family_spec(args.spec)
     u0, u1, ustep = _parse_range(args.u, "u")
     v0, v1, vstep = _parse_range(args.v, "v")
-    # Integrate with a fine step: the finite-difference oracle samples the
-    # dense output between knots, so interpolation noise must sit well below
-    # the comparison tolerance.
-    gen = build_surface(spec, phi_text, args.f0, (u0, u1), (v0, v1), step=1e-4)
+    gen = build_surface(spec, phi_text, args.f0, (u0, u1), (v0, v1))
     n_pts = 50
     if args.grid:
         nu, nv = _grid_counts(args, ustep, vstep, (u0, u1), (v0, v1))
@@ -315,7 +313,7 @@ def cmd_mesh(args) -> int:
         "fields": fields,
     }
     _write(args.out, json.dumps(payload) + "\n")
-    return 2 if gen.truncated else 0
+    return 2 if gen.truncated or vv1 < v1 else 0
 
 
 def _field_value(s, u, v, name):
@@ -370,9 +368,6 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.fn(args)
-    except (SpecError, ExpressionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MeridianError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

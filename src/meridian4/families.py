@@ -4,7 +4,9 @@ invariant k, Chen surfaces, and parallel normal bundle.
 
 Closed-form profiles are used where the classification gives one (constant
 Gauss, parallel case a); the rest integrate the autonomous profile equation
-f' = y(f) with RK4 plus Hermite dense output.
+f' = y(f) once with the error-controlled Dormand-Prince 5(4) pair and its
+dense output. A profile whose defining residual still exceeds RESIDUAL_TOL
+raises ProfileInvariantError rather than being returned.
 """
 
 import math
@@ -14,7 +16,7 @@ from typing import Callable, Optional, Union
 from . import jets
 from .errors import DomainError, ProfileInvariantError, SpecMismatchError
 from .jets import Jet, jet_eval, jet_function_from_derivs
-from .odeint import HermitePath, rk4_path
+from .odeint import DensePath, dormand_prince
 from .profile import Directrix, ProfileCurve, kappa, validate_profile
 from .surface import MeridianSurface
 
@@ -25,8 +27,6 @@ __all__ = [
     "constant_kappa_directrix", "generate", "defining_residual",
 ]
 
-DEFAULT_STEP = 1e-3
-MAX_STEP_HALVINGS = 4
 RESIDUAL_TOL = 1e-6
 KAPPA_MATCH_TOL = 1e-8
 _F_BOUND = 1e3        # runaway guard for the autonomous integration
@@ -171,47 +171,42 @@ def y_function(spec: FamilySpec) -> Callable[[Jet], Jet]:
 
         if spec.epsilon == 1:
             def y(t):
-                tj = t if isinstance(t, Jet) else jets.constant(t)
-                if not 0.0 < tj.f < cap - 1e-9:
+                if not 0.0 < t.f < cap - 1e-9:
                     raise DomainError("t outside (0, |b|/2|a|) for the arcsin branch",
-                                      t=tj.f)
-                root = jets.jsqrt(b * b - 4.0 * a * a * tj * tj)
-                return (C + s * 0.5 * tj * root
-                        + s * (b * b / (4.0 * a)) * jets.jarcsin(2.0 * a * tj / b)) / tj
+                                      t=t.f)
+                root = jets.jsqrt(b * b - 4.0 * a * a * t * t)
+                return (C + s * 0.5 * t * root
+                        + s * (b * b / (4.0 * a)) * jets.jarcsin(2.0 * a * t / b)) / t
         else:
             def y(t):
-                tj = t if isinstance(t, Jet) else jets.constant(t)
-                if tj.f <= 0.0:
-                    raise DomainError("t must be positive", t=tj.f)
-                root = jets.jsqrt(b * b + 4.0 * a * a * tj * tj)
-                return (C + s * 0.5 * tj * root
-                        + s * (b * b / (4.0 * a)) * _jlog_abs(2.0 * a * tj + root)) / tj
+                if t.f <= 0.0:
+                    raise DomainError("t must be positive", t=t.f)
+                root = jets.jsqrt(b * b + 4.0 * a * a * t * t)
+                return (C + s * 0.5 * t * root
+                        + s * (b * b / (4.0 * a)) * _jlog_abs(2.0 * a * t + root)) / t
         return y
     if isinstance(spec, ConstantK):
         a, b, c, s = spec.a, spec.b, spec.c, float(spec.branch)
 
         def y(t):
-            tj = t if isinstance(t, Jet) else jets.constant(t)
-            return c + s * a * tj * tj / (2.0 * b)
+            return c + s * a * t * t / (2.0 * b)
         return y
     if isinstance(spec, Chen):
         b, c, s = spec.b, spec.c, spec.exponent_branch
 
         def y(t):
-            tj = t if isinstance(t, Jet) else jets.constant(t)
-            if tj.f <= 0.0:
-                raise DomainError("t must be positive", t=tj.f)
-            tp = jets.jpow(tj, s)
+            if t.f <= 0.0:
+                raise DomainError("t must be positive", t=t.f)
+            tp = jets.jpow(t, s)
             return (c * c * tp * tp + b * b) / (2.0 * c * tp)
         return y
     if isinstance(spec, ParallelB):
         a, c = spec.a, spec.c
 
         def y(t):
-            tj = t if isinstance(t, Jet) else jets.constant(t)
-            if tj.f <= 0.0:
-                raise DomainError("t must be positive", t=tj.f)
-            return (c + a * tj) / tj
+            if t.f <= 0.0:
+                raise DomainError("t must be positive", t=t.f)
+            return (c + a * t) / t
         return y
     raise SpecMismatchError(f"{type(spec).__name__} has no autonomous y(t)")
 
@@ -220,13 +215,14 @@ def y_of_t(spec: FamilySpec, t: float) -> float:
     return jet_eval(y_function(spec), t).f
 
 
-def integrate_autonomous(y: Callable[[Jet], Jet], f0: float, u_range: tuple,
-                         step: float = DEFAULT_STEP) -> HermitePath:
-    """Integrate f' = y(f) from the left end of u_range with RK4.
+def integrate_autonomous(y: Callable[[Jet], Jet], f0: float,
+                         u_range: tuple) -> DensePath:
+    """Integrate f' = y(f) from the left end of u_range.
 
     Truncates (rather than failing) when y's domain would be exited, when y
-    approaches zero (f' = 0 would break the profile) or when f runs away.
-    The path carries f values; derivative access goes through y's jets.
+    approaches zero or changes sign (f' = 0 would break the profile) or when
+    f or y runs away. The path carries f values; derivative access goes
+    through y's jets.
     """
     y0 = jet_eval(y, f0).f
     if abs(y0) < _Y_FLOOR:
@@ -234,23 +230,19 @@ def integrate_autonomous(y: Callable[[Jet], Jet], f0: float, u_range: tuple,
     sign0 = 1.0 if y0 > 0 else -1.0
 
     def rhs(state):
-        val = jet_eval(y, float(state[0])).f
-        return [val]
-
-    def stop(state):
         t = float(state[0])
         if not 0.0 < t < _F_BOUND:
-            return True
-        try:
-            yv = jet_eval(y, t).f
-        except DomainError:
-            return True
-        return abs(yv) < _Y_FLOOR or yv * sign0 < 0 or abs(yv) > _F_BOUND
+            raise DomainError(f"f = {t} outside (0, {_F_BOUND})", t=t)
+        yv = jet_eval(y, t).f
+        if abs(yv) < _Y_FLOOR or yv * sign0 < 0 or abs(yv) > _F_BOUND:
+            raise DomainError(f"f' = {yv} at f = {t} vanishes, changes sign or "
+                              f"runs away", t=t)
+        return [yv]
 
-    return rk4_path(rhs, u_range[0], u_range[1], [f0], step, stop=stop)
+    return dormand_prince(rhs, u_range[0], u_range[1], [f0])
 
 
-def profile_from_path(path: HermitePath, y: Callable[[Jet], Jet],
+def profile_from_path(path: DensePath, y: Callable[[Jet], Jet],
                       g_origin: float = 0.0) -> ProfileCurve:
     """ProfileCurve backed by the dense ODE solution; f'' and f''' come from
     the jets of y via f'' = y'y, f''' = (y''y + y'^2) y."""
@@ -284,8 +276,7 @@ def _trim_closed_form(f, u_range, samples=2000):
     return (u0, last_good), last_good < u1
 
 
-def constant_kappa_directrix(b: float, v_range: tuple,
-                             step: float = DEFAULT_STEP) -> Directrix:
+def constant_kappa_directrix(b: float, v_range: tuple) -> Directrix:
     """Directrix with constant curvature kappa = b != 0.
 
     b < 0 is realized exactly by the constant phi = -1/b. b > 0 has no
@@ -298,8 +289,7 @@ def constant_kappa_directrix(b: float, v_range: tuple,
         p = -1.0 / b
 
         def phi(x):
-            xj = x if isinstance(x, Jet) else jets.constant(x)
-            return jets.constant(p) + 0.0 * xj  # constant, any-jet-safe
+            return jets.constant(p)
         return Directrix(phi, v_range)
 
     def accel(p, q):
@@ -308,32 +298,16 @@ def constant_kappa_directrix(b: float, v_range: tuple,
 
     def rhs(state):
         p, q = float(state[0]), float(state[1])
-        if abs(p) < 1e-12:
-            raise DomainError("phi hit zero during directrix integration", t=p)
+        if not (1e-6 < p < _F_BOUND and abs(q) < _F_BOUND):
+            raise DomainError(f"directrix runs away: phi = {p}, phi' = {q}", t=p)
         return [q, accel(p, q)]
 
-    def stop(state):
-        p, q = float(state[0]), float(state[1])
-        return not (1e-6 < p < _F_BOUND and abs(q) < _F_BOUND)
-
     # phi'' is reconstructed from the ODE itself, so kappa == b identically on
-    # the interpolant; the real error sits in phi, phi' and is controlled by a
-    # step-halving (Richardson) comparison of the RK4 paths.
-    path = None
-    for _ in range(8):
-        coarse = rk4_path(rhs, v_range[0], v_range[1], [1.0, 0.0], step, stop=stop)
-        fine = rk4_path(rhs, v_range[0], v_range[1], [1.0, 0.0], 0.5 * step, stop=stop)
-        t1 = min(coarse.t1, fine.t1)
-        err = max(
-            float(abs(coarse(coarse.t0 + (t1 - coarse.t0) * i / 32)
-                      - fine(coarse.t0 + (t1 - coarse.t0) * i / 32)).max())
-            for i in range(33))
-        path = fine
-        if err <= 1e-9:
-            break
-        step *= 0.5
+    # the interpolant; the error sits in phi, phi' and is bounded per step by
+    # the integrator's error control.
+    path = dormand_prince(rhs, v_range[0], v_range[1], [1.0, 0.0])
 
-    def derivs(v, path=path):
+    def derivs(v):
         p, q = (float(c) for c in path(v))
         pdd = accel(p, q)
         rD = math.sqrt(q * q + p * p)
@@ -415,15 +389,16 @@ def _closed_form_profile(spec: FamilySpec, u_range: tuple):
 
 
 def generate(spec: FamilySpec, f0: Optional[float], u_range: tuple,
-             directrix: Directrix, step: float = DEFAULT_STEP) -> GeneratedSurface:
+             directrix: Directrix) -> GeneratedSurface:
     """Build the family member over the given directrix.
 
     For kappa-constrained variants the directrix curvature is verified to be
     the required constant (tolerance 1e-8 on a v-grid). Closed-form variants
-    ignore f0. ODE variants that fail their defining-property tolerance get
-    up to four automatic step halvings. The realized u-range is trimmed
-    wherever profile invariants or y's domain would fail; trimming is reported
-    via `truncated`, not as a failure.
+    ignore f0. ODE variants are integrated once; if the defining residual on
+    50 points of the realized range exceeds RESIDUAL_TOL, ProfileInvariantError
+    is raised. The realized u-range is trimmed wherever profile invariants or
+    y's domain would fail; trimming is reported via `truncated`, not as a
+    failure.
     """
     required_kappa = spec.kappa_constant
     if required_kappa is not None:
@@ -444,19 +419,16 @@ def generate(spec: FamilySpec, f0: Optional[float], u_range: tuple,
         raise SpecMismatchError("ODE variants need a starting value f0 > 0")
 
     y = y_function(spec)
-    h = step
-    last = None
-    for _ in range(MAX_STEP_HALVINGS + 1):
-        path = integrate_autonomous(y, f0, u_range, h)
-        profile = profile_from_path(path, y)
-        realized = (path.t0, path.t1)
-        n = 50
-        worst = max(defining_residual(spec, profile,
-                                      realized[0] + (realized[1] - realized[0]) * i / (n - 1))
-                    for i in range(n))
-        last = GeneratedSurface(MeridianSurface(profile, directrix), spec,
-                                "ode-integrated", realized, path.truncated)
-        if worst <= RESIDUAL_TOL:
-            return last
-        h *= 0.5
-    return last
+    path = integrate_autonomous(y, f0, u_range)
+    profile = profile_from_path(path, y)
+    realized = (path.t0, path.t1)
+    n = 50
+    worst, where = max(
+        (defining_residual(spec, profile, u), u)
+        for u in (realized[0] + (realized[1] - realized[0]) * i / (n - 1)
+                  for i in range(n)))
+    if worst > RESIDUAL_TOL:
+        raise ProfileInvariantError(
+            f"defining residual {worst:.3e} at u = {where} exceeds {RESIDUAL_TOL}")
+    return GeneratedSurface(MeridianSurface(profile, directrix), spec,
+                            "ode-integrated", realized, path.truncated)

@@ -1,29 +1,56 @@
-"""Classical fourth-order Runge-Kutta integration with cubic Hermite dense
-output, for the autonomous profile equation f' = y(f) and the constant-curvature
-directrix IVP."""
+"""Dormand-Prince 5(4) integration with embedded error control and the
+method's native 4th-order dense output, for the autonomous profile equation
+f' = y(f) and the constant-curvature directrix IVP (Dormand & Prince, J.
+Comput. Appl. Math. 6, 1980; Hairer, Norsett & Wanner, Solving ODEs I,
+sections II.4-II.6)."""
 
-import bisect
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["rk4_path", "HermitePath"]
+__all__ = ["RTOL", "ATOL", "DensePath", "dormand_prince"]
+
+RTOL = 1e-14          # per-step error bound: ATOL + RTOL |y|, componentwise
+ATOL = 1e-14
+_FIRST_STEP = 1e-3    # first trial step, as a fraction of the span
+_MIN_STEP = 1e-6      # a step that must shrink below this fraction truncates
+
+# Row s builds the point of stage s + 2 from stages 1..s + 1; the last row
+# holds the 5th-order weights, whose point is the step's result and whose
+# stage is the first stage of the next step (first same as last).
+_A = np.array([
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+# 5th- minus 4th-order weights over the seven stages: the local error estimate.
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+               22 / 525, -1 / 40])
+# Weights of the 4th-order continuous extension (Hairer's DOPRI5 dense output).
+_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+               -10690763975 / 1880347072, 701980252875 / 199316789632,
+               -1453857185 / 822651844, 69997945 / 29380423])
 
 
 @dataclass(frozen=True)
-class HermitePath:
-    """Piecewise-cubic Hermite interpolant through RK4 nodes.
+class DensePath:
+    """Dense solution of an accepted Dormand-Prince step sequence.
 
-    ts: node abscissae (strictly increasing); ys: values (n_nodes x dim);
-    dys: slopes at the nodes (same shape). Interpolation error is O(step^4),
-    matching the RK4 global error.
+    ts: node abscissae (strictly increasing); coef: per step (n_steps x 5 x
+    dim) the coefficients r0..r4 of the continuous extension
+    r0 + s (r1 + (1-s) (r2 + s (r3 + (1-s) r4))), s in [0, 1] across the
+    step. It matches the nodes' values and slopes, so it is C^1, and it is
+    4th-order accurate between nodes.
     """
 
     ts: np.ndarray
-    ys: np.ndarray
-    dys: np.ndarray
+    coef: np.ndarray
     truncated: bool = False
 
     @property
@@ -35,61 +62,61 @@ class HermitePath:
         return float(self.ts[-1])
 
     def __call__(self, t: float) -> np.ndarray:
-        if not (self.ts[0] - 1e-12 <= t <= self.ts[-1] + 1e-12):
-            raise DomainError(
-                f"interpolant queried at {t} outside [{self.ts[0]}, {self.ts[-1]}]", t=t)
-        t = min(max(t, float(self.ts[0])), float(self.ts[-1]))
-        i = bisect.bisect_right(self.ts, t) - 1
-        i = min(max(i, 0), len(self.ts) - 2)
-        h = self.ts[i + 1] - self.ts[i]
-        s = (t - self.ts[i]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return (h00 * self.ys[i] + h10 * h * self.dys[i]
-                + h01 * self.ys[i + 1] + h11 * h * self.dys[i + 1])
+        t0, t1 = self.t0, self.t1
+        if not (t0 - 1e-12 <= t <= t1 + 1e-12):
+            raise DomainError(f"interpolant queried at {t} outside [{t0}, {t1}]", t=t)
+        t = min(max(t, t0), t1)
+        i = min(int(np.searchsorted(self.ts, t, side="right")) - 1, len(self.ts) - 2)
+        s = (t - self.ts[i]) / (self.ts[i + 1] - self.ts[i])
+        r0, r1, r2, r3, r4 = self.coef[i]
+        return r0 + s * (r1 + (1 - s) * (r2 + s * (r3 + (1 - s) * r4)))
 
 
-def rk4_path(rhs, t0: float, t1: float, y0, step: float, stop=None) -> HermitePath:
+def dormand_prince(rhs, t0: float, t1: float, y0) -> DensePath:
     """Integrate y' = rhs(y) (autonomous, vector-valued) from t0 to t1.
 
-    stop(y) -> bool, when given, is checked on each tentative step's endpoint
-    and midpoints; a True result truncates the path at the last good node.
-    rhs may raise DomainError to signal leaving its domain, which also
-    truncates.
+    Each step keeps the embedded error estimate within ATOL + RTOL |y|. rhs
+    raises DomainError where y leaves its domain: a step whose stages raise
+    it or give non-finite values is retried at a quarter of its length. When
+    a rejected step would have to shrink below a fixed fraction of the span,
+    the path ends at the last accepted node with truncated=True.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    n = max(1, int(round((t1 - t0) / step)))
-    h = (t1 - t0) / n
-    ts = [t0]
-    ys = [y0]
-    dys = [np.atleast_1d(rhs(y0))]
-    truncated = False
-    y = y0
-    for i in range(n):
+    y = np.atleast_1d(np.asarray(y0, dtype=float))
+    k = np.empty((7, y.size))
+    k[0] = rhs(y)
+    floor = _MIN_STEP * (t1 - t0)
+    h = _FIRST_STEP * (t1 - t0)
+    t = t0
+    ts, coef = [t0], []
+    truncated = rejected = False
+    while t < t1:
+        last = h >= t1 - t
+        if last:
+            h = t1 - t
         try:
-            k1 = dys[-1]
-            k2 = np.atleast_1d(rhs(y + 0.5 * h * k1))
-            k3 = np.atleast_1d(rhs(y + 0.5 * h * k2))
-            k4 = np.atleast_1d(rhs(y + h * k3))
-            y_next = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(y_next)):
-                truncated = True
-                break
-            if stop is not None and stop(y_next):
-                truncated = True
-                break
-            dy_next = np.atleast_1d(rhs(y_next))
+            for s in range(6):
+                y_new = y + h * (_A[s, :s + 1] @ k[:s + 1])
+                k[s + 1] = rhs(y_new)
+            scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
+            err = float(np.max(np.abs(h * (_E @ k)) / scale))
         except DomainError:
+            err = math.nan
+        if err <= 1.0:
+            dy = y_new - y
+            slope = h * k[0] - dy
+            coef.append((y, dy, slope, dy - h * k[6] - slope, h * (_D @ k)))
+            t = t1 if last else t + h
+            ts.append(t)
+            y, k[0] = y_new, k[6]
+            h *= min(1.0 if rejected else 5.0, 0.9 * max(err, 1e-10) ** -0.2)
+            rejected = False
+            continue
+        # a non-finite error means the stages left the domain or overflowed
+        h *= max(0.2, 0.9 * err ** -0.2) if math.isfinite(err) else 0.25
+        rejected = True
+        if h < floor:
             truncated = True
             break
-        y = y_next
-        ts.append(t0 + (i + 1) * h)
-        ys.append(y)
-        dys.append(dy_next)
-    if len(ts) < 2:
+    if not coef:
         raise DomainError("integration could not complete a single step from t0", t=t0)
-    return HermitePath(np.array(ts), np.array(ys), np.array(dys), truncated=truncated)
+    return DensePath(np.array(ts), np.array(coef), truncated=truncated)

@@ -83,6 +83,19 @@ def test_family_exit_2_on_truncation(tmp_path):
     assert echo["realized_range"][1] < 10.0
 
 
+@pytest.mark.parametrize("command", ["invariants", "mesh"])
+def test_directrix_runaway_is_exit_2(tmp_path, command):
+    # The b = 2 directrix runs away near v = 0.34, short of the requested 6.28.
+    out = tmp_path / "out"
+    code = main([command, "--spec", "constant-mean a=0.5 b=2 C=0 eps=+ branch=+",
+                 "--f0", "0.6", "--u", "0:0.5", "--v", "0:6.28", "--grid", "2x4",
+                 "--out", str(out)])
+    assert code == 2
+    if command == "invariants":
+        rows = out.read_text().splitlines()[1:]
+        assert max(float(r.split(",")[1]) for r in rows) < 0.35
+
+
 def test_closed_form_range_end_is_not_reported_as_truncation(tmp_path):
     # 0.321 + (0.856 - 0.321) rounds one ulp below 0.856; the profile is
     # valid on the whole range, so nothing may be reported as trimmed.

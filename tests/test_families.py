@@ -4,14 +4,16 @@ import math
 
 import pytest
 
-from meridian4.errors import SpecMismatchError
+from meridian4 import families
+from meridian4.errors import ProfileInvariantError, SpecMismatchError
 from meridian4.expressions import compile_expression
 from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                                 ParallelA, ParallelB, constant_kappa_directrix,
                                 defining_residual, generate,
-                                integrate_autonomous, y_of_t)
+                                integrate_autonomous, y_function, y_of_t)
 from meridian4.invariants import (eight_invariants, gauss_curvature,
                                   invariant_k, mean_curvature)
+from meridian4.odeint import dormand_prince
 from meridian4.profile import Directrix, kappa
 
 TWO_PI = 2.0 * math.pi
@@ -65,13 +67,12 @@ def test_y_of_t_pinned_values():
 
 
 def test_integrate_autonomous_exponential():
-    path = integrate_autonomous(lambda t: t, 1.0, (0.0, 1.0), step=1e-3)
-    assert float(path(1.0)[0]) == pytest.approx(math.e, abs=1e-9)
+    path = integrate_autonomous(lambda t: t, 1.0, (0.0, 1.0))
+    assert float(path(1.0)[0]) == pytest.approx(math.e, abs=1e-12)
 
 
 def test_integrate_autonomous_constant_slope():
-    path = integrate_autonomous(lambda t: 0.0 * t + 1.0, 2.0, (0.0, 3.0),
-                                step=1e-2)
+    path = integrate_autonomous(lambda t: 0.0 * t + 1.0, 2.0, (0.0, 3.0))
     for u in (0.0, 1.2345, 3.0):
         assert float(path(u)[0]) == pytest.approx(2.0 + u, abs=1e-12)
 
@@ -126,6 +127,21 @@ def test_constant_k_family():
     v = math.pi
     for u in u_samples(gen):
         assert invariant_k(gen.surface, u, v) == pytest.approx(-1.0, abs=1e-8)
+
+
+def test_constant_k_profile_matches_closed_form():
+    # y(t) = (1 - t^2)/2 at a=1, b=-1, c=0.5, so f = tanh(u/2 + atanh f0).
+    spec = ConstantK(a=1.0, b=-1.0, c=0.5, branch=1)
+    gen = generate(spec, 0.5, (0.0, 1.5), UNIT_PHI)
+    assert gen.u_range == (0.0, 1.5) and not gen.truncated
+    profile = gen.surface.profile
+    nodes = [float(u) for u in
+             integrate_autonomous(y_function(spec), 0.5, (0.0, 1.5)).ts]
+    between = [1.5 * i / 199 for i in range(200)]
+    assert len(nodes) > 2
+    for u in nodes + between:
+        assert profile.f_jet(u).f == pytest.approx(
+            math.tanh(0.5 * u + math.atanh(0.5)), abs=1e-12)
 
 
 def test_chen_family_lambda_vanishes():
@@ -188,6 +204,48 @@ def test_constant_kappa_directrix_positive_b_solves_ivp():
     for i in range(9):
         v = v0 + (v1 - v0) * (i + 0.5) / 9.0
         assert kappa(d, v) == pytest.approx(1.5, abs=1e-7)
+
+
+def test_constant_kappa_directrix_positive_b_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    b = 1.5
+    d = constant_kappa_directrix(b, (0.0, 0.4))
+    assert d.domain == (0.0, 0.4)
+
+    def rhs(v, state):
+        p, q = state
+        return [q, (2 * q * q + p * p + b * (q * q + p * p) ** 1.5) / p]
+
+    with mpmath.workdps(30):
+        exact = mpmath.odefun(rhs, 0, [mpmath.mpf(1), mpmath.mpf(0)])
+        for i in range(9):
+            v = 0.4 * (i + 0.5) / 9.0
+            p, q = (float(c) for c in exact(v))
+            phi = d.phi_jet(v)
+            assert phi.f == pytest.approx(p, abs=1e-11)
+            assert phi.d1 == pytest.approx(q, abs=1e-11)
+
+
+def test_constant_kappa_directrix_work(monkeypatch):
+    calls = []
+
+    def counting(rhs, *args):
+        def counted(state):
+            calls.append(1)
+            return rhs(state)
+        return dormand_prince(counted, *args)
+
+    monkeypatch.setattr(families, "dormand_prince", counting)
+    d = constant_kappa_directrix(1.0, (0.0, 0.5))
+    assert d.domain == (0.0, 0.5)
+    assert 0 < len(calls) <= 4200
+
+
+def test_generate_raises_when_residual_exceeds_tolerance(monkeypatch):
+    monkeypatch.setattr(families, "RESIDUAL_TOL", -1.0)
+    with pytest.raises(ProfileInvariantError, match="defining residual"):
+        generate(ConstantK(a=1.0, b=-1.0, c=0.5, branch=1), 0.5,
+                 (0.0, 1.5), UNIT_PHI)
 
 
 def test_generate_rejects_wrong_directrix_curvature():

@@ -1,11 +1,13 @@
-"""Adaptive Simpson quadrature and RK4 with dense output."""
+"""Adaptive Simpson quadrature and Dormand-Prince 5(4) integration with
+dense output."""
 
 import math
 
 import pytest
 
 from meridian4.quadrature import adaptive_simpson
-from meridian4.odeint import rk4_path
+from meridian4.errors import DomainError
+from meridian4.odeint import dormand_prince
 
 
 def test_simpson_polynomial_is_near_exact():
@@ -24,33 +26,40 @@ def test_simpson_decaying_exponential():
 
 
 def test_rk4_exponential_growth():
-    path = rk4_path(lambda y: y, 0.0, 1.0, 1.0, 1e-3)
-    assert float(path(1.0)[0]) == pytest.approx(math.e, abs=1e-9)
+    path = dormand_prince(lambda y: y, 0.0, 1.0, 1.0)
+    assert float(path(1.0)[0]) == pytest.approx(math.e, abs=1e-12)
 
 
 def test_rk4_dense_output_between_knots():
-    path = rk4_path(lambda y: y, 0.0, 1.0, 1.0, 1e-2)
+    path = dormand_prince(lambda y: y, 0.0, 1.0, 1.0)
     for t in (0.12345, 0.5055, 0.987654):
-        assert float(path(t)[0]) == pytest.approx(math.exp(t), abs=1e-7)
+        assert not any(t == node for node in path.ts)
+        assert float(path(t)[0]) == pytest.approx(math.exp(t), abs=1e-12)
 
 
 def test_rk4_stop_condition_truncates():
-    path = rk4_path(lambda y: y, 0.0, 10.0, 1.0, 1e-3,
-                    stop=lambda y: y[0] > 5.0)
+    # rhs leaving its domain once y > 5 ends the path at the last accepted
+    # node, next to t = ln 5.
+    def rhs(y):
+        if y[0] > 5.0:
+            raise DomainError("y > 5", t=float(y[0]))
+        return y
+
+    path = dormand_prince(rhs, 0.0, 10.0, 1.0)
     assert path.truncated
     assert path.t1 < 10.0
-    assert float(path.ys[-1][0]) <= 5.0
+    assert float(path(path.t1)[0]) <= 5.0
+    assert path.t1 == pytest.approx(math.log(5.0), abs=1e-3)
 
 
 def test_rk4_logistic():
     # y' = y(1-y), y(0) = 0.5 -> y(t) = 1/(1+e^-t)
-    path = rk4_path(lambda y: y * (1.0 - y), 0.0, 2.0, 0.5, 1e-3)
+    path = dormand_prince(lambda y: y * (1.0 - y), 0.0, 2.0, 0.5)
     assert float(path(2.0)[0]) == pytest.approx(
-        1.0 / (1.0 + math.exp(-2.0)), abs=1e-10)
+        1.0 / (1.0 + math.exp(-2.0)), abs=1e-12)
 
 
 def test_rk4_queried_outside_range_raises():
-    from meridian4.errors import DomainError
-    path = rk4_path(lambda y: y, 0.0, 1.0, 1.0, 1e-2)
+    path = dormand_prince(lambda y: y, 0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         path(2.0)
