@@ -16,8 +16,9 @@ expression values must not contain spaces):
   parallel-b a=1 c=1 b=-2
   direct f=<expr> phi=<expr> [g0=<real>]
 
-Exit codes: 0 success, 1 spec/parse error, 2 truncated generation (the
-profile, or for invariants and mesh also the directrix, ends early).
+Exit codes: 0 success, 1 spec/parse error or failed verification, 2
+truncated generation (the profile, or for invariants, verify and mesh also
+the directrix, ends early).
 All numeric output uses shortest round-trip float formatting; outputs carry
 no timestamps, so identical invocations are byte-identical.
 """
@@ -257,7 +258,7 @@ def cmd_invariants(args) -> int:
                 vals = [""] * len(INVARIANT_COLUMNS)
             rows.append(",".join([_fmt(u), _fmt(v)] + vals + [case.value]))
     _write(args.out, "\n".join(rows) + "\n")
-    return 2 if gen.truncated or vv1 < v1 else 0
+    return _truncation_code(gen, v1)
 
 
 def cmd_verify(args) -> int:
@@ -276,8 +277,9 @@ def cmd_verify(args) -> int:
         payload = report.to_dict()
         payload["spec"] = _spec_dict(spec, phi_text)
         payload["realized_range"] = list(gen.u_range)
+        payload["realized_v_range"] = list(gen.surface.directrix.domain)
         _write(args.out, json.dumps(payload, indent=2) + "\n")
-    return 0 if report.passed else 1
+    return _truncation_code(gen, v1) if report.passed else 1
 
 
 def cmd_mesh(args) -> int:
@@ -313,7 +315,12 @@ def cmd_mesh(args) -> int:
         "fields": fields,
     }
     _write(args.out, json.dumps(payload) + "\n")
-    return 2 if gen.truncated or vv1 < v1 else 0
+    return _truncation_code(gen, v1)
+
+
+def _truncation_code(gen, v_end):
+    """2 when the profile was truncated or the directrix ends before v_end."""
+    return 2 if gen.truncated or gen.surface.directrix.domain[1] < v_end else 0
 
 
 def _field_value(s, u, v, name):

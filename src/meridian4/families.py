@@ -230,7 +230,7 @@ def integrate_autonomous(y: Callable[[Jet], Jet], f0: float,
     sign0 = 1.0 if y0 > 0 else -1.0
 
     def rhs(state):
-        t = float(state[0])
+        t = state[0]
         if not 0.0 < t < _F_BOUND:
             raise DomainError(f"f = {t} outside (0, {_F_BOUND})", t=t)
         yv = jet_eval(y, t).f
@@ -248,7 +248,7 @@ def profile_from_path(path: DensePath, y: Callable[[Jet], Jet],
     the jets of y via f'' = y'y, f''' = (y''y + y'^2) y."""
 
     def derivs(u):
-        fval = float(path(u)[0])
+        fval = path(u)[0]
         yj = jet_eval(y, fval)
         return (fval, yj.f, yj.d1 * yj.f, (yj.d2 * yj.f + yj.d1**2) * yj.f)
 
@@ -297,7 +297,7 @@ def constant_kappa_directrix(b: float, v_range: tuple) -> Directrix:
         return (2.0 * q * q + p * p + b * D**1.5) / p
 
     def rhs(state):
-        p, q = float(state[0]), float(state[1])
+        p, q = state
         if not (1e-6 < p < _F_BOUND and abs(q) < _F_BOUND):
             raise DomainError(f"directrix runs away: phi = {p}, phi' = {q}", t=p)
         return [q, accel(p, q)]
@@ -308,7 +308,7 @@ def constant_kappa_directrix(b: float, v_range: tuple) -> Directrix:
     path = dormand_prince(rhs, v_range[0], v_range[1], [1.0, 0.0])
 
     def derivs(v):
-        p, q = (float(c) for c in path(v))
+        p, q = path(v)
         pdd = accel(p, q)
         rD = math.sqrt(q * q + p * p)
         dF_dp = 2.0 + 3.0 * b * rD - pdd / p

@@ -4,8 +4,6 @@ the pseudo-orthonormal (lightlike) basis."""
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "Vec4",
     "LightlikePair",
@@ -54,13 +52,6 @@ class Vec4:
 
     def __neg__(self) -> "Vec4":
         return self * -1.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3, self.c4])
-
-    @staticmethod
-    def from_array(a) -> "Vec4":
-        return Vec4(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
 
 
 def minkowski_dot(a: Vec4, b: Vec4) -> float:

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
 from .errors import MeridianError
 from .families import GeneratedSurface, ConstantGauss, ConstantMean, ConstantK, \
     Chen, ParallelA, ParallelB, defining_residual
@@ -87,11 +85,11 @@ def _record(name, errs_locs, tol):
     return CheckRecord(name, len(errs_locs), err, tol, err <= tol, loc)
 
 
-def sample_general_points(s: MeridianSurface, n: int, rng: np.random.Generator,
+def sample_general_points(s: MeridianSurface, n: int, rng,
                           margin: float = 5e-3) -> list:
-    """Draw n interior points classified General (margin keeps a finite-
-    difference stencil inside the domain and away from near-degenerate
-    discriminants)."""
+    """Draw n interior points classified General with rng.uniform(lo, hi)
+    (margin keeps a finite-difference stencil inside the domain and away from
+    near-degenerate discriminants)."""
     u0, u1 = s.profile.domain
     v0, v1 = s.directrix.domain
     pts = []
@@ -144,9 +142,11 @@ def check_frame_gram(s: MeridianSurface, pts, tol: float = 1e-9) -> CheckRecord:
         _require_general(d, d.case)
         tf, nf = _tangent_frame(d), _normal_frame(d)
         frame = (tf.xdir, tf.ydir, nf.b, nf.l)
-        target = np.diag([1.0, 1.0, float(nf.epsilon), -float(nf.epsilon)])
-        gram = np.array([[minkowski_dot(a, b) for b in frame] for a in frame])
-        errs.append((float(np.max(np.abs(gram - target))), (u, v)))
+        eps = float(nf.epsilon)
+        target = (1.0, 1.0, eps, -eps)
+        errs.append((max(abs(minkowski_dot(a, b) - (target[i] if i == j else 0.0))
+                         for i, a in enumerate(frame)
+                         for j, b in enumerate(frame)), (u, v)))
     return _record("frame-gram", errs, tol)
 
 
@@ -287,6 +287,8 @@ def verify_generated(gen: GeneratedSurface, n_points: int = 50,
     """Full verification of a generated surface: oracle comparison, identity
     suite, frame Gram, derivative formulas and, for a family member (spec not
     None), the family's defining and target properties."""
+    import numpy as np  # only the sampler's RNG needs it; kept off the import path
+
     report = VerificationReport()
     rng = np.random.default_rng(seed)
     pts = sample_general_points(gen.surface, n_points, rng)

@@ -8,6 +8,7 @@ frame derivative table, degenerate-point detection, and the CLI contract.
 
 import json
 import math
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -240,7 +241,7 @@ def test_criterion_08_derivative_formula_suite():
             }
             for name, want in expected.items():
                 got = derivs[name]
-                for a, b in zip(got.as_array(), want.as_array()):
+                for a, b in zip(astuple(got), astuple(want)):
                     assert abs(a - b) <= 1e-6, (name, u, v)
             sf = oracle_second_fundamental(s, u, v, 1e-4)
             # <n2, n2> = -1 flips the sign of every n2 inner product

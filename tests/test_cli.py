@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+from meridian4 import cli
 from meridian4.cli import main, parse_family_spec, SpecError
 from meridian4.families import ConstantGauss, ParallelA
+from meridian4.verification import CheckRecord, VerificationReport
 
 
 def read(path):
@@ -83,7 +85,7 @@ def test_family_exit_2_on_truncation(tmp_path):
     assert echo["realized_range"][1] < 10.0
 
 
-@pytest.mark.parametrize("command", ["invariants", "mesh"])
+@pytest.mark.parametrize("command", ["invariants", "mesh", "verify"])
 def test_directrix_runaway_is_exit_2(tmp_path, command):
     # The b = 2 directrix runs away near v = 0.34, short of the requested 6.28.
     out = tmp_path / "out"
@@ -94,6 +96,11 @@ def test_directrix_runaway_is_exit_2(tmp_path, command):
     if command == "invariants":
         rows = out.read_text().splitlines()[1:]
         assert max(float(r.split(",")[1]) for r in rows) < 0.35
+    if command == "verify":
+        report = json.loads(out.read_text())
+        assert report["pass"] is True
+        assert report["realized_v_range"][0] == 0.0
+        assert report["realized_v_range"][1] < 0.35
 
 
 def test_closed_form_range_end_is_not_reported_as_truncation(tmp_path):
@@ -168,6 +175,15 @@ def test_verify_passes_on_parallel_a(tmp_path, capsys):
     assert report["realized_range"] == pytest.approx([0.0, 3.0])
 
 
+def test_verify_failed_report_outranks_truncation(monkeypatch):
+    # The directrix ends near v = 0.34 (exit 2), but a failed report is exit 1.
+    failed = VerificationReport([CheckRecord("forced", 1, 1.0, 0.5, False)])
+    monkeypatch.setattr(cli, "verify_generated", lambda *args: failed)
+    code = main(["verify", "--spec", "constant-mean a=0.5 b=2 C=0 eps=+ branch=+",
+                 "--f0", "0.6", "--u", "0:0.5", "--v", "0:6.28", "--grid", "2x2"])
+    assert code == 1
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("family", "--format", "csv"), ("family", "--grid", "2x2"),
     ("verify", "--tol", "1e-9"),
@@ -221,3 +237,4 @@ def test_mesh_unknown_field_is_exit_1(tmp_path, capsys):
                  "--fields", "bogus", "--out", str(tmp_path / "m.json")])
     assert code == 1
     assert "bogus" in capsys.readouterr().err
+
