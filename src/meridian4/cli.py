@@ -28,16 +28,14 @@ import json
 import math
 import sys
 
-from .errors import MeridianError, FlatPointError, MarginallyTrappedError, \
-    SpecMismatchError
+from .errors import MeridianError, SpecMismatchError
 from .expressions import compile_expression
 from .families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                        GeneratedSurface, ParallelA, ParallelB,
                        constant_kappa_directrix, generate)
-from .invariants import eight_invariants, gauss_curvature, invariant_k, \
-    mean_curvature
+from .invariants import eight_invariants
 from .profile import Directrix, ProfileCurve, g_from_f
-from .surface import MeridianSurface, PointCase, classify_point, embed
+from .surface import MeridianSurface, PointCase, embed, point_data
 from .verification import verify_generated
 
 INVARIANT_COLUMNS = ["gamma1", "gamma2", "nu1", "nu2", "lambda", "mu",
@@ -250,9 +248,10 @@ def cmd_invariants(args) -> int:
     attrs = [_record_attr(c) for c in INVARIANT_COLUMNS]
     for u in _samples(uu0, uu1, nu):
         for v in _samples(vv0, vv1, nv):
-            case = classify_point(s, u, v, args.tol)
+            d = point_data(s, u, v)
+            case = d.classify(args.tol)
             if case is PointCase.GENERAL:
-                rec = eight_invariants(s, u, v)
+                rec = eight_invariants(s, u, v, d)
                 vals = [_fmt(getattr(rec, a)) for a in attrs]
             else:
                 vals = [""] * len(INVARIANT_COLUMNS)
@@ -304,8 +303,16 @@ def cmd_mesh(args) -> int:
                 vertices.append([z.c1, z.c2, z.c3])
             else:
                 vertices.append([z.c1, z.c2, z.c3, z.c4])
-            for f in wanted:
-                fields[f].append(_field_value(s, u, v, f))
+            if wanted:
+                # one invariant record per vertex; every field is null where
+                # the record is undefined (flat or marginally trapped points)
+                d = point_data(s, u, v)
+                rec = None
+                if d.case is PointCase.GENERAL:
+                    rec = eight_invariants(s, u, v, d)
+                for f in wanted:
+                    value = None if rec is None else getattr(rec, _record_attr(f))
+                    fields[f].append(value)
     payload = {
         "spec": _spec_dict(spec, phi_text),
         "realized_range": list(gen.u_range),
@@ -321,19 +328,6 @@ def cmd_mesh(args) -> int:
 def _truncation_code(gen, v_end):
     """2 when the profile was truncated or the directrix ends before v_end."""
     return 2 if gen.truncated or gen.surface.directrix.domain[1] < v_end else 0
-
-
-def _field_value(s, u, v, name):
-    try:
-        if name == "K":
-            return gauss_curvature(s, u)
-        if name == "k":
-            return invariant_k(s, u, v)
-        if name == "H_norm":
-            return mean_curvature(s, u, v)[2]
-        return getattr(eight_invariants(s, u, v), _record_attr(name))
-    except (FlatPointError, MarginallyTrappedError):
-        return None
 
 
 def _record_attr(column):

@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+__all__ = ["MeridianError", "DomainError", "ExpressionError", "ProfileInvariantError",
+           "SpecMismatchError", "DegenerateDirectrixError", "FlatPointError",
+           "MarginallyTrappedError", "QuadratureLimitError"]
+
 
 class MeridianError(Exception):
     """Base class for all package errors."""

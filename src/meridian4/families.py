@@ -17,20 +17,20 @@ from . import jets
 from .errors import DomainError, ProfileInvariantError, SpecMismatchError
 from .jets import Jet, jet_eval, jet_function_from_derivs
 from .odeint import DensePath, dormand_prince
-from .profile import Directrix, ProfileCurve, kappa, validate_profile
+from .profile import FPRIME_FLOOR, Directrix, ProfileCurve, kappa
 from .surface import MeridianSurface
 
 __all__ = [
     "ConstantGauss", "ConstantMean", "ConstantK", "Chen",
     "ParallelA", "ParallelB", "FamilySpec", "GeneratedSurface",
-    "y_of_t", "y_function", "integrate_autonomous",
+    "y_function", "integrate_autonomous",
     "constant_kappa_directrix", "generate", "defining_residual",
 ]
 
 RESIDUAL_TOL = 1e-6
 KAPPA_MATCH_TOL = 1e-8
 _F_BOUND = 1e3        # runaway guard for the autonomous integration
-_Y_FLOOR = 1e-9       # |f'| below this ends the realized range
+_STEP_BACKS = 64      # doubling steps back from a closed-form end rounded outside
 
 
 def _require_nonzero(name, value):
@@ -176,7 +176,7 @@ def y_function(spec: FamilySpec) -> Callable[[Jet], Jet]:
                                       t=t.f)
                 root = jets.jsqrt(b * b - 4.0 * a * a * t * t)
                 return (C + s * 0.5 * t * root
-                        + s * (b * b / (4.0 * a)) * jets.jarcsin(2.0 * a * t / b)) / t
+                        + s * (b * b / (4.0 * a)) * jets.jarcsin(2.0 * a * t / abs(b))) / t
         else:
             def y(t):
                 if t.f <= 0.0:
@@ -211,10 +211,6 @@ def y_function(spec: FamilySpec) -> Callable[[Jet], Jet]:
     raise SpecMismatchError(f"{type(spec).__name__} has no autonomous y(t)")
 
 
-def y_of_t(spec: FamilySpec, t: float) -> float:
-    return jet_eval(y_function(spec), t).f
-
-
 def integrate_autonomous(y: Callable[[Jet], Jet], f0: float,
                          u_range: tuple) -> DensePath:
     """Integrate f' = y(f) from the left end of u_range.
@@ -225,7 +221,7 @@ def integrate_autonomous(y: Callable[[Jet], Jet], f0: float,
     through y's jets.
     """
     y0 = jet_eval(y, f0).f
-    if abs(y0) < _Y_FLOOR:
+    if abs(y0) < FPRIME_FLOOR:
         raise ProfileInvariantError(f"y(f0) = {y0} at f0 = {f0}: f' = 0 at the start")
     sign0 = 1.0 if y0 > 0 else -1.0
 
@@ -234,7 +230,7 @@ def integrate_autonomous(y: Callable[[Jet], Jet], f0: float,
         if not 0.0 < t < _F_BOUND:
             raise DomainError(f"f = {t} outside (0, {_F_BOUND})", t=t)
         yv = jet_eval(y, t).f
-        if abs(yv) < _Y_FLOOR or yv * sign0 < 0 or abs(yv) > _F_BOUND:
+        if abs(yv) < FPRIME_FLOOR or yv * sign0 < 0 or abs(yv) > _F_BOUND:
             raise DomainError(f"f' = {yv} at f = {t} vanishes, changes sign or "
                               f"runs away", t=t)
         return [yv]
@@ -256,24 +252,82 @@ def profile_from_path(path: DensePath, y: Callable[[Jet], Jet],
                         (path.t0, path.t1), g_origin)
 
 
-def _trim_closed_form(f, u_range, samples=2000):
-    """Largest left-anchored subinterval where f > 0 and |f'| stays clear of 0."""
+def _exp_roots(a: float, b: float, c: float) -> list:
+    """The real x whose w = e^x solves a w^2 + b w + c = 0, from the
+    cancellation-free pair of roots q/a and c/q."""
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    ws = ([q / a] if a else []) + ([c / q] if q else [])
+    return [math.log(w) for w in ws if w > 0.0]
+
+
+def _exp_coefficients(spec: ConstantGauss) -> tuple:
+    """(P, Q) with alpha cosh x + beta sinh x = P e^x + Q e^-x."""
+    return 0.5 * (spec.alpha + spec.beta), 0.5 * (spec.alpha - spec.beta)
+
+
+def _first_crossing(spec: FamilySpec, u0: float) -> float:
+    """The first u > u0 where f = 0 or |f'| = FPRIME_FLOOR (inf if none), for
+    a closed-form profile that is admissible at u0."""
+    if isinstance(spec, ParallelA):
+        # f = sqrt(c u + d) vanishes at -d/c; |f'| = c / (2 f) meets the floor
+        # where c u + d = (c / (2 FPRIME_FLOOR))^2
+        c, d = spec.c, spec.d
+        crossings = [-d / c, ((c / (2.0 * FPRIME_FLOOR))**2 - d) / c]
+    elif spec.K > 0:
+        # f = A cos(theta), f' = -A r sin(theta), theta = r u - delta: the
+        # boundary is the next multiple of pi/2 above theta(u0); f vanishes at
+        # its odd multiples and f' at its even ones
+        r = math.sqrt(spec.K)
+        A, delta = math.hypot(spec.alpha, spec.beta), math.atan2(spec.beta, spec.alpha)
+        k = math.floor((r * u0 - delta) / (0.5 * math.pi)) + 1
+        theta = 0.5 * math.pi * k
+        if k % 2 == 0:
+            theta -= math.asin(FPRIME_FLOOR / (A * r))
+        crossings = [(theta + delta) / r]
+    else:
+        # f = P e^x + Q e^-x and f' = r (P e^x - Q e^-x), x = r u: f = 0 and
+        # f' = +-FPRIME_FLOOR are quadratics in w = e^x
+        r = math.sqrt(-spec.K)
+        P, Q = _exp_coefficients(spec)
+        c = FPRIME_FLOOR / r
+        xs = _exp_roots(P, 0.0, Q) + _exp_roots(P, -c, -Q) + _exp_roots(P, c, -Q)
+        crossings = [x / r for x in xs]
+    return min((u for u in crossings if u > u0), default=math.inf)
+
+
+def _admissible(f, u: float) -> bool:
+    """f > 0 and |f'| >= FPRIME_FLOOR at u."""
+    try:
+        fj = jet_eval(f, u)
+    except DomainError:
+        return False
+    return fj.f > 0.0 and abs(fj.d1) >= FPRIME_FLOOR
+
+
+def _closed_form_end(spec: FamilySpec, f, u_range: tuple):
+    """The realized range (u0, end) of a closed-form profile and whether it
+    was truncated: end is the largest u <= u1 with f > 0 and |f'| >=
+    FPRIME_FLOOR on all of [u0, u].
+
+    The first crossing comes from the closed form; where rounding leaves it
+    just outside the admissible set, it is stepped back by 1, 2, 4, ... ulps.
+    """
     u0, u1 = u_range
-    last_good = None
-    for i in range(samples + 1):
-        # u1 itself as the last sample: u0 + (u1 - u0) can round below u1
-        u = u1 if i == samples else u0 + (u1 - u0) * i / samples
-        try:
-            fj = jet_eval(f, u)
-        except DomainError:
+    if not _admissible(f, u0):
+        raise ProfileInvariantError(f"profile invalid at the left end of {u_range}")
+    end = min(u1, _first_crossing(spec, u0))
+    step = math.ulp(end)
+    for _ in range(_STEP_BACKS):
+        if end <= u0 or _admissible(f, end):
             break
-        if not (fj.f > 0.0 and abs(fj.d1) >= _Y_FLOOR):
-            break
-        last_good = u
-    if last_good is None or last_good == u0:
+        end, step = end - step, 2.0 * step
+    if end <= u0 or not _admissible(f, end):
         raise ProfileInvariantError(
-            f"profile invalid at the left end of {u_range}")
-    return (u0, last_good), last_good < u1
+            f"no admissible profile beyond the left end of {u_range}")
+    return (u0, end), end < u1
 
 
 def constant_kappa_directrix(b: float, v_range: tuple) -> Directrix:
@@ -370,9 +424,12 @@ def _closed_form_profile(spec: FamilySpec, u_range: tuple):
             def f(x):
                 return al * jets.jcos(r * x) + be * jets.jsin(r * x)
         else:
+            # alpha cosh + beta sinh without the cancellation of cosh - sinh
+            P, Q = _exp_coefficients(spec)
+
             def f(x):
-                return al * jets.jcosh(r * x) + be * jets.jsinh(r * x)
-        realized, truncated = _trim_closed_form(f, u_range)
+                return P * jets.jexp(r * x) + Q * jets.jexp(-r * x)
+        realized, truncated = _closed_form_end(spec, f, u_range)
         return ProfileCurve(f, realized, 0.0), realized, truncated
     if isinstance(spec, ParallelA):
         if spec.sign != 1:
@@ -382,7 +439,7 @@ def _closed_form_profile(spec: FamilySpec, u_range: tuple):
 
         def f(x):
             return jets.jsqrt(c * x + dd)
-        realized, truncated = _trim_closed_form(f, u_range)
+        realized, truncated = _closed_form_end(spec, f, u_range)
         g_origin = -(2.0 / (3.0 * c * c)) * (c * realized[0] + dd) ** 1.5 + a
         return ProfileCurve(f, realized, g_origin), realized, truncated
     raise SpecMismatchError(f"{type(spec).__name__} has no closed-form profile")
@@ -394,11 +451,14 @@ def generate(spec: FamilySpec, f0: Optional[float], u_range: tuple,
 
     For kappa-constrained variants the directrix curvature is verified to be
     the required constant (tolerance 1e-8 on a v-grid). Closed-form variants
-    ignore f0. ODE variants are integrated once; if the defining residual on
-    50 points of the realized range exceeds RESIDUAL_TOL, ProfileInvariantError
-    is raised. The realized u-range is trimmed wherever profile invariants or
-    y's domain would fail; trimming is reported via `truncated`, not as a
-    failure.
+    ignore f0; their realized range ends exactly where f reaches 0 or |f'|
+    reaches FPRIME_FLOOR, computed from the closed form (the largest u <= u1
+    with f > 0 and |f'| >= FPRIME_FLOOR on all of [u0, u]). ODE variants are
+    integrated once; if the defining residual on 50 points of the realized
+    range exceeds RESIDUAL_TOL, ProfileInvariantError is raised, and their
+    range ends where y's domain would be left, f' would vanish or the
+    solution runs away. An early end is reported via `truncated`, not as a
+    failure; a profile that fails at u0 itself raises ProfileInvariantError.
     """
     required_kappa = spec.kappa_constant
     if required_kappa is not None:
@@ -406,10 +466,6 @@ def generate(spec: FamilySpec, f0: Optional[float], u_range: tuple,
 
     if isinstance(spec, (ConstantGauss, ParallelA)):
         profile, realized, truncated = _closed_form_profile(spec, u_range)
-        rep = validate_profile(profile, 64)
-        if not rep:
-            raise ProfileInvariantError(
-                f"generated profile fails {rep.predicate} at u = {rep.location}")
         return GeneratedSurface(MeridianSurface(profile, directrix), spec,
                                 "closed-form", realized, truncated)
 

@@ -9,6 +9,7 @@ raw embedding.
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import DomainError
 from .minkowski import Vec4, minkowski_dot
@@ -114,9 +115,12 @@ def _eight_invariants(d: PointData) -> InvariantRecord:
     )
 
 
-def eight_invariants(s: MeridianSurface, u: float, v: float) -> InvariantRecord:
-    """Closed-form record at a general point."""
-    d = point_data(s, u, v)
+def eight_invariants(s: MeridianSurface, u: float, v: float,
+                     d: Optional[PointData] = None) -> InvariantRecord:
+    """Closed-form record at a general point; d is the point's PointData when
+    the caller has already evaluated it."""
+    if d is None:
+        d = point_data(s, u, v)
     _require_general(d, d.case)
     return _eight_invariants(d)
 

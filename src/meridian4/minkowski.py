@@ -1,14 +1,12 @@
 """Minkowski 4-space linear algebra: vectors, the signature-(3,1) metric and
-the pseudo-orthonormal (lightlike) basis."""
+coordinates in the pseudo-orthonormal (lightlike) basis."""
 
 import math
 from dataclasses import dataclass
 
 __all__ = [
     "Vec4",
-    "LightlikePair",
     "minkowski_dot",
-    "lightlike_basis",
     "from_lightlike",
     "E1",
     "E2",
@@ -63,23 +61,6 @@ E1 = Vec4(1.0, 0.0, 0.0, 0.0)
 E2 = Vec4(0.0, 1.0, 0.0, 0.0)
 E3 = Vec4(0.0, 0.0, 1.0, 0.0)
 E4 = Vec4(0.0, 0.0, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class LightlikePair:
-    """The lightlike pair xi1 = (e3+e4)/sqrt2, xi2 = (-e3+e4)/sqrt2 with
-    <xi1,xi1> = <xi2,xi2> = 0 and <xi1,xi2> = -1."""
-
-    xi1: Vec4
-    xi2: Vec4
-
-
-def lightlike_basis() -> LightlikePair:
-    """Return the pseudo-orthonormal lightlike pair (xi1, xi2) in e-coordinates."""
-    return LightlikePair(
-        xi1=Vec4(0.0, 0.0, 1.0 / _SQRT2, 1.0 / _SQRT2),
-        xi2=Vec4(0.0, 0.0, -1.0 / _SQRT2, 1.0 / _SQRT2),
-    )
 
 
 def from_lightlike(a: float, b: float, p: float, q: float) -> Vec4:

@@ -3,21 +3,19 @@ the directrix phi, and their scalar curvatures."""
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
-from .errors import DegenerateDirectrixError, DomainError, ProfileInvariantError
+from .errors import (DegenerateDirectrixError, DomainError, ProfileInvariantError,
+                     QuadratureLimitError)
 from .jets import Jet, jet_eval
 from .quadrature import adaptive_simpson
 
 __all__ = [
     "ProfileCurve",
     "Directrix",
-    "ValidationReport",
-    "validate_profile",
     "kappa_m",
     "kappa",
     "g_from_f",
-    "meridian_curvature_general",
 ]
 
 FPRIME_FLOOR = 1e-9  # |f'| below this counts as a normalization breakdown
@@ -81,51 +79,10 @@ class Directrix:
         return jet_eval(self.phi, v)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    predicate: Optional[str] = None
-    location: Optional[float] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate_profile(p: ProfileCurve, samples: int) -> ValidationReport:
-    """Check f > 0 and |f'| >= FPRIME_FLOOR on a uniform sample grid.
-
-    Returns a report (never raises for a failed predicate); the first
-    violating u is recorded.
-    """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    u0, u1 = p.domain
-    for i in range(samples):
-        u = u0 + (u1 - u0) * i / (samples - 1)
-        jet = p.f_jet(u)
-        if not jet.f > 0.0:
-            return ValidationReport(False, "f > 0", u)
-        if abs(jet.d1) < FPRIME_FLOOR:
-            return ValidationReport(False, "f' != 0", u)
-    return ValidationReport(True)
-
-
 def kappa_m(p: ProfileCurve, u: float) -> float:
     """Meridian curvature f''/f' (arc-length normalized profile)."""
     jet = p.f_jet(u)
     return jet.d2 / _require_fprime(jet.d1, u)
-
-
-def meridian_curvature_general(f: Callable[[Jet], Jet], g: Callable[[Jet], Jet],
-                               u: float) -> float:
-    """Meridian curvature (f' g'' - g' f'') / (-2 f' g')^(3/2) for an
-    unnormalized (f, g) pair."""
-    fj = jet_eval(f, u)
-    gj = jet_eval(g, u)
-    denom = -2.0 * fj.d1 * gj.d1
-    if denom <= 0.0:
-        raise ProfileInvariantError(f"-f' g' <= 0 at u = {u}")
-    return (fj.d1 * gj.d2 - gj.d1 * fj.d2) / denom**1.5
 
 
 def _kappa_parts(pj: Jet):
@@ -174,6 +131,11 @@ def g_from_f(p: ProfileCurve, u: float) -> float:
         fp = _require_fprime(jet_eval(p.f, t).d1, t)
         if (fp > 0) != positive:
             raise ProfileInvariantError(f"f' changes sign inside [{u0}, {u}] (at t = {t})")
+        if 0.5 / abs(fp) * math.ulp(t) > G_TOL:
+            # next to a zero of f' g diverges like log: one ulp of t moves it
+            # by more than the tolerance, so no quadrature can meet G_TOL
+            raise QuadratureLimitError(
+                f"g' = {-0.5 / fp} at t = {t}: g is not resolvable to {G_TOL} there")
         return -0.5 / fp
 
     # int() truncates toward zero: u in the domain slack left of u0 is in panel 0

@@ -1,5 +1,5 @@
 """Meridian surface of parabolic type: embedding, tangent/normal/geometric
-frames, first fundamental form, and point classification.
+frames, and point classification.
 
 The surface is z(u,v) = f phi cos v e1 + f phi sin v e2
 + (f phi^2/2 + g) xi1 + f xi2 over a profile (f, g) and directrix phi.
@@ -24,7 +24,6 @@ __all__ = [
     "PointData",
     "embed",
     "tangent_frame",
-    "first_fundamental_form",
     "normal_frame",
     "normal_pair",
     "classify_point",
@@ -164,13 +163,6 @@ def tangent_frame(s: MeridianSurface, u: float, v: float) -> TangentFrame:
     """Orthonormal tangents X = z_u, Y = z_v/(f sqrt(D)) and the principal
     tangents x = (X+Y)/sqrt2, y = (-X+Y)/sqrt2."""
     return _tangent_frame(point_data(s, u, v))
-
-
-def first_fundamental_form(s: MeridianSurface, u: float, v: float) -> tuple:
-    """(E, F, G) = (-2 f' g', 0, f^2 (phi'^2 + phi^2)); E = 1 under the
-    normalization."""
-    d = point_data(s, u, v)
-    return (-2.0 * d.fp * d.gp, 0.0, d.f**2 * d.D)
 
 
 def classify_point(s: MeridianSurface, u: float, v: float,

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from meridian4 import cli
+from meridian4 import cli, invariants
 from meridian4.cli import main, parse_family_spec, SpecError
 from meridian4.families import ConstantGauss, ParallelA
 from meridian4.verification import CheckRecord, VerificationReport
@@ -118,6 +118,52 @@ def test_closed_form_range_end_is_not_reported_as_truncation(tmp_path):
                  "--out", str(tmp_path / "inv.csv")]) == 0
 
 
+@pytest.mark.parametrize("spec, u_range, zero", [
+    ("constant-gauss K=1 alpha=1 beta=1", "0.1:2", math.pi / 4),
+    ("constant-gauss K=-1 alpha=2 beta=-1", "0:3", math.atanh(0.5)),
+])
+def test_interior_f_prime_zero_ends_the_range(tmp_path, capsys, spec, u_range, zero):
+    # f' vanishes inside the requested range while f stays positive: the
+    # range ends where |f'| meets the floor, no grid point past the zero is
+    # tabulated, and the run is reported as truncated.
+    out = tmp_path / "inv.csv"
+    code = main(["invariants", "--spec", spec, "--u", u_range, "--v", "0:1",
+                 "--grid", "5x2", "--out", str(out)])
+    assert code == 2
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    end = max(float(r[0]) for r in rows)
+    assert end < zero and zero - end <= 1e-8
+    assert all(r[-1] == "general" for r in rows)
+    # g diverges like log(u* - u) at the zero, so family and mesh, which
+    # tabulate g at the end, stop with a typed error instead of grinding
+    for command in ("family", "mesh"):
+        code = main([command, "--spec", spec, "--u", u_range, "--v", "0:1",
+                     "--out", str(tmp_path / command)]
+                    + (["--grid", "5x2"] if command == "mesh" else []))
+        assert code == 1
+        assert "not resolvable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, u_ranges, end", [
+    ("constant-gauss K=1 alpha=1 beta=0", ("0.1:2", "0.1:3"), math.pi / 2),
+    ("parallel-a c=-1 d=1", ("0:2", "0:5"), 1.0),
+])
+def test_closed_form_end_does_not_depend_on_requested_end(tmp_path, spec, u_ranges, end):
+    # f reaches 0 at `end`: the realized range stops there whatever --u asks
+    ends = []
+    for i, u_range in enumerate(u_ranges):
+        out = tmp_path / f"f{i}.csv"
+        assert main(["family", "--spec", spec, "--u", u_range, "--out", str(out)]) == 2
+        echo = json.loads((tmp_path / f"f{i}.json").read_text())
+        assert echo["truncated"] is True
+        ends.append(echo["realized_range"][1])
+        last = [float(x) for x in out.read_text().splitlines()[-1].split(",")]
+        assert last[0] == pytest.approx(ends[-1], abs=1e-12)
+        assert last[1] > 0.0 and math.isfinite(last[4])
+    assert ends[0] == ends[1]
+    assert abs(ends[0] - end) <= 1e-8
+
+
 # --- invariants command -------------------------------------------------------
 
 def test_invariants_header_and_determinism(tmp_path):
@@ -184,6 +230,52 @@ def test_verify_failed_report_outranks_truncation(monkeypatch):
     assert code == 1
 
 
+def test_verify_constant_mean_negative_b(tmp_path, capsys):
+    # b < 0 at eps = +1: the arcsin term of y takes |b|, so the profile
+    # satisfies its defining relation and the surface verifies
+    out = tmp_path / "report.json"
+    code = main(["verify", "--spec", "constant-mean a=0.5 b=-2 C=0 eps=+ branch=+",
+                 "--f0", "0.6", "--u", "0:0.5", "--v", "0:0.3", "--grid", "3x3",
+                 "--out", str(out)])
+    assert code == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    assert json.loads(out.read_text())["pass"] is True
+
+
+def test_verify_reports_when_the_range_ends_marginally_trapped(tmp_path):
+    # The profile ends where the surface becomes marginally trapped; the
+    # target check skips that sample instead of dying on it, and the report
+    # is written. Its exit code is that of the report: 2 for a truncated
+    # range when every check passes, 1 when one fails.
+    out = tmp_path / "report.json"
+    code = main(["verify", "--spec", "constant-mean a=0.5 b=2 C=0 eps=+ branch=-",
+                 "--f0", "0.6", "--u", "0:0.5", "--v", "0:0.3", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert code == (2 if report["pass"] else 1)
+    assert report["realized_range"][1] < 0.5
+    target = next(c for c in report["checks"] if c["check"] == "||H||==0.5")
+    assert target["pass"] and target["grid"] == 49
+
+
+def test_one_point_data_per_grid_point(tmp_path, monkeypatch):
+    calls = []
+    real = cli.point_data
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+    monkeypatch.setattr(cli, "point_data", counted)
+    monkeypatch.setattr(invariants, "point_data", counted)
+    base = ["--spec", "parallel-a c=1 d=1 a=0 sign=+", "--u", "0:3",
+            "--v", "0:6.28", "--grid", "3x2"]
+    assert main(["invariants", *base, "--out", str(tmp_path / "i.csv")]) == 0
+    assert len(calls) == len(set(calls)) == 6
+    calls.clear()
+    assert main(["mesh", *base, "--fields", "K,k,H_norm,lambda,beta1,beta2",
+                 "--out", str(tmp_path / "m.json")]) == 0
+    assert len(calls) == len(set(calls)) == 6
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("family", "--format", "csv"), ("family", "--grid", "2x2"),
     ("verify", "--tol", "1e-9"),
@@ -238,3 +330,13 @@ def test_mesh_unknown_field_is_exit_1(tmp_path, capsys):
     assert code == 1
     assert "bogus" in capsys.readouterr().err
 
+
+def test_mesh_fields_are_null_where_the_record_is_undefined(tmp_path):
+    # phi = sec(v) has kappa = 0: every point is flat, so no field is defined
+    out = tmp_path / "flat.json"
+    code = main(["mesh", "--spec", "direct f=sqrt(u+1) phi=sec(v)",
+                 "--u", "0:2", "--v", "0.1:0.5", "--grid", "3x3",
+                 "--fields", "K,k,H_norm", "--out", str(out)])
+    assert code == 0
+    fields = json.loads(out.read_text())["fields"]
+    assert all(fields[f] == [None] * 9 for f in ("K", "k", "H_norm"))

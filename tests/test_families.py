@@ -10,11 +10,12 @@ from meridian4.expressions import compile_expression
 from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                                 ParallelA, ParallelB, constant_kappa_directrix,
                                 defining_residual, generate,
-                                integrate_autonomous, y_function, y_of_t)
+                                integrate_autonomous, y_function)
+from meridian4.jets import jet_eval
 from meridian4.invariants import (eight_invariants, gauss_curvature,
                                   invariant_k, mean_curvature)
 from meridian4.odeint import dormand_prince
-from meridian4.profile import Directrix, kappa
+from meridian4.profile import FPRIME_FLOOR, Directrix, kappa
 
 TWO_PI = 2.0 * math.pi
 UNIT_PHI = Directrix(compile_expression("1", "v"), (0.0, TWO_PI))
@@ -51,6 +52,9 @@ def test_bad_sign_values_rejected():
 # --- profile ODE right-hand sides --------------------------------------------
 
 def test_y_of_t_pinned_values():
+    def y_of_t(spec, t):
+        return jet_eval(y_function(spec), t).f
+
     assert y_of_t(ConstantMean(a=0.5, b=2.0, C=0.0, epsilon=1, branch=1),
                   1.0) == pytest.approx(1.9132229549810364, abs=1e-9)
     assert y_of_t(ConstantMean(a=0.5, b=1.0, C=0.0, epsilon=-1, branch=1),
@@ -106,6 +110,18 @@ def test_constant_gauss_negative_k_is_hyperbolic():
         fj = gen.surface.profile.f_jet(u)
         assert fj.f == pytest.approx(math.cosh(u) + math.sinh(u), abs=1e-10)
         assert gauss_curvature(gen.surface, u) == pytest.approx(-1.0, abs=1e-10)
+
+
+def test_constant_gauss_decaying_exponential_keeps_its_digits():
+    # alpha = -beta gives f = e^(-2u); the range ends where |f'| = 2 e^(-2u)
+    # meets the floor, and f keeps its relative accuracy all the way there
+    # (cosh - sinh would cancel to 0 long before)
+    gen = generate(ConstantGauss(K=-4.0, alpha=1.0, beta=-1.0), None,
+                   (0.0, 30.0), UNIT_PHI)
+    assert gen.truncated
+    assert gen.u_range[1] == pytest.approx(0.5 * math.log(2.0 / FPRIME_FLOOR), abs=1e-12)
+    for u in u_samples(gen):
+        assert gen.surface.profile.f_jet(u).f == pytest.approx(math.exp(-2.0 * u), rel=1e-12)
 
 
 def test_constant_mean_truncates_at_blowup():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from meridian4.minkowski import (E1, E2, E3, E4, Vec4, from_lightlike,
-                                 lightlike_basis, minkowski_dot)
+                                 minkowski_dot)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 vectors = st.builds(Vec4, finite, finite, finite, finite)
@@ -22,25 +22,25 @@ def test_basis_gram_is_diag_1_1_1_minus_1():
 
 
 def test_lightlike_pair_products():
-    pair = lightlike_basis()
-    assert minkowski_dot(pair.xi1, pair.xi1) == pytest.approx(0.0, abs=1e-15)
-    assert minkowski_dot(pair.xi2, pair.xi2) == pytest.approx(0.0, abs=1e-15)
-    assert minkowski_dot(pair.xi1, pair.xi2) == pytest.approx(-1.0, abs=1e-15)
+    xi1, xi2 = from_lightlike(0, 0, 1, 0), from_lightlike(0, 0, 0, 1)
+    assert minkowski_dot(xi1, xi1) == pytest.approx(0.0, abs=1e-15)
+    assert minkowski_dot(xi2, xi2) == pytest.approx(0.0, abs=1e-15)
+    assert minkowski_dot(xi1, xi2) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_lightlike_pair_components():
-    pair = lightlike_basis()
+    xi1, xi2 = from_lightlike(0, 0, 1, 0), from_lightlike(0, 0, 0, 1)
     r = 1.0 / math.sqrt(2.0)
-    assert astuple(pair.xi1) == pytest.approx([0.0, 0.0, r, r])
-    assert astuple(pair.xi2) == pytest.approx([0.0, 0.0, -r, r])
+    assert astuple(xi1) == pytest.approx([0.0, 0.0, r, r])
+    assert astuple(xi2) == pytest.approx([0.0, 0.0, -r, r])
 
 
 def test_from_lightlike_roundtrip():
-    pair = lightlike_basis()
+    xi1, xi2 = from_lightlike(0, 0, 1, 0), from_lightlike(0, 0, 0, 1)
     z = from_lightlike(2.0, 3.0, 5.0, 7.0)
     # <xi1, xi2> = -1, so the xi-coefficients come back crossed and negated.
-    assert minkowski_dot(z, pair.xi1) == pytest.approx(-7.0, abs=1e-12)
-    assert minkowski_dot(z, pair.xi2) == pytest.approx(-5.0, abs=1e-12)
+    assert minkowski_dot(z, xi1) == pytest.approx(-7.0, abs=1e-12)
+    assert minkowski_dot(z, xi2) == pytest.approx(-5.0, abs=1e-12)
     assert z.c1 == 2.0 and z.c2 == 3.0
 
 

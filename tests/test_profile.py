@@ -11,9 +11,8 @@ from meridian4.expressions import compile_expression
 from meridian4.families import (ConstantGauss, ConstantMean, ParallelA,
                                 constant_kappa_directrix, generate)
 from meridian4.jets import constant, jcos, jet_eval, jsqrt, variable
-from meridian4.profile import (G_PANELS, Directrix, ProfileCurve, g_from_f,
-                               kappa, kappa_m, meridian_curvature_general,
-                               validate_profile)
+from meridian4.profile import (FPRIME_FLOOR, G_PANELS, Directrix,
+                               ProfileCurve, g_from_f, kappa, kappa_m)
 from meridian4.quadrature import adaptive_simpson
 from meridian4.surface import MeridianSurface, embed, point_data
 
@@ -124,11 +123,13 @@ def test_kappa_m_examples():
 
 
 def test_general_meridian_curvature_agrees_with_normalized():
+    # (f' g'' - g' f'') / (-2 f' g')^(3/2) for the unnormalized pair (f, g)
     f = compile_expression("sqrt(u+1)")
     g = compile_expression("-(2/3)*(u+1)^(3/2)")
     for u in (0.2, 1.1, 2.3):
-        assert meridian_curvature_general(f, g, u) == pytest.approx(
-            kappa_m(SQRT_PROFILE, u), abs=1e-10)
+        fj, gj = jet_eval(f, u), jet_eval(g, u)
+        general = (fj.d1 * gj.d2 - gj.d1 * fj.d2) / (-2.0 * fj.d1 * gj.d1)**1.5
+        assert general == pytest.approx(kappa_m(SQRT_PROFILE, u), abs=1e-10)
 
 
 def test_directrix_kappa_exponential():
@@ -159,24 +160,32 @@ def test_kappa_derivative_against_finite_difference():
     assert kdot == pytest.approx(fd, abs=1e-8)
 
 
+def _closed_form_end(spec, u_range):
+    gen = generate(spec, None, u_range, Directrix(lambda v: constant(1.0), (0.0, 1.0)))
+    end = gen.u_range[1]
+    fj = gen.surface.profile.f_jet(end)
+    assert fj.f > 0.0 and abs(fj.d1) >= FPRIME_FLOOR
+    return end, gen.truncated
+
+
 def test_validate_profile_accepts_good_profile():
-    assert validate_profile(SQRT_PROFILE, 64).ok
+    # f = sqrt(u + 1) is admissible on all of [0, 3]
+    assert _closed_form_end(ParallelA(c=1.0, d=1.0), (0.0, 3.0)) == (3.0, False)
 
 
 def test_validate_profile_flags_nonpositive_f():
-    p = ProfileCurve(jcos, (0.1, 3.0))  # cos crosses zero at pi/2
-    report = validate_profile(p, 128)
-    assert not report.ok
-    assert report.predicate == "f > 0"
+    # cos crosses zero at pi/2: the range ends there, not on a sample grid
+    end, truncated = _closed_form_end(ConstantGauss(K=1.0, alpha=1.0, beta=0.0),
+                                      (0.1, 3.0))
+    assert truncated and abs(end - math.pi / 2) <= 1e-12
 
 
 def test_validate_profile_flags_critical_point():
-    # f' = -sin u vanishes at the right endpoint u = pi, which the uniform
-    # sample grid always includes.
-    p = ProfileCurve(lambda u: jcos(u) + 2.0, (0.1, math.pi))
-    report = validate_profile(p, 256)
-    assert not report.ok
-    assert report.predicate == "f' != 0"
+    # f = cos u + sin u stays positive past pi/4, where f' = cos u - sin u
+    # vanishes: the range ends where |f'| meets the floor
+    end, truncated = _closed_form_end(ConstantGauss(K=1.0, alpha=1.0, beta=1.0),
+                                      (0.1, 2.0))
+    assert truncated and abs(end - math.pi / 4) <= 1e-8
 
 
 def test_g_quadrature_rejects_sign_change():

@@ -13,8 +13,8 @@ from meridian4.minkowski import Vec4, minkowski_dot
 from meridian4.profile import Directrix, ProfileCurve
 from meridian4.invariants import eight_invariants
 from meridian4.surface import (MeridianSurface, PointCase, classify_point,
-                               embed, first_fundamental_form, normal_frame,
-                               normal_pair, point_data, tangent_frame)
+                               embed, normal_frame, normal_pair, point_data,
+                               tangent_frame)
 
 UNIT_PHI = Directrix(compile_expression("1", "v"), (0.0, 2.0 * math.pi))
 SQRT_SURFACE = MeridianSurface(
@@ -51,11 +51,17 @@ def test_tangents_match_finite_differences():
 
 def test_first_fundamental_form():
     for (u, v) in ((0.3, 0.1), (2.0, 3.0)):
-        E, F, G = first_fundamental_form(SQRT_SURFACE, u, v)
+        # E = -2 f' g' and G = f^2 D from point_data against the Gram matrix
+        # of central differences of the embedding
         d = point_data(SQRT_SURFACE, u, v)
+        h = 1e-5
+        z_u = (embed(SQRT_SURFACE, u + h, v) - embed(SQRT_SURFACE, u - h, v)) / (2 * h)
+        z_v = (embed(SQRT_SURFACE, u, v + h) - embed(SQRT_SURFACE, u, v - h)) / (2 * h)
+        E, G = -2.0 * d.fp * d.gp, d.f**2 * d.D
         assert E == pytest.approx(1.0, abs=1e-12)
-        assert F == pytest.approx(0.0, abs=1e-12)
-        assert G == pytest.approx(d.f**2 * d.D, abs=1e-12)
+        assert minkowski_dot(z_u, z_u) == pytest.approx(E, abs=1e-8)
+        assert minkowski_dot(z_u, z_v) == pytest.approx(0.0, abs=1e-8)
+        assert minkowski_dot(z_v, z_v) == pytest.approx(G, abs=1e-8)
 
 
 def test_tangent_and_normal_gram():
