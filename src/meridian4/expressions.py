@@ -2,7 +2,9 @@
 
 Grammar: real literals, one variable symbol, + - * / ^, parentheses, and the
 function set {sin, cos, tan, sec, sinh, cosh, exp, log, sqrt}. Parsed to an
-AST evaluated over third-order jets.
+AST evaluated over third-order jets. Floats pass through as values: a
+compiled expression called on a float gives a float, equal bit for bit to
+the value of its jet, with the same DomainError outside its domain.
 """
 
 import re
@@ -63,18 +65,19 @@ class Expr:
         self.kind = kind
         self.args = args
 
-    def eval(self, value: Jet) -> Jet:
+    def eval(self, x):
+        """The expression at x, a jet or a float; a literal is a float."""
         k = self.kind
         if k == "num":
-            return jets.constant(self.args[0])
+            return self.args[0]
         if k == "var":
-            return value
+            return x
         if k == "neg":
-            return -self.args[0].eval(value)
+            return -self.args[0].eval(x)
         if k == "call":
-            return _FUNCTIONS[self.args[0]](self.args[1].eval(value))
-        a = self.args[0].eval(value)
-        b = self.args[1].eval(value)
+            return _FUNCTIONS[self.args[0]](self.args[1].eval(x))
+        a = self.args[0].eval(x)
+        b = self.args[1].eval(x)
         if k == "+":
             return a + b
         if k == "-":
@@ -82,7 +85,7 @@ class Expr:
         if k == "*":
             return a * b
         if k == "/":
-            return a / b
+            return jets.jdiv(a, b)
         if k == "^":
             return jets.jpow(a, b)
         raise AssertionError(k)
@@ -168,6 +171,14 @@ def parse(text: str, var: str = "u") -> Expr:
 
 
 def compile_expression(text: str, var: str = "u") -> Callable[[Jet], Jet]:
-    """Compile expression text to a jet-capable callable of one variable."""
+    """Compile expression text to a jet-capable callable of one variable: a
+    jet gives a jet (a constant one for a constant expression), a float
+    gives the float value."""
     node = parse(text, var)
-    return node.eval
+
+    def fn(x):
+        out = node.eval(x)
+        if isinstance(x, Jet) and not isinstance(out, Jet):
+            return jets.constant(out)
+        return out
+    return fn

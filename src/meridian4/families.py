@@ -157,30 +157,33 @@ class GeneratedSurface:
     truncated: bool
 
 
-def _jlog_abs(x: Jet) -> Jet:
-    if x.f < 0.0:
+def _jlog_abs(x):
+    if jets.value(x) < 0.0:
         return jets.jlog(-x)
     return jets.jlog(x)
 
 
 def y_function(spec: FamilySpec) -> Callable[[Jet], Jet]:
-    """Jet-capable closed-form y with f' = y(f), for the ODE variants."""
+    """Jet-capable closed-form y with f' = y(f), for the ODE variants; on a
+    float it gives the float y(t)."""
     if isinstance(spec, ConstantMean):
         a, b, C, s = spec.a, spec.b, spec.C, float(spec.branch)
         cap = abs(b) / (2.0 * abs(a))
 
         if spec.epsilon == 1:
             def y(t):
-                if not 0.0 < t.f < cap - 1e-9:
+                tv = jets.value(t)
+                if not 0.0 < tv < cap - 1e-9:
                     raise DomainError("t outside (0, |b|/2|a|) for the arcsin branch",
-                                      t=t.f)
+                                      t=tv)
                 root = jets.jsqrt(b * b - 4.0 * a * a * t * t)
                 return (C + s * 0.5 * t * root
                         + s * (b * b / (4.0 * a)) * jets.jarcsin(2.0 * a * t / abs(b))) / t
         else:
             def y(t):
-                if t.f <= 0.0:
-                    raise DomainError("t must be positive", t=t.f)
+                tv = jets.value(t)
+                if tv <= 0.0:
+                    raise DomainError("t must be positive", t=tv)
                 root = jets.jsqrt(b * b + 4.0 * a * a * t * t)
                 return (C + s * 0.5 * t * root
                         + s * (b * b / (4.0 * a)) * _jlog_abs(2.0 * a * t + root)) / t
@@ -195,8 +198,9 @@ def y_function(spec: FamilySpec) -> Callable[[Jet], Jet]:
         b, c, s = spec.b, spec.c, spec.exponent_branch
 
         def y(t):
-            if t.f <= 0.0:
-                raise DomainError("t must be positive", t=t.f)
+            tv = jets.value(t)
+            if tv <= 0.0:
+                raise DomainError("t must be positive", t=tv)
             tp = jets.jpow(t, s)
             return (c * c * tp * tp + b * b) / (2.0 * c * tp)
         return y
@@ -204,8 +208,9 @@ def y_function(spec: FamilySpec) -> Callable[[Jet], Jet]:
         a, c = spec.a, spec.c
 
         def y(t):
-            if t.f <= 0.0:
-                raise DomainError("t must be positive", t=t.f)
+            tv = jets.value(t)
+            if tv <= 0.0:
+                raise DomainError("t must be positive", t=tv)
             return (c + a * t) / t
         return y
     raise SpecMismatchError(f"{type(spec).__name__} has no autonomous y(t)")
@@ -217,10 +222,10 @@ def integrate_autonomous(y: Callable[[Jet], Jet], f0: float,
 
     Truncates (rather than failing) when y's domain would be exited, when y
     approaches zero or changes sign (f' = 0 would break the profile) or when
-    f or y runs away. The path carries f values; derivative access goes
-    through y's jets.
+    f or y runs away. y is called on floats, so only its values are
+    computed; the path carries f values.
     """
-    y0 = jet_eval(y, f0).f
+    y0 = y(f0)
     if abs(y0) < FPRIME_FLOOR:
         raise ProfileInvariantError(f"y(f0) = {y0} at f0 = {f0}: f' = 0 at the start")
     sign0 = 1.0 if y0 > 0 else -1.0
@@ -229,7 +234,7 @@ def integrate_autonomous(y: Callable[[Jet], Jet], f0: float,
         t = state[0]
         if not 0.0 < t < _F_BOUND:
             raise DomainError(f"f = {t} outside (0, {_F_BOUND})", t=t)
-        yv = jet_eval(y, t).f
+        yv = y(t)
         if abs(yv) < FPRIME_FLOOR or yv * sign0 < 0 or abs(yv) > _F_BOUND:
             raise DomainError(f"f' = {yv} at f = {t} vanishes, changes sign or "
                               f"runs away", t=t)
@@ -240,16 +245,20 @@ def integrate_autonomous(y: Callable[[Jet], Jet], f0: float,
 
 def profile_from_path(path: DensePath, y: Callable[[Jet], Jet],
                       g_origin: float = 0.0) -> ProfileCurve:
-    """ProfileCurve backed by the dense ODE solution; f'' and f''' come from
-    the jets of y via f'' = y'y, f''' = (y''y + y'^2) y."""
+    """ProfileCurve backed by the dense ODE solution; f' = y(f) is read on
+    floats, and f'' and f''' come from the jets of y via f'' = y'y,
+    f''' = (y''y + y'^2) y."""
 
     def derivs(u):
         fval = path(u)[0]
         yj = jet_eval(y, fval)
         return (fval, yj.f, yj.d1 * yj.f, (yj.d2 * yj.f + yj.d1**2) * yj.f)
 
+    def fprime(u):
+        return y(path(u)[0])
+
     return ProfileCurve(jet_function_from_derivs(derivs),
-                        (path.t0, path.t1), g_origin)
+                        (path.t0, path.t1), g_origin, fprime)
 
 
 def _exp_roots(a: float, b: float, c: float) -> list:

@@ -7,6 +7,13 @@ use Faa di Bruno up to order 3:
     (g o u)'   = g1 u1
     (g o u)''  = g2 u1^2 + g1 u2
     (g o u)''' = g3 u1^3 + 3 g2 u1 u2 + g1 u3
+
+Floats pass through as values: each j* function called on a float returns a
+float, computed by the same operations as the value of its jet, and raises
+the same DomainError outside its domain. A jet-capable function built from
+them reads only its value when called on a float, and fn(t) equals
+jet_eval(fn, t).f bit for bit (Griewank & Walther, Evaluating Derivatives,
+2nd ed., 2008, ch. 13: evaluate to the Taylor order each use needs).
 """
 
 import math
@@ -19,8 +26,9 @@ __all__ = [
     "Jet",
     "variable",
     "constant",
+    "value",
     "jet_eval",
-    "jsin", "jcos", "jtan", "jsec", "jsinh", "jcosh",
+    "jdiv", "jsin", "jcos", "jtan", "jsec", "jsinh", "jcosh",
     "jexp", "jlog", "jsqrt", "jarcsin", "jpow",
     "jet_function_from_derivs",
 ]
@@ -32,7 +40,12 @@ def _as_jet(x) -> "Jet":
     return Jet(float(x), 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
+def value(x) -> float:
+    """The value of a jet; a float is its own value."""
+    return x.f if isinstance(x, Jet) else x
+
+
+@dataclass(slots=True)
 class Jet:
     f: float
     d1: float = 0.0
@@ -67,11 +80,22 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _as_jet(other)
+        """The value is the quotient of the values, as on floats; the
+        derivatives are those of self * (1 / other)."""
+        a, o = self, _as_jet(other)
         if o.f == 0.0:
             raise DomainError("division by a jet with zero value", t=o.f)
-        inv = _compose(o, 1.0 / o.f, -1.0 / o.f**2, 2.0 / o.f**3, -6.0 / o.f**4)
-        return self * inv
+        # r = 1 / o: the derivatives of 1/x composed with o
+        r0, g1, g2, g3 = 1.0 / o.f, -1.0 / o.f**2, 2.0 / o.f**3, -6.0 / o.f**4
+        r1 = g1 * o.d1
+        r2 = g2 * o.d1**2 + g1 * o.d2
+        r3 = g3 * o.d1**3 + 3.0 * g2 * o.d1 * o.d2 + g1 * o.d3
+        return Jet(
+            a.f / o.f,
+            a.d1 * r0 + a.f * r1,
+            a.d2 * r0 + 2.0 * a.d1 * r1 + a.f * r2,
+            a.d3 * r0 + 3.0 * a.d2 * r1 + 3.0 * a.d1 * r2 + a.f * r3,
+        )
 
     def __rtruediv__(self, other):
         return _as_jet(other) / self
@@ -99,113 +123,144 @@ def constant(c: float) -> Jet:
     return Jet(float(c), 0.0, 0.0, 0.0)
 
 
-def jsin(x) -> Jet:
-    u = _as_jet(x)
-    s, c = math.sin(u.f), math.cos(u.f)
-    return _compose(u, s, c, -s, -c)
+def jdiv(a, b):
+    """a / b for jets or floats; DomainError where the value of b is 0."""
+    if value(b) == 0.0:
+        raise DomainError("division by a jet with zero value", t=value(b))
+    return a / b
 
 
-def jcos(x) -> Jet:
-    u = _as_jet(x)
-    s, c = math.sin(u.f), math.cos(u.f)
-    return _compose(u, c, -s, -c, s)
+def jsin(x):
+    if not isinstance(x, Jet):
+        return math.sin(x)
+    s, c = math.sin(x.f), math.cos(x.f)
+    return _compose(x, s, c, -s, -c)
 
 
-def jtan(x) -> Jet:
-    u = _as_jet(x)
-    return jsin(u) / jcos(u)
+def jcos(x):
+    if not isinstance(x, Jet):
+        return math.cos(x)
+    s, c = math.sin(x.f), math.cos(x.f)
+    return _compose(x, c, -s, -c, s)
 
 
-def jsec(x) -> Jet:
-    u = _as_jet(x)
-    return 1.0 / jcos(u)
+def jtan(x):
+    return jdiv(jsin(x), jcos(x))
 
 
-def jsinh(x) -> Jet:
-    u = _as_jet(x)
-    s, c = math.sinh(u.f), math.cosh(u.f)
-    return _compose(u, s, c, s, c)
+def jsec(x):
+    return jdiv(1.0, jcos(x))
 
 
-def jcosh(x) -> Jet:
-    u = _as_jet(x)
-    s, c = math.sinh(u.f), math.cosh(u.f)
-    return _compose(u, c, s, c, s)
+def jsinh(x):
+    if not isinstance(x, Jet):
+        return math.sinh(x)
+    s, c = math.sinh(x.f), math.cosh(x.f)
+    return _compose(x, s, c, s, c)
 
 
-def jexp(x) -> Jet:
-    u = _as_jet(x)
-    e = math.exp(u.f)
-    return _compose(u, e, e, e, e)
+def jcosh(x):
+    if not isinstance(x, Jet):
+        return math.cosh(x)
+    s, c = math.sinh(x.f), math.cosh(x.f)
+    return _compose(x, c, s, c, s)
 
 
-def jlog(x) -> Jet:
-    u = _as_jet(x)
-    if u.f <= 0.0:
-        raise DomainError("log of non-positive argument", t=u.f)
-    return _compose(u, math.log(u.f), 1.0 / u.f, -1.0 / u.f**2, 2.0 / u.f**3)
+def jexp(x):
+    if not isinstance(x, Jet):
+        return math.exp(x)
+    e = math.exp(x.f)
+    return _compose(x, e, e, e, e)
 
 
-def jsqrt(x) -> Jet:
-    u = _as_jet(x)
-    if u.f < 0.0:
-        raise DomainError("sqrt of negative argument", t=u.f)
-    if u.f == 0.0:
-        raise DomainError("sqrt jet undefined at 0 (infinite derivative)", t=u.f)
-    r = math.sqrt(u.f)
-    return _compose(u, r, 0.5 / r, -0.25 / (r * u.f), 0.375 / (r * u.f**2))
+def jlog(x):
+    t = value(x)
+    if t <= 0.0:
+        raise DomainError("log of non-positive argument", t=t)
+    if not isinstance(x, Jet):
+        return math.log(t)
+    return _compose(x, math.log(t), 1.0 / t, -1.0 / t**2, 2.0 / t**3)
 
 
-def jarcsin(x) -> Jet:
-    u = _as_jet(x)
-    if not -1.0 < u.f < 1.0:
-        raise DomainError("arcsin argument outside (-1, 1)", t=u.f)
-    w = 1.0 - u.f**2
+def jsqrt(x):
+    t = value(x)
+    if t < 0.0:
+        raise DomainError("sqrt of negative argument", t=t)
+    if t == 0.0:
+        raise DomainError("sqrt jet undefined at 0 (infinite derivative)", t=t)
+    r = math.sqrt(t)
+    if not isinstance(x, Jet):
+        return r
+    return _compose(x, r, 0.5 / r, -0.25 / (r * t), 0.375 / (r * t**2))
+
+
+def jarcsin(x):
+    t = value(x)
+    if not -1.0 < t < 1.0:
+        raise DomainError("arcsin argument outside (-1, 1)", t=t)
+    if not isinstance(x, Jet):
+        return math.asin(t)
+    w = 1.0 - t**2
     g1 = w**-0.5
-    g2 = u.f * w**-1.5
-    g3 = (1.0 + 2.0 * u.f**2) * w**-2.5
-    return _compose(u, math.asin(u.f), g1, g2, g3)
+    g2 = t * w**-1.5
+    g3 = (1.0 + 2.0 * t**2) * w**-2.5
+    return _compose(x, math.asin(t), g1, g2, g3)
 
 
-def jpow(x, p) -> Jet:
-    """x**p for a jet base. Constant integer exponents stay exact via repeated
-    multiplication; general exponents require a positive base."""
-    u = _as_jet(x)
-    if isinstance(p, Jet):
-        if p.d1 == p.d2 == p.d3 == 0.0:
-            return jpow(u, p.f)
-        return jexp(p * jlog(u))
-    p = float(p)
+def jpow(x, p):
+    """x**p. Constant integer exponents stay exact via repeated
+    multiplication; other exponents require a positive base. An exponent
+    that varies (a jet with nonzero derivatives) takes its value from the
+    float path, so the value does not depend on whether p varies, and its
+    derivatives from exp(p log x), which also needs a positive base where
+    the value of p is an integer."""
+    if isinstance(p, Jet) and (p.d1 or p.d2 or p.d3):
+        v = jpow(value(x), p.f)
+        e = jexp(p * jlog(x))
+        return Jet(v, e.d1, e.d2, e.d3)
+    p = float(value(p))
     if p == round(p) and abs(p) <= 64:
         n = int(round(p))
         if n == 0:
-            return constant(1.0)
-        base = u if n > 0 else 1.0 / u
+            return constant(1.0) if isinstance(x, Jet) else 1.0
+        base = x if n > 0 else jdiv(1.0, x)
         out = base
         for _ in range(abs(n) - 1):
             out = out * base
         return out
-    if u.f <= 0.0:
-        raise DomainError("non-integer power of non-positive base", t=u.f)
-    g0 = u.f**p
-    g1 = p * u.f ** (p - 1.0)
-    g2 = p * (p - 1.0) * u.f ** (p - 2.0)
-    g3 = p * (p - 1.0) * (p - 2.0) * u.f ** (p - 3.0)
-    return _compose(u, g0, g1, g2, g3)
+    t = value(x)
+    if t <= 0.0:
+        raise DomainError("non-integer power of non-positive base", t=t)
+    if not isinstance(x, Jet):
+        return t**p
+    g0 = t**p
+    g1 = p * t ** (p - 1.0)
+    g2 = p * (p - 1.0) * t ** (p - 2.0)
+    g3 = p * (p - 1.0) * (p - 2.0) * t ** (p - 3.0)
+    return _compose(x, g0, g1, g2, g3)
 
 
 def jet_eval(fn: Callable[[Jet], Jet], t: float) -> Jet:
-    """Evaluate a jet-capable function at t with the variable seeded."""
-    return fn(variable(t))
+    """Evaluate a jet-capable function at t with the variable seeded.
+
+    Where a derivative leaves the float range (say 1/t, log t or sqrt t for
+    |t| below about 1e-77, whose powers of t underflow), the jet raises
+    DomainError, although the value alone may still exist."""
+    try:
+        return fn(variable(t))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise DomainError(f"jet not representable at t = {t}: {exc}", t=t) from None
 
 
 def jet_function_from_derivs(derivs: Callable[[float], tuple]) -> Callable[[Jet], Jet]:
     """Wrap a function given by a pointwise derivative table t -> (g, g', g'', g''')
-    as a jet-capable callable (composes correctly with jet inputs)."""
+    as a jet-capable callable (composes correctly with jet inputs; on a
+    float it gives g)."""
 
-    def fn(x) -> Jet:
-        u = _as_jet(x)
-        g0, g1, g2, g3 = derivs(u.f)
-        return _compose(u, g0, g1, g2, g3)
+    def fn(x):
+        if not isinstance(x, Jet):
+            return derivs(x)[0]
+        g0, g1, g2, g3 = derivs(x.f)
+        return _compose(x, g0, g1, g2, g3)
 
     return fn

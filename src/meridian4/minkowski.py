@@ -17,7 +17,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Vec4:
     """Vector in R^4_1, stored in coordinates w.r.t. the orthonormal basis
     {e1, e2, e3, e4} (the only storage format; lightlike coordinates are a
@@ -29,7 +29,8 @@ class Vec4:
     c4: float
 
     def __post_init__(self):
-        if not all(math.isfinite(c) for c in (self.c1, self.c2, self.c3, self.c4)):
+        if not (math.isfinite(self.c1) and math.isfinite(self.c2)
+                and math.isfinite(self.c3) and math.isfinite(self.c4)):
             raise ValueError(f"non-finite Vec4 components: {self}")
 
     def __add__(self, other: "Vec4") -> "Vec4":

@@ -3,7 +3,7 @@ the directrix phi, and their scalar curvatures."""
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 from .errors import (DegenerateDirectrixError, DomainError, ProfileInvariantError,
                      QuadratureLimitError)
@@ -36,15 +36,22 @@ class ProfileCurve:
     """Profile f with g derived from the normalization g'(u) = -1/(2 f'(u)).
 
     f is a jet-capable callable; g is never user-supplied here, so the
-    invariant -2 f' g' = 1 holds by construction.
+    invariant -2 f' g' = 1 holds by construction. fprime, when given, is
+    f' on floats (an ODE profile reads y(f) there); without it f' is the
+    d1 of f's jet. f_prime is the one reader of f' alone.
     """
 
     f: Callable[[Jet], Jet]
     domain: tuple
     g_origin: float = 0.0
+    fprime: Optional[Callable[[float], float]] = None
     # g table, filled by g_from_f: [f'(u0) > 0, g at node 0, g at node 1, ...]
     _g_table: list = field(default_factory=list, init=False, repr=False,
                            compare=False)
+    # the last g query [u, g(u)]: a caller that walks a grid row by row
+    # pays one g per row
+    _g_last: list = field(default_factory=list, init=False, repr=False,
+                          compare=False)
 
     def _check(self, u: float):
         u0, u1 = self.domain
@@ -55,11 +62,20 @@ class ProfileCurve:
         self._check(u)
         return jet_eval(self.f, u)
 
+    def f_prime(self, u: float) -> float:
+        self._check(u)
+        if self.fprime is not None:
+            return self.fprime(u)
+        return jet_eval(self.f, u).d1
+
     def g(self, u: float) -> float:
-        return g_from_f(self, u)
+        last = self._g_last
+        if not last or last[0] != u:
+            last[:] = [u, g_from_f(self, u)]
+        return last[1]
 
     def g_prime(self, u: float) -> float:
-        return -0.5 / _require_fprime(self.f_jet(u).d1, u)
+        return -0.5 / _require_fprime(self.f_prime(u), u)
 
 
 @dataclass(frozen=True)
@@ -124,11 +140,11 @@ def g_from_f(p: ProfileCurve, u: float) -> float:
         return p.g_origin
     table = p._g_table
     if not table:
-        table += [_require_fprime(jet_eval(p.f, u0).d1, u0) > 0, p.g_origin]
+        table += [_require_fprime(p.f_prime(u0), u0) > 0, p.g_origin]
     positive = table[0]
 
     def integrand(t):
-        fp = _require_fprime(jet_eval(p.f, t).d1, t)
+        fp = _require_fprime(p.f_prime(t), t)
         if (fp > 0) != positive:
             raise ProfileInvariantError(f"f' changes sign inside [{u0}, {u}] (at t = {t})")
         if 0.5 / abs(fp) * math.ulp(t) > G_TOL:

@@ -13,8 +13,7 @@ from typing import Optional
 from .errors import (DegenerateDirectrixError, FlatPointError,
                      MarginallyTrappedError, ProfileInvariantError)
 from .minkowski import Vec4, from_lightlike
-from .profile import (FPRIME_FLOOR, Directrix, ProfileCurve, _kappa_parts,
-                      g_from_f)
+from .profile import FPRIME_FLOOR, Directrix, ProfileCurve, _kappa_parts
 
 __all__ = [
     "MeridianSurface",
@@ -64,7 +63,7 @@ class NormalFrame:
     epsilon: int  # sign of <H,H>; 0 when b, l undefined
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PointData:
     """All scalars the frames and invariants need at one (u, v), and the
     point's case under CLASSIFY_TOL."""
@@ -88,7 +87,7 @@ class PointData:
     case: PointCase = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "case", self.classify(CLASSIFY_TOL))
+        self.case = self.classify(CLASSIFY_TOL)
 
     def classify(self, tol: float) -> PointCase:
         """The point's case with degeneracies decided under tolerance tol."""
@@ -128,10 +127,12 @@ def point_data(s: MeridianSurface, u: float, v: float) -> PointData:
 
 
 def embed(s: MeridianSurface, u: float, v: float) -> Vec4:
-    """The point z(u, v) in e-coordinates."""
+    """The point z(u, v) in e-coordinates. g comes from the profile's last
+    g query when u repeats, so a grid walked row by row computes g once
+    per row."""
     fj = s.profile.f_jet(u)
     pj = s.directrix.phi_jet(v)
-    g = g_from_f(s.profile, u)
+    g = s.profile.g(u)
     return from_lightlike(
         fj.f * pj.f * math.cos(v),
         fj.f * pj.f * math.sin(v),

@@ -1,0 +1,186 @@
+"""Value-only evaluation: a jet-capable function called on a float gives the
+value of its jet bit for bit, and the same DomainError outside its domain;
+the ODE integration and the g table of an ODE profile build no jets; the
+value types carry no per-instance dict."""
+
+import math
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from meridian4 import cli, profile as profile_module, surface as surface_module
+from meridian4.errors import DomainError
+from meridian4.expressions import compile_expression
+from meridian4.families import (Chen, ConstantK, ConstantMean, ParallelB,
+                                integrate_autonomous, profile_from_path,
+                                y_function)
+from meridian4.jets import (Jet, jarcsin, jcos, jcosh, jdiv, jet_eval,
+                            jet_function_from_derivs, jexp, jlog, jpow,
+                            jsec, jsin, jsinh, jsqrt, jtan)
+from meridian4.minkowski import Vec4
+from meridian4.profile import Directrix, ProfileCurve, g_from_f
+from meridian4.surface import MeridianSurface, point_data
+
+# the domain edges of the functions below, then plain floats
+POINTS = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, math.pi / 2])
+          | st.floats(min_value=-4.0, max_value=4.0, allow_nan=False))
+
+
+def outcome(fn, t):
+    """('value', bits), ('DomainError', message, t) or ('OverflowError',)
+    of fn at t."""
+    try:
+        v = fn(t)
+    except DomainError as exc:
+        return ("DomainError", str(exc), exc.t)
+    except OverflowError:
+        return ("OverflowError",)
+    assert type(v) is float
+    return ("value", v.hex())
+
+
+def assert_value_path_matches(fn, t):
+    value = outcome(fn, t)
+    jet = outcome(lambda x: jet_eval(fn, x).f, t)
+    if jet[0] == "DomainError" and jet[1].startswith("jet not representable"):
+        # next to a pole at 0 the derivatives leave the float range; the
+        # value alone may still fit, or overflow as well
+        assert value[0] in ("value", "OverflowError") and abs(t) < 1e-70
+    else:
+        assert value == jet
+
+
+JET_FUNCTIONS = {
+    "jsin": jsin, "jcos": jcos, "jtan": jtan, "jsec": jsec,
+    "jsinh": jsinh, "jcosh": jcosh, "jexp": jexp, "jlog": jlog,
+    "jsqrt": jsqrt, "jarcsin": jarcsin,
+    "jpow(x, 3)": lambda x: jpow(x, 3), "jpow(x, -2)": lambda x: jpow(x, -2),
+    "jpow(x, 0)": lambda x: jpow(x, 0), "jpow(x, 0.5)": lambda x: jpow(x, 0.5),
+    "jpow(x, -1.5)": lambda x: jpow(x, -1.5),
+    "jdiv(1, x)": lambda x: jdiv(1.0, x), "jdiv(x, 3)": lambda x: jdiv(x, 3.0),
+    "jet_function_from_derivs": jet_function_from_derivs(
+        lambda t: (math.sin(t) / (1.0 + t * t), 1.0, 2.0, 3.0)),
+}
+
+EXPRESSIONS = [
+    "sin(u)", "cos(u)", "tan(u)", "sec(u)", "sinh(u)", "cosh(u)", "exp(u)",
+    "log(u)", "sqrt(u)", "u + 2", "2 + u", "u - 2", "2 - u", "3 * u", "u * u",
+    "u / 3", "3 / u", "u / u", "u ^ 3", "u ^ -2", "u ^ 0", "u ^ 0.5", "2 ^ u",
+    "u ^ u", "-u", "+u", "2", "2 / 0",
+    "sqrt(u + 1) * cos(2 * u) / (1 + u ^ 2) - log(u + 5) ^ 1.5",
+]
+VARIABLE_EXPONENT = {"u ^ u"}
+
+FAMILY_SPECS = [
+    ConstantMean(a=0.5, b=2.0, C=0.0, epsilon=1, branch=1),
+    ConstantMean(a=0.5, b=2.0, C=0.3, epsilon=1, branch=-1),
+    ConstantMean(a=0.5, b=-2.0, C=0.0, epsilon=1, branch=1),
+    ConstantMean(a=0.5, b=1.0, C=0.0, epsilon=-1, branch=1),
+    ConstantMean(a=-0.5, b=1.0, C=0.2, epsilon=-1, branch=-1),
+    ConstantK(a=1.0, b=-1.0, c=0.5, branch=1),
+    Chen(b=1.0, c=1.0, exponent_branch=1),
+    Chen(b=1.0, c=2.0, exponent_branch=-1),
+    ParallelB(a=1.0, c=1.0, b=-2.0),
+]
+
+value_settings = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+@pytest.mark.parametrize("name", sorted(JET_FUNCTIONS))
+@value_settings
+@given(t=POINTS)
+def test_jet_functions_pass_floats_through(name, t):
+    assert_value_path_matches(JET_FUNCTIONS[name], t)
+
+
+@pytest.mark.parametrize("text", EXPRESSIONS)
+@value_settings
+@given(t=POINTS)
+def test_compiled_expressions_pass_floats_through(text, t):
+    # a varying exponent's derivatives need a positive base even where the
+    # exponent's value is an integer and the value alone exists
+    assume(text not in VARIABLE_EXPONENT or t > 0 or t != round(t))
+    assert_value_path_matches(compile_expression(text), t)
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=repr)
+@value_settings
+@given(t=POINTS)
+def test_family_y_passes_floats_through(spec, t):
+    assert_value_path_matches(y_function(spec), t)
+
+
+def test_domain_errors_are_exercised():
+    """The edges in POINTS reach every domain check at least once."""
+    for fn, t in ((jsqrt, 0.0), (jlog, -1.0), (jarcsin, 1.0),
+                  (lambda x: jpow(x, 0.5), -1.0), (lambda x: jdiv(1.0, x), 0.0),
+                  (y_function(FAMILY_SPECS[0]), 2.0)):
+        assert outcome(fn, t)[0] == "DomainError"
+        assert_value_path_matches(fn, t)
+
+
+@pytest.fixture
+def jets_built(monkeypatch):
+    """Counts Jet constructions while the test runs."""
+    count = [0]
+    init = Jet.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Jet, "__init__", counting)
+    return count
+
+
+CMC = ConstantMean(a=0.5, b=2.0, C=0.0, epsilon=1, branch=1)
+
+
+def test_integrate_autonomous_builds_no_jets(jets_built):
+    path = integrate_autonomous(y_function(CMC), 0.6, (0.0, 0.5))
+    assert path.t1 == 0.5
+    assert jets_built[0] == 0
+
+
+def test_g_table_of_an_ode_profile_builds_no_jets(jets_built):
+    y = y_function(CMC)
+    p = profile_from_path(integrate_autonomous(y, 0.6, (0.0, 0.5)), y)
+    g_from_f(p, p.domain[1])          # fills every panel of the table
+    assert len(p._g_table) == profile_module.G_PANELS + 1
+    assert jets_built[0] == 0
+    # f' read on floats is the d1 of f's jet, bit for bit
+    for u in (0.0, 0.17, 0.5):
+        assert p.f_prime(u) == p.f_jet(u).d1
+
+
+def test_mesh_computes_g_once_per_row(tmp_path, monkeypatch):
+    calls = []
+    original = profile_module.g_from_f
+
+    def counted(p, u):
+        calls.append(u)
+        return original(p, u)
+
+    for module in (profile_module, surface_module):   # wherever it is bound
+        if hasattr(module, "g_from_f"):
+            monkeypatch.setattr(module, "g_from_f", counted)
+    rc = cli.main(["mesh", "--spec", "direct f=sqrt(u+1) phi=1", "--u", "0:3",
+                   "--v", "0:6", "--grid", "3x4", "--out", str(tmp_path / "m.json")])
+    assert rc == 0
+    assert calls == [0.0, 1.5, 3.0]
+
+
+def test_value_types_have_no_instance_dict():
+    s = MeridianSurface(ProfileCurve(lambda u: jsqrt(u + 1.0), (0.0, 3.0)),
+                        Directrix(lambda v: 2.0 + jcos(v), (0.0, 6.0)))
+    for obj in (Jet(1.0), Vec4(1.0, 0.0, 0.0, 0.0), point_data(s, 1.0, 2.0)):
+        assert not hasattr(obj, "__dict__")
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("slot", range(4))
+def test_vec4_rejects_each_non_finite_component(bad, slot):
+    parts = [1.0, 2.0, 3.0, 4.0]
+    parts[slot] = bad
+    with pytest.raises(ValueError):
+        Vec4(*parts)
