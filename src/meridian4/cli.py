@@ -33,7 +33,7 @@ from .expressions import compile_expression
 from .families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                        GeneratedSurface, ParallelA, ParallelB,
                        constant_kappa_directrix, generate)
-from .invariants import eight_invariants
+from .invariants import DEFAULT_ORACLE_STEP, eight_invariants
 from .profile import Directrix, ProfileCurve, g_from_f
 from .surface import MeridianSurface, PointCase, embed, point_data
 from .verification import verify_generated
@@ -353,7 +353,8 @@ def _build_parser():
         if name == "invariants":
             sp.add_argument("--tol", type=float, default=1e-9)
         if name == "verify":
-            sp.add_argument("--oracle-step", type=float, default=1e-4)
+            sp.add_argument("--oracle-step", type=float,
+                            default=DEFAULT_ORACLE_STEP)
         if name == "mesh":
             sp.add_argument("--fields", default=None)
             sp.add_argument("--projection", choices=("none", "drop-e4"),

@@ -6,7 +6,9 @@ Closed-form profiles are used where the classification gives one (constant
 Gauss, parallel case a); the rest integrate the autonomous profile equation
 f' = y(f) once with the error-controlled Dormand-Prince 5(4) pair and its
 dense output. A profile whose defining residual still exceeds RESIDUAL_TOL
-raises ProfileInvariantError rather than being returned.
+raises ProfileInvariantError rather than being returned. The directrix of
+constant curvature kappa = b that four families need is in closed form: a
+constant phi for b < 0, a circle in polar form for b > 0.
 """
 
 import math
@@ -29,7 +31,7 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-6
 KAPPA_MATCH_TOL = 1e-8
-_F_BOUND = 1e3        # runaway guard for the autonomous integration
+_F_BOUND = 1e3        # runaway bound on f, f' and on phi, phi'
 _STEP_BACKS = 64      # doubling steps back from a closed-form end rounded outside
 
 
@@ -230,17 +232,16 @@ def integrate_autonomous(y: Callable[[Jet], Jet], f0: float,
         raise ProfileInvariantError(f"y(f0) = {y0} at f0 = {f0}: f' = 0 at the start")
     sign0 = 1.0 if y0 > 0 else -1.0
 
-    def rhs(state):
-        t = state[0]
+    def rhs(t):
         if not 0.0 < t < _F_BOUND:
             raise DomainError(f"f = {t} outside (0, {_F_BOUND})", t=t)
         yv = y(t)
         if abs(yv) < FPRIME_FLOOR or yv * sign0 < 0 or abs(yv) > _F_BOUND:
             raise DomainError(f"f' = {yv} at f = {t} vanishes, changes sign or "
                               f"runs away", t=t)
-        return [yv]
+        return yv
 
-    return dormand_prince(rhs, u_range[0], u_range[1], [f0])
+    return dormand_prince(rhs, u_range[0], u_range[1], f0)
 
 
 def profile_from_path(path: DensePath, y: Callable[[Jet], Jet],
@@ -250,12 +251,12 @@ def profile_from_path(path: DensePath, y: Callable[[Jet], Jet],
     f''' = (y''y + y'^2) y."""
 
     def derivs(u):
-        fval = path(u)[0]
+        fval = path(u)
         yj = jet_eval(y, fval)
         return (fval, yj.f, yj.d1 * yj.f, (yj.d2 * yj.f + yj.d1**2) * yj.f)
 
     def fprime(u):
-        return y(path(u)[0])
+        return y(path(u))
 
     return ProfileCurve(jet_function_from_derivs(derivs),
                         (path.t0, path.t1), g_origin, fprime)
@@ -339,13 +340,24 @@ def _closed_form_end(spec: FamilySpec, f, u_range: tuple):
     return (u0, end), end < u1
 
 
+def _bounded(phi, v: float) -> bool:
+    """phi and |phi'| below _F_BOUND at v (False where phi is undefined)."""
+    try:
+        pj = jet_eval(phi, v)
+    except DomainError:
+        return False
+    return pj.f < _F_BOUND and abs(pj.d1) < _F_BOUND
+
+
 def constant_kappa_directrix(b: float, v_range: tuple) -> Directrix:
     """Directrix with constant curvature kappa = b != 0.
 
-    b < 0 is realized exactly by the constant phi = -1/b. b > 0 has no
-    constant solution; it is integrated as the IVP phi(v0) = 1, phi'(v0) = 0
-    of phi phi'' - 2 phi'^2 - phi^2 = b (phi'^2 + phi^2)^(3/2), truncating
-    where the solution runs away.
+    b < 0 is realized exactly by the constant phi = -1/b. For b > 0 the
+    solution of phi(v0) = 1, phi'(v0) = 0 is the circle of radius 1/b in
+    polar form, phi = (b+2) / ((b+1) cos(v-v0) + sqrt(1 - (b+1)^2 sin^2(v-v0))).
+    phi and phi' grow monotonically towards the ray tangent to the circle,
+    at v0 + arcsin(1/(b+1)); the realized range ends at the largest v <= v1
+    before that ray with phi and |phi'| below _F_BOUND, to adjacent floats.
     """
     _require_nonzero("b", b)
     if b < 0:
@@ -355,30 +367,27 @@ def constant_kappa_directrix(b: float, v_range: tuple) -> Directrix:
             return jets.constant(p)
         return Directrix(phi, v_range)
 
-    def accel(p, q):
-        D = q * q + p * p
-        return (2.0 * q * q + p * p + b * D**1.5) / p
+    v0, v1 = v_range
+    c, num = b + 1.0, b + 2.0
 
-    def rhs(state):
-        p, q = state
-        if not (1e-6 < p < _F_BOUND and abs(q) < _F_BOUND):
-            raise DomainError(f"directrix runs away: phi = {p}, phi' = {q}", t=p)
-        return [q, accel(p, q)]
+    def phi(x):
+        # the nearer point of the circle on the ray at x, without cancellation
+        s = jets.jsin(x - v0)
+        return num / (c * jets.jcos(x - v0) + jets.jsqrt(1.0 - c * c * (s * s)))
 
-    # phi'' is reconstructed from the ODE itself, so kappa == b identically on
-    # the interpolant; the error sits in phi, phi' and is bounded per step by
-    # the integrator's error control.
-    path = dormand_prince(rhs, v_range[0], v_range[1], [1.0, 0.0])
-
-    def derivs(v):
-        p, q = path(v)
-        pdd = accel(p, q)
-        rD = math.sqrt(q * q + p * p)
-        dF_dp = 2.0 + 3.0 * b * rD - pdd / p
-        dF_dq = (4.0 * q + 3.0 * b * q * rD) / p
-        return (p, q, pdd, dF_dp * q + dF_dq * pdd)
-
-    return Directrix(jet_function_from_derivs(derivs), (path.t0, path.t1))
+    # bisect keeping phi bounded at end and not at hi; past the tangent ray
+    # the closed form is another arc of the circle
+    end, hi = v0, min(v1, v0 + math.asin(1.0 / c))
+    if hi == v1 and _bounded(phi, v1):
+        end = v1
+    mid = 0.5 * (end + hi)
+    while end < mid < hi:
+        if _bounded(phi, mid):
+            end = mid
+        else:
+            hi = mid
+        mid = 0.5 * (end + hi)
+    return Directrix(phi, (v0, end))
 
 
 def _check_directrix_kappa(directrix: Directrix, b: float, samples: int = 21):

@@ -1,9 +1,8 @@
 """Dormand-Prince 5(4) integration with embedded error control and the
-method's native 4th-order dense output, for the autonomous profile equation
-f' = y(f) and the constant-curvature directrix IVP (Dormand & Prince, J.
-Comput. Appl. Math. 6, 1980; Hairer, Norsett & Wanner, Solving ODEs I,
-sections II.4-II.6). The systems have dimension 1 or 2, so states are plain
-lists of floats."""
+method's native 4th-order dense output, for the autonomous scalar profile
+equation f' = y(f) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
+Hairer, Norsett & Wanner, Solving ODEs I, sections II.4-II.6). The state is
+one float."""
 
 import math
 from bisect import bisect_right
@@ -13,7 +12,7 @@ from .errors import DomainError
 
 __all__ = ["RTOL", "ATOL", "DensePath", "dormand_prince"]
 
-RTOL = 1e-14          # per-step error bound: ATOL + RTOL |y|, componentwise
+RTOL = 1e-14          # per-step error bound: ATOL + RTOL |y|
 ATOL = 1e-14
 _FIRST_STEP = 1e-3    # first trial step, as a fraction of the span
 _MIN_STEP = 1e-6      # a step that must shrink below this fraction truncates
@@ -38,18 +37,18 @@ _D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
       -1453857185 / 822651844, 69997945 / 29380423)
 
 
-def _weighted(w, k, j):
-    """Component j of sum_i w_i k_i, summed left to right. Zero weights are
-    multiplied too, so a non-finite stage always yields a non-finite sum."""
-    return sum([wi * ki[j] for wi, ki in zip(w, k)])
+def _weighted(w, k):
+    """sum_i w_i k_i, summed left to right. Zero weights are multiplied too,
+    so a non-finite stage always yields a non-finite sum."""
+    return sum([wi * ki for wi, ki in zip(w, k)])
 
 
 @dataclass(frozen=True)
 class DensePath:
     """Dense solution of an accepted Dormand-Prince step sequence.
 
-    ts: node abscissae (strictly increasing); coef: per step the coefficient
-    vectors r0..r4 of the continuous extension
+    ts: node abscissae (strictly increasing); coef: per step the coefficients
+    r0..r4 of the continuous extension
     r0 + s (r1 + (1-s) (r2 + s (r3 + (1-s) r4))), s in [0, 1] across the
     step. It matches the nodes' values and slopes, so it is C^1, and it is
     4th-order accurate between nodes.
@@ -67,20 +66,20 @@ class DensePath:
     def t1(self) -> float:
         return self.ts[-1]
 
-    def __call__(self, t: float) -> list:
+    def __call__(self, t: float) -> float:
         t0, t1 = self.t0, self.t1
         if not (t0 - 1e-12 <= t <= t1 + 1e-12):
             raise DomainError(f"interpolant queried at {t} outside [{t0}, {t1}]", t=t)
         t = min(max(t, t0), t1)
         i = min(bisect_right(self.ts, t) - 1, len(self.ts) - 2)
         s = (t - self.ts[i]) / (self.ts[i + 1] - self.ts[i])
-        return [r0 + s * (r1 + (1 - s) * (r2 + s * (r3 + (1 - s) * r4)))
-                for r0, r1, r2, r3, r4 in zip(*self.coef[i])]
+        r0, r1, r2, r3, r4 = self.coef[i]
+        return r0 + s * (r1 + (1 - s) * (r2 + s * (r3 + (1 - s) * r4)))
 
 
-def dormand_prince(rhs, t0: float, t1: float, y0) -> DensePath:
+def dormand_prince(rhs, t0: float, t1: float, y0: float) -> DensePath:
     """Integrate y' = rhs(y) (autonomous; y0 and rhs's argument and result
-    are sequences of floats) from t0 to t1.
+    are floats) from t0 to t1.
 
     Each step keeps the embedded error estimate within ATOL + RTOL |y|. rhs
     raises DomainError where y leaves its domain: a step whose stages raise
@@ -88,7 +87,7 @@ def dormand_prince(rhs, t0: float, t1: float, y0) -> DensePath:
     a rejected step would have to shrink below a fixed fraction of the span,
     the path ends at the last accepted node with truncated=True.
     """
-    y = [float(c) for c in y0]
+    y = float(y0)
     k = [rhs(y)] + [None] * 6
     floor = _MIN_STEP * (t1 - t0)
     h = _FIRST_STEP * (t1 - t0)
@@ -101,21 +100,17 @@ def dormand_prince(rhs, t0: float, t1: float, y0) -> DensePath:
             h = t1 - t
         try:
             for s, a in enumerate(_A, 1):
-                y_new = [yj + h * _weighted(a, k, j) for j, yj in enumerate(y)]
+                y_new = y + h * _weighted(a, k)
                 k[s] = rhs(y_new)
-            errs = [abs(h * _weighted(_E, k, j))
-                    / (ATOL + RTOL * max(abs(yj), abs(y_new[j])))
-                    for j, yj in enumerate(y)]
-            # max() skips a NaN that is not first: check every component
-            err = max(errs) if all(map(math.isfinite, errs)) else math.nan
+            err = (abs(h * _weighted(_E, k))
+                   / (ATOL + RTOL * max(abs(y), abs(y_new))))
         except DomainError:
             err = math.nan
-        if err <= 1.0:
-            dy = [b - a for a, b in zip(y, y_new)]
-            slope = [h * a - b for a, b in zip(k[0], dy)]
-            coef.append((y, dy, slope,
-                         [a - h * b - c for a, b, c in zip(dy, k[6], slope)],
-                         [h * _weighted(_D, k, j) for j in range(len(y))]))
+        if math.isfinite(err) and err <= 1.0:
+            dy = y_new - y
+            slope = h * k[0] - dy
+            coef.append((y, dy, slope, dy - h * k[6] - slope,
+                         h * _weighted(_D, k)))
             t = t1 if last else t + h
             ts.append(t)
             y, k[0] = y_new, k[6]

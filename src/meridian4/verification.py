@@ -9,8 +9,8 @@ from typing import List, Optional
 from .errors import MeridianError
 from .families import GeneratedSurface, ConstantGauss, ConstantMean, ConstantK, \
     Chen, defining_residual
-from .invariants import (eight_invariants, gauss_curvature, oracle_frame_derivatives,
-                         oracle_invariants)
+from .invariants import (DEFAULT_ORACLE_STEP, eight_invariants, gauss_curvature,
+                         oracle_frame_derivatives, oracle_invariants)
 from .minkowski import Vec4, minkowski_dot
 from .surface import (MeridianSurface, PointCase, _normal_frame, _normal_pair,
                       _require_general, _tangent_frame, point_data)
@@ -149,24 +149,17 @@ def check_frame_gram(s: MeridianSurface, pts, tol: float = 1e-9) -> CheckRecord:
     return _record("frame-gram", errs, tol)
 
 
-def _oracle_record(s, u, v, h, richardson):
-    """Oracle invariants, optionally Richardson-extrapolated (the plain
-    central differences converge at O(h^2); combining h and h/2 cancels
-    that term and leaves O(h^4))."""
-    coarse = oracle_invariants(s, u, v, h)
-    if not richardson:
-        return coarse
-    fine = oracle_invariants(s, u, v, h / 2.0)
-    vals = {name: (4.0 * getattr(fine, name) - getattr(coarse, name)) / 3.0
-            for name in _INVARIANT_FIELDS}
-    return type(coarse)(**{**vars(coarse), **vals})
+def _richardson(coarse, fine):
+    """(4 fine - coarse) / 3 of oracle values at h and h/2: it cancels the
+    O(h^2) term of the central differences and leaves O(h^4)."""
+    return (4.0 * fine - coarse) / 3.0
 
 
-def check_oracle_equivalence(s: MeridianSurface, pts, h: float = 1e-4,
-                             tol: float = 1e-6,
-                             richardson: bool = False) -> list:
-    """Componentwise agreement of the finite-difference oracle with the
-    closed forms for all eight invariants.
+def check_oracle_equivalence(s: MeridianSurface, pts,
+                             h: float = DEFAULT_ORACLE_STEP,
+                             tol: float = 1e-6) -> list:
+    """Componentwise agreement of the Richardson-extrapolated
+    finite-difference oracle with the closed forms for all eight invariants.
 
     Known discrepancy, kept visible rather than patched: on surfaces with
     <H,H> < 0 the oracle consistently reports mu with the opposite sign to
@@ -177,11 +170,13 @@ def check_oracle_equivalence(s: MeridianSurface, pts, h: float = 1e-4,
     mu_sign_flipped = False
     for (u, v) in pts:
         closed = eight_invariants(s, u, v)
-        numeric = _oracle_record(s, u, v, h, richardson)
+        coarse = oracle_invariants(s, u, v, h)
+        fine = oracle_invariants(s, u, v, h / 2.0)
         for name in _INVARIANT_FIELDS:
-            err = abs(getattr(closed, name) - getattr(numeric, name))
+            numeric = _richardson(getattr(coarse, name), getattr(fine, name))
+            err = abs(getattr(closed, name) - numeric)
             if name == "mu" and closed.epsilon == -1:
-                flipped = abs(closed.mu + numeric.mu)
+                flipped = abs(closed.mu + numeric)
                 if flipped < err:
                     err = flipped
                     mu_sign_flipped = True
@@ -200,10 +195,11 @@ def _vec_err(a: Vec4, b: Vec4) -> float:
     return max(abs(d.c1), abs(d.c2), abs(d.c3), abs(d.c4))
 
 
-def check_derivative_formulas(s: MeridianSurface, pts, h: float = 1e-4,
-                              tol: float = 1e-6,
-                              richardson: bool = False) -> list:
-    """Every row of the frame derivative table against the oracle:
+def check_derivative_formulas(s: MeridianSurface, pts,
+                              h: float = DEFAULT_ORACLE_STEP,
+                              tol: float = 1e-6) -> list:
+    """Every row of the frame derivative table against the
+    Richardson-extrapolated oracle:
     D_X X = -kappa_m n2, D_X Y = 0, D_Y X = (f'/f) Y,
     D_Y Y = -(f'/f) X + (kappa/f) n1 - (f'/f) n2,
     D_X n1 = 0, D_Y n1 = -(kappa/f) Y, D_X n2 = -kappa_m X, D_Y n2 = -(f'/f) Y
@@ -227,13 +223,11 @@ def check_derivative_formulas(s: MeridianSurface, pts, h: float = 1e-4,
             "Xn2": -d.kappa_m * tf.X,
             "Yn2": -fof * tf.Y,
         }
-        numeric = oracle_frame_derivatives(s, u, v, h)
-        if richardson:
-            fine = oracle_frame_derivatives(s, u, v, h / 2.0)
-            numeric = {name: (4.0 * fine[name] - numeric[name]) / 3.0
-                       for name in names}
+        coarse = oracle_frame_derivatives(s, u, v, h)
+        fine = oracle_frame_derivatives(s, u, v, h / 2.0)
         for name in names:
-            rows[name].append((_vec_err(numeric[name], expected[name]), (u, v)))
+            numeric = _richardson(coarse[name], fine[name])
+            rows[name].append((_vec_err(numeric, expected[name]), (u, v)))
     return [_record(f"deriv:{name}", errs, tol) for name, errs in rows.items()]
 
 
@@ -283,7 +277,8 @@ def check_family_targets(gen: GeneratedSurface, n: int = 50) -> list:
 
 
 def verify_generated(gen: GeneratedSurface, n_points: int = 50,
-                     oracle_step: float = 1e-4, seed: int = 0) -> VerificationReport:
+                     oracle_step: float = DEFAULT_ORACLE_STEP,
+                     seed: int = 0) -> VerificationReport:
     """Full verification of a generated surface: oracle comparison, identity
     suite, frame Gram, derivative formulas and, for a family member (spec not
     None), the family's defining and target properties."""
@@ -292,14 +287,12 @@ def verify_generated(gen: GeneratedSurface, n_points: int = 50,
     report = VerificationReport()
     rng = np.random.default_rng(seed)
     pts = sample_general_points(gen.surface, n_points, rng)
-    for rec in check_oracle_equivalence(gen.surface, pts, oracle_step,
-                                        richardson=True):
+    for rec in check_oracle_equivalence(gen.surface, pts, oracle_step):
         report.add(rec)
     for rec in check_identity_suite(gen.surface, pts):
         report.add(rec)
     report.add(check_frame_gram(gen.surface, pts))
-    for rec in check_derivative_formulas(gen.surface, pts, oracle_step,
-                                         richardson=True):
+    for rec in check_derivative_formulas(gen.surface, pts, oracle_step):
         report.add(rec)
     if gen.spec is not None:
         report.add(check_defining_property(gen))

@@ -14,7 +14,6 @@ from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
 from meridian4.jets import jet_eval
 from meridian4.invariants import (eight_invariants, gauss_curvature,
                                   invariant_k, mean_curvature)
-from meridian4.odeint import dormand_prince
 from meridian4.profile import FPRIME_FLOOR, Directrix, kappa
 
 TWO_PI = 2.0 * math.pi
@@ -72,13 +71,13 @@ def test_y_of_t_pinned_values():
 
 def test_integrate_autonomous_exponential():
     path = integrate_autonomous(lambda t: t, 1.0, (0.0, 1.0))
-    assert float(path(1.0)[0]) == pytest.approx(math.e, abs=1e-12)
+    assert path(1.0) == pytest.approx(math.e, abs=1e-12)
 
 
 def test_integrate_autonomous_constant_slope():
     path = integrate_autonomous(lambda t: 0.0 * t + 1.0, 2.0, (0.0, 3.0))
     for u in (0.0, 1.2345, 3.0):
-        assert float(path(u)[0]) == pytest.approx(2.0 + u, abs=1e-12)
+        assert path(u) == pytest.approx(2.0 + u, abs=1e-12)
 
 
 def test_parallel_b_satisfies_implicit_relation():
@@ -219,42 +218,64 @@ def test_constant_kappa_directrix_positive_b_solves_ivp():
     v0, v1 = d.domain
     for i in range(9):
         v = v0 + (v1 - v0) * (i + 0.5) / 9.0
-        assert kappa(d, v) == pytest.approx(1.5, abs=1e-7)
+        assert kappa(d, v) == pytest.approx(1.5, abs=1e-12)
 
 
-def test_constant_kappa_directrix_positive_b_against_mpmath():
+@pytest.mark.parametrize("v0", [0.0, 0.3, -0.2])
+@pytest.mark.parametrize("b", [0.5, 1.0, 1.5, 2.0, 5.0])
+def test_constant_kappa_directrix_positive_b_against_mpmath(b, v0):
+    # the IVP phi(v0) = 1, phi'(v0) = 0 of phi phi'' - 2 phi'^2 - phi^2 =
+    # b (phi'^2 + phi^2)^(3/2), solved by mpmath's Taylor-series integrator
     mpmath = pytest.importorskip("mpmath")
-    b = 1.5
-    d = constant_kappa_directrix(b, (0.0, 0.4))
-    assert d.domain == (0.0, 0.4)
+    d = constant_kappa_directrix(b, (v0, v0 + 0.4))
+    lo, hi = d.domain
+    assert lo == v0
+    # b <= 1.5 stays short of the tangent ray at v0 + arcsin(1/(b+1))
+    assert (hi == v0 + 0.4) == (b <= 1.5)
 
     def rhs(v, state):
         p, q = state
         return [q, (2 * q * q + p * p + b * (q * q + p * p) ** 1.5) / p]
 
-    with mpmath.workdps(30):
-        exact = mpmath.odefun(rhs, 0, [mpmath.mpf(1), mpmath.mpf(0)])
+    with mpmath.workdps(20):
+        exact = mpmath.odefun(rhs, v0, [mpmath.mpf(1), mpmath.mpf(0)])
         for i in range(9):
-            v = 0.4 * (i + 0.5) / 9.0
+            v = lo + (hi - lo) * (i + 0.5) / 9.0
             p, q = (float(c) for c in exact(v))
             phi = d.phi_jet(v)
             assert phi.f == pytest.approx(p, abs=1e-11)
             assert phi.d1 == pytest.approx(q, abs=1e-11)
 
 
+# realized ends of the Dormand-Prince solution of the directrix IVP that the
+# closed form replaced, over (0, 3)
+ODE_ENDS = {0.5: 0.7297254269014076, 1.0: 0.5235979085138344,
+            2.0: 0.3398365559765359, 5.0: 0.167447960800777}
+
+
+@pytest.mark.parametrize("b", sorted(ODE_ENDS))
+def test_constant_kappa_directrix_exact_end(b):
+    ends = set()
+    for v1 in (1.0, 1.5, 3.0, TWO_PI):
+        d = constant_kappa_directrix(b, (0.0, v1))
+        end = d.domain[1]
+        ends.add(end)
+        assert abs(jet_eval(d.phi, end).d1) <= families._F_BOUND
+        after = jet_eval(d.phi, math.nextafter(end, math.inf))
+        assert abs(after.d1) > families._F_BOUND
+    assert len(ends) == 1
+    assert end == pytest.approx(ODE_ENDS[b], abs=1e-8)
+    assert end < math.asin(1.0 / (b + 1.0))
+
+
 def test_constant_kappa_directrix_work(monkeypatch):
     calls = []
-
-    def counting(rhs, *args):
-        def counted(state):
-            calls.append(1)
-            return rhs(state)
-        return dormand_prince(counted, *args)
-
-    monkeypatch.setattr(families, "dormand_prince", counting)
+    monkeypatch.setattr(families, "dormand_prince",
+                        lambda *args: calls.append(args))
     d = constant_kappa_directrix(1.0, (0.0, 0.5))
     assert d.domain == (0.0, 0.5)
-    assert 0 < len(calls) <= 4200
+    assert kappa(d, 0.25) == pytest.approx(1.0, abs=1e-12)
+    assert calls == []
 
 
 def test_generate_raises_when_residual_exceeds_tolerance(monkeypatch):
