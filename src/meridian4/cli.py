@@ -27,6 +27,7 @@ import argparse
 import json
 import math
 import sys
+from operator import attrgetter
 
 from .errors import MeridianError, SpecMismatchError
 from .expressions import compile_expression
@@ -35,7 +36,8 @@ from .families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                        constant_kappa_directrix, generate)
 from .invariants import DEFAULT_ORACLE_STEP, eight_invariants
 from .profile import Directrix, ProfileCurve, g_from_f
-from .surface import MeridianSurface, PointCase, embed, point_data
+from .surface import (MeridianSurface, PointCase, combine, directrix_point,
+                      embed, profile_point)
 from .verification import verify_generated
 
 INVARIANT_COLUMNS = ["gamma1", "gamma2", "nu1", "nu2", "lambda", "mu",
@@ -244,18 +246,25 @@ def cmd_invariants(args) -> int:
     nu, nv = _grid_counts(args, ustep, vstep, (u0, u1), (v0, v1))
     uu0, uu1 = gen.u_range
     vv0, vv1 = s.directrix.domain
+    us, vs = _samples(uu0, uu1, nu), _samples(vv0, vv1, nv)
+    # the first row's record before the column records: the first error
+    # raised is the one a point-by-point walk of the grid raises
+    row = profile_point(s, us[0])
+    cols = [(repr(v), directrix_point(s, v)) for v in vs]
+    cells = attrgetter(*(_record_attr(c) for c in INVARIANT_COLUMNS))
+    blank = "," * (len(INVARIANT_COLUMNS) - 1)
     rows = ["u,v," + ",".join(INVARIANT_COLUMNS) + ",case"]
-    attrs = [_record_attr(c) for c in INVARIANT_COLUMNS]
-    for u in _samples(uu0, uu1, nu):
-        for v in _samples(vv0, vv1, nv):
-            d = point_data(s, u, v)
-            case = d.classify(args.tol)
-            if case is PointCase.GENERAL:
-                rec = eight_invariants(s, u, v, d)
-                vals = [_fmt(getattr(rec, a)) for a in attrs]
+    for i, u in enumerate(us):
+        if i:
+            row = profile_point(s, u)
+        ru = repr(u)
+        for rv, col in cols:
+            d = combine(row, col, args.tol)
+            if d.case is PointCase.GENERAL:
+                vals = ",".join(map(repr, cells(eight_invariants(s, u, col.v, d))))
             else:
-                vals = [""] * len(INVARIANT_COLUMNS)
-            rows.append(",".join([_fmt(u), _fmt(v)] + vals + [case.value]))
+                vals = blank
+            rows.append(f"{ru},{rv},{vals},{d.case.value}")
     _write(args.out, "\n".join(rows) + "\n")
     return _truncation_code(gen, v1)
 
@@ -294,11 +303,20 @@ def cmd_mesh(args) -> int:
             raise SpecError(f"unknown mesh field {f!r}; choose from {MESH_FIELDS}")
     uu0, uu1 = gen.u_range
     vv0, vv1 = s.directrix.domain
+    us, vs = _samples(uu0, uu1, nu), _samples(vv0, vv1, nv)
+    # g and the record of the first row before the column records, in the
+    # order a point-by-point walk of the grid raises its first error
+    g, row = s.profile.g(us[0]), profile_point(s, us[0])
+    cols = [directrix_point(s, v) for v in vs]
     vertices = []
     fields = {f: [] for f in wanted}
-    for u in _samples(uu0, uu1, nu):
-        for v in _samples(vv0, vv1, nv):
-            z = embed(s, u, v)
+    for i, u in enumerate(us):
+        if i:
+            g = s.profile.g(u)
+            row = profile_point(s, u)
+        for col in cols:
+            d = combine(row, col)
+            z = embed(s, u, col.v, d, g)
             if args.projection == "drop-e4":
                 vertices.append([z.c1, z.c2, z.c3])
             else:
@@ -306,10 +324,9 @@ def cmd_mesh(args) -> int:
             if wanted:
                 # one invariant record per vertex; every field is null where
                 # the record is undefined (flat or marginally trapped points)
-                d = point_data(s, u, v)
                 rec = None
                 if d.case is PointCase.GENERAL:
-                    rec = eight_invariants(s, u, v, d)
+                    rec = eight_invariants(s, u, col.v, d)
                 for f in wanted:
                     value = None if rec is None else getattr(rec, _record_attr(f))
                     fields[f].append(value)

@@ -364,7 +364,7 @@ def constant_kappa_directrix(b: float, v_range: tuple) -> Directrix:
         p = -1.0 / b
 
         def phi(x):
-            return jets.constant(p)
+            return jets.constant(p) if isinstance(x, Jet) else p
         return Directrix(phi, v_range)
 
     v0, v1 = v_range

@@ -48,10 +48,6 @@ class ProfileCurve:
     # g table, filled by g_from_f: [f'(u0) > 0, g at node 0, g at node 1, ...]
     _g_table: list = field(default_factory=list, init=False, repr=False,
                            compare=False)
-    # the last g query [u, g(u)]: a caller that walks a grid row by row
-    # pays one g per row
-    _g_last: list = field(default_factory=list, init=False, repr=False,
-                          compare=False)
 
     def _check(self, u: float):
         u0, u1 = self.domain
@@ -69,10 +65,7 @@ class ProfileCurve:
         return jet_eval(self.f, u).d1
 
     def g(self, u: float) -> float:
-        last = self._g_last
-        if not last or last[0] != u:
-            last[:] = [u, g_from_f(self, u)]
-        return last[1]
+        return g_from_f(self, u)
 
     def g_prime(self, u: float) -> float:
         return -0.5 / _require_fprime(self.f_prime(u), u)

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (DegenerateDirectrixError, FlatPointError,
-                     MarginallyTrappedError, ProfileInvariantError)
+                     MarginallyTrappedError)
 from .minkowski import Vec4, from_lightlike
-from .profile import FPRIME_FLOOR, Directrix, ProfileCurve, _kappa_parts
+from .profile import Directrix, ProfileCurve, _kappa_parts, _require_fprime
 
 __all__ = [
     "MeridianSurface",
@@ -21,11 +21,16 @@ __all__ = [
     "NormalFrame",
     "PointCase",
     "PointData",
+    "ProfilePoint",
+    "DirectrixPoint",
     "embed",
     "tangent_frame",
     "normal_frame",
     "normal_pair",
     "classify_point",
+    "profile_point",
+    "directrix_point",
+    "combine",
     "point_data",
 ]
 
@@ -64,9 +69,36 @@ class NormalFrame:
 
 
 @dataclass(slots=True)
+class ProfilePoint:
+    """The scalars of a point record that depend on u alone."""
+
+    u: float
+    f: float
+    fp: float
+    fpp: float
+    fppp: float
+    gp: float
+    kappa_m: float
+    q: float           # f f'' + f'^2
+
+
+@dataclass(slots=True)
+class DirectrixPoint:
+    """The scalars of a point record that depend on v alone."""
+
+    v: float
+    phi: float
+    phid: float
+    phidd: float
+    kappa: float
+    kappa_dot: float   # d kappa / dv
+    D: float           # phi'^2 + phi^2
+
+
+@dataclass(slots=True)
 class PointData:
     """All scalars the frames and invariants need at one (u, v), and the
-    point's case under CLASSIFY_TOL."""
+    point's case under the tolerance it was combined with."""
 
     u: float
     v: float
@@ -86,9 +118,6 @@ class PointData:
     disc: float        # kappa^2 f'^2 - q^2  (sign of <H,H>)
     case: PointCase = field(init=False)
 
-    def __post_init__(self):
-        self.case = self.classify(CLASSIFY_TOL)
-
     def classify(self, tol: float) -> PointCase:
         """The point's case with degeneracies decided under tolerance tol."""
         if abs(self.kappa) <= tol:
@@ -101,43 +130,57 @@ class PointData:
         return PointCase.GENERAL
 
 
-def point_data(s: MeridianSurface, u: float, v: float) -> PointData:
-    """One evaluation of the profile and directrix jets at (u, v); the
-    frames, the invariants and the oracle all derive from this record."""
+def profile_point(s: MeridianSurface, u: float) -> ProfilePoint:
+    """One evaluation of the profile jet at u."""
     fj = s.profile.f_jet(u)
-    if abs(fj.d1) < FPRIME_FLOOR:
-        raise ProfileInvariantError(f"f'({u}) = {fj.d1} too close to zero")
+    fp = _require_fprime(fj.d1, u)
+    return ProfilePoint(u, fj.f, fp, fj.d2, fj.d3, -0.5 / fp, fj.d2 / fp,
+                        fj.f * fj.d2 + fp**2)
+
+
+def directrix_point(s: MeridianSurface, v: float) -> DirectrixPoint:
+    """One evaluation of the directrix jet at v."""
     pj = s.directrix.phi_jet(v)
     num, D = _kappa_parts(pj)
     if D < 1e-15:
         raise DegenerateDirectrixError(f"phi'^2 + phi^2 = 0 at v = {v}")
     num_dot = pj.f * pj.d3 - 3.0 * pj.d1 * pj.d2 - 2.0 * pj.f * pj.d1
     D_dot = 2.0 * pj.d1 * pj.d2 + 2.0 * pj.f * pj.d1
-    k = num / D**1.5
-    q = fj.f * fj.d2 + fj.d1**2
-    return PointData(
-        u=u, v=v,
-        f=fj.f, fp=fj.d1, fpp=fj.d2, fppp=fj.d3,
-        gp=-0.5 / fj.d1,
-        phi=pj.f, phid=pj.d1, phidd=pj.d2,
-        kappa=k, kappa_dot=num_dot / D**1.5 - 1.5 * num * D_dot / D**2.5,
-        kappa_m=fj.d2 / fj.d1,
-        D=D, q=q, disc=k**2 * fj.d1**2 - q**2,
-    )
+    return DirectrixPoint(v, pj.f, pj.d1, pj.d2, num / D**1.5,
+                          num_dot / D**1.5 - 1.5 * num * D_dot / D**2.5, D)
 
 
-def embed(s: MeridianSurface, u: float, v: float) -> Vec4:
-    """The point z(u, v) in e-coordinates. g comes from the profile's last
-    g query when u repeats, so a grid walked row by row computes g once
-    per row."""
-    fj = s.profile.f_jet(u)
-    pj = s.directrix.phi_jet(v)
-    g = s.profile.g(u)
+def combine(p: ProfilePoint, c: DirectrixPoint,
+            tol: float = CLASSIFY_TOL) -> PointData:
+    """The record at (p.u, c.v), its case decided under tol. A grid needs
+    one profile_point per u and one directrix_point per v."""
+    d = PointData(p.u, c.v, p.f, p.fp, p.fpp, p.fppp, p.gp,
+                  c.phi, c.phid, c.phidd, c.kappa, c.kappa_dot, p.kappa_m,
+                  c.D, p.q, c.kappa**2 * p.fp**2 - p.q**2)
+    d.case = d.classify(tol)
+    return d
+
+
+def point_data(s: MeridianSurface, u: float, v: float) -> PointData:
+    """The record at (u, v); the frames, the invariants and the oracle all
+    derive from it."""
+    return combine(profile_point(s, u), directrix_point(s, v))
+
+
+def embed(s: MeridianSurface, u: float, v: float,
+          d: Optional[PointData] = None, g: Optional[float] = None) -> Vec4:
+    """The point z(u, v) in e-coordinates. d and g are the point's record
+    and g(u) when the caller already has them: a grid walked row by row
+    computes g once per row."""
+    if d is None:
+        d = point_data(s, u, v)
+    if g is None:
+        g = s.profile.g(u)
     return from_lightlike(
-        fj.f * pj.f * math.cos(v),
-        fj.f * pj.f * math.sin(v),
-        fj.f * pj.f**2 / 2.0 + g,
-        fj.f,
+        d.f * d.phi * math.cos(v),
+        d.f * d.phi * math.sin(v),
+        d.f * d.phi**2 / 2.0 + g,
+        d.f,
     )
 
 

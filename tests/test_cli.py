@@ -2,12 +2,17 @@
 
 import json
 import math
+from collections import Counter
 
 import pytest
 
-from meridian4 import cli, invariants
+from meridian4 import cli, surface
 from meridian4.cli import main, parse_family_spec, SpecError
 from meridian4.families import ConstantGauss, ParallelA
+from meridian4.invariants import eight_invariants
+from meridian4.minkowski import from_lightlike
+from meridian4.profile import Directrix, ProfileCurve, g_from_f
+from meridian4.surface import PointCase, point_data
 from meridian4.verification import CheckRecord, VerificationReport
 
 
@@ -197,6 +202,22 @@ def test_invariants_flat_rows_have_empty_cells(tmp_path):
         assert all(c == "" for c in cells[2:-1])
 
 
+def test_invariants_tol_decides_each_case_once(tmp_path):
+    # kappa of phi = 2 + cos v is about -3 (v - pi)^2: below the default
+    # tolerance next to v = pi, above 1e-12
+    argv = ["invariants", "--spec", "constant-gauss K=1 alpha=1 beta=0 phi=2+cos(v)",
+            "--u", "0.1:0.5", "--v", "3.14160265358979:3.2", "--grid", "2x2"]
+    for tol, case in ((["--tol", "1e-12"], "general"), ([], "hyperplanar-flat")):
+        out = tmp_path / "t.csv"
+        assert main(argv + tol + ["--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        near_pi = [r for r in rows if r[1] == "3.14160265358979"]
+        assert len(near_pi) == 2
+        for r in near_pi:
+            assert r[-1] == case
+            assert all(r[2:-1]) if case == "general" else not any(r[2:-1])
+
+
 def test_invariants_exit_1_on_vanishing_f_prime(tmp_path, capsys):
     # f = u^2 + 1 has f'(0) = 0, where the normalization -2 f' g' = 1 fails.
     code = main(["invariants", "--spec", "direct f=u^2+1 phi=1",
@@ -258,22 +279,97 @@ def test_verify_reports_when_the_range_ends_marginally_trapped(tmp_path):
 
 
 def test_one_point_data_per_grid_point(tmp_path, monkeypatch):
-    calls = []
-    real = cli.point_data
+    # one record per (u, v), from one profile jet per row and one directrix
+    # jet per column; eight_invariants builds none of its own
+    records, jets = [], Counter()
+    real_combine, real_build = surface.combine, cli.build_surface
 
-    def counted(*args):
-        calls.append(args[1:])
-        return real(*args)
-    monkeypatch.setattr(cli, "point_data", counted)
-    monkeypatch.setattr(invariants, "point_data", counted)
+    def combine(p, c, *tol):
+        records.append((p.u, c.v))
+        return real_combine(p, c, *tol)
+
+    def build(*args):
+        gen = real_build(*args)
+        jets.clear()          # count the grid's jets, not generation's
+        return gen
+
+    def counting(name, method):
+        def counted(self, t):
+            jets[name] += 1
+            return method(self, t)
+        return counted
+    monkeypatch.setattr(cli, "combine", combine)
+    monkeypatch.setattr(surface, "combine", combine)
+    monkeypatch.setattr(cli, "build_surface", build)
+    monkeypatch.setattr(ProfileCurve, "f_jet", counting("f", ProfileCurve.f_jet))
+    monkeypatch.setattr(Directrix, "phi_jet", counting("phi", Directrix.phi_jet))
     base = ["--spec", "parallel-a c=1 d=1 a=0 sign=+", "--u", "0:3",
             "--v", "0:6.28", "--grid", "3x2"]
     assert main(["invariants", *base, "--out", str(tmp_path / "i.csv")]) == 0
-    assert len(calls) == len(set(calls)) == 6
-    calls.clear()
+    assert len(records) == len(set(records)) == 6
+    assert jets == {"f": 3, "phi": 2}
+    records.clear()
     assert main(["mesh", *base, "--fields", "K,k,H_norm,lambda,beta1,beta2",
                  "--out", str(tmp_path / "m.json")]) == 0
-    assert len(calls) == len(set(calls)) == 6
+    assert len(records) == len(set(records)) == 6
+    assert jets == {"f": 3, "phi": 2}
+
+
+GRID_CASES = {
+    "ode-profile": ("constant-mean a=0.5 b=2 C=0 eps=+ branch=+", "0.6",
+                    "0:0.5", "0:0.3", 4, 3),
+    "mixed-epsilon": ("constant-gauss K=1 alpha=1 beta=0 phi=2+cos(v)", None,
+                      "0.1:1.4", "0:6.28", 6, 7),
+    "1xN": ("parallel-a c=1 d=1 a=0 sign=+", None, "0:3", "0:6.28", 1, 5),
+    "Nx1": ("parallel-a c=1 d=1 a=0 sign=+", None, "0:3", "0:6.28", 5, 1),
+}
+
+
+def point_by_point(spec_text, f0, u, v, nu, nv):
+    """The invariants CSV text and the mesh vertices and fields of the grid,
+    computed one point at a time: point_data and eight_invariants at each
+    (u, v), the embedding from the values of fresh jets."""
+    spec, phi = parse_family_spec(spec_text)
+    u_range, v_range = (tuple(float(x) for x in r.split(":")) for r in (u, v))
+    gen = cli.build_surface(spec, phi, None if f0 is None else float(f0),
+                            u_range, v_range)
+    s = gen.surface
+    lines = ["u,v," + ",".join(cli.INVARIANT_COLUMNS) + ",case"]
+    vertices, fields = [], {f: [] for f in cli.MESH_FIELDS}
+    for uu in cli._samples(*gen.u_range, nu):
+        for vv in cli._samples(*s.directrix.domain, nv):
+            d = point_data(s, uu, vv)
+            rec = None
+            if d.case is PointCase.GENERAL:
+                rec = eight_invariants(s, uu, vv, d)
+            cells = [repr(getattr(rec, cli._record_attr(c))) if rec else ""
+                     for c in cli.INVARIANT_COLUMNS]
+            lines.append(",".join([repr(uu), repr(vv), *cells, d.case.value]))
+            f, p = s.profile.f_jet(uu).f, s.directrix.phi_jet(vv).f
+            z = from_lightlike(f * p * math.cos(vv), f * p * math.sin(vv),
+                               f * p**2 / 2.0 + g_from_f(s.profile, uu), f)
+            vertices.append([z.c1, z.c2, z.c3, z.c4])
+            for name in fields:
+                fields[name].append(
+                    getattr(rec, cli._record_attr(name)) if rec else None)
+    return "\n".join(lines) + "\n", vertices, fields
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_grid_outputs_match_point_by_point(tmp_path, case):
+    spec, f0, u, v, nu, nv = GRID_CASES[case]
+    csv_text, vertices, fields = point_by_point(spec, f0, u, v, nu, nv)
+    base = ["--spec", spec, "--u", u, "--v", v, "--grid", f"{nu}x{nv}"]
+    if f0 is not None:
+        base += ["--f0", f0]
+    inv, mesh = tmp_path / "i.csv", tmp_path / "m.json"
+    assert main(["invariants", *base, "--out", str(inv)]) == 0
+    assert inv.read_text() == csv_text
+    assert main(["mesh", *base, "--fields", ",".join(cli.MESH_FIELDS),
+                 "--out", str(mesh)]) == 0
+    out = json.loads(mesh.read_text())
+    assert json.dumps(out["vertices"]) == json.dumps(vertices)
+    assert json.dumps(out["fields"]) == json.dumps(fields)
 
 
 @pytest.mark.parametrize("command, flag, value", [

@@ -12,8 +12,8 @@ from meridian4 import cli, profile as profile_module, surface as surface_module
 from meridian4.errors import DomainError
 from meridian4.expressions import compile_expression
 from meridian4.families import (Chen, ConstantK, ConstantMean, ParallelB,
-                                integrate_autonomous, profile_from_path,
-                                y_function)
+                                constant_kappa_directrix, integrate_autonomous,
+                                profile_from_path, y_function)
 from meridian4.jets import (Jet, jarcsin, jcos, jcosh, jdiv, jet_eval,
                             jet_function_from_derivs, jexp, jlog, jpow,
                             jsec, jsin, jsinh, jsqrt, jtan)
@@ -108,6 +108,13 @@ def test_compiled_expressions_pass_floats_through(text, t):
 @given(t=POINTS)
 def test_family_y_passes_floats_through(spec, t):
     assert_value_path_matches(y_function(spec), t)
+
+
+@pytest.mark.parametrize("b", [-0.5, 1.0])
+@value_settings
+@given(t=st.floats(min_value=0.0, max_value=0.5))
+def test_constant_kappa_directrix_passes_floats_through(b, t):
+    assert_value_path_matches(constant_kappa_directrix(b, (0.0, 0.5)).phi, t)
 
 
 def test_domain_errors_are_exercised():
