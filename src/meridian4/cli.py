@@ -36,8 +36,7 @@ from .families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                        constant_kappa_directrix, generate)
 from .invariants import DEFAULT_ORACLE_STEP, eight_invariants
 from .profile import Directrix, ProfileCurve, g_from_f
-from .surface import (MeridianSurface, PointCase, combine, directrix_point,
-                      embed, profile_point)
+from .surface import MeridianSurface, PointCase, embed, point_data
 from .verification import verify_generated
 
 INVARIANT_COLUMNS = ["gamma1", "gamma2", "nu1", "nu2", "lambda", "mu",
@@ -144,6 +143,8 @@ def _parse_range(text, what):
         vals = [float(p) for p in parts]
     except ValueError:
         raise SpecError(f"--{what} has a non-numeric part in {text!r}")
+    if not all(map(math.isfinite, vals)):
+        raise SpecError(f"--{what} has a non-finite part in {text!r}")
     if vals[1] <= vals[0]:
         raise SpecError(f"--{what} range is empty: {text!r}")
     step = vals[2] if len(parts) == 3 else None
@@ -247,21 +248,16 @@ def cmd_invariants(args) -> int:
     uu0, uu1 = gen.u_range
     vv0, vv1 = s.directrix.domain
     us, vs = _samples(uu0, uu1, nu), _samples(vv0, vv1, nv)
-    # the first row's record before the column records: the first error
-    # raised is the one a point-by-point walk of the grid raises
-    row = profile_point(s, us[0])
-    cols = [(repr(v), directrix_point(s, v)) for v in vs]
+    cols = [(v, repr(v)) for v in vs]
     cells = attrgetter(*(_record_attr(c) for c in INVARIANT_COLUMNS))
     blank = "," * (len(INVARIANT_COLUMNS) - 1)
     rows = ["u,v," + ",".join(INVARIANT_COLUMNS) + ",case"]
-    for i, u in enumerate(us):
-        if i:
-            row = profile_point(s, u)
+    for u in us:
         ru = repr(u)
-        for rv, col in cols:
-            d = combine(row, col, args.tol)
+        for v, rv in cols:
+            d = point_data(s, u, v, args.tol)
             if d.case is PointCase.GENERAL:
-                vals = ",".join(map(repr, cells(eight_invariants(s, u, col.v, d))))
+                vals = ",".join(map(repr, cells(eight_invariants(s, u, v, d))))
             else:
                 vals = blank
             rows.append(f"{ru},{rv},{vals},{d.case.value}")
@@ -303,20 +299,14 @@ def cmd_mesh(args) -> int:
             raise SpecError(f"unknown mesh field {f!r}; choose from {MESH_FIELDS}")
     uu0, uu1 = gen.u_range
     vv0, vv1 = s.directrix.domain
-    us, vs = _samples(uu0, uu1, nu), _samples(vv0, vv1, nv)
-    # g and the record of the first row before the column records, in the
-    # order a point-by-point walk of the grid raises its first error
-    g, row = s.profile.g(us[0]), profile_point(s, us[0])
-    cols = [directrix_point(s, v) for v in vs]
+    vs = _samples(vv0, vv1, nv)
     vertices = []
     fields = {f: [] for f in wanted}
-    for i, u in enumerate(us):
-        if i:
-            g = s.profile.g(u)
-            row = profile_point(s, u)
-        for col in cols:
-            d = combine(row, col)
-            z = embed(s, u, col.v, d, g)
+    for u in _samples(uu0, uu1, nu):
+        g = s.profile.g(u)
+        for v in vs:
+            d = point_data(s, u, v)
+            z = embed(s, u, v, d, g)
             if args.projection == "drop-e4":
                 vertices.append([z.c1, z.c2, z.c3])
             else:
@@ -326,7 +316,7 @@ def cmd_mesh(args) -> int:
                 # the record is undefined (flat or marginally trapped points)
                 rec = None
                 if d.case is PointCase.GENERAL:
-                    rec = eight_invariants(s, u, col.v, d)
+                    rec = eight_invariants(s, u, v, d)
                 for f in wanted:
                     value = None if rec is None else getattr(rec, _record_attr(f))
                     fields[f].append(value)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (DegenerateDirectrixError, FlatPointError,
-                     MarginallyTrappedError)
+                     MarginallyTrappedError, ProfileInvariantError)
 from .minkowski import Vec4, from_lightlike
 from .profile import Directrix, ProfileCurve, _kappa_parts, _require_fprime
 
@@ -47,8 +47,17 @@ class PointCase(enum.Enum):
 
 @dataclass(frozen=True)
 class MeridianSurface:
+    """The surface over a profile and a directrix. It keeps every record
+    profile_point and directrix_point compute, by u and by v: a record is a
+    function of its coordinate alone, so each coordinate is evaluated once
+    however many points share it."""
+
     profile: ProfileCurve
     directrix: Directrix
+    _profile_points: dict = field(default_factory=dict, init=False, repr=False,
+                                  compare=False)
+    _directrix_points: dict = field(default_factory=dict, init=False,
+                                    repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,7 @@ class NormalFrame:
     epsilon: int  # sign of <H,H>; 0 when b, l undefined
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ProfilePoint:
     """The scalars of a point record that depend on u alone."""
 
@@ -82,7 +91,7 @@ class ProfilePoint:
     q: float           # f f'' + f'^2
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class DirectrixPoint:
     """The scalars of a point record that depend on v alone."""
 
@@ -131,29 +140,42 @@ class PointData:
 
 
 def profile_point(s: MeridianSurface, u: float) -> ProfilePoint:
-    """One evaluation of the profile jet at u."""
-    fj = s.profile.f_jet(u)
-    fp = _require_fprime(fj.d1, u)
-    return ProfilePoint(u, fj.f, fp, fj.d2, fj.d3, -0.5 / fp, fj.d2 / fp,
-                        fj.f * fj.d2 + fp**2)
+    """The profile record at u, from one evaluation of the profile jet per
+    surface; raises ProfileInvariantError where f <= 0 or f' vanishes."""
+    # a zero keys with its sign: 0.0 == -0.0, but their records can differ
+    key = u if u else (u, math.copysign(1.0, u))
+    p = s._profile_points.get(key)
+    if p is None:
+        fj = s.profile.f_jet(u)
+        if not fj.f > 0.0:
+            raise ProfileInvariantError(f"f({u}) = {fj.f} is not positive")
+        fp = _require_fprime(fj.d1, u)
+        p = s._profile_points[key] = ProfilePoint(
+            u, fj.f, fp, fj.d2, fj.d3, -0.5 / fp, fj.d2 / fp, fj.f * fj.d2 + fp**2)
+    return p
 
 
 def directrix_point(s: MeridianSurface, v: float) -> DirectrixPoint:
-    """One evaluation of the directrix jet at v."""
-    pj = s.directrix.phi_jet(v)
-    num, D = _kappa_parts(pj)
-    if D < 1e-15:
-        raise DegenerateDirectrixError(f"phi'^2 + phi^2 = 0 at v = {v}")
-    num_dot = pj.f * pj.d3 - 3.0 * pj.d1 * pj.d2 - 2.0 * pj.f * pj.d1
-    D_dot = 2.0 * pj.d1 * pj.d2 + 2.0 * pj.f * pj.d1
-    return DirectrixPoint(v, pj.f, pj.d1, pj.d2, num / D**1.5,
-                          num_dot / D**1.5 - 1.5 * num * D_dot / D**2.5, D)
+    """The directrix record at v, from one evaluation of the directrix jet
+    per surface."""
+    key = v if v else (v, math.copysign(1.0, v))
+    c = s._directrix_points.get(key)
+    if c is None:
+        pj = s.directrix.phi_jet(v)
+        num, D = _kappa_parts(pj)
+        if D < 1e-15:
+            raise DegenerateDirectrixError(f"phi'^2 + phi^2 = 0 at v = {v}")
+        num_dot = pj.f * pj.d3 - 3.0 * pj.d1 * pj.d2 - 2.0 * pj.f * pj.d1
+        D_dot = 2.0 * pj.d1 * pj.d2 + 2.0 * pj.f * pj.d1
+        c = s._directrix_points[key] = DirectrixPoint(
+            v, pj.f, pj.d1, pj.d2, num / D**1.5,
+            num_dot / D**1.5 - 1.5 * num * D_dot / D**2.5, D)
+    return c
 
 
 def combine(p: ProfilePoint, c: DirectrixPoint,
             tol: float = CLASSIFY_TOL) -> PointData:
-    """The record at (p.u, c.v), its case decided under tol. A grid needs
-    one profile_point per u and one directrix_point per v."""
+    """The record at (p.u, c.v), its case decided under tol."""
     d = PointData(p.u, c.v, p.f, p.fp, p.fpp, p.fppp, p.gp,
                   c.phi, c.phid, c.phidd, c.kappa, c.kappa_dot, p.kappa_m,
                   c.D, p.q, c.kappa**2 * p.fp**2 - p.q**2)
@@ -161,10 +183,11 @@ def combine(p: ProfilePoint, c: DirectrixPoint,
     return d
 
 
-def point_data(s: MeridianSurface, u: float, v: float) -> PointData:
-    """The record at (u, v); the frames, the invariants and the oracle all
-    derive from it."""
-    return combine(profile_point(s, u), directrix_point(s, v))
+def point_data(s: MeridianSurface, u: float, v: float,
+               tol: float = CLASSIFY_TOL) -> PointData:
+    """The record at (u, v), its case decided under tol; the frames, the
+    invariants and the oracle all derive from it."""
+    return combine(profile_point(s, u), directrix_point(s, v), tol)
 
 
 def embed(s: MeridianSurface, u: float, v: float,

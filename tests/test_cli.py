@@ -228,6 +228,32 @@ def test_invariants_exit_1_on_vanishing_f_prime(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: f'(0.0)")
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("invariants", []), ("mesh", ["--fields", "K"]), ("mesh", [])])
+def test_grid_exit_1_where_f_is_not_positive(tmp_path, capsys, command, extra):
+    # f = u + u^2 vanishes at u = 0: f > 0 is a profile invariant
+    code = main([command, "--spec", "direct f=u+u^2 phi=2", "--u", "0:1",
+                 "--v", "0:1", "--grid", "2x2", *extra,
+                 "--out", str(tmp_path / "z.out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: f(0.0) = 0.0 is not positive"]
+
+
+@pytest.mark.parametrize("command, option, text", [
+    ("family", "--u", "0:1:nan"), ("invariants", "--v", "0:1:nan"),
+    ("invariants", "--u", "0:inf:0.5"), ("invariants", "--u", "nan:1"),
+    ("mesh", "--v", "-inf:1"), ("verify", "--u", "0:1:inf")])
+def test_non_finite_range_is_exit_1(tmp_path, capsys, command, option, text):
+    ranges = {"--u": "0:1", "--v": "0:1", option: text}
+    code = main([command, "--spec", "parallel-a c=1 d=1",
+                 *(f"{opt}={r}" for opt, r in ranges.items()),
+                 "--out", str(tmp_path / "x.out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {option} has a non-finite part in {text!r}"]
+
+
 # --- verify command -----------------------------------------------------------
 
 def test_verify_passes_on_parallel_a(tmp_path, capsys):
@@ -280,7 +306,8 @@ def test_verify_reports_when_the_range_ends_marginally_trapped(tmp_path):
 
 def test_one_point_data_per_grid_point(tmp_path, monkeypatch):
     # one record per (u, v), from one profile jet per row and one directrix
-    # jet per column; eight_invariants builds none of its own
+    # jet per column (the surface keeps both); eight_invariants builds none
+    # of its own
     records, jets = [], Counter()
     real_combine, real_build = surface.combine, cli.build_surface
 
@@ -298,7 +325,6 @@ def test_one_point_data_per_grid_point(tmp_path, monkeypatch):
             jets[name] += 1
             return method(self, t)
         return counted
-    monkeypatch.setattr(cli, "combine", combine)
     monkeypatch.setattr(surface, "combine", combine)
     monkeypatch.setattr(cli, "build_surface", build)
     monkeypatch.setattr(ProfileCurve, "f_jet", counting("f", ProfileCurve.f_jet))

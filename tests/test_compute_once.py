@@ -1,13 +1,21 @@
 """Each public per-point function evaluates the profile and directrix jets
 once per point it needs: the centre for the closed forms and frames, the
-centre plus four stencil points for the oracle."""
+centre plus four stencil points for the oracle. A surface keeps what it
+evaluated, so a coordinate shared by several points is evaluated once."""
+
+from collections import Counter
+from dataclasses import astuple
 
 import pytest
 
 from meridian4 import invariants, surface
+from meridian4.cli import build_surface, parse_family_spec
+from meridian4.errors import (DegenerateDirectrixError, DomainError,
+                              ProfileInvariantError)
 from meridian4.jets import jcos, jsqrt
 from meridian4.profile import Directrix, ProfileCurve
 from meridian4.surface import MeridianSurface
+from meridian4.verification import verify_generated
 
 
 class Counted:
@@ -41,3 +49,71 @@ def test_jets_evaluated_once_per_point(fn, most):
     fn(s, 1.2, 2.0)
     assert 1 <= f.calls <= most
     assert 1 <= phi.calls <= most
+
+
+# --- the surface's u- and v-records -------------------------------------------
+
+def bits(d):
+    """Every field of a record, the case included, in a form that tells
+    apart any two different floats (0.0 and -0.0 too)."""
+    return [repr(x) for x in astuple(d)]
+
+
+def test_one_jet_per_coordinate_however_often_queried():
+    s, f, phi = counted_surface()
+    surface.point_data(s, 1.2, 2.0)
+    surface.point_data(s, 1.2, 2.0)
+    assert (f.calls, phi.calls) == (1, 1)
+    surface.point_data(s, 1.3, 2.0)
+    surface.point_data(s, 1.2, 2.5)
+    assert (f.calls, phi.calls) == (2, 2)
+
+
+def test_records_of_a_used_surface_equal_those_of_a_fresh_one():
+    used = counted_surface()[0]
+    h = invariants.DEFAULT_ORACLE_STEP
+    for u, v in ((1.2, 2.0), (0.0, 2.0), (1.2, 0.0)):
+        invariants.eight_invariants(used, u, v)
+    invariants.oracle_invariants(used, 1.2, 2.0, h)
+    invariants.oracle_frame_derivatives(used, 1.2, 2.0, h / 2.0)
+    points = [(1.2, 2.0), (1.2 + h, 2.0), (1.2, 2.0 - h / 2.0),
+              (-0.0, 2.0), (0.0, 2.0), (1.2, -0.0), (1.2, 0.0)]
+    for tol in (surface.CLASSIFY_TOL, 1e-12, 10.0):
+        for u, v in points:
+            fresh = counted_surface()[0]
+            assert bits(surface.point_data(used, u, v, tol)) == \
+                bits(surface.point_data(fresh, u, v, tol))
+
+
+def test_a_failed_evaluation_is_not_kept():
+    f = Counted(lambda u: u * u + 1.0)              # f'(0) = 0
+    phi = Counted(lambda v: 0.0 * v)                # phi'^2 + phi^2 = 0
+    s = MeridianSurface(ProfileCurve(f, (0.0, 1.0)), Directrix(phi, (0.0, 1.0)))
+    for _ in range(2):
+        with pytest.raises(ProfileInvariantError):
+            surface.profile_point(s, 0.0)
+        with pytest.raises(DegenerateDirectrixError):
+            surface.directrix_point(s, 0.5)
+        with pytest.raises(DomainError):
+            surface.profile_point(s, 2.0)
+        surface.profile_point(s, 0.5)
+    # two tries at each failing coordinate, one evaluation of the good one
+    assert (f.calls, phi.calls) == (3, 2)
+
+
+def test_verify_evaluates_each_stencil_coordinate_once(monkeypatch):
+    spec, phi = parse_family_spec("constant-mean a=0.5 b=2 C=0 eps=+ branch=+")
+    gen = build_surface(spec, phi, 0.6, (0.0, 0.15), (0.0, 0.3))
+    jets = Counter()
+
+    def counting(name, method):
+        def counted(self, t):
+            jets[name] += 1
+            return method(self, t)
+        return counted
+    monkeypatch.setattr(ProfileCurve, "f_jet", counting("f", ProfileCurve.f_jet))
+    monkeypatch.setattr(Directrix, "phi_jet", counting("phi", Directrix.phi_jet))
+    assert verify_generated(gen, 20).passed
+    # 20 points, each with 5 distinct u and 5 distinct v over its centre and
+    # oracle stencils, plus the sampler's draws and the 50 family-target rows
+    assert jets["f"] <= 260 and jets["phi"] <= 130, jets

@@ -142,3 +142,10 @@ def test_vanishing_f_prime_raises_profile_invariant_error(fn):
                         UNIT_PHI)
     with pytest.raises(ProfileInvariantError):
         fn(s, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("f, u", [("u+u^2", 0.0), ("u-1", 0.5)])
+def test_non_positive_f_raises_profile_invariant_error(f, u):
+    s = MeridianSurface(ProfileCurve(compile_expression(f), (0.0, 1.0)), UNIT_PHI)
+    with pytest.raises(ProfileInvariantError, match="is not positive"):
+        point_data(s, u, 0.5)
