@@ -46,4 +46,7 @@ class SpecMismatchError(MeridianError):
 
 
 class QuadratureLimitError(MeridianError):
-    """Adaptive quadrature exceeded its subdivision cap without converging."""
+    """g cannot be given to its tolerance: adaptive quadrature exceeded its
+    subdivision cap, g is not resolvable at a point next to a zero of f'
+    (one ulp of the abscissa moves g by more than the tolerance), or an ODE
+    profile's accumulated g error estimate exceeds the tolerance."""

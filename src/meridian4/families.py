@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import jets
-from .errors import DomainError, ProfileInvariantError, SpecMismatchError
+from .errors import (DomainError, ProfileInvariantError, QuadratureLimitError,
+                     SpecMismatchError)
 from .jets import Jet, jet_eval, jet_function_from_derivs
 from .odeint import DensePath, dormand_prince
-from .profile import FPRIME_FLOOR, Directrix, ProfileCurve, kappa
+from .profile import FPRIME_FLOOR, G_TOL, Directrix, ProfileCurve, kappa
 from .surface import MeridianSurface
 
 __all__ = [
@@ -247,8 +248,10 @@ def integrate_autonomous(y: Callable[[Jet], Jet], f0: float,
 def profile_from_path(path: DensePath, y: Callable[[Jet], Jet],
                       g_origin: float = 0.0) -> ProfileCurve:
     """ProfileCurve backed by the dense ODE solution; f' = y(f) is read on
-    floats, and f'' and f''' come from the jets of y via f'' = y'y,
-    f''' = (y''y + y'^2) y."""
+    floats, f'' and f''' come from the jets of y via f'' = y'y,
+    f''' = (y''y + y'^2) y, and g is the path's g shifted by g_origin. A g
+    whose accumulated error estimate up to u exceeds G_TOL raises
+    QuadratureLimitError."""
 
     def derivs(u):
         fval = path(u)
@@ -258,8 +261,15 @@ def profile_from_path(path: DensePath, y: Callable[[Jet], Jet],
     def fprime(u):
         return y(path(u))
 
+    def g_eval(u):
+        g, err = path.g(u)
+        if not err <= G_TOL:
+            raise QuadratureLimitError(
+                f"g error estimate {err} up to u = {u} exceeds {G_TOL}")
+        return g_origin + g
+
     return ProfileCurve(jet_function_from_derivs(derivs),
-                        (path.t0, path.t1), g_origin, fprime)
+                        (path.t0, path.t1), g_origin, fprime, g_eval)
 
 
 def _exp_roots(a: float, b: float, c: float) -> list:
@@ -434,6 +444,53 @@ def defining_residual(spec: FamilySpec, profile: ProfileCurve, u: float) -> floa
     raise SpecMismatchError(f"unknown spec {type(spec).__name__}")
 
 
+def _gauss_g(spec: ConstantGauss, u0: float) -> Callable[[float], float]:
+    """g of a ConstantGauss profile on floats, with g(u0) = 0: g = scale (G(u)
+    - G(u0)) for the antiderivative G of each case."""
+    K = spec.K
+    if K > 0:
+        # f = A cos(theta), theta = r u - delta: dg = dtheta / (2 A r^2 sin(theta))
+        r = math.sqrt(K)
+        delta = math.atan2(spec.beta, spec.alpha)
+        scale = 0.5 / (math.hypot(spec.alpha, spec.beta) * K)
+
+        def G(u):
+            return math.log(abs(math.tan(0.5 * (r * u - delta))))
+    else:
+        # w = e^(r u) turns dg = -du / (2 f') into -dw / (2 r^2 (P w^2 - Q))
+        r = math.sqrt(-K)
+        P, Q = _exp_coefficients(spec)
+        if P == 0.0:
+            scale = -0.5 / (K * Q)
+
+            def G(u):
+                return math.exp(r * u)
+        elif Q == 0.0:
+            scale = -0.5 / (K * P)
+
+            def G(u):
+                return math.exp(-r * u)
+        elif P * Q > 0.0:
+            # P w^2 - Q = P (w - s)(w + s), s = e^x0: f' vanishes at u = x0 / r
+            x0 = 0.5 * math.log(Q / P)
+            scale = 0.25 / (K * math.copysign(math.sqrt(P * Q), P))
+
+            def G(u):
+                return math.log(abs(math.tanh(0.5 * (r * u - x0))))
+        else:
+            # P w^2 - Q = P (w^2 + t^2), t = e^x0
+            x0 = 0.5 * math.log(-Q / P)
+            scale = 0.5 / (K * math.copysign(math.sqrt(-P * Q), P))
+
+            def G(u):
+                return math.atan(math.exp(r * u - x0))
+    G0 = G(u0)
+
+    def g(u):
+        return scale * (G(u) - G0)
+    return g
+
+
 def _closed_form_profile(spec: FamilySpec, u_range: tuple):
     if isinstance(spec, ConstantGauss):
         K, al, be = spec.K, spec.alpha, spec.beta
@@ -448,7 +505,8 @@ def _closed_form_profile(spec: FamilySpec, u_range: tuple):
             def f(x):
                 return P * jets.jexp(r * x) + Q * jets.jexp(-r * x)
         realized, truncated = _closed_form_end(spec, f, u_range)
-        return ProfileCurve(f, realized, 0.0), realized, truncated
+        profile = ProfileCurve(f, realized, 0.0, g_eval=_gauss_g(spec, realized[0]))
+        return profile, realized, truncated
     if isinstance(spec, ParallelA):
         if spec.sign != 1:
             raise SpecMismatchError(
@@ -457,9 +515,11 @@ def _closed_form_profile(spec: FamilySpec, u_range: tuple):
 
         def f(x):
             return jets.jsqrt(c * x + dd)
+
+        def g(x):
+            return -(2.0 / (3.0 * c * c)) * (c * x + dd) ** 1.5 + a
         realized, truncated = _closed_form_end(spec, f, u_range)
-        g_origin = -(2.0 / (3.0 * c * c)) * (c * realized[0] + dd) ** 1.5 + a
-        return ProfileCurve(f, realized, g_origin), realized, truncated
+        return ProfileCurve(f, realized, g(realized[0]), g_eval=g), realized, truncated
     raise SpecMismatchError(f"{type(spec).__name__} has no closed-form profile")
 
 

@@ -15,7 +15,7 @@ from .errors import DomainError
 from .minkowski import Vec4, minkowski_dot
 from .surface import (MeridianSurface, PointData, TangentFrame, _normal_frame,
                       _normal_pair, _require_general, _tangent_frame,
-                      normal_pair, point_data)
+                      normal_pair, point_data, profile_point)
 
 __all__ = [
     "InvariantRecord",
@@ -58,9 +58,10 @@ class InvariantRecord:
 
 
 def gauss_curvature(s: MeridianSurface, u: float) -> float:
-    """K = -f''(u)/f(u); intrinsic, independent of v."""
-    fj = s.profile.f_jet(u)
-    return -fj.d2 / fj.f
+    """K = -f''(u)/f(u); intrinsic, independent of v. Read from the profile
+    record, so it raises ProfileInvariantError where f <= 0 or f' vanishes."""
+    p = profile_point(s, u)
+    return -p.fpp / p.f
 
 
 def _mean_curvature(d: PointData) -> tuple:

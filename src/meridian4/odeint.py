@@ -2,7 +2,9 @@
 method's native 4th-order dense output, for the autonomous scalar profile
 equation f' = y(f) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
 Hairer, Norsett & Wanner, Solving ODEs I, sections II.4-II.6). The state is
-one float."""
+one float. The profile's second coordinate g, with g' = -1/(2 f'), rides
+along as a pure quadrature component on the stage slopes: it costs no extra
+right-hand-side evaluation and does not steer the step size."""
 
 import math
 from bisect import bisect_right
@@ -43,6 +45,14 @@ def _weighted(w, k):
     return sum([wi * ki for wi, ki in zip(w, k)])
 
 
+def _extension(v, dv, h, k0, k6, w):
+    """Coefficients r0..r4 of the continuous extension of one step of a
+    component from v to v + dv, with slopes k0, k6 at its ends and w = the
+    _D-weighted sum of its stage slopes."""
+    slope = h * k0 - dv
+    return (v, dv, slope, dv - h * k6 - slope, h * w)
+
+
 @dataclass(frozen=True)
 class DensePath:
     """Dense solution of an accepted Dormand-Prince step sequence.
@@ -51,11 +61,15 @@ class DensePath:
     r0..r4 of the continuous extension
     r0 + s (r1 + (1-s) (r2 + s (r3 + (1-s) r4))), s in [0, 1] across the
     step. It matches the nodes' values and slopes, so it is C^1, and it is
-    4th-order accurate between nodes.
+    4th-order accurate between nodes. gcoef holds the same coefficients for
+    g = integral from t0 of -1/(2 y'), and gerr[i] the sum of the embedded
+    error estimates of g over steps 0..i.
     """
 
     ts: tuple
     coef: tuple
+    gcoef: tuple
+    gerr: tuple
     truncated: bool = False
 
     @property
@@ -66,33 +80,48 @@ class DensePath:
     def t1(self) -> float:
         return self.ts[-1]
 
-    def __call__(self, t: float) -> float:
+    def _locate(self, t: float) -> tuple:
+        """(step index, fraction s across it) of t."""
         t0, t1 = self.t0, self.t1
         if not (t0 - 1e-12 <= t <= t1 + 1e-12):
             raise DomainError(f"interpolant queried at {t} outside [{t0}, {t1}]", t=t)
         t = min(max(t, t0), t1)
         i = min(bisect_right(self.ts, t) - 1, len(self.ts) - 2)
-        s = (t - self.ts[i]) / (self.ts[i + 1] - self.ts[i])
+        return i, (t - self.ts[i]) / (self.ts[i + 1] - self.ts[i])
+
+    def __call__(self, t: float) -> float:
+        i, s = self._locate(t)
         r0, r1, r2, r3, r4 = self.coef[i]
         return r0 + s * (r1 + (1 - s) * (r2 + s * (r3 + (1 - s) * r4)))
+
+    def g(self, t: float) -> tuple:
+        """(g(t), the accumulated g error estimate of the steps up to the
+        one holding t)."""
+        i, s = self._locate(t)
+        r0, r1, r2, r3, r4 = self.gcoef[i]
+        return r0 + s * (r1 + (1 - s) * (r2 + s * (r3 + (1 - s) * r4))), self.gerr[i]
 
 
 def dormand_prince(rhs, t0: float, t1: float, y0: float) -> DensePath:
     """Integrate y' = rhs(y) (autonomous; y0 and rhs's argument and result
-    are floats) from t0 to t1.
+    are floats) from t0 to t1, and with it g' = -1/(2 y'), g(t0) = 0.
 
     Each step keeps the embedded error estimate within ATOL + RTOL |y|. rhs
     raises DomainError where y leaves its domain: a step whose stages raise
     it or give non-finite values is retried at a quarter of its length. When
     a rejected step would have to shrink below a fixed fraction of the span,
-    the path ends at the last accepted node with truncated=True.
+    the path ends at the last accepted node with truncated=True. g is
+    integrated on the accepted steps' stage slopes; it does not steer the
+    step size, and a stage slope of 0 makes g and its error estimate infinite
+    from there on.
     """
     y = float(y0)
     k = [rhs(y)] + [None] * 6
     floor = _MIN_STEP * (t1 - t0)
     h = _FIRST_STEP * (t1 - t0)
     t = t0
-    ts, coef = [t0], []
+    g = g_err = 0.0
+    ts, coef, gcoef, gerr = [t0], [], [], []
     truncated = rejected = False
     while t < t1:
         last = h >= t1 - t
@@ -107,10 +136,13 @@ def dormand_prince(rhs, t0: float, t1: float, y0: float) -> DensePath:
         except DomainError:
             err = math.nan
         if math.isfinite(err) and err <= 1.0:
-            dy = y_new - y
-            slope = h * k[0] - dy
-            coef.append((y, dy, slope, dy - h * k[6] - slope,
-                         h * _weighted(_D, k)))
+            coef.append(_extension(y, y_new - y, h, k[0], k[6], _weighted(_D, k)))
+            q = [-0.5 / ki if ki else math.inf for ki in k]
+            dg = h * _weighted(_A[-1], q)
+            gcoef.append(_extension(g, dg, h, q[0], q[6], _weighted(_D, q)))
+            g += dg
+            g_err += abs(h * _weighted(_E, q))
+            gerr.append(g_err)
             t = t1 if last else t + h
             ts.append(t)
             y, k[0] = y_new, k[6]
@@ -125,4 +157,5 @@ def dormand_prince(rhs, t0: float, t1: float, y0: float) -> DensePath:
             break
     if not coef:
         raise DomainError("integration could not complete a single step from t0", t=t0)
-    return DensePath(tuple(ts), tuple(coef), truncated=truncated)
+    return DensePath(tuple(ts), tuple(coef), tuple(gcoef), tuple(gerr),
+                     truncated=truncated)

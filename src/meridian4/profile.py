@@ -3,6 +3,7 @@ the directrix phi, and their scalar curvatures."""
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import (DegenerateDirectrixError, DomainError, ProfileInvariantError,
@@ -35,17 +36,22 @@ def _require_fprime(fp: float, u: float) -> float:
 class ProfileCurve:
     """Profile f with g derived from the normalization g'(u) = -1/(2 f'(u)).
 
-    f is a jet-capable callable; g is never user-supplied here, so the
-    invariant -2 f' g' = 1 holds by construction. fprime, when given, is
-    f' on floats (an ODE profile reads y(f) there); without it f' is the
-    d1 of f's jet. f_prime is the one reader of f' alone.
+    f is a jet-capable callable, and g follows from it: -2 f' g' = 1 fixes g
+    up to g_origin, its value at the left end of the domain. fprime, when
+    given, is f' on floats (an ODE profile reads y(f) there); without it f'
+    is the d1 of f's jet. f_prime is the one reader of f' alone. g_eval,
+    when given, is g on floats as derived from f without quadrature (a
+    family's closed form, or the g an ODE profile's integrator carries along
+    with f); g_from_f reads it in place of its quadrature, so it must
+    satisfy g' = -1/(2 f') and equal g_origin at the left end.
     """
 
     f: Callable[[Jet], Jet]
     domain: tuple
     g_origin: float = 0.0
     fprime: Optional[Callable[[float], float]] = None
-    # g table, filled by g_from_f: [f'(u0) > 0, g at node 0, g at node 1, ...]
+    g_eval: Optional[Callable[[float], float]] = None
+    # g table of the quadrature, filled by g_from_f: g at node 0, node 1, ...
     _g_table: list = field(default_factory=list, init=False, repr=False,
                            compare=False)
 
@@ -66,6 +72,12 @@ class ProfileCurve:
 
     def g(self, u: float) -> float:
         return g_from_f(self, u)
+
+    @cached_property
+    def _rising(self) -> bool:
+        """f'(u0) > 0: the sign f' must keep wherever g is read."""
+        u0 = self.domain[0]
+        return _require_fprime(self.f_prime(u0), u0) > 0
 
     def g_prime(self, u: float) -> float:
         return -0.5 / _require_fprime(self.f_prime(u), u)
@@ -114,43 +126,57 @@ def _g_node(p: ProfileCurve, j: int) -> float:
     return u1 if j == G_PANELS else u0 + (u1 - u0) * j / G_PANELS
 
 
+def _checked_g_prime(p: ProfileCurve, t: float, u: float) -> float:
+    """g'(t) = -1/(2 f'(t)) for the value of g at u, which depends on t."""
+    fp = _require_fprime(p.f_prime(t), t)
+    if (fp > 0) != p._rising:
+        raise ProfileInvariantError(
+            f"f' changes sign inside [{p.domain[0]}, {u}] (at t = {t})")
+    if 0.5 / abs(fp) * math.ulp(t) > G_TOL:
+        # next to a zero of f' g diverges like log: one ulp of t moves it
+        # by more than the tolerance, so no method can meet G_TOL there
+        raise QuadratureLimitError(
+            f"g' = {-0.5 / fp} at t = {t}: g is not resolvable to {G_TOL} there")
+    return -0.5 / fp
+
+
 def g_from_f(p: ProfileCurve, u: float) -> float:
     """g(u) = g_origin + integral from the domain's left end of -1/(2 f'(t)) dt,
     to absolute error G_TOL.
 
-    The profile keeps g at the left ends of G_PANELS equal panels of its
-    domain, filled left to right only as far as queries reach; a query adds
-    the integral from the left end of its own panel. Each panel integral is
-    one fixed computation and the nodes are summed in index order, so g(u)
-    does not depend on which points were queried before.
+    A profile with g_eval returns g_eval(u), once the checks below pass at u.
+    Otherwise (an expression profile) g is integrated by adaptive Simpson:
+    the profile keeps g at the left ends of G_PANELS equal panels of its
+    domain, filled left to right only as far as queries reach, and a query
+    adds the integral from the left end of its own panel. Each panel
+    integral is one fixed computation and the nodes are summed in index
+    order, so g(u) does not depend on which points were queried before.
 
     Raises ProfileInvariantError if f' vanishes or changes sign (from its
-    sign at u0) over [u0, u]: the normalization would be meaningless there.
+    sign at u0), and QuadratureLimitError where one ulp of the abscissa
+    moves g by more than G_TOL (g is not resolvable next to a zero of f'):
+    both at u for g_eval, and over [u0, u] for the quadrature. An ODE
+    profile's g_eval also raises QuadratureLimitError where its summed error
+    estimate up to u exceeds G_TOL.
     """
     p._check(u)
     u0, u1 = p.domain
     if u == u0:
         return p.g_origin
+    if p.g_eval is not None:
+        _checked_g_prime(p, u, u)
+        return p.g_eval(u)
     table = p._g_table
     if not table:
-        table += [_require_fprime(p.f_prime(u0), u0) > 0, p.g_origin]
-    positive = table[0]
+        table.append(p.g_origin)
 
     def integrand(t):
-        fp = _require_fprime(p.f_prime(t), t)
-        if (fp > 0) != positive:
-            raise ProfileInvariantError(f"f' changes sign inside [{u0}, {u}] (at t = {t})")
-        if 0.5 / abs(fp) * math.ulp(t) > G_TOL:
-            # next to a zero of f' g diverges like log: one ulp of t moves it
-            # by more than the tolerance, so no quadrature can meet G_TOL
-            raise QuadratureLimitError(
-                f"g' = {-0.5 / fp} at t = {t}: g is not resolvable to {G_TOL} there")
-        return -0.5 / fp
+        return _checked_g_prime(p, t, u)
 
     # int() truncates toward zero: u in the domain slack left of u0 is in panel 0
     k = min(int((u - u0) / (u1 - u0) * G_PANELS), G_PANELS - 1)
-    while len(table) < k + 2:
-        j = len(table) - 2
+    while len(table) < k + 1:
+        j = len(table) - 1
         table.append(table[-1] + adaptive_simpson(
             integrand, _g_node(p, j), _g_node(p, j + 1), tol=G_TOL / (2 * G_PANELS)))
-    return table[k + 1] + adaptive_simpson(integrand, _g_node(p, k), u, tol=G_TOL / 2)
+    return table[k] + adaptive_simpson(integrand, _g_node(p, k), u, tol=G_TOL / 2)

@@ -3,6 +3,7 @@ form comparison, derivative-formula checks and family defining-property
 checks, aggregated into a report."""
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -282,10 +283,8 @@ def verify_generated(gen: GeneratedSurface, n_points: int = 50,
     """Full verification of a generated surface: oracle comparison, identity
     suite, frame Gram, derivative formulas and, for a family member (spec not
     None), the family's defining and target properties."""
-    import numpy as np  # only the sampler's RNG needs it; kept off the import path
-
     report = VerificationReport()
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     pts = sample_general_points(gen.surface, n_points, rng)
     for rec in check_oracle_equivalence(gen.surface, pts, oracle_step):
         report.add(rec)

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from meridian4.errors import FlatPointError, MarginallyTrappedError
+from meridian4.errors import (FlatPointError, MarginallyTrappedError,
+                              ProfileInvariantError)
 from meridian4.expressions import compile_expression
 from meridian4.invariants import (eight_invariants, gauss_curvature,
                                   invariant_k, mean_curvature,
@@ -42,6 +43,14 @@ def test_gauss_curvature_closed_form():
     for u in (0.0, 1.0, 2.5):
         assert gauss_curvature(SQRT_SURFACE, u) == pytest.approx(
             0.25 / (u + 1.0) ** 2, abs=1e-12)
+
+
+def test_gauss_curvature_is_checked_where_f_vanishes():
+    # f = u + u^2 is 0 at u = 0: a typed error, not a ZeroDivisionError
+    s = MeridianSurface(ProfileCurve(compile_expression("u+u^2"), (0.0, 1.0)),
+                        UNIT_PHI)
+    with pytest.raises(ProfileInvariantError):
+        gauss_curvature(s, 0.0)
 
 
 def test_mean_curvature_components():

@@ -2,14 +2,18 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from meridian4.errors import ProfileInvariantError
+from meridian4 import families, profile as profile_module
+from meridian4.errors import ProfileInvariantError, QuadratureLimitError
 from meridian4.expressions import compile_expression
-from meridian4.families import (ConstantGauss, ConstantMean, ParallelA,
-                                constant_kappa_directrix, generate)
+from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
+                                ParallelA, ParallelB, constant_kappa_directrix,
+                                generate, integrate_autonomous,
+                                profile_from_path, y_function)
 from meridian4.jets import constant, jcos, jet_eval, jsqrt, variable
 from meridian4.profile import (FPRIME_FLOOR, G_PANELS, Directrix,
                                ProfileCurve, g_from_f, kappa, kappa_m)
@@ -198,3 +202,95 @@ def test_f_jet_checks_domain():
     from meridian4.errors import DomainError
     with pytest.raises(DomainError):
         SQRT_PROFILE.f_jet(5.0)
+
+
+# --- g of generated profiles, without quadrature ------------------------------
+
+UNIT_PHI = Directrix(lambda v: constant(1.0), (0.0, 1.0))
+
+
+@pytest.fixture
+def no_quadrature(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("adaptive_simpson called")
+
+    monkeypatch.setattr(profile_module, "adaptive_simpson", fail)
+
+
+@pytest.mark.parametrize("spec, u_range", [
+    (ConstantGauss(K=2.5, alpha=0.7, beta=-1.3), (-0.5, 1.0)),    # delta != 0
+    (ConstantGauss(K=-1.0, alpha=3.0, beta=1.0), (-2.0, 2.0)),    # P Q > 0
+    (ConstantGauss(K=-2.0, alpha=1.0, beta=3.0), (0.1, 2.0)),     # P Q < 0
+    (ConstantGauss(K=-0.5, alpha=1.5, beta=1.5), (-1.0, 2.0)),    # Q = 0
+    (ConstantGauss(K=-0.5, alpha=1.5, beta=-1.5), (-1.0, 2.0)),   # P = 0
+])
+def test_constant_gauss_g_against_mpmath(spec, u_range, no_quadrature):
+    mpmath = pytest.importorskip("mpmath")
+    p = generate(spec, None, u_range, UNIT_PHI).surface.profile
+    u0 = p.domain[0]
+    with mpmath.workdps(30):
+        K, a, b = (mpmath.mpf(x) for x in (spec.K, spec.alpha, spec.beta))
+        r = mpmath.sqrt(abs(K))
+        if K > 0:
+            def fp(t):
+                return r * (-a * mpmath.sin(r * t) + b * mpmath.cos(r * t))
+        else:
+            def fp(t):
+                return r * (a * mpmath.sinh(r * t) + b * mpmath.cosh(r * t))
+        for u in samples(p.domain, 13)[1:-1]:
+            expected = mpmath.quad(lambda t: -1 / (2 * fp(t)), [u0, u])
+            assert g_from_f(p, u) == pytest.approx(float(expected), abs=1e-10)
+
+
+@pytest.mark.parametrize("spec, f0, u_range", [
+    (ConstantMean(a=0.5, b=2.0, C=0.0, epsilon=1, branch=1), 0.6, (0.0, 1.0)),
+    (ConstantK(a=1.0, b=-1.0, c=0.5, branch=1), 0.5, (0.0, 0.5)),
+    (Chen(b=1.0, c=1.0, exponent_branch=1), 1.0, (0.0, 0.5)),
+    (ParallelB(a=1.0, c=1.0, b=-2.0), 1.0, (0.0, 0.5)),
+])
+def test_ode_g_against_mpmath(spec, f0, u_range, no_quadrature):
+    # du = df / y(f) along the path, so g(u) - g_origin is the integral of
+    # -1/(2 y(f)^2) from f0 to f(u): a reference that shares only f(u)
+    mpmath = pytest.importorskip("mpmath")
+    y = y_function(spec)
+    path = integrate_autonomous(y, f0, u_range)
+    p = profile_from_path(path, y, g_origin=0.25)
+    ts = path.ts
+    with mpmath.workdps(30):
+        for i in range(0, len(ts) - 1, max(1, len(ts) // 10)):
+            u = 0.5 * (ts[i] + ts[i + 1])          # off the step nodes
+            expected = 0.25 + mpmath.quad(
+                lambda f: -0.5 / mpmath.mpf(y(float(f))) ** 2, [f0, path(u)])
+            # within G_TOL by a margin: the cubic Hermite part of the
+            # continuous extension alone misses by up to 5e-11 here
+            assert g_from_f(p, u) == pytest.approx(float(expected), abs=1e-12)
+
+
+def test_g_next_to_an_f_prime_zero_returns_at_once():
+    # f = cos u + sin u = sqrt2 cos(u - pi/4): f' vanishes at pi/4. Adaptive
+    # quadrature of g up to |f'| = 1e-5 there ground for 40 s and then failed.
+    p = generate(ConstantGauss(K=1.0, alpha=1.0, beta=1.0), None, (0.1, 2.0),
+                 UNIT_PHI).surface.profile
+    u = math.pi / 4 - math.asin(1e-5 / math.sqrt(2.0))
+    assert p.f_prime(u) == pytest.approx(1e-5, rel=1e-6)
+    start = time.perf_counter()
+    g = g_from_f(p, u)
+    assert time.perf_counter() - start < 1.0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        def G(t):
+            return mpmath.log(abs(mpmath.tan((mpmath.mpf(t) - mpmath.pi / 4) / 2)))
+        expected = (G(u) - G(0.1)) / (2 * mpmath.sqrt(2))
+    assert g == pytest.approx(float(expected), abs=1e-10)
+
+
+def test_ode_g_raises_past_its_error_estimate(monkeypatch):
+    y = y_function(ConstantK(a=1.0, b=-1.0, c=0.5, branch=1))
+    path = integrate_autonomous(y, 0.5, (0.0, 0.5))
+    p = profile_from_path(path, y)
+    j = len(path.ts) // 2
+    assert path.gerr[j - 1] < path.gerr[j]
+    monkeypatch.setattr(families, "G_TOL", path.gerr[j - 1])
+    g_from_f(p, 0.5 * (path.ts[j - 1] + path.ts[j]))
+    with pytest.raises(QuadratureLimitError, match="error estimate"):
+        g_from_f(p, 0.5 * (path.ts[j] + path.ts[j + 1]))

@@ -149,11 +149,17 @@ def test_integrate_autonomous_builds_no_jets(jets_built):
     assert jets_built[0] == 0
 
 
-def test_g_table_of_an_ode_profile_builds_no_jets(jets_built):
+def test_g_table_of_an_ode_profile_builds_no_jets(jets_built, monkeypatch):
+    # an ODE profile reads g from its integrator: no quadrature, no table
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("adaptive_simpson called")
+
+    monkeypatch.setattr(profile_module, "adaptive_simpson", no_quadrature)
     y = y_function(CMC)
     p = profile_from_path(integrate_autonomous(y, 0.6, (0.0, 0.5)), y)
-    g_from_f(p, p.domain[1])          # fills every panel of the table
-    assert len(p._g_table) == profile_module.G_PANELS + 1
+    for u in (0.17, 0.3, p.domain[1]):
+        g_from_f(p, u)
+    assert p._g_table == []
     assert jets_built[0] == 0
     # f' read on floats is the d1 of f's jet, bit for bit
     for u in (0.0, 0.17, 0.5):
