@@ -283,9 +283,14 @@ def _exp_roots(a: float, b: float, c: float) -> list:
     return [math.log(w) for w in ws if w > 0.0]
 
 
-def _exp_coefficients(spec: ConstantGauss) -> tuple:
-    """(P, Q) with alpha cosh x + beta sinh x = P e^x + Q e^-x."""
-    return 0.5 * (spec.alpha + spec.beta), 0.5 * (spec.alpha - spec.beta)
+def _gauss_form(spec: ConstantGauss) -> tuple:
+    """The parametrisation that a ConstantGauss profile's closed forms share:
+    (r, A, delta) with f = A cos(r u - delta) when K > 0, and (r, P, Q) with
+    f = alpha cosh(r u) + beta sinh(r u) = P e^(r u) + Q e^(-r u) when K < 0."""
+    al, be = spec.alpha, spec.beta
+    if spec.K > 0:
+        return math.sqrt(spec.K), math.hypot(al, be), math.atan2(be, al)
+    return math.sqrt(-spec.K), 0.5 * (al + be), 0.5 * (al - be)
 
 
 def _first_crossing(spec: FamilySpec, u0: float) -> float:
@@ -300,8 +305,7 @@ def _first_crossing(spec: FamilySpec, u0: float) -> float:
         # f = A cos(theta), f' = -A r sin(theta), theta = r u - delta: the
         # boundary is the next multiple of pi/2 above theta(u0); f vanishes at
         # its odd multiples and f' at its even ones
-        r = math.sqrt(spec.K)
-        A, delta = math.hypot(spec.alpha, spec.beta), math.atan2(spec.beta, spec.alpha)
+        r, A, delta = _gauss_form(spec)
         k = math.floor((r * u0 - delta) / (0.5 * math.pi)) + 1
         theta = 0.5 * math.pi * k
         if k % 2 == 0:
@@ -310,8 +314,7 @@ def _first_crossing(spec: FamilySpec, u0: float) -> float:
     else:
         # f = P e^x + Q e^-x and f' = r (P e^x - Q e^-x), x = r u: f = 0 and
         # f' = +-FPRIME_FLOOR are quadratics in w = e^x
-        r = math.sqrt(-spec.K)
-        P, Q = _exp_coefficients(spec)
+        r, P, Q = _gauss_form(spec)
         c = FPRIME_FLOOR / r
         xs = _exp_roots(P, 0.0, Q) + _exp_roots(P, -c, -Q) + _exp_roots(P, c, -Q)
         crossings = [x / r for x in xs]
@@ -444,68 +447,94 @@ def defining_residual(spec: FamilySpec, profile: ProfileCurve, u: float) -> floa
     raise SpecMismatchError(f"unknown spec {type(spec).__name__}")
 
 
-def _gauss_g(spec: ConstantGauss, u0: float) -> Callable[[float], float]:
-    """g of a ConstantGauss profile on floats, with g(u0) = 0: g = scale (G(u)
-    - G(u0)) for the antiderivative G of each case."""
-    K = spec.K
-    if K > 0:
-        # f = A cos(theta), theta = r u - delta: dg = dtheta / (2 A r^2 sin(theta))
-        r = math.sqrt(K)
-        delta = math.atan2(spec.beta, spec.alpha)
-        scale = 0.5 / (math.hypot(spec.alpha, spec.beta) * K)
+def _log_tan_ratio(sin, cos, tan, a: float, b: float, h: float) -> float:
+    """ln(tan(a) / tan(b)), or the same with sinh, cosh and tanh, for a
+    positive ratio, with h = a - b given from the step rather than from a and b.
 
-        def G(u):
-            return math.log(abs(math.tan(0.5 * (r * u - delta))))
+    tan(a) / tan(b) = 1 + sin(a - b) / (cos(a) sin(b)) keeps a small step from
+    cancelling; a ratio below 1/2 is far enough from 1 to take directly.
+    """
+    x = sin(h) / (cos(a) * sin(b))
+    return math.log1p(x) if x > -0.5 else math.log(tan(a) / tan(b))
+
+
+def _gauss_g(K: float, form: tuple, u0: float) -> Callable[[float], float]:
+    """g of a ConstantGauss profile with the given _gauss_form, on floats, with
+    g(u0) = 0: g = scale (G(u) - G(u0)) for the antiderivative G of each case.
+
+    The difference G(u) - G(u0) is never taken of two rounded values of G,
+    and its step r (u - u0) comes from u - u0, so its error stays relative to
+    g where the scale is large (small |K|, or P Q near 0)."""
+    if K > 0:
+        # f = A cos(theta), theta = r u - delta: dg = dtheta / (2 A r^2 sin(theta)),
+        # G = ln|tan(theta / 2)|
+        r, A, delta = form
+        scale = 0.5 / (A * K)
+        b = 0.5 * (r * u0 - delta)
+
+        def dG(u):
+            return _log_tan_ratio(math.sin, math.cos, math.tan,
+                                  0.5 * (r * u - delta), b, 0.5 * r * (u - u0))
     else:
         # w = e^(r u) turns dg = -du / (2 f') into -dw / (2 r^2 (P w^2 - Q))
-        r = math.sqrt(-K)
-        P, Q = _exp_coefficients(spec)
+        r, P, Q = form
         if P == 0.0:
+            # G = e^(r u)
             scale = -0.5 / (K * Q)
 
-            def G(u):
-                return math.exp(r * u)
+            def dG(u):
+                return math.exp(r * u0) * math.expm1(r * (u - u0))
         elif Q == 0.0:
+            # G = e^(-r u)
             scale = -0.5 / (K * P)
 
-            def G(u):
-                return math.exp(-r * u)
-        elif P * Q > 0.0:
-            # P w^2 - Q = P (w - s)(w + s), s = e^x0: f' vanishes at u = x0 / r
-            x0 = 0.5 * math.log(Q / P)
-            scale = 0.25 / (K * math.copysign(math.sqrt(P * Q), P))
-
-            def G(u):
-                return math.log(abs(math.tanh(0.5 * (r * u - x0))))
+            def dG(u):
+                return math.exp(-r * u0) * math.expm1(-r * (u - u0))
         else:
-            # P w^2 - Q = P (w^2 + t^2), t = e^x0
-            x0 = 0.5 * math.log(-Q / P)
-            scale = 0.5 / (K * math.copysign(math.sqrt(-P * Q), P))
+            # z = r u - x0 with e^(2 x0) = |Q / P|
+            x0 = 0.5 * math.log(abs(Q / P))
+            root = math.copysign(math.sqrt(abs(P * Q)), P)
+            if P * Q > 0.0:
+                # P w^2 - Q = P (w - s)(w + s), s = e^x0: f' vanishes at z = 0;
+                # G = ln|tanh(z / 2)|
+                scale = 0.25 / (K * root)
+                b = 0.5 * (r * u0 - x0)
 
-            def G(u):
-                return math.atan(math.exp(r * u - x0))
-    G0 = G(u0)
+                def dG(u):
+                    return _log_tan_ratio(math.sinh, math.cosh, math.tanh,
+                                          0.5 * (r * u - x0), b, 0.5 * r * (u - u0))
+            else:
+                # P w^2 - Q = P (w^2 + t^2), t = e^x0: G = atan(e^z), and
+                # atan(e^z) - atan(e^z0) = atan(sinh((z - z0) / 2) / cosh((z + z0) / 2))
+                scale = 0.5 / (K * root)
+                m0 = 0.5 * r * u0 - x0
+
+                def dG(u):
+                    return math.atan(math.sinh(0.5 * r * (u - u0))
+                                     / math.cosh(0.5 * r * u + m0))
 
     def g(u):
-        return scale * (G(u) - G0)
+        return scale * dG(u)
     return g
 
 
 def _closed_form_profile(spec: FamilySpec, u_range: tuple):
     if isinstance(spec, ConstantGauss):
-        K, al, be = spec.K, spec.alpha, spec.beta
-        r = math.sqrt(abs(K))
-        if K > 0:
+        form = _gauss_form(spec)
+        r = form[0]
+        if spec.K > 0:
+            al, be = spec.alpha, spec.beta
+
             def f(x):
                 return al * jets.jcos(r * x) + be * jets.jsin(r * x)
         else:
             # alpha cosh + beta sinh without the cancellation of cosh - sinh
-            P, Q = _exp_coefficients(spec)
+            _, P, Q = form
 
             def f(x):
                 return P * jets.jexp(r * x) + Q * jets.jexp(-r * x)
         realized, truncated = _closed_form_end(spec, f, u_range)
-        profile = ProfileCurve(f, realized, 0.0, g_eval=_gauss_g(spec, realized[0]))
+        profile = ProfileCurve(f, realized, 0.0, g_eval=_gauss_g(spec.K, form, realized[0]))
         return profile, realized, truncated
     if isinstance(spec, ParallelA):
         if spec.sign != 1:

@@ -223,6 +223,13 @@ def no_quadrature(monkeypatch):
     (ConstantGauss(K=-2.0, alpha=1.0, beta=3.0), (0.1, 2.0)),     # P Q < 0
     (ConstantGauss(K=-0.5, alpha=1.5, beta=1.5), (-1.0, 2.0)),    # Q = 0
     (ConstantGauss(K=-0.5, alpha=1.5, beta=-1.5), (-1.0, 2.0)),   # P = 0
+    # a large scale 1/|K| or 1/sqrt|P Q| on a small change of the antiderivative
+    (ConstantGauss(K=1e-8, alpha=1.0, beta=1.0), (0.0, 2.0)),
+    (ConstantGauss(K=-1e-8, alpha=3.0, beta=1.0), (0.0, 2.0)),
+    (ConstantGauss(K=-1e-8, alpha=1.0, beta=3.0), (0.1, 2.0)),
+    (ConstantGauss(K=-1e-8, alpha=1.0, beta=1.0), (0.0, 2.0)),
+    (ConstantGauss(K=-1.0, alpha=1.0, beta=1.0 - 1e-14), (0.0, 2.0)),  # P Q > 0
+    (ConstantGauss(K=-1.0, alpha=1.0, beta=1.0 + 1e-14), (0.0, 2.0)),  # P Q < 0
 ])
 def test_constant_gauss_g_against_mpmath(spec, u_range, no_quadrature):
     mpmath = pytest.importorskip("mpmath")
