@@ -15,7 +15,7 @@ from .invariants import (InvariantRecord, eight_invariants, gauss_curvature,
                          oracle_second_fundamental)
 from .jets import Jet, jet_eval, variable
 from .minkowski import Vec4, minkowski_dot
-from .profile import Directrix, ProfileCurve, g_from_f, kappa, kappa_m
+from .profile import Directrix, ProfileCurve, g_from_f
 from .surface import (MeridianSurface, NormalFrame, PointCase, TangentFrame,
                       classify_point, embed, normal_frame, tangent_frame)
 from .verification import VerificationReport, verify_generated

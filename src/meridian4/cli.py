@@ -35,7 +35,7 @@ from .families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                        GeneratedSurface, ParallelA, ParallelB,
                        constant_kappa_directrix, generate)
 from .invariants import DEFAULT_ORACLE_STEP, eight_invariants
-from .profile import Directrix, ProfileCurve, g_from_f
+from .profile import Directrix, ProfileCurve, g_from_f, sample_grid
 from .surface import MeridianSurface, PointCase, embed, point_data
 from .verification import verify_generated
 
@@ -43,14 +43,6 @@ INVARIANT_COLUMNS = ["gamma1", "gamma2", "nu1", "nu2", "lambda", "mu",
                      "beta1", "beta2", "K", "k", "varkappa", "H_norm",
                      "epsilon"]
 MESH_FIELDS = ("K", "H_norm", "k", "lambda", "beta1", "beta2")
-
-
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form (Python's repr guarantees <= 17
-    significant digits)."""
-    if isinstance(x, int):
-        return str(x)
-    return repr(float(x))
 
 
 class SpecError(MeridianError):
@@ -68,18 +60,21 @@ def _parse_kv(tokens):
 
 
 def _real(kv, key, default=None):
+    """Take the real parameter `key` out of kv."""
     if key not in kv:
         if default is not None:
             return default
         raise SpecError(f"missing parameter {key!r}")
+    raw = kv.pop(key)
     try:
-        return float(kv[key])
+        return float(raw)
     except ValueError:
-        raise SpecError(f"parameter {key!r} is not a number: {kv[key]!r}")
+        raise SpecError(f"parameter {key!r} is not a number: {raw!r}")
 
 
 def _sign(kv, key, default=None):
-    raw = kv.get(key)
+    """Take the sign parameter `key` out of kv."""
+    raw = kv.pop(key, None)
     if raw is None:
         if default is not None:
             return default
@@ -94,44 +89,48 @@ def _sign(kv, key, default=None):
 def parse_family_spec(text: str):
     """Parse spec text to (FamilySpec-or-'direct' dict, phi expression text).
 
-    Raises SpecError with a one-line diagnostic naming the offending token."""
+    Raises SpecError with a one-line diagnostic naming the offending token,
+    a key the family does not take included."""
     tokens = text.split()
     if not tokens:
         raise SpecError("empty spec")
     name, kv = tokens[0], _parse_kv(tokens[1:])
-    phi = kv.pop("phi", None)
     try:
-        if name == "constant-gauss":
-            K = _real(kv, "K")
-            if K == 0:
-                raise SpecError("K must be nonzero")
-            return ConstantGauss(K=K, alpha=_real(kv, "alpha"),
-                                 beta=_real(kv, "beta")), phi or "1"
-        if name == "constant-mean":
-            return ConstantMean(a=_real(kv, "a"), b=_real(kv, "b"),
-                                C=_real(kv, "C", 0.0), epsilon=_sign(kv, "eps"),
-                                branch=_sign(kv, "branch")), phi
-        if name == "constant-k":
-            return ConstantK(a=_real(kv, "a"), b=_real(kv, "b"),
-                             c=_real(kv, "c", 0.0),
-                             branch=_sign(kv, "branch")), phi
-        if name == "chen":
-            return Chen(b=_real(kv, "b"), c=_real(kv, "c"),
-                        exponent_branch=_sign(kv, "branch")), phi
-        if name == "parallel-a":
-            return ParallelA(c=_real(kv, "c"), d=_real(kv, "d"),
-                             a=_real(kv, "a", 0.0),
-                             sign=_sign(kv, "sign", 1)), phi or "1"
-        if name == "parallel-b":
-            return ParallelB(a=_real(kv, "a"), c=_real(kv, "c", 0.0),
-                             b=_real(kv, "b")), phi
-        if name == "direct":
-            if "f" not in kv:
-                raise SpecError("direct spec needs f=<expr>")
-            return {"kind": "direct", "f": kv["f"],
-                    "g0": _real(kv, "g0", 0.0)}, phi or "1"
+        parsed = _family_spec(name, kv, kv.pop("phi", None))
     except SpecMismatchError as exc:
         raise SpecError(str(exc))
+    if kv:
+        raise SpecError(f"unknown parameter {next(iter(kv))!r} for {name!r}")
+    return parsed
+
+
+def _family_spec(name, kv, phi):
+    """(spec, phi) of family `name`, taking its parameters out of kv."""
+    if name == "constant-gauss":
+        return ConstantGauss(K=_real(kv, "K"), alpha=_real(kv, "alpha"),
+                             beta=_real(kv, "beta")), phi or "1"
+    if name == "constant-mean":
+        return ConstantMean(a=_real(kv, "a"), b=_real(kv, "b"),
+                            C=_real(kv, "C", 0.0), epsilon=_sign(kv, "eps"),
+                            branch=_sign(kv, "branch")), phi
+    if name == "constant-k":
+        return ConstantK(a=_real(kv, "a"), b=_real(kv, "b"),
+                         c=_real(kv, "c", 0.0), branch=_sign(kv, "branch")), phi
+    if name == "chen":
+        return Chen(b=_real(kv, "b"), c=_real(kv, "c"),
+                    exponent_branch=_sign(kv, "branch")), phi
+    if name == "parallel-a":
+        return ParallelA(c=_real(kv, "c"), d=_real(kv, "d"),
+                         a=_real(kv, "a", 0.0),
+                         sign=_sign(kv, "sign", 1)), phi or "1"
+    if name == "parallel-b":
+        return ParallelB(a=_real(kv, "a"), c=_real(kv, "c", 0.0),
+                         b=_real(kv, "b")), phi
+    if name == "direct":
+        if "f" not in kv:
+            raise SpecError("direct spec needs f=<expr>")
+        return {"kind": "direct", "f": kv.pop("f"),
+                "g0": _real(kv, "g0", 0.0)}, phi or "1"
     raise SpecError(f"unknown family {name!r}")
 
 
@@ -195,12 +194,6 @@ def build_surface(spec, phi_text, f0, u_range, v_range):
     return generate(spec, f0, u_range, directrix)
 
 
-def _samples(lo, hi, n):
-    if n == 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-
-
 def _write(path, text):
     with open(path, "w") as fh:
         fh.write(text)
@@ -225,10 +218,10 @@ def cmd_family(args) -> int:
     profile = gen.surface.profile
     n = int(round((gen.u_range[1] - gen.u_range[0]) / ustep)) + 1 if ustep else 50
     rows = ["u,f,f_prime,f_double_prime,g"]
-    for u in _samples(gen.u_range[0], gen.u_range[1], n):
+    for u in sample_grid(gen.u_range, n):
         fj = profile.f_jet(u)
-        rows.append(",".join(_fmt(x) for x in
-                             (u, fj.f, fj.d1, fj.d2, g_from_f(profile, u))))
+        rows.append(",".join(map(repr, (u, fj.f, fj.d1, fj.d2,
+                                        g_from_f(profile, u)))))
     echo = {"spec": _spec_dict(spec, phi_text),
             "realized_range": list(gen.u_range),
             "truncated": gen.truncated,
@@ -245,9 +238,7 @@ def cmd_invariants(args) -> int:
     gen = build_surface(spec, phi_text, args.f0, (u0, u1), (v0, v1))
     s = gen.surface
     nu, nv = _grid_counts(args, ustep, vstep, (u0, u1), (v0, v1))
-    uu0, uu1 = gen.u_range
-    vv0, vv1 = s.directrix.domain
-    us, vs = _samples(uu0, uu1, nu), _samples(vv0, vv1, nv)
+    us, vs = sample_grid(gen.u_range, nu), sample_grid(s.directrix.domain, nv)
     cols = [(v, repr(v)) for v in vs]
     cells = attrgetter(*(_record_attr(c) for c in INVARIANT_COLUMNS))
     blank = "," * (len(INVARIANT_COLUMNS) - 1)
@@ -297,12 +288,10 @@ def cmd_mesh(args) -> int:
     for f in wanted:
         if f not in MESH_FIELDS:
             raise SpecError(f"unknown mesh field {f!r}; choose from {MESH_FIELDS}")
-    uu0, uu1 = gen.u_range
-    vv0, vv1 = s.directrix.domain
-    vs = _samples(vv0, vv1, nv)
+    vs = sample_grid(s.directrix.domain, nv)
     vertices = []
     fields = {f: [] for f in wanted}
-    for u in _samples(uu0, uu1, nu):
+    for u in sample_grid(gen.u_range, nu):
         g = s.profile.g(u)
         for v in vs:
             d = point_data(s, u, v)

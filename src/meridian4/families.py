@@ -20,7 +20,8 @@ from .errors import (DomainError, ProfileInvariantError, QuadratureLimitError,
                      SpecMismatchError)
 from .jets import Jet, jet_eval, jet_function_from_derivs
 from .odeint import DensePath, dormand_prince
-from .profile import FPRIME_FLOOR, G_TOL, Directrix, ProfileCurve, kappa
+from .profile import (FPRIME_FLOOR, G_TOL, Directrix, ProfileCurve,
+                      directrix_point, profile_point, sample_grid)
 from .surface import MeridianSurface
 
 __all__ = [
@@ -31,7 +32,9 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-6
+PROFILE_SAMPLES = 50  # u rows of the defining residual, from end to end
 KAPPA_MATCH_TOL = 1e-8
+KAPPA_SAMPLES = 21    # v rows of the directrix curvature check
 _F_BOUND = 1e3        # runaway bound on f, f' and on phi, phi'
 _STEP_BACKS = 64      # doubling steps back from a closed-form end rounded outside
 
@@ -403,11 +406,9 @@ def constant_kappa_directrix(b: float, v_range: tuple) -> Directrix:
     return Directrix(phi, (v0, end))
 
 
-def _check_directrix_kappa(directrix: Directrix, b: float, samples: int = 21):
-    v0, v1 = directrix.domain
-    for i in range(samples):
-        v = v0 + (v1 - v0) * i / (samples - 1)
-        kv = kappa(directrix, v)
+def _check_directrix_kappa(directrix: Directrix, b: float):
+    for v in sample_grid(directrix.domain, KAPPA_SAMPLES):
+        kv = directrix_point(directrix, v).kappa
         if abs(kv - b) > KAPPA_MATCH_TOL:
             raise SpecMismatchError(
                 f"directrix curvature {kv} at v = {v} does not match required "
@@ -415,10 +416,10 @@ def _check_directrix_kappa(directrix: Directrix, b: float, samples: int = 21):
 
 
 def defining_residual(spec: FamilySpec, profile: ProfileCurve, u: float) -> float:
-    """Relative residual of the family's defining second-order relation at u."""
-    fj = profile.f_jet(u)
-    f, fp, fpp = fj.f, fj.d1, fj.d2
-    q = f * fpp + fp * fp
+    """Relative residual of the family's defining second-order relation at u,
+    read from the profile's record there."""
+    p = profile_point(profile, u)
+    f, fp, fpp, q = p.f, p.fp, p.fpp, p.q
     if isinstance(spec, ConstantMean):
         lhs = q * q + spec.epsilon * 4.0 * spec.a**2 * f * f * fp * fp
         rhs = spec.b**2 * fp * fp
@@ -585,11 +586,8 @@ def generate(spec: FamilySpec, f0: Optional[float], u_range: tuple,
     path = integrate_autonomous(y, f0, u_range)
     profile = profile_from_path(path, y)
     realized = (path.t0, path.t1)
-    n = 50
-    worst, where = max(
-        (defining_residual(spec, profile, u), u)
-        for u in (realized[0] + (realized[1] - realized[0]) * i / (n - 1)
-                  for i in range(n)))
+    worst, where = max((defining_residual(spec, profile, u), u)
+                       for u in sample_grid(realized, PROFILE_SAMPLES))
     if worst > RESIDUAL_TOL:
         raise ProfileInvariantError(
             f"defining residual {worst:.3e} at u = {where} exceeds {RESIDUAL_TOL}")

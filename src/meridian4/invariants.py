@@ -13,9 +13,10 @@ from typing import Optional
 
 from .errors import DomainError
 from .minkowski import Vec4, minkowski_dot
+from .profile import profile_point
 from .surface import (MeridianSurface, PointData, TangentFrame, _normal_frame,
                       _normal_pair, _require_general, _tangent_frame,
-                      normal_pair, point_data, profile_point)
+                      normal_pair, point_data)
 
 __all__ = [
     "InvariantRecord",
@@ -60,7 +61,7 @@ class InvariantRecord:
 def gauss_curvature(s: MeridianSurface, u: float) -> float:
     """K = -f''(u)/f(u); intrinsic, independent of v. Read from the profile
     record, so it raises ProfileInvariantError where f <= 0 or f' vanishes."""
-    p = profile_point(s, u)
+    p = profile_point(s.profile, u)
     return -p.fpp / p.f
 
 
@@ -76,7 +77,7 @@ def mean_curvature(s: MeridianSurface, u: float, v: float) -> tuple:
     """(H_n1, H_n2, ||H||, epsilon): components of H along n1, n2, its norm and
     the sign of <H,H>. Only defined at general points."""
     d = point_data(s, u, v)
-    _require_general(d, d.case)
+    _require_general(d)
     return _mean_curvature(d)
 
 
@@ -122,7 +123,7 @@ def eight_invariants(s: MeridianSurface, u: float, v: float,
     the caller has already evaluated it."""
     if d is None:
         d = point_data(s, u, v)
-    _require_general(d, d.case)
+    _require_general(d)
     return _eight_invariants(d)
 
 
@@ -145,7 +146,7 @@ def _frame_fields(d: PointData) -> dict:
 
 def _geometric_fields(d: PointData) -> dict:
     """x, y, b, l at a general point."""
-    _require_general(d, d.case)
+    _require_general(d)
     tf = _tangent_frame(d)
     nf = _normal_frame(d)
     return {"x": tf.xdir, "y": tf.ydir, "b": nf.b, "l": nf.l}
@@ -182,7 +183,7 @@ def oracle_invariants(s: MeridianSurface, u: float, v: float,
     fully independent of the closed forms."""
     _check_stencil(s, u, v, h)
     d = point_data(s, u, v)
-    _require_general(d, d.case)
+    _require_general(d)
     tf, frame = _tangent_frame(d), _normal_frame(d)
     stencil = _stencil(s, u, v, h, _geometric_fields)
     # x = (X + Y)/sqrt2 with X = z_u, Y = z_v/(f sqrt(D)):

@@ -1,5 +1,6 @@
 """Meridian profile (f, g) under the arc-length normalization -2 f' g' = 1,
-the directrix phi, and their scalar curvatures."""
+the directrix phi, and the point records each curve keeps: a profile record
+holds what depends on u alone, a directrix record what depends on v alone."""
 
 import math
 from dataclasses import dataclass, field
@@ -14,8 +15,11 @@ from .quadrature import adaptive_simpson
 __all__ = [
     "ProfileCurve",
     "Directrix",
-    "kappa_m",
-    "kappa",
+    "ProfilePoint",
+    "DirectrixPoint",
+    "profile_point",
+    "directrix_point",
+    "sample_grid",
     "g_from_f",
 ]
 
@@ -54,6 +58,9 @@ class ProfileCurve:
     # g table of the quadrature, filled by g_from_f: g at node 0, node 1, ...
     _g_table: list = field(default_factory=list, init=False, repr=False,
                            compare=False)
+    # records of profile_point, by u
+    _points: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def _check(self, u: float):
         u0, u1 = self.domain
@@ -79,9 +86,6 @@ class ProfileCurve:
         u0 = self.domain[0]
         return _require_fprime(self.f_prime(u0), u0) > 0
 
-    def g_prime(self, u: float) -> float:
-        return -0.5 / _require_fprime(self.f_prime(u), u)
-
 
 @dataclass(frozen=True)
 class Directrix:
@@ -89,6 +93,9 @@ class Directrix:
 
     phi: Callable[[Jet], Jet]
     domain: tuple
+    # records of directrix_point, by v
+    _points: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def _check(self, v: float):
         v0, v1 = self.domain
@@ -100,25 +107,75 @@ class Directrix:
         return jet_eval(self.phi, v)
 
 
-def kappa_m(p: ProfileCurve, u: float) -> float:
-    """Meridian curvature f''/f' (arc-length normalized profile)."""
-    jet = p.f_jet(u)
-    return jet.d2 / _require_fprime(jet.d1, u)
+@dataclass(frozen=True, slots=True)
+class ProfilePoint:
+    """The scalars of a point record that depend on u alone."""
+
+    u: float
+    f: float
+    fp: float
+    fpp: float
+    fppp: float
+    gp: float
+    kappa_m: float     # f''/f', the meridian curvature
+    q: float           # f f'' + f'^2
 
 
-def _kappa_parts(pj: Jet):
-    num = pj.f * pj.d2 - 2.0 * pj.d1**2 - pj.f**2
-    den = pj.d1**2 + pj.f**2
-    return num, den
+@dataclass(frozen=True, slots=True)
+class DirectrixPoint:
+    """The scalars of a point record that depend on v alone."""
+
+    v: float
+    phi: float
+    phid: float
+    phidd: float
+    kappa: float       # (phi phi'' - 2 phi'^2 - phi^2) / D^(3/2)
+    kappa_dot: float   # d kappa / dv
+    D: float           # phi'^2 + phi^2
 
 
-def kappa(d: Directrix, v: float) -> float:
-    """Directrix curvature (phi phi'' - 2 phi'^2 - phi^2) / (phi'^2 + phi^2)^(3/2)."""
-    pj = d.phi_jet(v)
-    num, den = _kappa_parts(pj)
-    if den < 1e-15:
-        raise DegenerateDirectrixError(f"phi'^2 + phi^2 = 0 at v = {v}")
-    return num / den**1.5
+def profile_point(p: ProfileCurve, u: float) -> ProfilePoint:
+    """The record at u, from one evaluation of the profile jet per profile;
+    raises ProfileInvariantError where f <= 0 or f' vanishes."""
+    # a zero keys with its sign: 0.0 == -0.0, but their records can differ
+    key = u if u else (u, math.copysign(1.0, u))
+    r = p._points.get(key)
+    if r is None:
+        fj = p.f_jet(u)
+        if not fj.f > 0.0:
+            raise ProfileInvariantError(f"f({u}) = {fj.f} is not positive")
+        fp = _require_fprime(fj.d1, u)
+        r = p._points[key] = ProfilePoint(
+            u, fj.f, fp, fj.d2, fj.d3, -0.5 / fp, fj.d2 / fp, fj.f * fj.d2 + fp**2)
+    return r
+
+
+def directrix_point(d: Directrix, v: float) -> DirectrixPoint:
+    """The record at v, from one evaluation of the directrix jet per
+    directrix; raises DegenerateDirectrixError where D < 1e-15."""
+    key = v if v else (v, math.copysign(1.0, v))
+    r = d._points.get(key)
+    if r is None:
+        pj = d.phi_jet(v)
+        num = pj.f * pj.d2 - 2.0 * pj.d1**2 - pj.f**2
+        D = pj.d1**2 + pj.f**2
+        if D < 1e-15:
+            raise DegenerateDirectrixError(f"phi'^2 + phi^2 = 0 at v = {v}")
+        num_dot = pj.f * pj.d3 - 3.0 * pj.d1 * pj.d2 - 2.0 * pj.f * pj.d1
+        D_dot = 2.0 * pj.d1 * pj.d2 + 2.0 * pj.f * pj.d1
+        r = d._points[key] = DirectrixPoint(
+            v, pj.f, pj.d1, pj.d2, num / D**1.5,
+            num_dot / D**1.5 - 1.5 * num * D_dot / D**2.5, D)
+    return r
+
+
+def sample_grid(domain: tuple, n: int) -> list:
+    """n equally spaced points from domain[0] to domain[1], both ends
+    included; [domain[0]] for n = 1."""
+    lo, hi = domain
+    if n == 1:
+        return [lo]
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 def _g_node(p: ProfileCurve, j: int) -> float:

@@ -7,13 +7,13 @@ The surface is z(u,v) = f phi cos v e1 + f phi sin v e2
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (DegenerateDirectrixError, FlatPointError,
-                     MarginallyTrappedError, ProfileInvariantError)
+from .errors import FlatPointError, MarginallyTrappedError
 from .minkowski import Vec4, from_lightlike
-from .profile import Directrix, ProfileCurve, _kappa_parts, _require_fprime
+from .profile import (Directrix, DirectrixPoint, ProfileCurve, ProfilePoint,
+                      directrix_point, profile_point)
 
 __all__ = [
     "MeridianSurface",
@@ -21,15 +21,11 @@ __all__ = [
     "NormalFrame",
     "PointCase",
     "PointData",
-    "ProfilePoint",
-    "DirectrixPoint",
     "embed",
     "tangent_frame",
     "normal_frame",
     "normal_pair",
     "classify_point",
-    "profile_point",
-    "directrix_point",
     "combine",
     "point_data",
 ]
@@ -47,17 +43,12 @@ class PointCase(enum.Enum):
 
 @dataclass(frozen=True)
 class MeridianSurface:
-    """The surface over a profile and a directrix. It keeps every record
-    profile_point and directrix_point compute, by u and by v: a record is a
-    function of its coordinate alone, so each coordinate is evaluated once
-    however many points share it."""
+    """The surface over a profile and a directrix. Each curve keeps its own
+    point records (profile_point, directrix_point), so a coordinate is
+    evaluated once however many points and surfaces share it."""
 
     profile: ProfileCurve
     directrix: Directrix
-    _profile_points: dict = field(default_factory=dict, init=False, repr=False,
-                                  compare=False)
-    _directrix_points: dict = field(default_factory=dict, init=False,
-                                    repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -75,33 +66,6 @@ class NormalFrame:
     b: Optional[Vec4]
     l: Optional[Vec4]
     epsilon: int  # sign of <H,H>; 0 when b, l undefined
-
-
-@dataclass(frozen=True, slots=True)
-class ProfilePoint:
-    """The scalars of a point record that depend on u alone."""
-
-    u: float
-    f: float
-    fp: float
-    fpp: float
-    fppp: float
-    gp: float
-    kappa_m: float
-    q: float           # f f'' + f'^2
-
-
-@dataclass(frozen=True, slots=True)
-class DirectrixPoint:
-    """The scalars of a point record that depend on v alone."""
-
-    v: float
-    phi: float
-    phid: float
-    phidd: float
-    kappa: float
-    kappa_dot: float   # d kappa / dv
-    D: float           # phi'^2 + phi^2
 
 
 @dataclass(slots=True)
@@ -125,69 +89,32 @@ class PointData:
     D: float           # phi'^2 + phi^2
     q: float           # f f'' + f'^2
     disc: float        # kappa^2 f'^2 - q^2  (sign of <H,H>)
-    case: PointCase = field(init=False)
-
-    def classify(self, tol: float) -> PointCase:
-        """The point's case with degeneracies decided under tolerance tol."""
-        if abs(self.kappa) <= tol:
-            return PointCase.HYPERPLANAR_FLAT
-        if abs(self.kappa_m) <= tol:
-            return PointCase.DEVELOPABLE_RULED_FLAT
-        scale = max(abs(self.kappa * self.fp), abs(self.q), tol)
-        if abs(self.disc) <= tol * scale**2:
-            return PointCase.MARGINALLY_TRAPPED
-        return PointCase.GENERAL
-
-
-def profile_point(s: MeridianSurface, u: float) -> ProfilePoint:
-    """The profile record at u, from one evaluation of the profile jet per
-    surface; raises ProfileInvariantError where f <= 0 or f' vanishes."""
-    # a zero keys with its sign: 0.0 == -0.0, but their records can differ
-    key = u if u else (u, math.copysign(1.0, u))
-    p = s._profile_points.get(key)
-    if p is None:
-        fj = s.profile.f_jet(u)
-        if not fj.f > 0.0:
-            raise ProfileInvariantError(f"f({u}) = {fj.f} is not positive")
-        fp = _require_fprime(fj.d1, u)
-        p = s._profile_points[key] = ProfilePoint(
-            u, fj.f, fp, fj.d2, fj.d3, -0.5 / fp, fj.d2 / fp, fj.f * fj.d2 + fp**2)
-    return p
-
-
-def directrix_point(s: MeridianSurface, v: float) -> DirectrixPoint:
-    """The directrix record at v, from one evaluation of the directrix jet
-    per surface."""
-    key = v if v else (v, math.copysign(1.0, v))
-    c = s._directrix_points.get(key)
-    if c is None:
-        pj = s.directrix.phi_jet(v)
-        num, D = _kappa_parts(pj)
-        if D < 1e-15:
-            raise DegenerateDirectrixError(f"phi'^2 + phi^2 = 0 at v = {v}")
-        num_dot = pj.f * pj.d3 - 3.0 * pj.d1 * pj.d2 - 2.0 * pj.f * pj.d1
-        D_dot = 2.0 * pj.d1 * pj.d2 + 2.0 * pj.f * pj.d1
-        c = s._directrix_points[key] = DirectrixPoint(
-            v, pj.f, pj.d1, pj.d2, num / D**1.5,
-            num_dot / D**1.5 - 1.5 * num * D_dot / D**2.5, D)
-    return c
+    case: PointCase
 
 
 def combine(p: ProfilePoint, c: DirectrixPoint,
             tol: float = CLASSIFY_TOL) -> PointData:
     """The record at (p.u, c.v), its case decided under tol."""
-    d = PointData(p.u, c.v, p.f, p.fp, p.fpp, p.fppp, p.gp,
-                  c.phi, c.phid, c.phidd, c.kappa, c.kappa_dot, p.kappa_m,
-                  c.D, p.q, c.kappa**2 * p.fp**2 - p.q**2)
-    d.case = d.classify(tol)
-    return d
+    disc = c.kappa**2 * p.fp**2 - p.q**2
+    if abs(c.kappa) <= tol:
+        case = PointCase.HYPERPLANAR_FLAT
+    elif abs(p.kappa_m) <= tol:
+        case = PointCase.DEVELOPABLE_RULED_FLAT
+    elif abs(disc) <= tol * max(abs(c.kappa * p.fp), abs(p.q), tol)**2:
+        case = PointCase.MARGINALLY_TRAPPED
+    else:
+        case = PointCase.GENERAL
+    return PointData(p.u, c.v, p.f, p.fp, p.fpp, p.fppp, p.gp,
+                     c.phi, c.phid, c.phidd, c.kappa, c.kappa_dot, p.kappa_m,
+                     c.D, p.q, disc, case)
 
 
 def point_data(s: MeridianSurface, u: float, v: float,
                tol: float = CLASSIFY_TOL) -> PointData:
     """The record at (u, v), its case decided under tol; the frames, the
     invariants and the oracle all derive from it."""
-    return combine(profile_point(s, u), directrix_point(s, v), tol)
+    return combine(profile_point(s.profile, u), directrix_point(s.directrix, v),
+                   tol)
 
 
 def embed(s: MeridianSurface, u: float, v: float,
@@ -234,7 +161,7 @@ def tangent_frame(s: MeridianSurface, u: float, v: float) -> TangentFrame:
 
 def classify_point(s: MeridianSurface, u: float, v: float,
                    tol: float = CLASSIFY_TOL) -> PointCase:
-    return point_data(s, u, v).classify(tol)
+    return point_data(s, u, v, tol).case
 
 
 def _normal_pair(d: PointData) -> tuple:
@@ -263,10 +190,10 @@ def normal_pair(s: MeridianSurface, u: float, v: float) -> tuple:
     return _normal_pair(point_data(s, u, v))
 
 
-def _require_general(d: PointData, case: PointCase) -> None:
-    """Raise unless `case` (the classification of d) is general: b, l and the
-    invariants built on them are undefined at flat and marginally trapped
-    points."""
+def _require_general(d: PointData) -> None:
+    """Raise unless d's case is general: b, l and the invariants built on
+    them are undefined at flat and marginally trapped points."""
+    case = d.case
     if case is PointCase.MARGINALLY_TRAPPED:
         raise MarginallyTrappedError(
             f"<H,H> = 0 at (u, v) = ({d.u}, {d.v}); geometric frame undefined")
@@ -297,6 +224,6 @@ def normal_frame(s: MeridianSurface, u: float, v: float,
     with H). Defined only at general points; flat points raise
     FlatPointError and marginally trapped points raise
     MarginallyTrappedError."""
-    d = point_data(s, u, v)
-    _require_general(d, d.classify(tol))
+    d = point_data(s, u, v, tol)
+    _require_general(d)
     return _normal_frame(d)

@@ -8,11 +8,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .errors import MeridianError
-from .families import GeneratedSurface, ConstantGauss, ConstantMean, ConstantK, \
-    Chen, defining_residual
+from .families import (PROFILE_SAMPLES, RESIDUAL_TOL, Chen, ConstantGauss,
+                       ConstantK, ConstantMean, GeneratedSurface,
+                       defining_residual)
 from .invariants import (DEFAULT_ORACLE_STEP, eight_invariants, gauss_curvature,
                          oracle_frame_derivatives, oracle_invariants)
 from .minkowski import Vec4, minkowski_dot
+from .profile import sample_grid
 from .surface import (MeridianSurface, PointCase, _normal_frame, _normal_pair,
                       _require_general, _tangent_frame, point_data)
 
@@ -30,6 +32,10 @@ __all__ = [
 ]
 
 _INVARIANT_FIELDS = ("gamma1", "gamma2", "nu1", "nu2", "lam", "mu", "beta1", "beta2")
+SAMPLE_MARGIN = 5e-3   # distance of sample points from the domain's edges
+SAMPLE_SEED = 0        # seed of verify_generated's sampler
+IDENTITY_TOL = 1e-9    # exact identities and the frame Gram matrix
+ORACLE_TOL = 1e-6      # Richardson-extrapolated oracle against closed forms
 
 
 @dataclass(frozen=True)
@@ -85,19 +91,19 @@ def _record(name, errs_locs, tol):
     return CheckRecord(name, len(errs_locs), err, tol, err <= tol, loc)
 
 
-def sample_general_points(s: MeridianSurface, n: int, rng,
-                          margin: float = 5e-3) -> list:
+def sample_general_points(s: MeridianSurface, n: int, rng) -> list:
     """Draw n interior points classified General with rng.uniform(lo, hi)
-    (margin keeps a finite-difference stencil inside the domain and away from
-    near-degenerate discriminants)."""
+    (SAMPLE_MARGIN keeps a finite-difference stencil inside the domain, and
+    a discriminant margin keeps the points away from marginally trapped
+    ones)."""
     u0, u1 = s.profile.domain
     v0, v1 = s.directrix.domain
     pts = []
     attempts = 0
     while len(pts) < n and attempts < 200 * n:
         attempts += 1
-        u = rng.uniform(u0 + margin, u1 - margin)
-        v = rng.uniform(v0 + margin, v1 - margin)
+        u = rng.uniform(u0 + SAMPLE_MARGIN, u1 - SAMPLE_MARGIN)
+        v = rng.uniform(v0 + SAMPLE_MARGIN, v1 - SAMPLE_MARGIN)
         try:
             d = point_data(s, u, v)
         except MeridianError:
@@ -114,7 +120,7 @@ def sample_general_points(s: MeridianSurface, n: int, rng,
     return pts
 
 
-def check_identity_suite(s: MeridianSurface, pts, tol: float = 1e-9) -> list:
+def check_identity_suite(s: MeridianSurface, pts) -> list:
     """The exact algebraic identities among the closed-form invariants."""
     rows = {name: [] for name in
             ("gamma1+gamma2", "nu1-nu2", "varkappa", "k+4*nu1*nu2*mu^2",
@@ -131,15 +137,15 @@ def check_identity_suite(s: MeridianSurface, pts, tol: float = 1e-9) -> list:
             (abs(r.K - r.epsilon * (r.nu1 * r.nu2 - r.lam**2 + r.mu**2)), (u, v)))
         rows["Hnorm^2-eps*disc/(4f^2f'^2)"].append(
             (abs(r.H_norm**2 - r.epsilon * d.disc / (4.0 * d.f**2 * d.fp**2)), (u, v)))
-    return [_record(name, errs, tol) for name, errs in rows.items()]
+    return [_record(name, errs, IDENTITY_TOL) for name, errs in rows.items()]
 
 
-def check_frame_gram(s: MeridianSurface, pts, tol: float = 1e-9) -> CheckRecord:
+def check_frame_gram(s: MeridianSurface, pts) -> CheckRecord:
     """Gram matrix of (x, y, b, l) must be diag(1, 1, eps, -eps)."""
     errs = []
     for (u, v) in pts:
         d = point_data(s, u, v)
-        _require_general(d, d.case)
+        _require_general(d)
         tf, nf = _tangent_frame(d), _normal_frame(d)
         frame = (tf.xdir, tf.ydir, nf.b, nf.l)
         eps = float(nf.epsilon)
@@ -147,7 +153,7 @@ def check_frame_gram(s: MeridianSurface, pts, tol: float = 1e-9) -> CheckRecord:
         errs.append((max(abs(minkowski_dot(a, b) - (target[i] if i == j else 0.0))
                          for i, a in enumerate(frame)
                          for j, b in enumerate(frame)), (u, v)))
-    return _record("frame-gram", errs, tol)
+    return _record("frame-gram", errs, IDENTITY_TOL)
 
 
 def _richardson(coarse, fine):
@@ -157,8 +163,7 @@ def _richardson(coarse, fine):
 
 
 def check_oracle_equivalence(s: MeridianSurface, pts,
-                             h: float = DEFAULT_ORACLE_STEP,
-                             tol: float = 1e-6) -> list:
+                             h: float = DEFAULT_ORACLE_STEP) -> list:
     """Componentwise agreement of the Richardson-extrapolated
     finite-difference oracle with the closed forms for all eight invariants.
 
@@ -187,7 +192,7 @@ def check_oracle_equivalence(s: MeridianSurface, pts,
         label = f"oracle:{name}"
         if name == "mu" and mu_sign_flipped:
             label = "oracle:mu (oracle sign opposite at eps=-1; closed form kept as printed)"
-        out.append(_record(label, errs, tol))
+        out.append(_record(label, errs, ORACLE_TOL))
     return out
 
 
@@ -197,8 +202,7 @@ def _vec_err(a: Vec4, b: Vec4) -> float:
 
 
 def check_derivative_formulas(s: MeridianSurface, pts,
-                              h: float = DEFAULT_ORACLE_STEP,
-                              tol: float = 1e-6) -> list:
+                              h: float = DEFAULT_ORACLE_STEP) -> list:
     """Every row of the frame derivative table against the
     Richardson-extrapolated oracle:
     D_X X = -kappa_m n2, D_X Y = 0, D_Y X = (f'/f) Y,
@@ -229,23 +233,20 @@ def check_derivative_formulas(s: MeridianSurface, pts,
         for name in names:
             numeric = _richardson(coarse[name], fine[name])
             rows[name].append((_vec_err(numeric, expected[name]), (u, v)))
-    return [_record(f"deriv:{name}", errs, tol) for name, errs in rows.items()]
+    return [_record(f"deriv:{name}", errs, ORACLE_TOL)
+            for name, errs in rows.items()]
 
 
-def _u_samples(gen: GeneratedSurface, n: int) -> list:
-    u0, u1 = gen.u_range
-    return [u0 + (u1 - u0) * i / (n - 1) for i in range(n)]
-
-
-def check_defining_property(gen: GeneratedSurface, n: int = 50,
-                            tol: float = 1e-6) -> CheckRecord:
+def check_defining_property(gen: GeneratedSurface) -> CheckRecord:
+    """The family's defining relation on the PROFILE_SAMPLES rows of the
+    realized range, the rows generate checks for an ODE profile."""
     errs = [(defining_residual(gen.spec, gen.surface.profile, u), (u, None))
-            for u in _u_samples(gen, n)]
-    return _record(f"defining:{type(gen.spec).__name__}", errs, tol)
+            for u in sample_grid(gen.u_range, PROFILE_SAMPLES)]
+    return _record(f"defining:{type(gen.spec).__name__}", errs, RESIDUAL_TOL)
 
 
-def check_family_targets(gen: GeneratedSurface, n: int = 50) -> list:
-    """The family's headline constancy property at n samples along u
+def check_family_targets(gen: GeneratedSurface) -> list:
+    """The family's headline constancy property on the PROFILE_SAMPLES rows
     (v fixed at the directrix midpoint where a v is needed). Samples whose
     point (u, v) is not general are skipped, as sample_general_points skips
     them, so each record's grid counts only the points evaluated."""
@@ -253,7 +254,7 @@ def check_family_targets(gen: GeneratedSurface, n: int = 50) -> list:
     spec = gen.spec
     v0, v1 = s.directrix.domain
     vm = 0.5 * (v0 + v1)
-    us = _u_samples(gen, n)
+    us = sample_grid(gen.u_range, PROFILE_SAMPLES)
     if isinstance(spec, ConstantGauss):
         errs = [(abs(gauss_curvature(s, u) - spec.K), (u, None)) for u in us]
         return [_record(f"K=={spec.K}", errs, 1e-9)]
@@ -278,13 +279,12 @@ def check_family_targets(gen: GeneratedSurface, n: int = 50) -> list:
 
 
 def verify_generated(gen: GeneratedSurface, n_points: int = 50,
-                     oracle_step: float = DEFAULT_ORACLE_STEP,
-                     seed: int = 0) -> VerificationReport:
+                     oracle_step: float = DEFAULT_ORACLE_STEP) -> VerificationReport:
     """Full verification of a generated surface: oracle comparison, identity
     suite, frame Gram, derivative formulas and, for a family member (spec not
     None), the family's defining and target properties."""
     report = VerificationReport()
-    rng = random.Random(seed)
+    rng = random.Random(SAMPLE_SEED)
     pts = sample_general_points(gen.surface, n_points, rng)
     for rec in check_oracle_equivalence(gen.surface, pts, oracle_step):
         report.add(rec)

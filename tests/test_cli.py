@@ -11,7 +11,7 @@ from meridian4.cli import main, parse_family_spec, SpecError
 from meridian4.families import ConstantGauss, ParallelA
 from meridian4.invariants import eight_invariants
 from meridian4.minkowski import from_lightlike
-from meridian4.profile import Directrix, ProfileCurve, g_from_f
+from meridian4.profile import Directrix, ProfileCurve, g_from_f, sample_grid
 from meridian4.surface import PointCase, point_data
 from meridian4.verification import CheckRecord, VerificationReport
 
@@ -43,6 +43,17 @@ def test_parse_errors_name_the_problem():
         parse_family_spec("chen b=1 c=1 oops")
     with pytest.raises(SpecError, match="branch"):
         parse_family_spec("chen b=1 c=1 branch=q")
+
+
+@pytest.mark.parametrize("text, key", [
+    ("constant-mean a=0.5 b=2 c=1 eps=+ branch=+", "'c'"),   # C, not c
+    ("direct f=u+1 g=3", "'g'"),                              # g0, not g
+    ("constant-gauss K=1 alpha=1 beta=0 gamma=2", "'gamma'"),
+    ("parallel-a c=1 d=1 sign=+ a=0 b=1", "'b'"),
+])
+def test_parse_rejects_a_key_the_family_does_not_take(text, key):
+    with pytest.raises(SpecError, match=f"unknown parameter {key}"):
+        parse_family_spec(text)
 
 
 # --- family command -----------------------------------------------------------
@@ -362,8 +373,8 @@ def point_by_point(spec_text, f0, u, v, nu, nv):
     s = gen.surface
     lines = ["u,v," + ",".join(cli.INVARIANT_COLUMNS) + ",case"]
     vertices, fields = [], {f: [] for f in cli.MESH_FIELDS}
-    for uu in cli._samples(*gen.u_range, nu):
-        for vv in cli._samples(*s.directrix.domain, nv):
+    for uu in sample_grid(gen.u_range, nu):
+        for vv in sample_grid(s.directrix.domain, nv):
             d = point_data(s, uu, vv)
             rec = None
             if d.case is PointCase.GENERAL:

@@ -1,7 +1,8 @@
 """Each public per-point function evaluates the profile and directrix jets
 once per point it needs: the centre for the closed forms and frames, the
-centre plus four stencil points for the oracle. A surface keeps what it
-evaluated, so a coordinate shared by several points is evaluated once."""
+centre plus four stencil points for the oracle. Each curve keeps the records
+it evaluated, so a coordinate shared by several points, or by several
+surfaces over the same curve, is evaluated once."""
 
 from collections import Counter
 from dataclasses import astuple
@@ -12,8 +13,11 @@ from meridian4 import invariants, surface
 from meridian4.cli import build_surface, parse_family_spec
 from meridian4.errors import (DegenerateDirectrixError, DomainError,
                               ProfileInvariantError)
+from meridian4.families import (KAPPA_SAMPLES, ConstantMean,
+                                constant_kappa_directrix, generate)
 from meridian4.jets import jcos, jsqrt
-from meridian4.profile import Directrix, ProfileCurve
+from meridian4.profile import (Directrix, ProfileCurve, directrix_point,
+                               profile_point, sample_grid)
 from meridian4.surface import MeridianSurface
 from meridian4.verification import verify_generated
 
@@ -51,7 +55,7 @@ def test_jets_evaluated_once_per_point(fn, most):
     assert 1 <= phi.calls <= most
 
 
-# --- the surface's u- and v-records -------------------------------------------
+# --- the curves' u- and v-records ---------------------------------------------
 
 def bits(d):
     """Every field of a record, the case included, in a form that tells
@@ -91,12 +95,12 @@ def test_a_failed_evaluation_is_not_kept():
     s = MeridianSurface(ProfileCurve(f, (0.0, 1.0)), Directrix(phi, (0.0, 1.0)))
     for _ in range(2):
         with pytest.raises(ProfileInvariantError):
-            surface.profile_point(s, 0.0)
+            profile_point(s.profile, 0.0)
         with pytest.raises(DegenerateDirectrixError):
-            surface.directrix_point(s, 0.5)
+            directrix_point(s.directrix, 0.5)
         with pytest.raises(DomainError):
-            surface.profile_point(s, 2.0)
-        surface.profile_point(s, 0.5)
+            profile_point(s.profile, 2.0)
+        profile_point(s.profile, 0.5)
     # two tries at each failing coordinate, one evaluation of the good one
     assert (f.calls, phi.calls) == (3, 2)
 
@@ -115,5 +119,26 @@ def test_verify_evaluates_each_stencil_coordinate_once(monkeypatch):
     monkeypatch.setattr(Directrix, "phi_jet", counting("phi", Directrix.phi_jet))
     assert verify_generated(gen, 20).passed
     # 20 points, each with 5 distinct u and 5 distinct v over its centre and
-    # oracle stencils, plus the sampler's draws and the 50 family-target rows
-    assert jets["f"] <= 260 and jets["phi"] <= 130, jets
+    # oracle stencils (measured: 100 and 100); the defining and
+    # family-target rows read the records generate left on the profile
+    assert jets["f"] <= 105 and jets["phi"] <= 105, jets
+
+
+def test_a_checked_and_shared_directrix_evaluates_each_v_once(monkeypatch):
+    calls = Counter()
+    phi_jet = Directrix.phi_jet
+
+    def counted(self, v):
+        calls[v] += 1
+        return phi_jet(self, v)
+    monkeypatch.setattr(Directrix, "phi_jet", counted)
+    d = constant_kappa_directrix(2.0, (0.0, 0.3))
+    gen = generate(ConstantMean(a=0.5, b=2.0, C=0.0, epsilon=1, branch=1),
+                   0.6, (0.0, 0.15), d)
+    vs = sample_grid(d.domain, KAPPA_SAMPLES)
+    assert calls == Counter(vs)          # generate's curvature check
+    other = MeridianSurface(counted_surface()[0].profile, d)
+    for s in (gen.surface, other):
+        for v in vs:
+            surface.point_data(s, 0.1, v)
+    assert calls == Counter(vs)

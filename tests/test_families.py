@@ -14,7 +14,7 @@ from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
 from meridian4.jets import jet_eval
 from meridian4.invariants import (eight_invariants, gauss_curvature,
                                   invariant_k, mean_curvature)
-from meridian4.profile import FPRIME_FLOOR, Directrix, kappa
+from meridian4.profile import FPRIME_FLOOR, Directrix, directrix_point
 
 TWO_PI = 2.0 * math.pi
 UNIT_PHI = Directrix(compile_expression("1", "v"), (0.0, TWO_PI))
@@ -210,7 +210,7 @@ def test_constant_kappa_directrix_negative_b_is_constant_phi():
     d = constant_kappa_directrix(-0.5, (0.0, TWO_PI))
     for v in (0.0, 1.0, 4.0):
         assert d.phi_jet(v).f == pytest.approx(2.0, abs=1e-12)
-        assert kappa(d, v) == pytest.approx(-0.5, abs=1e-12)
+        assert directrix_point(d, v).kappa == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_constant_kappa_directrix_positive_b_solves_ivp():
@@ -218,7 +218,7 @@ def test_constant_kappa_directrix_positive_b_solves_ivp():
     v0, v1 = d.domain
     for i in range(9):
         v = v0 + (v1 - v0) * (i + 0.5) / 9.0
-        assert kappa(d, v) == pytest.approx(1.5, abs=1e-12)
+        assert directrix_point(d, v).kappa == pytest.approx(1.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("v0", [0.0, 0.3, -0.2])
@@ -274,7 +274,7 @@ def test_constant_kappa_directrix_work(monkeypatch):
                         lambda *args: calls.append(args))
     d = constant_kappa_directrix(1.0, (0.0, 0.5))
     assert d.domain == (0.0, 0.5)
-    assert kappa(d, 0.25) == pytest.approx(1.0, abs=1e-12)
+    assert directrix_point(d, 0.25).kappa == pytest.approx(1.0, abs=1e-12)
     assert calls == []
 
 

@@ -16,7 +16,8 @@ from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                                 profile_from_path, y_function)
 from meridian4.jets import constant, jcos, jet_eval, jsqrt, variable
 from meridian4.profile import (FPRIME_FLOOR, G_PANELS, Directrix,
-                               ProfileCurve, g_from_f, kappa, kappa_m)
+                               ProfileCurve, directrix_point, g_from_f,
+                               profile_point)
 from meridian4.quadrature import adaptive_simpson
 from meridian4.surface import MeridianSurface, embed, point_data
 
@@ -112,18 +113,19 @@ def test_g_work_of_embed_on_a_mesh_grid():
 def test_normalization_identity():
     for u in (0.0, 0.7, 1.9, 3.0):
         fp = SQRT_PROFILE.f_jet(u).d1
-        gp = SQRT_PROFILE.g_prime(u)
+        gp = profile_point(SQRT_PROFILE, u).gp
         assert -2.0 * fp * gp == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kappa_m_examples():
     # f = sqrt(u+1): f'' / f' = -1/(2(u+1))
     for u in (0.0, 1.0, 2.5):
-        assert kappa_m(SQRT_PROFILE, u) == pytest.approx(
+        assert profile_point(SQRT_PROFILE, u).kappa_m == pytest.approx(
             -0.5 / (u + 1.0), abs=1e-12)
     # f = cos u: f''/f' = cot u
     p = ProfileCurve(jcos, (0.1, 1.4))
-    assert kappa_m(p, 0.5) == pytest.approx(1.0 / math.tan(0.5), abs=1e-12)
+    assert profile_point(p, 0.5).kappa_m == pytest.approx(
+        1.0 / math.tan(0.5), abs=1e-12)
 
 
 def test_general_meridian_curvature_agrees_with_normalized():
@@ -133,34 +135,36 @@ def test_general_meridian_curvature_agrees_with_normalized():
     for u in (0.2, 1.1, 2.3):
         fj, gj = jet_eval(f, u), jet_eval(g, u)
         general = (fj.d1 * gj.d2 - gj.d1 * fj.d2) / (-2.0 * fj.d1 * gj.d1)**1.5
-        assert general == pytest.approx(kappa_m(SQRT_PROFILE, u), abs=1e-10)
+        assert general == pytest.approx(
+            profile_point(SQRT_PROFILE, u).kappa_m, abs=1e-10)
 
 
 def test_directrix_kappa_exponential():
     # phi = e^v: kappa = -1/(sqrt(2) e^v)
     d = Directrix(compile_expression("exp(v)", "v"), (0.0, 1.0))
     for v in (0.0, 0.4, 1.0):
-        assert kappa(d, v) == pytest.approx(
+        assert directrix_point(d, v).kappa == pytest.approx(
             -1.0 / (math.sqrt(2.0) * math.exp(v)), abs=1e-12)
 
 
 @given(st.floats(min_value=0.1, max_value=10.0, allow_nan=False))
 def test_directrix_kappa_constant_phi(p):
     d = Directrix(lambda v: 0.0 * v + p, (0.0, 2.0 * math.pi))
-    assert kappa(d, 1.0) == pytest.approx(-1.0 / p, rel=1e-12)
+    assert directrix_point(d, 1.0).kappa == pytest.approx(-1.0 / p, rel=1e-12)
 
 
 def test_directrix_kappa_secant_vanishes():
     d = Directrix(compile_expression("sec(v)", "v"), (-1.0, 1.0))
     for v in (-0.8, 0.0, 0.3, 0.9):
-        assert kappa(d, v) == pytest.approx(0.0, abs=1e-12)
+        assert directrix_point(d, v).kappa == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kappa_derivative_against_finite_difference():
     d = Directrix(compile_expression("2 + 0.5*sin(v)", "v"), (0.0, 6.0))
     v, h = 1.3, 1e-5
     kdot = point_data(MeridianSurface(SQRT_PROFILE, d), 1.0, v).kappa_dot
-    fd = (kappa(d, v + h) - kappa(d, v - h)) / (2.0 * h)
+    fd = (directrix_point(d, v + h).kappa
+          - directrix_point(d, v - h).kappa) / (2.0 * h)
     assert kdot == pytest.approx(fd, abs=1e-8)
 
 
