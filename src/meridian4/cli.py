@@ -35,7 +35,8 @@ from .families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                        GeneratedSurface, ParallelA, ParallelB,
                        constant_kappa_directrix, generate)
 from .invariants import DEFAULT_ORACLE_STEP, eight_invariants
-from .profile import Directrix, ProfileCurve, g_from_f, sample_grid
+from .profile import (Directrix, ProfileCurve, g_from_f, profile_point,
+                      sample_grid)
 from .surface import MeridianSurface, PointCase, embed, point_data
 from .verification import verify_generated
 
@@ -60,16 +61,19 @@ def _parse_kv(tokens):
 
 
 def _real(kv, key, default=None):
-    """Take the real parameter `key` out of kv."""
+    """Take the finite real parameter `key` out of kv."""
     if key not in kv:
         if default is not None:
             return default
         raise SpecError(f"missing parameter {key!r}")
     raw = kv.pop(key)
     try:
-        return float(raw)
+        val = float(raw)
     except ValueError:
         raise SpecError(f"parameter {key!r} is not a number: {raw!r}")
+    if not math.isfinite(val):
+        raise SpecError(f"parameter {key!r} is not finite: {raw!r}")
+    return val
 
 
 def _sign(kv, key, default=None):
@@ -96,7 +100,7 @@ def parse_family_spec(text: str):
         raise SpecError("empty spec")
     name, kv = tokens[0], _parse_kv(tokens[1:])
     try:
-        parsed = _family_spec(name, kv, kv.pop("phi", None))
+        parsed = _family_spec(name, kv)
     except SpecMismatchError as exc:
         raise SpecError(str(exc))
     if kv:
@@ -104,33 +108,40 @@ def parse_family_spec(text: str):
     return parsed
 
 
-def _family_spec(name, kv, phi):
-    """(spec, phi) of family `name`, taking its parameters out of kv."""
+def _phi(kv):
+    """Take the directrix expression out of kv; "1" when absent or empty."""
+    return kv.pop("phi", None) or "1"
+
+
+def _family_spec(name, kv):
+    """(spec, phi) of family `name`, taking its parameters out of kv. The
+    four families whose directrix has constant curvature b take no phi, and
+    their phi is None."""
     if name == "constant-gauss":
         return ConstantGauss(K=_real(kv, "K"), alpha=_real(kv, "alpha"),
-                             beta=_real(kv, "beta")), phi or "1"
+                             beta=_real(kv, "beta")), _phi(kv)
     if name == "constant-mean":
         return ConstantMean(a=_real(kv, "a"), b=_real(kv, "b"),
                             C=_real(kv, "C", 0.0), epsilon=_sign(kv, "eps"),
-                            branch=_sign(kv, "branch")), phi
+                            branch=_sign(kv, "branch")), None
     if name == "constant-k":
         return ConstantK(a=_real(kv, "a"), b=_real(kv, "b"),
-                         c=_real(kv, "c", 0.0), branch=_sign(kv, "branch")), phi
+                         c=_real(kv, "c", 0.0), branch=_sign(kv, "branch")), None
     if name == "chen":
         return Chen(b=_real(kv, "b"), c=_real(kv, "c"),
-                    exponent_branch=_sign(kv, "branch")), phi
+                    exponent_branch=_sign(kv, "branch")), None
     if name == "parallel-a":
         return ParallelA(c=_real(kv, "c"), d=_real(kv, "d"),
                          a=_real(kv, "a", 0.0),
-                         sign=_sign(kv, "sign", 1)), phi or "1"
+                         sign=_sign(kv, "sign", 1)), _phi(kv)
     if name == "parallel-b":
         return ParallelB(a=_real(kv, "a"), c=_real(kv, "c", 0.0),
-                         b=_real(kv, "b")), phi
+                         b=_real(kv, "b")), None
     if name == "direct":
         if "f" not in kv:
             raise SpecError("direct spec needs f=<expr>")
         return {"kind": "direct", "f": kv.pop("f"),
-                "g0": _real(kv, "g0", 0.0)}, phi or "1"
+                "g0": _real(kv, "g0", 0.0)}, _phi(kv)
     raise SpecError(f"unknown family {name!r}")
 
 
@@ -190,7 +201,7 @@ def build_surface(spec, phi_text, f0, u_range, v_range):
     if b is not None:
         directrix = constant_kappa_directrix(b, v_range)
     else:
-        directrix = Directrix(compile_expression(phi_text or "1", "v"), v_range)
+        directrix = Directrix(compile_expression(phi_text, "v"), v_range)
     return generate(spec, f0, u_range, directrix)
 
 
@@ -219,8 +230,8 @@ def cmd_family(args) -> int:
     n = int(round((gen.u_range[1] - gen.u_range[0]) / ustep)) + 1 if ustep else 50
     rows = ["u,f,f_prime,f_double_prime,g"]
     for u in sample_grid(gen.u_range, n):
-        fj = profile.f_jet(u)
-        rows.append(",".join(map(repr, (u, fj.f, fj.d1, fj.d2,
+        p = profile_point(profile, u)
+        rows.append(",".join(map(repr, (u, p.f, p.fp, p.fpp,
                                         g_from_f(profile, u)))))
     echo = {"spec": _spec_dict(spec, phi_text),
             "realized_range": list(gen.u_range),
@@ -235,6 +246,8 @@ def cmd_invariants(args) -> int:
     spec, phi_text = parse_family_spec(args.spec)
     u0, u1, ustep = _parse_range(args.u, "u")
     v0, v1, vstep = _parse_range(args.v, "v")
+    if not 0.0 <= args.tol < math.inf:
+        raise SpecError(f"--tol must be finite and >= 0, got {args.tol!r}")
     gen = build_surface(spec, phi_text, args.f0, (u0, u1), (v0, v1))
     s = gen.surface
     nu, nv = _grid_counts(args, ustep, vstep, (u0, u1), (v0, v1))
@@ -292,7 +305,7 @@ def cmd_mesh(args) -> int:
     vertices = []
     fields = {f: [] for f in wanted}
     for u in sample_grid(gen.u_range, nu):
-        g = s.profile.g(u)
+        g = g_from_f(s.profile, u)
         for v in vs:
             d = point_data(s, u, v)
             z = embed(s, u, v, d, g)

@@ -250,29 +250,25 @@ def integrate_autonomous(y: Callable[[Jet], Jet], f0: float,
 
 def profile_from_path(path: DensePath, y: Callable[[Jet], Jet],
                       g_origin: float = 0.0) -> ProfileCurve:
-    """ProfileCurve backed by the dense ODE solution; f' = y(f) is read on
-    floats, f'' and f''' come from the jets of y via f'' = y'y,
-    f''' = (y''y + y'^2) y, and g is the path's g shifted by g_origin. A g
-    whose accumulated error estimate up to u exceeds G_TOL raises
-    QuadratureLimitError."""
+    """ProfileCurve backed by the dense ODE solution; f' = y(f), f'' and
+    f''' come from the jet of y at f via f'' = y'y, f''' = (y''y + y'^2) y,
+    and g is the path's g shifted by g_origin. A g whose accumulated error
+    estimate up to u exceeds G_TOL raises QuadratureLimitError."""
 
     def derivs(u):
         fval = path(u)
         yj = jet_eval(y, fval)
         return (fval, yj.f, yj.d1 * yj.f, (yj.d2 * yj.f + yj.d1**2) * yj.f)
 
-    def fprime(u):
-        return y(path(u))
-
     def g_eval(u):
-        g, err = path.g(u)
+        g, err = path.g_with_error(u)
         if not err <= G_TOL:
             raise QuadratureLimitError(
                 f"g error estimate {err} up to u = {u} exceeds {G_TOL}")
         return g_origin + g
 
     return ProfileCurve(jet_function_from_derivs(derivs),
-                        (path.t0, path.t1), g_origin, fprime, g_eval)
+                        (path.t0, path.t1), g_origin, g_eval)
 
 
 def _exp_roots(a: float, b: float, c: float) -> list:

@@ -130,6 +130,8 @@ def eight_invariants(s: MeridianSurface, u: float, v: float,
 # --- finite-difference oracle -------------------------------------------------
 
 def _check_stencil(s: MeridianSurface, u: float, v: float, h: float):
+    if not h > 0.0:
+        raise DomainError(f"oracle step h = {h} is not positive")
     u0, u1 = s.profile.domain
     v0, v1 = s.directrix.domain
     if not (u0 <= u - 2 * h and u + 2 * h <= u1 and v0 <= v - 2 * h and v + 2 * h <= v1):

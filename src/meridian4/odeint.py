@@ -94,7 +94,7 @@ class DensePath:
         r0, r1, r2, r3, r4 = self.coef[i]
         return r0 + s * (r1 + (1 - s) * (r2 + s * (r3 + (1 - s) * r4)))
 
-    def g(self, t: float) -> tuple:
+    def g_with_error(self, t: float) -> tuple:
         """(g(t), the accumulated g error estimate of the steps up to the
         one holding t)."""
         i, s = self._locate(t)

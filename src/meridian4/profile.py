@@ -28,7 +28,7 @@ G_PANELS = 64        # equal panels of the profile domain in the g table
 G_TOL = 1e-10        # absolute error bound of g_from_f
 
 
-def _require_fprime(fp: float, u: float) -> float:
+def _require_fp(fp: float, u: float) -> float:
     """fp = f'(u), or ProfileInvariantError when |f'| < FPRIME_FLOOR (the
     normalization -2 f' g' = 1 breaks down there)."""
     if abs(fp) < FPRIME_FLOOR:
@@ -41,19 +41,16 @@ class ProfileCurve:
     """Profile f with g derived from the normalization g'(u) = -1/(2 f'(u)).
 
     f is a jet-capable callable, and g follows from it: -2 f' g' = 1 fixes g
-    up to g_origin, its value at the left end of the domain. fprime, when
-    given, is f' on floats (an ODE profile reads y(f) there); without it f'
-    is the d1 of f's jet. f_prime is the one reader of f' alone. g_eval,
-    when given, is g on floats as derived from f without quadrature (a
-    family's closed form, or the g an ODE profile's integrator carries along
-    with f); g_from_f reads it in place of its quadrature, so it must
-    satisfy g' = -1/(2 f') and equal g_origin at the left end.
+    up to g_origin, its value at the left end of the domain. g_eval, when
+    given, is g on floats as derived from f without quadrature (a family's
+    closed form, or the g an ODE profile's integrator carries along with f);
+    g_from_f reads it in place of its quadrature, so it must satisfy
+    g' = -1/(2 f') and equal g_origin at the left end.
     """
 
     f: Callable[[Jet], Jet]
     domain: tuple
     g_origin: float = 0.0
-    fprime: Optional[Callable[[float], float]] = None
     g_eval: Optional[Callable[[float], float]] = None
     # g table of the quadrature, filled by g_from_f: g at node 0, node 1, ...
     _g_table: list = field(default_factory=list, init=False, repr=False,
@@ -71,20 +68,11 @@ class ProfileCurve:
         self._check(u)
         return jet_eval(self.f, u)
 
-    def f_prime(self, u: float) -> float:
-        self._check(u)
-        if self.fprime is not None:
-            return self.fprime(u)
-        return jet_eval(self.f, u).d1
-
-    def g(self, u: float) -> float:
-        return g_from_f(self, u)
-
     @cached_property
     def _rising(self) -> bool:
         """f'(u0) > 0: the sign f' must keep wherever g is read."""
         u0 = self.domain[0]
-        return _require_fprime(self.f_prime(u0), u0) > 0
+        return profile_point(self, u0).fp > 0
 
 
 @dataclass(frozen=True)
@@ -144,7 +132,7 @@ def profile_point(p: ProfileCurve, u: float) -> ProfilePoint:
         fj = p.f_jet(u)
         if not fj.f > 0.0:
             raise ProfileInvariantError(f"f({u}) = {fj.f} is not positive")
-        fp = _require_fprime(fj.d1, u)
+        fp = _require_fp(fj.d1, u)
         r = p._points[key] = ProfilePoint(
             u, fj.f, fp, fj.d2, fj.d3, -0.5 / fp, fj.d2 / fp, fj.f * fj.d2 + fp**2)
     return r
@@ -183,9 +171,10 @@ def _g_node(p: ProfileCurve, j: int) -> float:
     return u1 if j == G_PANELS else u0 + (u1 - u0) * j / G_PANELS
 
 
-def _checked_g_prime(p: ProfileCurve, t: float, u: float) -> float:
-    """g'(t) = -1/(2 f'(t)) for the value of g at u, which depends on t."""
-    fp = _require_fprime(p.f_prime(t), t)
+def _checked_g_prime(p: ProfileCurve, fp: float, t: float, u: float) -> float:
+    """g'(t) = -1/(2 fp) for fp = f'(t), for the value of g at u, which
+    depends on t."""
+    fp = _require_fp(fp, t)
     if (fp > 0) != p._rising:
         raise ProfileInvariantError(
             f"f' changes sign inside [{p.domain[0]}, {u}] (at t = {t})")
@@ -221,14 +210,15 @@ def g_from_f(p: ProfileCurve, u: float) -> float:
     if u == u0:
         return p.g_origin
     if p.g_eval is not None:
-        _checked_g_prime(p, u, u)
+        _checked_g_prime(p, profile_point(p, u).fp, u, u)
         return p.g_eval(u)
     table = p._g_table
     if not table:
         table.append(p.g_origin)
 
     def integrand(t):
-        return _checked_g_prime(p, t, u)
+        # quadrature nodes read the jet's d1 and leave no records
+        return _checked_g_prime(p, jet_eval(p.f, t).d1, t, u)
 
     # int() truncates toward zero: u in the domain slack left of u0 is in panel 0
     k = min(int((u - u0) / (u1 - u0) * G_PANELS), G_PANELS - 1)

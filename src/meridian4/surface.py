@@ -13,7 +13,7 @@ from typing import Optional
 from .errors import FlatPointError, MarginallyTrappedError
 from .minkowski import Vec4, from_lightlike
 from .profile import (Directrix, DirectrixPoint, ProfileCurve, ProfilePoint,
-                      directrix_point, profile_point)
+                      directrix_point, g_from_f, profile_point)
 
 __all__ = [
     "MeridianSurface",
@@ -125,7 +125,7 @@ def embed(s: MeridianSurface, u: float, v: float,
     if d is None:
         d = point_data(s, u, v)
     if g is None:
-        g = s.profile.g(u)
+        g = g_from_f(s.profile, u)
     return from_lightlike(
         d.f * d.phi * math.cos(v),
         d.f * d.phi * math.sin(v),

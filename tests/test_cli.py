@@ -50,6 +50,11 @@ def test_parse_errors_name_the_problem():
     ("direct f=u+1 g=3", "'g'"),                              # g0, not g
     ("constant-gauss K=1 alpha=1 beta=0 gamma=2", "'gamma'"),
     ("parallel-a c=1 d=1 sign=+ a=0 b=1", "'b'"),
+    # the four families whose directrix has constant curvature b take no phi
+    ("constant-mean a=0.5 b=2 C=0 eps=+ branch=+ phi=cos(v)", "'phi'"),
+    ("constant-k a=1 b=-1 c=0.5 branch=+ phi=2", "'phi'"),
+    ("chen b=1 c=1 branch=+ phi=1", "'phi'"),
+    ("parallel-b a=1 c=1 b=-2 phi=sec(v)", "'phi'"),
 ])
 def test_parse_rejects_a_key_the_family_does_not_take(text, key):
     with pytest.raises(SpecError, match=f"unknown parameter {key}"):
@@ -265,7 +270,40 @@ def test_non_finite_range_is_exit_1(tmp_path, capsys, command, option, text):
     assert err == [f"error: {option} has a non-finite part in {text!r}"]
 
 
+@pytest.mark.parametrize("command, spec, key, raw", [
+    ("family", "constant-gauss K=1 alpha=inf beta=0", "alpha", "inf"),
+    ("family", "constant-gauss K=nan alpha=1 beta=0", "K", "nan"),
+    ("family", "parallel-a c=1 d=-inf", "d", "-inf"),
+    ("invariants", "direct f=u+1 phi=1 g0=inf", "g0", "inf"),
+    ("verify", "constant-mean a=0.5 b=2 C=nan eps=+ branch=+", "C", "nan")])
+def test_non_finite_spec_parameter_is_exit_1(tmp_path, capsys, command, spec,
+                                             key, raw):
+    code = main([command, "--spec", spec, "--f0", "0.6", "--u", "0:0.5",
+                 "--v", "0:1", "--out", str(tmp_path / "x.out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: parameter {key!r} is not finite: {raw!r}"]
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_invariants_tol_must_be_finite_and_non_negative(tmp_path, capsys, tol):
+    code = main(["invariants", "--spec", "direct f=u+1 phi=1", "--u", "0:1",
+                 "--v", "0:1", "--grid", "2x2", "--tol", tol,
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --tol must be finite")
+
+
 # --- verify command -----------------------------------------------------------
+
+def test_verify_oracle_step_zero_is_exit_1(tmp_path, capsys):
+    code = main(["verify", "--spec", "parallel-a c=1 d=1", "--u", "0:1",
+                 "--v", "0:1", "--oracle-step", "0"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: oracle step h = 0.0 is not positive"]
+
 
 def test_verify_passes_on_parallel_a(tmp_path, capsys):
     out = tmp_path / "report.json"

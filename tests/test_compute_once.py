@@ -9,7 +9,7 @@ from dataclasses import astuple
 
 import pytest
 
-from meridian4 import invariants, surface
+from meridian4 import cli, invariants, profile as profile_module, surface
 from meridian4.cli import build_surface, parse_family_spec
 from meridian4.errors import (DegenerateDirectrixError, DomainError,
                               ProfileInvariantError)
@@ -142,3 +142,20 @@ def test_a_checked_and_shared_directrix_evaluates_each_v_once(monkeypatch):
         for v in vs:
             surface.point_data(s, 0.1, v)
     assert calls == Counter(vs)
+
+
+def test_family_evaluates_the_profile_jet_once_per_row(tmp_path, monkeypatch):
+    calls = Counter()
+    jet_eval = profile_module.jet_eval
+
+    def counted(fn, t):
+        calls[t] += 1
+        return jet_eval(fn, t)
+    monkeypatch.setattr(profile_module, "jet_eval", counted)
+    out = tmp_path / "f.csv"
+    rc = cli.main(["family", "--spec", "constant-gauss K=1 alpha=1 beta=0",
+                   "--u", "0.1:0.5:0.01", "--out", str(out)])
+    assert rc == 0
+    us = [float(row.split(",")[0]) for row in out.read_text().splitlines()[1:]]
+    # the f, f', f'' columns and g's checks read the same record
+    assert len(us) == 41 and calls == Counter(us)

@@ -14,7 +14,8 @@ from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
 from meridian4.jets import jet_eval
 from meridian4.invariants import (eight_invariants, gauss_curvature,
                                   invariant_k, mean_curvature)
-from meridian4.profile import FPRIME_FLOOR, Directrix, directrix_point
+from meridian4.profile import (FPRIME_FLOOR, Directrix, directrix_point,
+                               g_from_f)
 
 TWO_PI = 2.0 * math.pi
 UNIT_PHI = Directrix(compile_expression("1", "v"), (0.0, TWO_PI))
@@ -174,8 +175,8 @@ def test_parallel_a_closed_form_and_betas():
                    (0.0, 3.0), UNIT_PHI)
     profile = gen.surface.profile
     assert profile.f_jet(0.0).f == pytest.approx(1.0, abs=1e-12)
-    assert profile.g(0.0) == pytest.approx(-2.0 / 3.0, abs=1e-12)
-    assert profile.g(3.0) == pytest.approx(-16.0 / 3.0, abs=1e-9)
+    assert g_from_f(profile, 0.0) == pytest.approx(-2.0 / 3.0, abs=1e-12)
+    assert g_from_f(profile, 3.0) == pytest.approx(-16.0 / 3.0, abs=1e-9)
     v = 1.0
     for u in u_samples(gen):
         r = eight_invariants(gen.surface, u, v)

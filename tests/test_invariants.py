@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from meridian4.errors import (FlatPointError, MarginallyTrappedError,
-                              ProfileInvariantError)
+from meridian4.errors import (DomainError, FlatPointError,
+                              MarginallyTrappedError, ProfileInvariantError)
 from meridian4.expressions import compile_expression
 from meridian4.invariants import (eight_invariants, gauss_curvature,
                                   invariant_k, mean_curvature,
@@ -137,3 +137,11 @@ def test_eight_invariants_rejects_degenerate_points():
     trapped = MeridianSurface(ProfileCurve(jcos, (0.05, 1.0)), UNIT_PHI)
     with pytest.raises(MarginallyTrappedError):
         eight_invariants(trapped, math.pi / 6.0, 1.0)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-4, math.nan])
+def test_oracle_step_must_be_positive(h):
+    for oracle in (oracle_invariants, oracle_mean_curvature_vector,
+                   oracle_second_fundamental):
+        with pytest.raises(DomainError, match="is not positive"):
+            oracle(SQRT_SURFACE, 1.0, 1.0, h)

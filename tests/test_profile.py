@@ -53,7 +53,7 @@ def test_g_matches_parallel_a_closed_form():
                    Directrix(lambda v: constant(1.0), (0.0, 1.0)))
     for u in samples(gen.u_range, 101):
         expected = -(2.0 / (3.0 * c * c)) * (c * u + d) ** 1.5 + a
-        assert gen.surface.profile.g(u) == pytest.approx(expected, abs=1e-10)
+        assert g_from_f(gen.surface.profile, u) == pytest.approx(expected, abs=1e-10)
 
 
 @pytest.mark.parametrize("spec, f0, directrix", [
@@ -283,7 +283,7 @@ def test_g_next_to_an_f_prime_zero_returns_at_once():
     p = generate(ConstantGauss(K=1.0, alpha=1.0, beta=1.0), None, (0.1, 2.0),
                  UNIT_PHI).surface.profile
     u = math.pi / 4 - math.asin(1e-5 / math.sqrt(2.0))
-    assert p.f_prime(u) == pytest.approx(1e-5, rel=1e-6)
+    assert p.f_jet(u).d1 == pytest.approx(1e-5, rel=1e-6)
     start = time.perf_counter()
     g = g_from_f(p, u)
     assert time.perf_counter() - start < 1.0

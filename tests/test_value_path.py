@@ -1,7 +1,8 @@
 """Value-only evaluation: a jet-capable function called on a float gives the
 value of its jet bit for bit, and the same DomainError outside its domain;
-the ODE integration and the g table of an ODE profile build no jets; the
-value types carry no per-instance dict."""
+the ODE integration builds no jets, and g of an ODE profile reads one
+profile jet per u and no quadrature; the value types carry no per-instance
+dict."""
 
 import math
 
@@ -149,21 +150,29 @@ def test_integrate_autonomous_builds_no_jets(jets_built):
     assert jets_built[0] == 0
 
 
-def test_g_table_of_an_ode_profile_builds_no_jets(jets_built, monkeypatch):
-    # an ODE profile reads g from its integrator: no quadrature, no table
+def test_g_table_of_an_ode_profile_builds_no_jets(monkeypatch):
+    # an ODE profile reads g from its integrator: no quadrature, no table,
+    # and its checks read f' from the record at u (and at u0 for the sign)
     def no_quadrature(*args, **kwargs):
         raise AssertionError("adaptive_simpson called")
 
+    profile_jets = []
+    original = profile_module.jet_eval
+
+    def counted(fn, t):
+        profile_jets.append(t)
+        return original(fn, t)
+
     monkeypatch.setattr(profile_module, "adaptive_simpson", no_quadrature)
+    monkeypatch.setattr(profile_module, "jet_eval", counted)
     y = y_function(CMC)
     p = profile_from_path(integrate_autonomous(y, 0.6, (0.0, 0.5)), y)
-    for u in (0.17, 0.3, p.domain[1]):
-        g_from_f(p, u)
+    queried = (0.17, 0.3, p.domain[1])
+    for _ in range(2):
+        for u in queried:
+            g_from_f(p, u)
     assert p._g_table == []
-    assert jets_built[0] == 0
-    # f' read on floats is the d1 of f's jet, bit for bit
-    for u in (0.0, 0.17, 0.5):
-        assert p.f_prime(u) == p.f_jet(u).d1
+    assert sorted(profile_jets) == [p.domain[0], *queried]
 
 
 def test_mesh_computes_g_once_per_row(tmp_path, monkeypatch):
@@ -174,7 +183,7 @@ def test_mesh_computes_g_once_per_row(tmp_path, monkeypatch):
         calls.append(u)
         return original(p, u)
 
-    for module in (profile_module, surface_module):   # wherever it is bound
+    for module in (profile_module, surface_module, cli):   # wherever it is bound
         if hasattr(module, "g_from_f"):
             monkeypatch.setattr(module, "g_from_f", counted)
     rc = cli.main(["mesh", "--spec", "direct f=sqrt(u+1) phi=1", "--u", "0:3",
