@@ -192,6 +192,8 @@ def _spec_dict(spec, phi_text):
 def build_surface(spec, phi_text, f0, u_range, v_range):
     """Realize the spec as a GeneratedSurface (direct specs get wrapped)."""
     if isinstance(spec, dict):
+        if f0 is not None:
+            raise SpecError("a direct spec takes no --f0")
         profile = ProfileCurve(compile_expression(spec["f"], "u"), u_range,
                                spec["g0"])
         directrix = Directrix(compile_expression(phi_text, "v"), v_range)

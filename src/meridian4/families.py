@@ -555,13 +555,13 @@ def generate(spec: FamilySpec, f0: Optional[float], u_range: tuple,
 
     For kappa-constrained variants the directrix curvature is verified to be
     the required constant (tolerance 1e-8 on a v-grid). Closed-form variants
-    ignore f0; their realized range ends exactly where f reaches 0 or |f'|
-    reaches FPRIME_FLOOR, computed from the closed form (the largest u <= u1
-    with f > 0 and |f'| >= FPRIME_FLOOR on all of [u0, u]). ODE variants are
-    integrated once; if the defining residual on 50 points of the realized
-    range exceeds RESIDUAL_TOL, ProfileInvariantError is raised, and their
-    range ends where y's domain would be left, f' would vanish or the
-    solution runs away. An early end is reported via `truncated`, not as a
+    take no f0 (SpecMismatchError if one is given); their realized range ends
+    exactly where f reaches 0 or |f'| reaches FPRIME_FLOOR, computed from the
+    closed form (the largest u <= u1 with f > 0 and |f'| >= FPRIME_FLOOR on
+    all of [u0, u]). ODE variants are integrated once; if the defining
+    residual on 50 points of the realized range exceeds RESIDUAL_TOL,
+    ProfileInvariantError is raised, and their range ends where y's domain
+    would be left, f' would vanish or the solution runs away. An early end is reported via `truncated`, not as a
     failure; a profile that fails at u0 itself raises ProfileInvariantError.
     """
     required_kappa = spec.kappa_constant
@@ -569,6 +569,9 @@ def generate(spec: FamilySpec, f0: Optional[float], u_range: tuple,
         _check_directrix_kappa(directrix, required_kappa)
 
     if isinstance(spec, (ConstantGauss, ParallelA)):
+        if f0 is not None:
+            raise SpecMismatchError(
+                f"{type(spec).__name__} is in closed form and takes no f0")
         profile, realized, truncated = _closed_form_profile(spec, u_range)
         return GeneratedSurface(MeridianSurface(profile, directrix), spec,
                                 "closed-form", realized, truncated)

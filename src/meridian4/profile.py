@@ -124,7 +124,8 @@ class DirectrixPoint:
 
 def profile_point(p: ProfileCurve, u: float) -> ProfilePoint:
     """The record at u, from one evaluation of the profile jet per profile;
-    raises ProfileInvariantError where f <= 0 or f' vanishes."""
+    raises ProfileInvariantError where f <= 0 or f' vanishes, and DomainError
+    where a field is not finite."""
     # a zero keys with its sign: 0.0 == -0.0, but their records can differ
     key = u if u else (u, math.copysign(1.0, u))
     r = p._points.get(key)
@@ -133,28 +134,44 @@ def profile_point(p: ProfileCurve, u: float) -> ProfilePoint:
         if not fj.f > 0.0:
             raise ProfileInvariantError(f"f({u}) = {fj.f} is not positive")
         fp = _require_fp(fj.d1, u)
-        r = p._points[key] = ProfilePoint(
-            u, fj.f, fp, fj.d2, fj.d3, -0.5 / fp, fj.d2 / fp, fj.f * fj.d2 + fp**2)
+        try:
+            fields = (u, fj.f, fp, fj.d2, fj.d3, -0.5 / fp, fj.d2 / fp,
+                      fj.f * fj.d2 + fp**2)
+        except OverflowError:
+            fields = None
+        r = p._points[key] = ProfilePoint(*_finite(fields, "the profile record at u", u))
     return r
 
 
 def directrix_point(d: Directrix, v: float) -> DirectrixPoint:
     """The record at v, from one evaluation of the directrix jet per
-    directrix; raises DegenerateDirectrixError where D < 1e-15."""
+    directrix; raises DegenerateDirectrixError where D < 1e-15, and
+    DomainError where a field is not finite."""
     key = v if v else (v, math.copysign(1.0, v))
     r = d._points.get(key)
     if r is None:
         pj = d.phi_jet(v)
-        num = pj.f * pj.d2 - 2.0 * pj.d1**2 - pj.f**2
-        D = pj.d1**2 + pj.f**2
-        if D < 1e-15:
-            raise DegenerateDirectrixError(f"phi'^2 + phi^2 = 0 at v = {v}")
-        num_dot = pj.f * pj.d3 - 3.0 * pj.d1 * pj.d2 - 2.0 * pj.f * pj.d1
-        D_dot = 2.0 * pj.d1 * pj.d2 + 2.0 * pj.f * pj.d1
-        r = d._points[key] = DirectrixPoint(
-            v, pj.f, pj.d1, pj.d2, num / D**1.5,
-            num_dot / D**1.5 - 1.5 * num * D_dot / D**2.5, D)
+        try:
+            num = pj.f * pj.d2 - 2.0 * pj.d1**2 - pj.f**2
+            D = pj.d1**2 + pj.f**2
+            if D < 1e-15:
+                raise DegenerateDirectrixError(f"phi'^2 + phi^2 = 0 at v = {v}")
+            num_dot = pj.f * pj.d3 - 3.0 * pj.d1 * pj.d2 - 2.0 * pj.f * pj.d1
+            D_dot = 2.0 * pj.d1 * pj.d2 + 2.0 * pj.f * pj.d1
+            fields = (v, pj.f, pj.d1, pj.d2, num / D**1.5,
+                      num_dot / D**1.5 - 1.5 * num * D_dot / D**2.5, D)
+        except OverflowError:
+            fields = None
+        r = d._points[key] = DirectrixPoint(*_finite(fields, "the directrix record at v", v))
     return r
+
+
+def _finite(fields, where, t):
+    """fields, a record's values, unless they overflowed (None) or one is not
+    finite: then DomainError."""
+    if fields is None or not all(map(math.isfinite, fields)):
+        raise DomainError(f"{where} = {t} is not finite", t=t)
+    return fields
 
 
 def sample_grid(domain: tuple, n: int) -> list:

@@ -295,6 +295,53 @@ def test_invariants_tol_must_be_finite_and_non_negative(tmp_path, capsys, tol):
     assert len(err) == 1 and err[0].startswith("error: --tol must be finite")
 
 
+DEEP = "expression nests deeper than 100 levels"
+
+
+@pytest.mark.parametrize("f, message", [
+    ("-" * 5000 + "(-u-2)", DEEP),
+    ("(" * 5000 + "u+2" + ")" * 5000, "invalid expression: too many nested parentheses"),
+    ("u+" * 5000 + "1", DEEP),
+    ("2^" * 5000 + "u", DEEP),
+    ("-" * 150 + "(-u-2)", DEEP)],
+    ids=["5000-minus", "5000-parens", "5000-sum", "5000-power", "150-minus"])
+def test_deeply_nested_expression_is_exit_1(tmp_path, capsys, f, message):
+    code = main(["invariants", "--spec", f"direct f={f} phi=1", "--u", "0:1",
+                 "--v", "0:1", "--grid", "2x2", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command, spec, u, v, where", [
+    ("mesh", "direct f=exp(u) phi=1e10", "690:700", "0:1",
+     "the profile record at u = 690.0"),
+    ("invariants", "direct f=exp(u) phi=1e10", "690:700", "0:1",
+     "the profile record at u = 690.0"),
+    ("invariants", "direct f=u+1 phi=exp(v)", "0:1", "360:361",
+     "the directrix record at v = 360.0"),
+    ("mesh", "direct f=u+1 phi=exp(v)", "0:1", "360:361",
+     "the directrix record at v = 360.0")])
+def test_overflowing_point_record_is_exit_1(tmp_path, capsys, command, spec,
+                                            u, v, where):
+    code = main([command, "--spec", spec, "--u", u, "--v", v, "--grid", "2x2",
+                 "--out", str(tmp_path / "x.out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {where} is not finite"]
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    ("family", "constant-gauss K=1 alpha=1 beta=0",
+     "ConstantGauss is in closed form and takes no f0"),
+    ("mesh", "parallel-a c=1 d=1", "ParallelA is in closed form and takes no f0"),
+    ("invariants", "direct f=u+1 phi=1", "a direct spec takes no --f0")])
+def test_f0_is_rejected_where_nothing_reads_it(tmp_path, capsys, command, spec,
+                                               message):
+    code = main([command, "--spec", spec, "--f0", "nan", "--u", "0.1:0.2:0.1",
+                 "--v", "0:1", "--out", str(tmp_path / "x.out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 # --- verify command -----------------------------------------------------------
 
 def test_verify_oracle_step_zero_is_exit_1(tmp_path, capsys):

@@ -286,6 +286,13 @@ def test_generate_raises_when_residual_exceeds_tolerance(monkeypatch):
                  (0.0, 1.5), UNIT_PHI)
 
 
+@pytest.mark.parametrize("spec", [ConstantGauss(K=1.0, alpha=1.0, beta=0.0),
+                                  ParallelA(c=1.0, d=1.0, a=0.0, sign=1)])
+def test_closed_form_specs_take_no_f0(spec):
+    with pytest.raises(SpecMismatchError, match="takes no f0"):
+        generate(spec, 1.0, (0.1, 0.5), UNIT_PHI)
+
+
 def test_generate_rejects_wrong_directrix_curvature():
     # b = -2 demands kappa = -2, but the unit directrix has kappa = -1.
     with pytest.raises(SpecMismatchError):

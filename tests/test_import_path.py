@@ -1,4 +1,6 @@
-"""The package never loads numpy: not on import, and not through a full verify."""
+"""The package never loads numpy: not on import, and not through a full verify.
+Importing it loads no module from outside the package beyond those that
+argparse, dataclasses, json and random load."""
 
 import os
 import subprocess
@@ -17,12 +19,29 @@ report = meridian4.verify_generated(gen, 4)
 print(report.passed, "numpy" in sys.modules)
 """
 
+EXTRA_MODULES = """
+import sys
+import argparse, dataclasses, json, random
+before = set(sys.modules)
+import meridian4, meridian4.cli
+print(sorted(m for m in set(sys.modules) - before
+             if m.partition(".")[0] != "meridian4"))
+"""
 
-def test_import_path_loads_no_numpy():
+
+def run(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
-                         capture_output=True, text=True).stdout.splitlines()
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.splitlines()
+
+
+def test_import_path_loads_no_numpy():
+    out = run(PROBE)
     assert out[0] == "False"         # import meridian4, meridian4.cli
     assert out[1] == "True False"    # verify_generated ran, without numpy
+
+
+def test_import_loads_nothing_beyond_the_standard_modules_it_needs():
+    assert run(EXTRA_MODULES) == ["[]"]

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from meridian4 import families, profile as profile_module
-from meridian4.errors import ProfileInvariantError, QuadratureLimitError
+from meridian4.errors import (DomainError, ProfileInvariantError,
+                              QuadratureLimitError)
 from meridian4.expressions import compile_expression
 from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                                 ParallelA, ParallelB, constant_kappa_directrix,
@@ -203,9 +204,24 @@ def test_g_quadrature_rejects_sign_change():
 
 
 def test_f_jet_checks_domain():
-    from meridian4.errors import DomainError
     with pytest.raises(DomainError):
         SQRT_PROFILE.f_jet(5.0)
+
+
+@pytest.mark.parametrize("u", [354.7, 690.0])
+def test_profile_record_that_is_not_finite_is_a_domain_error(u):
+    # f = e^u: at u = 354.7 f f'' + f'^2 rounds to inf, at 690 f'^2 overflows
+    p = ProfileCurve(compile_expression("exp(u)"), (0.0, 700.0))
+    with pytest.raises(DomainError, match=f"profile record at u = {u} is not finite"):
+        profile_point(p, u)
+    assert not p._points
+
+
+def test_directrix_record_that_overflows_is_a_domain_error():
+    d = Directrix(compile_expression("exp(v)", "v"), (0.0, 400.0))
+    with pytest.raises(DomainError, match="directrix record at v = 360.0 is not finite"):
+        directrix_point(d, 360.0)
+    assert not d._points
 
 
 # --- g of generated profiles, without quadrature ------------------------------
