@@ -27,7 +27,6 @@ import argparse
 import json
 import math
 import sys
-from operator import attrgetter
 
 from .errors import MeridianError, SpecMismatchError
 from .expressions import compile_expression
@@ -35,9 +34,9 @@ from .families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                        GeneratedSurface, ParallelA, ParallelB,
                        constant_kappa_directrix, generate)
 from .invariants import DEFAULT_ORACLE_STEP, eight_invariants
-from .profile import (Directrix, ProfileCurve, g_from_f, profile_point,
-                      sample_grid)
-from .surface import MeridianSurface, PointCase, embed, point_data
+from .profile import (Directrix, ProfileCurve, directrix_point, g_from_f,
+                      profile_point, sample_grid)
+from .surface import MeridianSurface, PointCase, combine, embed
 from .verification import verify_generated
 
 INVARIANT_COLUMNS = ["gamma1", "gamma2", "nu1", "nu2", "lambda", "mu",
@@ -172,9 +171,20 @@ def _grid_counts(args, u_step, v_step, u_range, v_range):
         if nu < 1 or nv < 1:
             raise SpecError("--grid counts must be >= 1")
         return nu, nv
-    nu = int(round((u_range[1] - u_range[0]) / u_step)) + 1 if u_step else 25
-    nv = int(round((v_range[1] - v_range[0]) / v_step)) + 1 if v_step else 25
-    return nu, nv
+    return (_sample_count(u_range, u_step, 25, "u"),
+            _sample_count(v_range, v_step, 25, "v"))
+
+
+def _sample_count(domain, step, default, what):
+    """The number of samples from domain[0] to domain[1] at step, or default
+    when no step is given."""
+    if step is None:
+        return default
+    n = (domain[1] - domain[0]) / step
+    if not math.isfinite(n):
+        raise SpecError(
+            f"--{what} step {step!r} gives a sample count that is not finite")
+    return int(round(n)) + 1
 
 
 def _spec_dict(spec, phi_text):
@@ -229,9 +239,8 @@ def cmd_family(args) -> int:
         v_range = (vv[0], vv[1])
     gen = build_surface(spec, phi_text, args.f0, (u0, u1), v_range)
     profile = gen.surface.profile
-    n = int(round((gen.u_range[1] - gen.u_range[0]) / ustep)) + 1 if ustep else 50
     rows = ["u,f,f_prime,f_double_prime,g"]
-    for u in sample_grid(gen.u_range, n):
+    for u in sample_grid(gen.u_range, _sample_count(gen.u_range, ustep, 50, "u")):
         p = profile_point(profile, u)
         rows.append(",".join(map(repr, (u, p.f, p.fp, p.fpp,
                                         g_from_f(profile, u)))))
@@ -252,21 +261,26 @@ def cmd_invariants(args) -> int:
         raise SpecError(f"--tol must be finite and >= 0, got {args.tol!r}")
     gen = build_surface(spec, phi_text, args.f0, (u0, u1), (v0, v1))
     s = gen.surface
-    nu, nv = _grid_counts(args, ustep, vstep, (u0, u1), (v0, v1))
-    us, vs = sample_grid(gen.u_range, nu), sample_grid(s.directrix.domain, nv)
-    cols = [(v, repr(v)) for v in vs]
-    cells = attrgetter(*(_record_attr(c) for c in INVARIANT_COLUMNS))
+    n_u, n_v = _grid_counts(args, ustep, vstep, (u0, u1), (v0, v1))
+    cols = [(directrix_point(s.directrix, v), repr(v))
+            for v in sample_grid(s.directrix.domain, n_v)]
     blank = "," * (len(INVARIANT_COLUMNS) - 1)
     rows = ["u,v," + ",".join(INVARIANT_COLUMNS) + ",case"]
-    for u in us:
+    for u in sample_grid(gen.u_range, n_u):
+        p = profile_point(s.profile, u)
         ru = repr(u)
-        for v, rv in cols:
-            d = point_data(s, u, v, args.tol)
+        # gamma1, gamma2 = -gamma1, K and varkappa = 0 depend on u alone
+        gammas, K = f"{p.gamma1!r},{-p.gamma1!r}", repr(p.K)
+        for c, rv in cols:
+            d = combine(p, c, args.tol)
             if d.case is PointCase.GENERAL:
-                vals = ",".join(map(repr, cells(eight_invariants(s, u, v, d))))
+                r = eight_invariants(s, u, c.v, d)
+                nu = repr(r.nu1)     # nu1 = nu2
+                rows.append(f"{ru},{rv},{gammas},{nu},{nu},{r.lam!r},{r.mu!r},"
+                            f"{r.beta1!r},{r.beta2!r},{K},{r.k!r},0.0,"
+                            f"{r.H_norm!r},{r.epsilon!r},general")
             else:
-                vals = blank
-            rows.append(f"{ru},{rv},{vals},{d.case.value}")
+                rows.append(f"{ru},{rv},{blank},{d.case.value}")
     _write(args.out, "\n".join(rows) + "\n")
     return _truncation_code(gen, v1)
 
@@ -303,14 +317,15 @@ def cmd_mesh(args) -> int:
     for f in wanted:
         if f not in MESH_FIELDS:
             raise SpecError(f"unknown mesh field {f!r}; choose from {MESH_FIELDS}")
-    vs = sample_grid(s.directrix.domain, nv)
+    cols = [directrix_point(s.directrix, v)
+            for v in sample_grid(s.directrix.domain, nv)]
     vertices = []
     fields = {f: [] for f in wanted}
     for u in sample_grid(gen.u_range, nu):
-        g = g_from_f(s.profile, u)
-        for v in vs:
-            d = point_data(s, u, v)
-            z = embed(s, u, v, d, g)
+        g, p = g_from_f(s.profile, u), profile_point(s.profile, u)
+        for c in cols:
+            d = combine(p, c)
+            z = embed(s, u, c.v, d, g)
             if args.projection == "drop-e4":
                 vertices.append([z.c1, z.c2, z.c3])
             else:
@@ -320,7 +335,7 @@ def cmd_mesh(args) -> int:
                 # the record is undefined (flat or marginally trapped points)
                 rec = None
                 if d.case is PointCase.GENERAL:
-                    rec = eight_invariants(s, u, v, d)
+                    rec = eight_invariants(s, u, c.v, d)
                 for f in wanted:
                     value = None if rec is None else getattr(rec, _record_attr(f))
                     fields[f].append(value)

@@ -8,8 +8,7 @@ raw embedding.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .minkowski import Vec4, minkowski_dot
@@ -34,12 +33,12 @@ _SQRT2 = math.sqrt(2.0)
 DEFAULT_ORACLE_STEP = 1e-4
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(NamedTuple):
     """The frame invariants (gamma1, gamma2, nu1, nu2, lam, mu, beta1, beta2)
     plus the derived quantities K, k, varkappa, the mean curvature data and
     the sign epsilon of <H,H>. ('lam' is the surface invariant usually written
-    lambda; renamed to dodge the keyword.)"""
+    lambda; renamed to dodge the keyword.) A named tuple: it unpacks, and it
+    equals the tuple of its fields."""
 
     gamma1: float
     gamma2: float
@@ -61,8 +60,7 @@ class InvariantRecord:
 def gauss_curvature(s: MeridianSurface, u: float) -> float:
     """K = -f''(u)/f(u); intrinsic, independent of v. Read from the profile
     record, so it raises ProfileInvariantError where f <= 0 or f' vanishes."""
-    p = profile_point(s.profile, u)
-    return -p.fpp / p.f
+    return profile_point(s.profile, u).K
 
 
 def _mean_curvature(d: PointData) -> tuple:
@@ -92,7 +90,6 @@ def _eight_invariants(d: PointData) -> InvariantRecord:
     absdisc = abs(d.disc)     # eps * disc
     root = math.sqrt(absdisc)
 
-    gamma1 = d.fp / (_SQRT2 * d.f)
     nu = root / (2.0 * d.f * d.fp)
     lam = eps * (d.kappa**2 * d.fp**2 + d.f**2 * d.fpp**2 - d.fp**4) \
         / (2.0 * d.f * d.fp * root)
@@ -105,16 +102,13 @@ def _eight_invariants(d: PointData) -> InvariantRecord:
     beta2 = d.fp**2 / (_SQRT2 * absdisc) * (d.kappa * q_du + cross)
 
     h1, h2, hnorm, _ = _mean_curvature(d)
+    # positional, in field order: keywords cost more than the fields' floats
     return InvariantRecord(
-        gamma1=gamma1, gamma2=-gamma1,
-        nu1=nu, nu2=nu, lam=lam, mu=mu,
-        beta1=beta1, beta2=beta2,
-        K=-d.fpp / d.f,
-        k=-(d.kappa_m**2) * d.kappa**2 / d.f**2,
-        varkappa=0.0,
-        H_n1=h1, H_n2=h2, H_norm=hnorm,
-        epsilon=eps,
-    )
+        d.gamma1, -d.gamma1,                 # gamma1, gamma2
+        nu, nu, lam, mu, beta1, beta2,
+        d.K, -(d.kappa_m**2) * d.kappa**2 / d.f**2,   # K, k
+        0.0,                                 # varkappa
+        h1, h2, hnorm, eps)                  # H_n1, H_n2, H_norm, epsilon
 
 
 def eight_invariants(s: MeridianSurface, u: float, v: float,

@@ -26,6 +26,7 @@ __all__ = [
 FPRIME_FLOOR = 1e-9  # |f'| below this counts as a normalization breakdown
 G_PANELS = 64        # equal panels of the profile domain in the g table
 G_TOL = 1e-10        # absolute error bound of g_from_f
+_SQRT2 = math.sqrt(2.0)
 
 
 def _require_fp(fp: float, u: float) -> float:
@@ -107,6 +108,8 @@ class ProfilePoint:
     gp: float
     kappa_m: float     # f''/f', the meridian curvature
     q: float           # f f'' + f'^2
+    gamma1: float      # f'/(sqrt2 f); gamma2 = -gamma1
+    K: float           # -f''/f, the Gauss curvature
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,10 +136,10 @@ def profile_point(p: ProfileCurve, u: float) -> ProfilePoint:
         fj = p.f_jet(u)
         if not fj.f > 0.0:
             raise ProfileInvariantError(f"f({u}) = {fj.f} is not positive")
-        fp = _require_fp(fj.d1, u)
+        fp, fpp = _require_fp(fj.d1, u), fj.d2
         try:
-            fields = (u, fj.f, fp, fj.d2, fj.d3, -0.5 / fp, fj.d2 / fp,
-                      fj.f * fj.d2 + fp**2)
+            fields = (u, fj.f, fp, fpp, fj.d3, -0.5 / fp, fpp / fp,
+                      fj.f * fpp + fp**2, fp / (_SQRT2 * fj.f), -fpp / fj.f)
         except OverflowError:
             fields = None
         r = p._points[key] = ProfilePoint(*_finite(fields, "the profile record at u", u))

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import FlatPointError, MarginallyTrappedError
+from .errors import DomainError, FlatPointError, MarginallyTrappedError
 from .minkowski import Vec4, from_lightlike
 from .profile import (Directrix, DirectrixPoint, ProfileCurve, ProfilePoint,
                       directrix_point, g_from_f, profile_point)
@@ -88,25 +88,38 @@ class PointData:
     kappa_m: float
     D: float           # phi'^2 + phi^2
     q: float           # f f'' + f'^2
+    gamma1: float      # f'/(sqrt2 f)
+    K: float           # -f''/f
     disc: float        # kappa^2 f'^2 - q^2  (sign of <H,H>)
     case: PointCase
 
 
 def combine(p: ProfilePoint, c: DirectrixPoint,
             tol: float = CLASSIFY_TOL) -> PointData:
-    """The record at (p.u, c.v), its case decided under tol."""
-    disc = c.kappa**2 * p.fp**2 - p.q**2
-    if abs(c.kappa) <= tol:
-        case = PointCase.HYPERPLANAR_FLAT
-    elif abs(p.kappa_m) <= tol:
-        case = PointCase.DEVELOPABLE_RULED_FLAT
-    elif abs(disc) <= tol * max(abs(c.kappa * p.fp), abs(p.q), tol)**2:
-        case = PointCase.MARGINALLY_TRAPPED
-    else:
-        case = PointCase.GENERAL
+    """The record at (p.u, c.v), its case decided under tol; DomainError
+    where disc or the bound that decides the case is not finite."""
+    try:
+        disc = c.kappa**2 * p.fp**2 - p.q**2
+        if abs(c.kappa) <= tol:
+            case = PointCase.HYPERPLANAR_FLAT
+        elif abs(p.kappa_m) <= tol:
+            case = PointCase.DEVELOPABLE_RULED_FLAT
+        else:
+            bound = tol * max(abs(c.kappa * p.fp), abs(p.q), tol)**2
+            if abs(disc) > bound:
+                case = PointCase.GENERAL
+            elif bound < math.inf:
+                case = PointCase.MARGINALLY_TRAPPED
+            else:
+                case = None
+    except OverflowError:
+        case = None
+    if case is None or not math.isfinite(disc):
+        raise DomainError(
+            f"the point record at (u, v) = ({p.u}, {c.v}) is not finite", t=p.u)
     return PointData(p.u, c.v, p.f, p.fp, p.fpp, p.fppp, p.gp,
                      c.phi, c.phid, c.phidd, c.kappa, c.kappa_dot, p.kappa_m,
-                     c.D, p.q, disc, case)
+                     c.D, p.q, p.gamma1, p.K, disc, case)
 
 
 def point_data(s: MeridianSurface, u: float, v: float,

@@ -11,7 +11,8 @@ from meridian4.cli import main, parse_family_spec, SpecError
 from meridian4.families import ConstantGauss, ParallelA
 from meridian4.invariants import eight_invariants
 from meridian4.minkowski import from_lightlike
-from meridian4.profile import Directrix, ProfileCurve, g_from_f, sample_grid
+from meridian4.profile import (Directrix, ProfileCurve, g_from_f, profile_point,
+                               sample_grid)
 from meridian4.surface import PointCase, point_data
 from meridian4.verification import CheckRecord, VerificationReport
 
@@ -329,6 +330,33 @@ def test_overflowing_point_record_is_exit_1(tmp_path, capsys, command, spec,
     assert capsys.readouterr().err.splitlines() == [f"error: {where} is not finite"]
 
 
+@pytest.mark.parametrize("command, message", [
+    ("invariants", "the point record at (u, v) = (300.0, 0.0) is not finite"),
+    ("mesh", "the point record at (u, v) = (300.0, 0.0) is not finite"),
+    # the sampler passes over points that raise, and finds none
+    ("verify", "could only find 0/9 general sample points")])
+def test_overflowing_discriminant_is_exit_1(tmp_path, capsys, command, message):
+    # the records of f = exp(u) are finite at u = 300, but (f f'' + f'^2)^2
+    # overflows
+    code = main([command, "--spec", "direct f=exp(u) phi=1", "--u", "300:354",
+                 "--v", "0:1", "--grid", "3x3", "--out", str(tmp_path / "x.out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command, spec, u, v, flag", [
+    ("family", "constant-gauss K=1 alpha=1 beta=0", "0.1:0.5:5e-324", "0:1", "u"),
+    ("invariants", "direct f=u+1 phi=1", "0:1:5e-324", "0:1", "u"),
+    ("mesh", "direct f=u+1 phi=1", "0:1", "0:1:5e-324", "v")])
+def test_step_without_a_finite_sample_count_is_exit_1(tmp_path, capsys, command,
+                                                      spec, u, v, flag):
+    code = main([command, "--spec", spec, "--u", u, "--v", v,
+                 "--out", str(tmp_path / "x.out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --{flag} step 5e-324 gives a sample count that is not finite"]
+
+
 @pytest.mark.parametrize("command, spec, message", [
     ("family", "constant-gauss K=1 alpha=1 beta=0",
      "ConstantGauss is in closed form and takes no f0"),
@@ -421,7 +449,8 @@ def test_one_point_data_per_grid_point(tmp_path, monkeypatch):
             jets[name] += 1
             return method(self, t)
         return counted
-    monkeypatch.setattr(surface, "combine", combine)
+    for module in (surface, cli):   # wherever it is bound
+        monkeypatch.setattr(module, "combine", combine)
     monkeypatch.setattr(cli, "build_surface", build)
     monkeypatch.setattr(ProfileCurve, "f_jet", counting("f", ProfileCurve.f_jet))
     monkeypatch.setattr(Directrix, "phi_jet", counting("phi", Directrix.phi_jet))
@@ -442,6 +471,9 @@ GRID_CASES = {
                     "0:0.5", "0:0.3", 4, 3),
     "mixed-epsilon": ("constant-gauss K=1 alpha=1 beta=0 phi=2+cos(v)", None,
                       "0.1:1.4", "0:6.28", 6, 7),
+    # rows at eps = +1 and eps = -1, and a flat column at v = pi
+    "u-only-cells": ("direct f=1+sin(u) phi=2+cos(v)", None, "0.1:1.4",
+                     "0:6.283185307179586", 6, 5),
     "1xN": ("parallel-a c=1 d=1 a=0 sign=+", None, "0:3", "0:6.28", 1, 5),
     "Nx1": ("parallel-a c=1 d=1 a=0 sign=+", None, "0:3", "0:6.28", 5, 1),
 }
@@ -475,6 +507,34 @@ def point_by_point(spec_text, f0, u, v, nu, nv):
                 fields[name].append(
                     getattr(rec, cli._record_attr(name)) if rec else None)
     return "\n".join(lines) + "\n", vertices, fields
+
+
+def test_u_only_cells_are_the_profile_records(tmp_path):
+    spec, f0, u, v, nu, nv = GRID_CASES["u-only-cells"]
+    out = tmp_path / "i.csv"
+    assert main(["invariants", "--spec", spec, "--u", u, "--v", v,
+                 "--grid", f"{nu}x{nv}", "--out", str(out)]) == 0
+    header, *lines = out.read_text().splitlines()
+    at = {name: i for i, name in enumerate(header.split(","))}
+    rows = {}
+    for line in lines:
+        cells = line.split(",")
+        rows.setdefault(cells[0], []).append(cells)
+    assert len(rows) == nu
+    general = [c for row in rows.values() for c in row if c[-1] == "general"]
+    assert {c[at["epsilon"]] for c in general} == {"1", "-1"}
+    assert {c[-1] for row in rows.values() for c in row} == {
+        "general", "hyperplanar-flat"}
+    u_range, v_range = (tuple(float(x) for x in r.split(":")) for r in (u, v))
+    profile = cli.build_surface(*parse_family_spec(spec), f0, u_range,
+                                v_range).surface.profile
+    for ru, row in rows.items():
+        p = profile_point(profile, float(ru))
+        want = [repr(p.gamma1), repr(-p.gamma1), repr(p.K), "0.0"]
+        for cells in row:
+            if cells[-1] == "general":
+                assert [cells[at[n]] for n in ("gamma1", "gamma2", "K",
+                                               "varkappa")] == want
 
 
 @pytest.mark.parametrize("case", sorted(GRID_CASES))

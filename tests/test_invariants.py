@@ -7,7 +7,8 @@ import pytest
 from meridian4.errors import (DomainError, FlatPointError,
                               MarginallyTrappedError, ProfileInvariantError)
 from meridian4.expressions import compile_expression
-from meridian4.invariants import (eight_invariants, gauss_curvature,
+from meridian4.invariants import (InvariantRecord, eight_invariants,
+                                  gauss_curvature,
                                   invariant_k, mean_curvature,
                                   oracle_invariants,
                                   oracle_mean_curvature_vector,
@@ -37,6 +38,16 @@ def test_reference_record():
     assert r.varkappa == 0.0
     assert r.H_norm == pytest.approx(0.5, abs=1e-12)
     assert r.epsilon == 1
+
+
+def test_record_is_an_immutable_named_tuple():
+    r = eight_invariants(SQRT_SURFACE, 0.5, 1.0)
+    assert len(InvariantRecord._fields) == 15
+    assert r == tuple(getattr(r, name) for name in InvariantRecord._fields)
+    gamma1, gamma2, *_, epsilon = r
+    assert (gamma1, gamma2, epsilon) == (r.gamma1, r.gamma2, r.epsilon)
+    with pytest.raises(AttributeError):
+        r.K = 0.0
 
 
 def test_gauss_curvature_closed_form():

@@ -5,16 +5,17 @@ from dataclasses import astuple
 
 import pytest
 
-from meridian4.errors import (FlatPointError, MarginallyTrappedError,
-                              ProfileInvariantError)
+from meridian4.errors import (DomainError, FlatPointError,
+                              MarginallyTrappedError, ProfileInvariantError)
 from meridian4.expressions import compile_expression
 from meridian4.jets import jcos, jsqrt, variable
 from meridian4.minkowski import Vec4, minkowski_dot
-from meridian4.profile import Directrix, ProfileCurve
+from meridian4.profile import (Directrix, DirectrixPoint, ProfileCurve,
+                               ProfilePoint)
 from meridian4.invariants import eight_invariants
 from meridian4.surface import (MeridianSurface, PointCase, classify_point,
-                               embed, normal_frame, normal_pair, point_data,
-                               tangent_frame)
+                               combine, embed, normal_frame, normal_pair,
+                               point_data, tangent_frame)
 
 UNIT_PHI = Directrix(compile_expression("1", "v"), (0.0, 2.0 * math.pi))
 SQRT_SURFACE = MeridianSurface(
@@ -133,6 +134,34 @@ def test_point_data_scalars():
     assert d.kappa_m == pytest.approx(-0.5)
     assert d.q == pytest.approx(0.0, abs=1e-15)
     assert d.disc == pytest.approx(0.25)
+
+
+def record_pair(kappa, fp, q):
+    """A profile record and a directrix record at (0.5, 1.0) with the given
+    kappa, f' and q and kappa_m = 100."""
+    p = ProfilePoint(u=0.5, f=1.0, fp=fp, fpp=100.0 * fp, fppp=0.0,
+                     gp=-0.5 / fp, kappa_m=100.0, q=q, gamma1=fp / math.sqrt(2.0),
+                     K=-100.0 * fp)
+    c = DirectrixPoint(v=1.0, phi=1.0, phid=0.0, phidd=0.0, kappa=kappa,
+                       kappa_dot=0.0, D=1.0)
+    return p, c
+
+
+@pytest.mark.parametrize("kappa, fp, q, tol", [
+    (1.0, 1.0, 1e200, 1e-9),      # q^2 overflows and raises
+    (1e154, 10.0, 1.0, 1e-9),     # kappa^2 f'^2 rounds to inf
+    (1e154, 1.0, 1.0, 10.0)],     # disc is finite, the case's bound is not
+    ids=["q-squared", "kappa-fp-squared", "bound"])
+def test_combine_raises_where_the_record_is_not_finite(kappa, fp, q, tol):
+    with pytest.raises(DomainError, match=r"^the point record at \(u, v\) = "
+                       r"\(0.5, 1.0\) is not finite$"):
+        combine(*record_pair(kappa, fp, q), tol)
+
+
+def test_combine_decides_a_flat_point_without_the_bound():
+    # |kappa| <= tol: the case needs no bound, even one that would overflow
+    d = combine(*record_pair(1e100, 1.0, 1.0), 1e200)
+    assert d.case is PointCase.HYPERPLANAR_FLAT
 
 
 @pytest.mark.parametrize("fn", [point_data, classify_point, tangent_frame,

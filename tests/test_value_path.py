@@ -9,7 +9,8 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from meridian4 import cli, profile as profile_module, surface as surface_module
+from meridian4 import (cli, invariants as invariants_module,
+                       profile as profile_module, surface as surface_module)
 from meridian4.errors import DomainError
 from meridian4.expressions import compile_expression
 from meridian4.families import (Chen, ConstantK, ConstantMean, ParallelB,
@@ -188,6 +189,26 @@ def test_mesh_computes_g_once_per_row(tmp_path, monkeypatch):
             monkeypatch.setattr(module, "g_from_f", counted)
     rc = cli.main(["mesh", "--spec", "direct f=sqrt(u+1) phi=1", "--u", "0:3",
                    "--v", "0:6", "--grid", "3x4", "--out", str(tmp_path / "m.json")])
+    assert rc == 0
+    assert calls == [0.0, 1.5, 3.0]
+
+
+@pytest.mark.parametrize("command", ["invariants", "mesh"])
+def test_grid_takes_one_profile_record_per_row(tmp_path, monkeypatch, command):
+    calls = []
+    original = profile_module.profile_point
+
+    def counted(p, u):
+        calls.append(u)
+        return original(p, u)
+
+    # the grid walk and everything it calls per point
+    for module in (cli, surface_module, invariants_module):
+        monkeypatch.setattr(module, "profile_point", counted)
+    fields = ["--fields", "K,lambda"] if command == "mesh" else []
+    rc = cli.main([command, "--spec", "direct f=sqrt(u+1) phi=1", "--u", "0:3",
+                   "--v", "0:6", "--grid", "3x4", *fields,
+                   "--out", str(tmp_path / "out")])
     assert rc == 0
     assert calls == [0.0, 1.5, 3.0]
 
