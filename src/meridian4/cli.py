@@ -192,8 +192,8 @@ def _spec_dict(spec, phi_text):
         d = dict(spec)
     else:
         d = {"family": type(spec).__name__}
-        for key, val in vars(spec).items():
-            d[key] = val
+        for key in spec.__slots__:
+            d[key] = getattr(spec, key)
     if phi_text:
         d["phi"] = phi_text
     return d

@@ -12,7 +12,6 @@ constant phi for b < 0, a circle in polar form for b > 0.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import jets
@@ -22,6 +21,7 @@ from .jets import Jet, jet_eval, jet_function_from_derivs
 from .odeint import DensePath, dormand_prince
 from .profile import (FPRIME_FLOOR, G_TOL, Directrix, ProfileCurve,
                       directrix_point, profile_point, sample_grid)
+from .records import Frozen, set_fields
 from .surface import MeridianSurface
 
 __all__ = [
@@ -49,101 +49,103 @@ def _require_sign(name, value):
         raise SpecMismatchError(f"{name} must be +1 or -1, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ConstantGauss:
-    """Surfaces with Gauss curvature K = const != 0; profile in closed form."""
-    K: float
-    alpha: float
-    beta: float
+class _Spec(Frozen):
+    """A spec equals only a spec of its own family with equal fields, and
+    equal specs hash alike."""
 
-    def __post_init__(self):
-        _require_nonzero("K", self.K)
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class ConstantGauss(_Spec):
+    """Surfaces with Gauss curvature K = const != 0; profile in closed form."""
+    __slots__ = ("K", "alpha", "beta")
+
+    def __init__(self, K: float, alpha: float, beta: float):
+        _require_nonzero("K", K)
+        set_fields(self, K, alpha, beta)
 
     kappa_constant = None
 
 
-@dataclass(frozen=True)
-class ConstantMean:
+class ConstantMean(_Spec):
     """Surfaces with ||H|| = a = const != 0; needs kappa = const = b."""
-    a: float
-    b: float
-    C: float
-    epsilon: int
-    branch: int
+    __slots__ = ("a", "b", "C", "epsilon", "branch")
 
-    def __post_init__(self):
-        _require_nonzero("a", self.a)
-        _require_nonzero("b", self.b)
-        _require_sign("epsilon", self.epsilon)
-        _require_sign("branch", self.branch)
+    def __init__(self, a: float, b: float, C: float, epsilon: int, branch: int):
+        _require_nonzero("a", a)
+        _require_nonzero("b", b)
+        _require_sign("epsilon", epsilon)
+        _require_sign("branch", branch)
+        set_fields(self, a, b, C, epsilon, branch)
 
     @property
     def kappa_constant(self):
         return self.b
 
 
-@dataclass(frozen=True)
-class ConstantK:
+class ConstantK(_Spec):
     """Surfaces with invariant k = const = -a^2; needs kappa = const = b."""
-    a: float
-    b: float
-    c: float
-    branch: int
+    __slots__ = ("a", "b", "c", "branch")
 
-    def __post_init__(self):
-        _require_nonzero("a", self.a)
-        _require_nonzero("b", self.b)
-        _require_sign("branch", self.branch)
+    def __init__(self, a: float, b: float, c: float, branch: int):
+        _require_nonzero("a", a)
+        _require_nonzero("b", b)
+        _require_sign("branch", branch)
+        set_fields(self, a, b, c, branch)
 
     @property
     def kappa_constant(self):
         return self.b
 
 
-@dataclass(frozen=True)
-class Chen:
+class Chen(_Spec):
     """Chen surfaces (invariant lambda = 0); needs kappa = const = b."""
-    b: float
-    c: float
-    exponent_branch: int
+    __slots__ = ("b", "c", "exponent_branch")
 
-    def __post_init__(self):
-        _require_nonzero("b", self.b)
-        _require_nonzero("c", self.c)
-        _require_sign("exponent_branch", self.exponent_branch)
+    def __init__(self, b: float, c: float, exponent_branch: int):
+        _require_nonzero("b", b)
+        _require_nonzero("c", c)
+        _require_sign("exponent_branch", exponent_branch)
+        set_fields(self, b, c, exponent_branch)
 
     @property
     def kappa_constant(self):
         return self.b
 
 
-@dataclass(frozen=True)
-class ParallelA:
+class ParallelA(_Spec):
     """Parallel normal bundle, case f f'' + f'^2 = 0: f = sqrt(c u + d),
     g = -(2/(3c^2))(c u + d)^(3/2) + a, all in closed form."""
-    c: float
-    d: float
-    a: float = 0.0
-    sign: int = 1
+    __slots__ = ("c", "d", "a", "sign")
 
-    def __post_init__(self):
-        _require_nonzero("c", self.c)
-        _require_sign("sign", self.sign)
+    def __init__(self, c: float, d: float, a: float = 0.0, sign: int = 1):
+        _require_nonzero("c", c)
+        _require_sign("sign", sign)
+        set_fields(self, c, d, a, sign)
 
     kappa_constant = None
 
 
-@dataclass(frozen=True)
-class ParallelB:
+class ParallelB(_Spec):
     """Parallel normal bundle, case (f f'' + f'^2)/f' = a = const != 0;
     needs kappa = const = b."""
-    a: float
-    c: float
-    b: float
+    __slots__ = ("a", "c", "b")
 
-    def __post_init__(self):
-        _require_nonzero("a", self.a)
-        _require_nonzero("b", self.b)
+    def __init__(self, a: float, c: float, b: float):
+        _require_nonzero("a", a)
+        _require_nonzero("b", b)
+        set_fields(self, a, c, b)
 
     @property
     def kappa_constant(self):
@@ -154,13 +156,16 @@ FamilySpec = Union[ConstantGauss, ConstantMean, ConstantK, Chen, ParallelA, Para
 _ODE_SPECS = (ConstantMean, ConstantK, Chen, ParallelB)
 
 
-@dataclass(frozen=True)
-class GeneratedSurface:
-    surface: MeridianSurface
-    spec: FamilySpec
-    f_source: str          # "closed-form" | "ode-integrated"
-    u_range: tuple         # realized range
-    truncated: bool
+class GeneratedSurface(Frozen):
+    """surface, its spec, f_source ("closed-form", "ode-integrated" or, for
+    a direct spec, "expression"), the realized u_range and whether it was
+    truncated."""
+
+    __slots__ = ("surface", "spec", "f_source", "u_range", "truncated")
+
+    def __init__(self, surface: MeridianSurface, spec: Optional[FamilySpec],
+                 f_source: str, u_range: tuple, truncated: bool):
+        set_fields(self, surface, spec, f_source, u_range, truncated)
 
 
 def _jlog_abs(x):

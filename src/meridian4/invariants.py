@@ -126,6 +126,10 @@ def eight_invariants(s: MeridianSurface, u: float, v: float,
 def _check_stencil(s: MeridianSurface, u: float, v: float, h: float):
     if not h > 0.0:
         raise DomainError(f"oracle step h = {h} is not positive")
+    # a step that moves no stencil point, or whose 1/(2h) overflows
+    if u + h == u or u - h == u or v + h == v or v - h == v \
+            or not math.isfinite(1.0 / (2.0 * h)):
+        raise DomainError(f"oracle step h = {h} is too small at ({u}, {v})")
     u0, u1 = s.profile.domain
     v0, v1 = s.directrix.domain
     if not (u0 <= u - 2 * h and u + 2 * h <= u1 and v0 <= v - 2 * h and v + 2 * h <= v1):

@@ -17,10 +17,10 @@ jet_eval(fn, t).f bit for bit (Griewank & Walther, Evaluating Derivatives,
 """
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError
+from .records import Record
 
 __all__ = [
     "Jet",
@@ -45,12 +45,14 @@ def value(x) -> float:
     return x.f if isinstance(x, Jet) else x
 
 
-@dataclass(slots=True)
-class Jet:
-    f: float
-    d1: float = 0.0
-    d2: float = 0.0
-    d3: float = 0.0
+class Jet(Record):
+    __slots__ = ("f", "d1", "d2", "d3")
+
+    def __init__(self, f: float, d1: float = 0.0, d2: float = 0.0, d3: float = 0.0):
+        self.f = f
+        self.d1 = d1
+        self.d2 = d2
+        self.d3 = d3
 
     def __add__(self, other):
         o = _as_jet(other)

@@ -4,6 +4,8 @@ coordinates in the pseudo-orthonormal (lightlike) basis."""
 import math
 from dataclasses import dataclass
 
+from .errors import DomainError
+
 __all__ = [
     "Vec4",
     "minkowski_dot",
@@ -17,21 +19,25 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Vec4:
     """Vector in R^4_1, stored in coordinates w.r.t. the orthonormal basis
     {e1, e2, e3, e4} (the only storage format; lightlike coordinates are a
-    conversion)."""
+    conversion). A component that is not finite raises DomainError."""
 
     c1: float
     c2: float
     c3: float
     c4: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.c1) and math.isfinite(self.c2)
-                and math.isfinite(self.c3) and math.isfinite(self.c4)):
-            raise ValueError(f"non-finite Vec4 components: {self}")
+    def __init__(self, c1: float, c2: float, c3: float, c4: float):
+        if not (math.isfinite(c1) and math.isfinite(c2)
+                and math.isfinite(c3) and math.isfinite(c4)):
+            raise DomainError(f"non-finite Vec4 components: ({c1}, {c2}, {c3}, {c4})")
+        self.c1 = c1
+        self.c2 = c2
+        self.c3 = c3
+        self.c4 = c4
 
     def __add__(self, other: "Vec4") -> "Vec4":
         return Vec4(self.c1 + other.c1, self.c2 + other.c2,

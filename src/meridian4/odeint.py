@@ -8,9 +8,9 @@ right-hand-side evaluation and does not steer the step size."""
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .errors import DomainError
+from .records import Frozen, set_fields
 
 __all__ = ["RTOL", "ATOL", "DensePath", "dormand_prince"]
 
@@ -53,8 +53,7 @@ def _extension(v, dv, h, k0, k6, w):
     return (v, dv, slope, dv - h * k6 - slope, h * w)
 
 
-@dataclass(frozen=True)
-class DensePath:
+class DensePath(Frozen):
     """Dense solution of an accepted Dormand-Prince step sequence.
 
     ts: node abscissae (strictly increasing); coef: per step the coefficients
@@ -66,11 +65,11 @@ class DensePath:
     error estimates of g over steps 0..i.
     """
 
-    ts: tuple
-    coef: tuple
-    gcoef: tuple
-    gerr: tuple
-    truncated: bool = False
+    __slots__ = ("ts", "coef", "gcoef", "gerr", "truncated")
+
+    def __init__(self, ts: tuple, coef: tuple, gcoef: tuple, gerr: tuple,
+                 truncated: bool = False):
+        set_fields(self, ts, coef, gcoef, gerr, truncated)
 
     @property
     def t0(self) -> float:

@@ -3,14 +3,13 @@ the directrix phi, and the point records each curve keeps: a profile record
 holds what depends on u alone, a directrix record what depends on v alone."""
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import (DegenerateDirectrixError, DomainError, ProfileInvariantError,
                      QuadratureLimitError)
 from .jets import Jet, jet_eval
 from .quadrature import adaptive_simpson
+from .records import Frozen, set_fields
 
 __all__ = [
     "ProfileCurve",
@@ -37,8 +36,7 @@ def _require_fp(fp: float, u: float) -> float:
     return fp
 
 
-@dataclass(frozen=True)
-class ProfileCurve:
+class ProfileCurve(Frozen):
     """Profile f with g derived from the normalization g'(u) = -1/(2 f'(u)).
 
     f is a jet-capable callable, and g follows from it: -2 f' g' = 1 fixes g
@@ -49,16 +47,13 @@ class ProfileCurve:
     g' = -1/(2 f') and equal g_origin at the left end.
     """
 
-    f: Callable[[Jet], Jet]
-    domain: tuple
-    g_origin: float = 0.0
-    g_eval: Optional[Callable[[float], float]] = None
-    # g table of the quadrature, filled by g_from_f: g at node 0, node 1, ...
-    _g_table: list = field(default_factory=list, init=False, repr=False,
-                           compare=False)
-    # records of profile_point, by u
-    _points: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    # _g_table: g of the quadrature at node 0, node 1, ..., filled by
+    # g_from_f; _points: records of profile_point, by u; _rise: _rising once read
+    __slots__ = ("f", "domain", "g_origin", "g_eval", "_g_table", "_points", "_rise")
+
+    def __init__(self, f: Callable[[Jet], Jet], domain: tuple, g_origin: float = 0.0,
+                 g_eval: Optional[Callable[[float], float]] = None):
+        set_fields(self, f, domain, g_origin, g_eval, [], {}, None)
 
     def _check(self, u: float):
         u0, u1 = self.domain
@@ -69,22 +64,21 @@ class ProfileCurve:
         self._check(u)
         return jet_eval(self.f, u)
 
-    @cached_property
+    @property
     def _rising(self) -> bool:
         """f'(u0) > 0: the sign f' must keep wherever g is read."""
-        u0 = self.domain[0]
-        return profile_point(self, u0).fp > 0
+        if self._rise is None:
+            object.__setattr__(self, "_rise", profile_point(self, self.domain[0]).fp > 0)
+        return self._rise
 
 
-@dataclass(frozen=True)
-class Directrix:
+class Directrix(Frozen):
     """Directrix phi on its v-interval; regular where phi_dot^2 + phi^2 != 0."""
 
-    phi: Callable[[Jet], Jet]
-    domain: tuple
-    # records of directrix_point, by v
-    _points: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    __slots__ = ("phi", "domain", "_points")   # _points: records of directrix_point, by v
+
+    def __init__(self, phi: Callable[[Jet], Jet], domain: tuple):
+        set_fields(self, phi, domain, {})
 
     def _check(self, v: float):
         v0, v1 = self.domain
@@ -96,33 +90,47 @@ class Directrix:
         return jet_eval(self.phi, v)
 
 
-@dataclass(frozen=True, slots=True)
-class ProfilePoint:
+class ProfilePoint(Frozen):
     """The scalars of a point record that depend on u alone."""
 
-    u: float
-    f: float
-    fp: float
-    fpp: float
-    fppp: float
-    gp: float
-    kappa_m: float     # f''/f', the meridian curvature
-    q: float           # f f'' + f'^2
-    gamma1: float      # f'/(sqrt2 f); gamma2 = -gamma1
-    K: float           # -f''/f, the Gauss curvature
+    __slots__ = ("u", "f", "fp", "fpp", "fppp", "gp",
+                 "kappa_m",   # f''/f', the meridian curvature
+                 "q",         # f f'' + f'^2
+                 "gamma1",    # f'/(sqrt2 f); gamma2 = -gamma1
+                 "K")         # -f''/f, the Gauss curvature
+
+    def __init__(self, u, f, fp, fpp, fppp, gp, kappa_m, q, gamma1, K):
+        # one call per field, not set_fields' loop: records are built per u
+        set_ = object.__setattr__
+        set_(self, "u", u)
+        set_(self, "f", f)
+        set_(self, "fp", fp)
+        set_(self, "fpp", fpp)
+        set_(self, "fppp", fppp)
+        set_(self, "gp", gp)
+        set_(self, "kappa_m", kappa_m)
+        set_(self, "q", q)
+        set_(self, "gamma1", gamma1)
+        set_(self, "K", K)
 
 
-@dataclass(frozen=True, slots=True)
-class DirectrixPoint:
+class DirectrixPoint(Frozen):
     """The scalars of a point record that depend on v alone."""
 
-    v: float
-    phi: float
-    phid: float
-    phidd: float
-    kappa: float       # (phi phi'' - 2 phi'^2 - phi^2) / D^(3/2)
-    kappa_dot: float   # d kappa / dv
-    D: float           # phi'^2 + phi^2
+    __slots__ = ("v", "phi", "phid", "phidd",
+                 "kappa",      # (phi phi'' - 2 phi'^2 - phi^2) / D^(3/2)
+                 "kappa_dot",  # d kappa / dv
+                 "D")          # phi'^2 + phi^2
+
+    def __init__(self, v, phi, phid, phidd, kappa, kappa_dot, D):
+        set_ = object.__setattr__
+        set_(self, "v", v)
+        set_(self, "phi", phi)
+        set_(self, "phid", phid)
+        set_(self, "phidd", phidd)
+        set_(self, "kappa", kappa)
+        set_(self, "kappa_dot", kappa_dot)
+        set_(self, "D", D)
 
 
 def profile_point(p: ProfileCurve, u: float) -> ProfilePoint:

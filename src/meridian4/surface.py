@@ -7,13 +7,13 @@ The surface is z(u,v) = f phi cos v e1 + f phi sin v e2
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, FlatPointError, MarginallyTrappedError
 from .minkowski import Vec4, from_lightlike
 from .profile import (Directrix, DirectrixPoint, ProfileCurve, ProfilePoint,
                       directrix_point, g_from_f, profile_point)
+from .records import Frozen, Record, set_fields
 
 __all__ = [
     "MeridianSurface",
@@ -41,57 +41,78 @@ class PointCase(enum.Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class MeridianSurface:
+class MeridianSurface(Frozen):
     """The surface over a profile and a directrix. Each curve keeps its own
     point records (profile_point, directrix_point), so a coordinate is
     evaluated once however many points and surfaces share it."""
 
-    profile: ProfileCurve
-    directrix: Directrix
+    __slots__ = ("profile", "directrix")
+
+    def __init__(self, profile: ProfileCurve, directrix: Directrix):
+        set_fields(self, profile, directrix)
 
 
-@dataclass(frozen=True)
-class TangentFrame:
-    X: Vec4
-    Y: Vec4
-    xdir: Vec4  # principal tangent (X+Y)/sqrt2
-    ydir: Vec4  # principal tangent (-X+Y)/sqrt2
+class TangentFrame(Frozen):
+    """X, Y and the principal tangents xdir = (X+Y)/sqrt2, ydir = (-X+Y)/sqrt2."""
+
+    __slots__ = ("X", "Y", "xdir", "ydir")
+
+    def __init__(self, X: Vec4, Y: Vec4, xdir: Vec4, ydir: Vec4):
+        # one call per field, not set_fields' loop: frames are built per point
+        set_ = object.__setattr__
+        set_(self, "X", X)
+        set_(self, "Y", Y)
+        set_(self, "xdir", xdir)
+        set_(self, "ydir", ydir)
 
 
-@dataclass(frozen=True)
-class NormalFrame:
-    n1: Vec4
-    n2: Vec4
-    b: Optional[Vec4]
-    l: Optional[Vec4]
-    epsilon: int  # sign of <H,H>; 0 when b, l undefined
+class NormalFrame(Frozen):
+    """n1, n2, the geometric pair b, l, and epsilon, the sign of <H,H>
+    (0 when b, l are undefined)."""
+
+    __slots__ = ("n1", "n2", "b", "l", "epsilon")
+
+    def __init__(self, n1: Vec4, n2: Vec4, b: Optional[Vec4], l: Optional[Vec4],
+                 epsilon: int):
+        set_ = object.__setattr__
+        set_(self, "n1", n1)
+        set_(self, "n2", n2)
+        set_(self, "b", b)
+        set_(self, "l", l)
+        set_(self, "epsilon", epsilon)
 
 
-@dataclass(slots=True)
-class PointData:
+class PointData(Record):
     """All scalars the frames and invariants need at one (u, v), and the
-    point's case under the tolerance it was combined with."""
+    point's case under the tolerance it was combined with: the fields of
+    the profile and directrix records, and disc = kappa^2 f'^2 - q^2, whose
+    sign is that of <H,H>."""
 
-    u: float
-    v: float
-    f: float
-    fp: float
-    fpp: float
-    fppp: float
-    gp: float
-    phi: float
-    phid: float
-    phidd: float
-    kappa: float
-    kappa_dot: float   # d kappa / dv
-    kappa_m: float
-    D: float           # phi'^2 + phi^2
-    q: float           # f f'' + f'^2
-    gamma1: float      # f'/(sqrt2 f)
-    K: float           # -f''/f
-    disc: float        # kappa^2 f'^2 - q^2  (sign of <H,H>)
-    case: PointCase
+    __slots__ = ("u", "v", "f", "fp", "fpp", "fppp", "gp", "phi", "phid", "phidd",
+                 "kappa", "kappa_dot", "kappa_m", "D", "q", "gamma1", "K", "disc",
+                 "case")
+
+    def __init__(self, u, v, f, fp, fpp, fppp, gp, phi, phid, phidd, kappa,
+                 kappa_dot, kappa_m, D, q, gamma1, K, disc, case):
+        self.u = u
+        self.v = v
+        self.f = f
+        self.fp = fp
+        self.fpp = fpp
+        self.fppp = fppp
+        self.gp = gp
+        self.phi = phi
+        self.phid = phid
+        self.phidd = phidd
+        self.kappa = kappa
+        self.kappa_dot = kappa_dot
+        self.kappa_m = kappa_m
+        self.D = D
+        self.q = q
+        self.gamma1 = gamma1
+        self.K = K
+        self.disc = disc
+        self.case = case
 
 
 def combine(p: ProfilePoint, c: DirectrixPoint,

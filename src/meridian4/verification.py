@@ -4,7 +4,6 @@ checks, aggregated into a report."""
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .errors import MeridianError
@@ -15,6 +14,7 @@ from .invariants import (DEFAULT_ORACLE_STEP, eight_invariants, gauss_curvature,
                          oracle_frame_derivatives, oracle_invariants)
 from .minkowski import Vec4, minkowski_dot
 from .profile import sample_grid
+from .records import Frozen, Record, set_fields
 from .surface import (MeridianSurface, PointCase, _normal_frame, _normal_pair,
                       _require_general, _tangent_frame, point_data)
 
@@ -38,14 +38,13 @@ IDENTITY_TOL = 1e-9    # exact identities and the frame Gram matrix
 ORACLE_TOL = 1e-6      # Richardson-extrapolated oracle against closed forms
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    grid: int
-    max_abs_error: float
-    tolerance: float
-    passed: bool
-    worst_location: Optional[tuple] = None
+class CheckRecord(Frozen):
+    __slots__ = ("name", "grid", "max_abs_error", "tolerance", "passed",
+                 "worst_location")
+
+    def __init__(self, name: str, grid: int, max_abs_error: float, tolerance: float,
+                 passed: bool, worst_location: Optional[tuple] = None):
+        set_fields(self, name, grid, max_abs_error, tolerance, passed, worst_location)
 
     def to_dict(self):
         return {
@@ -58,9 +57,11 @@ class CheckRecord:
         }
 
 
-@dataclass
-class VerificationReport:
-    checks: List[CheckRecord] = field(default_factory=list)
+class VerificationReport(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: Optional[List[CheckRecord]] = None):
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:
@@ -100,13 +101,16 @@ def sample_general_points(s: MeridianSurface, n: int, rng) -> list:
     v0, v1 = s.directrix.domain
     pts = []
     attempts = 0
+    skipped = None   # the first error passed over
     while len(pts) < n and attempts < 200 * n:
         attempts += 1
         u = rng.uniform(u0 + SAMPLE_MARGIN, u1 - SAMPLE_MARGIN)
         v = rng.uniform(v0 + SAMPLE_MARGIN, v1 - SAMPLE_MARGIN)
         try:
             d = point_data(s, u, v)
-        except MeridianError:
+        except MeridianError as exc:
+            if skipped is None:
+                skipped = exc
             continue
         if d.case is not PointCase.GENERAL:
             continue
@@ -115,8 +119,9 @@ def sample_general_points(s: MeridianSurface, n: int, rng) -> list:
             continue  # too close to marginally trapped for stable frames
         pts.append((u, v))
     if len(pts) < n:
+        why = f"; the first point passed over raised: {skipped}" if skipped else ""
         raise MeridianError(
-            f"could only find {len(pts)}/{n} general sample points")
+            f"could only find {len(pts)}/{n} general sample points{why}")
     return pts
 
 

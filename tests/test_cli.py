@@ -333,8 +333,11 @@ def test_overflowing_point_record_is_exit_1(tmp_path, capsys, command, spec,
 @pytest.mark.parametrize("command, message", [
     ("invariants", "the point record at (u, v) = (300.0, 0.0) is not finite"),
     ("mesh", "the point record at (u, v) = (300.0, 0.0) is not finite"),
-    # the sampler passes over points that raise, and finds none
-    ("verify", "could only find 0/9 general sample points")])
+    # the sampler passes over points that raise, finds none, and names the
+    # first error it passed over
+    ("verify", "could only find 0/9 general sample points; the first point "
+               "passed over raised: the point record at (u, v) = "
+               "(345.59533576383734, 0.7553748589108994) is not finite")])
 def test_overflowing_discriminant_is_exit_1(tmp_path, capsys, command, message):
     # the records of f = exp(u) are finite at u = 300, but (f f'' + f'^2)^2
     # overflows
@@ -378,6 +381,26 @@ def test_verify_oracle_step_zero_is_exit_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: oracle step h = 0.0 is not positive"]
+
+
+@pytest.mark.parametrize("h", ["1e-320", "1e-300"])
+def test_verify_oracle_step_too_small_is_exit_1(capsys, h):
+    # at 1e-320 the stencil's 1/(2h) overflows; at 1e-300 u + h == u
+    code = main(["verify", "--spec", "constant-gauss K=1 alpha=1 beta=0",
+                 "--u", "0.1:0.5", "--v", "0:1", "--grid", "2x2", "--oracle-step", h])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: oracle step h = {h} is too small at "
+        "(0.4343245220947688, 0.7553748589108994)"]
+
+
+def test_verify_names_no_cause_when_no_point_raised(capsys):
+    # every point is flat (f'' = 0): passed over, but none raised an error
+    code = main(["verify", "--spec", "direct f=1+0.5*u phi=1", "--u", "0:1",
+                 "--v", "0:1", "--grid", "3x3"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: could only find 0/9 general sample points"]
 
 
 def test_verify_passes_on_parallel_a(tmp_path, capsys):

@@ -160,6 +160,49 @@ def test_constant_k_profile_matches_closed_form():
             math.tanh(0.5 * u + math.atanh(0.5)), abs=1e-12)
 
 
+def test_chen_profile_matches_closed_form():
+    # branch +1: 2 f f' = c f^2 + b^2/c, linear in f^2, so
+    # f^2 = (f0^2 + b^2/c^2) e^(c u) - b^2/c^2 from u = 0
+    spec = Chen(b=1.0, c=1.0, exponent_branch=1)
+    gen = generate(spec, 1.5, (0.0, 1.5), constant_kappa_directrix(1.0, (0.0, 0.5)))
+    assert gen.u_range == (0.0, 1.5) and not gen.truncated
+    nodes = [float(u) for u in
+             integrate_autonomous(y_function(spec), 1.5, (0.0, 1.5)).ts]
+    for u in nodes + [1.5 * i / 199 for i in range(200)]:
+        assert gen.surface.profile.f_jet(u).f == pytest.approx(
+            math.sqrt((1.5**2 + 1.0) * math.exp(u) - 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec, u1", [
+    (ConstantMean(a=0.5, b=2.0, C=0.0, epsilon=1, branch=1), 1.0),  # truncates
+    (ConstantMean(a=0.5, b=2.0, C=0.3, epsilon=1, branch=-1), 0.5),
+    (ConstantMean(a=0.5, b=1.0, C=0.0, epsilon=-1, branch=1), 0.6)])
+def test_constant_mean_profile_matches_quadrature_of_one_over_y(spec, u1):
+    # f' = y(f) gives u - u0 = integral from f0 to f(u) of dt / y(t); y is
+    # written out again here in mpmath, apart from families.y_function
+    mpmath = pytest.importorskip("mpmath")
+    gen = generate(spec, 0.6, (0.0, u1),
+                   constant_kappa_directrix(spec.b, (0.0, 0.3)))
+    a, b, C, s = (mpmath.mpf(x) for x in (spec.a, spec.b, spec.C, spec.branch))
+
+    def y(t):
+        if spec.epsilon == 1:
+            root = mpmath.sqrt(b * b - 4 * a * a * t * t)
+            tail = mpmath.asin(2 * a * t / abs(b))
+        else:
+            root = mpmath.sqrt(b * b + 4 * a * a * t * t)
+            tail = mpmath.log(abs(2 * a * t + root))
+        return (C + s * t * root / 2 + s * b * b / (4 * a) * tail) / t
+
+    u0, end = gen.u_range
+    with mpmath.workdps(30):
+        for i in range(11):
+            u = u0 + (end - u0) * i / 10
+            f = gen.surface.profile.f_jet(u).f
+            assert float(mpmath.quad(lambda t: 1 / y(t), [0.6, f])) == \
+                pytest.approx(u - u0, abs=1e-12)
+
+
 def test_chen_family_lambda_vanishes():
     directrix = constant_kappa_directrix(1.0, (0.0, 0.5))
     gen = generate(Chen(b=1.0, c=1.0, exponent_branch=1), 1.5,

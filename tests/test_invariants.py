@@ -156,3 +156,16 @@ def test_oracle_step_must_be_positive(h):
                    oracle_second_fundamental):
         with pytest.raises(DomainError, match="is not positive"):
             oracle(SQRT_SURFACE, 1.0, 1.0, h)
+
+
+@pytest.mark.parametrize("u, v, h", [
+    (1.0, 1.0, 1e-300),    # u + h == u and v + h == v
+    (1.0, 0.0, 1e-300),    # u + h == u only
+    (0.0, 0.0, 1e-320)])   # each stencil point moves, but 1/(2h) overflows
+def test_oracle_step_must_resolve_the_stencil(u, v, h):
+    s = MeridianSurface(ProfileCurve(lambda t: 2.0 + t, (-1.0, 3.0)),
+                        Directrix(lambda t: 2.0 + jcos(t), (-1.0, 2.0)))
+    for oracle in (oracle_invariants, oracle_mean_curvature_vector,
+                   oracle_second_fundamental):
+        with pytest.raises(DomainError, match="is too small"):
+            oracle(s, u, v, h)

@@ -20,7 +20,8 @@ from meridian4.jets import (Jet, jarcsin, jcos, jcosh, jdiv, jet_eval,
                             jet_function_from_derivs, jexp, jlog, jpow,
                             jsec, jsin, jsinh, jsqrt, jtan)
 from meridian4.minkowski import Vec4
-from meridian4.profile import Directrix, ProfileCurve, g_from_f
+from meridian4.profile import (Directrix, ProfileCurve, directrix_point, g_from_f,
+                               profile_point)
 from meridian4.surface import MeridianSurface, point_data
 
 # the domain edges of the functions below, then plain floats
@@ -216,7 +217,8 @@ def test_grid_takes_one_profile_record_per_row(tmp_path, monkeypatch, command):
 def test_value_types_have_no_instance_dict():
     s = MeridianSurface(ProfileCurve(lambda u: jsqrt(u + 1.0), (0.0, 3.0)),
                         Directrix(lambda v: 2.0 + jcos(v), (0.0, 6.0)))
-    for obj in (Jet(1.0), Vec4(1.0, 0.0, 0.0, 0.0), point_data(s, 1.0, 2.0)):
+    for obj in (Jet(1.0), Vec4(1.0, 0.0, 0.0, 0.0), point_data(s, 1.0, 2.0),
+                profile_point(s.profile, 1.0), directrix_point(s.directrix, 2.0)):
         assert not hasattr(obj, "__dict__")
 
 
@@ -225,5 +227,5 @@ def test_value_types_have_no_instance_dict():
 def test_vec4_rejects_each_non_finite_component(bad, slot):
     parts = [1.0, 2.0, 3.0, 4.0]
     parts[slot] = bad
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Vec4(*parts)
