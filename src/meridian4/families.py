@@ -49,25 +49,7 @@ def _require_sign(name, value):
         raise SpecMismatchError(f"{name} must be +1 or -1, got {value!r}")
 
 
-class _Spec(Frozen):
-    """A spec equals only a spec of its own family with equal fields, and
-    equal specs hash alike."""
-
-    __slots__ = ()
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-
-class ConstantGauss(_Spec):
+class ConstantGauss(Frozen):
     """Surfaces with Gauss curvature K = const != 0; profile in closed form."""
     __slots__ = ("K", "alpha", "beta")
 
@@ -78,7 +60,7 @@ class ConstantGauss(_Spec):
     kappa_constant = None
 
 
-class ConstantMean(_Spec):
+class ConstantMean(Frozen):
     """Surfaces with ||H|| = a = const != 0; needs kappa = const = b."""
     __slots__ = ("a", "b", "C", "epsilon", "branch")
 
@@ -94,7 +76,7 @@ class ConstantMean(_Spec):
         return self.b
 
 
-class ConstantK(_Spec):
+class ConstantK(Frozen):
     """Surfaces with invariant k = const = -a^2; needs kappa = const = b."""
     __slots__ = ("a", "b", "c", "branch")
 
@@ -109,7 +91,7 @@ class ConstantK(_Spec):
         return self.b
 
 
-class Chen(_Spec):
+class Chen(Frozen):
     """Chen surfaces (invariant lambda = 0); needs kappa = const = b."""
     __slots__ = ("b", "c", "exponent_branch")
 
@@ -124,7 +106,7 @@ class Chen(_Spec):
         return self.b
 
 
-class ParallelA(_Spec):
+class ParallelA(Frozen):
     """Parallel normal bundle, case f f'' + f'^2 = 0: f = sqrt(c u + d),
     g = -(2/(3c^2))(c u + d)^(3/2) + a, all in closed form."""
     __slots__ = ("c", "d", "a", "sign")
@@ -137,7 +119,7 @@ class ParallelA(_Spec):
     kappa_constant = None
 
 
-class ParallelB(_Spec):
+class ParallelB(Frozen):
     """Parallel normal bundle, case (f f'' + f'^2)/f' = a = const != 0;
     needs kappa = const = b."""
     __slots__ = ("a", "c", "b")

@@ -100,18 +100,7 @@ class ProfilePoint(Frozen):
                  "K")         # -f''/f, the Gauss curvature
 
     def __init__(self, u, f, fp, fpp, fppp, gp, kappa_m, q, gamma1, K):
-        # one call per field, not set_fields' loop: records are built per u
-        set_ = object.__setattr__
-        set_(self, "u", u)
-        set_(self, "f", f)
-        set_(self, "fp", fp)
-        set_(self, "fpp", fpp)
-        set_(self, "fppp", fppp)
-        set_(self, "gp", gp)
-        set_(self, "kappa_m", kappa_m)
-        set_(self, "q", q)
-        set_(self, "gamma1", gamma1)
-        set_(self, "K", K)
+        set_fields(self, u, f, fp, fpp, fppp, gp, kappa_m, q, gamma1, K)
 
 
 class DirectrixPoint(Frozen):
@@ -123,14 +112,7 @@ class DirectrixPoint(Frozen):
                  "D")          # phi'^2 + phi^2
 
     def __init__(self, v, phi, phid, phidd, kappa, kappa_dot, D):
-        set_ = object.__setattr__
-        set_(self, "v", v)
-        set_(self, "phi", phi)
-        set_(self, "phid", phid)
-        set_(self, "phidd", phidd)
-        set_(self, "kappa", kappa)
-        set_(self, "kappa_dot", kappa_dot)
-        set_(self, "D", D)
+        set_fields(self, v, phi, phid, phidd, kappa, kappa_dot, D)
 
 
 def profile_point(p: ProfileCurve, u: float) -> ProfilePoint:

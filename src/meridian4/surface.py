@@ -58,12 +58,7 @@ class TangentFrame(Frozen):
     __slots__ = ("X", "Y", "xdir", "ydir")
 
     def __init__(self, X: Vec4, Y: Vec4, xdir: Vec4, ydir: Vec4):
-        # one call per field, not set_fields' loop: frames are built per point
-        set_ = object.__setattr__
-        set_(self, "X", X)
-        set_(self, "Y", Y)
-        set_(self, "xdir", xdir)
-        set_(self, "ydir", ydir)
+        set_fields(self, X, Y, xdir, ydir)
 
 
 class NormalFrame(Frozen):
@@ -74,12 +69,7 @@ class NormalFrame(Frozen):
 
     def __init__(self, n1: Vec4, n2: Vec4, b: Optional[Vec4], l: Optional[Vec4],
                  epsilon: int):
-        set_ = object.__setattr__
-        set_(self, "n1", n1)
-        set_(self, "n2", n2)
-        set_(self, "b", b)
-        set_(self, "l", l)
-        set_(self, "epsilon", epsilon)
+        set_fields(self, n1, n2, b, l, epsilon)
 
 
 class PointData(Record):

@@ -1,9 +1,12 @@
 """The record classes are written out, not generated by @dataclass, and keep
-the contracts the dataclasses had: immutability where they were frozen,
-spec equality by family and fields, field order, and no instance dict
-where a record is built per point."""
+the contracts the dataclasses had: equality by class and fields, a field
+hash, copy and pickle where they were frozen and no hash where they were
+not, immutability, field order, and no instance dict where a record is
+built per point."""
 
+import copy
 import importlib
+import pickle
 import pkgutil
 
 import pytest
@@ -14,11 +17,12 @@ from meridian4.cli import build_surface, parse_family_spec
 from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                                 ParallelA, ParallelB, integrate_autonomous,
                                 y_function)
-from meridian4.jets import Jet
+from meridian4.jets import Jet, jexp
 from meridian4.minkowski import Vec4
 from meridian4.profile import Directrix, ProfileCurve, directrix_point, profile_point
-from meridian4.surface import normal_frame, tangent_frame
-from meridian4.verification import CheckRecord
+from meridian4.surface import (NormalFrame, TangentFrame, combine, normal_frame,
+                               tangent_frame)
+from meridian4.verification import CheckRecord, VerificationReport
 
 SPECS = [ConstantGauss(K=1.0, alpha=1.0, beta=0.0),
          ConstantMean(a=0.5, b=2.0, C=0.0, epsilon=1, branch=1),
@@ -73,6 +77,48 @@ def test_spec_equals_only_its_own_family_with_equal_fields():
         assert twin == spec and hash(twin) == hash(spec)
     assert len(set(SPECS + [type(s)(*(getattr(s, n) for n in s.__slots__))
                             for s in SPECS])) == len(SPECS)
+
+
+def test_records_equal_by_class_and_fields():
+    assert Jet(1.0) == Jet(1.0) and Jet(1.0, 2.0) != Jet(1.0, 3.0)
+    assert Jet(1.0) != (1.0, 0.0, 0.0, 0.0) and Jet(1.0) != 1.0
+    p = ProfileCurve(jexp, (0.0, 1.0))
+    twin = ProfileCurve(jexp, (0.0, 1.0))
+    assert profile_point(p, 0.5) is not profile_point(twin, 0.5)
+    assert profile_point(p, 0.5) == profile_point(twin, 0.5)
+    assert profile_point(p, 0.5) != profile_point(p, 0.25)
+    d = Directrix(jexp, (0.0, 1.0))
+    c = directrix_point(d, 0.75)
+    assert combine(profile_point(p, 0.5), c) == combine(profile_point(twin, 0.5), c)
+    assert combine(profile_point(p, 0.5), c) != combine(profile_point(p, 0.25), c)
+    # a curve compares by its fields, not by the records it has cached
+    assert p == twin and hash(p) == hash(twin)
+    assert VerificationReport() == VerificationReport([])
+
+
+def test_mutable_records_are_unhashable():
+    p = profile_point(ProfileCurve(jexp, (0.0, 1.0)), 0.5)
+    c = directrix_point(Directrix(jexp, (0.0, 1.0)), 0.75)
+    for record in (Jet(1.0), combine(p, c), VerificationReport()):
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+@pytest.mark.parametrize("record", frozen_records(), ids=lambda r: type(r).__name__)
+def test_frozen_records_copy_as_equal_records(record):
+    for twin in (copy.copy(record), copy.deepcopy(record)):
+        assert type(twin) is type(record) and twin == record
+        if not isinstance(record, (TangentFrame, NormalFrame)):  # Vec4 has no hash
+            assert hash(twin) == hash(record)
+
+
+def test_frozen_records_pickle():
+    p = ProfileCurve(jexp, (0.0, 1.0))
+    d = Directrix(jexp, (0.0, 1.0))
+    path = integrate_autonomous(y_function(SPECS[3]), 1.5, (0.0, 0.5))
+    for record in (*SPECS, p, profile_point(p, 0.5), directrix_point(d, 0.75), path,
+                   CheckRecord("a", 1, 0.0, 1.0, True, (0.5, 0.5))):
+        assert pickle.loads(pickle.dumps(record)) == record
 
 
 @pytest.mark.parametrize("text, want", [
