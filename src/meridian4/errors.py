@@ -46,7 +46,8 @@ class SpecMismatchError(MeridianError):
 
 
 class QuadratureLimitError(MeridianError):
-    """g cannot be given to its tolerance: adaptive quadrature exceeded its
-    subdivision cap, g is not resolvable at a point next to a zero of f'
-    (one ulp of the abscissa moves g by more than the tolerance), or an ODE
-    profile's accumulated g error estimate exceeds the tolerance."""
+    """g cannot be given to its tolerance: g is not resolvable at a point
+    next to a zero of f' (one ulp of the abscissa moves g by more than the
+    tolerance), a Dormand-Prince path's accumulated g error estimate
+    exceeds the tolerance, or the quadrature pass of g stopped at the step
+    floor before reaching the query."""

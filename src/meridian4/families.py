@@ -15,8 +15,7 @@ import math
 from typing import Callable, Optional, Union
 
 from . import jets
-from .errors import (DomainError, ProfileInvariantError, QuadratureLimitError,
-                     SpecMismatchError)
+from .errors import DomainError, ProfileInvariantError, SpecMismatchError
 from .jets import Jet, jet_eval, jet_function_from_derivs
 from .odeint import DensePath, dormand_prince
 from .profile import (FPRIME_FLOOR, G_TOL, Directrix, ProfileCurve,
@@ -248,11 +247,7 @@ def profile_from_path(path: DensePath, y: Callable[[Jet], Jet],
         return (fval, yj.f, yj.d1 * yj.f, (yj.d2 * yj.f + yj.d1**2) * yj.f)
 
     def g_eval(u):
-        g, err = path.g_with_error(u)
-        if not err <= G_TOL:
-            raise QuadratureLimitError(
-                f"g error estimate {err} up to u = {u} exceeds {G_TOL}")
-        return g_origin + g
+        return g_origin + path.g(u, G_TOL)
 
     return ProfileCurve(jet_function_from_derivs(derivs),
                         (path.t0, path.t1), g_origin, g_eval)

@@ -1,18 +1,21 @@
 """Dormand-Prince 5(4) integration with embedded error control and the
-method's native 4th-order dense output, for the autonomous scalar profile
-equation f' = y(f) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
-Hairer, Norsett & Wanner, Solving ODEs I, sections II.4-II.6). The state is
-one float. The profile's second coordinate g, with g' = -1/(2 f'), rides
-along as a pure quadrature component on the stage slopes: it costs no extra
-right-hand-side evaluation and does not steer the step size."""
+method's native 4th-order dense output (Dormand & Prince, J. Comput. Appl.
+Math. 6, 1980; Hairer, Norsett & Wanner, Solving ODEs I, sections II.4-II.6).
+One stepper serves two problems. dormand_prince integrates the autonomous
+scalar profile equation f' = y(f); the profile's second coordinate g, with
+g' = -1/(2 f'), rides along as a pure quadrature component on the stage
+slopes: it costs no extra right-hand-side evaluation and does not steer the
+step size. quadrature_path integrates a quadrature g' = F(t), for a profile
+known only through f; there g is the stepped solution, so its own error
+estimate steers the step."""
 
 import math
 from bisect import bisect_right
 
-from .errors import DomainError
+from .errors import DomainError, MeridianError, QuadratureLimitError
 from .records import Frozen, set_fields
 
-__all__ = ["RTOL", "ATOL", "DensePath", "dormand_prince"]
+__all__ = ["RTOL", "ATOL", "DensePath", "dormand_prince", "quadrature_path"]
 
 RTOL = 1e-14          # per-step error bound: ATOL + RTOL |y|
 ATOL = 1e-14
@@ -30,6 +33,9 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+# Stage nodes: stage s + 1 sits at t + _C[s] h; only a right-hand side that
+# depends on t reads them.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 # 5th- minus 4th-order weights over the seven stages: the local error estimate.
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
       -1 / 40)
@@ -93,12 +99,15 @@ class DensePath(Frozen):
         r0, r1, r2, r3, r4 = self.coef[i]
         return r0 + s * (r1 + (1 - s) * (r2 + s * (r3 + (1 - s) * r4)))
 
-    def g_with_error(self, t: float) -> tuple:
-        """(g(t), the accumulated g error estimate of the steps up to the
-        one holding t)."""
+    def g(self, t: float, tol: float) -> float:
+        """g(t); QuadratureLimitError where the accumulated g error estimate
+        of the steps up to the one holding t exceeds tol."""
         i, s = self._locate(t)
+        if not self.gerr[i] <= tol:
+            raise QuadratureLimitError(
+                f"g error estimate {self.gerr[i]} up to u = {t} exceeds {tol}")
         r0, r1, r2, r3, r4 = self.gcoef[i]
-        return r0 + s * (r1 + (1 - s) * (r2 + s * (r3 + (1 - s) * r4))), self.gerr[i]
+        return r0 + s * (r1 + (1 - s) * (r2 + s * (r3 + (1 - s) * r4)))
 
 
 def dormand_prince(rhs, t0: float, t1: float, y0: float) -> DensePath:
@@ -114,28 +123,64 @@ def dormand_prince(rhs, t0: float, t1: float, y0: float) -> DensePath:
     step size, and a stage slope of 0 makes g and its error estimate infinite
     from there on.
     """
-    y = float(y0)
-    k = [rhs(y)] + [None] * 6
-    floor = _MIN_STEP * (t1 - t0)
-    h = _FIRST_STEP * (t1 - t0)
-    t = t0
-    g = g_err = 0.0
-    ts, coef, gcoef, gerr = [t0], [], [], []
-    truncated = rejected = False
+    ts, coef, _, gcoef, gerr, _ = _steps(lambda t, y: rhs(y), t0, t1, y0, 0.0)
+    if not coef:
+        raise DomainError("integration could not complete a single step from t0", t=t0)
+    return DensePath(ts, coef, gcoef, gerr, truncated=ts[-1] < t1)
+
+
+def quadrature_path(F, t0: float, t1: float, tol: float) -> tuple:
+    """Integrate g' = F(t) (floats), g(t0) = 0, from t0 to t1: the steps of
+    dormand_prince with y = g, so g's own error estimate steers them, and
+    each keeps it within max(tol h / (t1 - t0), ATOL + RTOL |g|). The first
+    bound sums to tol over the span; the second keeps the steps next to a
+    pole of F from shrinking with h.
+
+    Returns (path, stop): the DensePath of g (coef and gcoef alike; None if
+    no step was accepted), and None if it reaches t1, else the error that
+    ended it: the MeridianError the last attempt raised, or a
+    QuadratureLimitError naming the t where the step fell below the floor.
+    """
+    # the steps' ride-along component, -1/(2 g'), is not read
+    ts, coef, summed_err, _, _, failure = _steps(lambda t, y: F(t), t0, t1, 0.0, tol)
+    stop = None if ts[-1] == t1 else failure or QuadratureLimitError(
+        f"g's step fell below its floor, {_MIN_STEP} of the span, at t = {ts[-1]}")
+    return (DensePath(ts, coef, coef, summed_err, stop is not None) if coef else None), stop
+
+
+def _steps(rhs, t0, t1, y0, tol):
+    """The Dormand-Prince steps of y' = rhs(t, y) from t0 to t1, with
+    g' = -1/(2 y') riding along on the stage slopes; y's embedded error
+    estimate steers them. Returns (ts, coef, yerr, gcoef, gerr, failure):
+    the nodes, the continuous extensions and summed error estimates of y and
+    g over the steps, and the MeridianError, if any, that the last attempt
+    raised. The steps end before t1 where they would shrink below the floor.
+    """
+    span = t1 - t0
+    floor = _MIN_STEP * span
+    h = _FIRST_STEP * span
+    t, y = t0, float(y0)
+    y_err = g = g_err = 0.0
+    k = [rhs(t, y)] + [None] * 6
+    ts, coef, yerr, gcoef, gerr = [t0], [], [], [], []
+    rejected, failure = False, None
     while t < t1:
         last = h >= t1 - t
         if last:
             h = t1 - t
+        failure = None
         try:
             for s, a in enumerate(_A, 1):
                 y_new = y + h * _weighted(a, k)
-                k[s] = rhs(y_new)
-            err = (abs(h * _weighted(_E, k))
-                   / (ATOL + RTOL * max(abs(y), abs(y_new))))
-        except DomainError:
-            err = math.nan
+                k[s] = rhs(t + _C[s] * h, y_new)
+            step_err = abs(h * _weighted(_E, k))
+            err = step_err / max(tol * h / span, ATOL + RTOL * max(abs(y), abs(y_new)))
+        except MeridianError as e:
+            err, failure = math.nan, e
         if math.isfinite(err) and err <= 1.0:
             coef.append(_extension(y, y_new - y, h, k[0], k[6], _weighted(_D, k)))
+            y_err += step_err
+            yerr.append(y_err)
             q = [-0.5 / ki if ki else math.inf for ki in k]
             dg = h * _weighted(_A[-1], q)
             gcoef.append(_extension(g, dg, h, q[0], q[6], _weighted(_D, q)))
@@ -148,13 +193,9 @@ def dormand_prince(rhs, t0: float, t1: float, y0: float) -> DensePath:
             h *= min(1.0 if rejected else 5.0, 0.9 * max(err, 1e-10) ** -0.2)
             rejected = False
             continue
-        # a non-finite error means the stages left the domain or overflowed
+        # a non-finite error means the stages failed or overflowed
         h *= max(0.2, 0.9 * err ** -0.2) if math.isfinite(err) else 0.25
         rejected = True
         if h < floor:
-            truncated = True
             break
-    if not coef:
-        raise DomainError("integration could not complete a single step from t0", t=t0)
-    return DensePath(tuple(ts), tuple(coef), tuple(gcoef), tuple(gerr),
-                     truncated=truncated)
+    return tuple(ts), tuple(coef), tuple(yerr), tuple(gcoef), tuple(gerr), failure

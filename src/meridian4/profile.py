@@ -8,7 +8,7 @@ from typing import Callable, Optional
 from .errors import (DegenerateDirectrixError, DomainError, ProfileInvariantError,
                      QuadratureLimitError)
 from .jets import Jet, jet_eval
-from .quadrature import adaptive_simpson
+from .odeint import quadrature_path
 from .records import Frozen, set_fields
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
 ]
 
 FPRIME_FLOOR = 1e-9  # |f'| below this counts as a normalization breakdown
-G_PANELS = 64        # equal panels of the profile domain in the g table
 G_TOL = 1e-10        # absolute error bound of g_from_f
 _SQRT2 = math.sqrt(2.0)
 
@@ -42,18 +41,21 @@ class ProfileCurve(Frozen):
     f is a jet-capable callable, and g follows from it: -2 f' g' = 1 fixes g
     up to g_origin, its value at the left end of the domain. g_eval, when
     given, is g on floats as derived from f without quadrature (a family's
-    closed form, or the g an ODE profile's integrator carries along with f);
-    g_from_f reads it in place of its quadrature, so it must satisfy
-    g' = -1/(2 f') and equal g_origin at the left end.
+    closed form, or the g an ODE profile's integrator carries along with f),
+    so it must satisfy g' = -1/(2 f') and equal g_origin at the left end.
+    Without it, g_from_f integrates g itself (_quadrature_g).
     """
 
-    # _g_table: g of the quadrature at node 0, node 1, ..., filled by
-    # g_from_f; _points: records of profile_point, by u; _rise: _rising once read
-    __slots__ = ("f", "domain", "g_origin", "g_eval", "_g_table", "_points", "_rise")
+    # _g: how g_from_f reads g at u, _given_g or _quadrature_g (functions of
+    # the profile and u: a bound method here would keep the profile in a
+    # reference cycle); _pass: the (path, stop) of quadrature_path once run;
+    # _points: records of profile_point, by u; _rise: _rising once read
+    __slots__ = ("f", "domain", "g_origin", "g_eval", "_g", "_pass", "_points", "_rise")
 
     def __init__(self, f: Callable[[Jet], Jet], domain: tuple, g_origin: float = 0.0,
                  g_eval: Optional[Callable[[float], float]] = None):
-        set_fields(self, f, domain, g_origin, g_eval, [], {}, None)
+        set_fields(self, f, domain, g_origin, g_eval,
+                   _quadrature_g if g_eval is None else _given_g, None, {}, None)
 
     def _check(self, u: float):
         u0, u1 = self.domain
@@ -176,18 +178,12 @@ def sample_grid(domain: tuple, n: int) -> list:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def _g_node(p: ProfileCurve, j: int) -> float:
-    u0, u1 = p.domain
-    return u1 if j == G_PANELS else u0 + (u1 - u0) * j / G_PANELS
-
-
-def _checked_g_prime(p: ProfileCurve, fp: float, t: float, u: float) -> float:
-    """g'(t) = -1/(2 fp) for fp = f'(t), for the value of g at u, which
-    depends on t."""
+def _checked_g_prime(p: ProfileCurve, fp: float, t: float) -> float:
+    """g'(t) = -1/(2 fp) for fp = f'(t)."""
     fp = _require_fp(fp, t)
     if (fp > 0) != p._rising:
         raise ProfileInvariantError(
-            f"f' changes sign inside [{p.domain[0]}, {u}] (at t = {t})")
+            f"f' changes sign inside [{p.domain[0]}, {t}]")
     if 0.5 / abs(fp) * math.ulp(t) > G_TOL:
         # next to a zero of f' g diverges like log: one ulp of t moves it
         # by more than the tolerance, so no method can meet G_TOL there
@@ -196,44 +192,37 @@ def _checked_g_prime(p: ProfileCurve, fp: float, t: float, u: float) -> float:
     return -0.5 / fp
 
 
+def _given_g(p: ProfileCurve, u: float) -> float:
+    return p.g_eval(u)
+
+
+def _quadrature_g(p: ProfileCurve, u: float) -> float:
+    """g(u) from one Dormand-Prince pass of g' = -1/(2 f') over the whole
+    domain, run at the first call, whose integrand keeps the checks of
+    _checked_g_prime; past where the pass ended early, the error that ended
+    it."""
+    if p._pass is None:
+        object.__setattr__(p, "_pass", quadrature_path(
+            lambda t: _checked_g_prime(p, jet_eval(p.f, t).d1, t), *p.domain, G_TOL))
+    path, stop = p._pass
+    if stop is not None and (path is None or u > path.t1):
+        raise stop.with_traceback(None)
+    return p.g_origin + path.g(u, G_TOL)
+
+
 def g_from_f(p: ProfileCurve, u: float) -> float:
     """g(u) = g_origin + integral from the domain's left end of -1/(2 f'(t)) dt,
     to absolute error G_TOL.
 
-    A profile with g_eval returns g_eval(u), once the checks below pass at u.
-    Otherwise (an expression profile) g is integrated by adaptive Simpson:
-    the profile keeps g at the left ends of G_PANELS equal panels of its
-    domain, filled left to right only as far as queries reach, and a query
-    adds the integral from the left end of its own panel. Each panel
-    integral is one fixed computation and the nodes are summed in index
-    order, so g(u) does not depend on which points were queried before.
-
-    Raises ProfileInvariantError if f' vanishes or changes sign (from its
-    sign at u0), and QuadratureLimitError where one ulp of the abscissa
-    moves g by more than G_TOL (g is not resolvable next to a zero of f'):
-    both at u for g_eval, and over [u0, u] for the quadrature. An ODE
-    profile's g_eval also raises QuadratureLimitError where its summed error
-    estimate up to u exceeds G_TOL.
+    Checks at u, then reads the profile's g: g_eval, or the quadrature pass
+    of an expression profile. Raises ProfileInvariantError if f' vanishes at
+    u or has a sign other than at u0, and QuadratureLimitError where one ulp
+    of u moves g by more than G_TOL (g is not resolvable next to a zero of
+    f'); a g read from a Dormand-Prince path also raises where the path's
+    summed error estimate up to u exceeds G_TOL.
     """
     p._check(u)
-    u0, u1 = p.domain
-    if u == u0:
+    if u == p.domain[0]:
         return p.g_origin
-    if p.g_eval is not None:
-        _checked_g_prime(p, profile_point(p, u).fp, u, u)
-        return p.g_eval(u)
-    table = p._g_table
-    if not table:
-        table.append(p.g_origin)
-
-    def integrand(t):
-        # quadrature nodes read the jet's d1 and leave no records
-        return _checked_g_prime(p, jet_eval(p.f, t).d1, t, u)
-
-    # int() truncates toward zero: u in the domain slack left of u0 is in panel 0
-    k = min(int((u - u0) / (u1 - u0) * G_PANELS), G_PANELS - 1)
-    while len(table) < k + 1:
-        j = len(table) - 1
-        table.append(table[-1] + adaptive_simpson(
-            integrand, _g_node(p, j), _g_node(p, j + 1), tol=G_TOL / (2 * G_PANELS)))
-    return table[k] + adaptive_simpson(integrand, _g_node(p, k), u, tol=G_TOL / 2)
+    _checked_g_prime(p, profile_point(p, u).fp, u)
+    return p._g(p, u)

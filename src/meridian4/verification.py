@@ -96,11 +96,14 @@ def sample_general_points(s: MeridianSurface, n: int, rng) -> list:
     """Draw n interior points classified General with rng.uniform(lo, hi)
     (SAMPLE_MARGIN keeps a finite-difference stencil inside the domain, and
     a discriminant margin keeps the points away from marginally trapped
-    ones)."""
+    ones). Too few raise MeridianError naming how many points were passed
+    over for each reason, and the first error a point raised."""
     u0, u1 = s.profile.domain
     v0, v1 = s.directrix.domain
     pts = []
     attempts = 0
+    passed_over = {"flat": 0, "marginally trapped": 0,
+                   "inside the 1e-4 discriminant margin": 0, "raised": 0}
     skipped = None   # the first error passed over
     while len(pts) < n and attempts < 200 * n:
         attempts += 1
@@ -109,19 +112,24 @@ def sample_general_points(s: MeridianSurface, n: int, rng) -> list:
         try:
             d = point_data(s, u, v)
         except MeridianError as exc:
-            if skipped is None:
-                skipped = exc
+            passed_over["raised"] += 1
+            skipped = skipped or exc
             continue
         if d.case is not PointCase.GENERAL:
+            passed_over["marginally trapped" if d.case is PointCase.MARGINALLY_TRAPPED
+                        else "flat"] += 1
             continue
         scale = max(abs(d.kappa * d.fp), abs(d.q))
         if abs(d.disc) < 1e-4 * scale**2:
-            continue  # too close to marginally trapped for stable frames
+            # too close to marginally trapped for stable frames
+            passed_over["inside the 1e-4 discriminant margin"] += 1
+            continue
         pts.append((u, v))
     if len(pts) < n:
+        counts = ", ".join(f"{k} {reason}" for reason, k in passed_over.items())
         why = f"; the first point passed over raised: {skipped}" if skipped else ""
-        raise MeridianError(
-            f"could only find {len(pts)}/{n} general sample points{why}")
+        raise MeridianError(f"could only find {len(pts)}/{n} general sample points "
+                            f"of {attempts} drawn, passed over: {counts}{why}")
     return pts
 
 

@@ -11,8 +11,8 @@ from meridian4.cli import main, parse_family_spec, SpecError
 from meridian4.families import ConstantGauss, ParallelA
 from meridian4.invariants import eight_invariants
 from meridian4.minkowski import from_lightlike
-from meridian4.profile import (Directrix, ProfileCurve, g_from_f, profile_point,
-                               sample_grid)
+from meridian4.profile import (G_TOL, Directrix, ProfileCurve, g_from_f,
+                               profile_point, sample_grid)
 from meridian4.surface import PointCase, point_data
 from meridian4.verification import CheckRecord, VerificationReport
 
@@ -335,9 +335,11 @@ def test_overflowing_point_record_is_exit_1(tmp_path, capsys, command, spec,
     ("mesh", "the point record at (u, v) = (300.0, 0.0) is not finite"),
     # the sampler passes over points that raise, finds none, and names the
     # first error it passed over
-    ("verify", "could only find 0/9 general sample points; the first point "
-               "passed over raised: the point record at (u, v) = "
-               "(345.59533576383734, 0.7553748589108994) is not finite")])
+    ("verify", "could only find 0/9 general sample points of 1800 drawn, passed "
+               "over: 0 flat, 0 marginally trapped, 0 inside the 1e-4 discriminant "
+               "margin, 1800 raised; the first point passed over raised: the point "
+               "record at (u, v) = (345.59533576383734, 0.7553748589108994) is not "
+               "finite")])
 def test_overflowing_discriminant_is_exit_1(tmp_path, capsys, command, message):
     # the records of f = exp(u) are finite at u = 300, but (f f'' + f'^2)^2
     # overflows
@@ -373,6 +375,34 @@ def test_f0_is_rejected_where_nothing_reads_it(tmp_path, capsys, command, spec,
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("direct, family, u_range", [
+    ("direct f=cos(u) phi=2+cos(v)",
+     "constant-gauss K=1 alpha=1 beta=0 phi=2+cos(v)", "0.1:1.4"),
+    # g0 = parallel-a's g(0) = -2/3
+    (f"direct f=sqrt(u+1) phi=1 g0={-2.0 / 3.0!r}", "parallel-a c=1 d=1", "0:3")])
+def test_direct_spec_matches_the_family_it_spells_out(tmp_path, direct, family,
+                                                       u_range):
+    # one surface built two ways: the direct profile's g comes from its own
+    # Dormand-Prince pass, the family's from its closed form
+    rows, vertices = [], []
+    for i, spec in enumerate((direct, family)):
+        args = ["--spec", spec, "--u", u_range, "--v", "0:6", "--grid", "16x8"]
+        assert main(["invariants", *args, "--out", str(tmp_path / f"{i}.csv")]) == 0
+        assert main(["mesh", *args, "--out", str(tmp_path / f"{i}.json")]) == 0
+        rows.append((tmp_path / f"{i}.csv").read_text().splitlines())
+        vertices.append(json.loads((tmp_path / f"{i}.json").read_text())["vertices"])
+    assert rows[0][0] == rows[1][0] and len(rows[0]) == len(rows[1]) == 129
+    for line, twin in zip(rows[0][1:], rows[1][1:]):
+        *cells, case = line.split(",")
+        *twins, twin_case = twin.split(",")
+        assert case == twin_case
+        for a, b in zip(map(float, cells), map(float, twins)):
+            assert abs(a - b) <= 4 * math.ulp(max(abs(a), abs(b)))
+    assert len(vertices[0]) == len(vertices[1]) == 128
+    for p, q in zip(*vertices):
+        assert all(abs(a - b) <= G_TOL for a, b in zip(p, q))
+
+
 # --- verify command -----------------------------------------------------------
 
 def test_verify_oracle_step_zero_is_exit_1(tmp_path, capsys):
@@ -394,13 +424,15 @@ def test_verify_oracle_step_too_small_is_exit_1(capsys, h):
         "(0.4343245220947688, 0.7553748589108994)"]
 
 
-def test_verify_names_no_cause_when_no_point_raised(capsys):
+def test_verify_says_the_points_were_flat_when_none_raised(capsys):
     # every point is flat (f'' = 0): passed over, but none raised an error
     code = main(["verify", "--spec", "direct f=1+0.5*u phi=1", "--u", "0:1",
                  "--v", "0:1", "--grid", "3x3"])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: could only find 0/9 general sample points"]
+        "error: could only find 0/9 general sample points of 1800 drawn, passed "
+        "over: 1800 flat, 0 marginally trapped, 0 inside the 1e-4 discriminant "
+        "margin, 0 raised"]
 
 
 def test_verify_passes_on_parallel_a(tmp_path, capsys):

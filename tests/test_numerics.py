@@ -1,28 +1,83 @@
-"""Adaptive Simpson quadrature and Dormand-Prince 5(4) integration with
-dense output."""
+"""Dormand-Prince 5(4) integration with dense output: of the autonomous
+profile equation, and of a quadrature whose own error estimate steers it."""
 
 import math
+import time
 
 import pytest
 
-from meridian4.quadrature import adaptive_simpson
-from meridian4.errors import DomainError
-from meridian4.odeint import dormand_prince
+from meridian4 import cli, profile as profile_module
+from meridian4.errors import DomainError, QuadratureLimitError
+from meridian4.expressions import compile_expression
+from meridian4.jets import jcos
+from meridian4.odeint import dormand_prince, quadrature_path
+from meridian4.profile import ProfileCurve, g_from_f
 
 
+def quadrature(F, a, b):
+    path, stop = quadrature_path(F, a, b, 1e-10)
+    assert stop is None and path.t1 == b
+    return path.g(b, 1e-10)
+
+
+# the integrals of the adaptive-Simpson tests whose ids these keep, now
+# through quadrature_path, to the same tolerances
 def test_simpson_polynomial_is_near_exact():
-    assert adaptive_simpson(lambda x: x**2, 0.0, 1.0) == pytest.approx(
-        1.0 / 3.0, abs=1e-12)
+    assert quadrature(lambda x: x**2, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_simpson_sine():
-    assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(
-        2.0, abs=1e-10)
+    assert quadrature(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_simpson_decaying_exponential():
-    val = adaptive_simpson(lambda x: math.exp(-x), 0.0, 5.0)
+    val = quadrature(lambda x: math.exp(-x), 0.0, 5.0)
     assert val == pytest.approx(1.0 - math.exp(-5.0), abs=1e-10)
+
+
+def test_quadrature_stopped_by_the_step_floor_names_its_t():
+    # f' = -sin u vanishes at pi: g's steps shrink towards it until they
+    # reach the floor, 1e-6 of the span. A u past that end whose own checks
+    # pass (one ulp of u moves g by under 1e-10 there) gets the error that
+    # ended the pass.
+    p = ProfileCurve(lambda u: jcos(u) + 2.0, (0.1, 3.5))
+    g_from_f(p, 3.1)
+    path, stop = p._pass
+    u = math.pi - 3e-6
+    assert path.truncated and path.t1 < u
+    for _ in range(2):
+        with pytest.raises(QuadratureLimitError,
+                           match=f"below its floor, .* at t = {path.t1}$"):
+            g_from_f(p, u)
+
+
+@pytest.mark.parametrize("u1", [0.785391, 0.7853])
+def test_quadrature_next_to_an_f_prime_zero_returns_within_a_second(tmp_path, u1):
+    # f = cos u + sin u + 2: f' = cos u - sin u vanishes at pi/4, 7.2e-6 past
+    # 0.785391, where one ulp of u still moves g by only 6e-12
+    start = time.perf_counter()
+    code = cli.main(["mesh", "--spec", "direct f=cos(u)+sin(u)+2 phi=1",
+                     "--u", f"0:{u1}", "--v", "0:1", "--grid", "2x2",
+                     "--out", str(tmp_path / "p.json")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    mpmath = pytest.importorskip("mpmath")
+    p = ProfileCurve(compile_expression("cos(u)+sin(u)+2"), (0.0, u1))
+    with mpmath.workdps(30):
+        def G(t):
+            return mpmath.log(abs(mpmath.tan((mpmath.mpf(t) - mpmath.pi / 4) / 2)))
+        expected = (G(u1) - G(0.0)) / (2 * mpmath.sqrt(2))
+    assert g_from_f(p, u1) == pytest.approx(float(expected), abs=1e-10)
+
+
+def test_invariants_of_a_direct_spec_run_no_pass(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("quadrature_path called")
+
+    monkeypatch.setattr(profile_module, "quadrature_path", fail)
+    code = cli.main(["invariants", "--spec", "direct f=sqrt(u+1) phi=1", "--u", "0:3",
+                     "--v", "0:6", "--grid", "4x3", "--out", str(tmp_path / "i.csv")])
+    assert code == 0
 
 
 def test_rk4_exponential_growth():

@@ -153,10 +153,10 @@ def test_integrate_autonomous_builds_no_jets(jets_built):
 
 
 def test_g_table_of_an_ode_profile_builds_no_jets(monkeypatch):
-    # an ODE profile reads g from its integrator: no quadrature, no table,
-    # and its checks read f' from the record at u (and at u0 for the sign)
+    # an ODE profile reads g from its integrator: no quadrature pass, and
+    # its checks read f' from the record at u (and at u0 for the sign)
     def no_quadrature(*args, **kwargs):
-        raise AssertionError("adaptive_simpson called")
+        raise AssertionError("quadrature_path called")
 
     profile_jets = []
     original = profile_module.jet_eval
@@ -165,7 +165,7 @@ def test_g_table_of_an_ode_profile_builds_no_jets(monkeypatch):
         profile_jets.append(t)
         return original(fn, t)
 
-    monkeypatch.setattr(profile_module, "adaptive_simpson", no_quadrature)
+    monkeypatch.setattr(profile_module, "quadrature_path", no_quadrature)
     monkeypatch.setattr(profile_module, "jet_eval", counted)
     y = y_function(CMC)
     p = profile_from_path(integrate_autonomous(y, 0.6, (0.0, 0.5)), y)
@@ -173,7 +173,7 @@ def test_g_table_of_an_ode_profile_builds_no_jets(monkeypatch):
     for _ in range(2):
         for u in queried:
             g_from_f(p, u)
-    assert p._g_table == []
+    assert p._pass is None
     assert sorted(profile_jets) == [p.domain[0], *queried]
 
 
