@@ -112,39 +112,40 @@ def _phi(kv):
     return kv.pop("phi", None) or "1"
 
 
+# name -> (spec class, its parameters in the order of its __init__): each
+# parameter is (key, reader) or (key, reader, default)
+_FAMILIES = {
+    "constant-gauss": (ConstantGauss, (("K", _real), ("alpha", _real), ("beta", _real))),
+    "constant-mean": (ConstantMean, (("a", _real), ("b", _real), ("C", _real, 0.0),
+                                     ("eps", _sign), ("branch", _sign))),
+    "constant-k": (ConstantK, (("a", _real), ("b", _real), ("c", _real, 0.0),
+                               ("branch", _sign))),
+    "chen": (Chen, (("b", _real), ("c", _real), ("branch", _sign))),
+    "parallel-a": (ParallelA, (("c", _real), ("d", _real), ("a", _real, 0.0),
+                               ("sign", _sign, 1))),
+    "parallel-b": (ParallelB, (("a", _real), ("c", _real, 0.0), ("b", _real))),
+}
+
+
 def _family_spec(name, kv):
-    """(spec, phi) of family `name`, taking its parameters out of kv. The
-    four families whose directrix has constant curvature b take no phi, and
-    their phi is None."""
-    if name == "constant-gauss":
-        return ConstantGauss(K=_real(kv, "K"), alpha=_real(kv, "alpha"),
-                             beta=_real(kv, "beta")), _phi(kv)
-    if name == "constant-mean":
-        return ConstantMean(a=_real(kv, "a"), b=_real(kv, "b"),
-                            C=_real(kv, "C", 0.0), epsilon=_sign(kv, "eps"),
-                            branch=_sign(kv, "branch")), None
-    if name == "constant-k":
-        return ConstantK(a=_real(kv, "a"), b=_real(kv, "b"),
-                         c=_real(kv, "c", 0.0), branch=_sign(kv, "branch")), None
-    if name == "chen":
-        return Chen(b=_real(kv, "b"), c=_real(kv, "c"),
-                    exponent_branch=_sign(kv, "branch")), None
-    if name == "parallel-a":
-        return ParallelA(c=_real(kv, "c"), d=_real(kv, "d"),
-                         a=_real(kv, "a", 0.0),
-                         sign=_sign(kv, "sign", 1)), _phi(kv)
-    if name == "parallel-b":
-        return ParallelB(a=_real(kv, "a"), c=_real(kv, "c", 0.0),
-                         b=_real(kv, "b")), None
+    """(spec, phi) of family `name`, taking its parameters out of kv. A
+    family whose directrix has constant curvature b takes no phi, and its phi
+    is None."""
     if name == "direct":
         if "f" not in kv:
             raise SpecError("direct spec needs f=<expr>")
         return {"kind": "direct", "f": kv.pop("f"),
                 "g0": _real(kv, "g0", 0.0)}, _phi(kv)
-    raise SpecError(f"unknown family {name!r}")
+    if name not in _FAMILIES:
+        raise SpecError(f"unknown family {name!r}")
+    cls, params = _FAMILIES[name]
+    spec = cls(*(read(kv, key, *default) for key, read, *default in params))
+    return spec, (_phi(kv) if spec.kappa_constant is None else None)
 
 
-def _parse_range(text, what):
+def _parse_range(text, what, unread=None):
+    """(start, end, step or None) of --what; a step is refused where the
+    reason `unread` says nothing reads it."""
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise SpecError(f"--{what} must be start:end[:step], got {text!r}")
@@ -159,6 +160,8 @@ def _parse_range(text, what):
     step = vals[2] if len(parts) == 3 else None
     if step is not None and step <= 0:
         raise SpecError(f"--{what} step must be positive: {text!r}")
+    if step is not None and unread:
+        raise SpecError(f"--{what} step {step!r} is not read {unread}")
     return vals[0], vals[1], step
 
 
@@ -235,8 +238,8 @@ def cmd_family(args) -> int:
     u0, u1, ustep = _parse_range(args.u, "u")
     v_range = (0.0, 2.0 * math.pi)
     if args.v:
-        vv = _parse_range(args.v, "v")
-        v_range = (vv[0], vv[1])
+        v0, v1, _ = _parse_range(args.v, "v", "by family")
+        v_range = (v0, v1)
     gen = build_surface(spec, phi_text, args.f0, (u0, u1), v_range)
     profile = gen.surface.profile
     rows = ["u,f,f_prime,f_double_prime,g"]
@@ -255,8 +258,8 @@ def cmd_family(args) -> int:
 
 def cmd_invariants(args) -> int:
     spec, phi_text = parse_family_spec(args.spec)
-    u0, u1, ustep = _parse_range(args.u, "u")
-    v0, v1, vstep = _parse_range(args.v, "v")
+    u0, u1, ustep = _parse_range(args.u, "u", args.grid and "with --grid")
+    v0, v1, vstep = _parse_range(args.v, "v", args.grid and "with --grid")
     if not 0.0 <= args.tol < math.inf:
         raise SpecError(f"--tol must be finite and >= 0, got {args.tol!r}")
     gen = build_surface(spec, phi_text, args.f0, (u0, u1), (v0, v1))
@@ -287,8 +290,9 @@ def cmd_invariants(args) -> int:
 
 def cmd_verify(args) -> int:
     spec, phi_text = parse_family_spec(args.spec)
-    u0, u1, ustep = _parse_range(args.u, "u")
-    v0, v1, vstep = _parse_range(args.v, "v")
+    unread = "by verify, which samples --grid points or 50"
+    u0, u1, ustep = _parse_range(args.u, "u", unread)
+    v0, v1, vstep = _parse_range(args.v, "v", unread)
     gen = build_surface(spec, phi_text, args.f0, (u0, u1), (v0, v1))
     n_pts = 50
     if args.grid:
@@ -308,8 +312,8 @@ def cmd_verify(args) -> int:
 
 def cmd_mesh(args) -> int:
     spec, phi_text = parse_family_spec(args.spec)
-    u0, u1, ustep = _parse_range(args.u, "u")
-    v0, v1, vstep = _parse_range(args.v, "v")
+    u0, u1, ustep = _parse_range(args.u, "u", args.grid and "with --grid")
+    v0, v1, vstep = _parse_range(args.v, "v", args.grid and "with --grid")
     gen = build_surface(spec, phi_text, args.f0, (u0, u1), (v0, v1))
     s = gen.surface
     nu, nv = _grid_counts(args, ustep, vstep, (u0, u1), (v0, v1))

@@ -2,17 +2,20 @@
 parabolic type: constant Gauss curvature, constant mean curvature, constant
 invariant k, Chen surfaces, and parallel normal bundle.
 
-Closed-form profiles are used where the classification gives one (constant
-Gauss, parallel case a); the rest integrate the autonomous profile equation
-f' = y(f) once with the error-controlled Dormand-Prince 5(4) pair and its
-dense output. A profile whose defining residual still exceeds RESIDUAL_TOL
-raises ProfileInvariantError rather than being returned. The directrix of
-constant curvature kappa = b that four families need is in closed form: a
-constant phi for b < 0, a circle in polar form for b > 0.
+Each family is one spec class, which holds all that depends on the family:
+its profile, its defining relation, the invariants it keeps constant and the
+curvature its directrix needs. Closed-form profiles are used where the
+classification gives one (constant Gauss, parallel case a); the rest
+integrate the autonomous profile equation f' = y(f) once with the
+error-controlled Dormand-Prince 5(4) pair and its dense output. A profile
+whose defining residual still exceeds RESIDUAL_TOL raises
+ProfileInvariantError rather than being returned. The directrix of constant
+curvature kappa = b that four families need is in closed form: a constant
+phi for b < 0, a circle in polar form for b > 0.
 """
 
 import math
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from . import jets
 from .errors import DomainError, ProfileInvariantError, SpecMismatchError
@@ -26,7 +29,7 @@ from .surface import MeridianSurface
 __all__ = [
     "ConstantGauss", "ConstantMean", "ConstantK", "Chen",
     "ParallelA", "ParallelB", "FamilySpec", "GeneratedSurface",
-    "y_function", "integrate_autonomous",
+    "integrate_autonomous",
     "constant_kappa_directrix", "generate", "defining_residual",
 ]
 
@@ -48,7 +51,81 @@ def _require_sign(name, value):
         raise SpecMismatchError(f"{name} must be +1 or -1, got {value!r}")
 
 
-class ConstantGauss(Frozen):
+def _relative(lhs: float, rhs: float, *scale: float) -> float:
+    """|lhs - rhs| relative to the largest of |lhs|, |rhs|, scale and 1e-30."""
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), *scale, 1e-30)
+
+
+def _first_after(u0: float, us) -> float:
+    """The least of us above u0, or inf."""
+    return min((u for u in us if u > u0), default=math.inf)
+
+
+class FamilySpec(Frozen):
+    """A member of one of the five classified families. Its class holds all
+    that depends on the family:
+
+    - kappa_constant: the constant curvature b its directrix must have, or
+      None where any directrix will do;
+    - realize(f0, u_range): (profile, realized range, truncated), built as
+      f_source says;
+    - residual(p): the relative residual of the family's defining relation
+      at the ProfilePoint p;
+    - targets: (label, InvariantRecord field, value) for each invariant the
+      family keeps constant.
+    """
+
+    __slots__ = ()
+
+
+class _ClosedForm(FamilySpec):
+    """A family with its profile in closed form: f() is the jet-capable f,
+    g(u0) the pair (g(u0), g on floats) and crossing(u0) the first u > u0
+    where f = 0 or |f'| = FPRIME_FLOOR (inf if none), for a profile that is
+    admissible at u0. It takes any directrix and no f0."""
+
+    __slots__ = ()
+    kappa_constant = None
+    f_source = "closed-form"
+
+    def realize(self, f0: Optional[float], u_range: tuple):
+        if f0 is not None:
+            raise SpecMismatchError(
+                f"{type(self).__name__} is in closed form and takes no f0")
+        f = self.f()
+        realized, truncated = _closed_form_end(self, f, u_range)
+        g_origin, g = self.g(realized[0])
+        return ProfileCurve(f, realized, g_origin, g_eval=g), realized, truncated
+
+
+class _Autonomous(FamilySpec):
+    """A family whose profile solves f' = y(f) from f0 > 0, over a directrix
+    of constant curvature kappa = b: y() is the jet-capable y, which on a
+    float gives the float y(t)."""
+
+    __slots__ = ()
+    f_source = "ode-integrated"
+
+    @property
+    def kappa_constant(self):
+        return self.b
+
+    def realize(self, f0: Optional[float], u_range: tuple):
+        if f0 is None or f0 <= 0:
+            raise SpecMismatchError("ODE variants need a starting value f0 > 0")
+        y = self.y()
+        path = integrate_autonomous(y, f0, u_range)
+        profile = profile_from_path(path, y)
+        realized = (path.t0, path.t1)
+        worst, where = max((defining_residual(self, profile, u), u)
+                           for u in sample_grid(realized, PROFILE_SAMPLES))
+        if worst > RESIDUAL_TOL:
+            raise ProfileInvariantError(
+                f"defining residual {worst:.3e} at u = {where} exceeds {RESIDUAL_TOL}")
+        return profile, realized, path.truncated
+
+
+class ConstantGauss(_ClosedForm):
     """Surfaces with Gauss curvature K = const != 0; profile in closed form."""
     __slots__ = ("K", "alpha", "beta")
 
@@ -56,10 +133,116 @@ class ConstantGauss(Frozen):
         _require_nonzero("K", K)
         set_fields(self, K, alpha, beta)
 
-    kappa_constant = None
+    def _form(self) -> tuple:
+        """The parametrisation that the closed forms share: (r, A, delta) with
+        f = A cos(r u - delta) when K > 0, and (r, P, Q) with
+        f = alpha cosh(r u) + beta sinh(r u) = P e^(r u) + Q e^(-r u) when K < 0."""
+        al, be = self.alpha, self.beta
+        if self.K > 0:
+            return math.sqrt(self.K), math.hypot(al, be), math.atan2(be, al)
+        return math.sqrt(-self.K), 0.5 * (al + be), 0.5 * (al - be)
+
+    def f(self):
+        if self.K > 0:
+            r, al, be = self._form()[0], self.alpha, self.beta
+
+            def f(x):
+                return al * jets.jcos(r * x) + be * jets.jsin(r * x)
+        else:
+            # alpha cosh + beta sinh without the cancellation of cosh - sinh
+            r, P, Q = self._form()
+
+            def f(x):
+                return P * jets.jexp(r * x) + Q * jets.jexp(-r * x)
+        return f
+
+    def g(self, u0: float):
+        """g = scale (G(u) - G(u0)) for the antiderivative G of each case,
+        so g(u0) = 0.
+
+        The difference G(u) - G(u0) is never taken of two rounded values of
+        G, and its step r (u - u0) comes from u - u0, so its error stays
+        relative to g where the scale is large (small |K|, or P Q near 0)."""
+        K = self.K
+        if K > 0:
+            # f = A cos(theta), theta = r u - delta: dg = dtheta / (2 A r^2 sin(theta)),
+            # G = ln|tan(theta / 2)|
+            r, A, delta = self._form()
+            scale = 0.5 / (A * K)
+            b = 0.5 * (r * u0 - delta)
+
+            def dG(u):
+                return _log_tan_ratio(math.sin, math.cos, math.tan,
+                                      0.5 * (r * u - delta), b, 0.5 * r * (u - u0))
+        else:
+            # w = e^(r u) turns dg = -du / (2 f') into -dw / (2 r^2 (P w^2 - Q))
+            r, P, Q = self._form()
+            if P == 0.0:
+                # G = e^(r u)
+                scale = -0.5 / (K * Q)
+
+                def dG(u):
+                    return math.exp(r * u0) * math.expm1(r * (u - u0))
+            elif Q == 0.0:
+                # G = e^(-r u)
+                scale = -0.5 / (K * P)
+
+                def dG(u):
+                    return math.exp(-r * u0) * math.expm1(-r * (u - u0))
+            else:
+                # z = r u - x0 with e^(2 x0) = |Q / P|
+                x0 = 0.5 * math.log(abs(Q / P))
+                root = math.copysign(math.sqrt(abs(P * Q)), P)
+                if P * Q > 0.0:
+                    # P w^2 - Q = P (w - s)(w + s), s = e^x0: f' vanishes at z = 0;
+                    # G = ln|tanh(z / 2)|
+                    scale = 0.25 / (K * root)
+                    b = 0.5 * (r * u0 - x0)
+
+                    def dG(u):
+                        return _log_tan_ratio(math.sinh, math.cosh, math.tanh,
+                                              0.5 * (r * u - x0), b, 0.5 * r * (u - u0))
+                else:
+                    # P w^2 - Q = P (w^2 + t^2), t = e^x0: G = atan(e^z), and
+                    # atan(e^z) - atan(e^z0) = atan(sinh((z - z0) / 2) / cosh((z + z0) / 2))
+                    scale = 0.5 / (K * root)
+                    m0 = 0.5 * r * u0 - x0
+
+                    def dG(u):
+                        return math.atan(math.sinh(0.5 * r * (u - u0))
+                                         / math.cosh(0.5 * r * u + m0))
+
+        def g(u):
+            return scale * dG(u)
+        return 0.0, g
+
+    def crossing(self, u0: float) -> float:
+        if self.K > 0:
+            # f = A cos(theta), f' = -A r sin(theta), theta = r u - delta: the
+            # boundary is the next multiple of pi/2 above theta(u0); f vanishes at
+            # its odd multiples and f' at its even ones
+            r, A, delta = self._form()
+            k = math.floor((r * u0 - delta) / (0.5 * math.pi)) + 1
+            theta = 0.5 * math.pi * k
+            if k % 2 == 0:
+                theta -= math.asin(FPRIME_FLOOR / (A * r))
+            return _first_after(u0, [(theta + delta) / r])
+        # f = P e^x + Q e^-x and f' = r (P e^x - Q e^-x), x = r u: f = 0 and
+        # f' = +-FPRIME_FLOOR are quadratics in w = e^x
+        r, P, Q = self._form()
+        c = FPRIME_FLOOR / r
+        xs = _exp_roots(P, 0.0, Q) + _exp_roots(P, -c, -Q) + _exp_roots(P, c, -Q)
+        return _first_after(u0, [x / r for x in xs])
+
+    def residual(self, p) -> float:
+        return abs(p.fpp + self.K * p.f) / max(abs(self.K * p.f), 1e-30)
+
+    @property
+    def targets(self):
+        return ((f"K=={self.K}", "K", self.K),)
 
 
-class ConstantMean(Frozen):
+class ConstantMean(_Autonomous):
     """Surfaces with ||H|| = a = const != 0; needs kappa = const = b."""
     __slots__ = ("a", "b", "C", "epsilon", "branch")
 
@@ -70,12 +253,40 @@ class ConstantMean(Frozen):
         _require_sign("branch", branch)
         set_fields(self, a, b, C, epsilon, branch)
 
+    def y(self):
+        a, b, C, s = self.a, self.b, self.C, float(self.branch)
+        cap = abs(b) / (2.0 * abs(a))
+
+        if self.epsilon == 1:
+            def y(t):
+                tv = jets.value(t)
+                if not 0.0 < tv < cap - 1e-9:
+                    raise DomainError("t outside (0, |b|/2|a|) for the arcsin branch",
+                                      t=tv)
+                root = jets.jsqrt(b * b - 4.0 * a * a * t * t)
+                return (C + s * 0.5 * t * root
+                        + s * (b * b / (4.0 * a)) * jets.jarcsin(2.0 * a * t / abs(b))) / t
+        else:
+            def y(t):
+                tv = jets.value(t)
+                if tv <= 0.0:
+                    raise DomainError("t must be positive", t=tv)
+                root = jets.jsqrt(b * b + 4.0 * a * a * t * t)
+                return (C + s * 0.5 * t * root
+                        + s * (b * b / (4.0 * a)) * _jlog_abs(2.0 * a * t + root)) / t
+        return y
+
+    def residual(self, p) -> float:
+        f, fp = p.f, p.fp
+        return _relative(p.q * p.q + self.epsilon * 4.0 * self.a**2 * f * f * fp * fp,
+                         self.b**2 * fp * fp)
+
     @property
-    def kappa_constant(self):
-        return self.b
+    def targets(self):
+        return ((f"||H||=={abs(self.a)}", "H_norm", abs(self.a)),)
 
 
-class ConstantK(Frozen):
+class ConstantK(_Autonomous):
     """Surfaces with invariant k = const = -a^2; needs kappa = const = b."""
     __slots__ = ("a", "b", "c", "branch")
 
@@ -85,12 +296,22 @@ class ConstantK(Frozen):
         _require_sign("branch", branch)
         set_fields(self, a, b, c, branch)
 
+    def y(self):
+        a, b, c, s = self.a, self.b, self.c, float(self.branch)
+
+        def y(t):
+            return c + s * a * t * t / (2.0 * b)
+        return y
+
+    def residual(self, p) -> float:
+        return _relative(self.b * p.fpp, self.branch * self.a * p.f * p.fp)
+
     @property
-    def kappa_constant(self):
-        return self.b
+    def targets(self):
+        return ((f"k=={-self.a**2}", "k", -self.a**2),)
 
 
-class Chen(Frozen):
+class Chen(_Autonomous):
     """Chen surfaces (invariant lambda = 0); needs kappa = const = b."""
     __slots__ = ("b", "c", "exponent_branch")
 
@@ -100,12 +321,31 @@ class Chen(Frozen):
         _require_sign("exponent_branch", exponent_branch)
         set_fields(self, b, c, exponent_branch)
 
-    @property
-    def kappa_constant(self):
-        return self.b
+    def y(self):
+        # (c^2 t^2s + b^2) / (2 c t^s) as c t^s / 2 + (b^2 / 2c) t^-s: the
+        # quotient's third derivative cubes the derivative of c t^s, which
+        # overflows next to t = 0 while y''' itself does not. With s = +-1
+        # that is A t + B (1 / t).
+        A, B = 0.5 * self.c, 0.5 * self.b * self.b / self.c
+        if self.exponent_branch == -1:
+            A, B = B, A
+
+        def y(t):
+            tv = jets.value(t)
+            if tv <= 0.0:
+                raise DomainError("t must be positive", t=tv)
+            return A * t + B * (1.0 / t)
+        return y
+
+    def residual(self, p) -> float:
+        # squared form of f f'' = +/- f' sqrt(f'^2 - b^2): sign is pointwise
+        return _relative((p.f * p.fpp) ** 2, p.fp * p.fp * (p.fp * p.fp - self.b**2),
+                         p.fp**4)
+
+    targets = (("lambda==0", "lam", 0.0),)
 
 
-class ParallelA(Frozen):
+class ParallelA(_ClosedForm):
     """Parallel normal bundle, case f f'' + f'^2 = 0: f = sqrt(c u + d),
     g = -(2/(3c^2))(c u + d)^(3/2) + a, all in closed form."""
     __slots__ = ("c", "d", "a", "sign")
@@ -115,10 +355,36 @@ class ParallelA(Frozen):
         _require_sign("sign", sign)
         set_fields(self, c, d, a, sign)
 
-    kappa_constant = None
+    def f(self):
+        if self.sign != 1:
+            raise SpecMismatchError(
+                "sign=-1 gives f < 0 everywhere; the profile requires f > 0")
+        c, dd = self.c, self.d
+
+        def f(x):
+            return jets.jsqrt(c * x + dd)
+        return f
+
+    def g(self, u0: float):
+        c, dd, a = self.c, self.d, self.a
+
+        def g(x):
+            return -(2.0 / (3.0 * c * c)) * (c * x + dd) ** 1.5 + a
+        return g(u0), g
+
+    def crossing(self, u0: float) -> float:
+        # f = sqrt(c u + d) vanishes at -d/c; |f'| = c / (2 f) meets the floor
+        # where c u + d = (c / (2 FPRIME_FLOOR))^2
+        c, d = self.c, self.d
+        return _first_after(u0, [-d / c, ((c / (2.0 * FPRIME_FLOOR))**2 - d) / c])
+
+    def residual(self, p) -> float:
+        return abs(p.q) / max(p.fp * p.fp, 1e-30)
+
+    targets = (("beta1==0", "beta1", 0.0), ("beta2==0", "beta2", 0.0))
 
 
-class ParallelB(Frozen):
+class ParallelB(_Autonomous):
     """Parallel normal bundle, case (f f'' + f'^2)/f' = a = const != 0;
     needs kappa = const = b."""
     __slots__ = ("a", "c", "b")
@@ -128,13 +394,20 @@ class ParallelB(Frozen):
         _require_nonzero("b", b)
         set_fields(self, a, c, b)
 
-    @property
-    def kappa_constant(self):
-        return self.b
+    def y(self):
+        a, c = self.a, self.c
 
+        def y(t):
+            tv = jets.value(t)
+            if tv <= 0.0:
+                raise DomainError("t must be positive", t=tv)
+            return (c + a * t) / t
+        return y
 
-FamilySpec = Union[ConstantGauss, ConstantMean, ConstantK, Chen, ParallelA, ParallelB]
-_ODE_SPECS = (ConstantMean, ConstantK, Chen, ParallelB)
+    def residual(self, p) -> float:
+        return _relative(p.q, self.a * p.fp)
+
+    targets = (("beta1==0", "beta1", 0.0), ("beta2==0", "beta2", 0.0))
 
 
 class GeneratedSurface(Frozen):
@@ -153,59 +426,6 @@ def _jlog_abs(x):
     if jets.value(x) < 0.0:
         return jets.jlog(-x)
     return jets.jlog(x)
-
-
-def y_function(spec: FamilySpec) -> Callable[[Jet], Jet]:
-    """Jet-capable closed-form y with f' = y(f), for the ODE variants; on a
-    float it gives the float y(t)."""
-    if isinstance(spec, ConstantMean):
-        a, b, C, s = spec.a, spec.b, spec.C, float(spec.branch)
-        cap = abs(b) / (2.0 * abs(a))
-
-        if spec.epsilon == 1:
-            def y(t):
-                tv = jets.value(t)
-                if not 0.0 < tv < cap - 1e-9:
-                    raise DomainError("t outside (0, |b|/2|a|) for the arcsin branch",
-                                      t=tv)
-                root = jets.jsqrt(b * b - 4.0 * a * a * t * t)
-                return (C + s * 0.5 * t * root
-                        + s * (b * b / (4.0 * a)) * jets.jarcsin(2.0 * a * t / abs(b))) / t
-        else:
-            def y(t):
-                tv = jets.value(t)
-                if tv <= 0.0:
-                    raise DomainError("t must be positive", t=tv)
-                root = jets.jsqrt(b * b + 4.0 * a * a * t * t)
-                return (C + s * 0.5 * t * root
-                        + s * (b * b / (4.0 * a)) * _jlog_abs(2.0 * a * t + root)) / t
-        return y
-    if isinstance(spec, ConstantK):
-        a, b, c, s = spec.a, spec.b, spec.c, float(spec.branch)
-
-        def y(t):
-            return c + s * a * t * t / (2.0 * b)
-        return y
-    if isinstance(spec, Chen):
-        b, c, s = spec.b, spec.c, spec.exponent_branch
-
-        def y(t):
-            tv = jets.value(t)
-            if tv <= 0.0:
-                raise DomainError("t must be positive", t=tv)
-            tp = jets.jpow(t, s)
-            return (c * c * tp * tp + b * b) / (2.0 * c * tp)
-        return y
-    if isinstance(spec, ParallelB):
-        a, c = spec.a, spec.c
-
-        def y(t):
-            tv = jets.value(t)
-            if tv <= 0.0:
-                raise DomainError("t must be positive", t=tv)
-            return (c + a * t) / t
-        return y
-    raise SpecMismatchError(f"{type(spec).__name__} has no autonomous y(t)")
 
 
 def integrate_autonomous(y: Callable[[Jet], Jet], f0: float,
@@ -264,44 +484,6 @@ def _exp_roots(a: float, b: float, c: float) -> list:
     return [math.log(w) for w in ws if w > 0.0]
 
 
-def _gauss_form(spec: ConstantGauss) -> tuple:
-    """The parametrisation that a ConstantGauss profile's closed forms share:
-    (r, A, delta) with f = A cos(r u - delta) when K > 0, and (r, P, Q) with
-    f = alpha cosh(r u) + beta sinh(r u) = P e^(r u) + Q e^(-r u) when K < 0."""
-    al, be = spec.alpha, spec.beta
-    if spec.K > 0:
-        return math.sqrt(spec.K), math.hypot(al, be), math.atan2(be, al)
-    return math.sqrt(-spec.K), 0.5 * (al + be), 0.5 * (al - be)
-
-
-def _first_crossing(spec: FamilySpec, u0: float) -> float:
-    """The first u > u0 where f = 0 or |f'| = FPRIME_FLOOR (inf if none), for
-    a closed-form profile that is admissible at u0."""
-    if isinstance(spec, ParallelA):
-        # f = sqrt(c u + d) vanishes at -d/c; |f'| = c / (2 f) meets the floor
-        # where c u + d = (c / (2 FPRIME_FLOOR))^2
-        c, d = spec.c, spec.d
-        crossings = [-d / c, ((c / (2.0 * FPRIME_FLOOR))**2 - d) / c]
-    elif spec.K > 0:
-        # f = A cos(theta), f' = -A r sin(theta), theta = r u - delta: the
-        # boundary is the next multiple of pi/2 above theta(u0); f vanishes at
-        # its odd multiples and f' at its even ones
-        r, A, delta = _gauss_form(spec)
-        k = math.floor((r * u0 - delta) / (0.5 * math.pi)) + 1
-        theta = 0.5 * math.pi * k
-        if k % 2 == 0:
-            theta -= math.asin(FPRIME_FLOOR / (A * r))
-        crossings = [(theta + delta) / r]
-    else:
-        # f = P e^x + Q e^-x and f' = r (P e^x - Q e^-x), x = r u: f = 0 and
-        # f' = +-FPRIME_FLOOR are quadratics in w = e^x
-        r, P, Q = _gauss_form(spec)
-        c = FPRIME_FLOOR / r
-        xs = _exp_roots(P, 0.0, Q) + _exp_roots(P, -c, -Q) + _exp_roots(P, c, -Q)
-        crossings = [x / r for x in xs]
-    return min((u for u in crossings if u > u0), default=math.inf)
-
-
 def _admissible(f, u: float) -> bool:
     """f > 0 and |f'| >= FPRIME_FLOOR at u."""
     try:
@@ -311,7 +493,7 @@ def _admissible(f, u: float) -> bool:
     return fj.f > 0.0 and abs(fj.d1) >= FPRIME_FLOOR
 
 
-def _closed_form_end(spec: FamilySpec, f, u_range: tuple):
+def _closed_form_end(spec: _ClosedForm, f, u_range: tuple):
     """The realized range (u0, end) of a closed-form profile and whether it
     was truncated: end is the largest u <= u1 with f > 0 and |f'| >=
     FPRIME_FLOOR on all of [u0, u].
@@ -322,7 +504,7 @@ def _closed_form_end(spec: FamilySpec, f, u_range: tuple):
     u0, u1 = u_range
     if not _admissible(f, u0):
         raise ProfileInvariantError(f"profile invalid at the left end of {u_range}")
-    end = min(u1, _first_crossing(spec, u0))
+    end = min(u1, spec.crossing(u0))
     step = math.ulp(end)
     for _ in range(_STEP_BACKS):
         if end <= u0 or _admissible(f, end):
@@ -396,34 +578,7 @@ def _check_directrix_kappa(directrix: Directrix, b: float):
 def defining_residual(spec: FamilySpec, profile: ProfileCurve, u: float) -> float:
     """Relative residual of the family's defining second-order relation at u,
     read from the profile's record there."""
-    p = profile_point(profile, u)
-    f, fp, fpp, q = p.f, p.fp, p.fpp, p.q
-    if isinstance(spec, ConstantMean):
-        lhs = q * q + spec.epsilon * 4.0 * spec.a**2 * f * f * fp * fp
-        rhs = spec.b**2 * fp * fp
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        return abs(lhs - rhs) / scale
-    if isinstance(spec, ConstantK):
-        lhs = spec.b * fpp
-        rhs = spec.branch * spec.a * f * fp
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        return abs(lhs - rhs) / scale
-    if isinstance(spec, Chen):
-        # squared form of f f'' = +/- f' sqrt(f'^2 - b^2): sign is pointwise
-        lhs = (f * fpp) ** 2
-        rhs = fp * fp * (fp * fp - spec.b**2)
-        scale = max(abs(lhs), abs(rhs), fp**4, 1e-30)
-        return abs(lhs - rhs) / scale
-    if isinstance(spec, ParallelB):
-        lhs = q
-        rhs = spec.a * fp
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        return abs(lhs - rhs) / scale
-    if isinstance(spec, ParallelA):
-        return abs(q) / max(fp * fp, 1e-30)
-    if isinstance(spec, ConstantGauss):
-        return abs(fpp + spec.K * f) / max(abs(spec.K * f), 1e-30)
-    raise SpecMismatchError(f"unknown spec {type(spec).__name__}")
+    return spec.residual(profile_point(profile, u))
 
 
 def _log_tan_ratio(sin, cos, tan, a: float, b: float, h: float) -> float:
@@ -435,100 +590,6 @@ def _log_tan_ratio(sin, cos, tan, a: float, b: float, h: float) -> float:
     """
     x = sin(h) / (cos(a) * sin(b))
     return math.log1p(x) if x > -0.5 else math.log(tan(a) / tan(b))
-
-
-def _gauss_g(K: float, form: tuple, u0: float) -> Callable[[float], float]:
-    """g of a ConstantGauss profile with the given _gauss_form, on floats, with
-    g(u0) = 0: g = scale (G(u) - G(u0)) for the antiderivative G of each case.
-
-    The difference G(u) - G(u0) is never taken of two rounded values of G,
-    and its step r (u - u0) comes from u - u0, so its error stays relative to
-    g where the scale is large (small |K|, or P Q near 0)."""
-    if K > 0:
-        # f = A cos(theta), theta = r u - delta: dg = dtheta / (2 A r^2 sin(theta)),
-        # G = ln|tan(theta / 2)|
-        r, A, delta = form
-        scale = 0.5 / (A * K)
-        b = 0.5 * (r * u0 - delta)
-
-        def dG(u):
-            return _log_tan_ratio(math.sin, math.cos, math.tan,
-                                  0.5 * (r * u - delta), b, 0.5 * r * (u - u0))
-    else:
-        # w = e^(r u) turns dg = -du / (2 f') into -dw / (2 r^2 (P w^2 - Q))
-        r, P, Q = form
-        if P == 0.0:
-            # G = e^(r u)
-            scale = -0.5 / (K * Q)
-
-            def dG(u):
-                return math.exp(r * u0) * math.expm1(r * (u - u0))
-        elif Q == 0.0:
-            # G = e^(-r u)
-            scale = -0.5 / (K * P)
-
-            def dG(u):
-                return math.exp(-r * u0) * math.expm1(-r * (u - u0))
-        else:
-            # z = r u - x0 with e^(2 x0) = |Q / P|
-            x0 = 0.5 * math.log(abs(Q / P))
-            root = math.copysign(math.sqrt(abs(P * Q)), P)
-            if P * Q > 0.0:
-                # P w^2 - Q = P (w - s)(w + s), s = e^x0: f' vanishes at z = 0;
-                # G = ln|tanh(z / 2)|
-                scale = 0.25 / (K * root)
-                b = 0.5 * (r * u0 - x0)
-
-                def dG(u):
-                    return _log_tan_ratio(math.sinh, math.cosh, math.tanh,
-                                          0.5 * (r * u - x0), b, 0.5 * r * (u - u0))
-            else:
-                # P w^2 - Q = P (w^2 + t^2), t = e^x0: G = atan(e^z), and
-                # atan(e^z) - atan(e^z0) = atan(sinh((z - z0) / 2) / cosh((z + z0) / 2))
-                scale = 0.5 / (K * root)
-                m0 = 0.5 * r * u0 - x0
-
-                def dG(u):
-                    return math.atan(math.sinh(0.5 * r * (u - u0))
-                                     / math.cosh(0.5 * r * u + m0))
-
-    def g(u):
-        return scale * dG(u)
-    return g
-
-
-def _closed_form_profile(spec: FamilySpec, u_range: tuple):
-    if isinstance(spec, ConstantGauss):
-        form = _gauss_form(spec)
-        r = form[0]
-        if spec.K > 0:
-            al, be = spec.alpha, spec.beta
-
-            def f(x):
-                return al * jets.jcos(r * x) + be * jets.jsin(r * x)
-        else:
-            # alpha cosh + beta sinh without the cancellation of cosh - sinh
-            _, P, Q = form
-
-            def f(x):
-                return P * jets.jexp(r * x) + Q * jets.jexp(-r * x)
-        realized, truncated = _closed_form_end(spec, f, u_range)
-        profile = ProfileCurve(f, realized, 0.0, g_eval=_gauss_g(spec.K, form, realized[0]))
-        return profile, realized, truncated
-    if isinstance(spec, ParallelA):
-        if spec.sign != 1:
-            raise SpecMismatchError(
-                "sign=-1 gives f < 0 everywhere; the profile requires f > 0")
-        c, dd, a = spec.c, spec.d, spec.a
-
-        def f(x):
-            return jets.jsqrt(c * x + dd)
-
-        def g(x):
-            return -(2.0 / (3.0 * c * c)) * (c * x + dd) ** 1.5 + a
-        realized, truncated = _closed_form_end(spec, f, u_range)
-        return ProfileCurve(f, realized, g(realized[0]), g_eval=g), realized, truncated
-    raise SpecMismatchError(f"{type(spec).__name__} has no closed-form profile")
 
 
 def generate(spec: FamilySpec, f0: Optional[float], u_range: tuple,
@@ -549,28 +610,6 @@ def generate(spec: FamilySpec, f0: Optional[float], u_range: tuple,
     required_kappa = spec.kappa_constant
     if required_kappa is not None:
         _check_directrix_kappa(directrix, required_kappa)
-
-    if isinstance(spec, (ConstantGauss, ParallelA)):
-        if f0 is not None:
-            raise SpecMismatchError(
-                f"{type(spec).__name__} is in closed form and takes no f0")
-        profile, realized, truncated = _closed_form_profile(spec, u_range)
-        return GeneratedSurface(MeridianSurface(profile, directrix), spec,
-                                "closed-form", realized, truncated)
-
-    if not isinstance(spec, _ODE_SPECS):
-        raise SpecMismatchError(f"unknown spec {type(spec).__name__}")
-    if f0 is None or f0 <= 0:
-        raise SpecMismatchError("ODE variants need a starting value f0 > 0")
-
-    y = y_function(spec)
-    path = integrate_autonomous(y, f0, u_range)
-    profile = profile_from_path(path, y)
-    realized = (path.t0, path.t1)
-    worst, where = max((defining_residual(spec, profile, u), u)
-                       for u in sample_grid(realized, PROFILE_SAMPLES))
-    if worst > RESIDUAL_TOL:
-        raise ProfileInvariantError(
-            f"defining residual {worst:.3e} at u = {where} exceeds {RESIDUAL_TOL}")
+    profile, realized, truncated = spec.realize(f0, u_range)
     return GeneratedSurface(MeridianSurface(profile, directrix), spec,
-                            "ode-integrated", realized, path.truncated)
+                            spec.f_source, realized, truncated)

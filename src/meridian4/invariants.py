@@ -26,7 +26,6 @@ __all__ = [
     "oracle_invariants",
     "oracle_second_fundamental",
     "oracle_frame_derivatives",
-    "oracle_mean_curvature_vector",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -223,19 +222,6 @@ def oracle_invariants(s: MeridianSurface, u: float, v: float,
         H_norm=math.sqrt(abs(hh)),
         epsilon=eps,
     )
-
-
-def oracle_mean_curvature_vector(s: MeridianSurface, u: float, v: float,
-                                 h: float = DEFAULT_ORACLE_STEP) -> Vec4:
-    """Numerical H = (1/2) (D_x x + D_y y)^perp, projecting off the tangent
-    plane with the orthonormal pair (X, Y)."""
-    _check_stencil(s, u, v, h)
-    d = point_data(s, u, v)
-    stencil = _stencil(s, u, v, h, _frame_fields)
-    a_x, c_x = 1.0 / _SQRT2, 1.0 / (_SQRT2 * d.f * math.sqrt(d.D))
-    Dx_x = _directional(stencil, "x", h, a_x, c_x)
-    Dy_y = _directional(stencil, "y", h, -a_x, c_x)
-    return _normal_part(Dx_x, Dy_y, _tangent_frame(d))
 
 
 def oracle_frame_derivatives(s: MeridianSurface, u: float, v: float,

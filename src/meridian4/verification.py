@@ -7,11 +7,11 @@ import random
 from typing import List, Optional
 
 from .errors import MeridianError
-from .families import (PROFILE_SAMPLES, RESIDUAL_TOL, Chen, ConstantGauss,
-                       ConstantK, ConstantMean, GeneratedSurface,
-                       defining_residual)
-from .invariants import (DEFAULT_ORACLE_STEP, eight_invariants, gauss_curvature,
-                         oracle_frame_derivatives, oracle_invariants)
+from .families import (PROFILE_SAMPLES, RESIDUAL_TOL, ConstantGauss,
+                       GeneratedSurface, defining_residual)
+from .invariants import (DEFAULT_ORACLE_STEP, InvariantRecord, eight_invariants,
+                         gauss_curvature, oracle_frame_derivatives,
+                         oracle_invariants)
 from .minkowski import Vec4, minkowski_dot
 from .profile import sample_grid
 from .records import Frozen, Record, set_fields
@@ -31,7 +31,7 @@ __all__ = [
     "verify_generated",
 ]
 
-_INVARIANT_FIELDS = ("gamma1", "gamma2", "nu1", "nu2", "lam", "mu", "beta1", "beta2")
+_ORACLE_FIELDS = tuple(f for f in InvariantRecord._fields if f != "epsilon")
 SAMPLE_MARGIN = 5e-3   # distance of sample points from the domain's edges
 SAMPLE_SEED = 0        # seed of verify_generated's sampler
 IDENTITY_TOL = 1e-9    # exact identities and the frame Gram matrix
@@ -178,20 +178,22 @@ def _richardson(coarse, fine):
 def check_oracle_equivalence(s: MeridianSurface, pts,
                              h: float = DEFAULT_ORACLE_STEP) -> list:
     """Componentwise agreement of the Richardson-extrapolated
-    finite-difference oracle with the closed forms for all eight invariants.
+    finite-difference oracle with the closed forms for every numeric field of
+    the invariant record: the eight invariants, K, k, varkappa and the mean
+    curvature data.
 
     Known discrepancy, kept visible rather than patched: on surfaces with
     <H,H> < 0 the oracle consistently reports mu with the opposite sign to
     the printed closed form (which carries no sign factor for that case).
     When that happens the mu check is recorded under an explicit name noting
     the sign flip; the magnitude must still agree."""
-    rows = {name: [] for name in _INVARIANT_FIELDS}
+    rows = {name: [] for name in _ORACLE_FIELDS}
     mu_sign_flipped = False
     for (u, v) in pts:
         closed = eight_invariants(s, u, v)
         coarse = oracle_invariants(s, u, v, h)
         fine = oracle_invariants(s, u, v, h / 2.0)
-        for name in _INVARIANT_FIELDS:
+        for name in _ORACLE_FIELDS:
             numeric = _richardson(getattr(coarse, name), getattr(fine, name))
             err = abs(getattr(closed, name) - numeric)
             if name == "mu" and closed.epsilon == -1:
@@ -259,36 +261,30 @@ def check_defining_property(gen: GeneratedSurface) -> CheckRecord:
 
 
 def check_family_targets(gen: GeneratedSurface) -> list:
-    """The family's headline constancy property on the PROFILE_SAMPLES rows
-    (v fixed at the directrix midpoint where a v is needed). Samples whose
-    point (u, v) is not general are skipped, as sample_general_points skips
-    them, so each record's grid counts only the points evaluated."""
+    """The family's headline constancy properties, spec.targets, on the
+    PROFILE_SAMPLES rows (v fixed at the directrix midpoint where a v is
+    needed). Samples whose point (u, v) is not general are skipped, as
+    sample_general_points skips them, so each record's grid counts only the
+    points evaluated."""
     s = gen.surface
     spec = gen.spec
     v0, v1 = s.directrix.domain
     vm = 0.5 * (v0 + v1)
     us = sample_grid(gen.u_range, PROFILE_SAMPLES)
     if isinstance(spec, ConstantGauss):
-        errs = [(abs(gauss_curvature(s, u) - spec.K), (u, None)) for u in us]
-        return [_record(f"K=={spec.K}", errs, 1e-9)]
+        # K depends on u alone: read from the profile record on every row,
+        # flat v midpoints included, to 1e-9
+        return [_record(label, [(abs(gauss_curvature(s, u) - K), (u, None)) for u in us],
+                        1e-9)
+                for label, _, K in spec.targets]
     records = []
     for u in us:
         d = point_data(s, u, vm)
         if d.case is PointCase.GENERAL:
             records.append(((u, vm), eight_invariants(s, u, vm, d)))
-
-    def target(name, err):
-        return _record(name, [(err(r), loc) for loc, r in records], 1e-6)
-
-    if isinstance(spec, ConstantMean):
-        return [target(f"||H||=={abs(spec.a)}", lambda r: abs(r.H_norm - abs(spec.a)))]
-    if isinstance(spec, ConstantK):
-        return [target(f"k=={-spec.a**2}", lambda r: abs(r.k + spec.a**2))]
-    if isinstance(spec, Chen):
-        return [target("lambda==0", lambda r: abs(r.lam))]
-    # ParallelA, ParallelB
-    return [target("beta1==0", lambda r: abs(r.beta1)),
-            target("beta2==0", lambda r: abs(r.beta2))]
+    return [_record(label, [(abs(getattr(r, field) - value), loc) for loc, r in records],
+                    1e-6)
+            for label, field, value in spec.targets]
 
 
 def verify_generated(gen: GeneratedSurface, n_points: int = 50,

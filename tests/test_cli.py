@@ -375,6 +375,22 @@ def test_f0_is_rejected_where_nothing_reads_it(tmp_path, capsys, command, spec,
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("command, u, v, grid, message", [
+    ("invariants", "0:3:0.5", "0:6:1", "2x2", "--u step 0.5 is not read with --grid"),
+    ("mesh", "0:3", "0:6:1", "2x2", "--v step 1.0 is not read with --grid"),
+    ("verify", "0:3:0.5", "0:6", "2x2",
+     "--u step 0.5 is not read by verify, which samples --grid points or 50"),
+    ("verify", "0:3", "0:6:0.5", None,
+     "--v step 0.5 is not read by verify, which samples --grid points or 50"),
+    ("family", "0:3", "0:6:1", None, "--v step 1.0 is not read by family")])
+def test_step_is_rejected_where_nothing_reads_it(tmp_path, capsys, command, u, v,
+                                                 grid, message):
+    code = main([command, "--spec", "parallel-a c=1 d=1", "--u", u, "--v", v,
+                 *(["--grid", grid] if grid else []), "--out", str(tmp_path / "x.out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("direct, family, u_range", [
     ("direct f=cos(u) phi=2+cos(v)",
      "constant-gauss K=1 alpha=1 beta=0 phi=2+cos(v)", "0.1:1.4"),

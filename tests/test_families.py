@@ -10,7 +10,7 @@ from meridian4.expressions import compile_expression
 from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                                 ParallelA, ParallelB, constant_kappa_directrix,
                                 defining_residual, generate,
-                                integrate_autonomous, y_function)
+                                integrate_autonomous)
 from meridian4.jets import jet_eval
 from meridian4.invariants import (eight_invariants, gauss_curvature,
                                   invariant_k, mean_curvature)
@@ -53,7 +53,7 @@ def test_bad_sign_values_rejected():
 
 def test_y_of_t_pinned_values():
     def y_of_t(spec, t):
-        return jet_eval(y_function(spec), t).f
+        return jet_eval(spec.y(), t).f
 
     assert y_of_t(ConstantMean(a=0.5, b=2.0, C=0.0, epsilon=1, branch=1),
                   1.0) == pytest.approx(1.9132229549810364, abs=1e-9)
@@ -152,7 +152,7 @@ def test_constant_k_profile_matches_closed_form():
     assert gen.u_range == (0.0, 1.5) and not gen.truncated
     profile = gen.surface.profile
     nodes = [float(u) for u in
-             integrate_autonomous(y_function(spec), 0.5, (0.0, 1.5)).ts]
+             integrate_autonomous(spec.y(), 0.5, (0.0, 1.5)).ts]
     between = [1.5 * i / 199 for i in range(200)]
     assert len(nodes) > 2
     for u in nodes + between:
@@ -167,7 +167,7 @@ def test_chen_profile_matches_closed_form():
     gen = generate(spec, 1.5, (0.0, 1.5), constant_kappa_directrix(1.0, (0.0, 0.5)))
     assert gen.u_range == (0.0, 1.5) and not gen.truncated
     nodes = [float(u) for u in
-             integrate_autonomous(y_function(spec), 1.5, (0.0, 1.5)).ts]
+             integrate_autonomous(spec.y(), 1.5, (0.0, 1.5)).ts]
     for u in nodes + [1.5 * i / 199 for i in range(200)]:
         assert gen.surface.profile.f_jet(u).f == pytest.approx(
             math.sqrt((1.5**2 + 1.0) * math.exp(u) - 1.0), rel=1e-12)
@@ -179,7 +179,7 @@ def test_chen_profile_matches_closed_form():
     (ConstantMean(a=0.5, b=1.0, C=0.0, epsilon=-1, branch=1), 0.6)])
 def test_constant_mean_profile_matches_quadrature_of_one_over_y(spec, u1):
     # f' = y(f) gives u - u0 = integral from f0 to f(u) of dt / y(t); y is
-    # written out again here in mpmath, apart from families.y_function
+    # written out again here in mpmath, apart from the spec's y()
     mpmath = pytest.importorskip("mpmath")
     gen = generate(spec, 0.6, (0.0, u1),
                    constant_kappa_directrix(spec.b, (0.0, 0.3)))

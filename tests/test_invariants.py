@@ -11,12 +11,10 @@ from meridian4.invariants import (InvariantRecord, eight_invariants,
                                   gauss_curvature,
                                   invariant_k, mean_curvature,
                                   oracle_invariants,
-                                  oracle_mean_curvature_vector,
                                   oracle_second_fundamental)
 from meridian4.jets import jcos, jsqrt
-from meridian4.minkowski import minkowski_dot
 from meridian4.profile import Directrix, ProfileCurve
-from meridian4.surface import MeridianSurface, normal_pair, point_data
+from meridian4.surface import MeridianSurface, point_data
 
 TWO_PI = 2.0 * math.pi
 UNIT_PHI = Directrix(compile_expression("1", "v"), (0.0, TWO_PI))
@@ -120,10 +118,9 @@ def test_oracle_on_nonzero_q_surface():
 def test_oracle_mean_curvature_vector():
     u, v = 1.0, 2.0
     h1, h2, _, _ = mean_curvature(SQRT_SURFACE, u, v)
-    n1, n2 = normal_pair(SQRT_SURFACE, u, v)
-    H = oracle_mean_curvature_vector(SQRT_SURFACE, u, v, 1e-4)
-    assert minkowski_dot(H, n1) == pytest.approx(h1, abs=1e-7)
-    assert -minkowski_dot(H, n2) == pytest.approx(h2, abs=1e-7)
+    numeric = oracle_invariants(SQRT_SURFACE, u, v, 1e-4)
+    assert numeric.H_n1 == pytest.approx(h1, abs=1e-7)
+    assert numeric.H_n2 == pytest.approx(h2, abs=1e-7)
 
 
 def test_oracle_second_fundamental_components():
@@ -152,8 +149,7 @@ def test_eight_invariants_rejects_degenerate_points():
 
 @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan])
 def test_oracle_step_must_be_positive(h):
-    for oracle in (oracle_invariants, oracle_mean_curvature_vector,
-                   oracle_second_fundamental):
+    for oracle in (oracle_invariants, oracle_second_fundamental):
         with pytest.raises(DomainError, match="is not positive"):
             oracle(SQRT_SURFACE, 1.0, 1.0, h)
 
@@ -165,7 +161,6 @@ def test_oracle_step_must_be_positive(h):
 def test_oracle_step_must_resolve_the_stencil(u, v, h):
     s = MeridianSurface(ProfileCurve(lambda t: 2.0 + t, (-1.0, 3.0)),
                         Directrix(lambda t: 2.0 + jcos(t), (-1.0, 2.0)))
-    for oracle in (oracle_invariants, oracle_mean_curvature_vector,
-                   oracle_second_fundamental):
+    for oracle in (oracle_invariants, oracle_second_fundamental):
         with pytest.raises(DomainError, match="is too small"):
             oracle(s, u, v, h)

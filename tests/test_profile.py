@@ -16,7 +16,7 @@ from meridian4.expressions import compile_expression
 from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                                 ParallelA, ParallelB, constant_kappa_directrix,
                                 generate, integrate_autonomous,
-                                profile_from_path, y_function)
+                                profile_from_path)
 from meridian4.jets import constant, jcos, jet_eval, jsqrt, variable
 from meridian4.profile import (FPRIME_FLOOR, Directrix, ProfileCurve,
                                directrix_point, g_from_f, profile_point)
@@ -297,7 +297,7 @@ def test_ode_g_against_mpmath(spec, f0, u_range, no_quadrature):
     # du = df / y(f) along the path, so g(u) - g_origin is the integral of
     # -1/(2 y(f)^2) from f0 to f(u): a reference that shares only f(u)
     mpmath = pytest.importorskip("mpmath")
-    y = y_function(spec)
+    y = spec.y()
     path = integrate_autonomous(y, f0, u_range)
     p = profile_from_path(path, y, g_origin=0.25)
     ts = path.ts
@@ -330,7 +330,7 @@ def test_g_next_to_an_f_prime_zero_returns_at_once():
 
 
 def test_ode_g_raises_past_its_error_estimate(monkeypatch):
-    y = y_function(ConstantK(a=1.0, b=-1.0, c=0.5, branch=1))
+    y = ConstantK(a=1.0, b=-1.0, c=0.5, branch=1).y()
     path = integrate_autonomous(y, 0.5, (0.0, 0.5))
     p = profile_from_path(path, y)
     j = len(path.ts) // 2

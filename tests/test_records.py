@@ -15,8 +15,7 @@ import meridian4
 from meridian4 import cli
 from meridian4.cli import build_surface, parse_family_spec
 from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
-                                ParallelA, ParallelB, integrate_autonomous,
-                                y_function)
+                                ParallelA, ParallelB, integrate_autonomous)
 from meridian4.jets import Jet, jexp
 from meridian4.minkowski import Vec4
 from meridian4.profile import Directrix, ProfileCurve, directrix_point, profile_point
@@ -39,7 +38,7 @@ def frozen_records():
     return [gen, s, s.profile, s.directrix, profile_point(s.profile, 0.3),
             directrix_point(s.directrix, 0.5), tangent_frame(s, 0.3, 0.5),
             normal_frame(s, 0.3, 0.5),
-            integrate_autonomous(y_function(SPECS[3]), 1.5, (0.0, 0.5)),
+            integrate_autonomous(SPECS[3].y(), 1.5, (0.0, 0.5)),
             CheckRecord("a", 1, 0.0, 1.0, True), *SPECS]
 
 
@@ -115,7 +114,7 @@ def test_frozen_records_copy_as_equal_records(record):
 def test_frozen_records_pickle():
     p = ProfileCurve(jexp, (0.0, 1.0))
     d = Directrix(jexp, (0.0, 1.0))
-    path = integrate_autonomous(y_function(SPECS[3]), 1.5, (0.0, 0.5))
+    path = integrate_autonomous(SPECS[3].y(), 1.5, (0.0, 0.5))
     for record in (*SPECS, p, profile_point(p, 0.5), directrix_point(d, 0.75), path,
                    CheckRecord("a", 1, 0.0, 1.0, True, (0.5, 0.5))):
         assert pickle.loads(pickle.dumps(record)) == record

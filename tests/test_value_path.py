@@ -7,7 +7,7 @@ dict."""
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from meridian4 import (cli, invariants as invariants_module,
                        profile as profile_module, surface as surface_module)
@@ -15,7 +15,7 @@ from meridian4.errors import DomainError
 from meridian4.expressions import compile_expression
 from meridian4.families import (Chen, ConstantK, ConstantMean, ParallelB,
                                 constant_kappa_directrix, integrate_autonomous,
-                                profile_from_path, y_function)
+                                profile_from_path)
 from meridian4.jets import (Jet, jarcsin, jcos, jcosh, jdiv, jet_eval,
                             jet_function_from_derivs, jexp, jlog, jpow,
                             jsec, jsin, jsinh, jsqrt, jtan)
@@ -109,8 +109,11 @@ def test_compiled_expressions_pass_floats_through(text, t):
 @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=repr)
 @value_settings
 @given(t=POINTS)
+# next to t = 0 the jet of a quotient with c t^-1 below cubes a derivative
+# that overflows, though y''' itself fits
+@example(t=3.752077342838801e-53)
 def test_family_y_passes_floats_through(spec, t):
-    assert_value_path_matches(y_function(spec), t)
+    assert_value_path_matches(spec.y(), t)
 
 
 @pytest.mark.parametrize("b", [-0.5, 1.0])
@@ -124,7 +127,7 @@ def test_domain_errors_are_exercised():
     """The edges in POINTS reach every domain check at least once."""
     for fn, t in ((jsqrt, 0.0), (jlog, -1.0), (jarcsin, 1.0),
                   (lambda x: jpow(x, 0.5), -1.0), (lambda x: jdiv(1.0, x), 0.0),
-                  (y_function(FAMILY_SPECS[0]), 2.0)):
+                  (FAMILY_SPECS[0].y(), 2.0)):
         assert outcome(fn, t)[0] == "DomainError"
         assert_value_path_matches(fn, t)
 
@@ -147,7 +150,7 @@ CMC = ConstantMean(a=0.5, b=2.0, C=0.0, epsilon=1, branch=1)
 
 
 def test_integrate_autonomous_builds_no_jets(jets_built):
-    path = integrate_autonomous(y_function(CMC), 0.6, (0.0, 0.5))
+    path = integrate_autonomous(CMC.y(), 0.6, (0.0, 0.5))
     assert path.t1 == 0.5
     assert jets_built[0] == 0
 
@@ -167,7 +170,7 @@ def test_g_table_of_an_ode_profile_builds_no_jets(monkeypatch):
 
     monkeypatch.setattr(profile_module, "quadrature_path", no_quadrature)
     monkeypatch.setattr(profile_module, "jet_eval", counted)
-    y = y_function(CMC)
+    y = CMC.y()
     p = profile_from_path(integrate_autonomous(y, 0.6, (0.0, 0.5)), y)
     queried = (0.17, 0.3, p.domain[1])
     for _ in range(2):
