@@ -177,9 +177,12 @@ def _normal_part(Dx_x: Vec4, Dy_y: Vec4, tf: TangentFrame) -> Vec4:
 
 def oracle_invariants(s: MeridianSurface, u: float, v: float,
                       h: float = DEFAULT_ORACLE_STEP) -> InvariantRecord:
-    """Recompute the eight invariants from their defining inner products,
-    differencing the geometric frame fields x, y, b, l. O(h^2) accurate and
-    fully independent of the closed forms."""
+    """Recompute the eight invariants as the coefficients of the geometric
+    frame's derivative formulas (Ganchev & Milousheva, Mediterr. J. Math.,
+    2012), e.g. D_x y = -gamma1 x + lam b + mu l, differencing the frame
+    fields x, y, b, l: a coefficient along b is eps <., b> and one along l
+    is -eps <., l>. O(h^2) accurate and fully independent of the closed
+    forms."""
     _check_stencil(s, u, v, h)
     d = point_data(s, u, v)
     _require_general(d)
@@ -197,16 +200,17 @@ def oracle_invariants(s: MeridianSurface, u: float, v: float,
     Dx_b = _directional(stencil, "b", h, a_x, c_x)
     Dy_b = _directional(stencil, "b", h, a_y, c_y)
 
-    nu1 = minkowski_dot(Dx_x, b)
-    nu2 = minkowski_dot(Dy_y, b)
-    lam = minkowski_dot(Dx_y, b)
-    mu = minkowski_dot(Dx_y, l)
+    # coefficients along b and l, where <b,b> = eps and <l,l> = -eps
+    eps = frame.epsilon
+    nu1 = eps * minkowski_dot(Dx_x, b)
+    nu2 = eps * minkowski_dot(Dy_y, b)
+    lam = eps * minkowski_dot(Dx_y, b)
+    mu = -eps * minkowski_dot(Dx_y, l)
     gamma1 = minkowski_dot(Dx_x, y)
     gamma2 = minkowski_dot(Dy_y, x)
-    beta1 = minkowski_dot(Dx_b, l)
-    beta2 = minkowski_dot(Dy_b, l)
+    beta1 = -eps * minkowski_dot(Dx_b, l)
+    beta2 = -eps * minkowski_dot(Dy_b, l)
 
-    eps = frame.epsilon
     # derived scalars via their defining relations (not the closed forms)
     k = -4.0 * nu1 * nu2 * mu**2
     varkappa = (nu1 - nu2) * mu

@@ -62,13 +62,13 @@ class TangentFrame(Frozen):
 
 
 class NormalFrame(Frozen):
-    """n1, n2, the geometric pair b, l, and epsilon, the sign of <H,H>
-    (0 when b, l are undefined)."""
+    """n1, n2, the geometric pair b, l and epsilon, the sign of <H,H>, at a
+    general point: b = sign(f') H/||H||, <b,b> = epsilon, <l,l> = -epsilon
+    and det(x, y, b, l) = -1 in e-coordinates."""
 
     __slots__ = ("n1", "n2", "b", "l", "epsilon")
 
-    def __init__(self, n1: Vec4, n2: Vec4, b: Optional[Vec4], l: Optional[Vec4],
-                 epsilon: int):
+    def __init__(self, n1: Vec4, n2: Vec4, b: Vec4, l: Vec4, epsilon: int):
         set_fields(self, n1, n2, b, l, epsilon)
 
 
@@ -229,25 +229,19 @@ def _require_general(d: PointData) -> None:
 def _normal_frame(d: PointData) -> NormalFrame:
     """The normal frame at a point already checked to be general."""
     n1, n2 = _normal_pair(d)
-    if d.disc > 0.0:
-        root = math.sqrt(d.disc)
-        b = (d.kappa * d.fp * n1 - d.q * n2) / root
-        l = (d.q * n1 - d.kappa * d.fp * n2) / root
-        eps = 1
-    else:
-        root = math.sqrt(-d.disc)
-        b = -1.0 * (d.kappa * d.fp * n1 - d.q * n2) / root
-        l = (-d.q * n1 + d.kappa * d.fp * n2) / root
-        eps = -1
+    eps = 1 if d.disc > 0.0 else -1
+    root = math.sqrt(abs(d.disc))
+    b = (d.kappa * d.fp * n1 - d.q * n2) / root
+    l = (d.kappa * d.fp * n2 - d.q * n1) * (eps / root)
     return NormalFrame(n1, n2, b, l, eps)
 
 
 def normal_frame(s: MeridianSurface, u: float, v: float,
                  tol: float = CLASSIFY_TOL) -> NormalFrame:
-    """Full normal frame including the geometric pair {b, l} (b collinear
-    with H). Defined only at general points; flat points raise
-    FlatPointError and marginally trapped points raise
-    MarginallyTrappedError."""
+    """Full normal frame including the geometric pair {b, l}: b =
+    sign(f') H/||H||, oriented so that det(x, y, b, l) = -1. Defined only at
+    general points; flat points raise FlatPointError and marginally trapped
+    points raise MarginallyTrappedError."""
     d = point_data(s, u, v, tol)
     _require_general(d)
     return _normal_frame(d)

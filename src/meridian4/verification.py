@@ -96,10 +96,16 @@ def sample_general_points(s: MeridianSurface, n: int, rng) -> list:
     """Draw n interior points classified General with rng.uniform(lo, hi)
     (SAMPLE_MARGIN keeps a finite-difference stencil inside the domain, and
     a discriminant margin keeps the points away from marginally trapped
-    ones). Too few raise MeridianError naming how many points were passed
-    over for each reason, and the first error a point raised."""
+    ones). A domain narrower than 2 SAMPLE_MARGIN, and too few points,
+    raise MeridianError; the latter names how many points were passed over
+    for each reason, and the first error a point raised."""
     u0, u1 = s.profile.domain
     v0, v1 = s.directrix.domain
+    for axis, lo, hi in (("u", u0, u1), ("v", v0, v1)):
+        if lo + SAMPLE_MARGIN > hi - SAMPLE_MARGIN:
+            raise MeridianError(
+                f"the {axis} domain [{lo}, {hi}] of width {hi - lo:g} is narrower "
+                f"than twice the sample margin {SAMPLE_MARGIN}")
     pts = []
     attempts = 0
     passed_over = {"flat": 0, "marginally trapped": 0,
@@ -134,22 +140,18 @@ def sample_general_points(s: MeridianSurface, n: int, rng) -> list:
 
 
 def check_identity_suite(s: MeridianSurface, pts) -> list:
-    """The exact algebraic identities among the closed-form invariants."""
-    rows = {name: [] for name in
-            ("gamma1+gamma2", "nu1-nu2", "varkappa", "k+4*nu1*nu2*mu^2",
-             "K-eps*(nu1*nu2-lam^2+mu^2)", "Hnorm^2-eps*disc/(4f^2f'^2)")}
+    """The algebraic identities that relate independent closed forms: k
+    against nu1, nu2 and mu, and the Gauss equation for K. The identities
+    gamma1 + gamma2 = 0, nu1 = nu2 and varkappa = 0 hold by construction in
+    the closed forms; check_oracle_equivalence tests them on the oracle's
+    own gamma2, nu2 and varkappa."""
+    rows = {"k+4*nu1*nu2*mu^2": [], "K-eps*(nu1*nu2-lam^2+mu^2)": []}
     for (u, v) in pts:
-        d = point_data(s, u, v)
-        r = eight_invariants(s, u, v, d)
-        rows["gamma1+gamma2"].append((abs(r.gamma1 + r.gamma2), (u, v)))
-        rows["nu1-nu2"].append((abs(r.nu1 - r.nu2), (u, v)))
-        rows["varkappa"].append((abs(r.varkappa), (u, v)))
+        r = eight_invariants(s, u, v)
         rows["k+4*nu1*nu2*mu^2"].append(
             (abs(r.k + 4.0 * r.nu1 * r.nu2 * r.mu**2), (u, v)))
         rows["K-eps*(nu1*nu2-lam^2+mu^2)"].append(
             (abs(r.K - r.epsilon * (r.nu1 * r.nu2 - r.lam**2 + r.mu**2)), (u, v)))
-        rows["Hnorm^2-eps*disc/(4f^2f'^2)"].append(
-            (abs(r.H_norm**2 - r.epsilon * d.disc / (4.0 * d.f**2 * d.fp**2)), (u, v)))
     return [_record(name, errs, IDENTITY_TOL) for name, errs in rows.items()]
 
 
@@ -180,35 +182,16 @@ def check_oracle_equivalence(s: MeridianSurface, pts,
     """Componentwise agreement of the Richardson-extrapolated
     finite-difference oracle with the closed forms for every numeric field of
     the invariant record: the eight invariants, K, k, varkappa and the mean
-    curvature data.
-
-    Known discrepancy, kept visible rather than patched: on surfaces with
-    <H,H> < 0 the oracle consistently reports mu with the opposite sign to
-    the printed closed form (which carries no sign factor for that case).
-    When that happens the mu check is recorded under an explicit name noting
-    the sign flip; the magnitude must still agree."""
+    curvature data, one row oracle:<field> each, at both signs of <H,H>."""
     rows = {name: [] for name in _ORACLE_FIELDS}
-    mu_sign_flipped = False
     for (u, v) in pts:
         closed = eight_invariants(s, u, v)
         coarse = oracle_invariants(s, u, v, h)
         fine = oracle_invariants(s, u, v, h / 2.0)
         for name in _ORACLE_FIELDS:
             numeric = _richardson(getattr(coarse, name), getattr(fine, name))
-            err = abs(getattr(closed, name) - numeric)
-            if name == "mu" and closed.epsilon == -1:
-                flipped = abs(closed.mu + numeric)
-                if flipped < err:
-                    err = flipped
-                    mu_sign_flipped = True
-            rows[name].append((err, (u, v)))
-    out = []
-    for name, errs in rows.items():
-        label = f"oracle:{name}"
-        if name == "mu" and mu_sign_flipped:
-            label = "oracle:mu (oracle sign opposite at eps=-1; closed form kept as printed)"
-        out.append(_record(label, errs, ORACLE_TOL))
-    return out
+            rows[name].append((abs(getattr(closed, name) - numeric), (u, v)))
+    return [_record(f"oracle:{name}", errs, ORACLE_TOL) for name, errs in rows.items()]
 
 
 def _vec_err(a: Vec4, b: Vec4) -> float:

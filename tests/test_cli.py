@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -14,7 +15,9 @@ from meridian4.minkowski import from_lightlike
 from meridian4.profile import (G_TOL, Directrix, ProfileCurve, g_from_f,
                                profile_point, sample_grid)
 from meridian4.surface import PointCase, point_data
-from meridian4.verification import CheckRecord, VerificationReport
+from meridian4.verification import (_ORACLE_FIELDS, SAMPLE_SEED, CheckRecord,
+                                    VerificationReport, check_identity_suite,
+                                    sample_general_points)
 
 
 def read(path):
@@ -689,3 +692,35 @@ def test_mesh_fields_are_null_where_the_record_is_undefined(tmp_path):
     assert code == 0
     fields = json.loads(out.read_text())["fields"]
     assert all(fields[f] == [None] * 9 for f in ("K", "k", "H_norm"))
+
+
+@pytest.mark.parametrize("axis, ranges", [
+    ("u", ("0:0.004", "0:1")), ("v", ("0:1", "0.5:0.509"))])
+def test_verify_refuses_a_domain_narrower_than_the_sample_margin(
+        tmp_path, capsys, axis, ranges):
+    code = main(["verify", "--spec", "parallel-a c=1 d=1", "--u", ranges[0],
+                 "--v", ranges[1], "--grid", "2x2", "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    lo, hi = (float(x) for x in ranges[axis == "v"].split(":"))
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: the {axis} domain [{lo}, {hi}] of width {hi - lo:g} is narrower "
+        "than twice the sample margin 0.005"]
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_reproduction_command_at_negative_eps(tmp_path):
+    # <H,H> < 0 on this surface: every oracle row keeps its plain name, and
+    # the identity suite keeps the two rows that relate independent formulas
+    spec = "constant-mean a=0.5 b=2 C=0 eps=- branch=+"
+    out = tmp_path / "m.json"
+    assert main(["verify", "--spec", spec, "--f0", "0.6", "--u", "0:0.3",
+                 "--v", "0:0.3", "--grid", "3x3", "--out", str(out)]) == 0
+    names = [c["check"] for c in json.loads(out.read_text())["checks"]]
+    assert [n for n in names if n.startswith("oracle")] == [
+        f"oracle:{f}" for f in _ORACLE_FIELDS]
+    s = cli.build_surface(*parse_family_spec(spec), 0.6, (0.0, 0.3), (0.0, 0.3)).surface
+    pts = sample_general_points(s, 9, random.Random(SAMPLE_SEED))
+    assert {eight_invariants(s, u, v).epsilon for u, v in pts} == {-1}
+    rows = check_identity_suite(s, pts)
+    assert [r.name for r in rows] == ["k+4*nu1*nu2*mu^2", "K-eps*(nu1*nu2-lam^2+mu^2)"]
+    assert all(r.passed for r in rows)

@@ -3,8 +3,10 @@
 import math
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 
+from meridian4.cli import build_surface, parse_family_spec
 from meridian4.errors import (DomainError, FlatPointError,
                               MarginallyTrappedError, ProfileInvariantError)
 from meridian4.expressions import compile_expression
@@ -12,7 +14,7 @@ from meridian4.jets import jcos, jsqrt, variable
 from meridian4.minkowski import Vec4, minkowski_dot
 from meridian4.profile import (Directrix, DirectrixPoint, ProfileCurve,
                                ProfilePoint)
-from meridian4.invariants import eight_invariants
+from meridian4.invariants import eight_invariants, mean_curvature
 from meridian4.surface import (MeridianSurface, PointCase, classify_point,
                                combine, embed, normal_frame, normal_pair,
                                point_data, tangent_frame)
@@ -89,12 +91,35 @@ def test_principal_tangents_are_rotation_of_X_Y():
 
 def test_geometric_frame_reference_point():
     # At (0,0) on the sqrt profile: q = 0, kappa f' = -1/2, disc = 1/4 > 0,
-    # so b = -n1 and l = n2.
+    # so b = -n1 and l = -n2.
     nf = normal_frame(SQRT_SURFACE, 0.0, 0.0)
     n1, n2 = normal_pair(SQRT_SURFACE, 0.0, 0.0)
     assert nf.epsilon == 1
     vec_close(nf.b, astuple(-1.0 * n1), 1e-12)
-    vec_close(nf.l, astuple(n2), 1e-12)
+    vec_close(nf.l, astuple(-1.0 * n2), 1e-12)
+
+
+@pytest.mark.parametrize("spec, f0, u, eps, fp_sign", [
+    ("parallel-a c=1 d=1", None, 1.0, 1, 1),
+    ("constant-mean a=0.5 b=2 C=0 eps=- branch=+", 0.6, 0.15, -1, 1),
+    ("direct f=cos(u) phi=1", None, 0.3, -1, -1),
+    ("direct f=cos(u) phi=1", None, 0.8, 1, -1),
+])
+def test_frame_convention(spec, f0, u, eps, fp_sign):
+    # det(x, y, b, l) = -1 in e-coordinates and b = sign(f') H/||H|| at both
+    # signs of <H,H> and of f'
+    parsed, phi = parse_family_spec(spec)
+    s = build_surface(parsed, phi, f0, (0.0, 1.0), (0.0, 0.3)).surface
+    v = 0.2
+    d = point_data(s, u, v)
+    assert (d.disc > 0) == (eps > 0) and (d.fp > 0) == (fp_sign > 0)
+    tf, nf = tangent_frame(s, u, v), normal_frame(s, u, v)
+    assert nf.epsilon == eps
+    rows = [astuple(w) for w in (tf.xdir, tf.ydir, nf.b, nf.l)]
+    assert np.linalg.det(np.array(rows)) == pytest.approx(-1.0, abs=1e-12)
+    h1, h2, hnorm, _ = mean_curvature(s, u, v)
+    n1, n2 = normal_pair(s, u, v)
+    vec_close(nf.b, astuple((h1 * n1 + h2 * n2) * (fp_sign / hnorm)), 1e-12)
 
 
 def test_hyperplanar_flat_from_secant_directrix():

@@ -1,17 +1,22 @@
 """Verification report assembly and end-to-end checks on a generated surface."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+from meridian4 import invariants, verification
 from meridian4.expressions import compile_expression
 from meridian4.families import GeneratedSurface, ParallelA, generate
+from meridian4.invariants import eight_invariants
+from meridian4.minkowski import Vec4
 from meridian4.profile import Directrix, ProfileCurve
 from meridian4.surface import MeridianSurface
-from meridian4.verification import (CheckRecord, VerificationReport,
-                                    check_frame_gram, check_identity_suite,
-                                    sample_general_points, verify_generated)
+from meridian4.verification import (_ORACLE_FIELDS, SAMPLE_SEED, CheckRecord,
+                                    VerificationReport, check_frame_gram,
+                                    check_identity_suite, sample_general_points,
+                                    verify_generated)
 
 UNIT_PHI = Directrix(compile_expression("1", "v"), (0.0, 2.0 * math.pi))
 
@@ -65,3 +70,50 @@ def test_verify_generated_direct_surface_skips_family_checks():
     names = [c.name for c in report.checks]
     assert any(name.startswith("oracle:") for name in names)
     assert not any(name.startswith("defining:") for name in names)
+
+
+def _direct(f, domain):
+    s = MeridianSurface(ProfileCurve(compile_expression(f), domain), UNIT_PHI)
+    return GeneratedSurface(s, None, "expression", domain, False)
+
+
+# sqrt(u+1) has <H,H> > 0 on its domain; cos(u) has <H,H> < 0 below pi/6
+MUTATION_SURFACES = {1: _direct("sqrt(u+1)", (0.0, 3.0)),
+                     -1: _direct("cos(u)", (0.05, 0.45))}
+
+
+def _failed(gen):
+    report = verify_generated(gen, n_points=5)
+    return {c.name for c in report.checks if not c.passed}
+
+
+@pytest.mark.parametrize("eps", sorted(MUTATION_SURFACES))
+def test_every_row_fails_under_its_mutation(eps, monkeypatch):
+    # A relative 1e-5 change in one closed-form field, or in one component
+    # of one oracle frame derivative, must fail that field's or that row's
+    # check (DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978).
+    gen = MUTATION_SURFACES[eps]
+    pts = sample_general_points(gen.surface, 5, random.Random(SAMPLE_SEED))
+    assert {eight_invariants(gen.surface, u, v).epsilon for u, v in pts} == {eps}
+    assert _failed(gen) == set()
+    closed, oracle = invariants._eight_invariants, verification.oracle_frame_derivatives
+
+    def bump(x):
+        return x + 1e-5 * max(1.0, abs(x))
+
+    for field in _ORACLE_FIELDS:
+        def mutated_record(d, field=field):
+            r = closed(d)
+            return r._replace(**{field: bump(getattr(r, field))})
+        with monkeypatch.context() as m:
+            m.setattr(invariants, "_eight_invariants", mutated_record)
+            assert f"oracle:{field}" in _failed(gen), field
+    for row in ("XX", "XY", "YX", "YY", "Xn1", "Yn1", "Xn2", "Yn2"):
+        def mutated_derivatives(*args, row=row):
+            out = oracle(*args)
+            w = out[row]
+            out[row] = Vec4(bump(w.c1), w.c2, w.c3, w.c4)
+            return out
+        with monkeypatch.context() as m:
+            m.setattr(verification, "oracle_frame_derivatives", mutated_derivatives)
+            assert f"deriv:{row}" in _failed(gen), row
