@@ -318,13 +318,17 @@ def cmd_mesh(args) -> int:
     s = gen.surface
     nu, nv = _grid_counts(args, ustep, vstep, (u0, u1), (v0, v1))
     wanted = [f for f in (args.fields.split(",") if args.fields else []) if f]
-    for f in wanted:
+    for i, f in enumerate(wanted):
         if f not in MESH_FIELDS:
             raise SpecError(f"unknown mesh field {f!r}; choose from {MESH_FIELDS}")
+        if f in wanted[:i]:
+            raise SpecError(f"mesh field {f!r} is given more than once")
     cols = [directrix_point(s.directrix, v)
             for v in sample_grid(s.directrix.domain, nv)]
     vertices = []
     fields = {f: [] for f in wanted}
+    # each field's column and the InvariantRecord attribute it reads
+    columns = [(fields[f], _record_attr(f)) for f in wanted]
     for u in sample_grid(gen.u_range, nu):
         g, p = g_from_f(s.profile, u), profile_point(s.profile, u)
         for c in cols:
@@ -340,9 +344,8 @@ def cmd_mesh(args) -> int:
                 rec = None
                 if d.case is PointCase.GENERAL:
                     rec = eight_invariants(s, u, c.v, d)
-                for f in wanted:
-                    value = None if rec is None else getattr(rec, _record_attr(f))
-                    fields[f].append(value)
+                for column, attr in columns:
+                    column.append(None if rec is None else getattr(rec, attr))
     payload = {
         "spec": _spec_dict(spec, phi_text),
         "realized_range": list(gen.u_range),

@@ -12,10 +12,10 @@ from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .minkowski import Vec4, minkowski_dot
-from .profile import profile_point
-from .surface import (MeridianSurface, PointData, TangentFrame, _normal_frame,
-                      _normal_pair, _require_general, _tangent_frame,
-                      normal_pair, point_data)
+from .profile import ProfilePoint, _finite, profile_point
+from .surface import (MeridianSurface, PointCase, PointData, TangentFrame,
+                      _normal_frame, _normal_pair, _require_general,
+                      _tangent_frame, normal_pair, point_data)
 
 __all__ = [
     "InvariantRecord",
@@ -62,52 +62,37 @@ def gauss_curvature(s: MeridianSurface, u: float) -> float:
     return profile_point(s.profile, u).K
 
 
-def _mean_curvature(d: PointData) -> tuple:
-    h1 = d.kappa / (2.0 * d.f)
-    h2 = -d.q / (2.0 * d.f * d.fp)
-    eps = 1 if d.disc > 0 else -1
-    norm = math.sqrt(abs(d.disc)) / (2.0 * d.f * abs(d.fp))
-    return h1, h2, norm, eps
-
-
 def mean_curvature(s: MeridianSurface, u: float, v: float) -> tuple:
     """(H_n1, H_n2, ||H||, epsilon): components of H along n1, n2, its norm and
-    the sign of <H,H>. Only defined at general points."""
-    d = point_data(s, u, v)
-    _require_general(d)
-    return _mean_curvature(d)
+    the sign of <H,H>, read from the invariant record. Only defined at
+    general points."""
+    r = eight_invariants(s, u, v)
+    return r.H_n1, r.H_n2, r.H_norm, r.epsilon
 
 
 def invariant_k(s: MeridianSurface, u: float, v: float) -> float:
-    """k = -kappa_m^2(u) kappa^2(v) / f^2(u); zero exactly at flat points."""
-    d = point_data(s, u, v)
-    return -(d.kappa_m**2) * d.kappa**2 / d.f**2
+    """k = -kappa_m^2(u) kappa^2(v) / f^2(u), read from the invariant record.
+    Only defined at general points."""
+    return eight_invariants(s, u, v).k
 
 
-def _eight_invariants(d: PointData) -> InvariantRecord:
-    eps = 1 if d.disc > 0 else -1
-    absdisc = abs(d.disc)     # eps * disc
-    root = math.sqrt(absdisc)
-
-    nu = root / (2.0 * d.f * d.fp)
-    lam = eps * (d.kappa**2 * d.fp**2 + d.f**2 * d.fpp**2 - d.fp**4) \
-        / (2.0 * d.f * d.fp * root)
-    mu = d.kappa * d.fpp / root
-
-    # d/du of (f f'' + f'^2)/f'
-    q_du = ((d.f * d.fppp + 3.0 * d.fp * d.fpp) * d.fp - d.q * d.fpp) / d.fp**2
-    cross = d.kappa_dot * d.q / (d.f * d.fp * math.sqrt(d.D))
-    beta1 = -d.fp**2 / (_SQRT2 * absdisc) * (d.kappa * q_du - cross)
-    beta2 = d.fp**2 / (_SQRT2 * absdisc) * (d.kappa * q_du + cross)
-
-    h1, h2, hnorm, _ = _mean_curvature(d)
-    # positional, in field order: keywords cost more than the fields' floats
-    return InvariantRecord(
-        d.gamma1, -d.gamma1,                 # gamma1, gamma2
-        nu, nu, lam, mu, beta1, beta2,
-        d.K, -(d.kappa_m**2) * d.kappa**2 / d.f**2,   # K, k
-        0.0,                                 # varkappa
-        h1, h2, hnorm, eps)                  # H_n1, H_n2, H_norm, epsilon
+def _u_terms(p: ProfilePoint) -> tuple:
+    """The factors of the closed forms that depend on u alone, computed at
+    the first general point of a profile record and kept on it; DomainError
+    where one is not finite."""
+    f, fp, fpp, q = p.f, p.fp, p.fpp, p.q
+    try:
+        two_f, f2, fp2 = 2.0 * f, f**2, fp**2
+        two_ffp = two_f * fp
+        terms = (two_f, two_ffp, two_f * abs(fp), f * fp, fp2, f2 * fpp**2, fp**4,
+                 ((f * p.fppp + 3.0 * fp * fpp) * fp - q * fpp) / fp2,   # d/du of q/f'
+                 -q / two_ffp,                                          # H_n2
+                 -(p.kappa_m**2), f2)
+    except OverflowError:
+        terms = None
+    terms = _finite(terms, "a factor of the invariants at u", p.u)
+    object.__setattr__(p, "_terms", terms)
+    return terms
 
 
 def eight_invariants(s: MeridianSurface, u: float, v: float,
@@ -116,8 +101,30 @@ def eight_invariants(s: MeridianSurface, u: float, v: float,
     the caller has already evaluated it."""
     if d is None:
         d = point_data(s, u, v)
-    _require_general(d)
-    return _eight_invariants(d)
+    if d.case is not PointCase.GENERAL:
+        _require_general(d)
+    p, c, disc = d.p, d.c, d.disc
+    two_f, two_ffp, two_f_absfp, ffp, fp2, f2fpp2, fp4, q_du, h2, nkm2, f2 = \
+        p._terms or _u_terms(p)
+    kappa = c.kappa
+    eps = 1 if disc > 0 else -1
+    absdisc = abs(disc)     # eps * disc
+    root = math.sqrt(absdisc)
+
+    nu = root / two_ffp
+    lam = eps * (kappa**2 * fp2 + f2fpp2 - fp4) / (two_ffp * root)
+    mu = kappa * p.fpp / root
+    cross = c.kappa_dot * p.q / (ffp * math.sqrt(c.D))
+    w = fp2 / (_SQRT2 * absdisc)
+    # positional, in field order: keywords cost more than the fields' floats
+    return InvariantRecord(
+        p.gamma1, -p.gamma1,                 # gamma1, gamma2
+        nu, nu, lam, mu,
+        -w * (kappa * q_du - cross),         # beta1
+        w * (kappa * q_du + cross),          # beta2
+        p.K, nkm2 * kappa**2 / f2,           # K, k
+        0.0,                                 # varkappa
+        kappa / two_f, h2, root / two_f_absfp, eps)   # H_n1, H_n2, H_norm, epsilon
 
 
 # --- finite-difference oracle -------------------------------------------------
@@ -190,7 +197,7 @@ def oracle_invariants(s: MeridianSurface, u: float, v: float,
     stencil = _stencil(s, u, v, h, _geometric_fields)
     # x = (X + Y)/sqrt2 with X = z_u, Y = z_v/(f sqrt(D)):
     # coordinate-direction coefficients of x and y at the centre point.
-    a_x, c_x = 1.0 / _SQRT2, 1.0 / (_SQRT2 * d.f * math.sqrt(d.D))
+    a_x, c_x = 1.0 / _SQRT2, 1.0 / (_SQRT2 * d.p.f * math.sqrt(d.c.D))
     a_y, c_y = -a_x, c_x
     b, l, x, y = frame.b, frame.l, tf.xdir, tf.ydir
 
@@ -235,7 +242,7 @@ def oracle_frame_derivatives(s: MeridianSurface, u: float, v: float,
     _check_stencil(s, u, v, h)
     d = point_data(s, u, v)
     stencil = _stencil(s, u, v, h, _frame_fields)
-    cY = 1.0 / (d.f * math.sqrt(d.D))   # Y = cY * z_v
+    cY = 1.0 / (d.p.f * math.sqrt(d.c.D))   # Y = cY * z_v
     out = {}
     for name in ("X", "Y", "n1", "n2"):
         out["X" + name] = _directional(stencil, name, h, 1.0, 0.0)

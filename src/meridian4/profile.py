@@ -99,10 +99,11 @@ class ProfilePoint(Frozen):
                  "kappa_m",   # f''/f', the meridian curvature
                  "q",         # f f'' + f'^2
                  "gamma1",    # f'/(sqrt2 f); gamma2 = -gamma1
-                 "K")         # -f''/f, the Gauss curvature
+                 "K",         # -f''/f, the Gauss curvature
+                 "_terms")    # the u-only factors of the invariants, once read
 
     def __init__(self, u, f, fp, fpp, fppp, gp, kappa_m, q, gamma1, K):
-        set_fields(self, u, f, fp, fpp, fppp, gp, kappa_m, q, gamma1, K)
+        set_fields(self, u, f, fp, fpp, fppp, gp, kappa_m, q, gamma1, K, None)
 
 
 class DirectrixPoint(Frozen):

@@ -73,34 +73,15 @@ class NormalFrame(Frozen):
 
 
 class PointData(Record):
-    """All scalars the frames and invariants need at one (u, v), and the
-    point's case under the tolerance it was combined with: the fields of
-    the profile and directrix records, and disc = kappa^2 f'^2 - q^2, whose
-    sign is that of <H,H>."""
+    """The point (p.u, c.v): its profile record p and directrix record c,
+    referenced, not copied; disc = kappa^2 f'^2 - q^2, whose sign is that of
+    <H,H>; and its case under the tolerance it was combined with."""
 
-    __slots__ = ("u", "v", "f", "fp", "fpp", "fppp", "gp", "phi", "phid", "phidd",
-                 "kappa", "kappa_dot", "kappa_m", "D", "q", "gamma1", "K", "disc",
-                 "case")
+    __slots__ = ("p", "c", "disc", "case")
 
-    def __init__(self, u, v, f, fp, fpp, fppp, gp, phi, phid, phidd, kappa,
-                 kappa_dot, kappa_m, D, q, gamma1, K, disc, case):
-        self.u = u
-        self.v = v
-        self.f = f
-        self.fp = fp
-        self.fpp = fpp
-        self.fppp = fppp
-        self.gp = gp
-        self.phi = phi
-        self.phid = phid
-        self.phidd = phidd
-        self.kappa = kappa
-        self.kappa_dot = kappa_dot
-        self.kappa_m = kappa_m
-        self.D = D
-        self.q = q
-        self.gamma1 = gamma1
-        self.K = K
+    def __init__(self, p: ProfilePoint, c: DirectrixPoint, disc: float, case):
+        self.p = p
+        self.c = c
         self.disc = disc
         self.case = case
 
@@ -109,14 +90,15 @@ def combine(p: ProfilePoint, c: DirectrixPoint,
             tol: float = CLASSIFY_TOL) -> PointData:
     """The record at (p.u, c.v), its case decided under tol; DomainError
     where disc or the bound that decides the case is not finite."""
+    kappa, fp, q = c.kappa, p.fp, p.q
     try:
-        disc = c.kappa**2 * p.fp**2 - p.q**2
-        if abs(c.kappa) <= tol:
+        disc = kappa**2 * fp**2 - q**2
+        if abs(kappa) <= tol:
             case = PointCase.HYPERPLANAR_FLAT
         elif abs(p.kappa_m) <= tol:
             case = PointCase.DEVELOPABLE_RULED_FLAT
         else:
-            bound = tol * max(abs(c.kappa * p.fp), abs(p.q), tol)**2
+            bound = tol * max(abs(kappa * fp), abs(q), tol)**2
             if abs(disc) > bound:
                 case = PointCase.GENERAL
             elif bound < math.inf:
@@ -128,9 +110,7 @@ def combine(p: ProfilePoint, c: DirectrixPoint,
     if case is None or not math.isfinite(disc):
         raise DomainError(
             f"the point record at (u, v) = ({p.u}, {c.v}) is not finite", t=p.u)
-    return PointData(p.u, c.v, p.f, p.fp, p.fpp, p.fppp, p.gp,
-                     c.phi, c.phid, c.phidd, c.kappa, c.kappa_dot, p.kappa_m,
-                     c.D, p.q, p.gamma1, p.K, disc, case)
+    return PointData(p, c, disc, case)
 
 
 def point_data(s: MeridianSurface, u: float, v: float,
@@ -150,29 +130,27 @@ def embed(s: MeridianSurface, u: float, v: float,
         d = point_data(s, u, v)
     if g is None:
         g = g_from_f(s.profile, u)
-    return from_lightlike(
-        d.f * d.phi * math.cos(v),
-        d.f * d.phi * math.sin(v),
-        d.f * d.phi**2 / 2.0 + g,
-        d.f,
-    )
+    f, phi = d.p.f, d.c.phi
+    return from_lightlike(f * phi * math.cos(v), f * phi * math.sin(v),
+                          f * phi**2 / 2.0 + g, f)
 
 
 def _tangent_frame(d: PointData) -> TangentFrame:
-    cv, sv = math.cos(d.v), math.sin(d.v)
+    p, c = d.p, d.c
+    cv, sv = math.cos(c.v), math.sin(c.v)
     z_u = from_lightlike(
-        d.fp * d.phi * cv,
-        d.fp * d.phi * sv,
-        d.fp * d.phi**2 / 2.0 + d.gp,
-        d.fp,
+        p.fp * c.phi * cv,
+        p.fp * c.phi * sv,
+        p.fp * c.phi**2 / 2.0 + p.gp,
+        p.fp,
     )
     z_v = from_lightlike(
-        d.f * (d.phid * cv - d.phi * sv),
-        d.f * (d.phid * sv + d.phi * cv),
-        d.f * d.phi * d.phid,
+        p.f * (c.phid * cv - c.phi * sv),
+        p.f * (c.phid * sv + c.phi * cv),
+        p.f * c.phi * c.phid,
         0.0,
     )
-    Y = z_v / (d.f * math.sqrt(d.D))
+    Y = z_v / (p.f * math.sqrt(c.D))
     X = z_u
     return TangentFrame(X, Y, (X + Y) / _SQRT2, (-1.0 * X + Y) / _SQRT2)
 
@@ -189,21 +167,22 @@ def classify_point(s: MeridianSurface, u: float, v: float,
 
 
 def _normal_pair(d: PointData) -> tuple:
-    cv, sv = math.cos(d.v), math.sin(d.v)
-    rD = math.sqrt(d.D)
+    p, c = d.p, d.c
+    cv, sv = math.cos(c.v), math.sin(c.v)
+    rD = math.sqrt(c.D)
     n1 = from_lightlike(
-        (d.phid * sv + d.phi * cv) / rD,
-        (-d.phid * cv + d.phi * sv) / rD,
-        d.phi**2 / rD,
+        (c.phid * sv + c.phi * cv) / rD,
+        (-c.phid * cv + c.phi * sv) / rD,
+        c.phi**2 / rD,
         0.0,
     )
     # Orientation fixed so that z_uu = -kappa_m n2 and
     # H = kappa/(2f) n1 - (f f''+f'^2)/(2 f f') n2 hold with <n2,n2> = -1.
     n2 = from_lightlike(
-        -d.fp * d.phi * cv,
-        -d.fp * d.phi * sv,
-        -(d.fp * d.phi**2 - 2.0 * d.gp) / 2.0,
-        -d.fp,
+        -p.fp * c.phi * cv,
+        -p.fp * c.phi * sv,
+        -(p.fp * c.phi**2 - 2.0 * p.gp) / 2.0,
+        -p.fp,
     )
     return n1, n2
 
@@ -217,22 +196,23 @@ def normal_pair(s: MeridianSurface, u: float, v: float) -> tuple:
 def _require_general(d: PointData) -> None:
     """Raise unless d's case is general: b, l and the invariants built on
     them are undefined at flat and marginally trapped points."""
-    case = d.case
+    case, u, v = d.case, d.p.u, d.c.v
     if case is PointCase.MARGINALLY_TRAPPED:
         raise MarginallyTrappedError(
-            f"<H,H> = 0 at (u, v) = ({d.u}, {d.v}); geometric frame undefined")
+            f"<H,H> = 0 at (u, v) = ({u}, {v}); geometric frame undefined")
     if case is not PointCase.GENERAL:
         raise FlatPointError(
-            f"flat point ({case.value}) at (u, v) = ({d.u}, {d.v}); b, l undefined")
+            f"flat point ({case.value}) at (u, v) = ({u}, {v}); b, l undefined")
 
 
 def _normal_frame(d: PointData) -> NormalFrame:
     """The normal frame at a point already checked to be general."""
     n1, n2 = _normal_pair(d)
-    eps = 1 if d.disc > 0.0 else -1
-    root = math.sqrt(abs(d.disc))
-    b = (d.kappa * d.fp * n1 - d.q * n2) / root
-    l = (d.kappa * d.fp * n2 - d.q * n1) * (eps / root)
+    kfp, q, disc = d.c.kappa * d.p.fp, d.p.q, d.disc
+    eps = 1 if disc > 0.0 else -1
+    root = math.sqrt(abs(disc))
+    b = (kfp * n1 - q * n2) / root
+    l = (kfp * n2 - q * n1) * (eps / root)
     return NormalFrame(n1, n2, b, l, eps)
 
 

@@ -125,7 +125,7 @@ def sample_general_points(s: MeridianSurface, n: int, rng) -> list:
             passed_over["marginally trapped" if d.case is PointCase.MARGINALLY_TRAPPED
                         else "flat"] += 1
             continue
-        scale = max(abs(d.kappa * d.fp), abs(d.q))
+        scale = max(abs(d.c.kappa * d.p.fp), abs(d.p.q))
         if abs(d.disc) < 1e-4 * scale**2:
             # too close to marginally trapped for stable frames
             passed_over["inside the 1e-4 discriminant margin"] += 1
@@ -213,17 +213,18 @@ def check_derivative_formulas(s: MeridianSurface, pts,
     zero = Vec4(0.0, 0.0, 0.0, 0.0)
     for (u, v) in pts:
         d = point_data(s, u, v)
+        p, kappa = d.p, d.c.kappa
         tf = _tangent_frame(d)
         n1, n2 = _normal_pair(d)
-        fof = d.fp / d.f
+        fof = p.fp / p.f
         expected = {
-            "XX": -d.kappa_m * n2,
+            "XX": -p.kappa_m * n2,
             "XY": zero,
             "YX": fof * tf.Y,
-            "YY": -fof * tf.X + (d.kappa / d.f) * n1 - fof * n2,
+            "YY": -fof * tf.X + (kappa / p.f) * n1 - fof * n2,
             "Xn1": zero,
-            "Yn1": -(d.kappa / d.f) * tf.Y,
-            "Xn2": -d.kappa_m * tf.X,
+            "Yn1": -(kappa / p.f) * tf.Y,
+            "Xn2": -p.kappa_m * tf.X,
             "Yn2": -fof * tf.Y,
         }
         coarse = oracle_frame_derivatives(s, u, v, h)

@@ -8,13 +8,14 @@ frame derivative table, degenerate-point detection, and the CLI contract.
 
 import json
 import math
+from collections import Counter
 from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from meridian4.cli import main
+from meridian4.cli import MESH_FIELDS, main
 from meridian4.errors import MarginallyTrappedError
 from meridian4.expressions import compile_expression
 from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
@@ -228,15 +229,16 @@ def test_criterion_08_derivative_formula_suite():
     for s in surfaces:
         for (u, v) in sample_general_points(s, 15, rng):
             d = point_data(s, u, v)
+            p, kappa = d.p, d.c.kappa
             tf = tangent_frame(s, u, v)
             n1, n2 = normal_pair(s, u, v)
-            fof = d.fp / d.f
+            fof = p.fp / p.f
             derivs = oracle_frame_derivatives(s, u, v, 1e-4)
             expected = {
-                "XX": -d.kappa_m * n2,
+                "XX": -p.kappa_m * n2,
                 "XY": 0.0 * n1,
                 "YX": fof * tf.Y,
-                "YY": -fof * tf.X + (d.kappa / d.f) * n1 - fof * n2,
+                "YY": -fof * tf.X + (kappa / p.f) * n1 - fof * n2,
                 "Xn1": 0.0 * n1,
             }
             for name, want in expected.items():
@@ -246,10 +248,10 @@ def test_criterion_08_derivative_formula_suite():
             sf = oracle_second_fundamental(s, u, v, 1e-4)
             # <n2, n2> = -1 flips the sign of every n2 inner product
             assert abs(sf[("XX", "n1")]) <= 1e-6
-            assert abs(sf[("XX", "n2")] - d.kappa_m) <= 1e-6
+            assert abs(sf[("XX", "n2")] - p.kappa_m) <= 1e-6
             assert abs(sf[("XY", "n1")]) <= 1e-6
             assert abs(sf[("XY", "n2")]) <= 1e-6
-            assert abs(sf[("YY", "n1")] - d.kappa / d.f) <= 1e-6
+            assert abs(sf[("YY", "n1")] - kappa / p.f) <= 1e-6
             assert abs(sf[("YY", "n2")] - fof) <= 1e-6
     report("criterion 8: frame derivative table reproduced by the oracle "
            "to <= 1e-6")
@@ -320,3 +322,30 @@ def test_criterion_10_cli_golden_and_exit_codes(tmp_path, capsys):
     echo = json.loads((tmp_path / "cm.json").read_text())
     assert echo["realized_range"][1] < 10.0
     report("criterion 10: CLI golden file byte-identical; exit codes 0/1/2")
+
+
+MIXED_ARGS = ["--spec", "constant-gauss K=1 alpha=1 beta=0 phi=2+cos(v)",
+              "--u", "0.1:1.4", "--v", "0:6.283185307179586", "--grid", "12x11"]
+
+
+def test_criterion_10_mixed_epsilon_golden_files(tmp_path):
+    # The parallel-a golden file has eps = +1 and kappa_dot = 0 only. This
+    # grid has general rows at both signs of <H,H>, flat rows and
+    # kappa_dot != 0, so it pins the bits of lambda's sign at eps = -1 and
+    # of the kappa_dot cross term in beta1 and beta2.
+    inv, mesh = tmp_path / "i.csv", tmp_path / "m.json"
+    assert main(["invariants", *MIXED_ARGS, "--out", str(inv)]) == 0
+    assert main(["mesh", *MIXED_ARGS, "--fields", ",".join(MESH_FIELDS),
+                 "--out", str(mesh)]) == 0
+    assert inv.read_bytes() == (DATA / "golden_invariants_mixed.csv").read_bytes()
+    assert mesh.read_bytes() == (DATA / "golden_mesh_mixed.json").read_bytes()
+    header, *lines = inv.read_text().splitlines()
+    at = {name: i for i, name in enumerate(header.split(","))}
+    rows = [line.split(",") for line in lines]
+    assert Counter(r[at["epsilon"]] or r[-1] for r in rows) == {
+        "-1": 90, "1": 30, "hyperplanar-flat": 12}
+    # beta1 = -beta2 where kappa_dot = 0: on the v = 0 column, and to
+    # rounding on 11 rows of the v = 2 pi column
+    assert sum(float(r[at["beta1"]]) != -float(r[at["beta2"]])
+               for r in rows if r[-1] == "general") == 97
+    report("criterion 10: mixed-epsilon invariants and mesh byte-identical")

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from meridian4 import cli, surface
+from meridian4 import cli, invariants, surface
 from meridian4.cli import main, parse_family_spec, SpecError
 from meridian4.families import ConstantGauss, ParallelA
 from meridian4.invariants import eight_invariants
@@ -505,17 +505,23 @@ def test_verify_reports_when_the_range_ends_marginally_trapped(tmp_path):
 def test_one_point_data_per_grid_point(tmp_path, monkeypatch):
     # one record per (u, v), from one profile jet per row and one directrix
     # jet per column (the surface keeps both); eight_invariants builds none
-    # of its own
-    records, jets = [], Counter()
+    # of its own, and computes the u-only factors once per row
+    records, jets, terms, built = [], Counter(), [], []
     real_combine, real_build = surface.combine, cli.build_surface
+    real_terms = invariants._u_terms
 
     def combine(p, c, *tol):
         records.append((p.u, c.v))
         return real_combine(p, c, *tol)
 
+    def u_terms(p):
+        terms.append(p.u)
+        return real_terms(p)
+
     def build(*args):
         gen = real_build(*args)
         jets.clear()          # count the grid's jets, not generation's
+        built.append(gen)
         return gen
 
     def counting(name, method):
@@ -526,6 +532,7 @@ def test_one_point_data_per_grid_point(tmp_path, monkeypatch):
     for module in (surface, cli):   # wherever it is bound
         monkeypatch.setattr(module, "combine", combine)
     monkeypatch.setattr(cli, "build_surface", build)
+    monkeypatch.setattr(invariants, "_u_terms", u_terms)
     monkeypatch.setattr(ProfileCurve, "f_jet", counting("f", ProfileCurve.f_jet))
     monkeypatch.setattr(Directrix, "phi_jet", counting("phi", Directrix.phi_jet))
     base = ["--spec", "parallel-a c=1 d=1 a=0 sign=+", "--u", "0:3",
@@ -533,11 +540,16 @@ def test_one_point_data_per_grid_point(tmp_path, monkeypatch):
     assert main(["invariants", *base, "--out", str(tmp_path / "i.csv")]) == 0
     assert len(records) == len(set(records)) == 6
     assert jets == {"f": 3, "phi": 2}
+    assert terms == [0.0, 1.5, 3.0]
     records.clear()
+    terms.clear()
     assert main(["mesh", *base, "--fields", "K,k,H_norm,lambda,beta1,beta2",
                  "--out", str(tmp_path / "m.json")]) == 0
     assert len(records) == len(set(records)) == 6
     assert jets == {"f": 3, "phi": 2}
+    assert terms == [0.0, 1.5, 3.0]
+    # a profile record made off the grid has not computed them
+    assert profile_point(built[-1].surface.profile, 0.75)._terms is None
 
 
 GRID_CASES = {
@@ -681,6 +693,16 @@ def test_mesh_unknown_field_is_exit_1(tmp_path, capsys):
                  "--fields", "bogus", "--out", str(tmp_path / "m.json")])
     assert code == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_mesh_refuses_a_repeated_field(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    code = main(["mesh", "--spec", "parallel-a c=1 d=1", "--u", "0:1",
+                 "--v", "0:1", "--grid", "2x2", "--fields", "K,K,H_norm",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: mesh field 'K' is given more than once\n"
+    assert not out.exists()
 
 
 def test_mesh_fields_are_null_where_the_record_is_undefined(tmp_path):

@@ -90,7 +90,7 @@ def test_identity_suite_on_two_surfaces():
 def test_invariant_k_closed_form():
     for (u, v) in ((0.5, 1.0), (2.0, 3.0)):
         d = point_data(SQRT_SURFACE, u, v)
-        expected = -(d.kappa_m**2) * d.kappa**2 / d.f**2
+        expected = -(d.p.kappa_m**2) * d.c.kappa**2 / d.p.f**2
         assert invariant_k(SQRT_SURFACE, u, v) == pytest.approx(
             expected, abs=1e-12)
 
@@ -126,15 +126,16 @@ def test_oracle_mean_curvature_vector():
 def test_oracle_second_fundamental_components():
     u, v = 1.0, 2.0
     d = point_data(SQRT_SURFACE, u, v)
+    p, kappa = d.p, d.c.kappa
     sf = oracle_second_fundamental(SQRT_SURFACE, u, v, 1e-4)
     # D_X X = -kappa_m n2 and D_Y Y = ... + (kappa/f) n1 - (f'/f) n2,
     # with <n2, n2> = -1 flipping the sign of the n2 inner products.
     assert sf[("XX", "n1")] == pytest.approx(0.0, abs=1e-7)
-    assert sf[("XX", "n2")] == pytest.approx(d.kappa_m, abs=1e-7)
+    assert sf[("XX", "n2")] == pytest.approx(p.kappa_m, abs=1e-7)
     assert sf[("XY", "n1")] == pytest.approx(0.0, abs=1e-7)
     assert sf[("XY", "n2")] == pytest.approx(0.0, abs=1e-7)
-    assert sf[("YY", "n1")] == pytest.approx(d.kappa / d.f, abs=1e-7)
-    assert sf[("YY", "n2")] == pytest.approx(d.fp / d.f, abs=1e-7)
+    assert sf[("YY", "n1")] == pytest.approx(kappa / p.f, abs=1e-7)
+    assert sf[("YY", "n2")] == pytest.approx(p.fp / p.f, abs=1e-7)
 
 
 def test_eight_invariants_rejects_degenerate_points():

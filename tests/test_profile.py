@@ -181,7 +181,7 @@ def test_directrix_kappa_secant_vanishes():
 def test_kappa_derivative_against_finite_difference():
     d = Directrix(compile_expression("2 + 0.5*sin(v)", "v"), (0.0, 6.0))
     v, h = 1.3, 1e-5
-    kdot = point_data(MeridianSurface(SQRT_PROFILE, d), 1.0, v).kappa_dot
+    kdot = point_data(MeridianSurface(SQRT_PROFILE, d), 1.0, v).c.kappa_dot
     fd = (directrix_point(d, v + h).kappa
           - directrix_point(d, v - h).kappa) / (2.0 * h)
     assert kdot == pytest.approx(fd, abs=1e-8)

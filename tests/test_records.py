@@ -19,8 +19,9 @@ from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
 from meridian4.jets import Jet, jexp
 from meridian4.minkowski import Vec4
 from meridian4.profile import Directrix, ProfileCurve, directrix_point, profile_point
-from meridian4.surface import (NormalFrame, TangentFrame, combine, normal_frame,
-                               tangent_frame)
+from meridian4.invariants import eight_invariants
+from meridian4.surface import (MeridianSurface, NormalFrame, TangentFrame, combine,
+                               normal_frame, point_data, tangent_frame)
 from meridian4.verification import CheckRecord, VerificationReport
 
 SPECS = [ConstantGauss(K=1.0, alpha=1.0, beta=0.0),
@@ -90,6 +91,9 @@ def test_records_equal_by_class_and_fields():
     c = directrix_point(d, 0.75)
     assert combine(profile_point(p, 0.5), c) == combine(profile_point(twin, 0.5), c)
     assert combine(profile_point(p, 0.5), c) != combine(profile_point(p, 0.25), c)
+    # a point record compares the curve records it references by value
+    twin_c = directrix_point(Directrix(jexp, (0.0, 1.0)), 0.75)
+    assert combine(profile_point(p, 0.5), c) == combine(profile_point(twin, 0.5), twin_c)
     # a curve compares by its fields, not by the records it has cached
     assert p == twin and hash(p) == hash(twin)
     assert VerificationReport() == VerificationReport([])
@@ -144,6 +148,23 @@ def test_records_print_their_fields_but_not_their_caches():
     assert repr(Jet(1.0)) == "Jet(f=1.0, d1=0.0, d2=0.0, d3=0.0)"
     p = ProfileCurve(abs, (0.0, 1.0))
     assert repr(p) == f"ProfileCurve(f={abs!r}, domain=(0.0, 1.0), g_origin=0.0, g_eval=None)"
+
+
+def test_a_point_record_references_and_prints_the_curve_records():
+    s = MeridianSurface(ProfileCurve(jexp, (0.0, 1.0)), Directrix(jexp, (0.0, 1.0)))
+    d = point_data(s, 0.5, 0.75)
+    p, c = d.p, d.c
+    assert p is profile_point(s.profile, 0.5) and c is directrix_point(s.directrix, 0.75)
+    shown = repr(p)
+    assert repr(d) == f"PointData(p={shown}, c={c!r}, disc={d.disc!r}, case={d.case!r})"
+    # the u-only factors the invariants cache on the profile record are not
+    # part of its value
+    fresh = profile_point(ProfileCurve(jexp, (0.0, 1.0)), 0.5)
+    assert p._terms is None
+    eight_invariants(s, 0.5, 0.75, d)
+    assert p._terms is not None and fresh._terms is None
+    assert repr(p) == shown and p == fresh and hash(p) == hash(fresh)
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 def test_traced_methods_stay_in_their_class_dicts():

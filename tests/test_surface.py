@@ -13,7 +13,7 @@ from meridian4.expressions import compile_expression
 from meridian4.jets import jcos, jsqrt, variable
 from meridian4.minkowski import Vec4, minkowski_dot
 from meridian4.profile import (Directrix, DirectrixPoint, ProfileCurve,
-                               ProfilePoint)
+                               ProfilePoint, directrix_point, profile_point)
 from meridian4.invariants import eight_invariants, mean_curvature
 from meridian4.surface import (MeridianSurface, PointCase, classify_point,
                                combine, embed, normal_frame, normal_pair,
@@ -60,7 +60,7 @@ def test_first_fundamental_form():
         h = 1e-5
         z_u = (embed(SQRT_SURFACE, u + h, v) - embed(SQRT_SURFACE, u - h, v)) / (2 * h)
         z_v = (embed(SQRT_SURFACE, u, v + h) - embed(SQRT_SURFACE, u, v - h)) / (2 * h)
-        E, G = -2.0 * d.fp * d.gp, d.f**2 * d.D
+        E, G = -2.0 * d.p.fp * d.p.gp, d.p.f**2 * d.c.D
         assert E == pytest.approx(1.0, abs=1e-12)
         assert minkowski_dot(z_u, z_u) == pytest.approx(E, abs=1e-8)
         assert minkowski_dot(z_u, z_v) == pytest.approx(0.0, abs=1e-8)
@@ -112,7 +112,7 @@ def test_frame_convention(spec, f0, u, eps, fp_sign):
     s = build_surface(parsed, phi, f0, (0.0, 1.0), (0.0, 0.3)).surface
     v = 0.2
     d = point_data(s, u, v)
-    assert (d.disc > 0) == (eps > 0) and (d.fp > 0) == (fp_sign > 0)
+    assert (d.disc > 0) == (eps > 0) and (d.p.fp > 0) == (fp_sign > 0)
     tf, nf = tangent_frame(s, u, v), normal_frame(s, u, v)
     assert nf.epsilon == eps
     rows = [astuple(w) for w in (tf.xdir, tf.ydir, nf.b, nf.l)]
@@ -151,13 +151,17 @@ def test_marginally_trapped_point_on_cosine_profile():
 
 def test_point_data_scalars():
     d = point_data(SQRT_SURFACE, 0.0, 0.0)
-    assert d.f == pytest.approx(1.0)
-    assert d.fp == pytest.approx(0.5)
-    assert d.fpp == pytest.approx(-0.25)
-    assert d.gp == pytest.approx(-1.0)
-    assert d.kappa == pytest.approx(-1.0)
-    assert d.kappa_m == pytest.approx(-0.5)
-    assert d.q == pytest.approx(0.0, abs=1e-15)
+    # the record references the curves' own records and copies none of them
+    p, c = d.p, d.c
+    assert p is profile_point(SQRT_SURFACE.profile, 0.0)
+    assert c is directrix_point(SQRT_SURFACE.directrix, 0.0)
+    assert p.f == pytest.approx(1.0)
+    assert p.fp == pytest.approx(0.5)
+    assert p.fpp == pytest.approx(-0.25)
+    assert p.gp == pytest.approx(-1.0)
+    assert c.kappa == pytest.approx(-1.0)
+    assert p.kappa_m == pytest.approx(-0.5)
+    assert p.q == pytest.approx(0.0, abs=1e-15)
     assert d.disc == pytest.approx(0.25)
 
 
@@ -187,6 +191,17 @@ def test_combine_decides_a_flat_point_without_the_bound():
     # |kappa| <= tol: the case needs no bound, even one that would overflow
     d = combine(*record_pair(1e100, 1.0, 1.0), 1e200)
     assert d.case is PointCase.HYPERPLANAR_FLAT
+
+
+def test_invariants_raise_where_a_u_factor_is_not_finite():
+    # the record is finite and general, but f'^4 overflows
+    d = combine(*record_pair(1.0, 1e80, 1.0))
+    assert d.case is PointCase.GENERAL
+    for _ in range(2):   # and nothing is kept of the failed factors
+        with pytest.raises(DomainError, match=r"^a factor of the invariants at "
+                           r"u = 0.5 is not finite$"):
+            eight_invariants(None, 0.5, 1.0, d)
+    assert d.p._terms is None
 
 
 @pytest.mark.parametrize("fn", [point_data, classify_point, tangent_frame,
