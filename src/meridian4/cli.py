@@ -36,7 +36,7 @@ from .families import (Chen, ConstantGauss, ConstantK, ConstantMean,
 from .invariants import DEFAULT_ORACLE_STEP, eight_invariants
 from .profile import (Directrix, ProfileCurve, directrix_point, g_from_f,
                       profile_point, sample_grid)
-from .surface import MeridianSurface, PointCase, combine, embed
+from .surface import GENERAL, MeridianSurface, combine, embed
 from .verification import verify_generated
 
 INVARIANT_COLUMNS = ["gamma1", "gamma2", "nu1", "nu2", "lambda", "mu",
@@ -276,7 +276,7 @@ def cmd_invariants(args) -> int:
         gammas, K = f"{p.gamma1!r},{-p.gamma1!r}", repr(p.K)
         for c, rv in cols:
             d = combine(p, c, args.tol)
-            if d.case is PointCase.GENERAL:
+            if d.case is GENERAL:
                 r = eight_invariants(s, u, c.v, d)
                 nu = repr(r.nu1)     # nu1 = nu2
                 rows.append(f"{ru},{rv},{gammas},{nu},{nu},{r.lam!r},{r.mu!r},"
@@ -342,7 +342,7 @@ def cmd_mesh(args) -> int:
                 # one invariant record per vertex; every field is null where
                 # the record is undefined (flat or marginally trapped points)
                 rec = None
-                if d.case is PointCase.GENERAL:
+                if d.case is GENERAL:
                     rec = eight_invariants(s, u, c.v, d)
                 for column, attr in columns:
                     column.append(None if rec is None else getattr(rec, attr))

@@ -13,9 +13,10 @@ from typing import NamedTuple, Optional
 from .errors import DomainError
 from .minkowski import Vec4, minkowski_dot
 from .profile import ProfilePoint, _finite, profile_point
-from .surface import (MeridianSurface, PointCase, PointData, TangentFrame,
+from .records import Record
+from .surface import (GENERAL, MeridianSurface, PointData,
                       _normal_frame, _normal_pair, _require_general,
-                      _tangent_frame, normal_pair, point_data)
+                      _tangent_frame, point_data)
 
 __all__ = [
     "InvariantRecord",
@@ -23,6 +24,8 @@ __all__ = [
     "mean_curvature",
     "invariant_k",
     "eight_invariants",
+    "PointFrames",
+    "StencilPass",
     "oracle_invariants",
     "oracle_second_fundamental",
     "oracle_frame_derivatives",
@@ -101,7 +104,7 @@ def eight_invariants(s: MeridianSurface, u: float, v: float,
     the caller has already evaluated it."""
     if d is None:
         d = point_data(s, u, v)
-    if d.case is not PointCase.GENERAL:
+    if d.case is not GENERAL:
         _require_general(d)
     p, c, disc = d.p, d.c, d.disc
     two_f, two_ffp, two_f_absfp, ffp, fp2, f2fpp2, fp4, q_du, h2, nkm2, f2 = \
@@ -143,72 +146,107 @@ def _check_stencil(s: MeridianSurface, u: float, v: float, h: float):
             f"oracle stencil of radius 2h = {2 * h} leaves the domain at ({u}, {v})")
 
 
-def _frame_fields(d: PointData) -> dict:
-    """X, Y, x, y, n1, n2 at one point; defined at every regular point."""
-    tf = _tangent_frame(d)
-    n1, n2 = _normal_pair(d)
-    return {"X": tf.X, "Y": tf.Y, "x": tf.xdir, "y": tf.ydir, "n1": n1, "n2": n2}
+class PointFrames(Record):
+    """The frame fields at one point, from one tangent frame and one normal
+    pair: X, Y, x, y, n1, n2 everywhere, and b, l and epsilon at a general
+    point (None elsewhere); d is the point's record."""
+
+    __slots__ = ("d", "X", "Y", "x", "y", "n1", "n2", "b", "l", "epsilon")
+
+    def __init__(self, d: PointData):
+        tf = _tangent_frame(d)
+        pair = _normal_pair(d)
+        self.d, self.X, self.Y, self.x, self.y = d, tf.X, tf.Y, tf.xdir, tf.ydir
+        self.n1, self.n2 = pair
+        self.b = self.l = self.epsilon = None
+        if d.case is GENERAL:
+            nf = _normal_frame(d, pair)
+            self.b, self.l, self.epsilon = nf.b, nf.l, nf.epsilon
 
 
-def _geometric_fields(d: PointData) -> dict:
-    """x, y, b, l at a general point."""
-    _require_general(d)
-    tf = _tangent_frame(d)
-    nf = _normal_frame(d)
-    return {"x": tf.xdir, "y": tf.ydir, "b": nf.b, "l": nf.l}
+class StencilPass(Record):
+    """One oracle stencil of step h at (u, v): the frames at the centre and
+    at (u+h, v), (u-h, v), (u, v+h), (u, v-h), each built once, and each
+    field's central differences, each computed on first use. Both oracles
+    read it; centre is the centre's PointFrames when the caller has built
+    it (a pass at h/2 reuses the one at h)."""
+
+    __slots__ = ("centre", "points", "h", "_diffs")
+
+    def __init__(self, s: MeridianSurface, u: float, v: float, h: float,
+                 centre: Optional[PointFrames] = None):
+        _check_stencil(s, u, v, h)
+        self.centre = PointFrames(point_data(s, u, v)) if centre is None else centre
+        self.points = tuple(PointFrames(point_data(s, uu, vv))
+                            for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h)))
+        self.h = h
+        self._diffs = {}
+
+    def difference(self, name: str, axis: int) -> Vec4:
+        """(F(+) - F(-)) / (2h) of the field `name` along u (axis 0) or v
+        (axis 1), each component as Vec4's own (a - b) * (1 / (2h))."""
+        key = (name, axis)
+        out = self._diffs.get(key)
+        if out is None:
+            up, um = (getattr(rec, name) for rec in self.points[2 * axis:2 * axis + 2])
+            w = 1.0 / (2.0 * self.h)
+            out = self._diffs[key] = Vec4((up.c1 - um.c1) * w, (up.c2 - um.c2) * w,
+                                          (up.c3 - um.c3) * w, (up.c4 - um.c4) * w)
+        return out
 
 
-def _stencil(s: MeridianSurface, u: float, v: float, h: float, fields) -> tuple:
-    """fields(point_data) at (u+h, v), (u-h, v), (u, v+h), (u, v-h), each
-    point evaluated once."""
-    return tuple(fields(point_data(s, uu, vv))
-                 for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h)))
-
-
-def _directional(stencil, name, h, a, c) -> Vec4:
+def _directional(stencil: StencilPass, name: str, a: float, c: float) -> Vec4:
     """Ambient derivative of the field `name` along a*d/du + c*d/dv, by
-    central differences over the stencil records."""
-    up, um, vp, vm = (rec[name] for rec in stencil)
-    out = (up - um) / (2.0 * h) * a if a != 0.0 else Vec4(0, 0, 0, 0)
-    if c != 0.0:
-        out = out + (vp - vm) / (2.0 * h) * c
-    return out
+    central differences: du*a + dv*c in one Vec4, each component summed in
+    the order of (du * a) + (dv * c)."""
+    if c == 0.0:
+        return stencil.difference(name, 0) * a if a != 0.0 else Vec4(0, 0, 0, 0)
+    dv = stencil.difference(name, 1)
+    if a == 0.0:
+        # as Vec4(0, 0, 0, 0) + dv * c, whose 0 + x turns -0.0 into 0.0
+        return Vec4(0 + dv.c1 * c, 0 + dv.c2 * c, 0 + dv.c3 * c, 0 + dv.c4 * c)
+    du = stencil.difference(name, 0)
+    return Vec4(du.c1 * a + dv.c1 * c, du.c2 * a + dv.c2 * c,
+                du.c3 * a + dv.c3 * c, du.c4 * a + dv.c4 * c)
 
 
-def _normal_part(Dx_x: Vec4, Dy_y: Vec4, tf: TangentFrame) -> Vec4:
+def _normal_part(Dx_x: Vec4, Dy_y: Vec4, frames: PointFrames) -> Vec4:
     """H = (1/2) (D_x x + D_y y)^perp, projecting off the tangent plane with
     the orthonormal pair (X, Y)."""
     W = (Dx_x + Dy_y) * 0.5
-    return W - tf.X * minkowski_dot(W, tf.X) - tf.Y * minkowski_dot(W, tf.Y)
+    return W - frames.X * minkowski_dot(W, frames.X) - frames.Y * minkowski_dot(W, frames.Y)
 
 
 def oracle_invariants(s: MeridianSurface, u: float, v: float,
-                      h: float = DEFAULT_ORACLE_STEP) -> InvariantRecord:
+                      h: float = DEFAULT_ORACLE_STEP,
+                      stencil: Optional[StencilPass] = None) -> InvariantRecord:
     """Recompute the eight invariants as the coefficients of the geometric
     frame's derivative formulas (Ganchev & Milousheva, Mediterr. J. Math.,
     2012), e.g. D_x y = -gamma1 x + lam b + mu l, differencing the frame
     fields x, y, b, l: a coefficient along b is eps <., b> and one along l
     is -eps <., l>. O(h^2) accurate and fully independent of the closed
-    forms."""
-    _check_stencil(s, u, v, h)
-    d = point_data(s, u, v)
-    _require_general(d)
-    tf, frame = _tangent_frame(d), _normal_frame(d)
-    stencil = _stencil(s, u, v, h, _geometric_fields)
+    forms. stencil is the pass at (u, v, h) when the caller has built it."""
+    if stencil is None:
+        stencil = StencilPass(s, u, v, h)
+    centre = stencil.centre
+    for rec in (centre, *stencil.points):
+        if rec.epsilon is None:
+            _require_general(rec.d)
+    d = centre.d
     # x = (X + Y)/sqrt2 with X = z_u, Y = z_v/(f sqrt(D)):
     # coordinate-direction coefficients of x and y at the centre point.
     a_x, c_x = 1.0 / _SQRT2, 1.0 / (_SQRT2 * d.p.f * math.sqrt(d.c.D))
     a_y, c_y = -a_x, c_x
-    b, l, x, y = frame.b, frame.l, tf.xdir, tf.ydir
+    b, l, x, y = centre.b, centre.l, centre.x, centre.y
 
-    Dx_x = _directional(stencil, "x", h, a_x, c_x)
-    Dy_y = _directional(stencil, "y", h, a_y, c_y)
-    Dx_y = _directional(stencil, "y", h, a_x, c_x)
-    Dx_b = _directional(stencil, "b", h, a_x, c_x)
-    Dy_b = _directional(stencil, "b", h, a_y, c_y)
+    Dx_x = _directional(stencil, "x", a_x, c_x)
+    Dy_y = _directional(stencil, "y", a_y, c_y)
+    Dx_y = _directional(stencil, "y", a_x, c_x)
+    Dx_b = _directional(stencil, "b", a_x, c_x)
+    Dy_b = _directional(stencil, "b", a_y, c_y)
 
     # coefficients along b and l, where <b,b> = eps and <l,l> = -eps
-    eps = frame.epsilon
+    eps = centre.epsilon
     nu1 = eps * minkowski_dot(Dx_x, b)
     nu2 = eps * minkowski_dot(Dy_y, b)
     lam = eps * minkowski_dot(Dx_y, b)
@@ -222,31 +260,33 @@ def oracle_invariants(s: MeridianSurface, u: float, v: float,
     k = -4.0 * nu1 * nu2 * mu**2
     varkappa = (nu1 - nu2) * mu
     K = eps * (nu1 * nu2 - lam**2 + mu**2)
-    Hvec = _normal_part(Dx_x, Dy_y, tf)
+    Hvec = _normal_part(Dx_x, Dy_y, centre)
     hh = minkowski_dot(Hvec, Hvec)
     return InvariantRecord(
         gamma1=gamma1, gamma2=gamma2, nu1=nu1, nu2=nu2,
         lam=lam, mu=mu, beta1=beta1, beta2=beta2,
         K=K, k=k, varkappa=varkappa,
-        H_n1=minkowski_dot(Hvec, frame.n1),
-        H_n2=-minkowski_dot(Hvec, frame.n2),   # <n2,n2> = -1
+        H_n1=minkowski_dot(Hvec, centre.n1),
+        H_n2=-minkowski_dot(Hvec, centre.n2),   # <n2,n2> = -1
         H_norm=math.sqrt(abs(hh)),
         epsilon=eps,
     )
 
 
 def oracle_frame_derivatives(s: MeridianSurface, u: float, v: float,
-                             h: float = DEFAULT_ORACLE_STEP) -> dict:
+                             h: float = DEFAULT_ORACLE_STEP,
+                             stencil: Optional[StencilPass] = None) -> dict:
     """Ambient derivatives of the frame fields X, Y, n1, n2 along X and Y,
-    as Vec4s, keyed 'XX', 'XY', 'YX', 'YY', 'Xn1', 'Yn1', 'Xn2', 'Yn2'."""
-    _check_stencil(s, u, v, h)
-    d = point_data(s, u, v)
-    stencil = _stencil(s, u, v, h, _frame_fields)
+    as Vec4s, keyed 'XX', 'XY', 'YX', 'YY', 'Xn1', 'Yn1', 'Xn2', 'Yn2'.
+    stencil is the pass at (u, v, h) when the caller has built it."""
+    if stencil is None:
+        stencil = StencilPass(s, u, v, h)
+    d = stencil.centre.d
     cY = 1.0 / (d.p.f * math.sqrt(d.c.D))   # Y = cY * z_v
     out = {}
     for name in ("X", "Y", "n1", "n2"):
-        out["X" + name] = _directional(stencil, name, h, 1.0, 0.0)
-        out["Y" + name] = _directional(stencil, name, h, 0.0, cY)
+        out["X" + name] = _directional(stencil, name, 1.0, 0.0)
+        out["Y" + name] = _directional(stencil, name, 0.0, cY)
     return out
 
 
@@ -255,8 +295,9 @@ def oracle_second_fundamental(s: MeridianSurface, u: float, v: float,
     """Normal components <D_W1 W2, n_i> of the second fundamental form, keyed
     ('XX','n1'), ('XX','n2'), ('XY','n1'), ('XY','n2'), ('YY','n1'),
     ('YY','n2')."""
-    derivs = oracle_frame_derivatives(s, u, v, h)
-    n1, n2 = normal_pair(s, u, v)
+    stencil = StencilPass(s, u, v, h)
+    derivs = oracle_frame_derivatives(s, u, v, h, stencil)
+    n1, n2 = stencil.centre.n1, stencil.centre.n2
     out = {}
     for pair, vec in (("XX", derivs["XX"]), ("XY", derivs["XY"]),
                       ("YY", derivs["YY"])):

@@ -41,6 +41,11 @@ class PointCase(enum.Enum):
     GENERAL = "general"
 
 
+# module names for the per-point path: a read through the enum class costs about 6x more
+GENERAL = PointCase.GENERAL
+MARGINALLY_TRAPPED = PointCase.MARGINALLY_TRAPPED
+
+
 class MeridianSurface(Frozen):
     """The surface over a profile and a directrix. Each curve keeps its own
     point records (profile_point, directrix_point), so a coordinate is
@@ -100,9 +105,9 @@ def combine(p: ProfilePoint, c: DirectrixPoint,
         else:
             bound = tol * max(abs(kappa * fp), abs(q), tol)**2
             if abs(disc) > bound:
-                case = PointCase.GENERAL
+                case = GENERAL
             elif bound < math.inf:
-                case = PointCase.MARGINALLY_TRAPPED
+                case = MARGINALLY_TRAPPED
             else:
                 case = None
     except OverflowError:
@@ -197,17 +202,18 @@ def _require_general(d: PointData) -> None:
     """Raise unless d's case is general: b, l and the invariants built on
     them are undefined at flat and marginally trapped points."""
     case, u, v = d.case, d.p.u, d.c.v
-    if case is PointCase.MARGINALLY_TRAPPED:
+    if case is MARGINALLY_TRAPPED:
         raise MarginallyTrappedError(
             f"<H,H> = 0 at (u, v) = ({u}, {v}); geometric frame undefined")
-    if case is not PointCase.GENERAL:
+    if case is not GENERAL:
         raise FlatPointError(
             f"flat point ({case.value}) at (u, v) = ({u}, {v}); b, l undefined")
 
 
-def _normal_frame(d: PointData) -> NormalFrame:
-    """The normal frame at a point already checked to be general."""
-    n1, n2 = _normal_pair(d)
+def _normal_frame(d: PointData, pair: Optional[tuple] = None) -> NormalFrame:
+    """The normal frame at a point already checked to be general; pair is
+    its normal pair (n1, n2) when the caller has already built it."""
+    n1, n2 = pair or _normal_pair(d)
     kfp, q, disc = d.c.kappa * d.p.fp, d.p.q, d.disc
     eps = 1 if disc > 0.0 else -1
     root = math.sqrt(abs(disc))

@@ -9,14 +9,15 @@ from typing import List, Optional
 from .errors import MeridianError
 from .families import (PROFILE_SAMPLES, RESIDUAL_TOL, ConstantGauss,
                        GeneratedSurface, defining_residual)
-from .invariants import (DEFAULT_ORACLE_STEP, InvariantRecord, eight_invariants,
-                         gauss_curvature, oracle_frame_derivatives,
-                         oracle_invariants)
+from .invariants import (DEFAULT_ORACLE_STEP, InvariantRecord, StencilPass,
+                         eight_invariants, gauss_curvature,
+                         oracle_frame_derivatives, oracle_invariants)
 from .minkowski import Vec4, minkowski_dot
 from .profile import sample_grid
 from .records import Frozen, Record, set_fields
-from .surface import (MeridianSurface, PointCase, _normal_frame, _normal_pair,
-                      _require_general, _tangent_frame, point_data)
+from .surface import (GENERAL, MARGINALLY_TRAPPED, MeridianSurface,
+                      _normal_frame, _require_general, _tangent_frame,
+                      point_data)
 
 __all__ = [
     "CheckRecord",
@@ -32,6 +33,8 @@ __all__ = [
 ]
 
 _ORACLE_FIELDS = tuple(f for f in InvariantRecord._fields if f != "epsilon")
+_DERIV_ROWS = ("XX", "XY", "YX", "YY", "Xn1", "Yn1", "Xn2", "Yn2")
+_ZERO = Vec4(0.0, 0.0, 0.0, 0.0)
 SAMPLE_MARGIN = 5e-3   # distance of sample points from the domain's edges
 SAMPLE_SEED = 0        # seed of verify_generated's sampler
 IDENTITY_TOL = 1e-9    # exact identities and the frame Gram matrix
@@ -121,8 +124,8 @@ def sample_general_points(s: MeridianSurface, n: int, rng) -> list:
             passed_over["raised"] += 1
             skipped = skipped or exc
             continue
-        if d.case is not PointCase.GENERAL:
-            passed_over["marginally trapped" if d.case is PointCase.MARGINALLY_TRAPPED
+        if d.case is not GENERAL:
+            passed_over["marginally trapped" if d.case is MARGINALLY_TRAPPED
                         else "flat"] += 1
             continue
         scale = max(abs(d.c.kappa * d.p.fp), abs(d.p.q))
@@ -177,26 +180,70 @@ def _richardson(coarse, fine):
     return (4.0 * fine - coarse) / 3.0
 
 
+def _oracle_errors(s, u, v, coarse, fine) -> list:
+    """|closed form - Richardson(oracle)| of each numeric field of the
+    invariant record at (u, v)."""
+    closed = eight_invariants(s, u, v, coarse.centre.d)
+    lo = oracle_invariants(s, u, v, coarse.h, coarse)
+    hi = oracle_invariants(s, u, v, fine.h, fine)
+    return [abs(getattr(closed, name) - _richardson(getattr(lo, name), getattr(hi, name)))
+            for name in _ORACLE_FIELDS]
+
+
+def _vec_err(a: Vec4, b: Vec4) -> float:
+    d = a - b
+    return max(abs(d.c1), abs(d.c2), abs(d.c3), abs(d.c4))
+
+
+def _derivative_errors(s, u, v, coarse, fine) -> list:
+    """|table - Richardson(oracle)| of each row of the frame derivative
+    table at (u, v), the table read from the centre's frames."""
+    centre = coarse.centre
+    p, kappa = centre.d.p, centre.d.c.kappa
+    X, Y, n1, n2 = centre.X, centre.Y, centre.n1, centre.n2
+    fof = p.fp / p.f
+    expected = {
+        "XX": -p.kappa_m * n2,
+        "XY": _ZERO,
+        "YX": fof * Y,
+        "YY": -fof * X + (kappa / p.f) * n1 - fof * n2,
+        "Xn1": _ZERO,
+        "Yn1": -(kappa / p.f) * Y,
+        "Xn2": -p.kappa_m * X,
+        "Yn2": -fof * Y,
+    }
+    lo = oracle_frame_derivatives(s, u, v, coarse.h, coarse)
+    hi = oracle_frame_derivatives(s, u, v, fine.h, fine)
+    return [_vec_err(_richardson(lo[name], hi[name]), expected[name]) for name in _DERIV_ROWS]
+
+
+# (record name prefix, row names, the rows' errors at one point)
+_ORACLE_TABLE = ("oracle", _ORACLE_FIELDS, _oracle_errors)
+_DERIV_TABLE = ("deriv", _DERIV_ROWS, _derivative_errors)
+
+
+def _stencil_checks(s: MeridianSurface, pts, h: float, *tables) -> list:
+    """Each table's records over pts, from one stencil pass at h and one at
+    h/2 per point, the second reusing the first's centre; a point's passes
+    are dropped before the next point's are built."""
+    errs = [[[] for _ in names] for _, names, _ in tables]
+    for (u, v) in pts:
+        coarse = StencilPass(s, u, v, h)
+        fine = StencilPass(s, u, v, h / 2.0, coarse.centre)
+        for (_, _, errors), rows in zip(tables, errs):
+            for row, err in zip(rows, errors(s, u, v, coarse, fine)):
+                row.append((err, (u, v)))
+    return [[_record(f"{prefix}:{name}", row, ORACLE_TOL) for name, row in zip(names, rows)]
+            for (prefix, names, _), rows in zip(tables, errs)]
+
+
 def check_oracle_equivalence(s: MeridianSurface, pts,
                              h: float = DEFAULT_ORACLE_STEP) -> list:
     """Componentwise agreement of the Richardson-extrapolated
     finite-difference oracle with the closed forms for every numeric field of
     the invariant record: the eight invariants, K, k, varkappa and the mean
     curvature data, one row oracle:<field> each, at both signs of <H,H>."""
-    rows = {name: [] for name in _ORACLE_FIELDS}
-    for (u, v) in pts:
-        closed = eight_invariants(s, u, v)
-        coarse = oracle_invariants(s, u, v, h)
-        fine = oracle_invariants(s, u, v, h / 2.0)
-        for name in _ORACLE_FIELDS:
-            numeric = _richardson(getattr(coarse, name), getattr(fine, name))
-            rows[name].append((abs(getattr(closed, name) - numeric), (u, v)))
-    return [_record(f"oracle:{name}", errs, ORACLE_TOL) for name, errs in rows.items()]
-
-
-def _vec_err(a: Vec4, b: Vec4) -> float:
-    d = a - b
-    return max(abs(d.c1), abs(d.c2), abs(d.c3), abs(d.c4))
+    return _stencil_checks(s, pts, h, _ORACLE_TABLE)[0]
 
 
 def check_derivative_formulas(s: MeridianSurface, pts,
@@ -208,32 +255,7 @@ def check_derivative_formulas(s: MeridianSurface, pts,
     D_X n1 = 0, D_Y n1 = -(kappa/f) Y, D_X n2 = -kappa_m X, D_Y n2 = -(f'/f) Y
     (the n2 rows carry the orientation of n2 that keeps the table compatible
     with d<X,n2> = 0)."""
-    names = ("XX", "XY", "YX", "YY", "Xn1", "Yn1", "Xn2", "Yn2")
-    rows = {name: [] for name in names}
-    zero = Vec4(0.0, 0.0, 0.0, 0.0)
-    for (u, v) in pts:
-        d = point_data(s, u, v)
-        p, kappa = d.p, d.c.kappa
-        tf = _tangent_frame(d)
-        n1, n2 = _normal_pair(d)
-        fof = p.fp / p.f
-        expected = {
-            "XX": -p.kappa_m * n2,
-            "XY": zero,
-            "YX": fof * tf.Y,
-            "YY": -fof * tf.X + (kappa / p.f) * n1 - fof * n2,
-            "Xn1": zero,
-            "Yn1": -(kappa / p.f) * tf.Y,
-            "Xn2": -p.kappa_m * tf.X,
-            "Yn2": -fof * tf.Y,
-        }
-        coarse = oracle_frame_derivatives(s, u, v, h)
-        fine = oracle_frame_derivatives(s, u, v, h / 2.0)
-        for name in names:
-            numeric = _richardson(coarse[name], fine[name])
-            rows[name].append((_vec_err(numeric, expected[name]), (u, v)))
-    return [_record(f"deriv:{name}", errs, ORACLE_TOL)
-            for name, errs in rows.items()]
+    return _stencil_checks(s, pts, h, _DERIV_TABLE)[0]
 
 
 def check_defining_property(gen: GeneratedSurface) -> CheckRecord:
@@ -264,7 +286,7 @@ def check_family_targets(gen: GeneratedSurface) -> list:
     records = []
     for u in us:
         d = point_data(s, u, vm)
-        if d.case is PointCase.GENERAL:
+        if d.case is GENERAL:
             records.append(((u, vm), eight_invariants(s, u, vm, d)))
     return [_record(label, [(abs(getattr(r, field) - value), loc) for loc, r in records],
                     1e-6)
@@ -279,12 +301,14 @@ def verify_generated(gen: GeneratedSurface, n_points: int = 50,
     report = VerificationReport()
     rng = random.Random(SAMPLE_SEED)
     pts = sample_general_points(gen.surface, n_points, rng)
-    for rec in check_oracle_equivalence(gen.surface, pts, oracle_step):
+    oracle_recs, deriv_recs = _stencil_checks(gen.surface, pts, oracle_step,
+                                              _ORACLE_TABLE, _DERIV_TABLE)
+    for rec in oracle_recs:
         report.add(rec)
     for rec in check_identity_suite(gen.surface, pts):
         report.add(rec)
     report.add(check_frame_gram(gen.surface, pts))
-    for rec in check_derivative_formulas(gen.surface, pts, oracle_step):
+    for rec in deriv_recs:
         report.add(rec)
     if gen.spec is not None:
         report.add(check_defining_property(gen))

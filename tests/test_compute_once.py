@@ -8,7 +8,8 @@ from collections import Counter
 
 import pytest
 
-from meridian4 import cli, invariants, profile as profile_module, surface
+from meridian4 import (cli, invariants, profile as profile_module, surface,
+                       verification)
 from meridian4.cli import build_surface, parse_family_spec
 from meridian4.errors import (DegenerateDirectrixError, DomainError,
                               ProfileInvariantError)
@@ -121,6 +122,25 @@ def test_verify_evaluates_each_stencil_coordinate_once(monkeypatch):
     # oracle stencils (measured: 100 and 100); the defining and
     # family-target rows read the records generate left on the profile
     assert jets["f"] <= 105 and jets["phi"] <= 105, jets
+
+
+def test_verify_builds_each_stencil_frame_once(monkeypatch):
+    spec, phi = parse_family_spec("constant-mean a=0.5 b=2 C=0 eps=+ branch=+")
+    gen = build_surface(spec, phi, 0.6, (0.0, 0.15), (0.0, 0.3))
+    frames = Counter()
+    tangent_frame = surface._tangent_frame
+
+    def counted(d):
+        frames[(d.p.u, d.c.v)] += 1
+        return tangent_frame(d)
+    for module in (surface, invariants, verification):
+        monkeypatch.setattr(module, "_tangent_frame", counted)
+    assert verify_generated(gen, 20).passed
+    # per sample point: the centre, shared by both oracles at h and h/2,
+    # and again in the frame-Gram check, and the eight stencil points once
+    # each, 10 in all
+    assert sum(frames.values()) <= 10 * 20
+    assert sorted(set(frames.values())) == [1, 2]
 
 
 def test_a_checked_and_shared_directrix_evaluates_each_v_once(monkeypatch):

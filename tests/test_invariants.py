@@ -1,20 +1,23 @@
 """Closed-form invariants, their identities, and the finite-difference oracle."""
 
 import math
+import re
 
 import pytest
 
 from meridian4.errors import (DomainError, FlatPointError,
                               MarginallyTrappedError, ProfileInvariantError)
 from meridian4.expressions import compile_expression
-from meridian4.invariants import (InvariantRecord, eight_invariants,
-                                  gauss_curvature,
+from meridian4.invariants import (InvariantRecord, StencilPass, _directional,
+                                  eight_invariants, gauss_curvature,
                                   invariant_k, mean_curvature,
-                                  oracle_invariants,
+                                  oracle_frame_derivatives, oracle_invariants,
                                   oracle_second_fundamental)
 from meridian4.jets import jcos, jsqrt
 from meridian4.profile import Directrix, ProfileCurve
-from meridian4.surface import MeridianSurface, point_data
+from meridian4.minkowski import Vec4
+from meridian4.surface import (MeridianSurface, PointCase, normal_frame,
+                               point_data, tangent_frame)
 
 TWO_PI = 2.0 * math.pi
 UNIT_PHI = Directrix(compile_expression("1", "v"), (0.0, TWO_PI))
@@ -22,6 +25,9 @@ SQRT_SURFACE = MeridianSurface(
     ProfileCurve(lambda u: jsqrt(u + 1.0), (0.0, 3.0), g_origin=-2.0 / 3.0),
     UNIT_PHI)
 COS_SURFACE = MeridianSurface(ProfileCurve(jcos, (0.55, 1.05)), UNIT_PHI)
+# kappa varies with v, and vanishes on v = pi
+WAVY_SURFACE = MeridianSurface(
+    SQRT_SURFACE.profile, Directrix(compile_expression("2+cos(v)", "v"), (0.0, TWO_PI)))
 
 
 def test_reference_record():
@@ -165,3 +171,51 @@ def test_oracle_step_must_resolve_the_stencil(u, v, h):
     for oracle in (oracle_invariants, oracle_second_fundamental):
         with pytest.raises(DomainError, match="is too small"):
             oracle(s, u, v, h)
+
+
+@pytest.mark.parametrize("u, v", [(1e-4, 1.0), (2.9999, 1.0), (1.0, 1e-4),
+                                  (1.0, TWO_PI - 1e-4)])
+def test_oracle_stencil_must_stay_in_the_domain(u, v):
+    for oracle in (oracle_invariants, oracle_frame_derivatives,
+                   oracle_second_fundamental):
+        with pytest.raises(DomainError, match="oracle stencil of radius"):
+            oracle(SQRT_SURFACE, u, v, 1e-4)
+
+
+def test_a_flat_stencil_point_stops_only_the_invariant_oracle():
+    # the centre is general, its stencil point (u, v + h) on v = pi
+    # hyperplanar-flat, where b and l are undefined but X, Y, n1, n2 are not
+    s = WAVY_SURFACE
+    u, h = 1.0, 1e-4
+    v = math.pi - h
+    assert point_data(s, u, v).case is PointCase.GENERAL
+    assert point_data(s, u, v + h).case is PointCase.HYPERPLANAR_FLAT
+    stencil = StencilPass(s, u, v, h)
+    for extra in ((), (stencil,)):
+        with pytest.raises(FlatPointError, match=re.escape(f"= ({u}, {v + h});")):
+            oracle_invariants(s, u, v, h, *extra)
+        derivs = oracle_frame_derivatives(s, u, v, h, *extra)
+        assert sorted(derivs) == ["XX", "XY", "Xn1", "Xn2", "YX", "YY", "Yn1", "Yn2"]
+    assert set(oracle_second_fundamental(s, u, v, h)) == {
+        (w, n) for w in ("XX", "XY", "YY") for n in ("n1", "n2")}
+
+
+def test_directional_derivatives_match_the_vec4_operators():
+    # each directional derivative is summed in one Vec4; its bits must be
+    # those of the Vec4 operators over the public frames, (F(u+h) - F(u-h))
+    # / (2h) * a + (F(v+h) - F(v-h)) / (2h) * c (compared by repr)
+    h = 1e-4
+    for u, v in ((1.0, 1.0), (0.5, 4.0)):
+        stencil = StencilPass(WAVY_SURFACE, u, v, h)
+        frames = []
+        for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h)):
+            tf, nf = tangent_frame(WAVY_SURFACE, uu, vv), normal_frame(WAVY_SURFACE, uu, vv)
+            frames.append({"X": tf.X, "Y": tf.Y, "x": tf.xdir, "y": tf.ydir,
+                           "n1": nf.n1, "n2": nf.n2, "b": nf.b, "l": nf.l})
+        for a, c in ((0.7, 0.3), (-0.7, 0.3), (0.7, 0.0), (0.0, 0.3), (0.0, 0.0)):
+            for name in frames[0]:
+                up, um, vp, vm = (f[name] for f in frames)
+                want = (up - um) / (2.0 * h) * a if a != 0.0 else Vec4(0, 0, 0, 0)
+                if c != 0.0:
+                    want = want + (vp - vm) / (2.0 * h) * c
+                assert repr(_directional(stencil, name, a, c)) == repr(want), (name, a, c)

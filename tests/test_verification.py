@@ -6,10 +6,12 @@ import random
 import numpy as np
 import pytest
 
-from meridian4 import verification
+from meridian4 import invariants, verification
+from meridian4.cli import build_surface, parse_family_spec
+from meridian4.errors import DomainError
 from meridian4.expressions import compile_expression
 from meridian4.families import GeneratedSurface, ParallelA, generate
-from meridian4.invariants import eight_invariants
+from meridian4.invariants import StencilPass, eight_invariants
 from meridian4.minkowski import Vec4
 from meridian4.profile import Directrix, ProfileCurve
 from meridian4.surface import MeridianSurface
@@ -117,3 +119,41 @@ def test_every_row_fails_under_its_mutation(eps, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(verification, "oracle_frame_derivatives", mutated_derivatives)
             assert f"deriv:{row}" in _failed(gen), row
+
+
+def _verify_cmc_surface():
+    spec, phi = parse_family_spec("constant-mean a=0.5 b=2 C=0 eps=+ branch=+")
+    return build_surface(spec, phi, 0.6, (0.0, 0.15), (0.0, 0.3))
+
+
+@pytest.mark.parametrize("gen, eps", [(_verify_cmc_surface(), 1),
+                                      (MUTATION_SURFACES[-1], -1)],
+                         ids=["verify_cmc", "eps=-1"])
+def test_shared_passes_give_the_standalone_oracle_values(gen, eps, monkeypatch):
+    # verify reads both oracles from one stencil pass per point and step;
+    # every value must be the standalone oracle's, bit for bit (compared by
+    # repr, so signed zeros count)
+    calls = {"oracle_invariants": [], "oracle_frame_derivatives": []}
+    for name, log in calls.items():
+        def recorded(*args, fn=getattr(verification, name), log=log):
+            out = fn(*args)
+            log.append((args, out))
+            return out
+        monkeypatch.setattr(verification, name, recorded)
+    assert verify_generated(gen, 20).passed
+    # 20 points at h and h/2: perfbench's invariants.oracle.calls reads 80
+    assert [len(log) for log in calls.values()] == [40, 40]
+    for args, shared in calls["oracle_invariants"]:
+        assert isinstance(args[4], StencilPass) and shared.epsilon == eps
+        alone = invariants.oracle_invariants(*args[:4])
+        assert [repr(x) for x in shared] == [repr(x) for x in alone]
+    for args, shared in calls["oracle_frame_derivatives"]:
+        assert isinstance(args[4], StencilPass)
+        alone = invariants.oracle_frame_derivatives(*args[:4])
+        assert list(shared) == list(alone)
+        assert [repr(w) for w in shared.values()] == [repr(w) for w in alone.values()]
+
+
+def test_verify_refuses_a_stencil_leaving_the_domain():
+    with pytest.raises(DomainError, match="oracle stencil of radius"):
+        verify_generated(MUTATION_SURFACES[1], n_points=5, oracle_step=1.0)
