@@ -1,6 +1,6 @@
-"""Verification machinery: identity suite, frame Gram checks, oracle-vs-closed-
-form comparison, derivative-formula checks and family defining-property
-checks, aggregated into a report."""
+"""Verification machinery: the per-point rows (oracle against closed forms,
+identities, frame Gram matrix and derivative formulas) and the family
+defining-property and target rows, aggregated into a report."""
 
 import math
 import random
@@ -15,18 +15,12 @@ from .invariants import (DEFAULT_ORACLE_STEP, InvariantRecord, StencilPass,
 from .minkowski import Vec4, minkowski_dot
 from .profile import sample_grid
 from .records import Frozen, Record, set_fields
-from .surface import (GENERAL, MARGINALLY_TRAPPED, MeridianSurface,
-                      _normal_frame, _require_general, _tangent_frame,
-                      point_data)
+from .surface import GENERAL, MARGINALLY_TRAPPED, MeridianSurface, point_data
 
 __all__ = [
     "CheckRecord",
     "VerificationReport",
     "sample_general_points",
-    "check_identity_suite",
-    "check_frame_gram",
-    "check_oracle_equivalence",
-    "check_derivative_formulas",
     "check_defining_property",
     "check_family_targets",
     "verify_generated",
@@ -39,6 +33,12 @@ SAMPLE_MARGIN = 5e-3   # distance of sample points from the domain's edges
 SAMPLE_SEED = 0        # seed of verify_generated's sampler
 IDENTITY_TOL = 1e-9    # exact identities and the frame Gram matrix
 ORACLE_TOL = 1e-6      # Richardson-extrapolated oracle against closed forms
+# (name, tolerance) of each per-point row, in report order
+_POINT_ROWS = ([(f"oracle:{name}", ORACLE_TOL) for name in _ORACLE_FIELDS]
+               + [("k+4*nu1*nu2*mu^2", IDENTITY_TOL),
+                  ("K-eps*(nu1*nu2-lam^2+mu^2)", IDENTITY_TOL),
+                  ("frame-gram", IDENTITY_TOL)]
+               + [(f"deriv:{name}", ORACLE_TOL) for name in _DERIV_ROWS])
 
 
 class CheckRecord(Frozen):
@@ -87,11 +87,12 @@ class VerificationReport(Record):
 
 
 def _record(name, errs_locs, tol):
-    """errs_locs: iterable of (abs_error, location)."""
+    """errs_locs: iterable of (abs_error, location). A NaN error is the
+    worst wherever it stands, and fails the row."""
     errs_locs = list(errs_locs)
     if not errs_locs:
         return CheckRecord(name, 0, math.inf, tol, False, None)
-    err, loc = max(errs_locs, key=lambda e: e[0])
+    err, loc = max(errs_locs, key=lambda e: (math.isnan(e[0]), e[0]))
     return CheckRecord(name, len(errs_locs), err, tol, err <= tol, loc)
 
 
@@ -142,52 +143,10 @@ def sample_general_points(s: MeridianSurface, n: int, rng) -> list:
     return pts
 
 
-def check_identity_suite(s: MeridianSurface, pts) -> list:
-    """The algebraic identities that relate independent closed forms: k
-    against nu1, nu2 and mu, and the Gauss equation for K. The identities
-    gamma1 + gamma2 = 0, nu1 = nu2 and varkappa = 0 hold by construction in
-    the closed forms; check_oracle_equivalence tests them on the oracle's
-    own gamma2, nu2 and varkappa."""
-    rows = {"k+4*nu1*nu2*mu^2": [], "K-eps*(nu1*nu2-lam^2+mu^2)": []}
-    for (u, v) in pts:
-        r = eight_invariants(s, u, v)
-        rows["k+4*nu1*nu2*mu^2"].append(
-            (abs(r.k + 4.0 * r.nu1 * r.nu2 * r.mu**2), (u, v)))
-        rows["K-eps*(nu1*nu2-lam^2+mu^2)"].append(
-            (abs(r.K - r.epsilon * (r.nu1 * r.nu2 - r.lam**2 + r.mu**2)), (u, v)))
-    return [_record(name, errs, IDENTITY_TOL) for name, errs in rows.items()]
-
-
-def check_frame_gram(s: MeridianSurface, pts) -> CheckRecord:
-    """Gram matrix of (x, y, b, l) must be diag(1, 1, eps, -eps)."""
-    errs = []
-    for (u, v) in pts:
-        d = point_data(s, u, v)
-        _require_general(d)
-        tf, nf = _tangent_frame(d), _normal_frame(d)
-        frame = (tf.xdir, tf.ydir, nf.b, nf.l)
-        eps = float(nf.epsilon)
-        target = (1.0, 1.0, eps, -eps)
-        errs.append((max(abs(minkowski_dot(a, b) - (target[i] if i == j else 0.0))
-                         for i, a in enumerate(frame)
-                         for j, b in enumerate(frame)), (u, v)))
-    return _record("frame-gram", errs, IDENTITY_TOL)
-
-
 def _richardson(coarse, fine):
     """(4 fine - coarse) / 3 of oracle values at h and h/2: it cancels the
     O(h^2) term of the central differences and leaves O(h^4)."""
     return (4.0 * fine - coarse) / 3.0
-
-
-def _oracle_errors(s, u, v, coarse, fine) -> list:
-    """|closed form - Richardson(oracle)| of each numeric field of the
-    invariant record at (u, v)."""
-    closed = eight_invariants(s, u, v, coarse.centre.d)
-    lo = oracle_invariants(s, u, v, coarse.h, coarse)
-    hi = oracle_invariants(s, u, v, fine.h, fine)
-    return [abs(getattr(closed, name) - _richardson(getattr(lo, name), getattr(hi, name)))
-            for name in _ORACLE_FIELDS]
 
 
 def _vec_err(a: Vec4, b: Vec4) -> float:
@@ -195,67 +154,65 @@ def _vec_err(a: Vec4, b: Vec4) -> float:
     return max(abs(d.c1), abs(d.c2), abs(d.c3), abs(d.c4))
 
 
-def _derivative_errors(s, u, v, coarse, fine) -> list:
-    """|table - Richardson(oracle)| of each row of the frame derivative
-    table at (u, v), the table read from the centre's frames."""
-    centre = coarse.centre
-    p, kappa = centre.d.p, centre.d.c.kappa
-    X, Y, n1, n2 = centre.X, centre.Y, centre.n1, centre.n2
-    fof = p.fp / p.f
-    expected = {
-        "XX": -p.kappa_m * n2,
-        "XY": _ZERO,
-        "YX": fof * Y,
-        "YY": -fof * X + (kappa / p.f) * n1 - fof * n2,
-        "Xn1": _ZERO,
-        "Yn1": -(kappa / p.f) * Y,
-        "Xn2": -p.kappa_m * X,
-        "Yn2": -fof * Y,
-    }
-    lo = oracle_frame_derivatives(s, u, v, coarse.h, coarse)
-    hi = oracle_frame_derivatives(s, u, v, fine.h, fine)
-    return [_vec_err(_richardson(lo[name], hi[name]), expected[name]) for name in _DERIV_ROWS]
-
-
-# (record name prefix, row names, the rows' errors at one point)
-_ORACLE_TABLE = ("oracle", _ORACLE_FIELDS, _oracle_errors)
-_DERIV_TABLE = ("deriv", _DERIV_ROWS, _derivative_errors)
-
-
-def _stencil_checks(s: MeridianSurface, pts, h: float, *tables) -> list:
-    """Each table's records over pts, from one stencil pass at h and one at
-    h/2 per point, the second reusing the first's centre; a point's passes
-    are dropped before the next point's are built."""
-    errs = [[[] for _ in names] for _, names, _ in tables]
+def _point_rows(s: MeridianSurface, pts, h: float) -> list:
+    """The records of every per-point row over pts, in _POINT_ROWS order.
+    Each point's rows read one stencil pass at h, one at h/2 reusing its
+    centre, and one closed-form record; a point's passes are dropped before
+    the next point's are built. The rows:
+    - oracle:<field>: |closed form - Richardson(oracle)| of each numeric field
+      of the invariant record, at both signs of <H,H>;
+    - the identities that relate independent closed forms: k against nu1,
+      nu2 and mu, and the Gauss equation for K (gamma1 + gamma2 = 0,
+      nu1 = nu2 and varkappa = 0 hold by construction in the closed forms;
+      the oracle rows test them on the oracle's own gamma2, nu2, varkappa);
+    - frame-gram: the centre's (x, y, b, l) against diag(1, 1, eps, -eps);
+    - deriv:<row>: |table - Richardson(oracle)| of each row of the frame
+      derivative table, read from the centre's frames:
+      D_X X = -kappa_m n2, D_X Y = 0, D_Y X = (f'/f) Y,
+      D_Y Y = -(f'/f) X + (kappa/f) n1 - (f'/f) n2,
+      D_X n1 = 0, D_Y n1 = -(kappa/f) Y, D_X n2 = -kappa_m X, D_Y n2 = -(f'/f) Y
+      (the n2 rows carry the orientation of n2 that keeps the table
+      compatible with d<X,n2> = 0)."""
+    rows = [[] for _ in _POINT_ROWS]
     for (u, v) in pts:
         coarse = StencilPass(s, u, v, h)
         fine = StencilPass(s, u, v, h / 2.0, coarse.centre)
-        for (_, _, errors), rows in zip(tables, errs):
-            for row, err in zip(rows, errors(s, u, v, coarse, fine)):
-                row.append((err, (u, v)))
-    return [[_record(f"{prefix}:{name}", row, ORACLE_TOL) for name, row in zip(names, rows)]
-            for (prefix, names, _), rows in zip(tables, errs)]
+        centre = coarse.centre
+        r = eight_invariants(s, u, v, centre.d)
+        lo = oracle_invariants(s, u, v, coarse.h, coarse)
+        hi = oracle_invariants(s, u, v, fine.h, fine)
+        errs = [abs(getattr(r, name) - _richardson(getattr(lo, name), getattr(hi, name)))
+                for name in _ORACLE_FIELDS]
+        errs.append(abs(r.k + 4.0 * r.nu1 * r.nu2 * r.mu**2))
+        errs.append(abs(r.K - r.epsilon * (r.nu1 * r.nu2 - r.lam**2 + r.mu**2)))
 
+        frame = (centre.x, centre.y, centre.b, centre.l)
+        eps = float(centre.epsilon)
+        target = (1.0, 1.0, eps, -eps)
+        errs.append(max(abs(minkowski_dot(a, b) - (target[i] if i == j else 0.0))
+                        for i, a in enumerate(frame)
+                        for j, b in enumerate(frame)))
 
-def check_oracle_equivalence(s: MeridianSurface, pts,
-                             h: float = DEFAULT_ORACLE_STEP) -> list:
-    """Componentwise agreement of the Richardson-extrapolated
-    finite-difference oracle with the closed forms for every numeric field of
-    the invariant record: the eight invariants, K, k, varkappa and the mean
-    curvature data, one row oracle:<field> each, at both signs of <H,H>."""
-    return _stencil_checks(s, pts, h, _ORACLE_TABLE)[0]
-
-
-def check_derivative_formulas(s: MeridianSurface, pts,
-                              h: float = DEFAULT_ORACLE_STEP) -> list:
-    """Every row of the frame derivative table against the
-    Richardson-extrapolated oracle:
-    D_X X = -kappa_m n2, D_X Y = 0, D_Y X = (f'/f) Y,
-    D_Y Y = -(f'/f) X + (kappa/f) n1 - (f'/f) n2,
-    D_X n1 = 0, D_Y n1 = -(kappa/f) Y, D_X n2 = -kappa_m X, D_Y n2 = -(f'/f) Y
-    (the n2 rows carry the orientation of n2 that keeps the table compatible
-    with d<X,n2> = 0)."""
-    return _stencil_checks(s, pts, h, _DERIV_TABLE)[0]
+        p, kappa = centre.d.p, centre.d.c.kappa
+        X, Y, n1, n2 = centre.X, centre.Y, centre.n1, centre.n2
+        fof = p.fp / p.f
+        expected = {
+            "XX": -p.kappa_m * n2,
+            "XY": _ZERO,
+            "YX": fof * Y,
+            "YY": -fof * X + (kappa / p.f) * n1 - fof * n2,
+            "Xn1": _ZERO,
+            "Yn1": -(kappa / p.f) * Y,
+            "Xn2": -p.kappa_m * X,
+            "Yn2": -fof * Y,
+        }
+        lo = oracle_frame_derivatives(s, u, v, coarse.h, coarse)
+        hi = oracle_frame_derivatives(s, u, v, fine.h, fine)
+        errs.extend(_vec_err(_richardson(lo[name], hi[name]), expected[name])
+                    for name in _DERIV_ROWS)
+        for row, err in zip(rows, errs):
+            row.append((err, (u, v)))
+    return [_record(name, row, tol) for (name, tol), row in zip(_POINT_ROWS, rows)]
 
 
 def check_defining_property(gen: GeneratedSurface) -> CheckRecord:
@@ -295,21 +252,11 @@ def check_family_targets(gen: GeneratedSurface) -> list:
 
 def verify_generated(gen: GeneratedSurface, n_points: int = 50,
                      oracle_step: float = DEFAULT_ORACLE_STEP) -> VerificationReport:
-    """Full verification of a generated surface: oracle comparison, identity
-    suite, frame Gram, derivative formulas and, for a family member (spec not
-    None), the family's defining and target properties."""
-    report = VerificationReport()
-    rng = random.Random(SAMPLE_SEED)
-    pts = sample_general_points(gen.surface, n_points, rng)
-    oracle_recs, deriv_recs = _stencil_checks(gen.surface, pts, oracle_step,
-                                              _ORACLE_TABLE, _DERIV_TABLE)
-    for rec in oracle_recs:
-        report.add(rec)
-    for rec in check_identity_suite(gen.surface, pts):
-        report.add(rec)
-    report.add(check_frame_gram(gen.surface, pts))
-    for rec in deriv_recs:
-        report.add(rec)
+    """Full verification of a generated surface: the per-point rows on
+    n_points sampled general points and, for a family member (spec not
+    None), the family's defining and target rows."""
+    pts = sample_general_points(gen.surface, n_points, random.Random(SAMPLE_SEED))
+    report = VerificationReport(_point_rows(gen.surface, pts, oracle_step))
     if gen.spec is not None:
         report.add(check_defining_property(gen))
         for rec in check_family_targets(gen):

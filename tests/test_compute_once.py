@@ -4,6 +4,7 @@ centre plus four stencil points for the oracle. Each curve keeps the records
 it evaluated, so a coordinate shared by several points, or by several
 surfaces over the same curve, is evaluated once."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -19,7 +20,8 @@ from meridian4.jets import jcos, jsqrt
 from meridian4.profile import (Directrix, ProfileCurve, directrix_point,
                                profile_point, sample_grid)
 from meridian4.surface import MeridianSurface
-from meridian4.verification import verify_generated
+from meridian4.verification import (SAMPLE_SEED, sample_general_points,
+                                    verify_generated)
 
 
 class Counted:
@@ -134,13 +136,31 @@ def test_verify_builds_each_stencil_frame_once(monkeypatch):
         frames[(d.p.u, d.c.v)] += 1
         return tangent_frame(d)
     for module in (surface, invariants, verification):
-        monkeypatch.setattr(module, "_tangent_frame", counted)
+        if "_tangent_frame" in vars(module):   # every module that binds it
+            monkeypatch.setattr(module, "_tangent_frame", counted)
     assert verify_generated(gen, 20).passed
-    # per sample point: the centre, shared by both oracles at h and h/2,
-    # and again in the frame-Gram check, and the eight stencil points once
-    # each, 10 in all
-    assert sum(frames.values()) <= 10 * 20
-    assert sorted(set(frames.values())) == [1, 2]
+    # per sample point: the centre, shared by both oracles at h and h/2 and
+    # by the frame-Gram row, and the eight stencil points, each once
+    assert sum(frames.values()) == 9 * 20
+    assert sorted(set(frames.values())) == [1]
+
+
+def test_verify_evaluates_the_closed_forms_once_per_point(monkeypatch):
+    spec, phi = parse_family_spec("constant-mean a=0.5 b=2 C=0 eps=+ branch=+")
+    gen = build_surface(spec, phi, 0.6, (0.0, 0.15), (0.0, 0.3))
+    calls = Counter()
+    eight_invariants = verification.eight_invariants
+
+    def counted(s, u, v, d=None):
+        calls[(u, v)] += 1
+        return eight_invariants(s, u, v, d)
+    monkeypatch.setattr(verification, "eight_invariants", counted)
+    assert verify_generated(gen, 20).passed
+    pts = sample_general_points(gen.surface, 20, random.Random(SAMPLE_SEED))
+    # one record per sample point, read by its oracle and identity rows, and
+    # one per family-target row at the directrix midpoint
+    assert [calls[p] for p in pts] == [1] * 20
+    assert sum(calls.values()) == 70
 
 
 def test_a_checked_and_shared_directrix_evaluates_each_v_once(monkeypatch):

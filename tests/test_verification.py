@@ -16,9 +16,8 @@ from meridian4.minkowski import Vec4
 from meridian4.profile import Directrix, ProfileCurve
 from meridian4.surface import MeridianSurface
 from meridian4.verification import (_ORACLE_FIELDS, SAMPLE_SEED, CheckRecord,
-                                    VerificationReport, check_frame_gram,
-                                    check_identity_suite, sample_general_points,
-                                    verify_generated)
+                                    VerificationReport, _record,
+                                    sample_general_points, verify_generated)
 
 UNIT_PHI = Directrix(compile_expression("1", "v"), (0.0, 2.0 * math.pi))
 
@@ -35,6 +34,16 @@ def test_report_overall_pass_semantics():
     assert any("FAIL" in line for line in report.lines())
 
 
+@pytest.mark.parametrize("first", [0, 1])
+def test_a_nan_error_fails_its_row_wherever_it_stands(first):
+    entries = [(1e-9, "a"), (math.nan, "b")]
+    if first:
+        entries.reverse()
+    rec = _record("x", entries, 1e-6)
+    assert not rec.passed
+    assert math.isnan(rec.max_abs_error) and rec.worst_location == "b"
+
+
 def test_sample_general_points_is_deterministic():
     gen = generate(ParallelA(c=1.0, d=1.0, a=0.0, sign=1), None,
                    (0.0, 3.0), UNIT_PHI)
@@ -46,10 +55,25 @@ def test_sample_general_points_is_deterministic():
 def test_identity_and_gram_checks_pass():
     gen = generate(ParallelA(c=1.0, d=1.0, a=0.0, sign=1), None,
                    (0.0, 3.0), UNIT_PHI)
-    pts = sample_general_points(gen.surface, 20, np.random.default_rng(0))
-    for rec in check_identity_suite(gen.surface, pts):
-        assert rec.passed, rec
-    assert check_frame_gram(gen.surface, pts).passed
+    rows = {c.name: c for c in verify_generated(gen, n_points=20).checks}
+    for name in ("k+4*nu1*nu2*mu^2", "K-eps*(nu1*nu2-lam^2+mu^2)", "frame-gram"):
+        assert rows[name].passed and rows[name].grid == 20, rows[name]
+
+
+PER_POINT_ROWS = (
+    [f"oracle:{f}" for f in ("gamma1", "gamma2", "nu1", "nu2", "lam", "mu", "beta1",
+                             "beta2", "K", "k", "varkappa", "H_n1", "H_n2", "H_norm")]
+    + ["k+4*nu1*nu2*mu^2", "K-eps*(nu1*nu2-lam^2+mu^2)", "frame-gram"]
+    + [f"deriv:{r}" for r in ("XX", "XY", "YX", "YY", "Xn1", "Yn1", "Xn2", "Yn2")])
+
+
+def test_report_row_order():
+    gen = generate(ParallelA(c=1.0, d=1.0, a=0.0, sign=1), None,
+                   (0.0, 3.0), UNIT_PHI)
+    assert [c.name for c in verify_generated(gen, n_points=5).checks] == (
+        PER_POINT_ROWS + ["defining:ParallelA", "beta1==0", "beta2==0"])
+    direct = _direct("sqrt(u+1)", (0.0, 3.0))
+    assert [c.name for c in verify_generated(direct, n_points=5).checks] == PER_POINT_ROWS
 
 
 def test_verify_generated_parallel_a_passes():
