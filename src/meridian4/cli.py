@@ -368,12 +368,22 @@ def _record_attr(column):
     return "lam" if column == "lambda" else column
 
 
-def _build_parser():
+_COMMANDS = {"family": cmd_family, "invariants": cmd_invariants,
+             "verify": cmd_verify, "mesh": cmd_mesh}
+
+
+def _build_parser(argv):
+    """The top-level parser with only the subparser that argv[0] names, or
+    with all four where it names none (help, an empty argv, an invalid
+    command); either parses argv and words its messages as all four do."""
     p = argparse.ArgumentParser(prog="meridian4", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, fn in (("family", cmd_family), ("invariants", cmd_invariants),
-                     ("verify", cmd_verify), ("mesh", cmd_mesh)):
+    one = argv[:1] if argv and argv[0] in _COMMANDS else None
+    # with one subparser, the metavar keeps all four names in the top-level
+    # usage that an "unrecognized arguments" error prints
+    sub = p.add_subparsers(dest="command", required=True,
+                           metavar=one and "{" + ",".join(_COMMANDS) + "}")
+    for name in one or _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--spec", required=True)
         sp.add_argument("--f0", type=float, default=None)
@@ -392,12 +402,13 @@ def _build_parser():
             sp.add_argument("--fields", default=None)
             sp.add_argument("--projection", choices=("none", "drop-e4"),
                             default="none")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=_COMMANDS[name])
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     if args.command != "verify" and args.out is None:
         print("error: --out is required", file=sys.stderr)
         return 1

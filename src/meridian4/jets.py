@@ -34,12 +34,6 @@ __all__ = [
 ]
 
 
-def _as_jet(x) -> "Jet":
-    if isinstance(x, Jet):
-        return x
-    return Jet(float(x), 0.0, 0.0, 0.0)
-
-
 def value(x) -> float:
     """The value of a jet; a float is its own value."""
     return x.f if isinstance(x, Jet) else x
@@ -54,56 +48,69 @@ class Jet(Record):
         self.d2 = d2
         self.d3 = d3
 
+    # A float or int operand enters as the jet constant(other) would, its zero
+    # derivatives written in as 0.0: a op c is a op constant(c) bit for bit.
     def __add__(self, other):
-        o = _as_jet(other)
-        return Jet(self.f + o.f, self.d1 + o.d1, self.d2 + o.d2, self.d3 + o.d3)
+        if isinstance(other, Jet):
+            return Jet(self.f + other.f, self.d1 + other.d1, self.d2 + other.d2,
+                       self.d3 + other.d3)
+        return Jet(self.f + other, self.d1 + 0.0, self.d2 + 0.0, self.d3 + 0.0)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _as_jet(other)
-        return Jet(self.f - o.f, self.d1 - o.d1, self.d2 - o.d2, self.d3 - o.d3)
+        if isinstance(other, Jet):
+            return Jet(self.f - other.f, self.d1 - other.d1, self.d2 - other.d2,
+                       self.d3 - other.d3)
+        return Jet(self.f - other, self.d1 - 0.0, self.d2 - 0.0, self.d3 - 0.0)
 
     def __rsub__(self, other):
-        return _as_jet(other) - self
+        return Jet(other - self.f, 0.0 - self.d1, 0.0 - self.d2, 0.0 - self.d3)
 
     def __neg__(self):
         return Jet(-self.f, -self.d1, -self.d2, -self.d3)
 
     def __mul__(self, other):
-        a, b = self, _as_jet(other)
-        return Jet(
-            a.f * b.f,
-            a.d1 * b.f + a.f * b.d1,
-            a.d2 * b.f + 2.0 * a.d1 * b.d1 + a.f * b.d2,
-            a.d3 * b.f + 3.0 * a.d2 * b.d1 + 3.0 * a.d1 * b.d2 + a.f * b.d3,
-        )
+        a, b = self, other
+        if isinstance(b, Jet):
+            return Jet(a.f * b.f, a.d1 * b.f + a.f * b.d1,
+                       a.d2 * b.f + 2.0 * a.d1 * b.d1 + a.f * b.d2,
+                       a.d3 * b.f + 3.0 * a.d2 * b.d1 + 3.0 * a.d1 * b.d2 + a.f * b.d3)
+        return Jet(a.f * b, a.d1 * b + a.f * 0.0, a.d2 * b + 2.0 * a.d1 * 0.0 + a.f * 0.0,
+                   a.d3 * b + 3.0 * a.d2 * 0.0 + 3.0 * a.d1 * 0.0 + a.f * 0.0)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         """The value is the quotient of the values, as on floats; the
         derivatives are those of self * (1 / other)."""
-        a, o = self, _as_jet(other)
-        if o.f == 0.0:
-            raise DomainError("division by a jet with zero value", t=o.f)
-        # r = 1 / o: the derivatives of 1/x composed with o
-        r0, g1, g2, g3 = 1.0 / o.f, -1.0 / o.f**2, 2.0 / o.f**3, -6.0 / o.f**4
-        r1 = g1 * o.d1
-        r2 = g2 * o.d1**2 + g1 * o.d2
-        r3 = g3 * o.d1**3 + 3.0 * g2 * o.d1 * o.d2 + g1 * o.d3
-        return Jet(
-            a.f / o.f,
-            a.d1 * r0 + a.f * r1,
-            a.d2 * r0 + 2.0 * a.d1 * r1 + a.f * r2,
-            a.d3 * r0 + 3.0 * a.d2 * r1 + 3.0 * a.d1 * r2 + a.f * r3,
-        )
+        if isinstance(other, Jet):
+            return _quotient(self.f, self.d1, self.d2, self.d3,
+                             other.f, other.d1, other.d2, other.d3)
+        return _quotient(self.f, self.d1, self.d2, self.d3, float(other), 0.0, 0.0, 0.0)
 
     def __rtruediv__(self, other):
-        return _as_jet(other) / self
+        return _quotient(float(other), 0.0, 0.0, 0.0, self.f, self.d1, self.d2, self.d3)
 
     def __pow__(self, p):
         return jpow(self, p)
+
+
+def _quotient(af, ad1, ad2, ad3, of, od1, od2, od3) -> Jet:
+    """The jet (af, ad1, ad2, ad3) / (of, od1, od2, od3)."""
+    if of == 0.0:
+        raise DomainError("division by a jet with zero value", t=of)
+    # r = 1 / o: the derivatives of 1/x composed with o
+    r0, g1, g2, g3 = 1.0 / of, -1.0 / of**2, 2.0 / of**3, -6.0 / of**4
+    r1 = g1 * od1
+    r2 = g2 * od1**2 + g1 * od2
+    r3 = g3 * od1**3 + 3.0 * g2 * od1 * od2 + g1 * od3
+    return Jet(
+        af / of,
+        ad1 * r0 + af * r1,
+        ad2 * r0 + 2.0 * ad1 * r1 + af * r2,
+        ad3 * r0 + 3.0 * ad2 * r1 + 3.0 * ad1 * r2 + af * r3,
+    )
 
 
 def _compose(u: Jet, g0: float, g1: float, g2: float, g3: float) -> Jet:

@@ -43,12 +43,14 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
 _D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
       -10690763975 / 1880347072, 701980252875 / 199316789632,
       -1453857185 / 822651844, 69997945 / 29380423)
-
-
-def _weighted(w, k):
-    """sum_i w_i k_i, summed left to right. Zero weights are multiplied too,
-    so a non-finite stage always yields a non-finite sum."""
-    return sum([wi * ki for wi, ki in zip(w, k)])
+# The tableau unpacked for _steps, which writes each weighted sum out: left
+# to right from 0.0, as sum() over a list adds on Python 3.11, and with its
+# zero weights, so that a non-finite stage always yields a non-finite sum.
+((A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54),
+ (A61, A62, A63, A64, A65), (B1, B2, B3, B4, B5, B6)) = _A
+_, C2, C3, C4, C5, _, _ = _C
+E1, E2, E3, E4, E5, E6, E7 = _E
+D1, D2, D3, D4, D5, D6, D7 = _D
 
 
 def _extension(v, dv, h, k0, k6, w):
@@ -161,7 +163,7 @@ def _steps(rhs, t0, t1, y0, tol):
     h = _FIRST_STEP * span
     t, y = t0, float(y0)
     y_err = g = g_err = 0.0
-    k = [rhs(t, y)] + [None] * 6
+    k1 = rhs(t, y)
     ts, coef, yerr, gcoef, gerr = [t0], [], [], [], []
     rejected, failure = False, None
     while t < t1:
@@ -170,26 +172,39 @@ def _steps(rhs, t0, t1, y0, tol):
             h = t1 - t
         failure = None
         try:
-            for s, a in enumerate(_A, 1):
-                y_new = y + h * _weighted(a, k)
-                k[s] = rhs(t + _C[s] * h, y_new)
-            step_err = abs(h * _weighted(_E, k))
+            k2 = rhs(t + C2 * h, y + h * (0.0 + A21 * k1))
+            k3 = rhs(t + C3 * h, y + h * (0.0 + A31 * k1 + A32 * k2))
+            k4 = rhs(t + C4 * h, y + h * (0.0 + A41 * k1 + A42 * k2 + A43 * k3))
+            k5 = rhs(t + C5 * h, y + h * (0.0 + A51 * k1 + A52 * k2 + A53 * k3 + A54 * k4))
+            k6 = rhs(t + h, y + h * (0.0 + A61 * k1 + A62 * k2 + A63 * k3
+                                     + A64 * k4 + A65 * k5))
+            y_new = y + h * (0.0 + B1 * k1 + B2 * k2 + B3 * k3 + B4 * k4
+                             + B5 * k5 + B6 * k6)
+            k7 = rhs(t + h, y_new)
+            step_err = abs(h * (0.0 + E1 * k1 + E2 * k2 + E3 * k3 + E4 * k4
+                                + E5 * k5 + E6 * k6 + E7 * k7))
             err = step_err / max(tol * h / span, ATOL + RTOL * max(abs(y), abs(y_new)))
         except MeridianError as e:
             err, failure = math.nan, e
         if math.isfinite(err) and err <= 1.0:
-            coef.append(_extension(y, y_new - y, h, k[0], k[6], _weighted(_D, k)))
+            coef.append(_extension(y, y_new - y, h, k1, k7, (
+                0.0 + D1 * k1 + D2 * k2 + D3 * k3 + D4 * k4 + D5 * k5 + D6 * k6
+                + D7 * k7)))
             y_err += step_err
             yerr.append(y_err)
-            q = [-0.5 / ki if ki else math.inf for ki in k]
-            dg = h * _weighted(_A[-1], q)
-            gcoef.append(_extension(g, dg, h, q[0], q[6], _weighted(_D, q)))
+            q1, q2, q3, q4, q5, q6, q7 = [-0.5 / ki if ki else math.inf
+                                          for ki in (k1, k2, k3, k4, k5, k6, k7)]
+            dg = h * (0.0 + B1 * q1 + B2 * q2 + B3 * q3 + B4 * q4 + B5 * q5 + B6 * q6)
+            gcoef.append(_extension(g, dg, h, q1, q7, (
+                0.0 + D1 * q1 + D2 * q2 + D3 * q3 + D4 * q4 + D5 * q5 + D6 * q6
+                + D7 * q7)))
             g += dg
-            g_err += abs(h * _weighted(_E, q))
+            g_err += abs(h * (0.0 + E1 * q1 + E2 * q2 + E3 * q3 + E4 * q4 + E5 * q5
+                              + E6 * q6 + E7 * q7))
             gerr.append(g_err)
             t = t1 if last else t + h
             ts.append(t)
-            y, k[0] = y_new, k[6]
+            y, k1 = y_new, k7
             h *= min(1.0 if rejected else 5.0, 0.9 * max(err, 1e-10) ** -0.2)
             rejected = False
             continue

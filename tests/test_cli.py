@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -650,6 +651,48 @@ def test_flags_exist_only_where_they_are_read(tmp_path, command, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# --- parser -------------------------------------------------------------------
+
+# each command's required options
+_REQUIRED = {"family": ["--spec", "parallel-a c=1 d=1", "--u", "0:1"]}
+_REQUIRED.update((c, _REQUIRED["family"] + ["--v", "0:1"])
+                 for c in ("invariants", "verify", "mesh"))
+
+
+def _exit(parse, argv, capsys):
+    """(stdout, stderr, exit code) of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["bogus"]] + [
+    argv for c, required in _REQUIRED.items() for argv in (
+        [c, "--help"], [c, *required, "--bogus", "1"], [c, *required[2:]])],
+    ids=lambda argv: " ".join(argv) or "empty")
+def test_parser_messages_are_those_of_the_parser_with_all_four(capsys, argv):
+    # main builds only the subparser that argv[0] names; an argv that names
+    # none builds all four, as every argv did before
+    full = cli._build_parser([])
+    assert _exit(main, argv, capsys) == _exit(full.parse_args, argv, capsys)
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED))
+def test_one_subparser_parses_as_all_four(command):
+    argv = [command, *_REQUIRED[command], "--out", "x"]
+    assert cli._build_parser(argv).parse_args(argv) == cli._build_parser([]).parse_args(argv)
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch, capsys):
+    argv = ["family", *_REQUIRED["family"], "--out", str(tmp_path / "a.csv")]
+    monkeypatch.setattr(sys, "argv", ["meridian4", *argv[:-1], str(tmp_path / "b.csv")])
+    assert main() == main(argv) == 0
+    assert read(tmp_path / "a.csv") == read(tmp_path / "b.csv")
+    monkeypatch.setattr(sys, "argv", ["meridian4", "verify", "--help"])
+    assert _exit(main, None, capsys) == _exit(main, ["verify", "--help"], capsys)
 
 
 # --- mesh command -------------------------------------------------------------

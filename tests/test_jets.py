@@ -1,15 +1,19 @@
 """Third-order jets: arithmetic, composition, and elementary functions."""
 
 import math
+import operator
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from meridian4.jets import (Jet, constant, jcos, jet_eval,
                             jet_function_from_derivs, jexp, jlog, jpow, jsec,
                             jsin, jsqrt, variable)
 
 coeff = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+# signed zeros, infinities, nan, subnormals and the ends of the float range
+edge = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                        1e-310, -1e-310, 1e308, -1e308])
 
 
 def poly_jet(coeffs, t):
@@ -66,6 +70,35 @@ def test_quotient_then_product_recovers(p, t):
     for a, b in zip((back.f, back.d1, back.d2, back.d3),
                     (jp.f, jp.d1, jp.d2, jp.d3)):
         assert a == pytest.approx(b, abs=1e-9)
+
+
+def _outcome(op, x, y):
+    """repr of the four fields of op(x, y), or the type and text of what it
+    raised."""
+    try:
+        r = op(x, y)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tuple(map(repr, (r.f, r.d1, r.d2, r.d3)))
+
+
+@settings(max_examples=400)
+@given(st.tuples(*[edge | st.floats()] * 4),
+       edge | st.integers(-3, 3) | st.sampled_from([10**200, -10**200]) | st.floats())
+def test_float_operands_match_constant_jets_bit_for_bit(fields, c):
+    # a float or int enters + - * / directly; the jet-jet path with the jet
+    # constant(c) is the reference, signed zeros and raises included. The
+    # powers of a divisor 10**200 overflow, as floats do, not as ints would.
+    # c + a and c * a run __add__ and __mul__ on (a, c), so their reference
+    # is a + constant(c) and a * constant(c): constant(c) * a differs where a
+    # zero derivative meets an infinite term, as in 0.0 * inf = nan.
+    a = Jet(*fields)
+    for op, reflected in ((operator.add, (a, constant(c))),
+                          (operator.sub, (constant(c), a)),
+                          (operator.mul, (a, constant(c))),
+                          (operator.truediv, (constant(c), a))):
+        assert _outcome(op, a, c) == _outcome(op, a, constant(c))
+        assert _outcome(op, c, a) == _outcome(op, *reflected)
 
 
 def test_chain_rule_against_finite_differences():

@@ -1,17 +1,39 @@
 """Dormand-Prince 5(4) integration with dense output: of the autonomous
 profile equation, and of a quadrature whose own error estimate steers it."""
 
+import hashlib
+import itertools
+import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
 from meridian4 import cli, profile as profile_module
 from meridian4.errors import DomainError, QuadratureLimitError
 from meridian4.expressions import compile_expression
-from meridian4.jets import jcos
+from meridian4.families import integrate_autonomous
+from meridian4.jets import jcos, jet_eval
 from meridian4.odeint import dormand_prince, quadrature_path
-from meridian4.profile import ProfileCurve, g_from_f
+from meridian4.profile import G_TOL, ProfileCurve, g_from_f
+
+DIGESTS = Path(__file__).parent / "data" / "dormand_prince_digests.json"
+
+# the five ODE families of the family_sweep benchmark at its seed-0 ranges:
+# (spec, f0, u range)
+ODE_PATHS = {
+    "constant-mean-eps+": ("constant-mean a=0.5 b=2 C=0 eps=+ branch=+", 0.6, (0.0, 1.0)),
+    "constant-mean-eps-": ("constant-mean a=0.5 b=1 C=0 eps=- branch=+", 0.6, (0.0, 0.6)),
+    "constant-k": ("constant-k a=1 b=-1 c=0.5 branch=+", 0.5, (0.0, 0.5)),
+    "chen": ("chen b=1 c=1 branch=+", 1.5, (0.0, 0.5)),
+    "parallel-b": ("parallel-b a=1 c=1 b=-2", 1.0, (0.0, 0.5)),
+}
+# g' = -1/(2 f') of a direct profile f: (f, u range)
+QUADRATURE_PATHS = {
+    "sqrt(u+1)": ("sqrt(u+1)", (0.0, 3.0)),
+    "cos(u)+2": ("cos(u)+2", (0.1, 3.1)),
+}
 
 
 def quadrature(F, a, b):
@@ -121,6 +143,51 @@ def test_dormand_prince_non_finite_stage_truncates(bad):
     for t in path.ts:
         assert math.isfinite(path(t))
     assert path(path.t1) == pytest.approx(math.exp(path.t1), rel=1e-12)
+
+
+def _digest(path):
+    text = repr((path.ts, path.coef, path.gcoef, path.gerr))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _path_digests():
+    out = {}
+    for name, (text, f0, u_range) in ODE_PATHS.items():
+        spec, _ = cli.parse_family_spec(text)
+        out[name] = _digest(integrate_autonomous(spec.y(), f0, u_range))
+    for name, (text, (u0, u1)) in QUADRATURE_PATHS.items():
+        f = compile_expression(text, "u")
+        path, stop = quadrature_path(lambda t: -0.5 / jet_eval(f, t).d1, u0, u1, G_TOL)
+        assert stop is None
+        out[name] = _digest(path)
+    return out
+
+
+def test_dormand_prince_paths_are_bit_identical_to_the_pinned_digests():
+    # every node, extension coefficient and error sum, to the last bit: the
+    # step is a fixed sequence of float operations, and a change to its
+    # order or to a weight moves these digests
+    assert _path_digests() == json.loads(DIGESTS.read_text())
+
+
+def test_dormand_prince_nan_in_a_zero_weight_stage_truncates():
+    # y' = 1 (y = 1 + t), but stage 2 of a step gives NaN where its point,
+    # y + h/5, lies past 5. Every other stage stays finite, and stage 2 has
+    # weight 0.0 in the 5th-order row, in the error estimate and in the
+    # dense output: its NaN must still reach the error estimate, so each
+    # such step is rejected, and the path ends at the first node from which
+    # no step down to the floor (1e-6 of the span) keeps that point below 5.
+    calls = itertools.count()
+
+    def rhs(y):
+        # call 0 is the first step's stage 1; each attempt then evaluates
+        # stages 2..7 in order
+        return math.nan if next(calls) % 6 == 1 and y > 5.0 else 1.0
+
+    path = dormand_prince(rhs, 0.0, 10.0, 1.0)
+    assert path.truncated
+    assert path.t1 < 10.0 and path(path.t1) >= 5.0 - 1e-5 / 5
+    assert all(math.isfinite(c) for step in path.coef + path.gcoef for c in step)
 
 
 def test_rk4_logistic():
