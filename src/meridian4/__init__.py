@@ -16,8 +16,8 @@ from .invariants import (InvariantRecord, eight_invariants, gauss_curvature,
 from .jets import Jet, jet_eval, variable
 from .minkowski import Vec4, minkowski_dot
 from .profile import Directrix, ProfileCurve, g_from_f
-from .surface import (MeridianSurface, NormalFrame, PointCase, TangentFrame,
-                      classify_point, embed, normal_frame, tangent_frame)
+from .surface import (MeridianSurface, PointCase, PointFrames, classify_point,
+                      embed, normal_frame, tangent_frame)
 from .verification import VerificationReport, verify_generated
 
 __version__ = "0.1.0"

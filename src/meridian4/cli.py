@@ -406,8 +406,23 @@ def _build_parser(argv):
     return p
 
 
+def _attach_values(argv):
+    """argv with each value that starts with '-' and a digit or '.' joined
+    to the option before it, `--u -1:1` as `--u=-1:1`: argparse would take
+    the value for an option and report the one before it as given none."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (tok[:1] == "-" and (tok[1:2].isdigit() or tok[1:2] == ".")
+                and prev[:2] == "--" and "=" not in prev and prev not in ("--", "--help")):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _attach_values(sys.argv[1:] if argv is None else argv)
     args = _build_parser(argv).parse_args(argv)
     if args.command != "verify" and args.out is None:
         print("error: --out is required", file=sys.stderr)

@@ -14,9 +14,8 @@ from .errors import DomainError
 from .minkowski import Vec4, minkowski_dot
 from .profile import ProfilePoint, _finite, profile_point
 from .records import Record
-from .surface import (GENERAL, MeridianSurface, PointData,
-                      _normal_frame, _normal_pair, _require_general,
-                      _tangent_frame, point_data)
+from .surface import (GENERAL, MeridianSurface, PointData, PointFrames,
+                      _require_general, frames, point_data)
 
 __all__ = [
     "InvariantRecord",
@@ -24,7 +23,6 @@ __all__ = [
     "mean_curvature",
     "invariant_k",
     "eight_invariants",
-    "PointFrames",
     "StencilPass",
     "oracle_invariants",
     "oracle_second_fundamental",
@@ -146,24 +144,6 @@ def _check_stencil(s: MeridianSurface, u: float, v: float, h: float):
             f"oracle stencil of radius 2h = {2 * h} leaves the domain at ({u}, {v})")
 
 
-class PointFrames(Record):
-    """The frame fields at one point, from one tangent frame and one normal
-    pair: X, Y, x, y, n1, n2 everywhere, and b, l and epsilon at a general
-    point (None elsewhere); d is the point's record."""
-
-    __slots__ = ("d", "X", "Y", "x", "y", "n1", "n2", "b", "l", "epsilon")
-
-    def __init__(self, d: PointData):
-        tf = _tangent_frame(d)
-        pair = _normal_pair(d)
-        self.d, self.X, self.Y, self.x, self.y = d, tf.X, tf.Y, tf.xdir, tf.ydir
-        self.n1, self.n2 = pair
-        self.b = self.l = self.epsilon = None
-        if d.case is GENERAL:
-            nf = _normal_frame(d, pair)
-            self.b, self.l, self.epsilon = nf.b, nf.l, nf.epsilon
-
-
 class StencilPass(Record):
     """One oracle stencil of step h at (u, v): the frames at the centre and
     at (u+h, v), (u-h, v), (u, v+h), (u, v-h), each built once, and each
@@ -176,8 +156,8 @@ class StencilPass(Record):
     def __init__(self, s: MeridianSurface, u: float, v: float, h: float,
                  centre: Optional[PointFrames] = None):
         _check_stencil(s, u, v, h)
-        self.centre = PointFrames(point_data(s, u, v)) if centre is None else centre
-        self.points = tuple(PointFrames(point_data(s, uu, vv))
+        self.centre = frames(point_data(s, u, v)) if centre is None else centre
+        self.points = tuple(frames(point_data(s, uu, vv))
                             for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h)))
         self.h = h
         self._diffs = {}
@@ -210,11 +190,11 @@ def _directional(stencil: StencilPass, name: str, a: float, c: float) -> Vec4:
                 du.c3 * a + dv.c3 * c, du.c4 * a + dv.c4 * c)
 
 
-def _normal_part(Dx_x: Vec4, Dy_y: Vec4, frames: PointFrames) -> Vec4:
+def _normal_part(Dx_x: Vec4, Dy_y: Vec4, centre: PointFrames) -> Vec4:
     """H = (1/2) (D_x x + D_y y)^perp, projecting off the tangent plane with
     the orthonormal pair (X, Y)."""
     W = (Dx_x + Dy_y) * 0.5
-    return W - frames.X * minkowski_dot(W, frames.X) - frames.Y * minkowski_dot(W, frames.Y)
+    return W - centre.X * minkowski_dot(W, centre.X) - centre.Y * minkowski_dot(W, centre.Y)
 
 
 def oracle_invariants(s: MeridianSurface, u: float, v: float,

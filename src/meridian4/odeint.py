@@ -44,8 +44,10 @@ _D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
       -10690763975 / 1880347072, 701980252875 / 199316789632,
       -1453857185 / 822651844, 69997945 / 29380423)
 # The tableau unpacked for _steps, which writes each weighted sum out: left
-# to right from 0.0, as sum() over a list adds on Python 3.11, and with its
-# zero weights, so that a non-finite stage always yields a non-finite sum.
+# to right from 0.0, as sum() over a list adds on Python 3.11 (3.12 changed
+# sum()'s float algorithm; written out, the bits are the same on every
+# Python), and with its zero weights, so that a non-finite stage always
+# yields a non-finite sum.
 ((A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54),
  (A61, A62, A63, A64, A65), (B1, B2, B3, B4, B5, B6)) = _A
 _, C2, C3, C4, C5, _, _ = _C

@@ -46,16 +46,13 @@ class ProfileCurve(Frozen):
     Without it, g_from_f integrates g itself (_quadrature_g).
     """
 
-    # _g: how g_from_f reads g at u, _given_g or _quadrature_g (functions of
-    # the profile and u: a bound method here would keep the profile in a
-    # reference cycle); _pass: the (path, stop) of quadrature_path once run;
-    # _points: records of profile_point, by u; _rise: _rising once read
-    __slots__ = ("f", "domain", "g_origin", "g_eval", "_g", "_pass", "_points", "_rise")
+    # _pass: the (path, stop) of quadrature_path once run; _points: records
+    # of profile_point, by u; _rise: _rising once read
+    __slots__ = ("f", "domain", "g_origin", "g_eval", "_pass", "_points", "_rise")
 
     def __init__(self, f: Callable[[Jet], Jet], domain: tuple, g_origin: float = 0.0,
                  g_eval: Optional[Callable[[float], float]] = None):
-        set_fields(self, f, domain, g_origin, g_eval,
-                   _quadrature_g if g_eval is None else _given_g, None, {}, None)
+        set_fields(self, f, domain, g_origin, g_eval, None, {}, None)
 
     def _check(self, u: float):
         u0, u1 = self.domain
@@ -193,10 +190,6 @@ def _checked_g_prime(p: ProfileCurve, fp: float, t: float) -> float:
     return -0.5 / fp
 
 
-def _given_g(p: ProfileCurve, u: float) -> float:
-    return p.g_eval(u)
-
-
 def _quadrature_g(p: ProfileCurve, u: float) -> float:
     """g(u) from one Dormand-Prince pass of g' = -1/(2 f') over the whole
     domain, run at the first call, whose integrand keeps the checks of
@@ -226,4 +219,4 @@ def g_from_f(p: ProfileCurve, u: float) -> float:
     if u == p.domain[0]:
         return p.g_origin
     _checked_g_prime(p, profile_point(p, u).fp, u)
-    return p._g(p, u)
+    return p.g_eval(u) if p.g_eval is not None else _quadrature_g(p, u)

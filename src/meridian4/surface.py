@@ -1,5 +1,5 @@
-"""Meridian surface of parabolic type: embedding, tangent/normal/geometric
-frames, and point classification.
+"""Meridian surface of parabolic type: embedding, the frame at a point
+(tangents, normals and the geometric pair), and point classification.
 
 The surface is z(u,v) = f phi cos v e1 + f phi sin v e2
 + (f phi^2/2 + g) xi1 + f xi2 over a profile (f, g) and directrix phi.
@@ -17,10 +17,10 @@ from .records import Frozen, Record, set_fields
 
 __all__ = [
     "MeridianSurface",
-    "TangentFrame",
-    "NormalFrame",
     "PointCase",
     "PointData",
+    "PointFrames",
+    "frames",
     "embed",
     "tangent_frame",
     "normal_frame",
@@ -57,26 +57,6 @@ class MeridianSurface(Frozen):
         set_fields(self, profile, directrix)
 
 
-class TangentFrame(Frozen):
-    """X, Y and the principal tangents xdir = (X+Y)/sqrt2, ydir = (-X+Y)/sqrt2."""
-
-    __slots__ = ("X", "Y", "xdir", "ydir")
-
-    def __init__(self, X: Vec4, Y: Vec4, xdir: Vec4, ydir: Vec4):
-        set_fields(self, X, Y, xdir, ydir)
-
-
-class NormalFrame(Frozen):
-    """n1, n2, the geometric pair b, l and epsilon, the sign of <H,H>, at a
-    general point: b = sign(f') H/||H||, <b,b> = epsilon, <l,l> = -epsilon
-    and det(x, y, b, l) = -1 in e-coordinates."""
-
-    __slots__ = ("n1", "n2", "b", "l", "epsilon")
-
-    def __init__(self, n1: Vec4, n2: Vec4, b: Vec4, l: Vec4, epsilon: int):
-        set_fields(self, n1, n2, b, l, epsilon)
-
-
 class PointData(Record):
     """The point (p.u, c.v): its profile record p and directrix record c,
     referenced, not copied; disc = kappa^2 f'^2 - q^2, whose sign is that of
@@ -89,6 +69,22 @@ class PointData(Record):
         self.c = c
         self.disc = disc
         self.case = case
+
+
+class PointFrames(Frozen):
+    """The frame at one point, as frames(d) builds it: the orthonormal
+    tangents X, Y, the principal tangents x, y and the normal pair n1, n2;
+    at a general point also the geometric pair b, l and epsilon, the sign of
+    <H,H> (None elsewhere), where b = sign(f') H/||H||, <b,b> = epsilon,
+    <l,l> = -epsilon and det(x, y, b, l) = -1 in e-coordinates. d is the
+    point's record."""
+
+    __slots__ = ("d", "X", "Y", "x", "y", "n1", "n2", "b", "l", "epsilon")
+
+    def __init__(self, d: PointData, X: Vec4, Y: Vec4, x: Vec4, y: Vec4, n1: Vec4,
+                 n2: Vec4, b: Optional[Vec4] = None, l: Optional[Vec4] = None,
+                 epsilon: Optional[int] = None):
+        set_fields(self, d, X, Y, x, y, n1, n2, b, l, epsilon)
 
 
 def combine(p: ProfilePoint, c: DirectrixPoint,
@@ -140,10 +136,13 @@ def embed(s: MeridianSurface, u: float, v: float,
                           f * phi**2 / 2.0 + g, f)
 
 
-def _tangent_frame(d: PointData) -> TangentFrame:
+def frames(d: PointData) -> PointFrames:
+    """The frame at the point of d, with cos v, sin v and sqrt(D) computed
+    once; b, l and epsilon only where d's case is general."""
     p, c = d.p, d.c
     cv, sv = math.cos(c.v), math.sin(c.v)
-    z_u = from_lightlike(
+    rD = math.sqrt(c.D)
+    X = from_lightlike(
         p.fp * c.phi * cv,
         p.fp * c.phi * sv,
         p.fp * c.phi**2 / 2.0 + p.gp,
@@ -155,26 +154,7 @@ def _tangent_frame(d: PointData) -> TangentFrame:
         p.f * c.phi * c.phid,
         0.0,
     )
-    Y = z_v / (p.f * math.sqrt(c.D))
-    X = z_u
-    return TangentFrame(X, Y, (X + Y) / _SQRT2, (-1.0 * X + Y) / _SQRT2)
-
-
-def tangent_frame(s: MeridianSurface, u: float, v: float) -> TangentFrame:
-    """Orthonormal tangents X = z_u, Y = z_v/(f sqrt(D)) and the principal
-    tangents x = (X+Y)/sqrt2, y = (-X+Y)/sqrt2."""
-    return _tangent_frame(point_data(s, u, v))
-
-
-def classify_point(s: MeridianSurface, u: float, v: float,
-                   tol: float = CLASSIFY_TOL) -> PointCase:
-    return point_data(s, u, v, tol).case
-
-
-def _normal_pair(d: PointData) -> tuple:
-    p, c = d.p, d.c
-    cv, sv = math.cos(c.v), math.sin(c.v)
-    rD = math.sqrt(c.D)
+    Y = z_v / (p.f * rD)
     n1 = from_lightlike(
         (c.phid * sv + c.phi * cv) / rD,
         (-c.phid * cv + c.phi * sv) / rD,
@@ -189,13 +169,34 @@ def _normal_pair(d: PointData) -> tuple:
         -(p.fp * c.phi**2 - 2.0 * p.gp) / 2.0,
         -p.fp,
     )
-    return n1, n2
+    x, y = (X + Y) / _SQRT2, (-1.0 * X + Y) / _SQRT2
+    if d.case is not GENERAL:
+        return PointFrames(d, X, Y, x, y, n1, n2)
+    kfp, q, disc = c.kappa * p.fp, p.q, d.disc
+    eps = 1 if disc > 0.0 else -1
+    root = math.sqrt(abs(disc))
+    b = (kfp * n1 - q * n2) / root
+    l = (kfp * n2 - q * n1) * (eps / root)
+    return PointFrames(d, X, Y, x, y, n1, n2, b, l, eps)
+
+
+def tangent_frame(s: MeridianSurface, u: float, v: float) -> PointFrames:
+    """The frame at (u, v), read for its orthonormal tangents X = z_u,
+    Y = z_v/(f sqrt(D)) and principal tangents x = (X+Y)/sqrt2,
+    y = (-X+Y)/sqrt2; b, l and epsilon are None off general points."""
+    return frames(point_data(s, u, v))
+
+
+def classify_point(s: MeridianSurface, u: float, v: float,
+                   tol: float = CLASSIFY_TOL) -> PointCase:
+    return point_data(s, u, v, tol).case
 
 
 def normal_pair(s: MeridianSurface, u: float, v: float) -> tuple:
     """The orthonormal normals (n1, n2) with <n1,n1> = 1, <n2,n2> = -1,
     defined at every regular point (no case restriction)."""
-    return _normal_pair(point_data(s, u, v))
+    f = frames(point_data(s, u, v))
+    return f.n1, f.n2
 
 
 def _require_general(d: PointData) -> None:
@@ -210,24 +211,12 @@ def _require_general(d: PointData) -> None:
             f"flat point ({case.value}) at (u, v) = ({u}, {v}); b, l undefined")
 
 
-def _normal_frame(d: PointData, pair: Optional[tuple] = None) -> NormalFrame:
-    """The normal frame at a point already checked to be general; pair is
-    its normal pair (n1, n2) when the caller has already built it."""
-    n1, n2 = pair or _normal_pair(d)
-    kfp, q, disc = d.c.kappa * d.p.fp, d.p.q, d.disc
-    eps = 1 if disc > 0.0 else -1
-    root = math.sqrt(abs(disc))
-    b = (kfp * n1 - q * n2) / root
-    l = (kfp * n2 - q * n1) * (eps / root)
-    return NormalFrame(n1, n2, b, l, eps)
-
-
 def normal_frame(s: MeridianSurface, u: float, v: float,
-                 tol: float = CLASSIFY_TOL) -> NormalFrame:
-    """Full normal frame including the geometric pair {b, l}: b =
+                 tol: float = CLASSIFY_TOL) -> PointFrames:
+    """The frame at (u, v), read for its geometric pair {b, l}: b =
     sign(f') H/||H||, oriented so that det(x, y, b, l) = -1. Defined only at
     general points; flat points raise FlatPointError and marginally trapped
     points raise MarginallyTrappedError."""
     d = point_data(s, u, v, tol)
     _require_general(d)
-    return _normal_frame(d)
+    return frames(d)

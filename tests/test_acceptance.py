@@ -214,7 +214,7 @@ def test_criterion_07_identity_suite():
         from meridian4.surface import normal_frame
         tf = tangent_frame(s, u, v)
         nf = normal_frame(s, u, v)
-        frame = (tf.xdir, tf.ydir, nf.b, nf.l)
+        frame = (tf.x, tf.y, nf.b, nf.l)
         target = np.diag([1.0, 1.0, float(nf.epsilon), -float(nf.epsilon)])
         gram = np.array([[minkowski_dot(a, b) for b in frame] for a in frame])
         assert float(np.max(np.abs(gram - target))) <= 1e-9

@@ -695,6 +695,32 @@ def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch, capsys):
     assert _exit(main, None, capsys) == _exit(main, ["verify", "--help"], capsys)
 
 
+@pytest.mark.parametrize("command, u, v", [
+    ("family", "-1:1", None), ("invariants", "0:1", "-0.5:0.5"),
+    ("mesh", "-.5:1", "0:1")])
+def test_a_value_may_start_with_a_minus(tmp_path, command, u, v):
+    # argparse takes "-1:1" for an option of its own; main joins it to its flag
+    outs = []
+    for joined in (False, True):
+        argv = [command, "--spec", "parallel-a c=1 d=2"]
+        for flag, value in (("--u", u), ("--v", v)):
+            if value is not None:
+                argv += [f"{flag}={value}"] if joined else [flag, value]
+        outs.append(tmp_path / f"{joined}.out")
+        assert main([*argv, "--out", str(outs[-1])]) == 0
+    assert read(outs[0]) == read(outs[1])
+
+
+def test_a_negative_number_reaches_the_programs_own_check(tmp_path, capsys):
+    argv = ["family", "--spec", "constant-mean a=0.5 b=2 C=0 eps=+ branch=+",
+            "--u", "0:0.15", "--f0", "-1e-3", "--out", str(tmp_path / "f.csv")]
+    assert main(argv) == 1
+    assert "f0 > 0" in capsys.readouterr().err
+    # an option given no value keeps argparse's message
+    out, err, code = _exit(main, ["family", "--u", *_REQUIRED["family"][:2]], capsys)
+    assert code == 2 and "argument --u: expected one argument" in err
+
+
 # --- mesh command -------------------------------------------------------------
 
 def test_mesh_schema_and_reference_vertex(tmp_path):

@@ -130,14 +130,14 @@ def test_verify_builds_each_stencil_frame_once(monkeypatch):
     spec, phi = parse_family_spec("constant-mean a=0.5 b=2 C=0 eps=+ branch=+")
     gen = build_surface(spec, phi, 0.6, (0.0, 0.15), (0.0, 0.3))
     frames = Counter()
-    tangent_frame = surface._tangent_frame
+    build = surface.frames
 
     def counted(d):
         frames[(d.p.u, d.c.v)] += 1
-        return tangent_frame(d)
+        return build(d)
     for module in (surface, invariants, verification):
-        if "_tangent_frame" in vars(module):   # every module that binds it
-            monkeypatch.setattr(module, "_tangent_frame", counted)
+        if "frames" in vars(module):   # every module that binds it
+            monkeypatch.setattr(module, "frames", counted)
     assert verify_generated(gen, 20).passed
     # per sample point: the centre, shared by both oracles at h and h/2 and
     # by the frame-Gram row, and the eight stencil points, each once

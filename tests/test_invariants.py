@@ -210,7 +210,7 @@ def test_directional_derivatives_match_the_vec4_operators():
         frames = []
         for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h)):
             tf, nf = tangent_frame(WAVY_SURFACE, uu, vv), normal_frame(WAVY_SURFACE, uu, vv)
-            frames.append({"X": tf.X, "Y": tf.Y, "x": tf.xdir, "y": tf.ydir,
+            frames.append({"X": tf.X, "Y": tf.Y, "x": tf.x, "y": tf.y,
                            "n1": nf.n1, "n2": nf.n2, "b": nf.b, "l": nf.l})
         for a, c in ((0.7, 0.3), (-0.7, 0.3), (0.7, 0.0), (0.0, 0.3), (0.0, 0.0)):
             for name in frames[0]:

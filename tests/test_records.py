@@ -20,8 +20,8 @@ from meridian4.jets import Jet, jexp
 from meridian4.minkowski import Vec4
 from meridian4.profile import Directrix, ProfileCurve, directrix_point, profile_point
 from meridian4.invariants import eight_invariants
-from meridian4.surface import (MeridianSurface, NormalFrame, TangentFrame, combine,
-                               normal_frame, point_data, tangent_frame)
+from meridian4.surface import (MeridianSurface, PointFrames, combine, normal_frame,
+                               point_data, tangent_frame)
 from meridian4.verification import CheckRecord, VerificationReport
 
 SPECS = [ConstantGauss(K=1.0, alpha=1.0, beta=0.0),
@@ -111,7 +111,7 @@ def test_mutable_records_are_unhashable():
 def test_frozen_records_copy_as_equal_records(record):
     for twin in (copy.copy(record), copy.deepcopy(record)):
         assert type(twin) is type(record) and twin == record
-        if not isinstance(record, (TangentFrame, NormalFrame)):  # Vec4 has no hash
+        if not isinstance(record, PointFrames):  # Vec4 has no hash
             assert hash(twin) == hash(record)
 
 

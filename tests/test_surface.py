@@ -14,10 +14,10 @@ from meridian4.jets import jcos, jsqrt, variable
 from meridian4.minkowski import Vec4, minkowski_dot
 from meridian4.profile import (Directrix, DirectrixPoint, ProfileCurve,
                                ProfilePoint, directrix_point, profile_point)
-from meridian4.invariants import eight_invariants, mean_curvature
-from meridian4.surface import (MeridianSurface, PointCase, classify_point,
-                               combine, embed, normal_frame, normal_pair,
-                               point_data, tangent_frame)
+from meridian4.invariants import StencilPass, eight_invariants, mean_curvature
+from meridian4.surface import (MeridianSurface, PointCase, PointFrames,
+                               classify_point, combine, embed, normal_frame,
+                               normal_pair, point_data, tangent_frame)
 
 UNIT_PHI = Directrix(compile_expression("1", "v"), (0.0, 2.0 * math.pi))
 SQRT_SURFACE = MeridianSurface(
@@ -85,8 +85,8 @@ def test_tangent_and_normal_gram():
 def test_principal_tangents_are_rotation_of_X_Y():
     tf = tangent_frame(SQRT_SURFACE, 1.0, 1.0)
     r = 1.0 / math.sqrt(2.0)
-    vec_close(tf.xdir, astuple((tf.X + tf.Y) * r), 1e-14)
-    vec_close(tf.ydir, astuple((tf.Y - tf.X) * r), 1e-14)
+    vec_close(tf.x, astuple((tf.X + tf.Y) * r), 1e-14)
+    vec_close(tf.y, astuple((tf.Y - tf.X) * r), 1e-14)
 
 
 def test_geometric_frame_reference_point():
@@ -115,17 +115,35 @@ def test_frame_convention(spec, f0, u, eps, fp_sign):
     assert (d.disc > 0) == (eps > 0) and (d.p.fp > 0) == (fp_sign > 0)
     tf, nf = tangent_frame(s, u, v), normal_frame(s, u, v)
     assert nf.epsilon == eps
-    rows = [astuple(w) for w in (tf.xdir, tf.ydir, nf.b, nf.l)]
+    rows = [astuple(w) for w in (tf.x, tf.y, nf.b, nf.l)]
     assert np.linalg.det(np.array(rows)) == pytest.approx(-1.0, abs=1e-12)
     h1, h2, hnorm, _ = mean_curvature(s, u, v)
     n1, n2 = normal_pair(s, u, v)
     vec_close(nf.b, astuple((h1 * n1 + h2 * n2) * (fp_sign / hnorm)), 1e-12)
 
 
+@pytest.mark.parametrize("s, u, eps", [
+    (SQRT_SURFACE, 1.0, 1),
+    (MeridianSurface(ProfileCurve(jcos, (0.05, 0.45)), UNIT_PHI), 0.3, -1)])
+def test_one_frame_builder_serves_every_reader(s, u, eps):
+    # tangent_frame, normal_frame, normal_pair and a stencil's centre read
+    # the one record that frames builds, field by field (compared by repr)
+    v = 0.7
+    tf, nf = tangent_frame(s, u, v), normal_frame(s, u, v)
+    centre = StencilPass(s, u, v, 1e-4).centre
+    assert nf.epsilon == eps
+    for name in PointFrames.__slots__:
+        assert repr(getattr(tf, name)) == repr(getattr(nf, name)) \
+            == repr(getattr(centre, name)), name
+    assert repr(normal_pair(s, u, v)) == repr((nf.n1, nf.n2))
+
+
 def test_hyperplanar_flat_from_secant_directrix():
     s = MeridianSurface(SQRT_SURFACE.profile,
                         Directrix(compile_expression("sec(v)", "v"), (-1.0, 1.0)))
     assert classify_point(s, 1.0, 0.2) is PointCase.HYPERPLANAR_FLAT
+    tf = tangent_frame(s, 1.0, 0.2)
+    assert tf.b is None and tf.l is None and tf.epsilon is None
     with pytest.raises(FlatPointError):
         normal_frame(s, 1.0, 0.2)
 
