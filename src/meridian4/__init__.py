@@ -10,14 +10,13 @@ from .expressions import compile_expression
 from .families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                        FamilySpec, GeneratedSurface, ParallelA, ParallelB,
                        constant_kappa_directrix, generate, integrate_autonomous)
-from .invariants import (InvariantRecord, eight_invariants, gauss_curvature,
-                         invariant_k, mean_curvature, oracle_invariants,
-                         oracle_second_fundamental)
+from .invariants import (InvariantRecord, StencilPass, eight_invariants,
+                         oracle_invariants)
 from .jets import Jet, jet_eval, variable
 from .minkowski import Vec4, minkowski_dot
 from .profile import Directrix, ProfileCurve, g_from_f
-from .surface import (MeridianSurface, PointCase, PointFrames, classify_point,
-                      embed, normal_frame, tangent_frame)
+from .surface import (MeridianSurface, PointCase, PointFrames, embed, frames,
+                      point_data)
 from .verification import VerificationReport, verify_generated
 
 __version__ = "0.1.0"

@@ -43,6 +43,7 @@ INVARIANT_COLUMNS = ["gamma1", "gamma2", "nu1", "nu2", "lambda", "mu",
                      "beta1", "beta2", "K", "k", "varkappa", "H_norm",
                      "epsilon"]
 MESH_FIELDS = ("K", "H_norm", "k", "lambda", "beta1", "beta2")
+MAX_ROWS = 10**7   # rows (family, invariants) or vertices (mesh) a command writes
 
 
 class SpecError(MeridianError):
@@ -180,14 +181,25 @@ def _grid_counts(args, u_step, v_step, u_range, v_range):
 
 def _sample_count(domain, step, default, what):
     """The number of samples from domain[0] to domain[1] at step, or default
-    when no step is given."""
+    when no step is given; SpecError above MAX_ROWS."""
     if step is None:
         return default
     n = (domain[1] - domain[0]) / step
     if not math.isfinite(n):
         raise SpecError(
             f"--{what} step {step!r} gives a sample count that is not finite")
-    return int(round(n)) + 1
+    count = int(round(n)) + 1
+    if count > MAX_ROWS:
+        raise SpecError(f"--{what} step {step!r} gives {count:.8g} samples, more "
+                        f"than the {MAX_ROWS} a command writes")
+    return count
+
+
+def _check_grid(nu: int, nv: int, what: str) -> None:
+    """Refuse a grid of more than MAX_ROWS rows or vertices."""
+    if nu * nv > MAX_ROWS:
+        raise SpecError(f"a {nu}x{nv} grid has more {what} than the {MAX_ROWS} "
+                        "a command writes")
 
 
 def _spec_dict(spec, phi_text):
@@ -265,6 +277,7 @@ def cmd_invariants(args) -> int:
     gen = build_surface(spec, phi_text, args.f0, (u0, u1), (v0, v1))
     s = gen.surface
     n_u, n_v = _grid_counts(args, ustep, vstep, (u0, u1), (v0, v1))
+    _check_grid(n_u, n_v, "rows")
     cols = [(directrix_point(s.directrix, v), repr(v))
             for v in sample_grid(s.directrix.domain, n_v)]
     blank = "," * (len(INVARIANT_COLUMNS) - 1)
@@ -277,7 +290,7 @@ def cmd_invariants(args) -> int:
         for c, rv in cols:
             d = combine(p, c, args.tol)
             if d.case is GENERAL:
-                r = eight_invariants(s, u, c.v, d)
+                r = eight_invariants(d)
                 nu = repr(r.nu1)     # nu1 = nu2
                 rows.append(f"{ru},{rv},{gammas},{nu},{nu},{r.lam!r},{r.mu!r},"
                             f"{r.beta1!r},{r.beta2!r},{K},{r.k!r},0.0,"
@@ -317,6 +330,7 @@ def cmd_mesh(args) -> int:
     gen = build_surface(spec, phi_text, args.f0, (u0, u1), (v0, v1))
     s = gen.surface
     nu, nv = _grid_counts(args, ustep, vstep, (u0, u1), (v0, v1))
+    _check_grid(nu, nv, "vertices")
     wanted = [f for f in (args.fields.split(",") if args.fields else []) if f]
     for i, f in enumerate(wanted):
         if f not in MESH_FIELDS:
@@ -333,7 +347,7 @@ def cmd_mesh(args) -> int:
         g, p = g_from_f(s.profile, u), profile_point(s.profile, u)
         for c in cols:
             d = combine(p, c)
-            z = embed(s, u, c.v, d, g)
+            z = embed(d, g)
             if args.projection == "drop-e4":
                 vertices.append([z.c1, z.c2, z.c3])
             else:
@@ -343,7 +357,7 @@ def cmd_mesh(args) -> int:
                 # the record is undefined (flat or marginally trapped points)
                 rec = None
                 if d.case is GENERAL:
-                    rec = eight_invariants(s, u, c.v, d)
+                    rec = eight_invariants(d)
                 for column, attr in columns:
                     column.append(None if rec is None else getattr(rec, attr))
     payload = {

@@ -12,20 +12,16 @@ from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .minkowski import Vec4, minkowski_dot
-from .profile import ProfilePoint, _finite, profile_point
+from .profile import ProfilePoint, _finite
 from .records import Record
 from .surface import (GENERAL, MeridianSurface, PointData, PointFrames,
                       _require_general, frames, point_data)
 
 __all__ = [
     "InvariantRecord",
-    "gauss_curvature",
-    "mean_curvature",
-    "invariant_k",
     "eight_invariants",
     "StencilPass",
     "oracle_invariants",
-    "oracle_second_fundamental",
     "oracle_frame_derivatives",
 ]
 
@@ -57,26 +53,6 @@ class InvariantRecord(NamedTuple):
     epsilon: int
 
 
-def gauss_curvature(s: MeridianSurface, u: float) -> float:
-    """K = -f''(u)/f(u); intrinsic, independent of v. Read from the profile
-    record, so it raises ProfileInvariantError where f <= 0 or f' vanishes."""
-    return profile_point(s.profile, u).K
-
-
-def mean_curvature(s: MeridianSurface, u: float, v: float) -> tuple:
-    """(H_n1, H_n2, ||H||, epsilon): components of H along n1, n2, its norm and
-    the sign of <H,H>, read from the invariant record. Only defined at
-    general points."""
-    r = eight_invariants(s, u, v)
-    return r.H_n1, r.H_n2, r.H_norm, r.epsilon
-
-
-def invariant_k(s: MeridianSurface, u: float, v: float) -> float:
-    """k = -kappa_m^2(u) kappa^2(v) / f^2(u), read from the invariant record.
-    Only defined at general points."""
-    return eight_invariants(s, u, v).k
-
-
 def _u_terms(p: ProfilePoint) -> tuple:
     """The factors of the closed forms that depend on u alone, computed at
     the first general point of a profile record and kept on it; DomainError
@@ -96,12 +72,8 @@ def _u_terms(p: ProfilePoint) -> tuple:
     return terms
 
 
-def eight_invariants(s: MeridianSurface, u: float, v: float,
-                     d: Optional[PointData] = None) -> InvariantRecord:
-    """Closed-form record at a general point; d is the point's PointData when
-    the caller has already evaluated it."""
-    if d is None:
-        d = point_data(s, u, v)
+def eight_invariants(d: PointData) -> InvariantRecord:
+    """Closed-form record at the general point of d."""
     if d.case is not GENERAL:
         _require_general(d)
     p, c, disc = d.p, d.c, d.disc
@@ -148,12 +120,13 @@ class StencilPass(Record):
     """One oracle stencil of step h at (u, v): the frames at the centre and
     at (u+h, v), (u-h, v), (u, v+h), (u, v-h), each built once, and each
     field's central differences, each computed on first use. Both oracles
-    read it; centre is the centre's PointFrames when the caller has built
-    it (a pass at h/2 reuses the one at h)."""
+    read the point and the step from it; centre is the centre's PointFrames
+    when the caller has built it (a pass at h/2 reuses the one at h)."""
 
     __slots__ = ("centre", "points", "h", "_diffs")
 
-    def __init__(self, s: MeridianSurface, u: float, v: float, h: float,
+    def __init__(self, s: MeridianSurface, u: float, v: float,
+                 h: float = DEFAULT_ORACLE_STEP,
                  centre: Optional[PointFrames] = None):
         _check_stencil(s, u, v, h)
         self.centre = frames(point_data(s, u, v)) if centre is None else centre
@@ -197,17 +170,13 @@ def _normal_part(Dx_x: Vec4, Dy_y: Vec4, centre: PointFrames) -> Vec4:
     return W - centre.X * minkowski_dot(W, centre.X) - centre.Y * minkowski_dot(W, centre.Y)
 
 
-def oracle_invariants(s: MeridianSurface, u: float, v: float,
-                      h: float = DEFAULT_ORACLE_STEP,
-                      stencil: Optional[StencilPass] = None) -> InvariantRecord:
-    """Recompute the eight invariants as the coefficients of the geometric
-    frame's derivative formulas (Ganchev & Milousheva, Mediterr. J. Math.,
-    2012), e.g. D_x y = -gamma1 x + lam b + mu l, differencing the frame
-    fields x, y, b, l: a coefficient along b is eps <., b> and one along l
-    is -eps <., l>. O(h^2) accurate and fully independent of the closed
-    forms. stencil is the pass at (u, v, h) when the caller has built it."""
-    if stencil is None:
-        stencil = StencilPass(s, u, v, h)
+def oracle_invariants(stencil: StencilPass) -> InvariantRecord:
+    """Recompute the eight invariants at the stencil's centre as the
+    coefficients of the geometric frame's derivative formulas (Ganchev &
+    Milousheva, Mediterr. J. Math., 2012), e.g. D_x y = -gamma1 x + lam b +
+    mu l, differencing the frame fields x, y, b, l: a coefficient along b is
+    eps <., b> and one along l is -eps <., l>. O(h^2) accurate and fully
+    independent of the closed forms."""
     centre = stencil.centre
     for rec in (centre, *stencil.points):
         if rec.epsilon is None:
@@ -253,34 +222,14 @@ def oracle_invariants(s: MeridianSurface, u: float, v: float,
     )
 
 
-def oracle_frame_derivatives(s: MeridianSurface, u: float, v: float,
-                             h: float = DEFAULT_ORACLE_STEP,
-                             stencil: Optional[StencilPass] = None) -> dict:
-    """Ambient derivatives of the frame fields X, Y, n1, n2 along X and Y,
-    as Vec4s, keyed 'XX', 'XY', 'YX', 'YY', 'Xn1', 'Yn1', 'Xn2', 'Yn2'.
-    stencil is the pass at (u, v, h) when the caller has built it."""
-    if stencil is None:
-        stencil = StencilPass(s, u, v, h)
+def oracle_frame_derivatives(stencil: StencilPass) -> dict:
+    """Ambient derivatives of the frame fields X, Y, n1, n2 along X and Y
+    at the stencil's centre, as Vec4s, keyed 'XX', 'XY', 'YX', 'YY', 'Xn1',
+    'Yn1', 'Xn2', 'Yn2'."""
     d = stencil.centre.d
     cY = 1.0 / (d.p.f * math.sqrt(d.c.D))   # Y = cY * z_v
     out = {}
     for name in ("X", "Y", "n1", "n2"):
         out["X" + name] = _directional(stencil, name, 1.0, 0.0)
         out["Y" + name] = _directional(stencil, name, 0.0, cY)
-    return out
-
-
-def oracle_second_fundamental(s: MeridianSurface, u: float, v: float,
-                              h: float = DEFAULT_ORACLE_STEP) -> dict:
-    """Normal components <D_W1 W2, n_i> of the second fundamental form, keyed
-    ('XX','n1'), ('XX','n2'), ('XY','n1'), ('XY','n2'), ('YY','n1'),
-    ('YY','n2')."""
-    stencil = StencilPass(s, u, v, h)
-    derivs = oracle_frame_derivatives(s, u, v, h, stencil)
-    n1, n2 = stencil.centre.n1, stencil.centre.n2
-    out = {}
-    for pair, vec in (("XX", derivs["XX"]), ("XY", derivs["XY"]),
-                      ("YY", derivs["YY"])):
-        out[(pair, "n1")] = minkowski_dot(vec, n1)
-        out[(pair, "n2")] = minkowski_dot(vec, n2)
     return out

@@ -169,11 +169,12 @@ def _finite(fields, where, t):
 
 def sample_grid(domain: tuple, n: int) -> list:
     """n equally spaced points from domain[0] to domain[1], both ends
-    included; [domain[0]] for n = 1."""
+    included; [domain[0]] for n = 1. No point lies past domain[1], where
+    rounding would put the last one an ulp beyond it."""
     lo, hi = domain
     if n == 1:
         return [lo]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return [min(lo + (hi - lo) * i / (n - 1), hi) for i in range(n)]
 
 
 def _checked_g_prime(p: ProfileCurve, fp: float, t: float) -> float:

@@ -12,7 +12,7 @@ from typing import Optional
 from .errors import DomainError, FlatPointError, MarginallyTrappedError
 from .minkowski import Vec4, from_lightlike
 from .profile import (Directrix, DirectrixPoint, ProfileCurve, ProfilePoint,
-                      directrix_point, g_from_f, profile_point)
+                      directrix_point, profile_point)
 from .records import Frozen, Record, set_fields
 
 __all__ = [
@@ -22,10 +22,6 @@ __all__ = [
     "PointFrames",
     "frames",
     "embed",
-    "tangent_frame",
-    "normal_frame",
-    "normal_pair",
-    "classify_point",
     "combine",
     "point_data",
 ]
@@ -122,16 +118,10 @@ def point_data(s: MeridianSurface, u: float, v: float,
                    tol)
 
 
-def embed(s: MeridianSurface, u: float, v: float,
-          d: Optional[PointData] = None, g: Optional[float] = None) -> Vec4:
-    """The point z(u, v) in e-coordinates. d and g are the point's record
-    and g(u) when the caller already has them: a grid walked row by row
-    computes g once per row."""
-    if d is None:
-        d = point_data(s, u, v)
-    if g is None:
-        g = g_from_f(s.profile, u)
-    f, phi = d.p.f, d.c.phi
+def embed(d: PointData, g: float) -> Vec4:
+    """The point z(u, v) of d in e-coordinates; g is g(u), which a grid
+    walked row by row computes once per row."""
+    f, phi, v = d.p.f, d.c.phi, d.c.v
     return from_lightlike(f * phi * math.cos(v), f * phi * math.sin(v),
                           f * phi**2 / 2.0 + g, f)
 
@@ -180,25 +170,6 @@ def frames(d: PointData) -> PointFrames:
     return PointFrames(d, X, Y, x, y, n1, n2, b, l, eps)
 
 
-def tangent_frame(s: MeridianSurface, u: float, v: float) -> PointFrames:
-    """The frame at (u, v), read for its orthonormal tangents X = z_u,
-    Y = z_v/(f sqrt(D)) and principal tangents x = (X+Y)/sqrt2,
-    y = (-X+Y)/sqrt2; b, l and epsilon are None off general points."""
-    return frames(point_data(s, u, v))
-
-
-def classify_point(s: MeridianSurface, u: float, v: float,
-                   tol: float = CLASSIFY_TOL) -> PointCase:
-    return point_data(s, u, v, tol).case
-
-
-def normal_pair(s: MeridianSurface, u: float, v: float) -> tuple:
-    """The orthonormal normals (n1, n2) with <n1,n1> = 1, <n2,n2> = -1,
-    defined at every regular point (no case restriction)."""
-    f = frames(point_data(s, u, v))
-    return f.n1, f.n2
-
-
 def _require_general(d: PointData) -> None:
     """Raise unless d's case is general: b, l and the invariants built on
     them are undefined at flat and marginally trapped points."""
@@ -209,14 +180,3 @@ def _require_general(d: PointData) -> None:
     if case is not GENERAL:
         raise FlatPointError(
             f"flat point ({case.value}) at (u, v) = ({u}, {v}); b, l undefined")
-
-
-def normal_frame(s: MeridianSurface, u: float, v: float,
-                 tol: float = CLASSIFY_TOL) -> PointFrames:
-    """The frame at (u, v), read for its geometric pair {b, l}: b =
-    sign(f') H/||H||, oriented so that det(x, y, b, l) = -1. Defined only at
-    general points; flat points raise FlatPointError and marginally trapped
-    points raise MarginallyTrappedError."""
-    d = point_data(s, u, v, tol)
-    _require_general(d)
-    return frames(d)

@@ -6,14 +6,14 @@ import math
 import random
 from typing import List, Optional
 
-from .errors import MeridianError
+from .errors import DomainError, MeridianError
 from .families import (PROFILE_SAMPLES, RESIDUAL_TOL, ConstantGauss,
                        GeneratedSurface, defining_residual)
 from .invariants import (DEFAULT_ORACLE_STEP, InvariantRecord, StencilPass,
-                         eight_invariants, gauss_curvature,
-                         oracle_frame_derivatives, oracle_invariants)
+                         eight_invariants, oracle_frame_derivatives,
+                         oracle_invariants)
 from .minkowski import Vec4, minkowski_dot
-from .profile import sample_grid
+from .profile import profile_point, sample_grid
 from .records import Frozen, Record, set_fields
 from .surface import GENERAL, MARGINALLY_TRAPPED, MeridianSurface, point_data
 
@@ -29,7 +29,7 @@ __all__ = [
 _ORACLE_FIELDS = tuple(f for f in InvariantRecord._fields if f != "epsilon")
 _DERIV_ROWS = ("XX", "XY", "YX", "YY", "Xn1", "Yn1", "Xn2", "Yn2")
 _ZERO = Vec4(0.0, 0.0, 0.0, 0.0)
-SAMPLE_MARGIN = 5e-3   # distance of sample points from the domain's edges
+SAMPLE_MARGIN = 5e-3   # least distance of sample points from the domain's edges
 SAMPLE_SEED = 0        # seed of verify_generated's sampler
 IDENTITY_TOL = 1e-9    # exact identities and the frame Gram matrix
 ORACLE_TOL = 1e-6      # Richardson-extrapolated oracle against closed forms
@@ -96,17 +96,22 @@ def _record(name, errs_locs, tol):
     return CheckRecord(name, len(errs_locs), err, tol, err <= tol, loc)
 
 
-def sample_general_points(s: MeridianSurface, n: int, rng) -> list:
+def sample_general_points(s: MeridianSurface, n: int, rng, h: float) -> list:
     """Draw n interior points classified General with rng.uniform(lo, hi)
-    (SAMPLE_MARGIN keeps a finite-difference stencil inside the domain, and
-    a discriminant margin keeps the points away from marginally trapped
-    ones). A domain narrower than 2 SAMPLE_MARGIN, and too few points,
-    raise MeridianError; the latter names how many points were passed over
-    for each reason, and the first error a point raised."""
+    (a margin of max(SAMPLE_MARGIN, 2h) keeps the oracle stencil of step h
+    inside the domain, and a discriminant margin keeps the points away from
+    marginally trapped ones). A domain narrower than twice the margin
+    raises MeridianError, or DomainError where the stencil is what does not
+    fit; too few points raise MeridianError, naming how many points were
+    passed over for each reason, and the first error a point raised."""
     u0, u1 = s.profile.domain
     v0, v1 = s.directrix.domain
+    margin = max(SAMPLE_MARGIN, 2.0 * h)
     for axis, lo, hi in (("u", u0, u1), ("v", v0, v1)):
-        if lo + SAMPLE_MARGIN > hi - SAMPLE_MARGIN:
+        if lo + margin > hi - margin:
+            if margin > SAMPLE_MARGIN:
+                raise DomainError(f"oracle stencil of radius 2h = {margin} does not "
+                                  f"fit in the {axis} domain [{lo}, {hi}]")
             raise MeridianError(
                 f"the {axis} domain [{lo}, {hi}] of width {hi - lo:g} is narrower "
                 f"than twice the sample margin {SAMPLE_MARGIN}")
@@ -117,8 +122,8 @@ def sample_general_points(s: MeridianSurface, n: int, rng) -> list:
     skipped = None   # the first error passed over
     while len(pts) < n and attempts < 200 * n:
         attempts += 1
-        u = rng.uniform(u0 + SAMPLE_MARGIN, u1 - SAMPLE_MARGIN)
-        v = rng.uniform(v0 + SAMPLE_MARGIN, v1 - SAMPLE_MARGIN)
+        u = rng.uniform(u0 + margin, u1 - margin)
+        v = rng.uniform(v0 + margin, v1 - margin)
         try:
             d = point_data(s, u, v)
         except MeridianError as exc:
@@ -178,9 +183,9 @@ def _point_rows(s: MeridianSurface, pts, h: float) -> list:
         coarse = StencilPass(s, u, v, h)
         fine = StencilPass(s, u, v, h / 2.0, coarse.centre)
         centre = coarse.centre
-        r = eight_invariants(s, u, v, centre.d)
-        lo = oracle_invariants(s, u, v, coarse.h, coarse)
-        hi = oracle_invariants(s, u, v, fine.h, fine)
+        r = eight_invariants(centre.d)
+        lo = oracle_invariants(coarse)
+        hi = oracle_invariants(fine)
         errs = [abs(getattr(r, name) - _richardson(getattr(lo, name), getattr(hi, name)))
                 for name in _ORACLE_FIELDS]
         errs.append(abs(r.k + 4.0 * r.nu1 * r.nu2 * r.mu**2))
@@ -206,8 +211,8 @@ def _point_rows(s: MeridianSurface, pts, h: float) -> list:
             "Xn2": -p.kappa_m * X,
             "Yn2": -fof * Y,
         }
-        lo = oracle_frame_derivatives(s, u, v, coarse.h, coarse)
-        hi = oracle_frame_derivatives(s, u, v, fine.h, fine)
+        lo = oracle_frame_derivatives(coarse)
+        hi = oracle_frame_derivatives(fine)
         errs.extend(_vec_err(_richardson(lo[name], hi[name]), expected[name])
                     for name in _DERIV_ROWS)
         for row, err in zip(rows, errs):
@@ -237,14 +242,14 @@ def check_family_targets(gen: GeneratedSurface) -> list:
     if isinstance(spec, ConstantGauss):
         # K depends on u alone: read from the profile record on every row,
         # flat v midpoints included, to 1e-9
-        return [_record(label, [(abs(gauss_curvature(s, u) - K), (u, None)) for u in us],
-                        1e-9)
+        return [_record(label, [(abs(profile_point(s.profile, u).K - K), (u, None))
+                                for u in us], 1e-9)
                 for label, _, K in spec.targets]
     records = []
     for u in us:
         d = point_data(s, u, vm)
         if d.case is GENERAL:
-            records.append(((u, vm), eight_invariants(s, u, vm, d)))
+            records.append(((u, vm), eight_invariants(d)))
     return [_record(label, [(abs(getattr(r, field) - value), loc) for loc, r in records],
                     1e-6)
             for label, field, value in spec.targets]
@@ -255,7 +260,8 @@ def verify_generated(gen: GeneratedSurface, n_points: int = 50,
     """Full verification of a generated surface: the per-point rows on
     n_points sampled general points and, for a family member (spec not
     None), the family's defining and target rows."""
-    pts = sample_general_points(gen.surface, n_points, random.Random(SAMPLE_SEED))
+    pts = sample_general_points(gen.surface, n_points, random.Random(SAMPLE_SEED),
+                                oracle_step)
     report = VerificationReport(_point_rows(gen.surface, pts, oracle_step))
     if gen.spec is not None:
         report.add(check_defining_property(gen))

@@ -21,15 +21,13 @@ from meridian4.expressions import compile_expression
 from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                                 ParallelA, ParallelB, constant_kappa_directrix,
                                 defining_residual, generate)
-from meridian4.invariants import (eight_invariants, gauss_curvature,
-                                  invariant_k, mean_curvature,
-                                  oracle_frame_derivatives, oracle_invariants,
-                                  oracle_second_fundamental)
+from meridian4.invariants import (DEFAULT_ORACLE_STEP, StencilPass,
+                                  eight_invariants, oracle_frame_derivatives,
+                                  oracle_invariants)
 from meridian4.jets import jcos, jsqrt
 from meridian4.minkowski import minkowski_dot
-from meridian4.profile import Directrix, ProfileCurve
-from meridian4.surface import (MeridianSurface, PointCase, classify_point,
-                               normal_pair, point_data, tangent_frame)
+from meridian4.profile import Directrix, ProfileCurve, profile_point
+from meridian4.surface import MeridianSurface, PointCase, frames, point_data
 from meridian4.verification import sample_general_points
 
 TWO_PI = 2.0 * math.pi
@@ -54,6 +52,10 @@ def report(name):
     print(f"PASS {name}")
 
 
+def invariants_at(s, u, v):
+    return eight_invariants(point_data(s, u, v))
+
+
 # --- 1: constant Gauss curvature ---------------------------------------------
 
 def test_criterion_01_constant_gauss_reproduction():
@@ -70,7 +72,7 @@ def test_criterion_01_constant_gauss_reproduction():
             gen = generate(ConstantGauss(K=K, alpha=alpha, beta=beta), None,
                            u_range, unit_phi())
             for u in u_samples(gen.u_range):
-                assert abs(gauss_curvature(gen.surface, u) - K) <= 1e-9, \
+                assert abs(profile_point(gen.surface.profile, u).K - K) <= 1e-9, \
                     (K, alpha, beta, u)
     report("criterion 1: constant Gauss curvature families, |K - target| <= 1e-9")
 
@@ -89,7 +91,7 @@ def test_criterion_02_constant_mean_reproduction():
         v0, v1 = gen.surface.directrix.domain
         vm = 0.5 * (v0 + v1)
         for u in u_samples(gen.u_range):
-            assert abs(mean_curvature(gen.surface, u, vm)[2]
+            assert abs(invariants_at(gen.surface, u, vm).H_norm
                        - spec.a) <= 1e-6, (spec, u)
             assert defining_residual(spec, gen.surface.profile, u) <= 1e-6
     report("criterion 2: constant mean curvature families, "
@@ -103,7 +105,7 @@ def test_criterion_03_constant_k_reproduction():
         spec = ConstantK(a=1.0, b=-1.0, c=0.5, branch=branch)
         gen = generate(spec, 0.5, (0.0, 1.5), unit_phi())
         for u in u_samples(gen.u_range):
-            assert abs(invariant_k(gen.surface, u, math.pi)
+            assert abs(invariants_at(gen.surface, u, math.pi).k
                        + spec.a**2) <= 1e-6, (branch, u)
     report("criterion 3: constant-k families, |k + a^2| <= 1e-6")
 
@@ -120,7 +122,7 @@ def test_criterion_04_chen_reproduction():
             v0, v1 = gen.surface.directrix.domain
             vm = 0.5 * (v0 + v1)
             for u in u_samples(gen.u_range):
-                lam = eight_invariants(gen.surface, u, vm).lam
+                lam = invariants_at(gen.surface, u, vm).lam
                 assert abs(lam) <= 1e-6, (b, c, branch, u)
     report("criterion 4: Chen families, |lambda| <= 1e-6")
 
@@ -140,7 +142,7 @@ def test_criterion_05_parallel_normal_bundle_reproduction():
     runs.append((gen_b2, 1.0))
     for gen, v in runs:
         for u in u_samples(gen.u_range):
-            r = eight_invariants(gen.surface, u, v)
+            r = invariants_at(gen.surface, u, v)
             assert abs(r.beta1) <= 1e-6 and abs(r.beta2) <= 1e-6, (gen.spec, u)
     report("criterion 5: parallel normal bundle families, "
            "|beta1|, |beta2| <= 1e-6")
@@ -171,15 +173,16 @@ def _oracle_sample():
     rng = np.random.default_rng(1)
     sample = []
     for s in _oracle_surfaces():
-        sample.extend((s, u, v) for (u, v) in sample_general_points(s, 20, rng))
+        pts = sample_general_points(s, 20, rng, DEFAULT_ORACLE_STEP)
+        sample.extend((s, u, v) for (u, v) in pts)
     assert len(sample) == 100
     return sample
 
 
 def test_criterion_06_oracle_equivalence():
     for s, u, v in _oracle_sample():
-        closed = eight_invariants(s, u, v)
-        numeric = oracle_invariants(s, u, v, 1e-4)
+        closed = invariants_at(s, u, v)
+        numeric = oracle_invariants(StencilPass(s, u, v, 1e-4))
         for name in ORACLE_FIELDS:
             err = abs(getattr(closed, name) - getattr(numeric, name))
             assert err <= 1e-6, (name, u, v, err)
@@ -189,8 +192,8 @@ def test_criterion_06_oracle_equivalence():
     u, v = 0.8, 1.0
 
     def total_err(h):
-        closed = eight_invariants(s, u, v)
-        numeric = oracle_invariants(s, u, v, h)
+        closed = invariants_at(s, u, v)
+        numeric = oracle_invariants(StencilPass(s, u, v, h))
         return sum(abs(getattr(closed, n) - getattr(numeric, n))
                    for n in ("gamma1", "nu1", "lam", "mu", "beta1", "beta2"))
 
@@ -202,8 +205,8 @@ def test_criterion_06_oracle_equivalence():
 
 def test_criterion_07_identity_suite():
     for s, u, v in _oracle_sample():
-        r = eight_invariants(s, u, v)
         d = point_data(s, u, v)
+        r = eight_invariants(d)
         assert abs(r.gamma1 + r.gamma2) <= 1e-9
         assert abs(r.nu1 - r.nu2) <= 1e-9
         assert abs(r.varkappa) <= 1e-9
@@ -211,10 +214,8 @@ def test_criterion_07_identity_suite():
         assert abs(r.K - r.epsilon * (r.nu1 * r.nu2 - r.lam**2
                                       + r.mu**2)) <= 1e-9
         # frame Gram must be diag(1, 1, eps, -eps)
-        from meridian4.surface import normal_frame
-        tf = tangent_frame(s, u, v)
-        nf = normal_frame(s, u, v)
-        frame = (tf.x, tf.y, nf.b, nf.l)
+        nf = frames(d)
+        frame = (nf.x, nf.y, nf.b, nf.l)
         target = np.diag([1.0, 1.0, float(nf.epsilon), -float(nf.epsilon)])
         gram = np.array([[minkowski_dot(a, b) for b in frame] for a in frame])
         assert float(np.max(np.abs(gram - target))) <= 1e-9
@@ -227,13 +228,13 @@ def test_criterion_08_derivative_formula_suite():
     rng = np.random.default_rng(3)
     surfaces = [_oracle_surfaces()[0], _oracle_surfaces()[2]]
     for s in surfaces:
-        for (u, v) in sample_general_points(s, 15, rng):
-            d = point_data(s, u, v)
+        for (u, v) in sample_general_points(s, 15, rng, DEFAULT_ORACLE_STEP):
+            stencil = StencilPass(s, u, v, 1e-4)
+            tf = stencil.centre
+            d, n1, n2 = tf.d, tf.n1, tf.n2
             p, kappa = d.p, d.c.kappa
-            tf = tangent_frame(s, u, v)
-            n1, n2 = normal_pair(s, u, v)
             fof = p.fp / p.f
-            derivs = oracle_frame_derivatives(s, u, v, 1e-4)
+            derivs = oracle_frame_derivatives(stencil)
             expected = {
                 "XX": -p.kappa_m * n2,
                 "XY": 0.0 * n1,
@@ -245,7 +246,8 @@ def test_criterion_08_derivative_formula_suite():
                 got = derivs[name]
                 for a, b in zip(astuple(got), astuple(want)):
                     assert abs(a - b) <= 1e-6, (name, u, v)
-            sf = oracle_second_fundamental(s, u, v, 1e-4)
+            sf = {(w, n): minkowski_dot(derivs[w], normal)
+                  for w in ("XX", "XY", "YY") for n, normal in (("n1", n1), ("n2", n2))}
             # <n2, n2> = -1 flips the sign of every n2 inner product
             assert abs(sf[("XX", "n1")]) <= 1e-6
             assert abs(sf[("XX", "n2")] - p.kappa_m) <= 1e-6
@@ -263,11 +265,11 @@ def test_criterion_09_case_detection():
     sec_surface = MeridianSurface(
         ProfileCurve(lambda u: jsqrt(u + 1.0), (0.0, 3.0)),
         Directrix(compile_expression("sec(v)", "v"), (-1.0, 1.0)))
-    assert classify_point(sec_surface, 1.0, 0.2) is PointCase.HYPERPLANAR_FLAT
+    assert point_data(sec_surface, 1.0, 0.2).case is PointCase.HYPERPLANAR_FLAT
 
     linear = MeridianSurface(
         ProfileCurve(compile_expression("1 + 0.5*u"), (0.0, 2.0)), unit_phi())
-    assert classify_point(linear, 1.0, 1.0) is \
+    assert point_data(linear, 1.0, 1.0).case is \
         PointCase.DEVELOPABLE_RULED_FLAT
 
     # f = cos u, phi = 1: disc(u) = sin^2 u - cos^2 2u has a simple zero at
@@ -287,10 +289,10 @@ def test_criterion_09_case_detection():
             hi = mid
     u_star = 0.5 * (lo + hi)
     assert abs(u_star - math.pi / 6.0) <= 1e-9
-    assert classify_point(trapped, u_star, 1.0, tol=1e-8) is \
+    assert point_data(trapped, u_star, 1.0, tol=1e-8).case is \
         PointCase.MARGINALLY_TRAPPED
     with pytest.raises(MarginallyTrappedError):
-        eight_invariants(trapped, u_star, 1.0)
+        invariants_at(trapped, u_star, 1.0)
     report("criterion 9: hyperplanar-flat, developable-ruled and "
            "marginally-trapped points detected")
 

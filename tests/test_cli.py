@@ -365,6 +365,34 @@ def test_step_without_a_finite_sample_count_is_exit_1(tmp_path, capsys, command,
         f"error: --{flag} step 5e-324 gives a sample count that is not finite"]
 
 
+@pytest.mark.parametrize("command, argv, message", [
+    ("family", ["--u", "0:1:1e-300"],
+     "--u step 1e-300 gives 1e+300 samples, more than the 10000000 a command writes"),
+    ("invariants", ["--u", "0:1", "--v", "0:1:1e-9"],
+     "--v step 1e-09 gives 1e+09 samples, more than the 10000000 a command writes"),
+    ("invariants", ["--u", "0:1", "--v", "0:1", "--grid", "100000x100000"],
+     "a 100000x100000 grid has more rows than the 10000000 a command writes"),
+    ("mesh", ["--u", "0:1", "--v", "0:1", "--grid", "10001x1000"],
+     "a 10001x1000 grid has more vertices than the 10000000 a command writes")])
+def test_more_than_ten_million_rows_is_exit_1(tmp_path, capsys, command, argv, message):
+    # the rows are refused before any is built: a step of 1e-300 would ask
+    # for a list of 1e300 grid points
+    out = tmp_path / "x.out"
+    code = main([command, "--spec", "parallel-a c=1 d=1", *argv, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_the_row_limit_is_ten_million():
+    assert cli._sample_count((0.0, 1.0), 1.0 / 9999999, 50, "u") == cli.MAX_ROWS
+    with pytest.raises(SpecError, match="gives 10000001 samples"):
+        cli._sample_count((0.0, 1.0), 1e-7, 50, "u")
+    cli._check_grid(cli.MAX_ROWS, 1, "rows")
+    with pytest.raises(SpecError, match="a 10000001x1 grid"):
+        cli._check_grid(cli.MAX_ROWS + 1, 1, "rows")
+
+
 @pytest.mark.parametrize("command, spec, message", [
     ("family", "constant-gauss K=1 alpha=1 beta=0",
      "ConstantGauss is in closed form and takes no f0"),
@@ -422,7 +450,33 @@ def test_direct_spec_matches_the_family_it_spells_out(tmp_path, direct, family,
         assert all(abs(a - b) <= G_TOL for a, b in zip(p, q))
 
 
+@pytest.mark.parametrize("command, spec, u_range, n", [
+    ("invariants", "constant-gauss K=1 alpha=1 beta=1 phi=2+cos(v)", (-0.4, 2.0), 8),
+    ("mesh", "parallel-a c=-1 d=1", (-0.3, 2.0), 52)])
+def test_last_grid_point_is_the_truncated_end(tmp_path, command, spec, u_range, n):
+    # the range ends at the last admissible float; lo + (hi - lo) (n-1)/(n-1)
+    # rounds one ulp past it for these n, where the last row would raise
+    gen = cli.build_surface(*parse_family_spec(spec), None, u_range, (0.0, 1.0))
+    assert gen.truncated and sample_grid(gen.u_range, n)[-1] == gen.u_range[1]
+    code = main([command, "--spec", spec, "--u", f"{u_range[0]}:{u_range[1]}",
+                 "--v", "0:1", "--grid", f"{n}x2", "--out", str(tmp_path / "x.out")])
+    assert code == 2
+
+
 # --- verify command -----------------------------------------------------------
+
+def test_verify_keeps_its_points_a_stencil_radius_from_the_edges(tmp_path):
+    # a stencil of radius 2h = 0.02 is wider than the sample margin 5e-3
+    out = tmp_path / "r.json"
+    code = main(["verify", "--spec", "parallel-a c=1 d=1", "--u", "0:1",
+                 "--v", "0:1", "--oracle-step", "0.01", "--out", str(out)])
+    assert code == 0
+    assert all(c["pass"] for c in json.loads(out.read_text())["checks"])
+    s = cli.build_surface(*parse_family_spec("parallel-a c=1 d=1"), None,
+                          (0.0, 1.0), (0.0, 1.0)).surface
+    pts = sample_general_points(s, 50, random.Random(SAMPLE_SEED), 0.01)
+    assert all(0.02 <= x <= 0.98 for pt in pts for x in pt)
+
 
 def test_verify_oracle_step_zero_is_exit_1(tmp_path, capsys):
     code = main(["verify", "--spec", "parallel-a c=1 d=1", "--u", "0:1",
@@ -581,7 +635,7 @@ def point_by_point(spec_text, f0, u, v, nu, nv):
             d = point_data(s, uu, vv)
             rec = None
             if d.case is PointCase.GENERAL:
-                rec = eight_invariants(s, uu, vv, d)
+                rec = eight_invariants(d)
             cells = [repr(getattr(rec, cli._record_attr(c))) if rec else ""
                      for c in cli.INVARIANT_COLUMNS]
             lines.append(",".join([repr(uu), repr(vv), *cells, d.case.value]))
@@ -810,8 +864,9 @@ def test_reproduction_command_at_negative_eps(tmp_path):
     assert [n for n in names if n.startswith("oracle")] == [
         f"oracle:{f}" for f in _ORACLE_FIELDS]
     s = cli.build_surface(*parse_family_spec(spec), 0.6, (0.0, 0.3), (0.0, 0.3)).surface
-    pts = sample_general_points(s, 9, random.Random(SAMPLE_SEED))
-    assert {eight_invariants(s, u, v).epsilon for u, v in pts} == {-1}
+    pts = sample_general_points(s, 9, random.Random(SAMPLE_SEED),
+                                invariants.DEFAULT_ORACLE_STEP)
+    assert {eight_invariants(point_data(s, u, v)).epsilon for u, v in pts} == {-1}
     # the identity rows stand between the oracle rows and frame-gram
     rows = checks[len(_ORACLE_FIELDS):names.index("frame-gram")]
     assert [r["check"] for r in rows] == ["k+4*nu1*nu2*mu^2", "K-eps*(nu1*nu2-lam^2+mu^2)"]

@@ -42,17 +42,16 @@ def counted_surface():
     return s, f, phi
 
 
-@pytest.mark.parametrize("fn, most", [
-    (invariants.eight_invariants, 1),
-    (invariants.mean_curvature, 1),
-    (surface.normal_frame, 1),
-    (surface.tangent_frame, 1),
-    (invariants.oracle_invariants, 5),
-    (invariants.oracle_frame_derivatives, 5),
-])
-def test_jets_evaluated_once_per_point(fn, most):
+@pytest.mark.parametrize("read, record, most", [
+    (invariants.eight_invariants, surface.point_data, 1),
+    (surface.frames, surface.point_data, 1),
+    (invariants.oracle_invariants, invariants.StencilPass, 5),
+    (invariants.oracle_frame_derivatives, invariants.StencilPass, 5),
+], ids=["eight_invariants-1", "frames-1", "oracle_invariants-5",
+        "oracle_frame_derivatives-5"])
+def test_jets_evaluated_once_per_point(read, record, most):
     s, f, phi = counted_surface()
-    fn(s, 1.2, 2.0)
+    read(record(s, 1.2, 2.0))
     assert 1 <= f.calls <= most
     assert 1 <= phi.calls <= most
 
@@ -79,9 +78,9 @@ def test_records_of_a_used_surface_equal_those_of_a_fresh_one():
     used = counted_surface()[0]
     h = invariants.DEFAULT_ORACLE_STEP
     for u, v in ((1.2, 2.0), (0.0, 2.0), (1.2, 0.0)):
-        invariants.eight_invariants(used, u, v)
-    invariants.oracle_invariants(used, 1.2, 2.0, h)
-    invariants.oracle_frame_derivatives(used, 1.2, 2.0, h / 2.0)
+        invariants.eight_invariants(surface.point_data(used, u, v))
+    invariants.oracle_invariants(invariants.StencilPass(used, 1.2, 2.0, h))
+    invariants.oracle_frame_derivatives(invariants.StencilPass(used, 1.2, 2.0, h / 2.0))
     points = [(1.2, 2.0), (1.2 + h, 2.0), (1.2, 2.0 - h / 2.0),
               (-0.0, 2.0), (0.0, 2.0), (1.2, -0.0), (1.2, 0.0)]
     for tol in (surface.CLASSIFY_TOL, 1e-12, 10.0):
@@ -151,12 +150,13 @@ def test_verify_evaluates_the_closed_forms_once_per_point(monkeypatch):
     calls = Counter()
     eight_invariants = verification.eight_invariants
 
-    def counted(s, u, v, d=None):
-        calls[(u, v)] += 1
-        return eight_invariants(s, u, v, d)
+    def counted(d):
+        calls[(d.p.u, d.c.v)] += 1
+        return eight_invariants(d)
     monkeypatch.setattr(verification, "eight_invariants", counted)
     assert verify_generated(gen, 20).passed
-    pts = sample_general_points(gen.surface, 20, random.Random(SAMPLE_SEED))
+    pts = sample_general_points(gen.surface, 20, random.Random(SAMPLE_SEED),
+                                invariants.DEFAULT_ORACLE_STEP)
     # one record per sample point, read by its oracle and identity rows, and
     # one per family-target row at the directrix midpoint
     assert [calls[p] for p in pts] == [1] * 20

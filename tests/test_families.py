@@ -12,13 +12,17 @@ from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                                 defining_residual, generate,
                                 integrate_autonomous)
 from meridian4.jets import jet_eval
-from meridian4.invariants import (eight_invariants, gauss_curvature,
-                                  invariant_k, mean_curvature)
+from meridian4.invariants import eight_invariants
 from meridian4.profile import (FPRIME_FLOOR, Directrix, directrix_point,
-                               g_from_f)
+                               g_from_f, profile_point)
+from meridian4.surface import point_data
 
 TWO_PI = 2.0 * math.pi
 UNIT_PHI = Directrix(compile_expression("1", "v"), (0.0, TWO_PI))
+
+
+def invariants_at(s, u, v):
+    return eight_invariants(point_data(s, u, v))
 
 
 def u_samples(gen, n=25):
@@ -100,7 +104,7 @@ def test_constant_gauss_positive_k_is_trig():
     for u in u_samples(gen):
         fj = gen.surface.profile.f_jet(u)
         assert fj.f == pytest.approx(math.cos(u), abs=1e-12)
-        assert gauss_curvature(gen.surface, u) == pytest.approx(1.0, abs=1e-10)
+        assert profile_point(gen.surface.profile, u).K == pytest.approx(1.0, abs=1e-10)
 
 
 def test_constant_gauss_negative_k_is_hyperbolic():
@@ -109,7 +113,7 @@ def test_constant_gauss_negative_k_is_hyperbolic():
     for u in u_samples(gen):
         fj = gen.surface.profile.f_jet(u)
         assert fj.f == pytest.approx(math.cosh(u) + math.sinh(u), abs=1e-10)
-        assert gauss_curvature(gen.surface, u) == pytest.approx(-1.0, abs=1e-10)
+        assert profile_point(gen.surface.profile, u).K == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_constant_gauss_decaying_exponential_keeps_its_digits():
@@ -133,7 +137,7 @@ def test_constant_mean_truncates_at_blowup():
     assert gen.u_range[1] < 10.0
     v = 0.15
     for u in u_samples(gen):
-        assert mean_curvature(gen.surface, u, v)[2] == pytest.approx(
+        assert invariants_at(gen.surface, u, v).H_norm == pytest.approx(
             0.5, abs=1e-8)
 
 
@@ -142,7 +146,7 @@ def test_constant_k_family():
                    (0.0, 1.5), UNIT_PHI)
     v = math.pi
     for u in u_samples(gen):
-        assert invariant_k(gen.surface, u, v) == pytest.approx(-1.0, abs=1e-8)
+        assert invariants_at(gen.surface, u, v).k == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_constant_k_profile_matches_closed_form():
@@ -209,7 +213,7 @@ def test_chen_family_lambda_vanishes():
                    (0.0, 1.5), directrix)
     v = 0.25
     for u in u_samples(gen):
-        assert eight_invariants(gen.surface, u, v).lam == pytest.approx(
+        assert invariants_at(gen.surface, u, v).lam == pytest.approx(
             0.0, abs=1e-8)
 
 
@@ -222,7 +226,7 @@ def test_parallel_a_closed_form_and_betas():
     assert g_from_f(profile, 3.0) == pytest.approx(-16.0 / 3.0, abs=1e-9)
     v = 1.0
     for u in u_samples(gen):
-        r = eight_invariants(gen.surface, u, v)
+        r = invariants_at(gen.surface, u, v)
         assert r.beta1 == pytest.approx(0.0, abs=1e-10)
         assert r.beta2 == pytest.approx(0.0, abs=1e-10)
 

@@ -9,15 +9,12 @@ from meridian4.errors import (DomainError, FlatPointError,
                               MarginallyTrappedError, ProfileInvariantError)
 from meridian4.expressions import compile_expression
 from meridian4.invariants import (InvariantRecord, StencilPass, _directional,
-                                  eight_invariants, gauss_curvature,
-                                  invariant_k, mean_curvature,
-                                  oracle_frame_derivatives, oracle_invariants,
-                                  oracle_second_fundamental)
+                                  eight_invariants, oracle_frame_derivatives,
+                                  oracle_invariants)
 from meridian4.jets import jcos, jsqrt
-from meridian4.profile import Directrix, ProfileCurve
-from meridian4.minkowski import Vec4
-from meridian4.surface import (MeridianSurface, PointCase, normal_frame,
-                               point_data, tangent_frame)
+from meridian4.profile import Directrix, ProfileCurve, profile_point
+from meridian4.minkowski import Vec4, minkowski_dot
+from meridian4.surface import MeridianSurface, PointCase, frames, point_data
 
 TWO_PI = 2.0 * math.pi
 UNIT_PHI = Directrix(compile_expression("1", "v"), (0.0, TWO_PI))
@@ -30,8 +27,12 @@ WAVY_SURFACE = MeridianSurface(
     SQRT_SURFACE.profile, Directrix(compile_expression("2+cos(v)", "v"), (0.0, TWO_PI)))
 
 
+def invariants_at(s, u, v):
+    return eight_invariants(point_data(s, u, v))
+
+
 def test_reference_record():
-    r = eight_invariants(SQRT_SURFACE, 0.0, 0.0)
+    r = invariants_at(SQRT_SURFACE, 0.0, 0.0)
     s2 = 0.5 / math.sqrt(2.0)
     assert (r.gamma1, r.gamma2) == pytest.approx((s2, -s2), abs=1e-12)
     assert (r.nu1, r.nu2, r.lam, r.mu) == pytest.approx(
@@ -45,7 +46,7 @@ def test_reference_record():
 
 
 def test_record_is_an_immutable_named_tuple():
-    r = eight_invariants(SQRT_SURFACE, 0.5, 1.0)
+    r = invariants_at(SQRT_SURFACE, 0.5, 1.0)
     assert len(InvariantRecord._fields) == 15
     assert r == tuple(getattr(r, name) for name in InvariantRecord._fields)
     gamma1, gamma2, *_, epsilon = r
@@ -54,22 +55,23 @@ def test_record_is_an_immutable_named_tuple():
         r.K = 0.0
 
 
-def test_gauss_curvature_closed_form():
+def test_K_closed_form():
     for u in (0.0, 1.0, 2.5):
-        assert gauss_curvature(SQRT_SURFACE, u) == pytest.approx(
+        assert profile_point(SQRT_SURFACE.profile, u).K == pytest.approx(
             0.25 / (u + 1.0) ** 2, abs=1e-12)
 
 
-def test_gauss_curvature_is_checked_where_f_vanishes():
+def test_K_is_checked_where_f_vanishes():
     # f = u + u^2 is 0 at u = 0: a typed error, not a ZeroDivisionError
     s = MeridianSurface(ProfileCurve(compile_expression("u+u^2"), (0.0, 1.0)),
                         UNIT_PHI)
     with pytest.raises(ProfileInvariantError):
-        gauss_curvature(s, 0.0)
+        profile_point(s.profile, 0.0).K
 
 
-def test_mean_curvature_components():
-    h1, h2, norm, eps = mean_curvature(SQRT_SURFACE, 0.0, 0.0)
+def test_H_components():
+    r = invariants_at(SQRT_SURFACE, 0.0, 0.0)
+    h1, h2, norm, eps = r.H_n1, r.H_n2, r.H_norm, r.epsilon
     assert h1 == pytest.approx(-0.5, abs=1e-12)   # kappa/(2f) with kappa = -1
     assert h2 == pytest.approx(0.0, abs=1e-12)    # q = 0 on this profile
     assert norm == pytest.approx(0.5, abs=1e-12)
@@ -82,29 +84,29 @@ def test_identity_suite_on_two_surfaces():
         for (u, v) in pts:
             if s is COS_SURFACE:
                 u = 0.6 + 0.4 * (u / 3.0)
-            r = eight_invariants(s, u, v)
+            r = invariants_at(s, u, v)
             assert r.gamma1 + r.gamma2 == pytest.approx(0.0, abs=1e-12)
             assert r.nu1 == pytest.approx(r.nu2, abs=1e-12)
             assert r.k == pytest.approx(-4.0 * r.nu1 * r.nu2 * r.mu**2,
                                         abs=1e-12)
             assert r.K == pytest.approx(
                 r.epsilon * (r.nu1 * r.nu2 - r.lam**2 + r.mu**2), abs=1e-12)
-            assert eight_invariants(s, u, v).varkappa == pytest.approx(
+            assert invariants_at(s, u, v).varkappa == pytest.approx(
                 0.0, abs=1e-12)
 
 
-def test_invariant_k_closed_form():
+def test_k_closed_form():
     for (u, v) in ((0.5, 1.0), (2.0, 3.0)):
         d = point_data(SQRT_SURFACE, u, v)
         expected = -(d.p.kappa_m**2) * d.c.kappa**2 / d.p.f**2
-        assert invariant_k(SQRT_SURFACE, u, v) == pytest.approx(
+        assert eight_invariants(d).k == pytest.approx(
             expected, abs=1e-12)
 
 
 def test_oracle_matches_closed_forms():
     for (u, v) in ((0.5, 1.0), (1.5, 3.0), (2.5, 5.0)):
-        closed = eight_invariants(SQRT_SURFACE, u, v)
-        numeric = oracle_invariants(SQRT_SURFACE, u, v, 1e-4)
+        closed = invariants_at(SQRT_SURFACE, u, v)
+        numeric = oracle_invariants(StencilPass(SQRT_SURFACE, u, v, 1e-4))
         for name in ("gamma1", "gamma2", "nu1", "nu2", "lam", "mu",
                      "beta1", "beta2", "K", "k"):
             assert getattr(numeric, name) == pytest.approx(
@@ -113,27 +115,30 @@ def test_oracle_matches_closed_forms():
 
 def test_oracle_on_nonzero_q_surface():
     for (u, v) in ((0.7, 1.0), (0.9, 2.0)):
-        closed = eight_invariants(COS_SURFACE, u, v)
-        numeric = oracle_invariants(COS_SURFACE, u, v, 1e-4)
+        closed = invariants_at(COS_SURFACE, u, v)
+        numeric = oracle_invariants(StencilPass(COS_SURFACE, u, v, 1e-4))
         for name in ("gamma1", "gamma2", "nu1", "nu2", "lam", "mu",
                      "beta1", "beta2"):
             assert getattr(numeric, name) == pytest.approx(
                 getattr(closed, name), abs=1e-6), name
 
 
-def test_oracle_mean_curvature_vector():
+def test_oracle_H_vector():
     u, v = 1.0, 2.0
-    h1, h2, _, _ = mean_curvature(SQRT_SURFACE, u, v)
-    numeric = oracle_invariants(SQRT_SURFACE, u, v, 1e-4)
-    assert numeric.H_n1 == pytest.approx(h1, abs=1e-7)
-    assert numeric.H_n2 == pytest.approx(h2, abs=1e-7)
+    closed = invariants_at(SQRT_SURFACE, u, v)
+    numeric = oracle_invariants(StencilPass(SQRT_SURFACE, u, v, 1e-4))
+    assert numeric.H_n1 == pytest.approx(closed.H_n1, abs=1e-7)
+    assert numeric.H_n2 == pytest.approx(closed.H_n2, abs=1e-7)
 
 
-def test_oracle_second_fundamental_components():
+def test_oracle_normal_components():
     u, v = 1.0, 2.0
-    d = point_data(SQRT_SURFACE, u, v)
+    stencil = StencilPass(SQRT_SURFACE, u, v, 1e-4)
+    d, n1, n2 = stencil.centre.d, stencil.centre.n1, stencil.centre.n2
     p, kappa = d.p, d.c.kappa
-    sf = oracle_second_fundamental(SQRT_SURFACE, u, v, 1e-4)
+    derivs = oracle_frame_derivatives(stencil)
+    sf = {(w, n): minkowski_dot(derivs[w], normal)
+          for w in ("XX", "XY", "YY") for n, normal in (("n1", n1), ("n2", n2))}
     # D_X X = -kappa_m n2 and D_Y Y = ... + (kappa/f) n1 - (f'/f) n2,
     # with <n2, n2> = -1 flipping the sign of the n2 inner products.
     assert sf[("XX", "n1")] == pytest.approx(0.0, abs=1e-7)
@@ -148,17 +153,16 @@ def test_eight_invariants_rejects_degenerate_points():
     flat = MeridianSurface(
         ProfileCurve(compile_expression("1 + 0.5*u"), (0.0, 2.0)), UNIT_PHI)
     with pytest.raises(FlatPointError):
-        eight_invariants(flat, 1.0, 1.0)
+        invariants_at(flat, 1.0, 1.0)
     trapped = MeridianSurface(ProfileCurve(jcos, (0.05, 1.0)), UNIT_PHI)
     with pytest.raises(MarginallyTrappedError):
-        eight_invariants(trapped, math.pi / 6.0, 1.0)
+        invariants_at(trapped, math.pi / 6.0, 1.0)
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan])
 def test_oracle_step_must_be_positive(h):
-    for oracle in (oracle_invariants, oracle_second_fundamental):
-        with pytest.raises(DomainError, match="is not positive"):
-            oracle(SQRT_SURFACE, 1.0, 1.0, h)
+    with pytest.raises(DomainError, match="is not positive"):
+        StencilPass(SQRT_SURFACE, 1.0, 1.0, h)
 
 
 @pytest.mark.parametrize("u, v, h", [
@@ -168,18 +172,15 @@ def test_oracle_step_must_be_positive(h):
 def test_oracle_step_must_resolve_the_stencil(u, v, h):
     s = MeridianSurface(ProfileCurve(lambda t: 2.0 + t, (-1.0, 3.0)),
                         Directrix(lambda t: 2.0 + jcos(t), (-1.0, 2.0)))
-    for oracle in (oracle_invariants, oracle_second_fundamental):
-        with pytest.raises(DomainError, match="is too small"):
-            oracle(s, u, v, h)
+    with pytest.raises(DomainError, match="is too small"):
+        StencilPass(s, u, v, h)
 
 
 @pytest.mark.parametrize("u, v", [(1e-4, 1.0), (2.9999, 1.0), (1.0, 1e-4),
                                   (1.0, TWO_PI - 1e-4)])
 def test_oracle_stencil_must_stay_in_the_domain(u, v):
-    for oracle in (oracle_invariants, oracle_frame_derivatives,
-                   oracle_second_fundamental):
-        with pytest.raises(DomainError, match="oracle stencil of radius"):
-            oracle(SQRT_SURFACE, u, v, 1e-4)
+    with pytest.raises(DomainError, match="oracle stencil of radius"):
+        StencilPass(SQRT_SURFACE, u, v, 1e-4)
 
 
 def test_a_flat_stencil_point_stops_only_the_invariant_oracle():
@@ -191,13 +192,10 @@ def test_a_flat_stencil_point_stops_only_the_invariant_oracle():
     assert point_data(s, u, v).case is PointCase.GENERAL
     assert point_data(s, u, v + h).case is PointCase.HYPERPLANAR_FLAT
     stencil = StencilPass(s, u, v, h)
-    for extra in ((), (stencil,)):
-        with pytest.raises(FlatPointError, match=re.escape(f"= ({u}, {v + h});")):
-            oracle_invariants(s, u, v, h, *extra)
-        derivs = oracle_frame_derivatives(s, u, v, h, *extra)
-        assert sorted(derivs) == ["XX", "XY", "Xn1", "Xn2", "YX", "YY", "Yn1", "Yn2"]
-    assert set(oracle_second_fundamental(s, u, v, h)) == {
-        (w, n) for w in ("XX", "XY", "YY") for n in ("n1", "n2")}
+    with pytest.raises(FlatPointError, match=re.escape(f"= ({u}, {v + h});")):
+        oracle_invariants(stencil)
+    derivs = oracle_frame_derivatives(stencil)
+    assert sorted(derivs) == ["XX", "XY", "Xn1", "Xn2", "YX", "YY", "Yn1", "Yn2"]
 
 
 def test_directional_derivatives_match_the_vec4_operators():
@@ -207,14 +205,11 @@ def test_directional_derivatives_match_the_vec4_operators():
     h = 1e-4
     for u, v in ((1.0, 1.0), (0.5, 4.0)):
         stencil = StencilPass(WAVY_SURFACE, u, v, h)
-        frames = []
-        for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h)):
-            tf, nf = tangent_frame(WAVY_SURFACE, uu, vv), normal_frame(WAVY_SURFACE, uu, vv)
-            frames.append({"X": tf.X, "Y": tf.Y, "x": tf.x, "y": tf.y,
-                           "n1": nf.n1, "n2": nf.n2, "b": nf.b, "l": nf.l})
+        recs = [frames(point_data(WAVY_SURFACE, uu, vv))
+                for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h))]
         for a, c in ((0.7, 0.3), (-0.7, 0.3), (0.7, 0.0), (0.0, 0.3), (0.0, 0.0)):
-            for name in frames[0]:
-                up, um, vp, vm = (f[name] for f in frames)
+            for name in ("X", "Y", "x", "y", "n1", "n2", "b", "l"):
+                up, um, vp, vm = (getattr(rec, name) for rec in recs)
                 want = (up - um) / (2.0 * h) * a if a != 0.0 else Vec4(0, 0, 0, 0)
                 if c != 0.0:
                     want = want + (vp - vm) / (2.0 * h) * c

@@ -109,7 +109,7 @@ def test_g_work_of_embed_on_a_mesh_grid():
                         Directrix(lambda v: constant(1.0), (0.0, 6.28)))
     for u in samples((0.0, 3.0), 16):
         for v in samples((0.0, 6.28), 40):
-            embed(s, u, v)
+            embed(point_data(s, u, v), g_from_f(s.profile, u))
     assert f.calls <= 281
 
 

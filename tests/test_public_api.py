@@ -30,3 +30,44 @@ def test_package_imports_only_exported_names():
             stale += [(node.module, a.name) for a in node.names
                       if exported is None or a.name not in exported]
     assert stale == []
+
+
+SRC = pathlib.Path(meridian4.__file__).parent
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used(name):
+    # an import that the module neither reads nor exports is dead
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(getattr(importlib.import_module(f"meridian4.{name}"), "__all__", ()))
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert [n for n in imported if n not in read and n not in exported] == []
+
+
+def _bound(node):
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_every_private_module_name_is_read():
+    # a module-level _name that no line of the package reads is dead
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    private = [(stem, name) for stem, tree in trees.items() for node in tree.body
+               for name in _bound(node) if name.startswith("_") and not name.startswith("__")]
+    assert [p for p in private if p[1] not in read] == []

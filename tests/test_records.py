@@ -20,8 +20,8 @@ from meridian4.jets import Jet, jexp
 from meridian4.minkowski import Vec4
 from meridian4.profile import Directrix, ProfileCurve, directrix_point, profile_point
 from meridian4.invariants import eight_invariants
-from meridian4.surface import (MeridianSurface, PointFrames, combine, normal_frame,
-                               point_data, tangent_frame)
+from meridian4.surface import (MeridianSurface, PointFrames, combine, frames,
+                               point_data)
 from meridian4.verification import CheckRecord, VerificationReport
 
 SPECS = [ConstantGauss(K=1.0, alpha=1.0, beta=0.0),
@@ -37,8 +37,8 @@ def frozen_records():
     gen = build_surface(spec, phi, None, (0.1, 0.5), (0.0, 1.0))
     s = gen.surface
     return [gen, s, s.profile, s.directrix, profile_point(s.profile, 0.3),
-            directrix_point(s.directrix, 0.5), tangent_frame(s, 0.3, 0.5),
-            normal_frame(s, 0.3, 0.5),
+            directrix_point(s.directrix, 0.5), frames(point_data(s, 0.3, 0.5)),
+            frames(point_data(s, 0.4, 0.5)),
             integrate_autonomous(SPECS[3].y(), 1.5, (0.0, 0.5)),
             CheckRecord("a", 1, 0.0, 1.0, True), *SPECS]
 
@@ -161,7 +161,7 @@ def test_a_point_record_references_and_prints_the_curve_records():
     # part of its value
     fresh = profile_point(ProfileCurve(jexp, (0.0, 1.0)), 0.5)
     assert p._terms is None
-    eight_invariants(s, 0.5, 0.75, d)
+    eight_invariants(d)
     assert p._terms is not None and fresh._terms is None
     assert repr(p) == shown and p == fresh and hash(p) == hash(fresh)
     assert pickle.loads(pickle.dumps(p)) == p

@@ -13,11 +13,11 @@ from meridian4.expressions import compile_expression
 from meridian4.jets import jcos, jsqrt, variable
 from meridian4.minkowski import Vec4, minkowski_dot
 from meridian4.profile import (Directrix, DirectrixPoint, ProfileCurve,
-                               ProfilePoint, directrix_point, profile_point)
-from meridian4.invariants import StencilPass, eight_invariants, mean_curvature
+                               ProfilePoint, directrix_point, g_from_f,
+                               profile_point)
+from meridian4.invariants import StencilPass, eight_invariants
 from meridian4.surface import (MeridianSurface, PointCase, PointFrames,
-                               classify_point, combine, embed, normal_frame,
-                               normal_pair, point_data, tangent_frame)
+                               combine, embed, frames, point_data)
 
 UNIT_PHI = Directrix(compile_expression("1", "v"), (0.0, 2.0 * math.pi))
 SQRT_SURFACE = MeridianSurface(
@@ -29,15 +29,23 @@ def vec_close(a: Vec4, b, abs_tol=1e-9):
     assert astuple(a) == pytest.approx(list(b), abs=abs_tol)
 
 
+def z(s, u, v):
+    return embed(point_data(s, u, v), g_from_f(s.profile, u))
+
+
+def frame(s, u, v):
+    return frames(point_data(s, u, v))
+
+
 def test_embed_reference_point():
     # f(0) = 1, g(0) = -2/3, phi = 1: lightlike coefficients p = -1/6, q = 1.
-    z = embed(SQRT_SURFACE, 0.0, 0.0)
-    vec_close(z, (1.0, 0.0, -0.8249579113843053, 0.5892556509887896), 1e-9)
+    vec_close(z(SQRT_SURFACE, 0.0, 0.0),
+              (1.0, 0.0, -0.8249579113843053, 0.5892556509887896), 1e-9)
 
 
 def test_embed_rotates_in_e1_e2():
-    z0 = embed(SQRT_SURFACE, 1.0, 0.0)
-    z1 = embed(SQRT_SURFACE, 1.0, 1.2)
+    z0 = z(SQRT_SURFACE, 1.0, 0.0)
+    z1 = z(SQRT_SURFACE, 1.0, 1.2)
     r0 = math.hypot(z0.c1, z0.c2)
     r1 = math.hypot(z1.c1, z1.c2)
     assert r1 == pytest.approx(r0, abs=1e-10)
@@ -47,8 +55,8 @@ def test_embed_rotates_in_e1_e2():
 def test_tangents_match_finite_differences():
     h = 1e-5
     for (u, v) in ((0.5, 0.3), (1.5, 2.0), (2.5, 4.4)):
-        tf = tangent_frame(SQRT_SURFACE, u, v)
-        zu = (embed(SQRT_SURFACE, u + h, v) - embed(SQRT_SURFACE, u - h, v)) / (2 * h)
+        tf = frame(SQRT_SURFACE, u, v)
+        zu = (z(SQRT_SURFACE, u + h, v) - z(SQRT_SURFACE, u - h, v)) / (2 * h)
         vec_close(tf.X, astuple(zu), 1e-8)
 
 
@@ -58,8 +66,8 @@ def test_first_fundamental_form():
         # of central differences of the embedding
         d = point_data(SQRT_SURFACE, u, v)
         h = 1e-5
-        z_u = (embed(SQRT_SURFACE, u + h, v) - embed(SQRT_SURFACE, u - h, v)) / (2 * h)
-        z_v = (embed(SQRT_SURFACE, u, v + h) - embed(SQRT_SURFACE, u, v - h)) / (2 * h)
+        z_u = (z(SQRT_SURFACE, u + h, v) - z(SQRT_SURFACE, u - h, v)) / (2 * h)
+        z_v = (z(SQRT_SURFACE, u, v + h) - z(SQRT_SURFACE, u, v - h)) / (2 * h)
         E, G = -2.0 * d.p.fp * d.p.gp, d.p.f**2 * d.c.D
         assert E == pytest.approx(1.0, abs=1e-12)
         assert minkowski_dot(z_u, z_u) == pytest.approx(E, abs=1e-8)
@@ -69,8 +77,8 @@ def test_first_fundamental_form():
 
 def test_tangent_and_normal_gram():
     for (u, v) in ((0.4, 0.2), (1.7, 2.8), (2.9, 5.5)):
-        tf = tangent_frame(SQRT_SURFACE, u, v)
-        n1, n2 = normal_pair(SQRT_SURFACE, u, v)
+        tf = frame(SQRT_SURFACE, u, v)
+        n1, n2 = tf.n1, tf.n2
         assert minkowski_dot(tf.X, tf.X) == pytest.approx(1.0, abs=1e-12)
         assert minkowski_dot(tf.Y, tf.Y) == pytest.approx(1.0, abs=1e-12)
         assert minkowski_dot(tf.X, tf.Y) == pytest.approx(0.0, abs=1e-12)
@@ -83,7 +91,7 @@ def test_tangent_and_normal_gram():
 
 
 def test_principal_tangents_are_rotation_of_X_Y():
-    tf = tangent_frame(SQRT_SURFACE, 1.0, 1.0)
+    tf = frame(SQRT_SURFACE, 1.0, 1.0)
     r = 1.0 / math.sqrt(2.0)
     vec_close(tf.x, astuple((tf.X + tf.Y) * r), 1e-14)
     vec_close(tf.y, astuple((tf.Y - tf.X) * r), 1e-14)
@@ -92,8 +100,8 @@ def test_principal_tangents_are_rotation_of_X_Y():
 def test_geometric_frame_reference_point():
     # At (0,0) on the sqrt profile: q = 0, kappa f' = -1/2, disc = 1/4 > 0,
     # so b = -n1 and l = -n2.
-    nf = normal_frame(SQRT_SURFACE, 0.0, 0.0)
-    n1, n2 = normal_pair(SQRT_SURFACE, 0.0, 0.0)
+    nf = frame(SQRT_SURFACE, 0.0, 0.0)
+    n1, n2 = nf.n1, nf.n2
     assert nf.epsilon == 1
     vec_close(nf.b, astuple(-1.0 * n1), 1e-12)
     vec_close(nf.l, astuple(-1.0 * n2), 1e-12)
@@ -113,58 +121,59 @@ def test_frame_convention(spec, f0, u, eps, fp_sign):
     v = 0.2
     d = point_data(s, u, v)
     assert (d.disc > 0) == (eps > 0) and (d.p.fp > 0) == (fp_sign > 0)
-    tf, nf = tangent_frame(s, u, v), normal_frame(s, u, v)
+    nf = frames(d)
     assert nf.epsilon == eps
-    rows = [astuple(w) for w in (tf.x, tf.y, nf.b, nf.l)]
+    rows = [astuple(w) for w in (nf.x, nf.y, nf.b, nf.l)]
     assert np.linalg.det(np.array(rows)) == pytest.approx(-1.0, abs=1e-12)
-    h1, h2, hnorm, _ = mean_curvature(s, u, v)
-    n1, n2 = normal_pair(s, u, v)
-    vec_close(nf.b, astuple((h1 * n1 + h2 * n2) * (fp_sign / hnorm)), 1e-12)
+    r = eight_invariants(d)
+    vec_close(nf.b, astuple((r.H_n1 * nf.n1 + r.H_n2 * nf.n2) * (fp_sign / r.H_norm)),
+              1e-12)
 
 
 @pytest.mark.parametrize("s, u, eps", [
     (SQRT_SURFACE, 1.0, 1),
     (MeridianSurface(ProfileCurve(jcos, (0.05, 0.45)), UNIT_PHI), 0.3, -1)])
 def test_one_frame_builder_serves_every_reader(s, u, eps):
-    # tangent_frame, normal_frame, normal_pair and a stencil's centre read
-    # the one record that frames builds, field by field (compared by repr)
+    # frames and a stencil's centre build the same record, field by field
+    # (compared by repr)
     v = 0.7
-    tf, nf = tangent_frame(s, u, v), normal_frame(s, u, v)
+    nf = frame(s, u, v)
     centre = StencilPass(s, u, v, 1e-4).centre
     assert nf.epsilon == eps
     for name in PointFrames.__slots__:
-        assert repr(getattr(tf, name)) == repr(getattr(nf, name)) \
-            == repr(getattr(centre, name)), name
-    assert repr(normal_pair(s, u, v)) == repr((nf.n1, nf.n2))
+        assert repr(getattr(nf, name)) == repr(getattr(centre, name)), name
 
 
 def test_hyperplanar_flat_from_secant_directrix():
     s = MeridianSurface(SQRT_SURFACE.profile,
                         Directrix(compile_expression("sec(v)", "v"), (-1.0, 1.0)))
-    assert classify_point(s, 1.0, 0.2) is PointCase.HYPERPLANAR_FLAT
-    tf = tangent_frame(s, 1.0, 0.2)
+    d = point_data(s, 1.0, 0.2)
+    assert d.case is PointCase.HYPERPLANAR_FLAT
+    tf = frames(d)
     assert tf.b is None and tf.l is None and tf.epsilon is None
     with pytest.raises(FlatPointError):
-        normal_frame(s, 1.0, 0.2)
+        eight_invariants(d)
 
 
 def test_developable_from_linear_profile():
     s = MeridianSurface(
         ProfileCurve(compile_expression("1 + 0.5*u"), (0.0, 2.0)), UNIT_PHI)
-    assert classify_point(s, 1.0, 1.0) is PointCase.DEVELOPABLE_RULED_FLAT
+    d = point_data(s, 1.0, 1.0)
+    assert d.case is PointCase.DEVELOPABLE_RULED_FLAT
     with pytest.raises(FlatPointError):
-        normal_frame(s, 1.0, 1.0)
+        eight_invariants(d)
 
 
 def test_marginally_trapped_point_on_cosine_profile():
     # f = cos u, phi = 1: disc = sin^2 u - cos^2 2u vanishes at u = pi/6.
     s = MeridianSurface(ProfileCurve(jcos, (0.05, 1.0)), UNIT_PHI)
     u = math.pi / 6.0
-    assert classify_point(s, u, 1.0, tol=1e-8) is PointCase.MARGINALLY_TRAPPED
+    d = point_data(s, u, 1.0, tol=1e-8)
+    assert d.case is PointCase.MARGINALLY_TRAPPED
     with pytest.raises(MarginallyTrappedError):
-        normal_frame(s, u, 1.0, tol=1e-8)
+        eight_invariants(d)
     # just off the degenerate meridian the frame exists again
-    assert classify_point(s, u + 0.2, 1.0) is PointCase.GENERAL
+    assert point_data(s, u + 0.2, 1.0).case is PointCase.GENERAL
 
 
 def test_point_data_scalars():
@@ -218,17 +227,17 @@ def test_invariants_raise_where_a_u_factor_is_not_finite():
     for _ in range(2):   # and nothing is kept of the failed factors
         with pytest.raises(DomainError, match=r"^a factor of the invariants at "
                            r"u = 0.5 is not finite$"):
-            eight_invariants(None, 0.5, 1.0, d)
+            eight_invariants(d)
     assert d.p._terms is None
 
 
-@pytest.mark.parametrize("fn", [point_data, classify_point, tangent_frame,
-                                eight_invariants])
-def test_vanishing_f_prime_raises_profile_invariant_error(fn):
+@pytest.mark.parametrize("read", [lambda d: d, frames, eight_invariants],
+                         ids=["point_data", "frames", "eight_invariants"])
+def test_vanishing_f_prime_raises_profile_invariant_error(read):
     s = MeridianSurface(ProfileCurve(compile_expression("u^2 + 1"), (0.0, 1.0)),
                         UNIT_PHI)
     with pytest.raises(ProfileInvariantError):
-        fn(s, 0.0, 0.5)
+        read(point_data(s, 0.0, 0.5))
 
 
 @pytest.mark.parametrize("f, u", [("u+u^2", 0.0), ("u-1", 0.5)])

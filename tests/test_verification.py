@@ -11,10 +11,10 @@ from meridian4.cli import build_surface, parse_family_spec
 from meridian4.errors import DomainError
 from meridian4.expressions import compile_expression
 from meridian4.families import GeneratedSurface, ParallelA, generate
-from meridian4.invariants import StencilPass, eight_invariants
+from meridian4.invariants import DEFAULT_ORACLE_STEP, StencilPass, eight_invariants
 from meridian4.minkowski import Vec4
 from meridian4.profile import Directrix, ProfileCurve
-from meridian4.surface import MeridianSurface
+from meridian4.surface import MeridianSurface, point_data
 from meridian4.verification import (_ORACLE_FIELDS, SAMPLE_SEED, CheckRecord,
                                     VerificationReport, _record,
                                     sample_general_points, verify_generated)
@@ -47,8 +47,10 @@ def test_a_nan_error_fails_its_row_wherever_it_stands(first):
 def test_sample_general_points_is_deterministic():
     gen = generate(ParallelA(c=1.0, d=1.0, a=0.0, sign=1), None,
                    (0.0, 3.0), UNIT_PHI)
-    a = sample_general_points(gen.surface, 10, np.random.default_rng(7))
-    b = sample_general_points(gen.surface, 10, np.random.default_rng(7))
+    a = sample_general_points(gen.surface, 10, np.random.default_rng(7),
+                              DEFAULT_ORACLE_STEP)
+    b = sample_general_points(gen.surface, 10, np.random.default_rng(7),
+                              DEFAULT_ORACLE_STEP)
     assert a == b
 
 
@@ -119,8 +121,10 @@ def test_every_row_fails_under_its_mutation(eps, monkeypatch):
     # of one oracle frame derivative, must fail that field's or that row's
     # check (DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978).
     gen = MUTATION_SURFACES[eps]
-    pts = sample_general_points(gen.surface, 5, random.Random(SAMPLE_SEED))
-    assert {eight_invariants(gen.surface, u, v).epsilon for u, v in pts} == {eps}
+    pts = sample_general_points(gen.surface, 5, random.Random(SAMPLE_SEED),
+                                DEFAULT_ORACLE_STEP)
+    assert {eight_invariants(point_data(gen.surface, u, v)).epsilon
+            for u, v in pts} == {eps}
     assert _failed(gen) == set()
     closed, oracle = verification.eight_invariants, verification.oracle_frame_derivatives
 
@@ -154,28 +158,33 @@ def _verify_cmc_surface():
                                       (MUTATION_SURFACES[-1], -1)],
                          ids=["verify_cmc", "eps=-1"])
 def test_shared_passes_give_the_standalone_oracle_values(gen, eps, monkeypatch):
-    # verify reads both oracles from one stencil pass per point and step;
-    # every value must be the standalone oracle's, bit for bit (compared by
-    # repr, so signed zeros count)
+    # verify reads both oracles from one stencil pass per point and step,
+    # the pass at h/2 built on the centre of the pass at h; every pass must
+    # be a fresh StencilPass(s, u, v, h) and every value the fresh pass's
+    # oracle value, bit for bit (compared by repr, so signed zeros count)
     calls = {"oracle_invariants": [], "oracle_frame_derivatives": []}
     for name, log in calls.items():
-        def recorded(*args, fn=getattr(verification, name), log=log):
-            out = fn(*args)
-            log.append((args, out))
+        def recorded(stencil, fn=getattr(verification, name), log=log):
+            out = fn(stencil)
+            log.append((stencil, out))
             return out
         monkeypatch.setattr(verification, name, recorded)
     assert verify_generated(gen, 20).passed
     # 20 points at h and h/2: perfbench's invariants.oracle.calls reads 80
     assert [len(log) for log in calls.values()] == [40, 40]
-    for args, shared in calls["oracle_invariants"]:
-        assert isinstance(args[4], StencilPass) and shared.epsilon == eps
-        alone = invariants.oracle_invariants(*args[:4])
-        assert [repr(x) for x in shared] == [repr(x) for x in alone]
-    for args, shared in calls["oracle_frame_derivatives"]:
-        assert isinstance(args[4], StencilPass)
-        alone = invariants.oracle_frame_derivatives(*args[:4])
-        assert list(shared) == list(alone)
-        assert [repr(w) for w in shared.values()] == [repr(w) for w in alone.values()]
+    for name, log in calls.items():
+        for stencil, shared in log:
+            d = stencil.centre.d
+            fresh = StencilPass(gen.surface, d.p.u, d.c.v, stencil.h)
+            assert repr(stencil) == repr(fresh)
+            alone = getattr(invariants, name)(fresh)
+            if name == "oracle_invariants":
+                assert shared.epsilon == eps
+                assert [repr(x) for x in shared] == [repr(x) for x in alone]
+            else:
+                assert list(shared) == list(alone)
+                assert [repr(w) for w in shared.values()] == \
+                    [repr(w) for w in alone.values()]
 
 
 def test_verify_refuses_a_stencil_leaving_the_domain():
