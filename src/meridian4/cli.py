@@ -56,6 +56,8 @@ def _parse_kv(tokens):
         if "=" not in tok:
             raise SpecError(f"expected key=value, found {tok!r}")
         key, val = tok.split("=", 1)
+        if key in out:
+            raise SpecError(f"parameter {key!r} is given more than once")
         out[key] = val
     return out
 

@@ -1,10 +1,11 @@
 """Closed-form geometric invariants of a meridian surface of parabolic type,
-and an independent finite-difference oracle recomputing them straight from the
-frame-field definitions.
+and a finite-difference oracle recomputing them from the frame definitions.
 
-The closed forms depend on f, f', f'', f''' (jets) and kappa, d kappa/dv; the
-oracle touches none of them: it differences the frame fields built from the
-raw embedding.
+The oracle differences surface.frames, which reads the point record the
+closed forms read: X and n2 read f' and g', Y and n1 read phi, phi' and D,
+b and l read the same kappa, q and disc. It checks the rest: H and every
+coefficient come from central differences of those fields. Only f''',
+d kappa/dv and the u-only factors are read by the closed forms alone.
 """
 
 import math
@@ -152,13 +153,7 @@ def _directional(stencil: StencilPass, name: str, a: float, c: float) -> Vec4:
     """Ambient derivative of the field `name` along a*d/du + c*d/dv, by
     central differences: du*a + dv*c in one Vec4, each component summed in
     the order of (du * a) + (dv * c)."""
-    if c == 0.0:
-        return stencil.difference(name, 0) * a if a != 0.0 else Vec4(0, 0, 0, 0)
-    dv = stencil.difference(name, 1)
-    if a == 0.0:
-        # as Vec4(0, 0, 0, 0) + dv * c, whose 0 + x turns -0.0 into 0.0
-        return Vec4(0 + dv.c1 * c, 0 + dv.c2 * c, 0 + dv.c3 * c, 0 + dv.c4 * c)
-    du = stencil.difference(name, 0)
+    du, dv = stencil.difference(name, 0), stencil.difference(name, 1)
     return Vec4(du.c1 * a + dv.c1 * c, du.c2 * a + dv.c2 * c,
                 du.c3 * a + dv.c3 * c, du.c4 * a + dv.c4 * c)
 
@@ -175,8 +170,8 @@ def oracle_invariants(stencil: StencilPass) -> InvariantRecord:
     coefficients of the geometric frame's derivative formulas (Ganchev &
     Milousheva, Mediterr. J. Math., 2012), e.g. D_x y = -gamma1 x + lam b +
     mu l, differencing the frame fields x, y, b, l: a coefficient along b is
-    eps <., b> and one along l is -eps <., l>. O(h^2) accurate and fully
-    independent of the closed forms."""
+    eps <., b> and one along l is -eps <., l>. O(h^2) accurate; no
+    closed-form invariant is read."""
     centre = stencil.centre
     for rec in (centre, *stencil.points):
         if rec.epsilon is None:
@@ -230,6 +225,6 @@ def oracle_frame_derivatives(stencil: StencilPass) -> dict:
     cY = 1.0 / (d.p.f * math.sqrt(d.c.D))   # Y = cY * z_v
     out = {}
     for name in ("X", "Y", "n1", "n2"):
-        out["X" + name] = _directional(stencil, name, 1.0, 0.0)
-        out["Y" + name] = _directional(stencil, name, 0.0, cY)
+        out["X" + name] = stencil.difference(name, 0)
+        out["Y" + name] = stencil.difference(name, 1) * cY
     return out

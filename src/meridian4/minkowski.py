@@ -2,33 +2,25 @@
 coordinates in the pseudo-orthonormal (lightlike) basis."""
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
+from .records import Record
 
 __all__ = [
     "Vec4",
     "minkowski_dot",
     "from_lightlike",
-    "E1",
-    "E2",
-    "E3",
-    "E4",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(slots=True, init=False)
-class Vec4:
+class Vec4(Record):
     """Vector in R^4_1, stored in coordinates w.r.t. the orthonormal basis
     {e1, e2, e3, e4} (the only storage format; lightlike coordinates are a
     conversion). A component that is not finite raises DomainError."""
 
-    c1: float
-    c2: float
-    c3: float
-    c4: float
+    __slots__ = ("c1", "c2", "c3", "c4")
 
     def __init__(self, c1: float, c2: float, c3: float, c4: float):
         if not (math.isfinite(c1) and math.isfinite(c2)
@@ -62,12 +54,6 @@ class Vec4:
 def minkowski_dot(a: Vec4, b: Vec4) -> float:
     """Inner product of signature (3,1): a1*b1 + a2*b2 + a3*b3 - a4*b4."""
     return a.c1 * b.c1 + a.c2 * b.c2 + a.c3 * b.c3 - a.c4 * b.c4
-
-
-E1 = Vec4(1.0, 0.0, 0.0, 0.0)
-E2 = Vec4(0.0, 1.0, 0.0, 0.0)
-E3 = Vec4(0.0, 0.0, 1.0, 0.0)
-E4 = Vec4(0.0, 0.0, 0.0, 1.0)
 
 
 def from_lightlike(a: float, b: float, p: float, q: float) -> Vec4:

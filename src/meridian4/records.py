@@ -1,20 +1,20 @@
 """Bases of the package's record classes.
 
 A record's fields are the __slots__ of its class, in order, and its
-__init__ is written out. `@dataclass` would generate these methods and
-compile them with exec at every import, which no bytecode cache keeps: about
-1 ms a class. Only minkowski.Vec4 stays a dataclass.
+__init__ is written out. Methods generated by a class decorator are compiled
+with exec at every import, which no bytecode cache keeps: about 1 ms a class.
+Every record class, minkowski.Vec4 included, is on these bases.
 
-The bases keep the contract the dataclasses had. A field whose name starts
-with an underscore is a cache: it is left out of repr and comparison, and a
-Frozen record's __init__ takes its other fields in slot order."""
+A field whose name starts with an underscore is a cache: it is left out of
+repr and comparison, and a Frozen record's __init__ takes its other fields
+in slot order."""
 
 __all__ = ["Record", "Frozen", "set_fields"]
 
 
 class Record:
     """Prints as Name(field=value, ...) and equals only a record of its own
-    class with equal fields. Like a mutable dataclass it is unhashable."""
+    class with equal fields. It is mutable, so it is unhashable."""
 
     __slots__ = ()
 

@@ -9,7 +9,6 @@ frame derivative table, degenerate-point detection, and the CLI contract.
 import json
 import math
 from collections import Counter
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +53,10 @@ def report(name):
 
 def invariants_at(s, u, v):
     return eight_invariants(point_data(s, u, v))
+
+
+def components(v):
+    return (v.c1, v.c2, v.c3, v.c4)
 
 
 # --- 1: constant Gauss curvature ---------------------------------------------
@@ -244,7 +247,7 @@ def test_criterion_08_derivative_formula_suite():
             }
             for name, want in expected.items():
                 got = derivs[name]
-                for a, b in zip(astuple(got), astuple(want)):
+                for a, b in zip(components(got), components(want)):
                     assert abs(a - b) <= 1e-6, (name, u, v)
             sf = {(w, n): minkowski_dot(derivs[w], normal)
                   for w in ("XX", "XY", "YY") for n, normal in (("n1", n1), ("n2", n2))}

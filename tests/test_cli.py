@@ -65,6 +65,20 @@ def test_parse_rejects_a_key_the_family_does_not_take(text, key):
         parse_family_spec(text)
 
 
+@pytest.mark.parametrize("command, spec, key", [
+    ("family", "parallel-a c=1 d=1 c=2", "c"),
+    ("invariants", "direct f=u+1 phi=1 phi=2+cos(v)", "phi")])
+def test_a_repeated_spec_key_is_exit_1(tmp_path, capsys, command, spec, key):
+    # the later value would otherwise replace the earlier one unseen
+    out = tmp_path / "x.csv"
+    code = main([command, "--spec", spec, "--u", "0:1", "--v", "0:1",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: parameter {key!r} is given more than once"]
+    assert not out.exists()
+
+
 # --- family command -----------------------------------------------------------
 
 def test_family_csv_and_json(tmp_path):

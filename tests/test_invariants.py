@@ -13,7 +13,7 @@ from meridian4.invariants import (InvariantRecord, StencilPass, _directional,
                                   oracle_invariants)
 from meridian4.jets import jcos, jsqrt
 from meridian4.profile import Directrix, ProfileCurve, profile_point
-from meridian4.minkowski import Vec4, minkowski_dot
+from meridian4.minkowski import minkowski_dot
 from meridian4.surface import MeridianSurface, PointCase, frames, point_data
 
 TWO_PI = 2.0 * math.pi
@@ -199,18 +199,24 @@ def test_a_flat_stencil_point_stops_only_the_invariant_oracle():
 
 
 def test_directional_derivatives_match_the_vec4_operators():
-    # each directional derivative is summed in one Vec4; its bits must be
-    # those of the Vec4 operators over the public frames, (F(u+h) - F(u-h))
-    # / (2h) * a + (F(v+h) - F(v-h)) / (2h) * c (compared by repr)
+    # each derivative's bits must be those of the Vec4 operators over the
+    # public frames (compared by repr): (F(u+h) - F(u-h)) / (2h) * a +
+    # (F(v+h) - F(v-h)) / (2h) * c at the (a, c) pairs oracle_invariants
+    # passes, and the u- and v-differences alone for the frame derivatives
     h = 1e-4
     for u, v in ((1.0, 1.0), (0.5, 4.0)):
         stencil = StencilPass(WAVY_SURFACE, u, v, h)
         recs = [frames(point_data(WAVY_SURFACE, uu, vv))
                 for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h))]
-        for a, c in ((0.7, 0.3), (-0.7, 0.3), (0.7, 0.0), (0.0, 0.3), (0.0, 0.0)):
-            for name in ("X", "Y", "x", "y", "n1", "n2", "b", "l"):
-                up, um, vp, vm = (getattr(rec, name) for rec in recs)
-                want = (up - um) / (2.0 * h) * a if a != 0.0 else Vec4(0, 0, 0, 0)
-                if c != 0.0:
-                    want = want + (vp - vm) / (2.0 * h) * c
+        d = point_data(WAVY_SURFACE, u, v)
+        cY = 1.0 / (d.p.f * math.sqrt(d.c.D))
+        derivs = oracle_frame_derivatives(stencil)
+        for name in ("X", "Y", "x", "y", "n1", "n2", "b", "l"):
+            up, um, vp, vm = (getattr(rec, name) for rec in recs)
+            du, dv = (up - um) / (2.0 * h), (vp - vm) / (2.0 * h)
+            for a, c in ((0.7, 0.3), (-0.7, 0.3)):
+                want = du * a + dv * c
                 assert repr(_directional(stencil, name, a, c)) == repr(want), (name, a, c)
+            if name in ("X", "Y", "n1", "n2"):
+                assert repr(derivs["X" + name]) == repr(du), name
+                assert repr(derivs["Y" + name]) == repr(dv * cY), name

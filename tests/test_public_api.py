@@ -71,3 +71,15 @@ def test_every_private_module_name_is_read():
     private = [(stem, name) for stem, tree in trees.items() for node in tree.body
                for name in _bound(node) if name.startswith("_") and not name.startswith("__")]
     assert [p for p in private if p[1] not in read] == []
+
+
+def test_every_record_slot_is_read():
+    # a field of a package class that no line of the package reads is dead
+    read = {node.attr for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    slots = [f"{name}.{obj.__name__}.{slot}" for name in MODULES
+             for obj in vars(importlib.import_module(f"meridian4.{name}")).values()
+             if isinstance(obj, type) and obj.__module__ == f"meridian4.{name}"
+             for slot in vars(obj).get("__slots__", ())]
+    assert [s for s in slots if s.rpartition(".")[2] not in read] == []

@@ -6,6 +6,7 @@ built per point."""
 
 import copy
 import importlib
+import math
 import pickle
 import pkgutil
 
@@ -13,6 +14,7 @@ import pytest
 
 import meridian4
 from meridian4 import cli
+from meridian4.errors import DomainError
 from meridian4.cli import build_surface, parse_family_spec
 from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                                 ParallelA, ParallelB, integrate_autonomous)
@@ -43,14 +45,29 @@ def frozen_records():
             CheckRecord("a", 1, 0.0, 1.0, True), *SPECS]
 
 
-def test_only_vec4_is_a_dataclass():
+def test_no_class_is_a_dataclass():
     found = []
     for info in pkgutil.iter_modules(meridian4.__path__):
         module = importlib.import_module(f"meridian4.{info.name}")
         found += [f"{info.name}.{obj.__name__}" for obj in vars(module).values()
                   if isinstance(obj, type) and obj.__module__ == module.__name__
                   and hasattr(obj, "__dataclass_fields__")]
-    assert found == ["minkowski.Vec4"]
+    assert found == []
+
+
+def test_vec4_is_a_mutable_record_of_its_components():
+    v = Vec4(1.0, 2.0, 3.0, 4.0)
+    assert repr(v) == "Vec4(c1=1.0, c2=2.0, c3=3.0, c4=4.0)"
+    assert v == Vec4(1.0, 2.0, 3.0, 4.0) and v != Vec4(1.0, 2.0, 3.0, 5.0)
+    assert v != (1.0, 2.0, 3.0, 4.0) and not v == (1.0, 2.0, 3.0, 4.0)
+    with pytest.raises(TypeError):
+        hash(v)
+    for twin in (copy.copy(v), pickle.loads(pickle.dumps(v))):
+        assert type(twin) is Vec4 and twin == v
+    assert not hasattr(v, "__dict__")
+    with pytest.raises(DomainError, match=r"^non-finite Vec4 components: "
+                       r"\(1.0, nan, 3.0, 4.0\)$"):
+        Vec4(1.0, math.nan, 3.0, 4.0)
 
 
 @pytest.mark.parametrize("record", frozen_records(), ids=lambda r: type(r).__name__)

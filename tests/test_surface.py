@@ -1,7 +1,6 @@
 """Embedding, frames, first fundamental form, and point classification."""
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -25,8 +24,12 @@ SQRT_SURFACE = MeridianSurface(
     UNIT_PHI)
 
 
+def components(v):
+    return (v.c1, v.c2, v.c3, v.c4)
+
+
 def vec_close(a: Vec4, b, abs_tol=1e-9):
-    assert astuple(a) == pytest.approx(list(b), abs=abs_tol)
+    assert components(a) == pytest.approx(list(b), abs=abs_tol)
 
 
 def z(s, u, v):
@@ -57,7 +60,7 @@ def test_tangents_match_finite_differences():
     for (u, v) in ((0.5, 0.3), (1.5, 2.0), (2.5, 4.4)):
         tf = frame(SQRT_SURFACE, u, v)
         zu = (z(SQRT_SURFACE, u + h, v) - z(SQRT_SURFACE, u - h, v)) / (2 * h)
-        vec_close(tf.X, astuple(zu), 1e-8)
+        vec_close(tf.X, components(zu), 1e-8)
 
 
 def test_first_fundamental_form():
@@ -93,8 +96,8 @@ def test_tangent_and_normal_gram():
 def test_principal_tangents_are_rotation_of_X_Y():
     tf = frame(SQRT_SURFACE, 1.0, 1.0)
     r = 1.0 / math.sqrt(2.0)
-    vec_close(tf.x, astuple((tf.X + tf.Y) * r), 1e-14)
-    vec_close(tf.y, astuple((tf.Y - tf.X) * r), 1e-14)
+    vec_close(tf.x, components((tf.X + tf.Y) * r), 1e-14)
+    vec_close(tf.y, components((tf.Y - tf.X) * r), 1e-14)
 
 
 def test_geometric_frame_reference_point():
@@ -103,8 +106,8 @@ def test_geometric_frame_reference_point():
     nf = frame(SQRT_SURFACE, 0.0, 0.0)
     n1, n2 = nf.n1, nf.n2
     assert nf.epsilon == 1
-    vec_close(nf.b, astuple(-1.0 * n1), 1e-12)
-    vec_close(nf.l, astuple(-1.0 * n2), 1e-12)
+    vec_close(nf.b, components(-1.0 * n1), 1e-12)
+    vec_close(nf.l, components(-1.0 * n2), 1e-12)
 
 
 @pytest.mark.parametrize("spec, f0, u, eps, fp_sign", [
@@ -123,10 +126,10 @@ def test_frame_convention(spec, f0, u, eps, fp_sign):
     assert (d.disc > 0) == (eps > 0) and (d.p.fp > 0) == (fp_sign > 0)
     nf = frames(d)
     assert nf.epsilon == eps
-    rows = [astuple(w) for w in (nf.x, nf.y, nf.b, nf.l)]
+    rows = [components(w) for w in (nf.x, nf.y, nf.b, nf.l)]
     assert np.linalg.det(np.array(rows)) == pytest.approx(-1.0, abs=1e-12)
     r = eight_invariants(d)
-    vec_close(nf.b, astuple((r.H_n1 * nf.n1 + r.H_n2 * nf.n2) * (fp_sign / r.H_norm)),
+    vec_close(nf.b, components((r.H_n1 * nf.n1 + r.H_n2 * nf.n2) * (fp_sign / r.H_norm)),
               1e-12)
 
 
@@ -198,7 +201,7 @@ def record_pair(kappa, fp, q):
     p = ProfilePoint(u=0.5, f=1.0, fp=fp, fpp=100.0 * fp, fppp=0.0,
                      gp=-0.5 / fp, kappa_m=100.0, q=q, gamma1=fp / math.sqrt(2.0),
                      K=-100.0 * fp)
-    c = DirectrixPoint(v=1.0, phi=1.0, phid=0.0, phidd=0.0, kappa=kappa,
+    c = DirectrixPoint(v=1.0, phi=1.0, phid=0.0, kappa=kappa,
                        kappa_dot=0.0, D=1.0)
     return p, c
 
