@@ -16,8 +16,8 @@ expression values must not contain spaces):
   parallel-b a=1 c=1 b=-2
   direct f=<expr> phi=<expr> [g0=<real>]
 
-Exit codes: 0 success, 1 spec/parse error or failed verification, 2
-truncated generation (the profile, or for invariants, verify and mesh also
+Exit codes: 0 success, 1 usage, spec or parse error or failed verification,
+2 truncated generation (the profile, or for invariants, verify and mesh also
 the directrix, ends early).
 All numeric output uses shortest round-trip float formatting; outputs carry
 no timestamps, so identical invocations are byte-identical.
@@ -388,12 +388,20 @@ _COMMANDS = {"family": cmd_family, "invariants": cmd_invariants,
              "verify": cmd_verify, "mesh": cmd_mesh}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, with argparse's message: 2 means truncated."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser(argv):
     """The top-level parser with only the subparser that argv[0] names, or
     with all four where it names none (help, an empty argv, an invalid
     command); either parses argv and words its messages as all four do."""
-    p = argparse.ArgumentParser(prog="meridian4", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="meridian4", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     one = argv[:1] if argv and argv[0] in _COMMANDS else None
     # with one subparser, the metavar keeps all four names in the top-level
     # usage that an "unrecognized arguments" error prints
@@ -406,7 +414,7 @@ def _build_parser(argv):
         sp.add_argument("--u", required=True, help="start:end[:step]")
         sp.add_argument("--v", required=(name != "family"),
                         help="start:end[:step]")
-        sp.add_argument("--out", default=None)
+        sp.add_argument("--out", required=(name != "verify"))
         if name != "family":
             sp.add_argument("--grid", default=None, help="NUxNV")
         if name == "invariants":
@@ -440,9 +448,6 @@ def _attach_values(argv):
 def main(argv=None) -> int:
     argv = _attach_values(sys.argv[1:] if argv is None else argv)
     args = _build_parser(argv).parse_args(argv)
-    if args.command != "verify" and args.out is None:
-        print("error: --out is required", file=sys.stderr)
-        return 1
     try:
         return args.fn(args)
     except MeridianError as exc:

@@ -16,7 +16,7 @@ import ast
 import operator
 import re
 import warnings
-from typing import Callable
+from collections.abc import Callable
 
 from . import jets
 from .errors import ExpressionError

@@ -15,7 +15,7 @@ phi for b < 0, a circle in polar form for b > 0.
 """
 
 import math
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from . import jets
 from .errors import DomainError, ProfileInvariantError, SpecMismatchError
@@ -71,8 +71,8 @@ class FamilySpec(Frozen):
       f_source says;
     - residual(p): the relative residual of the family's defining relation
       at the ProfilePoint p;
-    - targets: (label, InvariantRecord field, value) for each invariant the
-      family keeps constant.
+    - targets: (label, InvariantRecord field, value, tolerance) for each
+      invariant the family keeps constant.
     """
 
     __slots__ = ()
@@ -88,7 +88,7 @@ class _ClosedForm(FamilySpec):
     kappa_constant = None
     f_source = "closed-form"
 
-    def realize(self, f0: Optional[float], u_range: tuple):
+    def realize(self, f0: float | None, u_range: tuple):
         if f0 is not None:
             raise SpecMismatchError(
                 f"{type(self).__name__} is in closed form and takes no f0")
@@ -110,7 +110,7 @@ class _Autonomous(FamilySpec):
     def kappa_constant(self):
         return self.b
 
-    def realize(self, f0: Optional[float], u_range: tuple):
+    def realize(self, f0: float | None, u_range: tuple):
         if f0 is None or f0 <= 0:
             raise SpecMismatchError("ODE variants need a starting value f0 > 0")
         y = self.y()
@@ -239,7 +239,7 @@ class ConstantGauss(_ClosedForm):
 
     @property
     def targets(self):
-        return ((f"K=={self.K}", "K", self.K),)
+        return ((f"K=={self.K}", "K", self.K, 1e-9),)
 
 
 class ConstantMean(_Autonomous):
@@ -283,7 +283,7 @@ class ConstantMean(_Autonomous):
 
     @property
     def targets(self):
-        return ((f"||H||=={abs(self.a)}", "H_norm", abs(self.a)),)
+        return ((f"||H||=={abs(self.a)}", "H_norm", abs(self.a), 1e-6),)
 
 
 class ConstantK(_Autonomous):
@@ -308,7 +308,7 @@ class ConstantK(_Autonomous):
 
     @property
     def targets(self):
-        return ((f"k=={-self.a**2}", "k", -self.a**2),)
+        return ((f"k=={-self.a**2}", "k", -self.a**2, 1e-6),)
 
 
 class Chen(_Autonomous):
@@ -342,7 +342,7 @@ class Chen(_Autonomous):
         return _relative((p.f * p.fpp) ** 2, p.fp * p.fp * (p.fp * p.fp - self.b**2),
                          p.fp**4)
 
-    targets = (("lambda==0", "lam", 0.0),)
+    targets = (("lambda==0", "lam", 0.0, 1e-6),)
 
 
 class ParallelA(_ClosedForm):
@@ -381,7 +381,7 @@ class ParallelA(_ClosedForm):
     def residual(self, p) -> float:
         return abs(p.q) / max(p.fp * p.fp, 1e-30)
 
-    targets = (("beta1==0", "beta1", 0.0), ("beta2==0", "beta2", 0.0))
+    targets = (("beta1==0", "beta1", 0.0, 1e-6), ("beta2==0", "beta2", 0.0, 1e-6))
 
 
 class ParallelB(_Autonomous):
@@ -407,7 +407,7 @@ class ParallelB(_Autonomous):
     def residual(self, p) -> float:
         return _relative(p.q, self.a * p.fp)
 
-    targets = (("beta1==0", "beta1", 0.0), ("beta2==0", "beta2", 0.0))
+    targets = (("beta1==0", "beta1", 0.0, 1e-6), ("beta2==0", "beta2", 0.0, 1e-6))
 
 
 class GeneratedSurface(Frozen):
@@ -417,7 +417,7 @@ class GeneratedSurface(Frozen):
 
     __slots__ = ("surface", "spec", "f_source", "u_range", "truncated")
 
-    def __init__(self, surface: MeridianSurface, spec: Optional[FamilySpec],
+    def __init__(self, surface: MeridianSurface, spec: FamilySpec | None,
                  f_source: str, u_range: tuple, truncated: bool):
         set_fields(self, surface, spec, f_source, u_range, truncated)
 
@@ -592,7 +592,7 @@ def _log_tan_ratio(sin, cos, tan, a: float, b: float, h: float) -> float:
     return math.log1p(x) if x > -0.5 else math.log(tan(a) / tan(b))
 
 
-def generate(spec: FamilySpec, f0: Optional[float], u_range: tuple,
+def generate(spec: FamilySpec, f0: float | None, u_range: tuple,
              directrix: Directrix) -> GeneratedSurface:
     """Build the family member over the given directrix.
 

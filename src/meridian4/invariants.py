@@ -9,7 +9,7 @@ d kappa/dv and the u-only factors are read by the closed forms alone.
 """
 
 import math
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .errors import DomainError
 from .minkowski import Vec4, minkowski_dot
@@ -30,28 +30,14 @@ _SQRT2 = math.sqrt(2.0)
 DEFAULT_ORACLE_STEP = 1e-4
 
 
-class InvariantRecord(NamedTuple):
-    """The frame invariants (gamma1, gamma2, nu1, nu2, lam, mu, beta1, beta2)
-    plus the derived quantities K, k, varkappa, the mean curvature data and
-    the sign epsilon of <H,H>. ('lam' is the surface invariant usually written
-    lambda; renamed to dodge the keyword.) A named tuple: it unpacks, and it
-    equals the tuple of its fields."""
-
-    gamma1: float
-    gamma2: float
-    nu1: float
-    nu2: float
-    lam: float
-    mu: float
-    beta1: float
-    beta2: float
-    K: float
-    k: float
-    varkappa: float
-    H_n1: float
-    H_n2: float
-    H_norm: float
-    epsilon: int
+InvariantRecord = namedtuple(
+    "InvariantRecord", ("gamma1", "gamma2", "nu1", "nu2", "lam", "mu", "beta1", "beta2",
+                        "K", "k", "varkappa", "H_n1", "H_n2", "H_norm", "epsilon"))
+InvariantRecord.__doc__ = """The frame invariants (gamma1, gamma2, nu1, nu2,
+lam, mu, beta1, beta2) plus the derived quantities K, k, varkappa, the mean
+curvature data and the sign epsilon of <H,H>. ('lam' is the surface invariant
+usually written lambda; renamed to dodge the keyword.) A named tuple: it
+unpacks, and it equals the tuple of its fields."""
 
 
 def _u_terms(p: ProfilePoint) -> tuple:
@@ -128,7 +114,7 @@ class StencilPass(Record):
 
     def __init__(self, s: MeridianSurface, u: float, v: float,
                  h: float = DEFAULT_ORACLE_STEP,
-                 centre: Optional[PointFrames] = None):
+                 centre: PointFrames | None = None):
         _check_stencil(s, u, v, h)
         self.centre = frames(point_data(s, u, v)) if centre is None else centre
         self.points = tuple(frames(point_data(s, uu, vv))

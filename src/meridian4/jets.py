@@ -17,7 +17,7 @@ jet_eval(fn, t).f bit for bit (Griewank & Walther, Evaluating Derivatives,
 """
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import DomainError
 from .records import Record

@@ -3,7 +3,7 @@ the directrix phi, and the point records each curve keeps: a profile record
 holds what depends on u alone, a directrix record what depends on v alone."""
 
 import math
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .errors import (DegenerateDirectrixError, DomainError, ProfileInvariantError,
                      QuadratureLimitError)
@@ -51,7 +51,7 @@ class ProfileCurve(Frozen):
     __slots__ = ("f", "domain", "g_origin", "g_eval", "_pass", "_points", "_rise")
 
     def __init__(self, f: Callable[[Jet], Jet], domain: tuple, g_origin: float = 0.0,
-                 g_eval: Optional[Callable[[float], float]] = None):
+                 g_eval: Callable[[float], float] | None = None):
         set_fields(self, f, domain, g_origin, g_eval, None, {}, None)
 
     def _check(self, u: float):

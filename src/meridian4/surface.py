@@ -7,7 +7,6 @@ The surface is z(u,v) = f phi cos v e1 + f phi sin v e2
 
 import enum
 import math
-from typing import Optional
 
 from .errors import DomainError, FlatPointError, MarginallyTrappedError
 from .minkowski import Vec4, from_lightlike
@@ -78,8 +77,8 @@ class PointFrames(Frozen):
     __slots__ = ("d", "X", "Y", "x", "y", "n1", "n2", "b", "l", "epsilon")
 
     def __init__(self, d: PointData, X: Vec4, Y: Vec4, x: Vec4, y: Vec4, n1: Vec4,
-                 n2: Vec4, b: Optional[Vec4] = None, l: Optional[Vec4] = None,
-                 epsilon: Optional[int] = None):
+                 n2: Vec4, b: Vec4 | None = None, l: Vec4 | None = None,
+                 epsilon: int | None = None):
         set_fields(self, d, X, Y, x, y, n1, n2, b, l, epsilon)
 
 

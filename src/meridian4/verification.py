@@ -4,16 +4,15 @@ defining-property and target rows, aggregated into a report."""
 
 import math
 import random
-from typing import List, Optional
 
 from .errors import DomainError, MeridianError
-from .families import (PROFILE_SAMPLES, RESIDUAL_TOL, ConstantGauss,
-                       GeneratedSurface, defining_residual)
+from .families import (PROFILE_SAMPLES, RESIDUAL_TOL, GeneratedSurface,
+                       defining_residual)
 from .invariants import (DEFAULT_ORACLE_STEP, InvariantRecord, StencilPass,
                          eight_invariants, oracle_frame_derivatives,
                          oracle_invariants)
 from .minkowski import Vec4, minkowski_dot
-from .profile import profile_point, sample_grid
+from .profile import sample_grid
 from .records import Frozen, Record, set_fields
 from .surface import GENERAL, MARGINALLY_TRAPPED, MeridianSurface, point_data
 
@@ -46,7 +45,7 @@ class CheckRecord(Frozen):
                  "worst_location")
 
     def __init__(self, name: str, grid: int, max_abs_error: float, tolerance: float,
-                 passed: bool, worst_location: Optional[tuple] = None):
+                 passed: bool, worst_location: tuple | None = None):
         set_fields(self, name, grid, max_abs_error, tolerance, passed, worst_location)
 
     def to_dict(self):
@@ -63,15 +62,12 @@ class CheckRecord(Frozen):
 class VerificationReport(Record):
     __slots__ = ("checks",)
 
-    def __init__(self, checks: Optional[List[CheckRecord]] = None):
-        self.checks = [] if checks is None else checks
+    def __init__(self, checks: list[CheckRecord]):
+        self.checks = checks
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def add(self, record: CheckRecord):
-        self.checks.append(record)
 
     def to_dict(self):
         return {"checks": [c.to_dict() for c in self.checks], "pass": self.passed}
@@ -228,43 +224,32 @@ def check_defining_property(gen: GeneratedSurface) -> CheckRecord:
     return _record(f"defining:{type(gen.spec).__name__}", errs, RESIDUAL_TOL)
 
 
-def check_family_targets(gen: GeneratedSurface) -> list:
+def check_family_targets(gen: GeneratedSurface, v: float) -> list:
     """The family's headline constancy properties, spec.targets, on the
-    PROFILE_SAMPLES rows (v fixed at the directrix midpoint where a v is
-    needed). Samples whose point (u, v) is not general are skipped, as
-    sample_general_points skips them, so each record's grid counts only the
-    points evaluated."""
-    s = gen.surface
-    spec = gen.spec
-    v0, v1 = s.directrix.domain
-    vm = 0.5 * (v0 + v1)
-    us = sample_grid(gen.u_range, PROFILE_SAMPLES)
-    if isinstance(spec, ConstantGauss):
-        # K depends on u alone: read from the profile record on every row,
-        # flat v midpoints included, to 1e-9
-        return [_record(label, [(abs(profile_point(s.profile, u).K - K), (u, None))
-                                for u in us], 1e-9)
-                for label, _, K in spec.targets]
+    PROFILE_SAMPLES rows at the column v. Samples whose point (u, v) is not
+    general are skipped, as sample_general_points skips them, so each
+    record's grid counts only the points evaluated."""
     records = []
-    for u in us:
-        d = point_data(s, u, vm)
+    for u in sample_grid(gen.u_range, PROFILE_SAMPLES):
+        d = point_data(gen.surface, u, v)
         if d.case is GENERAL:
-            records.append(((u, vm), eight_invariants(d)))
+            records.append(((u, v), eight_invariants(d)))
     return [_record(label, [(abs(getattr(r, field) - value), loc) for loc, r in records],
-                    1e-6)
-            for label, field, value in spec.targets]
+                    tol)
+            for label, field, value, tol in gen.spec.targets]
 
 
 def verify_generated(gen: GeneratedSurface, n_points: int = 50,
                      oracle_step: float = DEFAULT_ORACLE_STEP) -> VerificationReport:
     """Full verification of a generated surface: the per-point rows on
     n_points sampled general points and, for a family member (spec not
-    None), the family's defining and target rows."""
+    None), the family's defining row and its target rows at the column of
+    the first sample point, which is general."""
+    if n_points < 1:
+        raise MeridianError(f"verify needs at least one sample point, got {n_points}")
     pts = sample_general_points(gen.surface, n_points, random.Random(SAMPLE_SEED),
                                 oracle_step)
-    report = VerificationReport(_point_rows(gen.surface, pts, oracle_step))
+    rows = _point_rows(gen.surface, pts, oracle_step)
     if gen.spec is not None:
-        report.add(check_defining_property(gen))
-        for rec in check_family_targets(gen):
-            report.add(rec)
-    return report
+        rows += [check_defining_property(gen), *check_family_targets(gen, pts[0][1])]
+    return VerificationReport(rows)

@@ -718,7 +718,7 @@ def test_flags_exist_only_where_they_are_read(tmp_path, command, flag, value):
             "--v", "0:1", "--out", str(tmp_path / "x"), flag, value]
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert exc.value.code == 2
+    assert exc.value.code == 1
 
 
 # --- parser -------------------------------------------------------------------
@@ -786,7 +786,14 @@ def test_a_negative_number_reaches_the_programs_own_check(tmp_path, capsys):
     assert "f0 > 0" in capsys.readouterr().err
     # an option given no value keeps argparse's message
     out, err, code = _exit(main, ["family", "--u", *_REQUIRED["family"][:2]], capsys)
-    assert code == 2 and "argument --u: expected one argument" in err
+    assert code == 1 and "argument --u: expected one argument" in err
+
+
+@pytest.mark.parametrize("command", ["family", "invariants", "mesh"])
+def test_a_command_without_out_is_exit_1(capsys, command):
+    # 2 is reserved for a truncated generation, so a usage error exits 1
+    out, err, code = _exit(main, [command, *_REQUIRED[command]], capsys)
+    assert code == 1 and "the following arguments are required: --out" in err
 
 
 # --- mesh command -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The package never loads numpy: not on import, and not through a full verify.
 Importing it loads no module from outside the package beyond those that
-argparse, ast, json and random load, and neither dataclasses nor inspect."""
+argparse, ast, json and random load, and neither dataclasses, inspect nor
+typing."""
 
 import os
 import subprocess
@@ -29,12 +30,19 @@ print(sorted(m for m in set(sys.modules) - before
 print("dataclasses" in sys.modules, "inspect" in sys.modules)
 """
 
+# run without site, which loads typing on some installations
+TYPING = """
+import sys
+import meridian4, meridian4.cli
+print("typing" in sys.modules)
+"""
 
-def run(code):
+
+def run(code, *flags):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env, check=True,
                           capture_output=True, text=True).stdout.splitlines()
 
 
@@ -46,3 +54,7 @@ def test_import_path_loads_no_numpy():
 
 def test_import_loads_nothing_beyond_the_standard_modules_it_needs():
     assert run(EXTRA_MODULES) == ["[]", "False False"]
+
+
+def test_import_loads_no_typing():
+    assert run(TYPING, "-S") == ["False"]

@@ -9,6 +9,7 @@ import pkgutil
 import pytest
 
 import meridian4
+from meridian4.families import FamilySpec
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(meridian4.__path__))
 
@@ -83,3 +84,21 @@ def test_every_record_slot_is_read():
              if isinstance(obj, type) and obj.__module__ == f"meridian4.{name}"
              for slot in vars(obj).get("__slots__", ())]
     assert [s for s in slots if s.rpartition(".")[2] not in read] == []
+
+
+def _subclasses(cls):
+    return {c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))}
+
+
+def test_only_families_and_cli_name_a_family():
+    # a family's behaviour lives on its spec class; any other module that
+    # names one branches on the family
+    families = {c.__name__ for c in _subclasses(FamilySpec)}
+    named = sorted(
+        (path.stem, name) for path in sorted(SRC.glob("*.py"))
+        if path.stem not in ("families", "cli", "__init__")
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in [getattr(node, "id", None) or getattr(node, "attr", None)
+                     or getattr(node, "name", None)]
+        if name in families)
+    assert named == []

@@ -113,13 +113,15 @@ def test_records_equal_by_class_and_fields():
     assert combine(profile_point(p, 0.5), c) == combine(profile_point(twin, 0.5), twin_c)
     # a curve compares by its fields, not by the records it has cached
     assert p == twin and hash(p) == hash(twin)
-    assert VerificationReport() == VerificationReport([])
+    check = CheckRecord("a", 1, 0.0, 1e-9, True)
+    assert VerificationReport([check]) == VerificationReport([check])
+    assert VerificationReport([check]) != VerificationReport([])
 
 
 def test_mutable_records_are_unhashable():
     p = profile_point(ProfileCurve(jexp, (0.0, 1.0)), 0.5)
     c = directrix_point(Directrix(jexp, (0.0, 1.0)), 0.75)
-    for record in (Jet(1.0), combine(p, c), VerificationReport()):
+    for record in (Jet(1.0), combine(p, c), VerificationReport([])):
         with pytest.raises(TypeError):
             hash(record)
 

@@ -8,7 +8,7 @@ import pytest
 
 from meridian4 import invariants, verification
 from meridian4.cli import build_surface, parse_family_spec
-from meridian4.errors import DomainError
+from meridian4.errors import DomainError, MeridianError
 from meridian4.expressions import compile_expression
 from meridian4.families import GeneratedSurface, ParallelA, generate
 from meridian4.invariants import DEFAULT_ORACLE_STEP, StencilPass, eight_invariants
@@ -23,10 +23,9 @@ UNIT_PHI = Directrix(compile_expression("1", "v"), (0.0, 2.0 * math.pi))
 
 
 def test_report_overall_pass_semantics():
-    report = VerificationReport()
-    report.add(CheckRecord("a", 10, 1e-12, 1e-9, True))
-    assert report.passed
-    report.add(CheckRecord("b", 10, 1e-3, 1e-9, False))
+    a = CheckRecord("a", 10, 1e-12, 1e-9, True)
+    assert VerificationReport([a]).passed
+    report = VerificationReport([a, CheckRecord("b", 10, 1e-3, 1e-9, False)])
     assert not report.passed
     d = report.to_dict()
     assert d["pass"] is False
@@ -42,6 +41,11 @@ def test_a_nan_error_fails_its_row_wherever_it_stands(first):
     rec = _record("x", entries, 1e-6)
     assert not rec.passed
     assert math.isnan(rec.max_abs_error) and rec.worst_location == "b"
+
+
+def test_a_row_with_no_points_fails():
+    rec = _record("x", [], 1e-6)
+    assert not rec.passed and rec.grid == 0 and rec.max_abs_error == math.inf
 
 
 def test_sample_general_points_is_deterministic():
@@ -98,6 +102,41 @@ def test_verify_generated_direct_surface_skips_family_checks():
     names = [c.name for c in report.checks]
     assert any(name.startswith("oracle:") for name in names)
     assert not any(name.startswith("defining:") for name in names)
+
+
+# (spec, f0, u range, v range): the acceptance spec of each family, ConstantGauss
+# at K < 0 over a turn of a non-constant directrix, and ParallelA on that
+# directrix, whose column at the middle of the v range is flat (kappa(pi) = 0)
+FAMILY_CASES = [
+    ("constant-gauss K=1 alpha=0 beta=1", None, (0.1, 1.4), (0.0, 2.0 * math.pi)),
+    ("constant-mean a=0.5 b=2 C=0 eps=+ branch=+", 0.6, (0.0, 3.0), (0.0, 0.3)),
+    ("constant-mean a=0.5 b=1 C=0 eps=- branch=+", 0.6, (0.0, 3.0), (0.0, 0.5)),
+    ("constant-k a=1 b=-1 c=0.5 branch=+", 0.5, (0.0, 1.5), (0.0, 2.0 * math.pi)),
+    ("chen b=1 c=1 branch=+", 1.5, (0.0, 1.5), (0.0, 0.5)),
+    ("parallel-a c=1 d=1", None, (0.0, 3.0), (0.0, 2.0 * math.pi)),
+    ("parallel-b a=1 c=1 b=-2", 1.0, (0.0, 1.0), (0.0, 2.0 * math.pi)),
+    ("constant-gauss K=-1 alpha=1 beta=0 phi=2+cos(v)", None, (0.1, 1.4),
+     (0.0, 2.0 * math.pi)),
+    ("parallel-a c=1 d=1 phi=2+cos(v)", None, (0.0, 1.0), (0.0, 2.0 * math.pi)),
+]
+
+
+@pytest.mark.parametrize("text, f0, u_range, v_range", FAMILY_CASES,
+                         ids=[case[0] for case in FAMILY_CASES])
+def test_verify_generated_passes_on_every_family(text, f0, u_range, v_range):
+    spec, phi = parse_family_spec(text)
+    gen = build_surface(spec, phi, f0, u_range, v_range)
+    report = verify_generated(gen)
+    assert report.passed, "\n".join(report.lines())
+    targets = report.checks[-len(spec.targets):]
+    assert [c.name for c in targets] == [label for label, *_ in spec.targets]
+    assert all(c.grid >= 1 for c in targets)
+
+
+@pytest.mark.parametrize("n_points", [0, -1])
+def test_verify_generated_refuses_fewer_than_one_point(n_points):
+    with pytest.raises(MeridianError, match="at least one sample point"):
+        verify_generated(_direct("sqrt(u+1)", (0.0, 3.0)), n_points)
 
 
 def _direct(f, domain):
