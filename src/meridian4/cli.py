@@ -28,16 +28,14 @@ import json
 import math
 import sys
 
+# what every subcommand runs; the rest is imported where a command needs it
 from .errors import MeridianError, SpecMismatchError
-from .expressions import compile_expression
 from .families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                        GeneratedSurface, ParallelA, ParallelB,
                        constant_kappa_directrix, generate)
-from .invariants import DEFAULT_ORACLE_STEP, eight_invariants
 from .profile import (Directrix, ProfileCurve, directrix_point, g_from_f,
                       profile_point, sample_grid)
 from .surface import GENERAL, MeridianSurface, combine, embed
-from .verification import verify_generated
 
 INVARIANT_COLUMNS = ["gamma1", "gamma2", "nu1", "nu2", "lambda", "mu",
                      "beta1", "beta2", "K", "k", "varkappa", "H_norm",
@@ -217,19 +215,25 @@ def _spec_dict(spec, phi_text):
 
 
 def build_surface(spec, phi_text, f0, u_range, v_range):
-    """Realize the spec as a GeneratedSurface (direct specs get wrapped)."""
+    """Realize the spec as a GeneratedSurface (direct specs get wrapped). A
+    family's phi = 1 is the constant directrix of curvature -1, which takes
+    no expression to parse."""
     if isinstance(spec, dict):
         if f0 is not None:
             raise SpecError("a direct spec takes no --f0")
+        from .expressions import compile_expression  # a direct spec is two expressions
         profile = ProfileCurve(compile_expression(spec["f"], "u"), u_range,
                                spec["g0"])
         directrix = Directrix(compile_expression(phi_text, "v"), v_range)
         surf = MeridianSurface(profile, directrix)
         return GeneratedSurface(surf, None, "expression", u_range, False)
     b = spec.kappa_constant
+    if b is None and phi_text == "1":
+        b = -1.0
     if b is not None:
         directrix = constant_kappa_directrix(b, v_range)
     else:
+        from .expressions import compile_expression  # only a phi expression needs the parser
         directrix = Directrix(compile_expression(phi_text, "v"), v_range)
     return generate(spec, f0, u_range, directrix)
 
@@ -276,6 +280,7 @@ def cmd_invariants(args) -> int:
     v0, v1, vstep = _parse_range(args.v, "v", args.grid and "with --grid")
     if not 0.0 <= args.tol < math.inf:
         raise SpecError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    from .invariants import eight_invariants  # the invariant table's records
     gen = build_surface(spec, phi_text, args.f0, (u0, u1), (v0, v1))
     s = gen.surface
     n_u, n_v = _grid_counts(args, ustep, vstep, (u0, u1), (v0, v1))
@@ -309,6 +314,7 @@ def cmd_verify(args) -> int:
     u0, u1, ustep = _parse_range(args.u, "u", unread)
     v0, v1, vstep = _parse_range(args.v, "v", unread)
     gen = build_surface(spec, phi_text, args.f0, (u0, u1), (v0, v1))
+    from .verification import verify_generated  # only verify runs the suite
     n_pts = 50
     if args.grid:
         nu, nv = _grid_counts(args, ustep, vstep, (u0, u1), (v0, v1))
@@ -339,6 +345,7 @@ def cmd_mesh(args) -> int:
             raise SpecError(f"unknown mesh field {f!r}; choose from {MESH_FIELDS}")
         if f in wanted[:i]:
             raise SpecError(f"mesh field {f!r} is given more than once")
+    from .invariants import eight_invariants  # the records behind --fields
     cols = [directrix_point(s.directrix, v)
             for v in sample_grid(s.directrix.domain, nv)]
     vertices = []
@@ -407,7 +414,10 @@ def _build_parser(argv):
     # usage that an "unrecognized arguments" error prints
     sub = p.add_subparsers(dest="command", required=True,
                            metavar=one and "{" + ",".join(_COMMANDS) + "}")
-    for name in one or _COMMANDS:
+    names = one or _COMMANDS
+    if "verify" in names:
+        from .invariants import DEFAULT_ORACLE_STEP  # verify's --oracle-step default
+    for name in names:
         sp = sub.add_parser(name)
         sp.add_argument("--spec", required=True)
         sp.add_argument("--f0", type=float, default=None)

@@ -20,7 +20,6 @@ from collections.abc import Callable
 from . import jets
 from .errors import DomainError, ProfileInvariantError, SpecMismatchError
 from .jets import Jet, jet_eval, jet_function_from_derivs
-from .odeint import DensePath, dormand_prince
 from .profile import (FPRIME_FLOOR, G_TOL, Directrix, ProfileCurve,
                       directrix_point, profile_point, sample_grid)
 from .records import Frozen, set_fields
@@ -111,8 +110,9 @@ class _Autonomous(FamilySpec):
         return self.b
 
     def realize(self, f0: float | None, u_range: tuple):
-        if f0 is None or f0 <= 0:
-            raise SpecMismatchError("ODE variants need a starting value f0 > 0")
+        if f0 is None or not 0.0 < f0 < math.inf:
+            raise SpecMismatchError(
+                f"ODE variants need a finite starting value f0 > 0, got {f0!r}")
         y = self.y()
         path = integrate_autonomous(y, f0, u_range)
         profile = profile_from_path(path, y)
@@ -428,15 +428,15 @@ def _jlog_abs(x):
     return jets.jlog(x)
 
 
-def integrate_autonomous(y: Callable[[Jet], Jet], f0: float,
-                         u_range: tuple) -> DensePath:
-    """Integrate f' = y(f) from the left end of u_range.
+def integrate_autonomous(y: Callable[[Jet], Jet], f0: float, u_range: tuple):
+    """Integrate f' = y(f) from the left end of u_range to an odeint.DensePath.
 
     Truncates (rather than failing) when y's domain would be exited, when y
     approaches zero or changes sign (f' = 0 would break the profile) or when
     f or y runs away. y is called on floats, so only its values are
     computed; the path carries f values.
     """
+    from .odeint import dormand_prince  # only the ODE families integrate
     y0 = y(f0)
     if abs(y0) < FPRIME_FLOOR:
         raise ProfileInvariantError(f"y(f0) = {y0} at f0 = {f0}: f' = 0 at the start")
@@ -454,7 +454,7 @@ def integrate_autonomous(y: Callable[[Jet], Jet], f0: float,
     return dormand_prince(rhs, u_range[0], u_range[1], f0)
 
 
-def profile_from_path(path: DensePath, y: Callable[[Jet], Jet],
+def profile_from_path(path, y: Callable[[Jet], Jet],
                       g_origin: float = 0.0) -> ProfileCurve:
     """ProfileCurve backed by the dense ODE solution; f' = y(f), f'' and
     f''' come from the jet of y at f via f'' = y'y, f''' = (y''y + y'^2) y,

@@ -8,7 +8,6 @@ from collections.abc import Callable
 from .errors import (DegenerateDirectrixError, DomainError, ProfileInvariantError,
                      QuadratureLimitError)
 from .jets import Jet, jet_eval
-from .odeint import quadrature_path
 from .records import Frozen, set_fields
 
 __all__ = [
@@ -197,6 +196,7 @@ def _quadrature_g(p: ProfileCurve, u: float) -> float:
     _checked_g_prime; past where the pass ended early, the error that ended
     it."""
     if p._pass is None:
+        from .odeint import quadrature_path  # only a profile without g_eval integrates g
         object.__setattr__(p, "_pass", quadrature_path(
             lambda t: _checked_g_prime(p, jet_eval(p.f, t).d1, t), *p.domain, G_TOL))
     path, stop = p._pass

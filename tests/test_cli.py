@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from meridian4 import cli, invariants, surface
+from meridian4 import cli, invariants, surface, verification
 from meridian4.cli import main, parse_family_spec, SpecError
 from meridian4.families import ConstantGauss, ParallelA
 from meridian4.invariants import eight_invariants
@@ -537,7 +537,7 @@ def test_verify_passes_on_parallel_a(tmp_path, capsys):
 def test_verify_failed_report_outranks_truncation(monkeypatch):
     # The directrix ends near v = 0.34 (exit 2), but a failed report is exit 1.
     failed = VerificationReport([CheckRecord("forced", 1, 1.0, 0.5, False)])
-    monkeypatch.setattr(cli, "verify_generated", lambda *args: failed)
+    monkeypatch.setattr(verification, "verify_generated", lambda *args: failed)
     code = main(["verify", "--spec", "constant-mean a=0.5 b=2 C=0 eps=+ branch=+",
                  "--f0", "0.6", "--u", "0:0.5", "--v", "0:6.28", "--grid", "2x2"])
     assert code == 1
@@ -787,6 +787,20 @@ def test_a_negative_number_reaches_the_programs_own_check(tmp_path, capsys):
     # an option given no value keeps argparse's message
     out, err, code = _exit(main, ["family", "--u", *_REQUIRED["family"][:2]], capsys)
     assert code == 1 and "argument --u: expected one argument" in err
+
+
+@pytest.mark.parametrize("f0", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("spec", ["constant-mean a=0.5 b=2 C=0 eps=+ branch=+",
+                                  "chen b=1 c=1 branch=+"])
+def test_an_ode_family_refuses_f0_that_is_not_finite_and_positive(tmp_path, capsys,
+                                                                  spec, f0):
+    # NaN and inf pass no `f0 <= 0` test: only a range check refuses them
+    code = main(["family", "--spec", spec, f"--f0={f0}", "--u", "0:1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: ODE variants need a finite starting value f0 > 0, "
+                   f"got {float(f0)!r}"]
 
 
 @pytest.mark.parametrize("command", ["family", "invariants", "mesh"])

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from meridian4 import families
+from meridian4 import families, odeint
 from meridian4.errors import ProfileInvariantError, SpecMismatchError
 from meridian4.expressions import compile_expression
 from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
@@ -318,7 +318,7 @@ def test_constant_kappa_directrix_exact_end(b):
 
 def test_constant_kappa_directrix_work(monkeypatch):
     calls = []
-    monkeypatch.setattr(families, "dormand_prince",
+    monkeypatch.setattr(odeint, "dormand_prince",
                         lambda *args: calls.append(args))
     d = constant_kappa_directrix(1.0, (0.0, 0.5))
     assert d.domain == (0.0, 0.5)

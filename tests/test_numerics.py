@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from meridian4 import cli, profile as profile_module
+from meridian4 import cli, odeint
 from meridian4.errors import DomainError, QuadratureLimitError
 from meridian4.expressions import compile_expression
 from meridian4.families import integrate_autonomous
@@ -96,7 +96,7 @@ def test_invariants_of_a_direct_spec_run_no_pass(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("quadrature_path called")
 
-    monkeypatch.setattr(profile_module, "quadrature_path", fail)
+    monkeypatch.setattr(odeint, "quadrature_path", fail)
     code = cli.main(["invariants", "--spec", "direct f=sqrt(u+1) phi=1", "--u", "0:3",
                      "--v", "0:6", "--grid", "4x3", "--out", str(tmp_path / "i.csv")])
     assert code == 0

@@ -9,7 +9,7 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from meridian4 import families, profile as profile_module
+from meridian4 import families, odeint
 from meridian4.errors import (DomainError, ProfileInvariantError,
                               QuadratureLimitError)
 from meridian4.expressions import compile_expression
@@ -252,7 +252,7 @@ def no_quadrature(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("quadrature_path called")
 
-    monkeypatch.setattr(profile_module, "quadrature_path", fail)
+    monkeypatch.setattr(odeint, "quadrature_path", fail)
 
 
 @pytest.mark.parametrize("spec, u_range", [

@@ -9,7 +9,7 @@ import math
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from meridian4 import (cli, invariants as invariants_module,
+from meridian4 import (cli, invariants as invariants_module, odeint,
                        profile as profile_module, surface as surface_module)
 from meridian4.errors import DomainError
 from meridian4.expressions import compile_expression
@@ -168,7 +168,7 @@ def test_g_table_of_an_ode_profile_builds_no_jets(monkeypatch):
         profile_jets.append(t)
         return original(fn, t)
 
-    monkeypatch.setattr(profile_module, "quadrature_path", no_quadrature)
+    monkeypatch.setattr(odeint, "quadrature_path", no_quadrature)
     monkeypatch.setattr(profile_module, "jet_eval", counted)
     y = CMC.y()
     p = profile_from_path(integrate_autonomous(y, 0.6, (0.0, 0.5)), y)
