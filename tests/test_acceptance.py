@@ -354,3 +354,26 @@ def test_criterion_10_mixed_epsilon_golden_files(tmp_path):
     assert sum(float(r[at["beta1"]]) != -float(r[at["beta2"]])
                for r in rows if r[-1] == "general") == 97
     report("criterion 10: mixed-epsilon invariants and mesh byte-identical")
+
+
+GOLDEN_VERIFY = {
+    # verify_cmc's seed-0 command: eps = +1 at every sample point
+    "golden_verify_cmc.json": [
+        "--spec", "constant-mean a=0.5 b=2 C=0 eps=+ branch=+", "--f0", "0.6",
+        "--u", "0.0:0.15", "--v", "0.0:0.3", "--grid", "5x4"],
+    # eps = -1 at every sample point, and kappa_dot != 0
+    "golden_verify_eps_minus.json": [
+        "--spec", "constant-gauss K=-1 alpha=1 beta=0.5 phi=2+cos(v)",
+        "--u", "0:1", "--v", "0:6.283185307179586", "--grid", "5x4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
+def test_criterion_10_verify_reports_byte_identical(name, tmp_path):
+    # The report's errors are differences of oracle and closed-form values
+    # at full precision, so any change to the bits of the frames, the
+    # stencil differences or the Richardson rows shows here.
+    out = tmp_path / "verify.json"
+    assert main(["verify", *GOLDEN_VERIFY[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
+    report(f"criterion 10: verify report {name} byte-identical")
