@@ -128,7 +128,8 @@ class StencilPass(Record):
         key = (name, axis)
         out = self._diffs.get(key)
         if out is None:
-            up, um = (getattr(rec, name) for rec in self.points[2 * axis:2 * axis + 2])
+            up = getattr(self.points[2 * axis], name)
+            um = getattr(self.points[2 * axis + 1], name)
             w = 1.0 / (2.0 * self.h)
             out = self._diffs[key] = Vec4((up.c1 - um.c1) * w, (up.c2 - um.c2) * w,
                                           (up.c3 - um.c3) * w, (up.c4 - um.c4) * w)
@@ -145,10 +146,15 @@ def _directional(stencil: StencilPass, name: str, a: float, c: float) -> Vec4:
 
 
 def _normal_part(Dx_x: Vec4, Dy_y: Vec4, centre: PointFrames) -> Vec4:
-    """H = (1/2) (D_x x + D_y y)^perp, projecting off the tangent plane with
-    the orthonormal pair (X, Y)."""
-    W = (Dx_x + Dy_y) * 0.5
-    return W - centre.X * minkowski_dot(W, centre.X) - centre.Y * minkowski_dot(W, centre.Y)
+    """H = W - X <W,X> - Y <W,Y>, W = (D_x x + D_y y) * 0.5: W's part off the
+    tangent plane of the orthonormal pair (X, Y), written out per component."""
+    X, Y = centre.X, centre.Y
+    w1, w2 = (Dx_x.c1 + Dy_y.c1) * 0.5, (Dx_x.c2 + Dy_y.c2) * 0.5
+    w3, w4 = (Dx_x.c3 + Dy_y.c3) * 0.5, (Dx_x.c4 + Dy_y.c4) * 0.5
+    wx = w1 * X.c1 + w2 * X.c2 + w3 * X.c3 - w4 * X.c4
+    wy = w1 * Y.c1 + w2 * Y.c2 + w3 * Y.c3 - w4 * Y.c4
+    return Vec4(w1 - X.c1 * wx - Y.c1 * wy, w2 - X.c2 * wx - Y.c2 * wy,
+                w3 - X.c3 * wx - Y.c3 * wy, w4 - X.c4 * wx - Y.c4 * wy)
 
 
 def oracle_invariants(stencil: StencilPass) -> InvariantRecord:

@@ -23,8 +23,8 @@ class Vec4(Record):
     __slots__ = ("c1", "c2", "c3", "c4")
 
     def __init__(self, c1: float, c2: float, c3: float, c4: float):
-        if not (math.isfinite(c1) and math.isfinite(c2)
-                and math.isfinite(c3) and math.isfinite(c4)):
+        # x - x is 0.0 for a finite x and NaN for +-inf and NaN: one comparison
+        if (c1 - c1) + (c2 - c2) + (c3 - c3) + (c4 - c4) != 0.0:
             raise DomainError(f"non-finite Vec4 components: ({c1}, {c2}, {c3}, {c4})")
         self.c1 = c1
         self.c2 = c2

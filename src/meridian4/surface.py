@@ -127,7 +127,8 @@ def embed(d: PointData, g: float) -> Vec4:
 
 def frames(d: PointData) -> PointFrames:
     """The frame at the point of d, with cos v, sin v and sqrt(D) computed
-    once; b, l and epsilon only where d's case is general."""
+    once; b, l and epsilon only where d's case is general. Each vector is
+    built once, written out in the order of operations of Vec4's operators."""
     p, c = d.p, d.c
     cv, sv = math.cos(c.v), math.sin(c.v)
     rD = math.sqrt(c.D)
@@ -137,13 +138,12 @@ def frames(d: PointData) -> PointFrames:
         p.fp * c.phi**2 / 2.0 + p.gp,
         p.fp,
     )
-    z_v = from_lightlike(
-        p.f * (c.phid * cv - c.phi * sv),
-        p.f * (c.phid * sv + c.phi * cv),
-        p.f * c.phi * c.phid,
-        0.0,
-    )
-    Y = z_v / (p.f * rD)
+    # Y = z_v / (f sqrt(D)), z_v = from_lightlike(f (phi' cos v - phi sin v),
+    # f (phi' sin v + phi cos v), f phi phi', 0.0), whose p + 0.0 turns -0.0 to 0.0
+    s = 1.0 / (p.f * rD)
+    zp = p.f * c.phi * c.phid
+    Y = Vec4(p.f * (c.phid * cv - c.phi * sv) * s, p.f * (c.phid * sv + c.phi * cv) * s,
+             zp / _SQRT2 * s, (zp + 0.0) / _SQRT2 * s)
     n1 = from_lightlike(
         (c.phid * sv + c.phi * cv) / rD,
         (-c.phid * cv + c.phi * sv) / rD,
@@ -158,14 +158,20 @@ def frames(d: PointData) -> PointFrames:
         -(p.fp * c.phi**2 - 2.0 * p.gp) / 2.0,
         -p.fp,
     )
-    x, y = (X + Y) / _SQRT2, (-1.0 * X + Y) / _SQRT2
+    r = 1.0 / _SQRT2
+    x = Vec4((X.c1 + Y.c1) * r, (X.c2 + Y.c2) * r, (X.c3 + Y.c3) * r, (X.c4 + Y.c4) * r)
+    y = Vec4((X.c1 * -1.0 + Y.c1) * r, (X.c2 * -1.0 + Y.c2) * r,
+             (X.c3 * -1.0 + Y.c3) * r, (X.c4 * -1.0 + Y.c4) * r)
     if d.case is not GENERAL:
         return PointFrames(d, X, Y, x, y, n1, n2)
     kfp, q, disc = c.kappa * p.fp, p.q, d.disc
     eps = 1 if disc > 0.0 else -1
     root = math.sqrt(abs(disc))
-    b = (kfp * n1 - q * n2) / root
-    l = (kfp * n2 - q * n1) * (eps / root)
+    rb, rl = 1.0 / root, eps / root
+    b = Vec4((n1.c1 * kfp - n2.c1 * q) * rb, (n1.c2 * kfp - n2.c2 * q) * rb,
+             (n1.c3 * kfp - n2.c3 * q) * rb, (n1.c4 * kfp - n2.c4 * q) * rb)
+    l = Vec4((n2.c1 * kfp - n1.c1 * q) * rl, (n2.c2 * kfp - n1.c2 * q) * rl,
+             (n2.c3 * kfp - n1.c3 * q) * rl, (n2.c4 * kfp - n1.c4 * q) * rl)
     return PointFrames(d, X, Y, x, y, n1, n2, b, l, eps)
 
 

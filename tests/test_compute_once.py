@@ -17,6 +17,7 @@ from meridian4.errors import (DegenerateDirectrixError, DomainError,
 from meridian4.families import (KAPPA_SAMPLES, ConstantMean,
                                 constant_kappa_directrix, generate)
 from meridian4.jets import jcos, jsqrt
+from meridian4.minkowski import Vec4
 from meridian4.profile import (Directrix, ProfileCurve, directrix_point,
                                profile_point, sample_grid)
 from meridian4.surface import MeridianSurface
@@ -142,6 +143,24 @@ def test_verify_builds_each_stencil_frame_once(monkeypatch):
     # by the frame-Gram row, and the eight stencil points, each once
     assert sum(frames.values()) == 9 * 20
     assert sorted(set(frames.values())) == [1]
+
+
+def test_verify_builds_each_vector_once(monkeypatch):
+    spec, phi = parse_family_spec("constant-mean a=0.5 b=2 C=0 eps=+ branch=+")
+    gen = build_surface(spec, phi, 0.6, (0.0, 0.15), (0.0, 0.3))
+    built = [0]
+    init = Vec4.__init__
+
+    def counted(self, *components):
+        built[0] += 1
+        init(self, *components)
+    monkeypatch.setattr(Vec4, "__init__", counted)
+    assert verify_generated(gen, 20).passed
+    # 20 points, each with 9 frames of 8 vectors (X, Y, x, y, n1, n2, b, l):
+    # 1,440; per point and step, 14 central differences, 5 directional
+    # derivatives, 1 normal part and 4 scaled frame derivatives: 40 passes
+    # of 24 make 960; the rows build none
+    assert built[0] == 9 * 20 * 8 + 40 * (14 + 5 + 1 + 4) == 2400
 
 
 def test_verify_evaluates_the_closed_forms_once_per_point(monkeypatch):

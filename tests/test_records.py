@@ -70,6 +70,39 @@ def test_vec4_is_a_mutable_record_of_its_components():
         Vec4(1.0, math.nan, 3.0, 4.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("at", range(4))
+def test_vec4_refuses_a_non_finite_component_in_each_position(bad, at):
+    # Vec4 tests finiteness with one comparison, (c - c) summed over the
+    # components, which is 0.0 unless a component is +-inf or NaN
+    comps = [1.0, -2.0, 3.0, 4.0]
+    comps[at] = bad
+    shown = ", ".join(map(str, comps))
+    with pytest.raises(DomainError, match=rf"^non-finite Vec4 components: \({shown}\)$"):
+        Vec4(*comps)
+
+
+@pytest.mark.parametrize("comps", [
+    (1, -2, 0, 3),
+    (-0.0, 0.0, -0.0, 0.0),
+    (5e-324, -5e-324, 1.0, 2.0),
+    (1.7976931348623157e308, -1.7976931348623157e308,
+     1.7976931348623157e308, -1.7976931348623157e308)],
+    ids=["ints", "signed-zeros", "subnormal", "largest"])
+def test_vec4_accepts_every_finite_component(comps):
+    v = Vec4(*comps)
+    assert [repr(c) for c in (v.c1, v.c2, v.c3, v.c4)] == [repr(c) for c in comps]
+
+
+def test_vec4_operator_results_are_checked():
+    # an operation that overflows builds a non-finite vector, which raises
+    big = Vec4(1e308, 0.0, 0.0, 0.0)
+    for overflow in (lambda: big * 10.0, lambda: big + big, lambda: big - -1.0 * big,
+                     lambda: big / 1e-10):
+        with pytest.raises(DomainError, match=r"^non-finite Vec4 components: \(inf, "):
+            overflow()
+
+
 @pytest.mark.parametrize("record", frozen_records(), ids=lambda r: type(r).__name__)
 def test_frozen_records_refuse_assignment(record):
     for name in (*record.__slots__, "extra"):

@@ -10,7 +10,7 @@ from meridian4.errors import (DomainError, FlatPointError,
                               MarginallyTrappedError, ProfileInvariantError)
 from meridian4.expressions import compile_expression
 from meridian4.jets import jcos, jsqrt, variable
-from meridian4.minkowski import Vec4, minkowski_dot
+from meridian4.minkowski import Vec4, from_lightlike, minkowski_dot
 from meridian4.profile import (Directrix, DirectrixPoint, ProfileCurve,
                                ProfilePoint, directrix_point, g_from_f,
                                profile_point)
@@ -145,6 +145,78 @@ def test_one_frame_builder_serves_every_reader(s, u, eps):
     assert nf.epsilon == eps
     for name in PointFrames.__slots__:
         assert repr(getattr(nf, name)) == repr(getattr(centre, name)), name
+
+
+def _family_point(spec, f0, u, v=0.2):
+    parsed, phi = parse_family_spec(spec)
+    return point_data(build_surface(parsed, phi, f0, (0.0, 1.0), (0.0, 6.0)).surface, u, v)
+
+
+def _signed_zero_point():
+    # phi' = -0.0: z_v's third lightlike coordinate f phi phi' is -0.0
+    p = record_pair(1.0, 1.0, 0.5)[0]
+    return combine(p, DirectrixPoint(v=1.0, phi=1.0, phid=-0.0, kappa=1.0,
+                                     kappa_dot=0.0, D=1.0))
+
+
+# (point, epsilon, sign of f'); epsilon None where b and l are undefined
+OPERATOR_FRAME_POINTS = {
+    "eps+,fp+": (lambda: _family_point("parallel-a c=1 d=1", None, 1.0), 1, 1),
+    "eps-,fp+": (lambda: _family_point("constant-mean a=0.5 b=2 C=0 eps=- branch=+",
+                                       0.6, 0.15), -1, 1),
+    "eps-,fp-": (lambda: _family_point("direct f=cos(u) phi=1", None, 0.3), -1, -1),
+    "eps+,fp-": (lambda: _family_point("direct f=cos(u) phi=1", None, 0.8), 1, -1),
+    "kappa_dot": (lambda: _family_point(
+        "constant-gauss K=-1 alpha=1 beta=0.5 phi=2+cos(v)", None, 0.5, 1.0), -1, 1),
+    "phid=-0": (_signed_zero_point, 1, 1),
+    "flat": (lambda: point_data(MeridianSurface(
+        SQRT_SURFACE.profile, Directrix(compile_expression("sec(v)", "v"), (-1.0, 1.0))),
+        1.0, 0.2), None, 1),
+    "trapped": (lambda: point_data(MeridianSurface(ProfileCurve(jcos, (0.05, 1.0)),
+                                                   UNIT_PHI), math.pi / 6.0, 1.0, tol=1e-8),
+                None, -1),
+}
+
+
+def assert_operator_bits(d):
+    """frames(d) writes out each vector's components; Vec4's operators must
+    give the same bits (compared by repr, so signed zeros count)."""
+    nf = frames(d)
+    p, c = d.p, d.c
+    cv, sv = math.cos(c.v), math.sin(c.v)
+    z_v = from_lightlike(p.f * (c.phid * cv - c.phi * sv), p.f * (c.phid * sv + c.phi * cv),
+                         p.f * c.phi * c.phid, 0.0)
+    Y = z_v / (p.f * math.sqrt(c.D))
+    want = {"Y": Y, "x": (nf.X + Y) / math.sqrt(2.0),
+            "y": (-1.0 * nf.X + Y) / math.sqrt(2.0), "b": None, "l": None}
+    if nf.epsilon is not None:
+        kfp, q, root = c.kappa * p.fp, p.q, math.sqrt(abs(d.disc))
+        want["b"] = (kfp * nf.n1 - q * nf.n2) / root
+        want["l"] = (kfp * nf.n2 - q * nf.n1) * (nf.epsilon / root)
+    for field, w in want.items():
+        assert repr(getattr(nf, field)) == repr(w), (field, p.u, c.v)
+    return nf
+
+
+@pytest.mark.parametrize("name", list(OPERATOR_FRAME_POINTS))
+def test_frames_match_the_operator_formulas_bit_for_bit(name):
+    build, eps, fp_sign = OPERATOR_FRAME_POINTS[name]
+    d = build()
+    nf = assert_operator_bits(d)
+    assert (d.p.fp > 0) == (fp_sign > 0) and nf.epsilon == eps
+    if name == "phid=-0":
+        assert (repr(nf.Y.c3), repr(nf.Y.c4)) == ("-0.0", "0.0")
+
+
+def test_frames_match_the_operator_formulas_over_a_grid():
+    # 400 points at both signs of <H,H> and kappa_dot != 0
+    for text in ("constant-gauss K=-1 alpha=1 beta=0.5 phi=2+cos(v)",
+                 "constant-gauss K=-1 alpha=1 beta=0.5 phi=0.2+0.05*cos(v)"):
+        parsed, phi = parse_family_spec(text)
+        s = build_surface(parsed, phi, None, (0.0, 1.0), (0.0, 6.0)).surface
+        for i in range(20):
+            for j in range(10):
+                assert_operator_bits(point_data(s, 0.05 * i, 0.6 * j))
 
 
 def test_hyperplanar_flat_from_secant_directrix():

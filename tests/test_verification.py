@@ -2,6 +2,7 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from meridian4.expressions import compile_expression
 from meridian4.families import GeneratedSurface, ParallelA, generate
 from meridian4.invariants import DEFAULT_ORACLE_STEP, StencilPass, eight_invariants
 from meridian4.minkowski import Vec4
-from meridian4.profile import Directrix, ProfileCurve
+from meridian4.profile import Directrix, DirectrixPoint, ProfileCurve, ProfilePoint
 from meridian4.surface import MeridianSurface, point_data
 from meridian4.verification import (_ORACLE_FIELDS, SAMPLE_SEED, CheckRecord,
                                     VerificationReport, _record,
@@ -186,6 +187,96 @@ def test_every_row_fails_under_its_mutation(eps, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(verification, "oracle_frame_derivatives", mutated_derivatives)
             assert f"deriv:{row}" in _failed(gen), row
+
+
+@pytest.mark.parametrize("component", ["c1", "c2", "c4"])
+def test_a_non_finite_derivative_component_fails_its_row(component, monkeypatch):
+    # The deriv: rows are summed per component, not through Vec4: a NaN or
+    # inf in any component is that row's error, wherever it stands
+    gen, oracle = MUTATION_SURFACES[1], verification.oracle_frame_derivatives
+
+    def poisoned(stencil, bad):
+        out = oracle(stencil)
+        w = out["YY"]
+        out["YY"] = SimpleNamespace(c1=w.c1, c2=w.c2, c3=w.c3, c4=w.c4)
+        setattr(out["YY"], component, bad)
+        return out
+    for bad in (math.nan, math.inf):
+        monkeypatch.setattr(verification, "oracle_frame_derivatives",
+                            lambda stencil, bad=bad: poisoned(stencil, bad))
+        rows = {c.name: c for c in verify_generated(gen, n_points=5).checks}
+        assert [name for name, c in rows.items() if not c.passed] == ["deriv:YY"]
+        # inf at both steps makes the Richardson value inf - inf = NaN
+        assert math.isnan(rows["deriv:YY"].max_abs_error)
+
+
+def _oracle(*fields):
+    return {f"oracle:{name}" for name in fields}
+
+
+# One profile, f'' = -K f with K = -1, under two directrices with kappa_dot
+# != 0: <H,H> < 0 at every sample point under phi = 2 + cos v, > 0 under
+# phi = 0.2 + 0.05 cos v.
+FIELD_SURFACES = {-1: "constant-gauss K=-1 alpha=1 beta=0.5 phi=2+cos(v)",
+                  1: "constant-gauss K=-1 alpha=1 beta=0.5 phi=0.2+0.05*cos(v)"}
+GAUSS, K4 = "K-eps*(nu1*nu2-lam^2+mu^2)", "k+4*nu1*nu2*mu^2"
+# the coefficients along b and l, and H's n2 part and norm
+_BL = _oracle("beta1", "beta2", "k", "lam", "mu", "nu1", "nu2", "H_n2", "H_norm")
+_Y_ROWS = {"deriv:YX", "deriv:YY", "deriv:Yn1", "deriv:Yn2"}
+# the rows each record field fails when scaled by 1 + 1e-3 (offset by 1e-3
+# where it is 0), at both signs of <H,H>
+FIELD_ROWS = {
+    "u": set(),   # the record's coordinate: its key and label, in no formula
+    "f": {GAUSS, "defining:ConstantGauss", *_BL, *_oracle("K", "gamma1", "gamma2")},
+    "fp": {GAUSS, K4, "deriv:YY", "frame-gram", *_BL,
+           *_oracle("K", "gamma1", "gamma2")},
+    "fpp": {GAUSS, K4, "defining:ConstantGauss", *_oracle("beta1", "beta2", "lam", "mu")},
+    "fppp": _oracle("beta1", "beta2"),
+    "gp": {"deriv:YY", "frame-gram", *_BL, *_oracle("K")},
+    "kappa_m": {K4, "deriv:XX", "deriv:Xn2", *_oracle("k")},
+    "q": {GAUSS, *_BL},
+    "gamma1": _oracle("gamma1", "gamma2"),
+    "K": {GAUSS, "K==-1.0", *_oracle("K")},
+    "v": {*_Y_ROWS, *_BL, *_oracle("K", "gamma1", "gamma2", "H_n1", "varkappa")},
+    "phi": {*_Y_ROWS, "frame-gram", *_BL,
+            *_oracle("K", "gamma1", "gamma2", "H_n1", "varkappa")},
+    "phid": {*_Y_ROWS, "frame-gram", *_BL,
+             *_oracle("K", "gamma1", "gamma2", "H_n1", "varkappa")},
+    "kappa": {"deriv:YY", "deriv:Yn1", *_BL - _oracle("H_n2"), *_oracle("H_n1")},
+    "kappa_dot": _oracle("beta1", "beta2"),
+    "D": {"deriv:YY", "deriv:Yn1", "frame-gram", *_BL,
+          *_oracle("K", "gamma1", "gamma2", "H_n1")},
+}
+FIELD_ROWS_AT_EPS_PLUS = {"q": _oracle("K"), "kappa": _oracle("K")}
+
+
+@pytest.mark.parametrize("field", list(FIELD_ROWS))
+@pytest.mark.parametrize("eps", sorted(FIELD_SURFACES))
+def test_every_record_field_reaches_a_row(eps, field, monkeypatch):
+    # The frames the oracle differences read f', g', phi, phi', D, kappa, q
+    # and disc from the point records, as the closed forms do. A 1e-3 change
+    # in any field but the coordinate u must still fail a named row: the
+    # oracle's H and coefficients come from differences, not the fields.
+    spec, phi = parse_family_spec(FIELD_SURFACES[eps])
+
+    def failed():
+        gen = build_surface(spec, phi, None, (0.0, 1.0), (0.0, 2.0 * math.pi))
+        return gen, {c.name for c in verify_generated(gen, 20).checks if not c.passed}
+    gen, none = failed()
+    pts = sample_general_points(gen.surface, 20, random.Random(SAMPLE_SEED),
+                                DEFAULT_ORACLE_STEP)
+    assert {point_data(gen.surface, u, v).disc > 0 for u, v in pts} == {eps > 0}
+    assert none == set()
+    cls = ProfilePoint if field in ProfilePoint.__slots__ else DirectrixPoint
+    at, init = cls.__slots__.index(field), cls.__init__
+
+    def scaled(self, *fields):
+        fields = list(fields)
+        fields[at] = fields[at] * (1.0 + 1e-3) if fields[at] else 1e-3
+        init(self, *fields)
+    monkeypatch.setattr(cls, "__init__", scaled)
+    assert failed()[1] == FIELD_ROWS[field] | (FIELD_ROWS_AT_EPS_PLUS.get(field, set())
+                                            if eps > 0 else set())
 
 
 def _verify_cmc_surface():
