@@ -239,8 +239,11 @@ def build_surface(spec, phi_text, f0, u_range, v_range):
 
 
 def _write(path, text):
+    """Write text and a final newline to path; the newline is written on its
+    own, so a caller's text is not copied once more to end it."""
     with open(path, "w") as fh:
         fh.write(text)
+        fh.write("\n")
 
 
 def _json_path(out):
@@ -269,8 +272,8 @@ def cmd_family(args) -> int:
             "realized_range": list(gen.u_range),
             "truncated": gen.truncated,
             "f_source": gen.f_source}
-    _write(args.out, "\n".join(rows) + "\n")
-    _write(_json_path(args.out), json.dumps(echo, indent=2) + "\n")
+    _write(args.out, "\n".join(rows))
+    _write(_json_path(args.out), json.dumps(echo, indent=2))
     return 2 if gen.truncated else 0
 
 
@@ -288,6 +291,7 @@ def cmd_invariants(args) -> int:
     cols = [(directrix_point(s.directrix, v), repr(v))
             for v in sample_grid(s.directrix.domain, n_v)]
     blank = "," * (len(INVARIANT_COLUMNS) - 1)
+    tol = args.tol
     rows = ["u,v," + ",".join(INVARIANT_COLUMNS) + ",case"]
     for u in sample_grid(gen.u_range, n_u):
         p = profile_point(s.profile, u)
@@ -295,16 +299,17 @@ def cmd_invariants(args) -> int:
         # gamma1, gamma2 = -gamma1, K and varkappa = 0 depend on u alone
         gammas, K = f"{p.gamma1!r},{-p.gamma1!r}", repr(p.K)
         for c, rv in cols:
-            d = combine(p, c, args.tol)
+            d = combine(p, c, tol)
             if d.case is GENERAL:
                 r = eight_invariants(d)
-                nu = repr(r.nu1)     # nu1 = nu2
+                # nu1 = nu2 and H_norm = |nu|: one text for the three cells
+                nu = repr(r.nu1)
                 rows.append(f"{ru},{rv},{gammas},{nu},{nu},{r.lam!r},{r.mu!r},"
                             f"{r.beta1!r},{r.beta2!r},{K},{r.k!r},0.0,"
-                            f"{r.H_norm!r},{r.epsilon!r},general")
+                            f"{nu.lstrip('-')},{r.epsilon!r},general")
             else:
                 rows.append(f"{ru},{rv},{blank},{d.case.value}")
-    _write(args.out, "\n".join(rows) + "\n")
+    _write(args.out, "\n".join(rows))
     return _truncation_code(gen, v1)
 
 
@@ -327,7 +332,7 @@ def cmd_verify(args) -> int:
         payload["spec"] = _spec_dict(spec, phi_text)
         payload["realized_range"] = list(gen.u_range)
         payload["realized_v_range"] = list(gen.surface.directrix.domain)
-        _write(args.out, json.dumps(payload, indent=2) + "\n")
+        _write(args.out, json.dumps(payload, indent=2))
     return _truncation_code(gen, v1) if report.passed else 1
 
 
@@ -377,7 +382,7 @@ def cmd_mesh(args) -> int:
         "vertices": vertices,
         "fields": fields,
     }
-    _write(args.out, json.dumps(payload) + "\n")
+    _write(args.out, json.dumps(payload))
     return _truncation_code(gen, v1)
 
 

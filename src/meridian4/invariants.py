@@ -38,20 +38,22 @@ lam, mu, beta1, beta2) plus the derived quantities K, k, varkappa, the mean
 curvature data and the sign epsilon of <H,H>. ('lam' is the surface invariant
 usually written lambda; renamed to dodge the keyword.) A named tuple: it
 unpacks, and it equals the tuple of its fields."""
+_tuple_new = tuple.__new__
 
 
 def _u_terms(p: ProfilePoint) -> tuple:
     """The factors of the closed forms that depend on u alone, computed at
     the first general point of a profile record and kept on it; DomainError
-    where one is not finite."""
+    where one is not finite or f^2, the divisor of k, underflows to 0 (with
+    |f'| >= 1e-9, f^2 != 0 keeps the other u-only divisors nonzero)."""
     f, fp, fpp, q = p.f, p.fp, p.fpp, p.q
     try:
         two_f, f2, fp2 = 2.0 * f, f**2, fp**2
         two_ffp = two_f * fp
-        terms = (two_f, two_ffp, two_f * abs(fp), f * fp, fp2, f2 * fpp**2, fp**4,
+        terms = (two_f, two_ffp, f * fp, fp2, f2 * fpp**2, fp**4,
                  ((f * p.fppp + 3.0 * fp * fpp) * fp - q * fpp) / fp2,   # d/du of q/f'
                  -q / two_ffp,                                          # H_n2
-                 -(p.kappa_m**2), f2)
+                 -(p.kappa_m**2), f2) if f2 else None
     except OverflowError:
         terms = None
     terms = _finite(terms, "a factor of the invariants at u", p.u)
@@ -60,31 +62,42 @@ def _u_terms(p: ProfilePoint) -> tuple:
 
 
 def eight_invariants(d: PointData) -> InvariantRecord:
-    """Closed-form record at the general point of d."""
+    """Closed-form record at the general point of d; H_norm is |nu| (H = nu b
+    with <b,b> = eps). DomainError where a value of the record is not
+    finite."""
     if d.case is not GENERAL:
         _require_general(d)
     p, c, disc = d.p, d.c, d.disc
-    two_f, two_ffp, two_f_absfp, ffp, fp2, f2fpp2, fp4, q_du, h2, nkm2, f2 = \
+    two_f, two_ffp, ffp, fp2, f2fpp2, fp4, q_du, h2, nkm2, f2 = \
         p._terms or _u_terms(p)
     kappa = c.kappa
+    kappa2 = kappa**2
     eps = 1 if disc > 0 else -1
     absdisc = abs(disc)     # eps * disc
     root = math.sqrt(absdisc)
 
     nu = root / two_ffp
-    lam = eps * (kappa**2 * fp2 + f2fpp2 - fp4) / (two_ffp * root)
+    lam = eps * (kappa2 * fp2 + f2fpp2 - fp4) / (two_ffp * root)
     mu = kappa * p.fpp / root
     cross = c.kappa_dot * p.q / (ffp * math.sqrt(c.D))
     w = fp2 / (_SQRT2 * absdisc)
-    # positional, in field order: keywords cost more than the fields' floats
-    return InvariantRecord(
+    beta1 = -w * (kappa * q_du - cross)
+    beta2 = w * (kappa * q_du + cross)
+    k = nkm2 * kappa2 / f2
+    h1 = kappa / two_f
+    # x - x is 0.0 for a finite x and NaN for +-inf and NaN: one comparison
+    if (nu - nu) + (lam - lam) + (mu - mu) + (beta1 - beta1) + (beta2 - beta2) \
+            + (k - k) + (h1 - h1) != 0.0:
+        raise DomainError(
+            f"the invariants at (u, v) = ({p.u}, {c.v}) are not finite", t=p.u)
+    # the fields in order, through tuple.__new__: the named tuple's own
+    # __new__ is one more Python call per record
+    return _tuple_new(InvariantRecord, (
         p.gamma1, -p.gamma1,                 # gamma1, gamma2
-        nu, nu, lam, mu,
-        -w * (kappa * q_du - cross),         # beta1
-        w * (kappa * q_du + cross),          # beta2
-        p.K, nkm2 * kappa**2 / f2,           # K, k
+        nu, nu, lam, mu, beta1, beta2,
+        p.K, k,                              # K, k
         0.0,                                 # varkappa
-        kappa / two_f, h2, root / two_f_absfp, eps)   # H_n1, H_n2, H_norm, epsilon
+        h1, h2, abs(nu), eps))               # H_n1, H_n2, H_norm, epsilon
 
 
 # --- finite-difference oracle -------------------------------------------------

@@ -366,6 +366,27 @@ def test_overflowing_discriminant_is_exit_1(tmp_path, capsys, command, message):
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("command, spec, extra, message", [
+    # f^2 = 1e-320 is subnormal at u = 0, so k = -kappa_m^2 kappa^2 / f^2
+    # overflows there
+    ("invariants", "f=1e-160+1e-9*u+u^2 phi=1", [],
+     "the invariants at (u, v) = (0.0, 0.0) are not finite"),
+    ("mesh", "f=1e-160+u+u^2 phi=2+cos(v)", ["--fields", "k"],
+     "the invariants at (u, v) = (0.0, 0.0) are not finite"),
+    # f^2, the divisor of k, underflows to 0 at u = 0
+    ("invariants", "f=1e-300+1e-9*u+u^2 phi=1", [],
+     "a factor of the invariants at u = 0.0 is not finite")],
+    ids=["invariants-k", "mesh-k", "invariants-f-squared"])
+def test_non_finite_invariant_record_is_exit_1(tmp_path, capsys, command, spec,
+                                               extra, message):
+    out = tmp_path / "z.out"
+    code = main([command, "--spec", f"direct {spec}", "--u", "0:1", "--v", "0:1",
+                 "--grid", "2x2", *extra, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, spec, u, v, flag", [
     ("family", "constant-gauss K=1 alpha=1 beta=0", "0.1:0.5:5e-324", "0:1", "u"),
     ("invariants", "direct f=u+1 phi=1", "0:1:5e-324", "0:1", "u"),

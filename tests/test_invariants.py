@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from meridian4.cli import build_surface, parse_family_spec
 from meridian4.errors import (DomainError, FlatPointError,
                               MarginallyTrappedError, ProfileInvariantError)
 from meridian4.expressions import compile_expression
@@ -12,9 +13,10 @@ from meridian4.invariants import (InvariantRecord, StencilPass, _directional,
                                   eight_invariants, oracle_frame_derivatives,
                                   oracle_invariants)
 from meridian4.jets import jcos, jsqrt
-from meridian4.profile import Directrix, ProfileCurve, profile_point
+from meridian4.profile import Directrix, ProfileCurve, profile_point, sample_grid
 from meridian4.minkowski import minkowski_dot
-from meridian4.surface import MeridianSurface, PointCase, frames, point_data
+from meridian4.surface import (GENERAL, MeridianSurface, PointCase, frames,
+                               point_data)
 
 TWO_PI = 2.0 * math.pi
 UNIT_PHI = Directrix(compile_expression("1", "v"), (0.0, TWO_PI))
@@ -43,6 +45,31 @@ def test_reference_record():
     assert r.varkappa == 0.0
     assert r.H_norm == pytest.approx(0.5, abs=1e-12)
     assert r.epsilon == 1
+
+
+def test_H_norm_is_the_magnitude_of_nu():
+    # H = nu b with <b,b> = eps, so ||H|| = |nu|, the bits of
+    # sqrt|disc| / (2f |f'|), and the invariants CSV writes H_norm as nu's
+    # text without its sign; the specs cover both signs of f' (nu < 0 where
+    # f' < 0) and of <H,H>
+    seen = set()
+    for spec, u_range in (("direct f=sqrt(u+1) phi=2+cos(v)", (0.0, 3.0)),
+                          ("direct f=2-u^2 phi=2+cos(3*v)", (0.1, 1.3)),
+                          ("constant-gauss K=-1 alpha=1 beta=0.5 phi=2+cos(v)",
+                           (0.0, 1.0))):
+        s = build_surface(*parse_family_spec(spec), None, u_range, (0.0, TWO_PI)).surface
+        for u in sample_grid(u_range, 12):
+            for v in sample_grid((0.0, TWO_PI), 12):
+                d = point_data(s, u, v)
+                if d.case is not GENERAL:
+                    continue
+                r = eight_invariants(d)
+                assert math.copysign(1.0, r.H_norm) == 1.0
+                assert r.H_norm == abs(r.nu1), (spec, u, v)
+                assert r.H_norm == math.sqrt(abs(d.disc)) / (2.0 * d.p.f * abs(d.p.fp))
+                assert repr(r.H_norm) == repr(r.nu1).lstrip("-"), (spec, u, v)
+                seen.add((d.p.fp > 0, r.epsilon))
+    assert seen == {(True, 1), (True, -1), (False, 1), (False, -1)}
 
 
 def test_record_is_an_immutable_named_tuple():

@@ -267,10 +267,10 @@ def test_point_data_scalars():
     assert d.disc == pytest.approx(0.25)
 
 
-def record_pair(kappa, fp, q):
+def record_pair(kappa, fp, q, f=1.0):
     """A profile record and a directrix record at (0.5, 1.0) with the given
-    kappa, f' and q and kappa_m = 100."""
-    p = ProfilePoint(u=0.5, f=1.0, fp=fp, fpp=100.0 * fp, fppp=0.0,
+    kappa, f', q and f and kappa_m = 100."""
+    p = ProfilePoint(u=0.5, f=f, fp=fp, fpp=100.0 * fp, fppp=0.0,
                      gp=-0.5 / fp, kappa_m=100.0, q=q, gamma1=fp / math.sqrt(2.0),
                      K=-100.0 * fp)
     c = DirectrixPoint(v=1.0, phi=1.0, phid=0.0, kappa=kappa,
@@ -304,6 +304,24 @@ def test_invariants_raise_where_a_u_factor_is_not_finite():
                            r"u = 0.5 is not finite$"):
             eight_invariants(d)
     assert d.p._terms is None
+
+
+POINT_NOT_FINITE = r"^the invariants at \(u, v\) = \(0.5, 1.0\) are not finite$"
+
+
+@pytest.mark.parametrize("kappa, fp, q, f, message", [
+    # every u-only factor is finite, but k = -kappa_m^2 kappa^2 / f^2 overflows
+    (1e153, 1.0, 1.0, 1.0, POINT_NOT_FINITE),
+    (1.0, 1e-9, 1.0, 1e-160, POINT_NOT_FINITE),   # over a subnormal f^2 = 1e-320
+    # f^2, the divisor of k, underflows to 0: a factor of u alone
+    (1.0, 1.0, 2.0, 1e-300,
+     r"^a factor of the invariants at u = 0.5 is not finite$")],
+    ids=["k", "f-subnormal-square", "f-square-zero"])
+def test_invariants_raise_where_the_record_is_not_finite(kappa, fp, q, f, message):
+    d = combine(*record_pair(kappa, fp, q, f))
+    assert d.case is PointCase.GENERAL
+    with pytest.raises(DomainError, match=message):
+        eight_invariants(d)
 
 
 @pytest.mark.parametrize("read", [lambda d: d, frames, eight_invariants],
