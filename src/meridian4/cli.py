@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands (`meridian4 <subcommand> --help` names its flags; --u and --v
+take start:end[:step], and --grid NUxNV):
   family      generate a family profile, write (u, f, f', f'', g) CSV + spec JSON
   invariants  tabulate the invariant record on a (u, v) grid as CSV
   verify      run the verification suite, write a JSON report
@@ -23,10 +24,10 @@ All numeric output uses shortest round-trip float formatting; outputs carry
 no timestamps, so identical invocations are byte-identical.
 """
 
-import argparse
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 # what every subcommand runs; the rest is imported where a command needs it
 from .errors import MeridianError, SpecMismatchError
@@ -41,6 +42,7 @@ INVARIANT_COLUMNS = ["gamma1", "gamma2", "nu1", "nu2", "lambda", "mu",
                      "beta1", "beta2", "K", "k", "varkappa", "H_norm",
                      "epsilon"]
 MESH_FIELDS = ("K", "H_norm", "k", "lambda", "beta1", "beta2")
+MESH_PROJECTIONS = ("none", "drop-e4")
 MAX_ROWS = 10**7   # rows (family, invariants) or vertices (mesh) a command writes
 
 
@@ -203,12 +205,8 @@ def _check_grid(nu: int, nv: int, what: str) -> None:
 
 
 def _spec_dict(spec, phi_text):
-    if isinstance(spec, dict):
-        d = dict(spec)
-    else:
-        d = {"family": type(spec).__name__}
-        for key in spec.__slots__:
-            d[key] = getattr(spec, key)
+    d = dict(spec) if isinstance(spec, dict) else {
+        "family": type(spec).__name__, **{key: getattr(spec, key) for key in spec.__slots__}}
     if phi_text:
         d["phi"] = phi_text
     return d
@@ -246,12 +244,6 @@ def _write(path, text):
         fh.write("\n")
 
 
-def _json_path(out):
-    if out.endswith(".csv"):
-        return out[:-4] + ".json"
-    return out + ".json"
-
-
 def cmd_family(args) -> int:
     spec, phi_text = parse_family_spec(args.spec)
     if isinstance(spec, dict):
@@ -273,7 +265,7 @@ def cmd_family(args) -> int:
             "truncated": gen.truncated,
             "f_source": gen.f_source}
     _write(args.out, "\n".join(rows))
-    _write(_json_path(args.out), json.dumps(echo, indent=2))
+    _write(args.out.removesuffix(".csv") + ".json", json.dumps(echo, indent=2))
     return 2 if gen.truncated else 0
 
 
@@ -319,12 +311,14 @@ def cmd_verify(args) -> int:
     u0, u1, ustep = _parse_range(args.u, "u", unread)
     v0, v1, vstep = _parse_range(args.v, "v", unread)
     gen = build_surface(spec, phi_text, args.f0, (u0, u1), (v0, v1))
+    from .invariants import DEFAULT_ORACLE_STEP  # --oracle-step's default
     from .verification import verify_generated  # only verify runs the suite
     n_pts = 50
     if args.grid:
         nu, nv = _grid_counts(args, ustep, vstep, (u0, u1), (v0, v1))
         n_pts = min(nu * nv, 100)
-    report = verify_generated(gen, n_pts, args.oracle_step)
+    h = DEFAULT_ORACLE_STEP if args.oracle_step is None else args.oracle_step
+    report = verify_generated(gen, n_pts, h)
     for line in report.lines():
         print(line)
     if args.out:
@@ -337,6 +331,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mesh(args) -> int:
+    if args.projection not in MESH_PROJECTIONS:
+        raise SpecError(f"unknown mesh projection {args.projection!r}; "
+                        f"choose from {MESH_PROJECTIONS}")
+    drop_e4 = args.projection == "drop-e4"
     spec, phi_text = parse_family_spec(args.spec)
     u0, u1, ustep = _parse_range(args.u, "u", args.grid and "with --grid")
     v0, v1, vstep = _parse_range(args.v, "v", args.grid and "with --grid")
@@ -362,10 +360,7 @@ def cmd_mesh(args) -> int:
         for c in cols:
             d = combine(p, c)
             z = embed(d, g)
-            if args.projection == "drop-e4":
-                vertices.append([z.c1, z.c2, z.c3])
-            else:
-                vertices.append([z.c1, z.c2, z.c3, z.c4])
+            vertices.append([z.c1, z.c2, z.c3] if drop_e4 else [z.c1, z.c2, z.c3, z.c4])
             if wanted:
                 # one invariant record per vertex; every field is null where
                 # the record is undefined (flat or marginally trapped points)
@@ -398,73 +393,76 @@ def _record_attr(column):
 
 _COMMANDS = {"family": cmd_family, "invariants": cmd_invariants,
              "verify": cmd_verify, "mesh": cmd_mesh}
+# each command's flags, flag -> default or _REQUIRED: the five common ones
+# first, in the order of the usage line
+_REQUIRED = object()
+_COMMON = {"--spec": _REQUIRED, "--f0": None, "--u": _REQUIRED, "--v": _REQUIRED,
+           "--out": _REQUIRED}
+_FLAGS = {
+    "family": {**_COMMON, "--v": None},
+    "invariants": {**_COMMON, "--grid": None, "--tol": 1e-9},
+    "verify": {**_COMMON, "--out": None, "--grid": None, "--oracle-step": None},
+    "mesh": {**_COMMON, "--grid": None, "--fields": None, "--projection": "none"},
+}
+_FLOATS = ("--f0", "--tol", "--oracle-step")   # float(): nan and inf reach the commands
 
 
-class _Parser(argparse.ArgumentParser):
-    """Exits 1 on a usage error, with argparse's message: 2 means truncated."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser(argv):
-    """The top-level parser with only the subparser that argv[0] names, or
-    with all four where it names none (help, an empty argv, an invalid
-    command); either parses argv and words its messages as all four do."""
-    p = _Parser(prog="meridian4", description=__doc__,
-                formatter_class=argparse.RawDescriptionHelpFormatter)
-    one = argv[:1] if argv and argv[0] in _COMMANDS else None
-    # with one subparser, the metavar keeps all four names in the top-level
-    # usage that an "unrecognized arguments" error prints
-    sub = p.add_subparsers(dest="command", required=True,
-                           metavar=one and "{" + ",".join(_COMMANDS) + "}")
-    names = one or _COMMANDS
-    if "verify" in names:
-        from .invariants import DEFAULT_ORACLE_STEP  # verify's --oracle-step default
-    for name in names:
-        sp = sub.add_parser(name)
-        sp.add_argument("--spec", required=True)
-        sp.add_argument("--f0", type=float, default=None)
-        sp.add_argument("--u", required=True, help="start:end[:step]")
-        sp.add_argument("--v", required=(name != "family"),
-                        help="start:end[:step]")
-        sp.add_argument("--out", required=(name != "verify"))
-        if name != "family":
-            sp.add_argument("--grid", default=None, help="NUxNV")
-        if name == "invariants":
-            sp.add_argument("--tol", type=float, default=1e-9)
-        if name == "verify":
-            sp.add_argument("--oracle-step", type=float,
-                            default=DEFAULT_ORACLE_STEP)
-        if name == "mesh":
-            sp.add_argument("--fields", default=None)
-            sp.add_argument("--projection", choices=("none", "drop-e4"),
-                            default="none")
-        sp.set_defaults(fn=_COMMANDS[name])
-    return p
+def _exit(name, error=None):
+    """Exit 0 after help: the usage line of command `name` (None: of
+    meridian4) and the module docstring. Exit 1 after a usage error, with
+    the usage line and one error line on stderr: 2 means truncated."""
+    prog = "meridian4" if name is None else f"meridian4 {name}"
+    words = [f"usage: {prog}" + (" {" + ",".join(_FLAGS) + "} ..." if name is None else "")]
+    for flag, default in _FLAGS.get(name, {}).items():
+        word = f"{flag} {flag[2:].upper().replace('-', '_')}"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    if error is None:
+        print(" ".join(words), __doc__, sep="\n\n", end="")
+    else:
+        print(" ".join(words), f"{prog}: error: {error}", sep="\n", file=sys.stderr)
+    raise SystemExit(0 if error is None else 1)
 
 
-def _attach_values(argv):
-    """argv with each value that starts with '-' and a digit or '.' joined
-    to the option before it, `--u -1:1` as `--u=-1:1`: argparse would take
-    the value for an option and report the one before it as given none."""
-    out = []
-    for tok in argv:
-        prev = out[-1] if out else ""
-        if (tok[:1] == "-" and (tok[1:2].isdigit() or tok[1:2] == ".")
-                and prev[:2] == "--" and "=" not in prev and prev not in ("--", "--help")):
-            out[-1] = f"{prev}={tok}"
-        else:
-            out.append(tok)
-    return out
+def _parse_args(argv):
+    """(command function, args) of argv, which reads `--flag value` and
+    `--flag=value`; a value may start with '-' but not with '--'."""
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        _exit(None)
+    if name not in _FLAGS:
+        what = "missing command" if name is None else f"unknown command {name!r}"
+        _exit(None, f"{what}; choose from {', '.join(_FLAGS)}")
+    flags, given, tokens = _FLAGS[name], {}, iter(argv[1:])
+    for tok in tokens:
+        if tok in ("-h", "--help"):
+            _exit(name)
+        flag, eq, value = tok.partition("=")
+        if flag not in flags:
+            _exit(name, f"unknown flag {flag!r}" if tok[:2] == "--"
+                  else f"expected a flag, found {tok!r}")
+        if flag in given:
+            _exit(name, f"flag {flag} is given more than once")
+        if not eq:
+            value = next(tokens, "--")   # the end of argv is no value either
+            if value[:2] == "--":
+                _exit(name, f"flag {flag} needs a value")
+        if flag in _FLOATS:
+            try:
+                value = float(value)
+            except ValueError:
+                _exit(name, f"flag {flag} needs a number, got {value!r}")
+        given[flag] = value
+    missing = [f for f, default in flags.items() if default is _REQUIRED and f not in given]
+    if missing:
+        _exit(name, f"missing {', '.join(missing)}")
+    return _COMMANDS[name], SimpleNamespace(**{
+        f[2:].replace("-", "_"): given.get(f, default) for f, default in flags.items()})
 
 
 def main(argv=None) -> int:
-    argv = _attach_values(sys.argv[1:] if argv is None else argv)
-    args = _build_parser(argv).parse_args(argv)
+    fn, args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.fn(args)
+        return fn(args)
     except MeridianError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

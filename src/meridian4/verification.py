@@ -100,6 +100,12 @@ def sample_general_points(s: MeridianSurface, n: int, rng, h: float) -> list:
     raises MeridianError, or DomainError where the stencil is what does not
     fit; too few points raise MeridianError, naming how many points were
     passed over for each reason, and the first error a point raised."""
+    return [(u, v) for u, v, _ in _sample(s, n, rng, h)]
+
+
+def _sample(s: MeridianSurface, n: int, rng, h: float) -> list:
+    """sample_general_points as (u, v, closed-form record) triples: a point
+    whose point record or closed-form record raises is passed over."""
     u0, u1 = s.profile.domain
     v0, v1 = s.directrix.domain
     margin = max(SAMPLE_MARGIN, 2.0 * h)
@@ -122,20 +128,18 @@ def sample_general_points(s: MeridianSurface, n: int, rng, h: float) -> list:
         v = rng.uniform(v0 + margin, v1 - margin)
         try:
             d = point_data(s, u, v)
+            if d.case is not GENERAL:
+                reason = "marginally trapped" if d.case is MARGINALLY_TRAPPED else "flat"
+            elif abs(d.disc) < 1e-4 * max(abs(d.c.kappa * d.p.fp), abs(d.p.q))**2:
+                # too close to marginally trapped for stable frames
+                reason = "inside the 1e-4 discriminant margin"
+            else:
+                pts.append((u, v, eight_invariants(d)))
+                continue
         except MeridianError as exc:
-            passed_over["raised"] += 1
+            reason = "raised"
             skipped = skipped or exc
-            continue
-        if d.case is not GENERAL:
-            passed_over["marginally trapped" if d.case is MARGINALLY_TRAPPED
-                        else "flat"] += 1
-            continue
-        scale = max(abs(d.c.kappa * d.p.fp), abs(d.p.q))
-        if abs(d.disc) < 1e-4 * scale**2:
-            # too close to marginally trapped for stable frames
-            passed_over["inside the 1e-4 discriminant margin"] += 1
-            continue
-        pts.append((u, v))
+        passed_over[reason] += 1
     if len(pts) < n:
         counts = ", ".join(f"{k} {reason}" for reason, k in passed_over.items())
         why = f"; the first point passed over raised: {skipped}" if skipped else ""
@@ -151,10 +155,11 @@ def _richardson(coarse, fine):
 
 
 def _point_rows(s: MeridianSurface, pts, h: float) -> list:
-    """The records of every per-point row over pts, in _POINT_ROWS order.
-    Each point's rows read one stencil pass at h, one at h/2 reusing its
-    centre, and one closed-form record; a point's passes are dropped before
-    the next point's are built. The rows:
+    """The records of every per-point row over pts, (u, v, closed-form
+    record) triples from _sample, in _POINT_ROWS order. Each point's rows
+    read one stencil pass at h, one at h/2 reusing its centre, and the
+    point's record; a point's passes are dropped before the next point's
+    are built. The rows:
     - oracle:<field>: |closed form - Richardson(oracle)| of each numeric field
       of the invariant record, at both signs of <H,H>;
     - the identities that relate independent closed forms: k against nu1,
@@ -170,11 +175,10 @@ def _point_rows(s: MeridianSurface, pts, h: float) -> list:
       (the n2 rows carry the orientation of n2 that keeps the table
       compatible with d<X,n2> = 0)."""
     rows = [[] for _ in _POINT_ROWS]
-    for (u, v) in pts:
+    for u, v, r in pts:
         coarse = StencilPass(s, u, v, h)
         fine = StencilPass(s, u, v, h / 2.0, coarse.centre)
         centre = coarse.centre
-        r = eight_invariants(centre.d)
         lo = oracle_invariants(coarse)
         hi = oracle_invariants(fine)
         errs = [abs(getattr(r, name) - _richardson(getattr(lo, name), getattr(hi, name)))
@@ -244,8 +248,7 @@ def verify_generated(gen: GeneratedSurface, n_points: int = 50,
     the first sample point, which is general."""
     if n_points < 1:
         raise MeridianError(f"verify needs at least one sample point, got {n_points}")
-    pts = sample_general_points(gen.surface, n_points, random.Random(SAMPLE_SEED),
-                                oracle_step)
+    pts = _sample(gen.surface, n_points, random.Random(SAMPLE_SEED), oracle_step)
     rows = _point_rows(gen.surface, pts, oracle_step)
     if gen.spec is not None:
         rows += [check_defining_property(gen), *check_family_targets(gen, pts[0][1])]

@@ -377,3 +377,25 @@ def test_criterion_10_verify_reports_byte_identical(name, tmp_path):
     assert main(["verify", *GOLDEN_VERIFY[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
     report(f"criterion 10: verify report {name} byte-identical")
+
+
+# --- verify on the surfaces of criteria 1 and 4 ---------------------------------
+# Both exit 1 on oracle rows alone, next to a marginally trapped line or a
+# realized end, where the Richardson-extrapolated central differences at the
+# default step do not reach ORACLE_TOL. An oracle that estimates its own
+# resolution is what should flip these; the tolerance and the sampler stay.
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="oracle:beta1 and oracle:beta2 fail by 3.821e-3, at a "
+                          "point 9e-4 from the marginally trapped line u = pi/6")
+def test_verify_passes_on_the_criterion_01_surface():
+    assert main(["verify", "--spec", "constant-gauss K=1 alpha=1 beta=0",
+                 "--u", "0.1:1.4", "--v", "0:6.283185307179586"]) == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="oracle:nu1 fails by 1.184e-6 and oracle:K by 4.566e-6, "
+                          "next to the realized end u = 1.2756")
+def test_verify_passes_on_the_criterion_04_surface():
+    assert main(["verify", "--spec", "chen b=2 c=0.5 branch=-", "--f0", "1.5",
+                 "--u", "0:1.5", "--v", "0:0.3"]) == 0

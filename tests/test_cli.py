@@ -2,7 +2,9 @@
 
 import json
 import math
+import pathlib
 import random
+import re
 import sys
 from collections import Counter
 
@@ -758,21 +760,76 @@ def _exit(parse, argv, capsys):
     return out, err, exc.value.code
 
 
-@pytest.mark.parametrize("argv", [["--help"], [], ["bogus"]] + [
-    argv for c, required in _REQUIRED.items() for argv in (
-        [c, "--help"], [c, *required, "--bogus", "1"], [c, *required[2:]])],
-    ids=lambda argv: " ".join(argv) or "empty")
-def test_parser_messages_are_those_of_the_parser_with_all_four(capsys, argv):
-    # main builds only the subparser that argv[0] names; an argv that names
-    # none builds all four, as every argv did before
-    full = cli._build_parser([])
-    assert _exit(main, argv, capsys) == _exit(full.parse_args, argv, capsys)
+# each command's usage line, as a usage error prints it above its error line
+_USAGE = {
+    "family": "usage: meridian4 family --spec SPEC [--f0 F0] --u U [--v V] --out OUT",
+    "invariants": "usage: meridian4 invariants --spec SPEC [--f0 F0] --u U --v V "
+                  "--out OUT [--grid GRID] [--tol TOL]",
+    "verify": "usage: meridian4 verify --spec SPEC [--f0 F0] --u U --v V [--out OUT] "
+              "[--grid GRID] [--oracle-step ORACLE_STEP]",
+    "mesh": "usage: meridian4 mesh --spec SPEC [--f0 F0] --u U --v V --out OUT "
+            "[--grid GRID] [--fields FIELDS] [--projection PROJECTION]",
+    None: "usage: meridian4 {family,invariants,verify,mesh} ...",
+}
+_CHOOSE = "choose from family, invariants, verify, mesh"
 
 
-@pytest.mark.parametrize("command", sorted(_REQUIRED))
-def test_one_subparser_parses_as_all_four(command):
-    argv = [command, *_REQUIRED[command], "--out", "x"]
-    assert cli._build_parser(argv).parse_args(argv) == cli._build_parser([]).parse_args(argv)
+def _usage_error(command, message):
+    prog = "meridian4" if command is None else f"meridian4 {command}"
+    return "", f"{_USAGE[command]}\n{prog}: error: {message}\n", 1
+
+
+def _help(command):
+    return f"{_USAGE[command]}\n\n{cli.__doc__}", "", 0
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(["--help"], _help(None), id="--help"),
+    pytest.param([], _usage_error(None, f"missing command; {_CHOOSE}"), id="empty"),
+    pytest.param(["bogus"], _usage_error(None, f"unknown command 'bogus'; {_CHOOSE}"),
+                 id="bogus"),
+] + [pytest.param(argv, expected, id=f"{c} {what}")
+     for c, required in _REQUIRED.items() for what, argv, expected in (
+    ("--help", [c, "--help"], _help(c)),
+    ("--bogus", [c, *required, "--bogus", "1"], _usage_error(c, "unknown flag '--bogus'")),
+    ("no --spec", [c, *required[2:]],
+     _usage_error(c, "missing --spec" + ("" if c == "verify" else ", --out"))))])
+def test_each_usage_error_and_help_exits_with_its_message(capsys, argv, expected):
+    assert _exit(main, argv, capsys) == expected
+
+
+@pytest.mark.parametrize("command, argv, message", [
+    ("family", ["--u", "--spec", "parallel-a c=1 d=1"], "flag --u needs a value"),
+    ("family", ["--spec", "parallel-a c=1 d=1", "--u", "0:1", "--out"],
+     "flag --out needs a value"),
+    ("verify", ["--spec", "x", "--u", "0:1", "--v", "0:1", "--spec", "y"],
+     "flag --spec is given more than once"),
+    ("mesh", ["--u=0:1", "--u", "0:1"], "flag --u is given more than once"),
+    ("family", ["--f0", "one"], "flag --f0 needs a number, got 'one'"),
+    ("invariants", ["--tol=abc"], "flag --tol needs a number, got 'abc'"),
+    ("verify", ["--oracle-step", ""], "flag --oracle-step needs a number, got ''"),
+    # a prefix of a flag is not that flag
+    ("verify", ["--orac", "1e-4"], "unknown flag '--orac'"),
+    ("family", ["--spec", "chen", "b=1"], "expected a flag, found 'b=1'")])
+def test_a_usage_error_is_one_error_line_and_exit_1(capsys, command, argv, message):
+    assert _exit(main, [command, *argv], capsys) == _usage_error(command, message)
+
+
+def test_help_goes_before_what_follows_it(capsys):
+    assert _exit(main, ["-h"], capsys) == _exit(main, ["--help", "bogus"], capsys)
+    assert _exit(main, ["mesh", "--u", "0:1", "-h", "--bogus"], capsys) == \
+        _help("mesh")
+
+
+def test_the_readme_flag_table_names_each_command_s_flags():
+    # each row of README's "extra flags" table against the parser's table
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = readme[readme.index("| subcommand   | extra flags |"):].split("\n\n")[0]
+    common, rows = set(cli._COMMON), {}
+    for line in table.splitlines()[2:]:
+        command, text = line.strip("|").split("|", 1)
+        rows[command.strip(" `")] = set(re.findall(r"--[a-z][a-z0-9-]*", text)) - common
+    assert rows == {c: set(flags) - common for c, flags in cli._FLAGS.items()}
 
 
 def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch, capsys):
@@ -788,7 +845,7 @@ def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch, capsys):
     ("family", "-1:1", None), ("invariants", "0:1", "-0.5:0.5"),
     ("mesh", "-.5:1", "0:1")])
 def test_a_value_may_start_with_a_minus(tmp_path, command, u, v):
-    # argparse takes "-1:1" for an option of its own; main joins it to its flag
+    # a value may start with "-", and reads as the same value joined by "="
     outs = []
     for joined in (False, True):
         argv = [command, "--spec", "parallel-a c=1 d=2"]
@@ -805,9 +862,9 @@ def test_a_negative_number_reaches_the_programs_own_check(tmp_path, capsys):
             "--u", "0:0.15", "--f0", "-1e-3", "--out", str(tmp_path / "f.csv")]
     assert main(argv) == 1
     assert "f0 > 0" in capsys.readouterr().err
-    # an option given no value keeps argparse's message
+    # a flag followed by a flag is given no value
     out, err, code = _exit(main, ["family", "--u", *_REQUIRED["family"][:2]], capsys)
-    assert code == 1 and "argument --u: expected one argument" in err
+    assert code == 1 and err.endswith("error: flag --u needs a value\n")
 
 
 @pytest.mark.parametrize("f0", ["nan", "inf", "-inf", "0"])
@@ -824,11 +881,20 @@ def test_an_ode_family_refuses_f0_that_is_not_finite_and_positive(tmp_path, caps
                    f"got {float(f0)!r}"]
 
 
+@pytest.mark.parametrize("f0", ["nan", "-inf"])
+def test_f0_given_apart_from_its_flag_reaches_the_families_check(tmp_path, capsys, f0):
+    code = main(["family", "--spec", "chen b=1 c=1 branch=+", "--f0", f0, "--u", "0:1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: ODE variants need a finite starting value f0 > 0, got {float(f0)!r}"]
+
+
 @pytest.mark.parametrize("command", ["family", "invariants", "mesh"])
 def test_a_command_without_out_is_exit_1(capsys, command):
     # 2 is reserved for a truncated generation, so a usage error exits 1
     out, err, code = _exit(main, [command, *_REQUIRED[command]], capsys)
-    assert code == 1 and "the following arguments are required: --out" in err
+    assert code == 1 and err.endswith("error: missing --out\n")
 
 
 # --- mesh command -------------------------------------------------------------
@@ -871,6 +937,17 @@ def test_mesh_unknown_field_is_exit_1(tmp_path, capsys):
                  "--fields", "bogus", "--out", str(tmp_path / "m.json")])
     assert code == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_mesh_unknown_projection_is_exit_1(tmp_path, capsys):
+    # refused by the command, as an unknown field is: one error line, no usage
+    code = main(["mesh", "--spec", "parallel-a c=1 d=1 a=0 sign=+",
+                 "--u", "0:3", "--v", "0:6.28", "--grid", "3x3",
+                 "--projection", "drop-e3", "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: unknown mesh projection 'drop-e3'; "
+                                       "choose from ('none', 'drop-e4')\n")
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_mesh_refuses_a_repeated_field(tmp_path, capsys):

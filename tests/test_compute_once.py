@@ -166,6 +166,9 @@ def test_verify_builds_each_vector_once(monkeypatch):
 def test_verify_evaluates_the_closed_forms_once_per_point(monkeypatch):
     spec, phi = parse_family_spec("constant-mean a=0.5 b=2 C=0 eps=+ branch=+")
     gen = build_surface(spec, phi, 0.6, (0.0, 0.15), (0.0, 0.3))
+    # drawn before the count starts: the sampler builds each point's record
+    pts = sample_general_points(gen.surface, 20, random.Random(SAMPLE_SEED),
+                                invariants.DEFAULT_ORACLE_STEP)
     calls = Counter()
     eight_invariants = verification.eight_invariants
 
@@ -174,10 +177,8 @@ def test_verify_evaluates_the_closed_forms_once_per_point(monkeypatch):
         return eight_invariants(d)
     monkeypatch.setattr(verification, "eight_invariants", counted)
     assert verify_generated(gen, 20).passed
-    pts = sample_general_points(gen.surface, 20, random.Random(SAMPLE_SEED),
-                                invariants.DEFAULT_ORACLE_STEP)
-    # one record per sample point, read by its oracle and identity rows, and
-    # one per family-target row at the directrix midpoint
+    # one record per sample point, built by the sampler and read by its
+    # oracle and identity rows, and one per family-target row
     assert [calls[p] for p in pts] == [1] * 20
     assert sum(calls.values()) == 70
 

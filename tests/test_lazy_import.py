@@ -38,7 +38,7 @@ PUBLIC = {
 FUNCTION_IMPORTS = {
     ("__init__", "__getattr__"), ("cli", "build_surface"),
     ("cli", "cmd_invariants"), ("cli", "cmd_mesh"), ("cli", "cmd_verify"),
-    ("cli", "_build_parser"), ("families", "integrate_autonomous"),
+    ("families", "integrate_autonomous"),
     ("profile", "_quadrature_g"),
 }
 
@@ -80,6 +80,11 @@ def test_the_cli_loads_no_module_that_only_some_commands_run(tmp_path):
     assert {"ast", "random"} & modules == set()
 
 
+def test_the_cli_parses_without_argparse(tmp_path):
+    # one table-driven loop reads argv: no argparse, nor the gettext it loads
+    assert {"argparse", "gettext"} & loaded(tmp_path) == set()
+
+
 @pytest.mark.parametrize("argv, loads", [
     (["family", "--spec", "constant-gauss K=1 alpha=1 beta=0", "--u", "0.1:0.5",
       "--out", "f.csv"], set()),
@@ -96,6 +101,7 @@ def test_a_command_loads_the_modules_it_runs(tmp_path, argv, loads):
     modules = loaded(tmp_path, argv=argv)
     assert package_modules(modules) & set(COMMAND_MODULES) == loads
     assert ("ast" in modules) == ("expressions" in loads)
+    assert {"argparse", "gettext"} & modules == set()
 
 
 def test_every_lazy_name_is_exported_by_its_submodule():

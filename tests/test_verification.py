@@ -13,6 +13,7 @@ from meridian4.errors import DomainError, MeridianError
 from meridian4.expressions import compile_expression
 from meridian4.families import GeneratedSurface, ParallelA, generate
 from meridian4.invariants import DEFAULT_ORACLE_STEP, StencilPass, eight_invariants
+from meridian4.jets import jet_function_from_derivs
 from meridian4.minkowski import Vec4
 from meridian4.profile import Directrix, DirectrixPoint, ProfileCurve, ProfilePoint
 from meridian4.surface import MeridianSurface, point_data
@@ -320,3 +321,20 @@ def test_shared_passes_give_the_standalone_oracle_values(gen, eps, monkeypatch):
 def test_verify_refuses_a_stencil_leaving_the_domain():
     with pytest.raises(DomainError, match="oracle stencil of radius"):
         verify_generated(MUTATION_SURFACES[1], n_points=5, oracle_step=1.0)
+
+
+def test_the_sampler_passes_over_a_point_whose_invariants_raise():
+    # the point records are finite, but k and beta overflow at every general
+    # point: each is passed over as raised, where verify used to stop at the
+    # first one it had accepted
+    f = jet_function_from_derivs(lambda t: (1e-5, 1e-9, 1e141, 0.0))
+    s = MeridianSurface(ProfileCurve(f, (0.0, 1.0)),
+                        Directrix(compile_expression("2+cos(v)", "v"), (0.0, 1.0)))
+    gen = GeneratedSurface(s, None, "expression", (0.0, 1.0), False)
+    with pytest.raises(MeridianError) as exc:
+        verify_generated(gen, 5)
+    assert str(exc.value) == (
+        "could only find 0/5 general sample points of 1000 drawn, passed over: "
+        "0 flat, 0 marginally trapped, 0 inside the 1e-4 discriminant margin, "
+        "1000 raised; the first point passed over raised: the invariants at "
+        "(u, v) = (0.8409776330097977, 0.7553748589108994) are not finite")
