@@ -24,7 +24,6 @@ All numeric output uses shortest round-trip float formatting; outputs carry
 no timestamps, so identical invocations are byte-identical.
 """
 
-import json
 import math
 import sys
 from types import SimpleNamespace
@@ -265,6 +264,7 @@ def cmd_family(args) -> int:
             "truncated": gen.truncated,
             "f_source": gen.f_source}
     _write(args.out, "\n".join(rows))
+    import json  # only family, verify --out and mesh write JSON
     _write(args.out.removesuffix(".csv") + ".json", json.dumps(echo, indent=2))
     return 2 if gen.truncated else 0
 
@@ -322,6 +322,7 @@ def cmd_verify(args) -> int:
     for line in report.lines():
         print(line)
     if args.out:
+        import json  # the report is written only with --out
         payload = report.to_dict()
         payload["spec"] = _spec_dict(spec, phi_text)
         payload["realized_range"] = list(gen.u_range)
@@ -377,6 +378,7 @@ def cmd_mesh(args) -> int:
         "vertices": vertices,
         "fields": fields,
     }
+    import json  # the mesh file
     _write(args.out, json.dumps(payload))
     return _truncation_code(gen, v1)
 

@@ -5,13 +5,14 @@ invariant k, Chen surfaces, and parallel normal bundle.
 Each family is one spec class, which holds all that depends on the family:
 its profile, its defining relation, the invariants it keeps constant and the
 curvature its directrix needs. Closed-form profiles are used where the
-classification gives one (constant Gauss, parallel case a); the rest
-integrate the autonomous profile equation f' = y(f) once with the
-error-controlled Dormand-Prince 5(4) pair and its dense output. A profile
-whose defining residual still exceeds RESIDUAL_TOL raises
-ProfileInvariantError rather than being returned. The directrix of constant
-curvature kappa = b that four families need is in closed form: a constant
-phi for b < 0, a circle in polar form for b > 0.
+classification gives one: constant Gauss and parallel case a, and the
+constant-k and Chen profiles, whose autonomous equation f' = y(f) has an
+elementary solution from f0. The other two (constant mean, parallel case b)
+integrate f' = y(f) once with the error-controlled Dormand-Prince 5(4) pair
+and its dense output; such a profile whose defining residual still exceeds
+RESIDUAL_TOL raises ProfileInvariantError rather than being returned. The
+directrix of constant curvature kappa = b that four families need is in
+closed form: a constant phi for b < 0, a circle in polar form for b > 0.
 """
 
 import math
@@ -48,6 +49,12 @@ def _require_nonzero(name, value):
 def _require_sign(name, value):
     if value not in (1, -1):
         raise SpecMismatchError(f"{name} must be +1 or -1, got {value!r}")
+
+
+def _require_f0(f0):
+    if f0 is None or not 0.0 < f0 < math.inf:
+        raise SpecMismatchError(
+            f"ODE variants need a finite starting value f0 > 0, got {f0!r}")
 
 
 def _relative(lhs: float, rhs: float, *scale: float) -> float:
@@ -92,7 +99,8 @@ class _ClosedForm(FamilySpec):
             raise SpecMismatchError(
                 f"{type(self).__name__} is in closed form and takes no f0")
         f = self.f()
-        realized, truncated = _closed_form_end(self, f, u_range)
+        realized, truncated = _closed_form_end(f, self.crossing(u_range[0]), u_range,
+                                               math.inf)
         g_origin, g = self.g(realized[0])
         return ProfileCurve(f, realized, g_origin, g_eval=g), realized, truncated
 
@@ -100,7 +108,7 @@ class _ClosedForm(FamilySpec):
 class _Autonomous(FamilySpec):
     """A family whose profile solves f' = y(f) from f0 > 0, over a directrix
     of constant curvature kappa = b: y() is the jet-capable y, which on a
-    float gives the float y(t)."""
+    float gives the float y(t). realize integrates it."""
 
     __slots__ = ()
     f_source = "ode-integrated"
@@ -110,9 +118,7 @@ class _Autonomous(FamilySpec):
         return self.b
 
     def realize(self, f0: float | None, u_range: tuple):
-        if f0 is None or not 0.0 < f0 < math.inf:
-            raise SpecMismatchError(
-                f"ODE variants need a finite starting value f0 > 0, got {f0!r}")
+        _require_f0(f0)
         y = self.y()
         path = integrate_autonomous(y, f0, u_range)
         profile = profile_from_path(path, y)
@@ -123,6 +129,30 @@ class _Autonomous(FamilySpec):
             raise ProfileInvariantError(
                 f"defining residual {worst:.3e} at u = {where} exceeds {RESIDUAL_TOL}")
         return profile, realized, path.truncated
+
+
+class _Solved(_Autonomous):
+    """An autonomous family whose f' = y(f) has an elementary solution:
+    solve(f0, y(f0), u0) gives the jet-capable f with f(u0) = f0, g on floats
+    with g(u0) = 0, and u_at(t), where f = t (NaN where it never is), and
+    slope_quadratic(X) a quadratic (a, b, c) whose positive roots are the
+    t with y(t) = X. The range ends where integrate_autonomous would stop,
+    where f reaches 0 or _F_BOUND or |f'| reaches _F_BOUND or FPRIME_FLOOR.
+    No residual pass runs: it guards against integrator error."""
+
+    __slots__ = ()
+    f_source = "closed-form"
+
+    def realize(self, f0: float | None, u_range: tuple):
+        _require_f0(f0)
+        u0 = u_range[0]
+        f, g, u_at = self.solve(f0, _start_slope(self.y(), f0), u0)
+        levels = [0.0, _F_BOUND] + [
+            t for X in (_F_BOUND, -_F_BOUND, FPRIME_FLOOR, -FPRIME_FLOOR)
+            for t in _positive_roots(*self.slope_quadratic(X))]
+        realized, truncated = _closed_form_end(
+            f, _first_after(u0, map(u_at, levels)), u_range, _F_BOUND)
+        return ProfileCurve(f, realized, 0.0, g_eval=g), realized, truncated
 
 
 class ConstantGauss(_ClosedForm):
@@ -231,8 +261,8 @@ class ConstantGauss(_ClosedForm):
         # f' = +-FPRIME_FLOOR are quadratics in w = e^x
         r, P, Q = self._form()
         c = FPRIME_FLOOR / r
-        xs = _exp_roots(P, 0.0, Q) + _exp_roots(P, -c, -Q) + _exp_roots(P, c, -Q)
-        return _first_after(u0, [x / r for x in xs])
+        ws = _positive_roots(P, 0.0, Q) + _positive_roots(P, -c, -Q) + _positive_roots(P, c, -Q)
+        return _first_after(u0, [math.log(w) / r for w in ws])
 
     def residual(self, p) -> float:
         return abs(p.fpp + self.K * p.f) / max(abs(self.K * p.f), 1e-30)
@@ -286,7 +316,7 @@ class ConstantMean(_Autonomous):
         return ((f"||H||=={abs(self.a)}", "H_norm", abs(self.a), 1e-6),)
 
 
-class ConstantK(_Autonomous):
+class ConstantK(_Solved):
     """Surfaces with invariant k = const = -a^2; needs kappa = const = b."""
     __slots__ = ("a", "b", "c", "branch")
 
@@ -303,6 +333,56 @@ class ConstantK(_Autonomous):
             return c + s * a * t * t / (2.0 * b)
         return y
 
+    def slope_quadratic(self, X: float) -> tuple:
+        return self.branch * self.a / (2.0 * self.b), 0.0, self.c - X
+
+    def solve(self, f0: float, y0: float, u0: float):
+        # f' = c + alpha f^2, a Riccati equation with constant coefficients
+        c = self.c
+        alpha = self.branch * self.a / (2.0 * self.b)
+        if c * alpha > 0.0:
+            # f' = alpha (f^2 + r^2): f = r tan(theta), theta = alpha r (u - u0) + theta0
+            r = math.sqrt(c / alpha)
+            omega, theta0 = alpha * r, math.atan(f0 / r)
+
+            def f(x):
+                return r * jets.jtan(omega * (x - u0) + theta0)
+
+            def u_at(t):
+                return u0 + (math.atan(t / r) - theta0) / omega
+        elif c * alpha < 0.0:
+            # f' = alpha (f^2 - rho^2): f = rho tanh(z) below rho, rho coth(z)
+            # above it, z = z0 - alpha rho (u - u0)
+            rho = math.sqrt(-c / alpha)
+            below, kappa = f0 < rho, -alpha * rho
+            z0 = math.atanh(f0 / rho if below else rho / f0)
+
+            def f(x):
+                th = jets.jtanh(kappa * (x - u0) + z0)
+                return rho * th if below else rho / th
+
+            def u_at(t):
+                if not ((t < rho) if below else (t > rho)):
+                    return math.nan
+                return u0 + (math.atanh(t / rho if below else rho / t) - z0) / kappa
+        else:
+            # f' = alpha f^2: 1/f = 1/f0 - alpha (u - u0), and f never reaches 0
+            def f(x):
+                return f0 / (1.0 - alpha * f0 * (x - u0))
+
+            def u_at(t):
+                return u0 + (1.0 / f0 - 1.0 / t) / alpha if t else math.nan
+        m = 4.0 * c * alpha
+
+        def g(u):
+            # g' = -1/(2 y(f)) integrates to -(f - f0) / (2 y y0) - alpha D(m, h),
+            # h = u - u0, with D = (h - sin(w h) / w) / w^2 for w^2 = m = 4 c alpha:
+            # no division by c, so c = 0 (D = h^3 / 6) needs no case. y is f'
+            # from the jet: c + alpha f^2 cancels where f nears rho
+            fj = jet_eval(f, u)
+            return -(fj.f - f0) / (2.0 * fj.d1 * y0) - alpha * _sine_defect(m, u - u0)
+        return f, g, u_at
+
     def residual(self, p) -> float:
         return _relative(self.b * p.fpp, self.branch * self.a * p.f * p.fp)
 
@@ -311,7 +391,7 @@ class ConstantK(_Autonomous):
         return ((f"k=={-self.a**2}", "k", -self.a**2, 1e-6),)
 
 
-class Chen(_Autonomous):
+class Chen(_Solved):
     """Chen surfaces (invariant lambda = 0); needs kappa = const = b."""
     __slots__ = ("b", "c", "exponent_branch")
 
@@ -321,14 +401,17 @@ class Chen(_Autonomous):
         _require_sign("exponent_branch", exponent_branch)
         set_fields(self, b, c, exponent_branch)
 
+    def _rates(self) -> tuple:
+        """(A, B) with y(t) = A t + B / t; A B = b^2 / 4 > 0."""
+        A, B = 0.5 * self.c, 0.5 * self.b * self.b / self.c
+        return (B, A) if self.exponent_branch == -1 else (A, B)
+
     def y(self):
         # (c^2 t^2s + b^2) / (2 c t^s) as c t^s / 2 + (b^2 / 2c) t^-s: the
         # quotient's third derivative cubes the derivative of c t^s, which
         # overflows next to t = 0 while y''' itself does not. With s = +-1
         # that is A t + B (1 / t).
-        A, B = 0.5 * self.c, 0.5 * self.b * self.b / self.c
-        if self.exponent_branch == -1:
-            A, B = B, A
+        A, B = self._rates()
 
         def y(t):
             tv = jets.value(t)
@@ -336,6 +419,34 @@ class Chen(_Autonomous):
                 raise DomainError("t must be positive", t=tv)
             return A * t + B * (1.0 / t)
         return y
+
+    def slope_quadratic(self, X: float) -> tuple:
+        A, B = self._rates()
+        return A, -X, B
+
+    def solve(self, f0: float, y0: float, u0: float):
+        # f f' = A f^2 + B is linear in f^2: f^2 + beta = S e^(2 A (u - u0)),
+        # beta = B / A > 0, S = f0^2 + beta
+        A, B = self._rates()
+        beta = B / A
+        S, rb = f0 * f0 + beta, math.sqrt(beta)
+
+        def f(x):
+            return jets.jsqrt(S * jets.jexp(2.0 * A * (x - u0)) - beta)
+
+        def u_at(t):
+            return u0 + math.log((t * t + beta) / S) / (2.0 * A)
+
+        # with psi = atan(f / sqrt(beta)), g = -(psi - sin(psi) cos(psi)) /
+        # (4 A^2 sqrt(beta)); its change from psi0 is written as two terms of
+        # the sign of psi - psi0, which do not cancel where psi is small
+        psi0, scale = math.atan(f0 / rb), -0.25 / (A * A * rb)
+
+        def g(u):
+            dpsi = math.atan(f(u) / rb) - psi0
+            s = math.sin(psi0 + 0.5 * dpsi)
+            return scale * (_sine_defect(1.0, dpsi) + 2.0 * math.sin(dpsi) * (s * s))
+        return f, g, u_at
 
     def residual(self, p) -> float:
         # squared form of f f'' = +/- f' sqrt(f'^2 - b^2): sign is pointwise
@@ -437,10 +548,7 @@ def integrate_autonomous(y: Callable[[Jet], Jet], f0: float, u_range: tuple):
     computed; the path carries f values.
     """
     from .odeint import dormand_prince  # only the ODE families integrate
-    y0 = y(f0)
-    if abs(y0) < FPRIME_FLOOR:
-        raise ProfileInvariantError(f"y(f0) = {y0} at f0 = {f0}: f' = 0 at the start")
-    sign0 = 1.0 if y0 > 0 else -1.0
+    sign0 = 1.0 if _start_slope(y, f0) > 0 else -1.0
 
     def rhs(t):
         if not 0.0 < t < _F_BOUND:
@@ -452,6 +560,14 @@ def integrate_autonomous(y: Callable[[Jet], Jet], f0: float, u_range: tuple):
         return yv
 
     return dormand_prince(rhs, u_range[0], u_range[1], f0)
+
+
+def _start_slope(y: Callable[[Jet], Jet], f0: float) -> float:
+    """y(f0), or ProfileInvariantError where |y(f0)| < FPRIME_FLOOR."""
+    y0 = y(f0)
+    if abs(y0) < FPRIME_FLOOR:
+        raise ProfileInvariantError(f"y(f0) = {y0} at f0 = {f0}: f' = 0 at the start")
+    return y0
 
 
 def profile_from_path(path, y: Callable[[Jet], Jet],
@@ -473,44 +589,61 @@ def profile_from_path(path, y: Callable[[Jet], Jet],
                         (path.t0, path.t1), g_origin, g_eval)
 
 
-def _exp_roots(a: float, b: float, c: float) -> list:
-    """The real x whose w = e^x solves a w^2 + b w + c = 0, from the
+def _positive_roots(a: float, b: float, c: float) -> list:
+    """The positive real roots of a w^2 + b w + c = 0, from the
     cancellation-free pair of roots q/a and c/q."""
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         return []
     q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
     ws = ([q / a] if a else []) + ([c / q] if q else [])
-    return [math.log(w) for w in ws if w > 0.0]
+    return [w for w in ws if w > 0.0]
 
 
-def _admissible(f, u: float) -> bool:
-    """f > 0 and |f'| >= FPRIME_FLOOR at u."""
+def _sine_defect(m: float, h: float) -> float:
+    """(h - sin(w h) / w) / m for m = w^2 > 0, with sinh for m = -w^2 < 0
+    and h^3 / 6 at m = 0: the sum of (-m)^n h^(2n+3) / (2n+3)!. Where
+    |m| h^2 < 1 the difference would cancel, and the first eight terms of
+    the sum leave out less than 1e-16 of it."""
+    x = m * h * h
+    if abs(x) >= 1.0:
+        w = math.sqrt(abs(m))
+        return (h - (math.sin(w * h) if m > 0.0 else math.sinh(w * h)) / w) / m
+    term = total = h * h * h / 6.0
+    for k in range(4, 18, 2):
+        term *= -x / (k * (k + 1))
+        total += term
+    return total
+
+
+def _admissible(f, u: float, bound: float) -> bool:
+    """0 < f <= bound and FPRIME_FLOOR <= |f'| <= bound at u."""
     try:
         fj = jet_eval(f, u)
     except DomainError:
         return False
-    return fj.f > 0.0 and abs(fj.d1) >= FPRIME_FLOOR
+    return 0.0 < fj.f <= bound and FPRIME_FLOOR <= abs(fj.d1) <= bound
 
 
-def _closed_form_end(spec: _ClosedForm, f, u_range: tuple):
+def _closed_form_end(f, crossing: float, u_range: tuple, bound: float):
     """The realized range (u0, end) of a closed-form profile and whether it
-    was truncated: end is the largest u <= u1 with f > 0 and |f'| >=
-    FPRIME_FLOOR on all of [u0, u].
+    was truncated: end is the largest u <= u1 with f and f' admissible
+    (_admissible under bound) on all of [u0, u].
 
-    The first crossing comes from the closed form; where rounding leaves it
-    just outside the admissible set, it is stepped back by 1, 2, 4, ... ulps.
+    The first crossing, from the closed form, is given; where rounding
+    leaves it just outside the admissible set, it is stepped back by 1, 2,
+    4, ... ulps.
     """
     u0, u1 = u_range
-    if not _admissible(f, u0):
+    if not _admissible(f, u0, bound):
         raise ProfileInvariantError(f"profile invalid at the left end of {u_range}")
-    end = min(u1, spec.crossing(u0))
+    end = min(u1, crossing)
     step = math.ulp(end)
     for _ in range(_STEP_BACKS):
-        if end <= u0 or _admissible(f, end):
+        if end <= u0 or _admissible(f, end, bound):
             break
         end, step = end - step, 2.0 * step
-    if end <= u0 or not _admissible(f, end):
+    if end <= u0 or not _admissible(f, end, bound):
         raise ProfileInvariantError(
             f"no admissible profile beyond the left end of {u_range}")
     return (u0, end), end < u1
@@ -597,15 +730,17 @@ def generate(spec: FamilySpec, f0: float | None, u_range: tuple,
     """Build the family member over the given directrix.
 
     For kappa-constrained variants the directrix curvature is verified to be
-    the required constant (tolerance 1e-8 on a v-grid). Closed-form variants
-    take no f0 (SpecMismatchError if one is given); their realized range ends
-    exactly where f reaches 0 or |f'| reaches FPRIME_FLOOR, computed from the
-    closed form (the largest u <= u1 with f > 0 and |f'| >= FPRIME_FLOOR on
-    all of [u0, u]). ODE variants are integrated once; if the defining
-    residual on 50 points of the realized range exceeds RESIDUAL_TOL,
-    ProfileInvariantError is raised, and their range ends where y's domain
-    would be left, f' would vanish or the solution runs away. An early end is reported via `truncated`, not as a
-    failure; a profile that fails at u0 itself raises ProfileInvariantError.
+    the required constant (tolerance 1e-8 on a v-grid). Constant Gauss and
+    parallel case a take no f0 (SpecMismatchError if one is given); their
+    realized range ends exactly where f reaches 0 or |f'| reaches
+    FPRIME_FLOOR (the largest u <= u1 with f > 0 and |f'| >= FPRIME_FLOOR on
+    all of [u0, u]). The f' = y(f) families start from f0 and end where y's
+    domain would be left, f' would vanish or f or f' runs away: constant-k
+    and Chen exactly there, from their closed forms, the ODE variants where
+    the integration stops; if an ODE profile's defining residual on 50
+    points exceeds RESIDUAL_TOL, ProfileInvariantError is raised. An early
+    end is reported via `truncated`, not as a failure; a profile that fails
+    at u0 itself raises ProfileInvariantError.
     """
     required_kappa = spec.kappa_constant
     if required_kappa is not None:

@@ -48,9 +48,11 @@ def _u_terms(p: ProfilePoint) -> tuple:
     |f'| >= 1e-9, f^2 != 0 keeps the other u-only divisors nonzero)."""
     f, fp, fpp, q = p.f, p.fp, p.fpp, p.q
     try:
-        two_f, f2, fp2 = 2.0 * f, f**2, fp**2
+        # squares as products: x**2 goes through libm pow, which is not
+        # correctly rounded everywhere
+        two_f, f2, fp2 = 2.0 * f, f * f, fp * fp
         two_ffp = two_f * fp
-        terms = (two_f, two_ffp, f * fp, fp2, f2 * fpp**2, fp**4,
+        terms = (two_f, two_ffp, f * fp, fp2, f2 * (fpp * fpp), fp**4,
                  ((f * p.fppp + 3.0 * fp * fpp) * fp - q * fpp) / fp2,   # d/du of q/f'
                  -q / two_ffp,                                          # H_n2
                  -(p.kappa_m**2), f2) if f2 else None
@@ -71,7 +73,7 @@ def eight_invariants(d: PointData) -> InvariantRecord:
     two_f, two_ffp, ffp, fp2, f2fpp2, fp4, q_du, h2, nkm2, f2 = \
         p._terms or _u_terms(p)
     kappa = c.kappa
-    kappa2 = kappa**2
+    kappa2 = kappa * kappa
     eps = 1 if disc > 0 else -1
     absdisc = abs(disc)     # eps * disc
     root = math.sqrt(absdisc)

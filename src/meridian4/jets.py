@@ -28,7 +28,7 @@ __all__ = [
     "constant",
     "value",
     "jet_eval",
-    "jdiv", "jsin", "jcos", "jtan", "jsec", "jsinh", "jcosh",
+    "jdiv", "jsin", "jcos", "jtan", "jsec", "jsinh", "jcosh", "jtanh",
     "jexp", "jlog", "jsqrt", "jarcsin", "jpow",
     "jet_function_from_derivs",
 ]
@@ -173,6 +173,16 @@ def jcosh(x):
         return math.cosh(x)
     s, c = math.sinh(x.f), math.cosh(x.f)
     return _compose(x, c, s, c, s)
+
+
+def jtanh(x):
+    """tanh with its derivatives from sech^2, not 1 - tanh^2, which cancels
+    where tanh nears +-1."""
+    if not isinstance(x, Jet):
+        return math.tanh(x)
+    t, s = math.tanh(x.f), 1.0 / math.cosh(x.f)
+    s2 = s * s
+    return _compose(x, t, s2, -2.0 * t * s2, 2.0 * s2 * (2.0 * t * t - s2))
 
 
 def jexp(x):

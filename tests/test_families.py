@@ -7,14 +7,15 @@ import pytest
 from meridian4 import families, odeint
 from meridian4.errors import ProfileInvariantError, SpecMismatchError
 from meridian4.expressions import compile_expression
-from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
-                                ParallelA, ParallelB, constant_kappa_directrix,
+from meridian4.families import (PROFILE_SAMPLES, Chen, ConstantGauss, ConstantK,
+                                ConstantMean, ParallelA, ParallelB,
+                                constant_kappa_directrix,
                                 defining_residual, generate,
                                 integrate_autonomous)
 from meridian4.jets import jet_eval
 from meridian4.invariants import eight_invariants
-from meridian4.profile import (FPRIME_FLOOR, Directrix, directrix_point,
-                               g_from_f, profile_point)
+from meridian4.profile import (FPRIME_FLOOR, G_TOL, Directrix, directrix_point,
+                               g_from_f, profile_point, sample_grid)
 from meridian4.surface import point_data
 
 TWO_PI = 2.0 * math.pi
@@ -177,6 +178,71 @@ def test_chen_profile_matches_closed_form():
             math.sqrt((1.5**2 + 1.0) * math.exp(u) - 1.0), rel=1e-12)
 
 
+# Chen and constant-k members on each form of their closed profile, with
+# f0, the u range and whether the range is cut short
+SOLVED = [
+    (Chen(b=2.0, c=0.5, exponent_branch=-1), 1.5, (0.0, 1.5), True),  # |f'| reaches 1e3
+    (Chen(b=1.0, c=1.0, exponent_branch=1), 0.6, (0.0, 1.5), False),
+    (Chen(b=1.0, c=1.0, exponent_branch=1), 1.5, (0.0, 1.5), False),
+    (ConstantK(a=1.0, b=-1.0, c=0.5, branch=-1), 0.5, (0.0, 1.5), False),  # c alpha > 0: tan
+    (ConstantK(a=1.0, b=-1.0, c=0.5, branch=1), 0.5, (0.0, 1.5), False),   # tanh, below rho
+    (ConstantK(a=1.0, b=-1.0, c=0.5, branch=1), 1.5, (0.0, 1.5), False),   # coth, above rho
+    (ConstantK(a=1.0, b=1.0, c=-0.5, branch=1), 1.5, (0.0, 2.0), True),    # coth, f' reaches 1e3
+    (ConstantK(a=1.0, b=1.0, c=0.0, branch=1), 1.5, (0.0, 2.0), True),     # c = 0, f' reaches 1e3
+    (ConstantK(a=1.0, b=1.0, c=0.0, branch=-1), 1.5, (0.0, 2.0), False),
+]
+
+
+def generate_solved(spec, f0, u_range):
+    return generate(spec, f0, u_range, constant_kappa_directrix(spec.b, (0.0, 0.3)))
+
+
+@pytest.mark.parametrize("spec, f0, u_range, truncates", SOLVED)
+def test_closed_form_profile_matches_the_integrated_one(spec, f0, u_range, truncates):
+    gen = generate_solved(spec, f0, u_range)
+    path = integrate_autonomous(spec.y(), f0, u_range)
+    assert gen.f_source == "closed-form"
+    assert gen.truncated is path.truncated is truncates
+    # the integrator ends within its step floor, 1e-6 of the span, of the crossing
+    assert abs(gen.u_range[1] - path.t1) <= 1e-6 * (u_range[1] - u_range[0])
+    profile = gen.surface.profile
+    # at the integrator's nodes: its 4th-order dense output between them
+    # misses f by up to 3e-12, relative
+    for u in [float(t) for t in path.ts if t <= gen.u_range[1]]:
+        assert profile.f_jet(u).f == pytest.approx(path(u), rel=1e-12)
+        assert g_from_f(profile, u) == pytest.approx(path.g(u, G_TOL), abs=1e-12)
+    for u in sample_grid(gen.u_range, PROFILE_SAMPLES):
+        assert defining_residual(spec, profile, u) <= 1e-12
+
+
+def test_closed_form_families_integrate_nothing(monkeypatch):
+    def integrate(*args):
+        raise AssertionError("integrated")
+    monkeypatch.setattr(families, "integrate_autonomous", integrate)
+    monkeypatch.setattr(odeint, "dormand_prince", integrate)
+    monkeypatch.setattr(odeint, "quadrature_path", integrate)
+    for spec, f0, u_range, _ in SOLVED:
+        gen = generate_solved(spec, f0, u_range)
+        for u in sample_grid(gen.u_range, 5):
+            g_from_f(gen.surface.profile, u)
+
+
+@pytest.mark.parametrize("f0", [None, math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("spec", [Chen(b=1.0, c=1.0, exponent_branch=1),
+                                  ConstantK(a=1.0, b=-1.0, c=0.5, branch=1)])
+def test_closed_form_families_refuse_f0_that_is_not_finite_and_positive(spec, f0):
+    with pytest.raises(SpecMismatchError, match="finite starting value f0 > 0"):
+        generate_solved(spec, f0, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("spec, f0", [
+    (ConstantK(a=1.0, b=-1.0, c=0.5, branch=1), 1.0),   # y = (1 - f^2) / 2
+    (Chen(b=1e-10, c=1.0, exponent_branch=1), 1e-10)])  # |y| >= |b| = 1e-10
+def test_closed_form_families_refuse_a_flat_start(spec, f0):
+    with pytest.raises(ProfileInvariantError, match="f' = 0 at the start"):
+        generate_solved(spec, f0, (0.0, 1.0))
+
+
 @pytest.mark.parametrize("spec, u1", [
     (ConstantMean(a=0.5, b=2.0, C=0.0, epsilon=1, branch=1), 1.0),  # truncates
     (ConstantMean(a=0.5, b=2.0, C=0.3, epsilon=1, branch=-1), 0.5),
@@ -327,10 +393,11 @@ def test_constant_kappa_directrix_work(monkeypatch):
 
 
 def test_generate_raises_when_residual_exceeds_tolerance(monkeypatch):
+    # the residual pass guards the integrated families only
     monkeypatch.setattr(families, "RESIDUAL_TOL", -1.0)
     with pytest.raises(ProfileInvariantError, match="defining residual"):
-        generate(ConstantK(a=1.0, b=-1.0, c=0.5, branch=1), 0.5,
-                 (0.0, 1.5), UNIT_PHI)
+        generate(ParallelB(a=1.0, c=1.0, b=-2.0), 1.0, (0.0, 0.5),
+                 constant_kappa_directrix(-2.0, (0.0, 1.0)))
 
 
 @pytest.mark.parametrize("spec", [ConstantGauss(K=1.0, alpha=1.0, beta=0.0),

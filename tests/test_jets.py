@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from meridian4.jets import (Jet, constant, jcos, jet_eval,
                             jet_function_from_derivs, jexp, jlog, jpow, jsec,
-                            jsin, jsqrt, variable)
+                            jsin, jsqrt, jtanh, variable)
 
 coeff = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 # signed zeros, infinities, nan, subnormals and the ends of the float range
@@ -132,6 +132,17 @@ def test_sec_is_one_over_cos():
     a = jsec(variable(t))
     b = 1.0 / jcos(variable(t))
     assert (a.f, a.d1, a.d2, a.d3) == pytest.approx((b.f, b.d1, b.d2, b.d3))
+
+
+@pytest.mark.parametrize("z", [-3.0, -1e-8, 0.0, 0.4, 2.0, 12.0, 30.0])
+def test_tanh_derivatives_keep_their_digits_where_tanh_nears_one(z):
+    # sech^2 = 1 - tanh^2 would cancel to nothing at z = 12 and to 0 at z = 30
+    mpmath = pytest.importorskip("mpmath")
+    j = jtanh(variable(z))
+    with mpmath.workdps(40):
+        want = [mpmath.diff(mpmath.tanh, z, n) for n in range(4)]
+    for got, w in zip((j.f, j.d1, j.d2, j.d3), want):
+        assert got == pytest.approx(float(w), rel=1e-14, abs=1e-300)
 
 
 def test_integer_and_fractional_powers():

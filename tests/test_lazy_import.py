@@ -36,7 +36,7 @@ PUBLIC = {
 # the functions that may import: the package's lazy lookup, and a command or
 # a first use that needs a module the others do not
 FUNCTION_IMPORTS = {
-    ("__init__", "__getattr__"), ("cli", "build_surface"),
+    ("__init__", "__getattr__"), ("cli", "build_surface"), ("cli", "cmd_family"),
     ("cli", "cmd_invariants"), ("cli", "cmd_mesh"), ("cli", "cmd_verify"),
     ("families", "integrate_autonomous"),
     ("profile", "_quadrature_g"),
@@ -51,18 +51,23 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
+def _last_line(tmp_path, code):
+    """The last line that code prints in a fresh interpreter without site."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, cwd=tmp_path,
+                         check=True, capture_output=True, text=True).stdout
+    return out.splitlines()[-1]
+
+
 def loaded(tmp_path, cli=True, argv=None):
     """The modules a fresh interpreter loads for `import meridian4` (with
     `meridian4.cli` when cli) and then, when argv is given, `main(argv)`,
     which must exit 0."""
     run = "" if argv is None else f"assert meridian4.cli.main({argv!r}) == 0"
     code = PROBE.format(cli=", meridian4.cli" if cli else "", run=run)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, cwd=tmp_path,
-                         check=True, capture_output=True, text=True).stdout
-    return set(json.loads(out.splitlines()[-1]))
+    return set(json.loads(_last_line(tmp_path, code)))
 
 
 def package_modules(modules):
@@ -85,6 +90,13 @@ def test_the_cli_parses_without_argparse(tmp_path):
     assert {"argparse", "gettext"} & loaded(tmp_path) == set()
 
 
+def test_the_cli_loads_no_json(tmp_path):
+    # json is imported by the commands that write it; PROBE imports json
+    # itself before its snapshot, so this asks sys.modules directly
+    assert _last_line(tmp_path, "import sys, meridian4.cli; "
+                                "print('json' in sys.modules)") == "False"
+
+
 @pytest.mark.parametrize("argv, loads", [
     (["family", "--spec", "constant-gauss K=1 alpha=1 beta=0", "--u", "0.1:0.5",
       "--out", "f.csv"], set()),
@@ -92,11 +104,16 @@ def test_the_cli_parses_without_argparse(tmp_path):
       "--u", "0.1:1.4", "--v", "0:6", "--grid", "3x3", "--out", "i.csv"],
      {"expressions", "invariants"}),
     (["family", "--spec", "chen b=1 c=1 branch=+", "--f0", "1.5", "--u", "0:0.5",
-      "--v", "0:0.5", "--out", "f.csv"], {"odeint"}),
+      "--v", "0:0.5", "--out", "f.csv"], set()),
+    (["family", "--spec", "constant-k a=1 b=-1 c=0.5 branch=+", "--f0", "0.5",
+      "--u", "0:0.5", "--out", "f.csv"], set()),
+    (["family", "--spec", "parallel-b a=1 c=1 b=-2", "--f0", "1", "--u", "0:0.5",
+      "--out", "f.csv"], {"odeint"}),
     (["verify", "--spec", "constant-mean a=0.5 b=2 C=0 eps=+ branch=+", "--f0", "0.6",
       "--u", "0:0.15", "--v", "0:0.3", "--grid", "5x4"],
      {"verification", "invariants", "odeint"})],
-    ids=["closed-form-family", "invariants-phi", "ode-family", "verify"])
+    ids=["closed-form-family", "invariants-phi", "chen-family", "constant-k-family",
+         "ode-family", "verify"])
 def test_a_command_loads_the_modules_it_runs(tmp_path, argv, loads):
     modules = loaded(tmp_path, argv=argv)
     assert package_modules(modules) & set(COMMAND_MODULES) == loads

@@ -20,8 +20,9 @@ from meridian4.profile import G_TOL, ProfileCurve, g_from_f
 
 DIGESTS = Path(__file__).parent / "data" / "dormand_prince_digests.json"
 
-# the five ODE families of the family_sweep benchmark at its seed-0 ranges:
-# (spec, f0, u range)
+# the five f' = y(f) specs of the family_sweep benchmark at its seed-0 ranges:
+# (spec, f0, u range). constant-k and chen generate in closed form; their
+# y() is integrated here only to pin dormand_prince on five right-hand sides
 ODE_PATHS = {
     "constant-mean-eps+": ("constant-mean a=0.5 b=2 C=0 eps=+ branch=+", 0.6, (0.0, 1.0)),
     "constant-mean-eps-": ("constant-mean a=0.5 b=1 C=0 eps=- branch=+", 0.6, (0.0, 0.6)),

@@ -76,11 +76,14 @@ def test_the_homothety_scales_each_field_by_its_weight(base, lam):
           for name, value in zip(r._fields, r))))
         for key, (case, r) in grid.items()}
     got = _grid(scaled, lam)
-    if f_text != "1/(u+1)" or lam == 2.0:
+    if f_text != "1/(u+1)" or lam != 0.5:
         assert got == want
         return
     # here lam and k come out up to 4.6e-16 apart, relative; every case and
-    # every other field is still bit for bit
+    # every other field is still bit for bit. The closed forms square f, f'
+    # f'' and kappa as products, but two powers stay: -kappa_m**2 in k, whose
+    # product form moves golden_invariants.csv, and f'**4 in lam, whose form
+    # f'^2 * f'^2 moves golden_verify_cmc.json
     assert [case for case, _ in got.values()] == [case for case, _ in want.values()]
     for (_, r), (_, w) in zip(got.values(), want.values()):
         for name, a, b in zip(r._fields, r, w):

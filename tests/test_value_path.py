@@ -18,7 +18,7 @@ from meridian4.families import (Chen, ConstantK, ConstantMean, ParallelB,
                                 profile_from_path)
 from meridian4.jets import (Jet, jarcsin, jcos, jcosh, jdiv, jet_eval,
                             jet_function_from_derivs, jexp, jlog, jpow,
-                            jsec, jsin, jsinh, jsqrt, jtan)
+                            jsec, jsin, jsinh, jsqrt, jtan, jtanh)
 from meridian4.minkowski import Vec4
 from meridian4.profile import (Directrix, ProfileCurve, directrix_point, g_from_f,
                                profile_point)
@@ -55,7 +55,7 @@ def assert_value_path_matches(fn, t):
 
 JET_FUNCTIONS = {
     "jsin": jsin, "jcos": jcos, "jtan": jtan, "jsec": jsec,
-    "jsinh": jsinh, "jcosh": jcosh, "jexp": jexp, "jlog": jlog,
+    "jsinh": jsinh, "jcosh": jcosh, "jtanh": jtanh, "jexp": jexp, "jlog": jlog,
     "jsqrt": jsqrt, "jarcsin": jarcsin,
     "jpow(x, 3)": lambda x: jpow(x, 3), "jpow(x, -2)": lambda x: jpow(x, -2),
     "jpow(x, 0)": lambda x: jpow(x, 0), "jpow(x, 0.5)": lambda x: jpow(x, 0.5),
