@@ -9,10 +9,11 @@ classification gives one: constant Gauss and parallel case a, and the
 constant-k and Chen profiles, whose autonomous equation f' = y(f) has an
 elementary solution from f0. The other two (constant mean, parallel case b)
 integrate f' = y(f) once with the error-controlled Dormand-Prince 5(4) pair
-and its dense output; such a profile whose defining residual still exceeds
-RESIDUAL_TOL raises ProfileInvariantError rather than being returned. The
-directrix of constant curvature kappa = b that four families need is in
-closed form: a constant phi for b < 0, a circle in polar form for b > 0.
+and its dense output; such a profile whose error estimate exceeds
+RESIDUAL_TOL relative to f raises ProfileInvariantError rather than being
+returned. The directrix of constant curvature kappa = b that four families
+need is in closed form: a constant phi for b < 0, a circle in polar form for
+b > 0.
 """
 
 import math
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-6
-PROFILE_SAMPLES = 50  # u rows of the defining residual, from end to end
+PROFILE_SAMPLES = 50  # u rows of verify's defining and target rows, from end to end
 KAPPA_MATCH_TOL = 1e-8
 KAPPA_SAMPLES = 21    # v rows of the directrix curvature check
 _F_BOUND = 1e3        # runaway bound on f, f' and on phi, phi'
@@ -108,7 +109,11 @@ class _ClosedForm(FamilySpec):
 class _Autonomous(FamilySpec):
     """A family whose profile solves f' = y(f) from f0 > 0, over a directrix
     of constant curvature kappa = b: y() is the jet-capable y, which on a
-    float gives the float y(t). realize integrates it."""
+    float gives the float y(t). realize integrates it, and raises
+    ProfileInvariantError where the path's summed error estimate of f at its
+    end exceeds RESIDUAL_TOL max(1, max f over the nodes). No row of the
+    defining relation is checked: f' = y(f) and f'' = y'(f) y(f), read from
+    y's jet, make it an identity in f, blind to integrator error."""
 
     __slots__ = ()
     f_source = "ode-integrated"
@@ -121,14 +126,12 @@ class _Autonomous(FamilySpec):
         _require_f0(f0)
         y = self.y()
         path = integrate_autonomous(y, f0, u_range)
-        profile = profile_from_path(path, y)
-        realized = (path.t0, path.t1)
-        worst, where = max((defining_residual(self, profile, u), u)
-                           for u in sample_grid(realized, PROFILE_SAMPLES))
-        if worst > RESIDUAL_TOL:
+        err = path.yerr[-1]
+        bound = RESIDUAL_TOL * max(1.0, f0, *(r0 + r1 for r0, r1, *_ in path.coef))
+        if not err <= bound:
             raise ProfileInvariantError(
-                f"defining residual {worst:.3e} at u = {where} exceeds {RESIDUAL_TOL}")
-        return profile, realized, path.truncated
+                f"f's summed error estimate {err:.3e} at u = {path.t1} exceeds {bound:.3e}")
+        return profile_from_path(path, y), (path.t0, path.t1), path.truncated
 
 
 class _Solved(_Autonomous):
@@ -138,7 +141,7 @@ class _Solved(_Autonomous):
     slope_quadratic(X) a quadratic (a, b, c) whose positive roots are the
     t with y(t) = X. The range ends where integrate_autonomous would stop,
     where f reaches 0 or _F_BOUND or |f'| reaches _F_BOUND or FPRIME_FLOOR.
-    No residual pass runs: it guards against integrator error."""
+    Nothing is integrated, so there is no error estimate to check."""
 
     __slots__ = ()
     f_source = "closed-form"
@@ -737,10 +740,11 @@ def generate(spec: FamilySpec, f0: float | None, u_range: tuple,
     all of [u0, u]). The f' = y(f) families start from f0 and end where y's
     domain would be left, f' would vanish or f or f' runs away: constant-k
     and Chen exactly there, from their closed forms, the ODE variants where
-    the integration stops; if an ODE profile's defining residual on 50
-    points exceeds RESIDUAL_TOL, ProfileInvariantError is raised. An early
-    end is reported via `truncated`, not as a failure; a profile that fails
-    at u0 itself raises ProfileInvariantError.
+    the integration stops, raising ProfileInvariantError where the path's
+    summed error estimate exceeds RESIDUAL_TOL max(1, max f over the nodes).
+    No profile record is built. An early end is reported via `truncated`,
+    not as a failure; a profile that fails at u0 itself raises
+    ProfileInvariantError.
     """
     required_kappa = spec.kappa_constant
     if required_kappa is not None:

@@ -70,16 +70,16 @@ class DensePath(Frozen):
     r0..r4 of the continuous extension
     r0 + s (r1 + (1-s) (r2 + s (r3 + (1-s) r4))), s in [0, 1] across the
     step. It matches the nodes' values and slopes, so it is C^1, and it is
-    4th-order accurate between nodes. gcoef holds the same coefficients for
-    g = integral from t0 of -1/(2 y'), and gerr[i] the sum of the embedded
-    error estimates of g over steps 0..i.
+    4th-order accurate between nodes. yerr[i] is the sum of the embedded
+    error estimates of y over steps 0..i. gcoef and gerr hold the same for
+    g = integral from t0 of -1/(2 y').
     """
 
-    __slots__ = ("ts", "coef", "gcoef", "gerr", "truncated")
+    __slots__ = ("ts", "coef", "yerr", "gcoef", "gerr", "truncated")
 
-    def __init__(self, ts: tuple, coef: tuple, gcoef: tuple, gerr: tuple,
+    def __init__(self, ts: tuple, coef: tuple, yerr: tuple, gcoef: tuple, gerr: tuple,
                  truncated: bool = False):
-        set_fields(self, ts, coef, gcoef, gerr, truncated)
+        set_fields(self, ts, coef, yerr, gcoef, gerr, truncated)
 
     @property
     def t0(self) -> float:
@@ -127,10 +127,10 @@ def dormand_prince(rhs, t0: float, t1: float, y0: float) -> DensePath:
     step size, and a stage slope of 0 makes g and its error estimate infinite
     from there on.
     """
-    ts, coef, _, gcoef, gerr, _ = _steps(lambda t, y: rhs(y), t0, t1, y0, 0.0)
+    ts, coef, yerr, gcoef, gerr, _ = _steps(lambda t, y: rhs(y), t0, t1, y0, 0.0)
     if not coef:
         raise DomainError("integration could not complete a single step from t0", t=t0)
-    return DensePath(ts, coef, gcoef, gerr, truncated=ts[-1] < t1)
+    return DensePath(ts, coef, yerr, gcoef, gerr, truncated=ts[-1] < t1)
 
 
 def quadrature_path(F, t0: float, t1: float, tol: float) -> tuple:
@@ -140,16 +140,18 @@ def quadrature_path(F, t0: float, t1: float, tol: float) -> tuple:
     bound sums to tol over the span; the second keeps the steps next to a
     pole of F from shrinking with h.
 
-    Returns (path, stop): the DensePath of g (coef and gcoef alike; None if
-    no step was accepted), and None if it reaches t1, else the error that
-    ended it: the MeridianError the last attempt raised, or a
-    QuadratureLimitError naming the t where the step fell below the floor.
+    Returns (path, stop): the DensePath of g (coef and gcoef alike, yerr and
+    gerr alike; None if no step was accepted), and None if it reaches t1,
+    else the error that ended it: the MeridianError the last attempt raised,
+    or a QuadratureLimitError naming the t where the step fell below the
+    floor.
     """
     # the steps' ride-along component, -1/(2 g'), is not read
     ts, coef, summed_err, _, _, failure = _steps(lambda t, y: F(t), t0, t1, 0.0, tol)
     stop = None if ts[-1] == t1 else failure or QuadratureLimitError(
         f"g's step fell below its floor, {_MIN_STEP} of the span, at t = {ts[-1]}")
-    return (DensePath(ts, coef, coef, summed_err, stop is not None) if coef else None), stop
+    return (DensePath(ts, coef, summed_err, coef, summed_err, stop is not None)
+            if coef else None), stop
 
 
 def _steps(rhs, t0, t1, y0, tol):

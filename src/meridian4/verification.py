@@ -219,7 +219,8 @@ def _point_rows(s: MeridianSurface, pts, h: float) -> list:
 
 def check_defining_property(gen: GeneratedSurface) -> CheckRecord:
     """The family's defining relation on the PROFILE_SAMPLES rows of the
-    realized range, the rows generate checks for an ODE profile."""
+    realized range, from the profile records it builds there; generate
+    builds none."""
     errs = [(defining_residual(gen.spec, gen.surface.profile, u), (u, None))
             for u in sample_grid(gen.u_range, PROFILE_SAMPLES)]
     return _record(f"defining:{type(gen.spec).__name__}", errs, RESIDUAL_TOL)

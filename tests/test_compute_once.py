@@ -108,8 +108,6 @@ def test_a_failed_evaluation_is_not_kept():
 
 
 def test_verify_evaluates_each_stencil_coordinate_once(monkeypatch):
-    spec, phi = parse_family_spec("constant-mean a=0.5 b=2 C=0 eps=+ branch=+")
-    gen = build_surface(spec, phi, 0.6, (0.0, 0.15), (0.0, 0.3))
     jets = Counter()
 
     def counting(name, method):
@@ -119,11 +117,16 @@ def test_verify_evaluates_each_stencil_coordinate_once(monkeypatch):
         return counted
     monkeypatch.setattr(ProfileCurve, "f_jet", counting("f", ProfileCurve.f_jet))
     monkeypatch.setattr(Directrix, "phi_jet", counting("phi", Directrix.phi_jet))
+    spec, phi = parse_family_spec("constant-mean a=0.5 b=2 C=0 eps=+ branch=+")
+    gen = build_surface(spec, phi, 0.6, (0.0, 0.15), (0.0, 0.3))
+    assert jets["f"] == 0 and jets["phi"] == 21, jets
     assert verify_generated(gen, 20).passed
-    # 20 points, each with 5 distinct u and 5 distinct v over its centre and
-    # oracle stencils (measured: 100 and 100); the defining and
-    # family-target rows read the records generate left on the profile
-    assert jets["f"] <= 105 and jets["phi"] <= 105, jets
+    # generate reads the 21 v of its curvature check and no u; verify's 20
+    # points each touch 5 distinct u and 5 distinct v over their centre and
+    # oracle stencils (100 and 100), the defining row builds the records of
+    # the 50 u rows that the family-target rows read again, and the target
+    # column is a sample point's v
+    assert jets["f"] <= 150 and jets["phi"] <= 121, jets
 
 
 def test_verify_builds_each_stencil_frame_once(monkeypatch):

@@ -3,9 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meridian4 import families, odeint
-from meridian4.errors import ProfileInvariantError, SpecMismatchError
+from meridian4.errors import MeridianError, ProfileInvariantError, SpecMismatchError
 from meridian4.expressions import compile_expression
 from meridian4.families import (PROFILE_SAMPLES, Chen, ConstantGauss, ConstantK,
                                 ConstantMean, ParallelA, ParallelB,
@@ -392,12 +393,89 @@ def test_constant_kappa_directrix_work(monkeypatch):
     assert calls == []
 
 
+# the integrated families: (spec, f0, u range) of each sign of epsilon
+ODE_SPECS = [
+    (ConstantMean(a=0.5, b=2.0, C=0.0, epsilon=1, branch=1), 0.6, (0.0, 1.0)),
+    (ConstantMean(a=0.5, b=1.0, C=0.0, epsilon=-1, branch=1), 0.6, (0.0, 0.6)),
+    (ParallelB(a=1.0, c=1.0, b=-2.0), 1.0, (0.0, 0.5)),
+]
+
+
+def generate_ode(spec, f0, u_range):
+    return generate(spec, f0, u_range, constant_kappa_directrix(spec.b, (0.0, 0.3)))
+
+
 def test_generate_raises_when_residual_exceeds_tolerance(monkeypatch):
-    # the residual pass guards the integrated families only
+    # the integrated families check the path's summed error estimate of f
+    # against RESIDUAL_TOL
     monkeypatch.setattr(families, "RESIDUAL_TOL", -1.0)
-    with pytest.raises(ProfileInvariantError, match="defining residual"):
-        generate(ParallelB(a=1.0, c=1.0, b=-2.0), 1.0, (0.0, 0.5),
-                 constant_kappa_directrix(-2.0, (0.0, 1.0)))
+    for spec, f0, u_range in ODE_SPECS:
+        with pytest.raises(ProfileInvariantError, match="summed error estimate"):
+            generate_ode(spec, f0, u_range)
+
+
+@pytest.mark.parametrize("spec, f0, u_range", ODE_SPECS)
+def test_generate_builds_no_profile_record(spec, f0, u_range):
+    assert generate_ode(spec, f0, u_range).surface.profile._points == {}
+
+
+@pytest.mark.parametrize("spec, f0, u_range", ODE_SPECS)
+def test_the_path_keeps_the_summed_error_estimate_of_its_steps(monkeypatch, spec, f0,
+                                                               u_range):
+    paths, steps = [], []
+    dormand_prince, run = odeint.dormand_prince, odeint._steps
+
+    def kept(*args):
+        paths.append(dormand_prince(*args))
+        return paths[-1]
+
+    def stepped(*args):
+        steps.append(run(*args))
+        return steps[-1]
+    monkeypatch.setattr(odeint, "dormand_prince", kept)
+    monkeypatch.setattr(odeint, "_steps", stepped)
+    generate_ode(spec, f0, u_range)
+    (path,), ((_, _, yerr, _, _, _),) = paths, steps
+    assert path.yerr == yerr
+    assert 0.0 < path.yerr[-1] == yerr[-1] <= 1e-11
+
+
+RELATION_TOL = 1e-7   # ten times tighter than RESIDUAL_TOL
+ranges = st.tuples(st.floats(-1.0, 1.0), st.floats(0.05, 2.0)).map(
+    lambda p: (p[0], p[0] + p[1]))
+signs = st.sampled_from([1, -1])
+
+
+def nonzero(lo, hi):
+    return st.tuples(st.floats(lo, hi), signs).map(lambda p: p[0] * p[1])
+
+
+def _relation_holds(spec, f0, u_range):
+    """Generate spec from f0 over u_range; a MeridianError refuses it.
+    Otherwise the profile records on the PROFILE_SAMPLES rows must exist,
+    and the defining residual on them stay within RELATION_TOL."""
+    try:
+        gen = generate_ode(spec, f0, u_range)
+    except MeridianError:
+        return
+    profile = gen.surface.profile
+    for u in sample_grid(gen.u_range, PROFILE_SAMPLES):
+        assert defining_residual(spec, profile, u) <= RELATION_TOL, u
+
+
+@settings(max_examples=150)
+@given(signs, signs, nonzero(0.1, 2.0), nonzero(0.5, 4.0), st.floats(-1.0, 1.0),
+       st.floats(0.05, 2.0), ranges)
+def test_constant_mean_keeps_its_relation_across_its_box(eps, branch, a, b, C, f0,
+                                                         u_range):
+    _relation_holds(ConstantMean(a=a, b=b, C=C, epsilon=eps, branch=branch), f0,
+                    u_range)
+
+
+@settings(max_examples=100)
+@given(nonzero(0.1, 3.0), st.floats(-2.0, 2.0), st.floats(0.05, 2.0), ranges)
+def test_parallel_b_keeps_its_relation_across_its_box(a, c, f0, u_range):
+    _relation_holds(ParallelB(a=a, c=c, b=-1.0), f0, u_range)
 
 
 @pytest.mark.parametrize("spec", [ConstantGauss(K=1.0, alpha=1.0, beta=0.0),

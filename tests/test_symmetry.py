@@ -2,11 +2,12 @@
 
 The surfaces lie on the rotational hypersurface with lightlike axis, z = f phi
 cos v e1 + f phi sin v e2 + (f phi^2/2 + g) xi1 + f xi2. The boost xi1 -> t xi1,
-xi2 -> xi2/t is an isometry of R^4_1 that takes (f, phi) to (f/t, t phi): every
-invariant is unchanged. The homothety z -> lambda z takes f to lambda f(u/lambda)
-over lambda times the u range, with the same phi: an invariant of length
-weight w scales by lambda^(-w). For t and lambda powers of 2 every scaling is
-exact in binary floating point, so both relations hold bit for bit.
+xi2 -> xi2/t is an isometry of R^4_1 that takes (f, phi) to (f/t, t phi) and
+g to t g: every invariant is unchanged. The homothety z -> lambda z takes f to
+lambda f(u/lambda) over lambda times the u range, with the same phi: an
+invariant of length weight w scales by lambda^(-w). For t and lambda powers of
+2 every scaling is exact in binary floating point, so both relations hold bit
+for bit, except where a power goes through libm pow (each such test says where).
 """
 
 import math
@@ -14,8 +15,10 @@ import math
 import pytest
 
 from meridian4.expressions import compile_expression
+from meridian4.families import ConstantGauss, ParallelA, generate
 from meridian4.invariants import InvariantRecord, eight_invariants
-from meridian4.profile import Directrix, ProfileCurve, sample_grid
+from meridian4.profile import (Directrix, ProfileCurve, g_from_f, profile_point,
+                               sample_grid)
 from meridian4.surface import GENERAL, MeridianSurface, point_data
 
 U_RANGE, V_RANGE, N = (0.0, 1.0), (0.0, 6.0), 30
@@ -89,3 +92,63 @@ def test_the_homothety_scales_each_field_by_its_weight(base, lam):
         for name, a, b in zip(r._fields, r, w):
             assert a == b if name not in ("lam", "k") else \
                 math.isclose(a, b, rel_tol=1e-15), name
+
+
+# --- the boost on the closed-form families --------------------------------------
+#
+# A family that takes any directrix carries the boost in its parameters: f/t
+# is ConstantGauss (K, alpha/t, beta/t) and ParallelA (c/t^2, d/t^2, t a),
+# whose g is then t g, and phi -> t phi scales the directrix's curvature by
+# 1/t. Each (name, parameters, u range) stays clear of the f' floor, whose
+# crossing does not scale.
+
+CLOSED_FORMS = [
+    ("gauss K>0", lambda t: ConstantGauss(1.0, 1.0 / t, -0.5 / t), (0.1, 1.0)),
+    ("gauss K<0 tanh", lambda t: ConstantGauss(-1.0, 1.0 / t, 0.5 / t), (0.0, 1.0)),
+    ("gauss K<0 atan", lambda t: ConstantGauss(-2.0, 0.5 / t, 1.0 / t), (0.0, 1.0)),
+    ("gauss K<0 exp", lambda t: ConstantGauss(-1.0, 1.0 / t, 1.0 / t), (0.0, 1.0)),
+    ("parallel-a", lambda t: ParallelA(1.0 / (t * t), 1.0 / (t * t), 0.5 * t), (0.0, 0.8)),
+]
+FAMILY_N = 12
+DISC_FIELDS = ("nu1", "nu2", "lam", "mu", "beta1", "beta2", "H_norm")
+
+
+def _family(spec_at, t, u_range, phi):
+    """(family rows, {(u, v): (case, record, kappa)}) of the member spec_at(t)
+    over the directrix t phi on a FAMILY_N x FAMILY_N grid: each row is
+    (u, f, f', f'', g), as the family command writes it."""
+    gen = generate(spec_at(t), None, u_range, Directrix(lambda x: t * phi(x), V_RANGE))
+    assert gen.u_range == u_range and not gen.truncated
+    s = gen.surface
+    rows, grid = [], {}
+    for u in sample_grid(u_range, FAMILY_N):
+        p = profile_point(s.profile, u)
+        rows.append((u, p.f, p.fp, p.fpp, g_from_f(s.profile, u)))
+        for v in sample_grid(V_RANGE, FAMILY_N):
+            d = point_data(s, u, v)
+            grid[u, v] = d.case, eight_invariants(d), d.c.kappa
+    return rows, grid
+
+
+@pytest.mark.parametrize("t", SCALES)
+@pytest.mark.parametrize("name, spec_at, u_range", CLOSED_FORMS,
+                         ids=[c[0] for c in CLOSED_FORMS])
+def test_the_boost_moves_a_closed_form_family_by_its_parameters(name, spec_at, u_range, t):
+    phi = compile_expression("2+cos(v)", "v")
+    rows, grid = _family(spec_at, 1.0, u_range, phi)
+    got_rows, got_grid = _family(spec_at, t, u_range, phi)
+    assert got_rows == [(u, f / t, fp / t, fpp / t, t * g) for u, f, fp, fpp, g in rows]
+    want = {key: (case, r, kappa / t) for key, (case, r, kappa) in grid.items()}
+    if name != "gauss K<0 tanh" or t == 2.0:
+        assert got_grid == want
+        return
+    # here the fields read from sqrt(|disc|) come out up to 3 ulps apart;
+    # every case, kappa and other field is still bit for bit. combine's
+    # disc = kappa**2 fp**2 - q**2 squares q through libm pow, which is not
+    # correctly rounded everywhere: on the row u = 4/11, pow(q / t^2, 2)
+    # misses pow(q, 2) / t^4 by an ulp
+    assert [(c, k) for c, _, k in got_grid.values()] == [(c, k) for c, _, k in want.values()]
+    for (_, r, _), (_, w, _) in zip(got_grid.values(), want.values()):
+        for field, a, b in zip(r._fields, r, w):
+            assert a == b if field not in DISC_FIELDS else \
+                abs(a - b) <= 3 * math.ulp(b), field
