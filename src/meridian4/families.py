@@ -4,12 +4,13 @@ invariant k, Chen surfaces, and parallel normal bundle.
 
 Each family is one spec class, which holds all that depends on the family:
 its profile, its defining relation, the invariants it keeps constant and the
-curvature its directrix needs. Closed-form profiles are used where the
-classification gives one: constant Gauss and parallel case a, and the
-constant-k and Chen profiles, whose autonomous equation f' = y(f) has an
-elementary solution from f0. The other two (constant mean, parallel case b)
-integrate f' = y(f) once with the error-controlled Dormand-Prince 5(4) pair
-and its dense output; such a profile whose error estimate exceeds
+curvature its directrix needs. Four families have their profile in closed
+form: constant Gauss and parallel case a, and constant k and Chen, whose
+autonomous equation f' = y(f) has an elementary solution from f0. Each of
+them has one solve(f0, u0), giving f, g, g(u0) and where the profile must
+end, and they share one realize. The other two (constant mean, parallel
+case b) integrate f' = y(f) once with the error-controlled Dormand-Prince
+5(4) pair and its dense output; such a profile whose error estimate exceeds
 RESIDUAL_TOL relative to f raises ProfileInvariantError rather than being
 returned. The directrix of constant curvature kappa = b that four families
 need is in closed form: a constant phi for b < 0, a circle in polar form for
@@ -23,7 +24,7 @@ from . import jets
 from .errors import DomainError, ProfileInvariantError, SpecMismatchError
 from .jets import Jet, jet_eval, jet_function_from_derivs
 from .profile import (FPRIME_FLOOR, G_TOL, Directrix, ProfileCurve,
-                      directrix_point, profile_point, sample_grid)
+                      directrix_point, sample_grid)
 from .records import Frozen, set_fields
 from .surface import MeridianSurface
 
@@ -31,7 +32,7 @@ __all__ = [
     "ConstantGauss", "ConstantMean", "ConstantK", "Chen",
     "ParallelA", "ParallelB", "FamilySpec", "GeneratedSurface",
     "integrate_autonomous",
-    "constant_kappa_directrix", "generate", "defining_residual",
+    "constant_kappa_directrix", "generate",
 ]
 
 RESIDUAL_TOL = 1e-6
@@ -50,6 +51,12 @@ def _require_nonzero(name, value):
 def _require_sign(name, value):
     if value not in (1, -1):
         raise SpecMismatchError(f"{name} must be +1 or -1, got {value!r}")
+
+
+def _refuse_f0(spec, f0):
+    if f0 is not None:
+        raise SpecMismatchError(
+            f"{type(spec).__name__} is in closed form and takes no f0")
 
 
 def _require_f0(f0):
@@ -75,7 +82,8 @@ class FamilySpec(Frozen):
     - kappa_constant: the constant curvature b its directrix must have, or
       None where any directrix will do;
     - realize(f0, u_range): (profile, realized range, truncated), built as
-      f_source says;
+      f_source says: from the family's solve for a closed form, by
+      integrating f' = y(f) for an ODE family;
     - residual(p): the relative residual of the family's defining relation
       at the ProfilePoint p;
     - targets: (label, InvariantRecord field, value, tolerance) for each
@@ -86,24 +94,29 @@ class FamilySpec(Frozen):
 
 
 class _ClosedForm(FamilySpec):
-    """A family with its profile in closed form: f() is the jet-capable f,
-    g(u0) the pair (g(u0), g on floats) and crossing(u0) the first u > u0
-    where f = 0 or |f'| = FPRIME_FLOOR (inf if none), for a profile that is
-    admissible at u0. It takes any directrix and no f0."""
+    """A family with its profile in closed form. solve(f0, u0) gives the
+    jet-capable f, g on floats, g(u0) and the first u > u0 where the profile
+    must end: where f = 0 or |f'| = FPRIME_FLOOR (inf if none), for a
+    profile that is admissible at u0. realize is the one place where the
+    closed form's arithmetic failing (a division by zero, an overflow, a
+    math domain error) becomes a DomainError; a profile inadmissible at u0
+    raises ProfileInvariantError. ConstantGauss and ParallelA take any
+    directrix and no f0."""
 
     __slots__ = ()
     kappa_constant = None
     f_source = "closed-form"
+    _bound = math.inf   # the bound on f and |f'| of the realized range
 
     def realize(self, f0: float | None, u_range: tuple):
-        if f0 is not None:
-            raise SpecMismatchError(
-                f"{type(self).__name__} is in closed form and takes no f0")
-        f = self.f()
-        realized, truncated = _closed_form_end(f, self.crossing(u_range[0]), u_range,
-                                               math.inf)
-        g_origin, g = self.g(realized[0])
-        return ProfileCurve(f, realized, g_origin, g_eval=g), realized, truncated
+        u0 = u_range[0]
+        try:
+            f, g, g0, crossing = self.solve(f0, u0)
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise DomainError(f"the closed form of {type(self).__name__} is not "
+                              f"representable from u = {u0}: {exc}", t=u0) from None
+        realized, truncated = _closed_form_end(f, crossing, u_range, self._bound)
+        return ProfileCurve(f, realized, g0, g_eval=g), realized, truncated
 
 
 class _Autonomous(FamilySpec):
@@ -134,28 +147,33 @@ class _Autonomous(FamilySpec):
         return profile_from_path(path, y), (path.t0, path.t1), path.truncated
 
 
-class _Solved(_Autonomous):
-    """An autonomous family whose f' = y(f) has an elementary solution:
-    solve(f0, y(f0), u0) gives the jet-capable f with f(u0) = f0, g on floats
-    with g(u0) = 0, and u_at(t), where f = t (NaN where it never is), and
-    slope_quadratic(X) a quadratic (a, b, c) whose positive roots are the
-    t with y(t) = X. The range ends where integrate_autonomous would stop,
-    where f reaches 0 or _F_BOUND or |f'| reaches _F_BOUND or FPRIME_FLOOR.
-    Nothing is integrated, so there is no error estimate to check."""
+class _Solved(_ClosedForm):
+    """A closed-form family whose profile solves f' = y(f) from f0 > 0 over
+    a directrix of constant curvature kappa = b: y() is the jet-capable y,
+    and slope_quadratic(X) a quadratic (a, b, c) whose positive roots are
+    the t with y(t) = X. Its solve starts from _start(f0) = y(f0), gives g
+    with g(u0) = 0 and ends at _level_end(u0, u_at), for u_at(t) the u where
+    f = t (NaN where it never is): where integrate_autonomous would stop,
+    where f reaches 0 or _F_BOUND or |f'| reaches _F_BOUND or FPRIME_FLOOR."""
 
     __slots__ = ()
-    f_source = "closed-form"
+    kappa_constant = _Autonomous.kappa_constant
+    _bound = _F_BOUND
 
-    def realize(self, f0: float | None, u_range: tuple):
+    def _start(self, f0: float) -> float:
+        """y(f0), for a finite f0 > 0 where f and f' start inside the bounds."""
         _require_f0(f0)
-        u0 = u_range[0]
-        f, g, u_at = self.solve(f0, _start_slope(self.y(), f0), u0)
+        y0 = _start_slope(self.y(), f0)
+        if not (f0 <= _F_BOUND and abs(y0) <= _F_BOUND):
+            raise ProfileInvariantError(
+                f"y(f0) = {y0} at f0 = {f0}: f or f' starts beyond {_F_BOUND}")
+        return y0
+
+    def _level_end(self, u0: float, u_at) -> float:
         levels = [0.0, _F_BOUND] + [
             t for X in (_F_BOUND, -_F_BOUND, FPRIME_FLOOR, -FPRIME_FLOOR)
             for t in _positive_roots(*self.slope_quadratic(X))]
-        realized, truncated = _closed_form_end(
-            f, _first_after(u0, map(u_at, levels)), u_range, _F_BOUND)
-        return ProfileCurve(f, realized, 0.0, g_eval=g), realized, truncated
+        return _first_after(u0, map(u_at, levels))
 
 
 class ConstantGauss(_ClosedForm):
@@ -164,64 +182,62 @@ class ConstantGauss(_ClosedForm):
 
     def __init__(self, K: float, alpha: float, beta: float):
         _require_nonzero("K", K)
+        _require_nonzero("alpha or beta", alpha or beta)   # else f = 0
         set_fields(self, K, alpha, beta)
 
-    def _form(self) -> tuple:
-        """The parametrisation that the closed forms share: (r, A, delta) with
-        f = A cos(r u - delta) when K > 0, and (r, P, Q) with
-        f = alpha cosh(r u) + beta sinh(r u) = P e^(r u) + Q e^(-r u) when K < 0."""
-        al, be = self.alpha, self.beta
-        if self.K > 0:
-            return math.sqrt(self.K), math.hypot(al, be), math.atan2(be, al)
-        return math.sqrt(-self.K), 0.5 * (al + be), 0.5 * (al - be)
-
-    def f(self):
-        if self.K > 0:
-            r, al, be = self._form()[0], self.alpha, self.beta
+    def solve(self, f0: float | None, u0: float):
+        """g = scale (G(u) - G(u0)) for the antiderivative G of each case. The
+        difference is never taken of two rounded values of G, and its step
+        r (u - u0) comes from u - u0, so its error stays relative to g where
+        the scale is large (small |K|, or P Q near 0)."""
+        _refuse_f0(self, f0)
+        K, al, be = self.K, self.alpha, self.beta
+        if K > 0:
+            # f = alpha cos(r u) + beta sin(r u) = A cos(theta), theta = r u - delta,
+            # f' = -A r sin(theta)
+            r, A, delta = math.sqrt(K), math.hypot(al, be), math.atan2(be, al)
+            if A * r < FPRIME_FLOOR:
+                raise ProfileInvariantError(f"|f'| <= A r = {A * r} < {FPRIME_FLOOR} everywhere")
 
             def f(x):
                 return al * jets.jcos(r * x) + be * jets.jsin(r * x)
-        else:
-            # alpha cosh + beta sinh without the cancellation of cosh - sinh
-            r, P, Q = self._form()
 
-            def f(x):
-                return P * jets.jexp(r * x) + Q * jets.jexp(-r * x)
-        return f
-
-    def g(self, u0: float):
-        """g = scale (G(u) - G(u0)) for the antiderivative G of each case,
-        so g(u0) = 0.
-
-        The difference G(u) - G(u0) is never taken of two rounded values of
-        G, and its step r (u - u0) comes from u - u0, so its error stays
-        relative to g where the scale is large (small |K|, or P Q near 0)."""
-        K = self.K
-        if K > 0:
-            # f = A cos(theta), theta = r u - delta: dg = dtheta / (2 A r^2 sin(theta)),
-            # G = ln|tan(theta / 2)|
-            r, A, delta = self._form()
+            # dg = dtheta / (2 A r^2 sin(theta)), G = ln|tan(theta / 2)|
             scale = 0.5 / (A * K)
             b = 0.5 * (r * u0 - delta)
 
-            def dG(u):
-                return _log_tan_ratio(math.sin, math.cos, math.tan,
-                                      0.5 * (r * u - delta), b, 0.5 * r * (u - u0))
+            def g(u):
+                return scale * _log_tan_ratio(math.sin, math.cos, math.tan,
+                                              0.5 * (r * u - delta), b, 0.5 * r * (u - u0))
+
+            # the end is the next multiple of pi/2 above theta(u0); f vanishes at
+            # its odd multiples and f' at its even ones
+            k = math.floor((r * u0 - delta) / (0.5 * math.pi)) + 1
+            theta = 0.5 * math.pi * k
+            if k % 2 == 0:
+                theta -= math.asin(FPRIME_FLOOR / (A * r))
+            ends = [(theta + delta) / r]
         else:
+            # f = alpha cosh(r u) + beta sinh(r u) = P e^(r u) + Q e^(-r u),
+            # without the cancellation of cosh - sinh
+            r, P, Q = math.sqrt(-K), 0.5 * (al + be), 0.5 * (al - be)
+
+            def f(x):
+                return P * jets.jexp(r * x) + Q * jets.jexp(-r * x)
+
             # w = e^(r u) turns dg = -du / (2 f') into -dw / (2 r^2 (P w^2 - Q))
-            r, P, Q = self._form()
             if P == 0.0:
                 # G = e^(r u)
                 scale = -0.5 / (K * Q)
 
-                def dG(u):
-                    return math.exp(r * u0) * math.expm1(r * (u - u0))
+                def g(u):
+                    return scale * (math.exp(r * u0) * math.expm1(r * (u - u0)))
             elif Q == 0.0:
                 # G = e^(-r u)
                 scale = -0.5 / (K * P)
 
-                def dG(u):
-                    return math.exp(-r * u0) * math.expm1(-r * (u - u0))
+                def g(u):
+                    return scale * (math.exp(-r * u0) * math.expm1(-r * (u - u0)))
             else:
                 # z = r u - x0 with e^(2 x0) = |Q / P|
                 x0 = 0.5 * math.log(abs(Q / P))
@@ -232,40 +248,25 @@ class ConstantGauss(_ClosedForm):
                     scale = 0.25 / (K * root)
                     b = 0.5 * (r * u0 - x0)
 
-                    def dG(u):
-                        return _log_tan_ratio(math.sinh, math.cosh, math.tanh,
-                                              0.5 * (r * u - x0), b, 0.5 * r * (u - u0))
+                    def g(u):
+                        return scale * _log_tan_ratio(math.sinh, math.cosh, math.tanh,
+                                                      0.5 * (r * u - x0), b, 0.5 * r * (u - u0))
                 else:
                     # P w^2 - Q = P (w^2 + t^2), t = e^x0: G = atan(e^z), and
                     # atan(e^z) - atan(e^z0) = atan(sinh((z - z0) / 2) / cosh((z + z0) / 2))
                     scale = 0.5 / (K * root)
                     m0 = 0.5 * r * u0 - x0
 
-                    def dG(u):
-                        return math.atan(math.sinh(0.5 * r * (u - u0))
-                                         / math.cosh(0.5 * r * u + m0))
+                    def g(u):
+                        return scale * math.atan(math.sinh(0.5 * r * (u - u0))
+                                                 / math.cosh(0.5 * r * u + m0))
 
-        def g(u):
-            return scale * dG(u)
-        return 0.0, g
-
-    def crossing(self, u0: float) -> float:
-        if self.K > 0:
-            # f = A cos(theta), f' = -A r sin(theta), theta = r u - delta: the
-            # boundary is the next multiple of pi/2 above theta(u0); f vanishes at
-            # its odd multiples and f' at its even ones
-            r, A, delta = self._form()
-            k = math.floor((r * u0 - delta) / (0.5 * math.pi)) + 1
-            theta = 0.5 * math.pi * k
-            if k % 2 == 0:
-                theta -= math.asin(FPRIME_FLOOR / (A * r))
-            return _first_after(u0, [(theta + delta) / r])
-        # f = P e^x + Q e^-x and f' = r (P e^x - Q e^-x), x = r u: f = 0 and
-        # f' = +-FPRIME_FLOOR are quadratics in w = e^x
-        r, P, Q = self._form()
-        c = FPRIME_FLOOR / r
-        ws = _positive_roots(P, 0.0, Q) + _positive_roots(P, -c, -Q) + _positive_roots(P, c, -Q)
-        return _first_after(u0, [math.log(w) / r for w in ws])
+            # f = 0 and f' = r (P w - Q / w) = +-FPRIME_FLOOR are quadratics in w
+            c = FPRIME_FLOOR / r
+            ws = (_positive_roots(P, 0.0, Q) + _positive_roots(P, -c, -Q)
+                  + _positive_roots(P, c, -Q))
+            ends = [math.log(w) / r for w in ws]
+        return f, g, 0.0, _first_after(u0, ends)
 
     def residual(self, p) -> float:
         return abs(p.fpp + self.K * p.f) / max(abs(self.K * p.f), 1e-30)
@@ -339,9 +340,9 @@ class ConstantK(_Solved):
     def slope_quadratic(self, X: float) -> tuple:
         return self.branch * self.a / (2.0 * self.b), 0.0, self.c - X
 
-    def solve(self, f0: float, y0: float, u0: float):
+    def solve(self, f0: float | None, u0: float):
         # f' = c + alpha f^2, a Riccati equation with constant coefficients
-        c = self.c
+        y0, c = self._start(f0), self.c
         alpha = self.branch * self.a / (2.0 * self.b)
         if c * alpha > 0.0:
             # f' = alpha (f^2 + r^2): f = r tan(theta), theta = alpha r (u - u0) + theta0
@@ -384,7 +385,7 @@ class ConstantK(_Solved):
             # from the jet: c + alpha f^2 cancels where f nears rho
             fj = jet_eval(f, u)
             return -(fj.f - f0) / (2.0 * fj.d1 * y0) - alpha * _sine_defect(m, u - u0)
-        return f, g, u_at
+        return f, g, 0.0, self._level_end(u0, u_at)
 
     def residual(self, p) -> float:
         return _relative(self.b * p.fpp, self.branch * self.a * p.f * p.fp)
@@ -427,9 +428,10 @@ class Chen(_Solved):
         A, B = self._rates()
         return A, -X, B
 
-    def solve(self, f0: float, y0: float, u0: float):
+    def solve(self, f0: float | None, u0: float):
         # f f' = A f^2 + B is linear in f^2: f^2 + beta = S e^(2 A (u - u0)),
         # beta = B / A > 0, S = f0^2 + beta
+        self._start(f0)
         A, B = self._rates()
         beta = B / A
         S, rb = f0 * f0 + beta, math.sqrt(beta)
@@ -449,7 +451,7 @@ class Chen(_Solved):
             dpsi = math.atan(f(u) / rb) - psi0
             s = math.sin(psi0 + 0.5 * dpsi)
             return scale * (_sine_defect(1.0, dpsi) + 2.0 * math.sin(dpsi) * (s * s))
-        return f, g, u_at
+        return f, g, 0.0, self._level_end(u0, u_at)
 
     def residual(self, p) -> float:
         # squared form of f f'' = +/- f' sqrt(f'^2 - b^2): sign is pointwise
@@ -469,28 +471,25 @@ class ParallelA(_ClosedForm):
         _require_sign("sign", sign)
         set_fields(self, c, d, a, sign)
 
-    def f(self):
+    def solve(self, f0: float | None, u0: float):
+        _refuse_f0(self, f0)
         if self.sign != 1:
             raise SpecMismatchError(
                 "sign=-1 gives f < 0 everywhere; the profile requires f > 0")
-        c, dd = self.c, self.d
+        c, dd, a = self.c, self.d, self.a
 
         def f(x):
             return jets.jsqrt(c * x + dd)
-        return f
-
-    def g(self, u0: float):
-        c, dd, a = self.c, self.d, self.a
 
         def g(x):
             return -(2.0 / (3.0 * c * c)) * (c * x + dd) ** 1.5 + a
-        return g(u0), g
 
-    def crossing(self, u0: float) -> float:
         # f = sqrt(c u + d) vanishes at -d/c; |f'| = c / (2 f) meets the floor
         # where c u + d = (c / (2 FPRIME_FLOOR))^2
-        c, d = self.c, self.d
-        return _first_after(u0, [-d / c, ((c / (2.0 * FPRIME_FLOOR))**2 - d) / c])
+        end = _first_after(u0, [-dd / c, ((c / (2.0 * FPRIME_FLOOR))**2 - dd) / c])
+        # realize refuses an inadmissible left end before g(u0) is read, which
+        # need not exist there (3 c^2 underflowing to 0, say)
+        return f, g, g(u0) if _admissible(f, u0, math.inf) else math.nan, end
 
     def residual(self, p) -> float:
         return abs(p.q) / max(p.fp * p.fp, 1e-30)
@@ -573,11 +572,10 @@ def _start_slope(y: Callable[[Jet], Jet], f0: float) -> float:
     return y0
 
 
-def profile_from_path(path, y: Callable[[Jet], Jet],
-                      g_origin: float = 0.0) -> ProfileCurve:
+def profile_from_path(path, y: Callable[[Jet], Jet]) -> ProfileCurve:
     """ProfileCurve backed by the dense ODE solution; f' = y(f), f'' and
     f''' come from the jet of y at f via f'' = y'y, f''' = (y''y + y'^2) y,
-    and g is the path's g shifted by g_origin. A g whose accumulated error
+    and g is the path's g, 0 at its left end. A g whose accumulated error
     estimate up to u exceeds G_TOL raises QuadratureLimitError."""
 
     def derivs(u):
@@ -586,10 +584,10 @@ def profile_from_path(path, y: Callable[[Jet], Jet],
         return (fval, yj.f, yj.d1 * yj.f, (yj.d2 * yj.f + yj.d1**2) * yj.f)
 
     def g_eval(u):
-        return g_origin + path.g(u, G_TOL)
+        return path.g(u, G_TOL)
 
-    return ProfileCurve(jet_function_from_derivs(derivs),
-                        (path.t0, path.t1), g_origin, g_eval)
+    return ProfileCurve(jet_function_from_derivs(derivs), (path.t0, path.t1),
+                        g_eval=g_eval)
 
 
 def _positive_roots(a: float, b: float, c: float) -> list:
@@ -711,12 +709,6 @@ def _check_directrix_kappa(directrix: Directrix, b: float):
                 f"constant {b}")
 
 
-def defining_residual(spec: FamilySpec, profile: ProfileCurve, u: float) -> float:
-    """Relative residual of the family's defining second-order relation at u,
-    read from the profile's record there."""
-    return spec.residual(profile_point(profile, u))
-
-
 def _log_tan_ratio(sin, cos, tan, a: float, b: float, h: float) -> float:
     """ln(tan(a) / tan(b)), or the same with sinh, cosh and tanh, for a
     positive ratio, with h = a - b given from the step rather than from a and b.
@@ -734,17 +726,16 @@ def generate(spec: FamilySpec, f0: float | None, u_range: tuple,
 
     For kappa-constrained variants the directrix curvature is verified to be
     the required constant (tolerance 1e-8 on a v-grid). Constant Gauss and
-    parallel case a take no f0 (SpecMismatchError if one is given); their
-    realized range ends exactly where f reaches 0 or |f'| reaches
-    FPRIME_FLOOR (the largest u <= u1 with f > 0 and |f'| >= FPRIME_FLOOR on
-    all of [u0, u]). The f' = y(f) families start from f0 and end where y's
-    domain would be left, f' would vanish or f or f' runs away: constant-k
-    and Chen exactly there, from their closed forms, the ODE variants where
-    the integration stops, raising ProfileInvariantError where the path's
-    summed error estimate exceeds RESIDUAL_TOL max(1, max f over the nodes).
-    No profile record is built. An early end is reported via `truncated`,
-    not as a failure; a profile that fails at u0 itself raises
-    ProfileInvariantError.
+    parallel case a take no f0 (SpecMismatchError if one is given); the
+    f' = y(f) families start from f0. A closed-form profile ends exactly
+    where f reaches 0 or |f'| reaches FPRIME_FLOOR, or, for constant k and
+    Chen, where f or f' reaches the runaway bound (the largest u <= u1
+    admissible on all of [u0, u]); its arithmetic failing raises DomainError.
+    An ODE profile ends where the integration stops, and raises
+    ProfileInvariantError where the path's summed error estimate exceeds
+    RESIDUAL_TOL max(1, max f over the nodes). No profile record is built.
+    An early end is reported via `truncated`, not as a failure; a profile
+    that fails at u0 itself raises ProfileInvariantError.
     """
     required_kappa = spec.kappa_constant
     if required_kappa is not None:

@@ -264,10 +264,11 @@ def jet_eval(fn: Callable[[Jet], Jet], t: float) -> Jet:
 
     Where a derivative leaves the float range (say 1/t, log t or sqrt t for
     |t| below about 1e-77, whose powers of t underflow), the jet raises
-    DomainError, although the value alone may still exist."""
+    DomainError, although the value alone may still exist; so does a math
+    domain error (sin of an argument that overflowed to inf, say)."""
     try:
         return fn(variable(t))
-    except (ZeroDivisionError, OverflowError) as exc:
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise DomainError(f"jet not representable at t = {t}: {exc}", t=t) from None
 
 

@@ -214,10 +214,15 @@ def g_from_f(p: ProfileCurve, u: float) -> float:
     u or has a sign other than at u0, and QuadratureLimitError where one ulp
     of u moves g by more than G_TOL (g is not resolvable next to a zero of
     f'); a g read from a Dormand-Prince path also raises where the path's
-    summed error estimate up to u exceeds G_TOL.
+    summed error estimate up to u exceeds G_TOL. Where g's arithmetic fails
+    at u (a closed form's division by zero, overflow or math domain error)
+    it raises DomainError.
     """
     p._check(u)
     if u == p.domain[0]:
         return p.g_origin
     _checked_g_prime(p, profile_point(p, u).fp, u)
-    return p.g_eval(u) if p.g_eval is not None else _quadrature_g(p, u)
+    try:
+        return p.g_eval(u) if p.g_eval is not None else _quadrature_g(p, u)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise DomainError(f"g({u}) is not representable: {exc}", t=u) from None

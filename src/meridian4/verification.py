@@ -6,13 +6,12 @@ import math
 import random
 
 from .errors import DomainError, MeridianError
-from .families import (PROFILE_SAMPLES, RESIDUAL_TOL, GeneratedSurface,
-                       defining_residual)
+from .families import PROFILE_SAMPLES, RESIDUAL_TOL, GeneratedSurface
 from .invariants import (DEFAULT_ORACLE_STEP, InvariantRecord, StencilPass,
                          eight_invariants, oracle_frame_derivatives,
                          oracle_invariants)
 from .minkowski import Vec4, minkowski_dot
-from .profile import sample_grid
+from .profile import profile_point, sample_grid
 from .records import Frozen, Record, set_fields
 from .surface import GENERAL, MARGINALLY_TRAPPED, MeridianSurface, point_data
 
@@ -221,7 +220,7 @@ def check_defining_property(gen: GeneratedSurface) -> CheckRecord:
     """The family's defining relation on the PROFILE_SAMPLES rows of the
     realized range, from the profile records it builds there; generate
     builds none."""
-    errs = [(defining_residual(gen.spec, gen.surface.profile, u), (u, None))
+    errs = [(gen.spec.residual(profile_point(gen.surface.profile, u)), (u, None))
             for u in sample_grid(gen.u_range, PROFILE_SAMPLES)]
     return _record(f"defining:{type(gen.spec).__name__}", errs, RESIDUAL_TOL)
 

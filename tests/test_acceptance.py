@@ -19,7 +19,7 @@ from meridian4.errors import MarginallyTrappedError
 from meridian4.expressions import compile_expression
 from meridian4.families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                                 ParallelA, ParallelB, constant_kappa_directrix,
-                                defining_residual, generate)
+                                generate)
 from meridian4.invariants import (DEFAULT_ORACLE_STEP, StencilPass,
                                   eight_invariants, oracle_frame_derivatives,
                                   oracle_invariants)
@@ -96,7 +96,7 @@ def test_criterion_02_constant_mean_reproduction():
         for u in u_samples(gen.u_range):
             assert abs(invariants_at(gen.surface, u, vm).H_norm
                        - spec.a) <= 1e-6, (spec, u)
-            assert defining_residual(spec, gen.surface.profile, u) <= 1e-6
+            assert spec.residual(profile_point(gen.surface.profile, u)) <= 1e-6
     report("criterion 2: constant mean curvature families, "
            "| ||H|| - a | <= 1e-6 and defining residual <= 1e-6")
 

@@ -389,6 +389,38 @@ def test_non_finite_invariant_record_is_exit_1(tmp_path, capsys, command, spec,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec, f0, u, message", [
+    # the closed form's arithmetic fails where the profile starts admissibly
+    ("parallel-a c=1e200 d=1e210", None, "0:1",
+     "the closed form of ParallelA is not representable from u = 0.0: "
+     "(34, 'Numerical result out of range')"),
+    ("chen b=1e-300 c=1e-300 branch=-", "1e-300", "0.1:1.1",
+     "the closed form of Chen is not representable from u = 0.1: float division by zero"),
+    # |f'| <= A r < FPRIME_FLOOR everywhere
+    ("constant-gauss K=1e-300 alpha=1 beta=1", None, "0:1",
+     "|f'| <= A r = 1.4142135623730952e-150 < 1e-09 everywhere"),
+    ("constant-gauss K=1e-300 alpha=1e-300 beta=1e-300", None, "-1:0",
+     "|f'| <= A r = 0.0 < 1e-09 everywhere"),
+    # f or f' starts beyond the runaway bound
+    ("chen b=1e-300 c=1e5 branch=+", "0.5", "100000:100001",
+     "y(f0) = 25000.0 at f0 = 0.5: f or f' starts beyond 1000.0"),
+    ("chen b=-1 c=-2 branch=+", "1e300", "1e-200:1",
+     "y(f0) = -1e+300 at f0 = 1e+300: f or f' starts beyond 1000.0"),
+    ("constant-k a=-1e150 b=1e-300 c=1e-150 branch=-", "0.5", "0.1:1.1",
+     "y(f0) = inf at f0 = 0.5: f or f' starts beyond 1000.0"),
+    ("constant-k a=-1e150 b=1e5 c=1e-300 branch=+", "1e300", "100000:100001",
+     "y(f0) = -inf at f0 = 1e+300: f or f' starts beyond 1000.0"),
+    # at u = 1e5 theta cannot resolve the zero of f', and g's log gets a
+    # negative ratio where it is read
+    ("constant-gauss K=1 alpha=-1e150 beta=1e5", None, "100000:100001",
+     "g(100000.0357564167) is not representable: math domain error")])
+def test_closed_form_arithmetic_failure_is_exit_1(tmp_path, capsys, spec, f0, u, message):
+    argv = ["family", "--spec", spec, "--u", u, "--out", str(tmp_path / "x.csv")]
+    code = main(argv + ([] if f0 is None else ["--f0", f0]))
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("command, spec, u, v, flag", [
     ("family", "constant-gauss K=1 alpha=1 beta=0", "0.1:0.5:5e-324", "0:1", "u"),
     ("invariants", "direct f=u+1 phi=1", "0:1:5e-324", "0:1", "u"),

@@ -3,15 +3,14 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meridian4 import families, odeint
 from meridian4.errors import MeridianError, ProfileInvariantError, SpecMismatchError
 from meridian4.expressions import compile_expression
 from meridian4.families import (PROFILE_SAMPLES, Chen, ConstantGauss, ConstantK,
                                 ConstantMean, ParallelA, ParallelB,
-                                constant_kappa_directrix,
-                                defining_residual, generate,
+                                constant_kappa_directrix, generate,
                                 integrate_autonomous)
 from meridian4.jets import jet_eval
 from meridian4.invariants import eight_invariants
@@ -213,7 +212,7 @@ def test_closed_form_profile_matches_the_integrated_one(spec, f0, u_range, trunc
         assert profile.f_jet(u).f == pytest.approx(path(u), rel=1e-12)
         assert g_from_f(profile, u) == pytest.approx(path.g(u, G_TOL), abs=1e-12)
     for u in sample_grid(gen.u_range, PROFILE_SAMPLES):
-        assert defining_residual(spec, profile, u) <= 1e-12
+        assert spec.residual(profile_point(profile, u)) <= 1e-12
 
 
 def test_closed_form_families_integrate_nothing(monkeypatch):
@@ -316,7 +315,7 @@ def test_defining_residuals_small_along_generated_profiles():
     for spec, f0, directrix in cases:
         gen = generate(spec, f0, (0.0, 1.0), directrix)
         for u in u_samples(gen):
-            assert defining_residual(spec, gen.surface.profile, u) <= 1e-8
+            assert spec.residual(profile_point(gen.surface.profile, u)) <= 1e-8
 
 
 # --- directrix construction ---------------------------------------------------
@@ -460,7 +459,7 @@ def _relation_holds(spec, f0, u_range):
         return
     profile = gen.surface.profile
     for u in sample_grid(gen.u_range, PROFILE_SAMPLES):
-        assert defining_residual(spec, profile, u) <= RELATION_TOL, u
+        assert spec.residual(profile_point(profile, u)) <= RELATION_TOL, u
 
 
 @settings(max_examples=150)
@@ -476,6 +475,48 @@ def test_constant_mean_keeps_its_relation_across_its_box(eps, branch, a, b, C, f
 @given(nonzero(0.1, 3.0), st.floats(-2.0, 2.0), st.floats(0.05, 2.0), ranges)
 def test_parallel_b_keeps_its_relation_across_its_box(a, c, f0, u_range):
     _relation_holds(ParallelB(a=a, c=c, b=-1.0), f0, u_range)
+
+
+# magnitudes from 1e-300 to 1e300 at both signs
+magnitudes = st.tuples(st.floats(-300.0, 300.0), signs).map(lambda p: p[1] * 10.0 ** p[0])
+closed_form_specs = st.one_of(
+    st.builds(ConstantGauss, K=magnitudes, alpha=magnitudes, beta=magnitudes),
+    st.builds(ParallelA, c=magnitudes, d=magnitudes, a=magnitudes, sign=signs),
+    st.builds(ConstantK, a=magnitudes, b=magnitudes, c=magnitudes, branch=signs),
+    st.builds(Chen, b=magnitudes, c=magnitudes, exponent_branch=signs))
+
+
+@settings(max_examples=400)
+@given(closed_form_specs, magnitudes, magnitudes, magnitudes)
+@example(ParallelA(c=1e200, d=1e210), None, 0.0, 1.0)
+@example(ConstantGauss(K=1e-300, alpha=1.0, beta=1.0), None, 0.0, 1.0)
+@example(ConstantGauss(K=1e-300, alpha=1e-300, beta=1e-300), None, -1.0, 1.0)
+@example(Chen(b=1e-300, c=1e5, exponent_branch=1), 0.5, 1e5, 1.0)
+@example(Chen(b=-1.0, c=-2.0, exponent_branch=1), 1e300, 1e-200, 1.0)
+@example(Chen(b=1e-300, c=1e-300, exponent_branch=-1), 1e-300, 0.1, 1.0)
+@example(ConstantK(a=-1e150, b=1e-300, c=1e-150, branch=-1), 0.5, 0.1, 1.0)
+@example(ConstantK(a=-1e150, b=1e5, c=1e-300, branch=1), 1e300, 1e5, 1.0)
+@example(ConstantGauss(K=1.0, alpha=-1e150, beta=1e5), None, 1e5, 1.0)
+# r u overflows to inf at the requested end, where the jet's sin raises
+@example(ConstantGauss(K=1e50, alpha=-1.0, beta=-1.0), None, -100.0, 1e300)
+def test_closed_forms_raise_only_meridian_errors_across_their_boxes(spec, f0, u0, span):
+    """generate either raises a MeridianError or gives a profile whose
+    records and g read 5 rows, each raising a MeridianError at worst."""
+    try:
+        if spec.kappa_constant is None:
+            f0, directrix = None, UNIT_PHI
+        else:
+            directrix = constant_kappa_directrix(spec.b, (0.0, 0.3))
+        gen = generate(spec, f0, (u0, u0 + abs(span)), directrix)
+    except MeridianError:
+        return
+    profile = gen.surface.profile
+    for u in sample_grid(gen.u_range, 5):
+        for read in (profile_point, g_from_f):
+            try:
+                read(profile, u)
+            except MeridianError:
+                pass
 
 
 @pytest.mark.parametrize("spec", [ConstantGauss(K=1.0, alpha=1.0, beta=0.0),

@@ -294,17 +294,17 @@ def test_constant_gauss_g_against_mpmath(spec, u_range, no_quadrature):
     (ParallelB(a=1.0, c=1.0, b=-2.0), 1.0, (0.0, 0.5)),
 ])
 def test_ode_g_against_mpmath(spec, f0, u_range, no_quadrature):
-    # du = df / y(f) along the path, so g(u) - g_origin is the integral of
+    # du = df / y(f) along the path, so g(u) is the integral of
     # -1/(2 y(f)^2) from f0 to f(u): a reference that shares only f(u)
     mpmath = pytest.importorskip("mpmath")
     y = spec.y()
     path = integrate_autonomous(y, f0, u_range)
-    p = profile_from_path(path, y, g_origin=0.25)
+    p = profile_from_path(path, y)
     ts = path.ts
     with mpmath.workdps(30):
         for i in range(0, len(ts) - 1, max(1, len(ts) // 10)):
             u = 0.5 * (ts[i] + ts[i + 1])          # off the step nodes
-            expected = 0.25 + mpmath.quad(
+            expected = mpmath.quad(
                 lambda f: -0.5 / mpmath.mpf(y(float(f))) ** 2, [f0, path(u)])
             # within G_TOL by a margin: the cubic Hermite part of the
             # continuous extension alone misses by up to 5e-11 here
