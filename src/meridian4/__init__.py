@@ -1,6 +1,6 @@
 """Spacelike meridian surfaces of parabolic type in Minkowski 4-space:
 construction, closed-form curvature invariants, classified families and
-finite-difference verification.
+verification against an exact oracle.
 
 Only the errors load with the package; every other public name loads its
 submodule on first use (PEP 562), so a command loads what it runs."""
@@ -17,7 +17,7 @@ _LAZY = {
                      "FamilySpec", "GeneratedSurface", "ParallelA", "ParallelB",
                      "constant_kappa_directrix", "generate",
                      "integrate_autonomous"), "families"),
-    **dict.fromkeys(("InvariantRecord", "StencilPass", "eight_invariants",
+    **dict.fromkeys(("InvariantRecord", "dual_frames", "eight_invariants",
                      "oracle_invariants"), "invariants"),
     **dict.fromkeys(("Jet", "jet_eval", "variable"), "jets"),
     **dict.fromkeys(("Vec4", "minkowski_dot"), "minkowski"),

@@ -311,14 +311,12 @@ def cmd_verify(args) -> int:
     u0, u1, ustep = _parse_range(args.u, "u", unread)
     v0, v1, vstep = _parse_range(args.v, "v", unread)
     gen = build_surface(spec, phi_text, args.f0, (u0, u1), (v0, v1))
-    from .invariants import DEFAULT_ORACLE_STEP  # --oracle-step's default
     from .verification import verify_generated  # only verify runs the suite
     n_pts = 50
     if args.grid:
         nu, nv = _grid_counts(args, ustep, vstep, (u0, u1), (v0, v1))
         n_pts = min(nu * nv, 100)
-    h = DEFAULT_ORACLE_STEP if args.oracle_step is None else args.oracle_step
-    report = verify_generated(gen, n_pts, h)
+    report = verify_generated(gen, n_pts)
     for line in report.lines():
         print(line)
     if args.out:
@@ -403,10 +401,10 @@ _COMMON = {"--spec": _REQUIRED, "--f0": None, "--u": _REQUIRED, "--v": _REQUIRED
 _FLAGS = {
     "family": {**_COMMON, "--v": None},
     "invariants": {**_COMMON, "--grid": None, "--tol": 1e-9},
-    "verify": {**_COMMON, "--out": None, "--grid": None, "--oracle-step": None},
+    "verify": {**_COMMON, "--out": None, "--grid": None},
     "mesh": {**_COMMON, "--grid": None, "--fields": None, "--projection": "none"},
 }
-_FLOATS = ("--f0", "--tol", "--oracle-step")   # float(): nan and inf reach the commands
+_FLOATS = ("--f0", "--tol")   # float(): nan and inf reach the commands
 
 
 def _exit(name, error=None):

@@ -1,33 +1,37 @@
 """Closed-form geometric invariants of a meridian surface of parabolic type,
-and a finite-difference oracle recomputing them from the frame definitions.
+and an exact oracle recomputing them from the frame definitions.
 
-The oracle differences surface.frames, which reads the point record the
+The oracle runs surface.frames once per point over dual numbers in (u, v)
+(forward-mode differentiation), so every frame field comes with its exact
+partial derivatives. The frame's values are those of the point record the
 closed forms read: X and n2 read f' and g', Y and n1 read phi, phi' and D,
 b and l read the same kappa, q and disc. It checks the rest: H and every
-coefficient come from central differences of those fields. Only f''',
-d kappa/dv and the u-only factors are read by the closed forms alone.
+coefficient come from the derivatives of those fields, seeded from the
+3-jets of f and phi at the point; d kappa/dv comes from dual arithmetic,
+not from kappa_dot. The third derivatives f''' and phi''' are shared with
+the closed forms; verify checks them against differences of f'' and phi''.
 """
 
 import math
 from collections import namedtuple
+from types import SimpleNamespace
 
 from .errors import DomainError
+from .jets import Jet
 from .minkowski import Vec4, minkowski_dot
 from .profile import ProfilePoint, _finite
 from .records import Record
-from .surface import (GENERAL, MeridianSurface, PointData, PointFrames,
-                      _require_general, frames, point_data)
+from .surface import GENERAL, PointData, PointFrames, _require_general, frames
 
 __all__ = [
     "InvariantRecord",
     "eight_invariants",
-    "StencilPass",
+    "Dual",
+    "dual_frames",
     "oracle_invariants",
-    "oracle_frame_derivatives",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-DEFAULT_ORACLE_STEP = 1e-4
 
 
 InvariantRecord = namedtuple(
@@ -102,68 +106,137 @@ def eight_invariants(d: PointData) -> InvariantRecord:
         h1, h2, abs(nu), eps))               # H_n1, H_n2, H_norm, epsilon
 
 
-# --- finite-difference oracle -------------------------------------------------
+# --- the exact oracle: the frame over dual numbers ----------------------------
 
-def _check_stencil(s: MeridianSurface, u: float, v: float, h: float):
-    if not h > 0.0:
-        raise DomainError(f"oracle step h = {h} is not positive")
-    # a step that moves no stencil point, or whose 1/(2h) overflows
-    if u + h == u or u - h == u or v + h == v or v - h == v \
-            or not math.isfinite(1.0 / (2.0 * h)):
-        raise DomainError(f"oracle step h = {h} is too small at ({u}, {v})")
-    u0, u1 = s.profile.domain
-    v0, v1 = s.directrix.domain
-    if not (u0 <= u - 2 * h and u + 2 * h <= u1 and v0 <= v - 2 * h and v + 2 * h <= v1):
-        raise DomainError(
-            f"oracle stencil of radius 2h = {2 * h} leaves the domain at ({u}, {v})")
+class Dual(Record):
+    """A first-order dual number in u and v, a + du e_u + dv e_v with
+    e_u^2 = e_u e_v = e_v^2 = 0: a value and its exact partial derivatives
+    (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 3).
+    It has the operations that surface.frames and dual_frames use and no
+    others: x + y, x - y, x * y, x / y and c / x for duals x and y or a
+    float or int constant y, c * x, -x, abs(x), x ** n for a constant n,
+    x > c, and the methods cos, sin and sqrt, which frames calls. Each value
+    is computed by the float operation that the same expression performs on
+    floats, so a formula run over duals has the values of the float formula
+    bit for bit. x - x is the float 0.0, or NaN where a part of x is not
+    finite, so Vec4's finiteness test covers the partials."""
+
+    __slots__ = ("a", "du", "dv")
+
+    def __init__(self, a: float, du: float, dv: float):
+        self.a = a
+        self.du = du
+        self.dv = dv
+
+    def __add__(self, o):
+        if type(o) is Dual:
+            return Dual(self.a + o.a, self.du + o.du, self.dv + o.dv)
+        return Dual(self.a + o, self.du, self.dv)
+
+    def __sub__(self, o):
+        if o is self:   # Vec4's finiteness test
+            return (self.a - self.a) + (self.du - self.du) + (self.dv - self.dv)
+        if type(o) is Dual:
+            return Dual(self.a - o.a, self.du - o.du, self.dv - o.dv)
+        return Dual(self.a - o, self.du, self.dv)
+
+    def __neg__(self):
+        return Dual(-self.a, -self.du, -self.dv)
+
+    def __mul__(self, o):
+        if type(o) is Dual:
+            a, b = self.a, o.a
+            return Dual(a * b, self.du * b + a * o.du, self.dv * b + a * o.dv)
+        return Dual(self.a * o, self.du * o, self.dv * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if type(o) is Dual:
+            b = o.a
+            q = self.a / b
+            return Dual(q, (self.du - q * o.du) / b, (self.dv - q * o.dv) / b)
+        return Dual(self.a / o, self.du / o, self.dv / o)
+
+    def __rtruediv__(self, o):
+        a = self.a
+        q = o / a
+        return Dual(q, -q * self.du / a, -q * self.dv / a)
+
+    def __pow__(self, n):
+        """self**n for a constant n."""
+        a = self.a
+        w = n * a ** (n - 1)
+        return Dual(a**n, w * self.du, w * self.dv)
+
+    def __abs__(self):
+        return -self if self.a < 0.0 else Dual(abs(self.a), self.du, self.dv)
+
+    def __gt__(self, c):
+        return self.a > c
+
+    def cos(self):
+        w = -math.sin(self.a)
+        return Dual(math.cos(self.a), w * self.du, w * self.dv)
+
+    def sin(self):
+        w = math.cos(self.a)
+        return Dual(math.sin(self.a), w * self.du, w * self.dv)
+
+    def sqrt(self):
+        r = math.sqrt(self.a)
+        w = 0.5 / r
+        return Dual(r, w * self.du, w * self.dv)
 
 
-class StencilPass(Record):
-    """One oracle stencil of step h at (u, v): the frames at the centre and
-    at (u+h, v), (u-h, v), (u, v+h), (u, v-h), each built once, and each
-    field's central differences, each computed on first use. Both oracles
-    read the point and the step from it; centre is the centre's PointFrames
-    when the caller has built it (a pass at h/2 reuses the one at h)."""
-
-    __slots__ = ("centre", "points", "h", "_diffs")
-
-    def __init__(self, s: MeridianSurface, u: float, v: float,
-                 h: float = DEFAULT_ORACLE_STEP,
-                 centre: PointFrames | None = None):
-        _check_stencil(s, u, v, h)
-        self.centre = frames(point_data(s, u, v)) if centre is None else centre
-        self.points = tuple(frames(point_data(s, uu, vv))
-                            for uu, vv in ((u + h, v), (u - h, v), (u, v + h), (u, v - h)))
-        self.h = h
-        self._diffs = {}
-
-    def difference(self, name: str, axis: int) -> Vec4:
-        """(F(+) - F(-)) / (2h) of the field `name` along u (axis 0) or v
-        (axis 1), each component as Vec4's own (a - b) * (1 / (2h))."""
-        key = (name, axis)
-        out = self._diffs.get(key)
-        if out is None:
-            up = getattr(self.points[2 * axis], name)
-            um = getattr(self.points[2 * axis + 1], name)
-            w = 1.0 / (2.0 * self.h)
-            out = self._diffs[key] = Vec4((up.c1 - um.c1) * w, (up.c2 - um.c2) * w,
-                                          (up.c3 - um.c3) * w, (up.c4 - um.c4) * w)
-        return out
+def _at_value(value: float, x: Dual) -> Dual:
+    """The dual with x's partials at value."""
+    return Dual(value, x.du, x.dv)
 
 
-def _directional(stencil: StencilPass, name: str, a: float, c: float) -> Vec4:
-    """Ambient derivative of the field `name` along a*d/du + c*d/dv, by
-    central differences: du*a + dv*c in one Vec4, each component summed in
-    the order of (du * a) + (dv * c)."""
-    du, dv = stencil.difference(name, 0), stencil.difference(name, 1)
-    return Vec4(du.c1 * a + dv.c1 * c, du.c2 * a + dv.c2 * c,
-                du.c3 * a + dv.c3 * c, du.c4 * a + dv.c4 * c)
+def dual_frames(d: PointData, pj: Jet) -> PointFrames:
+    """The frame at the general point of d over duals in (u, v):
+    surface.frames run over d's fields as Duals, whose partials are each
+    field's exact derivatives along u and v. The duals are seeded from the
+    3-jets at the point: f, f', f'' and f''' from d's profile record, phi and
+    phi' from its directrix record, and phi'' and phi''' from pj, the 3-jet
+    of phi at d's v. g', q, D, kappa and disc take their partials from their
+    record formulas run over those duals, and every field takes its value
+    from d, as the closed forms read it: the frame's values are frames(d)'s
+    bit for bit, and a field no closed form reads (g', phi, phi') still
+    reaches the frame. FlatPointError or MarginallyTrappedError where d is
+    not general."""
+    if d.case is not GENERAL:
+        _require_general(d)
+    p, c = d.p, d.c
+    f, fp, fpp = Dual(p.f, p.fp, 0.0), Dual(p.fp, p.fpp, 0.0), Dual(p.fpp, p.fppp, 0.0)
+    phi, phid = Dual(c.phi, 0.0, c.phid), Dual(c.phid, 0.0, pj.d2)
+    phidd = Dual(pj.d2, 0.0, pj.d3)
+    q = _at_value(p.q, f * fpp + fp**2)
+    D = _at_value(c.D, phid**2 + phi**2)
+    kappa = _at_value(c.kappa, (phi * phidd - 2.0 * phid**2 - phi**2) / D**1.5)
+    disc = _at_value(d.disc, kappa**2 * fp**2 - q**2)
+    return frames(PointData(
+        SimpleNamespace(f=f, fp=fp, gp=_at_value(p.gp, -0.5 / fp), q=q),
+        SimpleNamespace(v=Dual(c.v, 0.0, 1.0), phi=phi, phid=phid, D=D, kappa=kappa),
+        disc, GENERAL))
 
 
-def _normal_part(Dx_x: Vec4, Dy_y: Vec4, centre: PointFrames) -> Vec4:
+def _value(w: Vec4) -> Vec4:
+    """The values of a vector of duals."""
+    return Vec4(w.c1.a, w.c2.a, w.c3.a, w.c4.a)
+
+
+def _derivative(w: Vec4, a: float, c: float) -> Vec4:
+    """a d/du + c d/dv of a vector of duals."""
+    c1, c2, c3, c4 = w.c1, w.c2, w.c3, w.c4
+    return Vec4(c1.du * a + c1.dv * c, c2.du * a + c2.dv * c,
+                c3.du * a + c3.dv * c, c4.du * a + c4.dv * c)
+
+
+def _normal_part(Dx_x: Vec4, Dy_y: Vec4, X: Vec4, Y: Vec4) -> Vec4:
     """H = W - X <W,X> - Y <W,Y>, W = (D_x x + D_y y) * 0.5: W's part off the
     tangent plane of the orthonormal pair (X, Y), written out per component."""
-    X, Y = centre.X, centre.Y
     w1, w2 = (Dx_x.c1 + Dy_y.c1) * 0.5, (Dx_x.c2 + Dy_y.c2) * 0.5
     w3, w4 = (Dx_x.c3 + Dy_y.c3) * 0.5, (Dx_x.c4 + Dy_y.c4) * 0.5
     wx = w1 * X.c1 + w2 * X.c2 + w3 * X.c3 - w4 * X.c4
@@ -172,32 +245,29 @@ def _normal_part(Dx_x: Vec4, Dy_y: Vec4, centre: PointFrames) -> Vec4:
                 w3 - X.c3 * wx - Y.c3 * wy, w4 - X.c4 * wx - Y.c4 * wy)
 
 
-def oracle_invariants(stencil: StencilPass) -> InvariantRecord:
-    """Recompute the eight invariants at the stencil's centre as the
-    coefficients of the geometric frame's derivative formulas (Ganchev &
-    Milousheva, Mediterr. J. Math., 2012), e.g. D_x y = -gamma1 x + lam b +
-    mu l, differencing the frame fields x, y, b, l: a coefficient along b is
-    eps <., b> and one along l is -eps <., l>. O(h^2) accurate; no
-    closed-form invariant is read."""
-    centre = stencil.centre
-    for rec in (centre, *stencil.points):
-        if rec.epsilon is None:
-            _require_general(rec.d)
-    d = centre.d
+def oracle_invariants(fr: PointFrames) -> InvariantRecord:
+    """Recompute the eight invariants at the point of fr, a frame over duals
+    from dual_frames, as the coefficients of the geometric frame's
+    derivative formulas (Ganchev & Milousheva, Mediterr. J. Math., 2012),
+    e.g. D_x y = -gamma1 x + lam b + mu l, from the exact derivatives of the
+    frame fields x, y, b, l: a coefficient along b is eps <., b> and one
+    along l is -eps <., l>. No closed-form invariant, kappa_dot or u-only
+    factor of the closed forms is read."""
+    d = fr.d
     # x = (X + Y)/sqrt2 with X = z_u, Y = z_v/(f sqrt(D)):
-    # coordinate-direction coefficients of x and y at the centre point.
-    a_x, c_x = 1.0 / _SQRT2, 1.0 / (_SQRT2 * d.p.f * math.sqrt(d.c.D))
+    # coordinate-direction coefficients of x and y at the point.
+    a_x, c_x = 1.0 / _SQRT2, 1.0 / (_SQRT2 * d.p.f.a * math.sqrt(d.c.D.a))
     a_y, c_y = -a_x, c_x
-    b, l, x, y = centre.b, centre.l, centre.x, centre.y
+    b, l, x, y = _value(fr.b), _value(fr.l), _value(fr.x), _value(fr.y)
 
-    Dx_x = _directional(stencil, "x", a_x, c_x)
-    Dy_y = _directional(stencil, "y", a_y, c_y)
-    Dx_y = _directional(stencil, "y", a_x, c_x)
-    Dx_b = _directional(stencil, "b", a_x, c_x)
-    Dy_b = _directional(stencil, "b", a_y, c_y)
+    Dx_x = _derivative(fr.x, a_x, c_x)
+    Dy_y = _derivative(fr.y, a_y, c_y)
+    Dx_y = _derivative(fr.y, a_x, c_x)
+    Dx_b = _derivative(fr.b, a_x, c_x)
+    Dy_b = _derivative(fr.b, a_y, c_y)
 
     # coefficients along b and l, where <b,b> = eps and <l,l> = -eps
-    eps = centre.epsilon
+    eps = fr.epsilon
     nu1 = eps * minkowski_dot(Dx_x, b)
     nu2 = eps * minkowski_dot(Dy_y, b)
     lam = eps * minkowski_dot(Dx_y, b)
@@ -211,27 +281,14 @@ def oracle_invariants(stencil: StencilPass) -> InvariantRecord:
     k = -4.0 * nu1 * nu2 * mu**2
     varkappa = (nu1 - nu2) * mu
     K = eps * (nu1 * nu2 - lam**2 + mu**2)
-    Hvec = _normal_part(Dx_x, Dy_y, centre)
+    Hvec = _normal_part(Dx_x, Dy_y, _value(fr.X), _value(fr.Y))
     hh = minkowski_dot(Hvec, Hvec)
     return InvariantRecord(
         gamma1=gamma1, gamma2=gamma2, nu1=nu1, nu2=nu2,
         lam=lam, mu=mu, beta1=beta1, beta2=beta2,
         K=K, k=k, varkappa=varkappa,
-        H_n1=minkowski_dot(Hvec, centre.n1),
-        H_n2=-minkowski_dot(Hvec, centre.n2),   # <n2,n2> = -1
+        H_n1=minkowski_dot(Hvec, _value(fr.n1)),
+        H_n2=-minkowski_dot(Hvec, _value(fr.n2)),   # <n2,n2> = -1
         H_norm=math.sqrt(abs(hh)),
         epsilon=eps,
     )
-
-
-def oracle_frame_derivatives(stencil: StencilPass) -> dict:
-    """Ambient derivatives of the frame fields X, Y, n1, n2 along X and Y
-    at the stencil's centre, as Vec4s, keyed 'XX', 'XY', 'YX', 'YY', 'Xn1',
-    'Yn1', 'Xn2', 'Yn2'."""
-    d = stencil.centre.d
-    cY = 1.0 / (d.p.f * math.sqrt(d.c.D))   # Y = cY * z_v
-    out = {}
-    for name in ("X", "Y", "n1", "n2"):
-        out["X" + name] = stencil.difference(name, 0)
-        out["Y" + name] = stencil.difference(name, 1) * cY
-    return out

@@ -128,10 +128,15 @@ def embed(d: PointData, g: float) -> Vec4:
 def frames(d: PointData) -> PointFrames:
     """The frame at the point of d, with cos v, sin v and sqrt(D) computed
     once; b, l and epsilon only where d's case is general. Each vector is
-    built once, written out in the order of operations of Vec4's operators."""
+    built once, written out in the order of operations of Vec4's operators.
+
+    Generic over the scalar type of d's fields: a type other than float (the
+    oracle's invariants.Dual) brings its own cos, sin and sqrt, as methods
+    its class names, and the arithmetic and order of a float."""
     p, c = d.p, d.c
-    cv, sv = math.cos(c.v), math.sin(c.v)
-    rD = math.sqrt(c.D)
+    lib = math if isinstance(c.v, (float, int)) else type(c.v)
+    cv, sv = lib.cos(c.v), lib.sin(c.v)
+    rD = lib.sqrt(c.D)
     X = from_lightlike(
         p.fp * c.phi * cv,
         p.fp * c.phi * sv,
@@ -166,7 +171,7 @@ def frames(d: PointData) -> PointFrames:
         return PointFrames(d, X, Y, x, y, n1, n2)
     kfp, q, disc = c.kappa * p.fp, p.q, d.disc
     eps = 1 if disc > 0.0 else -1
-    root = math.sqrt(abs(disc))
+    root = lib.sqrt(abs(disc))
     rb, rl = 1.0 / root, eps / root
     b = Vec4((n1.c1 * kfp - n2.c1 * q) * rb, (n1.c2 * kfp - n2.c2 * q) * rb,
              (n1.c3 * kfp - n2.c3 * q) * rb, (n1.c4 * kfp - n2.c4 * q) * rb)

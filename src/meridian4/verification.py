@@ -1,14 +1,14 @@
-"""Verification machinery: the per-point rows (oracle against closed forms,
-identities, frame Gram matrix and derivative formulas) and the family
+"""Verification machinery: the per-point rows (the exact oracle against the
+closed forms, identities, frame Gram matrix, derivative formulas, and the
+jets' third derivatives against differences of their second) and the family
 defining-property and target rows, aggregated into a report."""
 
 import math
 import random
 
-from .errors import DomainError, MeridianError
+from .errors import MeridianError
 from .families import PROFILE_SAMPLES, RESIDUAL_TOL, GeneratedSurface
-from .invariants import (DEFAULT_ORACLE_STEP, InvariantRecord, StencilPass,
-                         eight_invariants, oracle_frame_derivatives,
+from .invariants import (InvariantRecord, _value, dual_frames, eight_invariants,
                          oracle_invariants)
 from .minkowski import Vec4, minkowski_dot
 from .profile import profile_point, sample_grid
@@ -26,17 +26,18 @@ __all__ = [
 
 _ORACLE_FIELDS = tuple(f for f in InvariantRecord._fields if f != "epsilon")
 _DERIV_ROWS = ("XX", "XY", "YX", "YY", "Xn1", "Yn1", "Xn2", "Yn2")
-_THIRD = 1.0 / 3.0
 SAMPLE_MARGIN = 5e-3   # least distance of sample points from the domain's edges
 SAMPLE_SEED = 0        # seed of verify_generated's sampler
+JET3_STEP = 1e-4       # the step of the jet3 rows' differences of f'' and phi''
 IDENTITY_TOL = 1e-9    # exact identities and the frame Gram matrix
-ORACLE_TOL = 1e-6      # Richardson-extrapolated oracle against closed forms
+ORACLE_TOL = 1e-6      # oracle against closed forms, and the jet3 rows
 # (name, tolerance) of each per-point row, in report order
 _POINT_ROWS = ([(f"oracle:{name}", ORACLE_TOL) for name in _ORACLE_FIELDS]
                + [("k+4*nu1*nu2*mu^2", IDENTITY_TOL),
                   ("K-eps*(nu1*nu2-lam^2+mu^2)", IDENTITY_TOL),
                   ("frame-gram", IDENTITY_TOL)]
-               + [(f"deriv:{name}", ORACLE_TOL) for name in _DERIV_ROWS])
+               + [(f"deriv:{name}", ORACLE_TOL) for name in _DERIV_ROWS]
+               + [("jet3:f", ORACLE_TOL), ("jet3:phi", ORACLE_TOL)])
 
 
 class CheckRecord(Frozen):
@@ -91,28 +92,24 @@ def _record(name, errs_locs, tol):
     return CheckRecord(name, len(errs_locs), err, tol, err <= tol, loc)
 
 
-def sample_general_points(s: MeridianSurface, n: int, rng, h: float) -> list:
+def sample_general_points(s: MeridianSurface, n: int, rng) -> list:
     """Draw n interior points classified General with rng.uniform(lo, hi)
-    (a margin of max(SAMPLE_MARGIN, 2h) keeps the oracle stencil of step h
-    inside the domain, and a discriminant margin keeps the points away from
-    marginally trapped ones). A domain narrower than twice the margin
-    raises MeridianError, or DomainError where the stencil is what does not
-    fit; too few points raise MeridianError, naming how many points were
-    passed over for each reason, and the first error a point raised."""
-    return [(u, v) for u, v, _ in _sample(s, n, rng, h)]
+    (SAMPLE_MARGIN keeps them inside the domain, with room for the jet3
+    rows' differences, and a discriminant margin keeps them away from
+    marginally trapped ones). A domain narrower than twice the margin raises
+    MeridianError; too few points raise MeridianError, naming how many
+    points were passed over for each reason, and the first error a point
+    raised."""
+    return [(d.p.u, d.c.v) for d, _ in _sample(s, n, rng)]
 
 
-def _sample(s: MeridianSurface, n: int, rng, h: float) -> list:
-    """sample_general_points as (u, v, closed-form record) triples: a point
-    whose point record or closed-form record raises is passed over."""
+def _sample(s: MeridianSurface, n: int, rng) -> list:
+    """sample_general_points as (point record, closed-form record) pairs: a
+    point whose point record or closed-form record raises is passed over."""
     u0, u1 = s.profile.domain
     v0, v1 = s.directrix.domain
-    margin = max(SAMPLE_MARGIN, 2.0 * h)
     for axis, lo, hi in (("u", u0, u1), ("v", v0, v1)):
-        if lo + margin > hi - margin:
-            if margin > SAMPLE_MARGIN:
-                raise DomainError(f"oracle stencil of radius 2h = {margin} does not "
-                                  f"fit in the {axis} domain [{lo}, {hi}]")
+        if lo + SAMPLE_MARGIN > hi - SAMPLE_MARGIN:
             raise MeridianError(
                 f"the {axis} domain [{lo}, {hi}] of width {hi - lo:g} is narrower "
                 f"than twice the sample margin {SAMPLE_MARGIN}")
@@ -123,8 +120,8 @@ def _sample(s: MeridianSurface, n: int, rng, h: float) -> list:
     skipped = None   # the first error passed over
     while len(pts) < n and attempts < 200 * n:
         attempts += 1
-        u = rng.uniform(u0 + margin, u1 - margin)
-        v = rng.uniform(v0 + margin, v1 - margin)
+        u = rng.uniform(u0 + SAMPLE_MARGIN, u1 - SAMPLE_MARGIN)
+        v = rng.uniform(v0 + SAMPLE_MARGIN, v1 - SAMPLE_MARGIN)
         try:
             d = point_data(s, u, v)
             if d.case is not GENERAL:
@@ -133,7 +130,7 @@ def _sample(s: MeridianSurface, n: int, rng, h: float) -> list:
                 # too close to marginally trapped for stable frames
                 reason = "inside the 1e-4 discriminant margin"
             else:
-                pts.append((u, v, eight_invariants(d)))
+                pts.append((d, eight_invariants(d)))
                 continue
         except MeridianError as exc:
             reason = "raised"
@@ -147,72 +144,80 @@ def _sample(s: MeridianSurface, n: int, rng, h: float) -> list:
     return pts
 
 
-def _richardson(coarse, fine):
-    """(4 fine - coarse) / 3 of oracle values at h and h/2: it cancels the
-    O(h^2) term of the central differences and leaves O(h^4)."""
-    return (4.0 * fine - coarse) / 3.0
+def _jet3_error(jet, t: float, d3: float) -> float:
+    """|d3 - R| for d3, the jets' third derivative at t, and R the Richardson
+    extrapolation (4 D(h/2) - D(h)) / 3 of the central differences D(h) =
+    (jet(t + h).d2 - jet(t - h).d2) / (2h) of their second, h = JET3_STEP:
+    it cancels the O(h^2) term of D and reads no third derivative."""
+    h = JET3_STEP
+    coarse = (jet(t + h).d2 - jet(t - h).d2) / (2.0 * h)
+    fine = (jet(t + 0.5 * h).d2 - jet(t - 0.5 * h).d2) / h
+    return abs(d3 - (4.0 * fine - coarse) / 3.0)
 
 
-def _point_rows(s: MeridianSurface, pts, h: float) -> list:
-    """The records of every per-point row over pts, (u, v, closed-form
-    record) triples from _sample, in _POINT_ROWS order. Each point's rows
-    read one stencil pass at h, one at h/2 reusing its centre, and the
-    point's record; a point's passes are dropped before the next point's
-    are built. The rows:
-    - oracle:<field>: |closed form - Richardson(oracle)| of each numeric field
-      of the invariant record, at both signs of <H,H>;
+def _point_rows(s: MeridianSurface, pts) -> list:
+    """The records of every per-point row over pts, (point record,
+    closed-form record) pairs from _sample, in _POINT_ROWS order. Each
+    point's rows read one frame over duals (invariants.dual_frames), seeded
+    from the point record and the 3-jet of phi at its v, and the point's
+    closed-form record. The rows:
+    - oracle:<field>: |closed form - oracle| of each numeric field of the
+      invariant record, at both signs of <H,H>;
     - the identities that relate independent closed forms: k against nu1,
       nu2 and mu, and the Gauss equation for K (gamma1 + gamma2 = 0,
       nu1 = nu2 and varkappa = 0 hold by construction in the closed forms;
       the oracle rows test them on the oracle's own gamma2, nu2, varkappa);
-    - frame-gram: the centre's (x, y, b, l) against diag(1, 1, eps, -eps);
-    - deriv:<row>: |table - Richardson(oracle)| of each row of the frame
-      derivative table, read from the centre's frames:
+    - frame-gram: the frame's (x, y, b, l) against diag(1, 1, eps, -eps);
+    - deriv:<row>: |table - derivative| of each row of the frame derivative
+      table, the derivatives read from the frame's partials:
       D_X X = -kappa_m n2, D_X Y = 0, D_Y X = (f'/f) Y,
       D_Y Y = -(f'/f) X + (kappa/f) n1 - (f'/f) n2,
       D_X n1 = 0, D_Y n1 = -(kappa/f) Y, D_X n2 = -kappa_m X, D_Y n2 = -(f'/f) Y
       (the n2 rows carry the orientation of n2 that keeps the table
-      compatible with d<X,n2> = 0)."""
+      compatible with d<X,n2> = 0), with X = d/du and Y = d/dv / (f sqrt(D));
+    - jet3:f and jet3:phi: the jets' f''' and phi''', which the closed forms
+      and the oracle's seeds share, against differences of f'' and phi''."""
     rows = [[] for _ in _POINT_ROWS]
-    for u, v, r in pts:
-        coarse = StencilPass(s, u, v, h)
-        fine = StencilPass(s, u, v, h / 2.0, coarse.centre)
-        centre = coarse.centre
-        lo = oracle_invariants(coarse)
-        hi = oracle_invariants(fine)
-        errs = [abs(getattr(r, name) - _richardson(getattr(lo, name), getattr(hi, name)))
-                for name in _ORACLE_FIELDS]
+    for d, r in pts:
+        p, c = d.p, d.c
+        pj = s.directrix.phi_jet(c.v)
+        fr = dual_frames(d, pj)
+        o = oracle_invariants(fr)
+        errs = [abs(getattr(r, name) - getattr(o, name)) for name in _ORACLE_FIELDS]
         errs.append(abs(r.k + 4.0 * r.nu1 * r.nu2 * r.mu**2))
         errs.append(abs(r.K - r.epsilon * (r.nu1 * r.nu2 - r.lam**2 + r.mu**2)))
 
-        frame = (centre.x, centre.y, centre.b, centre.l)
-        eps = float(centre.epsilon)
+        X, Y, n1, n2 = (_value(w) for w in (fr.X, fr.Y, fr.n1, fr.n2))
+        frame = [_value(w) for w in (fr.x, fr.y, fr.b, fr.l)]
+        eps = float(fr.epsilon)
         target = (1.0, 1.0, eps, -eps)
         errs.append(max(abs(minkowski_dot(a, b) - (target[i] if i == j else 0.0))
                         for i, a in enumerate(frame)
                         for j, b in enumerate(frame)))
 
-        p, X, Y, n1, n2 = centre.d.p, centre.X, centre.Y, centre.n1, centre.n2
-        fof, kof, nkm = p.fp / p.f, centre.d.c.kappa / p.f, -p.kappa_m
+        fof, kof, nkm = p.fp / p.f, c.kappa / p.f, -p.kappa_m
+        cY = 1.0 / (p.f * math.sqrt(c.D))   # Y = cY d/dv
         # the table's rows as (field, coefficient) terms, summed from 0.0: that
         # changes at most the sign of a zero, which the error's abs drops
         table = {"XX": ((n2, nkm),), "XY": (), "YX": ((Y, fof),),
                  "YY": ((X, -fof), (n1, kof), (n2, -fof)), "Xn1": (),
                  "Yn1": ((Y, -kof),), "Xn2": ((X, nkm),), "Yn2": ((Y, -fof),)}
-        lo, hi = oracle_frame_derivatives(coarse), oracle_frame_derivatives(fine)
         for name in _DERIV_ROWS:
-            worst, a, b = 0.0, lo[name], hi[name]
-            for c in Vec4.__slots__:
+            field, along_u = getattr(fr, name[1:]), name[0] == "X"
+            worst = 0.0
+            for comp in Vec4.__slots__:
                 want = 0.0
                 for w, k in table[name]:
-                    want += getattr(w, c) * k
-                # Richardson per component, times 1/3 where the scalar rows divide by 3
-                err = abs((getattr(b, c) * 4.0 - getattr(a, c)) * _THIRD - want)
+                    want += getattr(w, comp) * k
+                x = getattr(field, comp)
+                err = abs((x.du if along_u else x.dv * cY) - want)
                 if err > worst or math.isnan(err):   # a NaN is the worst
                     worst = err
             errs.append(worst)
+        errs.append(_jet3_error(s.profile.f_jet, p.u, p.fppp))
+        errs.append(_jet3_error(s.directrix.phi_jet, c.v, pj.d3))
         for row, err in zip(rows, errs):
-            row.append((err, (u, v)))
+            row.append((err, (p.u, c.v)))
     return [_record(name, row, tol) for (name, tol), row in zip(_POINT_ROWS, rows)]
 
 
@@ -240,16 +245,15 @@ def check_family_targets(gen: GeneratedSurface, v: float) -> list:
             for label, field, value, tol in gen.spec.targets]
 
 
-def verify_generated(gen: GeneratedSurface, n_points: int = 50,
-                     oracle_step: float = DEFAULT_ORACLE_STEP) -> VerificationReport:
+def verify_generated(gen: GeneratedSurface, n_points: int = 50) -> VerificationReport:
     """Full verification of a generated surface: the per-point rows on
     n_points sampled general points and, for a family member (spec not
     None), the family's defining row and its target rows at the column of
     the first sample point, which is general."""
     if n_points < 1:
         raise MeridianError(f"verify needs at least one sample point, got {n_points}")
-    pts = _sample(gen.surface, n_points, random.Random(SAMPLE_SEED), oracle_step)
-    rows = _point_rows(gen.surface, pts, oracle_step)
+    pts = _sample(gen.surface, n_points, random.Random(SAMPLE_SEED))
+    rows = _point_rows(gen.surface, pts)
     if gen.spec is not None:
-        rows += [check_defining_property(gen), *check_family_targets(gen, pts[0][1])]
+        rows += [check_defining_property(gen), *check_family_targets(gen, pts[0][0].c.v)]
     return VerificationReport(rows)

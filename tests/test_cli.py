@@ -535,35 +535,33 @@ def test_last_grid_point_is_the_truncated_end(tmp_path, command, spec, u_range, 
 # --- verify command -----------------------------------------------------------
 
 def test_verify_keeps_its_points_a_stencil_radius_from_the_edges(tmp_path):
-    # a stencil of radius 2h = 0.02 is wider than the sample margin 5e-3
+    # the sample margin 5e-3 is wider than the jet3 rows' stencil of radius
+    # JET3_STEP = 1e-4 around each point
     out = tmp_path / "r.json"
     code = main(["verify", "--spec", "parallel-a c=1 d=1", "--u", "0:1",
-                 "--v", "0:1", "--oracle-step", "0.01", "--out", str(out)])
+                 "--v", "0:1", "--out", str(out)])
     assert code == 0
     assert all(c["pass"] for c in json.loads(out.read_text())["checks"])
     s = cli.build_surface(*parse_family_spec("parallel-a c=1 d=1"), None,
                           (0.0, 1.0), (0.0, 1.0)).surface
-    pts = sample_general_points(s, 50, random.Random(SAMPLE_SEED), 0.01)
-    assert all(0.02 <= x <= 0.98 for pt in pts for x in pt)
+    pts = sample_general_points(s, 50, random.Random(SAMPLE_SEED))
+    assert all(0.005 <= x <= 0.995 for pt in pts for x in pt)
 
 
-def test_verify_oracle_step_zero_is_exit_1(tmp_path, capsys):
-    code = main(["verify", "--spec", "parallel-a c=1 d=1", "--u", "0:1",
-                 "--v", "0:1", "--oracle-step", "0"])
-    assert code == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: oracle step h = 0.0 is not positive"]
+# The exact oracle takes no step: --oracle-step, which once set its finite
+# differences, is an unknown flag, whatever its value
+def test_verify_oracle_step_zero_is_exit_1(capsys):
+    assert _exit(main, ["verify", "--spec", "parallel-a c=1 d=1", "--u", "0:1",
+                        "--v", "0:1", "--oracle-step", "0"], capsys) == _usage_error(
+        "verify", "unknown flag '--oracle-step'")
 
 
 @pytest.mark.parametrize("h", ["1e-320", "1e-300"])
 def test_verify_oracle_step_too_small_is_exit_1(capsys, h):
-    # at 1e-320 the stencil's 1/(2h) overflows; at 1e-300 u + h == u
-    code = main(["verify", "--spec", "constant-gauss K=1 alpha=1 beta=0",
-                 "--u", "0.1:0.5", "--v", "0:1", "--grid", "2x2", "--oracle-step", h])
-    assert code == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: oracle step h = {h} is too small at "
-        "(0.4343245220947688, 0.7553748589108994)"]
+    assert _exit(main, ["verify", "--spec", "constant-gauss K=1 alpha=1 beta=0",
+                        "--u", "0.1:0.5", "--v", "0:1", "--grid", "2x2",
+                        "--oracle-step", h], capsys) == _usage_error(
+        "verify", "unknown flag '--oracle-step'")
 
 
 def test_verify_says_the_points_were_flat_when_none_raised(capsys):
@@ -767,7 +765,7 @@ def test_grid_outputs_match_point_by_point(tmp_path, case):
     ("family", "--format", "csv"), ("family", "--grid", "2x2"),
     ("verify", "--tol", "1e-9"),
     ("mesh", "--oracle-step", "1e-4"), ("invariants", "--fields", "K"),
-    ("verify", "--projection", "none")])
+    ("verify", "--projection", "none"), ("verify", "--oracle-step", "1e-4")])
 def test_flags_exist_only_where_they_are_read(tmp_path, command, flag, value):
     argv = [command, "--spec", "parallel-a c=1 d=1 a=0 sign=+", "--u", "0:1",
             "--v", "0:1", "--out", str(tmp_path / "x"), flag, value]
@@ -798,7 +796,7 @@ _USAGE = {
     "invariants": "usage: meridian4 invariants --spec SPEC [--f0 F0] --u U --v V "
                   "--out OUT [--grid GRID] [--tol TOL]",
     "verify": "usage: meridian4 verify --spec SPEC [--f0 F0] --u U --v V [--out OUT] "
-              "[--grid GRID] [--oracle-step ORACLE_STEP]",
+              "[--grid GRID]",
     "mesh": "usage: meridian4 mesh --spec SPEC [--f0 F0] --u U --v V --out OUT "
             "[--grid GRID] [--fields FIELDS] [--projection PROJECTION]",
     None: "usage: meridian4 {family,invariants,verify,mesh} ...",
@@ -839,10 +837,11 @@ def test_each_usage_error_and_help_exits_with_its_message(capsys, argv, expected
     ("mesh", ["--u=0:1", "--u", "0:1"], "flag --u is given more than once"),
     ("family", ["--f0", "one"], "flag --f0 needs a number, got 'one'"),
     ("invariants", ["--tol=abc"], "flag --tol needs a number, got 'abc'"),
-    ("verify", ["--oracle-step", ""], "flag --oracle-step needs a number, got ''"),
-    # a prefix of a flag is not that flag
+    ("verify", ["--oracle-step", ""], "unknown flag '--oracle-step'"),
     ("verify", ["--orac", "1e-4"], "unknown flag '--orac'"),
-    ("family", ["--spec", "chen", "b=1"], "expected a flag, found 'b=1'")])
+    ("family", ["--spec", "chen", "b=1"], "expected a flag, found 'b=1'"),
+    # a prefix of a flag is not that flag
+    ("verify", ["--gri", "2x2"], "unknown flag '--gri'")])
 def test_a_usage_error_is_one_error_line_and_exit_1(capsys, command, argv, message):
     assert _exit(main, [command, *argv], capsys) == _usage_error(command, message)
 
@@ -1029,8 +1028,7 @@ def test_reproduction_command_at_negative_eps(tmp_path):
     assert [n for n in names if n.startswith("oracle")] == [
         f"oracle:{f}" for f in _ORACLE_FIELDS]
     s = cli.build_surface(*parse_family_spec(spec), 0.6, (0.0, 0.3), (0.0, 0.3)).surface
-    pts = sample_general_points(s, 9, random.Random(SAMPLE_SEED),
-                                invariants.DEFAULT_ORACLE_STEP)
+    pts = sample_general_points(s, 9, random.Random(SAMPLE_SEED))
     assert {eight_invariants(point_data(s, u, v)).epsilon for u, v in pts} == {-1}
     # the identity rows stand between the oracle rows and frame-gram
     rows = checks[len(_ORACLE_FIELDS):names.index("frame-gram")]

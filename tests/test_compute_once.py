@@ -1,8 +1,9 @@
 """Each public per-point function evaluates the profile and directrix jets
-once per point it needs: the centre for the closed forms and frames, the
-centre plus four stencil points for the oracle. Each curve keeps the records
-it evaluated, so a coordinate shared by several points, or by several
-surfaces over the same curve, is evaluated once."""
+once per point it needs: the point's records for the closed forms and
+frames, and for the oracle's frame over duals also the 3-jet of phi at the
+point. Each curve keeps the records it evaluated, so a coordinate shared by
+several points, or by several surfaces over the same curve, is evaluated
+once."""
 
 import random
 from collections import Counter
@@ -14,7 +15,7 @@ from meridian4 import (cli, invariants, profile as profile_module, surface,
 from meridian4.cli import build_surface, parse_family_spec
 from meridian4.errors import (DegenerateDirectrixError, DomainError,
                               ProfileInvariantError)
-from meridian4.families import (KAPPA_SAMPLES, ConstantMean,
+from meridian4.families import (KAPPA_SAMPLES, PROFILE_SAMPLES, ConstantMean,
                                 constant_kappa_directrix, generate)
 from meridian4.jets import jcos, jsqrt
 from meridian4.minkowski import Vec4
@@ -43,18 +44,20 @@ def counted_surface():
     return s, f, phi
 
 
+def oracle_frame(s, u, v):
+    """The oracle's frame over duals at (u, v)."""
+    return invariants.dual_frames(surface.point_data(s, u, v), s.directrix.phi_jet(v))
+
+
 @pytest.mark.parametrize("read, record, most", [
     (invariants.eight_invariants, surface.point_data, 1),
     (surface.frames, surface.point_data, 1),
-    (invariants.oracle_invariants, invariants.StencilPass, 5),
-    (invariants.oracle_frame_derivatives, invariants.StencilPass, 5),
-], ids=["eight_invariants-1", "frames-1", "oracle_invariants-5",
-        "oracle_frame_derivatives-5"])
+    (invariants.oracle_invariants, oracle_frame, 2),
+], ids=["eight_invariants-1", "frames-1", "oracle_invariants-2"])
 def test_jets_evaluated_once_per_point(read, record, most):
     s, f, phi = counted_surface()
     read(record(s, 1.2, 2.0))
-    assert 1 <= f.calls <= most
-    assert 1 <= phi.calls <= most
+    assert f.calls == 1 and 1 <= phi.calls <= most
 
 
 # --- the curves' u- and v-records ---------------------------------------------
@@ -77,11 +80,12 @@ def test_one_jet_per_coordinate_however_often_queried():
 
 def test_records_of_a_used_surface_equal_those_of_a_fresh_one():
     used = counted_surface()[0]
-    h = invariants.DEFAULT_ORACLE_STEP
+    h = verification.JET3_STEP
     for u, v in ((1.2, 2.0), (0.0, 2.0), (1.2, 0.0)):
         invariants.eight_invariants(surface.point_data(used, u, v))
-    invariants.oracle_invariants(invariants.StencilPass(used, 1.2, 2.0, h))
-    invariants.oracle_frame_derivatives(invariants.StencilPass(used, 1.2, 2.0, h / 2.0))
+    invariants.oracle_invariants(oracle_frame(used, 1.2, 2.0))
+    for u, v in ((1.2 + h, 2.0), (1.2, 2.0 - h / 2.0)):
+        surface.point_data(used, u, v)
     points = [(1.2, 2.0), (1.2 + h, 2.0), (1.2, 2.0 - h / 2.0),
               (-0.0, 2.0), (0.0, 2.0), (1.2, -0.0), (1.2, 0.0)]
     for tol in (surface.CLASSIFY_TOL, 1e-12, 10.0):
@@ -122,11 +126,13 @@ def test_verify_evaluates_each_stencil_coordinate_once(monkeypatch):
     assert jets["f"] == 0 and jets["phi"] == 21, jets
     assert verify_generated(gen, 20).passed
     # generate reads the 21 v of its curvature check and no u; verify's 20
-    # points each touch 5 distinct u and 5 distinct v over their centre and
-    # oracle stencils (100 and 100), the defining row builds the records of
-    # the 50 u rows that the family-target rows read again, and the target
-    # column is a sample point's v
-    assert jets["f"] <= 150 and jets["phi"] <= 121, jets
+    # points each read the jets at their u and v (the point's records, and
+    # for the oracle the 3-jet of phi) and at the four jet3 neighbours of
+    # each, u +- h and u +- h/2, v +- h and v +- h/2: 100 u and 120 v; the
+    # defining row builds the records of the 50 u rows that the
+    # family-target rows read again, and the target column is a sample
+    # point's v
+    assert jets["f"] == 150 and jets["phi"] == 141, jets
 
 
 def test_verify_builds_each_stencil_frame_once(monkeypatch):
@@ -136,15 +142,17 @@ def test_verify_builds_each_stencil_frame_once(monkeypatch):
     build = surface.frames
 
     def counted(d):
-        frames[(d.p.u, d.c.v)] += 1
+        frames[(d.p.f.a, d.c.v.a)] += 1
         return build(d)
     for module in (surface, invariants, verification):
         if "frames" in vars(module):   # every module that binds it
             monkeypatch.setattr(module, "frames", counted)
+    pts = sample_general_points(gen.surface, 20, random.Random(SAMPLE_SEED))
     assert verify_generated(gen, 20).passed
-    # per sample point: the centre, shared by both oracles at h and h/2 and
-    # by the frame-Gram row, and the eight stencil points, each once
-    assert sum(frames.values()) == 9 * 20
+    # one frame per sample point, over duals, shared by the oracle, the
+    # frame-Gram row and the derivative rows: no frame at any neighbour
+    profile = gen.surface.profile
+    assert frames == Counter((profile_point(profile, u).f, v) for u, v in pts)
     assert sorted(set(frames.values())) == [1]
 
 
@@ -159,19 +167,41 @@ def test_verify_builds_each_vector_once(monkeypatch):
         init(self, *components)
     monkeypatch.setattr(Vec4, "__init__", counted)
     assert verify_generated(gen, 20).passed
-    # 20 points, each with 9 frames of 8 vectors (X, Y, x, y, n1, n2, b, l):
-    # 1,440; per point and step, 14 central differences, 5 directional
-    # derivatives, 1 normal part and 4 scaled frame derivatives: 40 passes
-    # of 24 make 960; the rows build none
-    assert built[0] == 9 * 20 * 8 + 40 * (14 + 5 + 1 + 4) == 2400
+    # 20 points, each with one frame of 8 vectors (X, Y, x, y, n1, n2, b, l),
+    # the oracle's values of those 8, its 5 directional derivatives and 1
+    # normal part, and the rows' values of the 8 again: 20 * 30
+    assert built[0] == 20 * (8 + 8 + 5 + 1 + 8) == 600
+
+
+def test_verify_reads_the_jets_only_at_its_points_and_their_jet3_neighbours(monkeypatch):
+    spec, phi = parse_family_spec("constant-mean a=0.5 b=2 C=0 eps=+ branch=+")
+    gen = build_surface(spec, phi, 0.6, (0.0, 0.15), (0.0, 0.3))
+    pts = sample_general_points(gen.surface, 20, random.Random(SAMPLE_SEED))
+    jets = {"f": Counter(), "phi": Counter()}
+    for cls, method, name in ((ProfileCurve, "f_jet", "f"), (Directrix, "phi_jet", "phi")):
+        def counted(self, t, jet=getattr(cls, method), log=jets[name]):
+            log[t] += 1
+            return jet(self, t)
+        monkeypatch.setattr(cls, method, counted)
+    assert verify_generated(gen, 20).passed
+    h = verification.JET3_STEP
+    us, vs = [u for u, _ in pts], [v for _, v in pts]
+
+    def neighbours(ts):
+        return Counter(t + k for t in ts for k in (h, -h, 0.5 * h, -0.5 * h))
+    # the sample points' records were built before the count: u is read at
+    # each point's jet3 neighbours and the defining row's 50 u; v at each
+    # point, for the oracle's 3-jet of phi, and at its jet3 neighbours
+    rows = Counter(sample_grid(gen.u_range, PROFILE_SAMPLES))
+    assert jets["f"] == neighbours(us) + rows
+    assert jets["phi"] == Counter(vs) + neighbours(vs)
 
 
 def test_verify_evaluates_the_closed_forms_once_per_point(monkeypatch):
     spec, phi = parse_family_spec("constant-mean a=0.5 b=2 C=0 eps=+ branch=+")
     gen = build_surface(spec, phi, 0.6, (0.0, 0.15), (0.0, 0.3))
     # drawn before the count starts: the sampler builds each point's record
-    pts = sample_general_points(gen.surface, 20, random.Random(SAMPLE_SEED),
-                                invariants.DEFAULT_ORACLE_STEP)
+    pts = sample_general_points(gen.surface, 20, random.Random(SAMPLE_SEED))
     calls = Counter()
     eight_invariants = verification.eight_invariants
 

@@ -27,8 +27,8 @@ PUBLIC = {
     "MarginallyTrappedError", "MeridianError", "MeridianSurface", "ParallelA",
     "ParallelB", "PointCase", "PointFrames", "ProfileCurve",
     "ProfileInvariantError", "QuadratureLimitError", "SpecMismatchError",
-    "StencilPass", "Vec4", "VerificationReport", "compile_expression",
-    "constant_kappa_directrix", "eight_invariants", "embed", "frames",
+    "Vec4", "VerificationReport", "compile_expression",
+    "constant_kappa_directrix", "dual_frames", "eight_invariants", "embed", "frames",
     "g_from_f", "generate", "integrate_autonomous", "jet_eval", "minkowski_dot",
     "oracle_invariants", "point_data", "variable", "verify_generated",
 }

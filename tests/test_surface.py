@@ -14,7 +14,7 @@ from meridian4.minkowski import Vec4, from_lightlike, minkowski_dot
 from meridian4.profile import (Directrix, DirectrixPoint, ProfileCurve,
                                ProfilePoint, directrix_point, g_from_f,
                                profile_point)
-from meridian4.invariants import StencilPass, eight_invariants
+from meridian4.invariants import _value, dual_frames, eight_invariants
 from meridian4.surface import (MeridianSurface, PointCase, PointFrames,
                                combine, embed, frames, point_data)
 
@@ -137,14 +137,15 @@ def test_frame_convention(spec, f0, u, eps, fp_sign):
     (SQRT_SURFACE, 1.0, 1),
     (MeridianSurface(ProfileCurve(jcos, (0.05, 0.45)), UNIT_PHI), 0.3, -1)])
 def test_one_frame_builder_serves_every_reader(s, u, eps):
-    # frames and a stencil's centre build the same record, field by field
+    # frames over floats and the oracle's frame over duals give the same
+    # record, field by field: the values of the duals are the floats
     # (compared by repr)
     v = 0.7
     nf = frame(s, u, v)
-    centre = StencilPass(s, u, v, 1e-4).centre
-    assert nf.epsilon == eps
-    for name in PointFrames.__slots__:
-        assert repr(getattr(nf, name)) == repr(getattr(centre, name)), name
+    dual = dual_frames(point_data(s, u, v), s.directrix.phi_jet(v))
+    assert nf.epsilon == dual.epsilon == eps
+    for name in PointFrames.__slots__[1:-1]:
+        assert repr(getattr(nf, name)) == repr(_value(getattr(dual, name))), name
 
 
 def _family_point(spec, f0, u, v=0.2):

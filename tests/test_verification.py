@@ -12,11 +12,11 @@ from meridian4.cli import build_surface, parse_family_spec
 from meridian4.errors import DomainError, MeridianError
 from meridian4.expressions import compile_expression
 from meridian4.families import GeneratedSurface, ParallelA, generate
-from meridian4.invariants import DEFAULT_ORACLE_STEP, StencilPass, eight_invariants
+from meridian4.invariants import Dual, dual_frames, eight_invariants, oracle_invariants
 from meridian4.jets import jet_function_from_derivs
 from meridian4.minkowski import Vec4
 from meridian4.profile import Directrix, DirectrixPoint, ProfileCurve, ProfilePoint
-from meridian4.surface import MeridianSurface, point_data
+from meridian4.surface import MeridianSurface, PointFrames, point_data
 from meridian4.verification import (_ORACLE_FIELDS, SAMPLE_SEED, CheckRecord,
                                     VerificationReport, _record,
                                     sample_general_points, verify_generated)
@@ -53,10 +53,8 @@ def test_a_row_with_no_points_fails():
 def test_sample_general_points_is_deterministic():
     gen = generate(ParallelA(c=1.0, d=1.0, a=0.0, sign=1), None,
                    (0.0, 3.0), UNIT_PHI)
-    a = sample_general_points(gen.surface, 10, np.random.default_rng(7),
-                              DEFAULT_ORACLE_STEP)
-    b = sample_general_points(gen.surface, 10, np.random.default_rng(7),
-                              DEFAULT_ORACLE_STEP)
+    a = sample_general_points(gen.surface, 10, np.random.default_rng(7))
+    b = sample_general_points(gen.surface, 10, np.random.default_rng(7))
     assert a == b
 
 
@@ -72,7 +70,8 @@ PER_POINT_ROWS = (
     [f"oracle:{f}" for f in ("gamma1", "gamma2", "nu1", "nu2", "lam", "mu", "beta1",
                              "beta2", "K", "k", "varkappa", "H_n1", "H_n2", "H_norm")]
     + ["k+4*nu1*nu2*mu^2", "K-eps*(nu1*nu2-lam^2+mu^2)", "frame-gram"]
-    + [f"deriv:{r}" for r in ("XX", "XY", "YX", "YY", "Xn1", "Yn1", "Xn2", "Yn2")])
+    + [f"deriv:{r}" for r in ("XX", "XY", "YX", "YY", "Xn1", "Yn1", "Xn2", "Yn2")]
+    + ["jet3:f", "jet3:phi"])
 
 
 def test_report_row_order():
@@ -159,15 +158,14 @@ def _failed(gen):
 @pytest.mark.parametrize("eps", sorted(MUTATION_SURFACES))
 def test_every_row_fails_under_its_mutation(eps, monkeypatch):
     # A relative 1e-5 change in one closed-form field, or in one component
-    # of one oracle frame derivative, must fail that field's or that row's
-    # check (DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978).
+    # of one frame derivative of the oracle, must fail that field's or that
+    # row's check (DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978).
     gen = MUTATION_SURFACES[eps]
-    pts = sample_general_points(gen.surface, 5, random.Random(SAMPLE_SEED),
-                                DEFAULT_ORACLE_STEP)
+    pts = sample_general_points(gen.surface, 5, random.Random(SAMPLE_SEED))
     assert {eight_invariants(point_data(gen.surface, u, v)).epsilon
             for u, v in pts} == {eps}
     assert _failed(gen) == set()
-    closed, oracle = verification.eight_invariants, verification.oracle_frame_derivatives
+    closed = verification.eight_invariants
 
     def bump(x):
         return x + 1e-5 * max(1.0, abs(x))
@@ -180,35 +178,47 @@ def test_every_row_fails_under_its_mutation(eps, monkeypatch):
             m.setattr(verification, "eight_invariants", mutated_record)
             assert f"oracle:{field}" in _failed(gen), field
     for row in ("XX", "XY", "YX", "YY", "Xn1", "Yn1", "Xn2", "Yn2"):
-        def mutated_derivatives(*args, row=row):
-            out = oracle(*args)
-            w = out[row]
-            out[row] = Vec4(bump(w.c1), w.c2, w.c3, w.c4)
-            return out
+        # the row's derivative is its field's partial along u (X) or v (Y)
+        def mutated_frames(*args, field=row[1:], part="du" if row[0] == "X" else "dv"):
+            c1 = getattr(dual_frames(*args), field).c1
+            parts = {"a": c1.a, "du": c1.du, "dv": c1.dv}
+            parts[part] = bump(parts[part])
+            return _with_c1(dual_frames(*args), field, Dual(**parts))
         with monkeypatch.context() as m:
-            m.setattr(verification, "oracle_frame_derivatives", mutated_derivatives)
+            m.setattr(verification, "dual_frames", mutated_frames)
             assert f"deriv:{row}" in _failed(gen), row
+
+
+def _with_c1(fr, field, c1):
+    """fr with the first component of its field `field` replaced by c1,
+    which need not be finite."""
+    w = getattr(fr, field)
+    values = [getattr(fr, name) for name in PointFrames.__slots__]
+    values[PointFrames.__slots__.index(field)] = SimpleNamespace(c1=c1, c2=w.c2, c3=w.c3,
+                                                                 c4=w.c4)
+    return PointFrames(*values)
 
 
 @pytest.mark.parametrize("component", ["c1", "c2", "c4"])
 def test_a_non_finite_derivative_component_fails_its_row(component, monkeypatch):
     # The deriv: rows are summed per component, not through Vec4: a NaN or
-    # inf in any component is that row's error, wherever it stands
-    gen, oracle = MUTATION_SURFACES[1], verification.oracle_frame_derivatives
+    # inf in any component's partial is that row's error, wherever it stands
+    gen = MUTATION_SURFACES[1]
 
-    def poisoned(stencil, bad):
-        out = oracle(stencil)
-        w = out["YY"]
-        out["YY"] = SimpleNamespace(c1=w.c1, c2=w.c2, c3=w.c3, c4=w.c4)
-        setattr(out["YY"], component, bad)
-        return out
+    def poisoned(*args, bad):
+        fr = dual_frames(*args)
+        w = fr.Y
+        y = SimpleNamespace(c1=w.c1, c2=w.c2, c3=w.c3, c4=w.c4)
+        x = getattr(w, component)
+        setattr(y, component, Dual(x.a, x.du, bad))
+        values = [y if name == "Y" else getattr(fr, name) for name in PointFrames.__slots__]
+        return PointFrames(*values)
     for bad in (math.nan, math.inf):
-        monkeypatch.setattr(verification, "oracle_frame_derivatives",
-                            lambda stencil, bad=bad: poisoned(stencil, bad))
+        monkeypatch.setattr(verification, "dual_frames",
+                            lambda *args, bad=bad: poisoned(*args, bad=bad))
         rows = {c.name: c for c in verify_generated(gen, n_points=5).checks}
         assert [name for name, c in rows.items() if not c.passed] == ["deriv:YY"]
-        # inf at both steps makes the Richardson value inf - inf = NaN
-        assert math.isnan(rows["deriv:YY"].max_abs_error)
+        assert repr(rows["deriv:YY"].max_abs_error) == repr(bad)
 
 
 def _oracle(*fields):
@@ -225,47 +235,56 @@ GAUSS, K4 = "K-eps*(nu1*nu2-lam^2+mu^2)", "k+4*nu1*nu2*mu^2"
 _BL = _oracle("beta1", "beta2", "k", "lam", "mu", "nu1", "nu2", "H_n2", "H_norm")
 _Y_ROWS = {"deriv:YX", "deriv:YY", "deriv:Yn1", "deriv:Yn2"}
 # the rows each record field fails when scaled by 1 + 1e-3 (offset by 1e-3
-# where it is 0), at both signs of <H,H>
+# where it is 0), at both signs of <H,H>. The oracle's frame takes each
+# field's value from the record and its partials from the jets, so a field
+# whose partial the closed forms share (q' in beta, f''' everywhere) fails
+# the rows that read its value, and f''' only the jet3 row
 FIELD_ROWS = {
-    "u": set(),   # the record's coordinate: its key and label, in no formula
-    "f": {GAUSS, "defining:ConstantGauss", *_BL, *_oracle("K", "gamma1", "gamma2")},
-    "fp": {GAUSS, K4, "deriv:YY", "frame-gram", *_BL,
+    # the record's coordinate: in no formula, but the jet3 row's differences
+    # are taken around it
+    "u": {"jet3:f"},
+    "f": {GAUSS, "defining:ConstantGauss", *_BL - _oracle("beta1", "beta2"),
+          *_oracle("K", "gamma1", "gamma2")},
+    "fp": {GAUSS, K4, "deriv:XX", "deriv:Xn2", "deriv:YY", "frame-gram", *_BL,
            *_oracle("K", "gamma1", "gamma2")},
-    "fpp": {GAUSS, K4, "defining:ConstantGauss", *_oracle("beta1", "beta2", "lam", "mu")},
-    "fppp": _oracle("beta1", "beta2"),
-    "gp": {"deriv:YY", "frame-gram", *_BL, *_oracle("K")},
+    "fpp": {GAUSS, K4, "defining:ConstantGauss", "deriv:XX", "deriv:Xn2",
+            *_BL - _oracle("beta1", "beta2"), *_oracle("K")},
+    "fppp": {"jet3:f"},
+    "gp": {"deriv:XX", "deriv:Xn2", "deriv:YY", "frame-gram", *_BL,
+           *_oracle("K", "gamma1", "gamma2")},
     "kappa_m": {K4, "deriv:XX", "deriv:Xn2", *_oracle("k")},
-    "q": {GAUSS, *_BL},
+    "q": {GAUSS, *_BL - _oracle("beta1", "beta2")},
     "gamma1": _oracle("gamma1", "gamma2"),
     "K": {GAUSS, "K==-1.0", *_oracle("K")},
-    "v": {*_Y_ROWS, *_BL, *_oracle("K", "gamma1", "gamma2", "H_n1", "varkappa")},
-    "phi": {*_Y_ROWS, "frame-gram", *_BL,
-            *_oracle("K", "gamma1", "gamma2", "H_n1", "varkappa")},
-    "phid": {*_Y_ROWS, "frame-gram", *_BL,
-             *_oracle("K", "gamma1", "gamma2", "H_n1", "varkappa")},
-    "kappa": {"deriv:YY", "deriv:Yn1", *_BL - _oracle("H_n2"), *_oracle("H_n1")},
+    "v": {"deriv:YY", "deriv:Yn1", *_BL - _oracle("H_n2"), *_oracle("H_n1")},
+    "phi": {"deriv:YY", "deriv:Yn1", "frame-gram", *_BL,
+            *_oracle("K", "gamma1", "gamma2", "H_n1")},
+    "phid": {"deriv:YY", "deriv:Yn1", "frame-gram", *_BL,
+             *_oracle("K", "gamma1", "gamma2", "H_n1")},
+    "kappa": {"deriv:YY", "deriv:Yn1", *_BL - _oracle("H_n2", "beta1", "beta2"),
+              *_oracle("H_n1")},
     "kappa_dot": _oracle("beta1", "beta2"),
     "D": {"deriv:YY", "deriv:Yn1", "frame-gram", *_BL,
           *_oracle("K", "gamma1", "gamma2", "H_n1")},
 }
-FIELD_ROWS_AT_EPS_PLUS = {"q": _oracle("K"), "kappa": _oracle("K")}
+FIELD_ROWS_AT_EPS_PLUS = {"q": _oracle("K"), "v": _oracle("K"), "kappa": _oracle("K")}
 
 
 @pytest.mark.parametrize("field", list(FIELD_ROWS))
 @pytest.mark.parametrize("eps", sorted(FIELD_SURFACES))
 def test_every_record_field_reaches_a_row(eps, field, monkeypatch):
-    # The frames the oracle differences read f', g', phi, phi', D, kappa, q
-    # and disc from the point records, as the closed forms do. A 1e-3 change
-    # in any field but the coordinate u must still fail a named row: the
-    # oracle's H and coefficients come from differences, not the fields.
+    # The oracle's frame reads f, f', f'', g', phi, phi', D, kappa, q and
+    # disc from the point records, as the closed forms do, and the partials
+    # of each from the jets at the point. A 1e-3 change in any field must
+    # still fail a named row: the oracle's H and coefficients come from the
+    # partials, not from the fields.
     spec, phi = parse_family_spec(FIELD_SURFACES[eps])
 
     def failed():
         gen = build_surface(spec, phi, None, (0.0, 1.0), (0.0, 2.0 * math.pi))
         return gen, {c.name for c in verify_generated(gen, 20).checks if not c.passed}
     gen, none = failed()
-    pts = sample_general_points(gen.surface, 20, random.Random(SAMPLE_SEED),
-                                DEFAULT_ORACLE_STEP)
+    pts = sample_general_points(gen.surface, 20, random.Random(SAMPLE_SEED))
     assert {point_data(gen.surface, u, v).disc > 0 for u, v in pts} == {eps > 0}
     assert none == set()
     cls = ProfilePoint if field in ProfilePoint.__slots__ else DirectrixPoint
@@ -289,38 +308,27 @@ def _verify_cmc_surface():
                                       (MUTATION_SURFACES[-1], -1)],
                          ids=["verify_cmc", "eps=-1"])
 def test_shared_passes_give_the_standalone_oracle_values(gen, eps, monkeypatch):
-    # verify reads both oracles from one stencil pass per point and step,
-    # the pass at h/2 built on the centre of the pass at h; every pass must
-    # be a fresh StencilPass(s, u, v, h) and every value the fresh pass's
-    # oracle value, bit for bit (compared by repr, so signed zeros count)
-    calls = {"oracle_invariants": [], "oracle_frame_derivatives": []}
+    # verify reads one frame over duals per point, shared by the oracle, the
+    # frame-Gram row and the derivative rows; every frame must be a fresh
+    # dual_frames of the point and every oracle value the fresh frame's,
+    # bit for bit (compared by repr, so signed zeros count)
+    calls = {"dual_frames": [], "oracle_invariants": []}
     for name, log in calls.items():
-        def recorded(stencil, fn=getattr(verification, name), log=log):
-            out = fn(stencil)
-            log.append((stencil, out))
+        def recorded(*args, fn=getattr(verification, name), log=log):
+            out = fn(*args)
+            log.append((args, out))
             return out
         monkeypatch.setattr(verification, name, recorded)
     assert verify_generated(gen, 20).passed
-    # 20 points at h and h/2: perfbench's invariants.oracle.calls reads 80
-    assert [len(log) for log in calls.values()] == [40, 40]
-    for name, log in calls.items():
-        for stencil, shared in log:
-            d = stencil.centre.d
-            fresh = StencilPass(gen.surface, d.p.u, d.c.v, stencil.h)
-            assert repr(stencil) == repr(fresh)
-            alone = getattr(invariants, name)(fresh)
-            if name == "oracle_invariants":
-                assert shared.epsilon == eps
-                assert [repr(x) for x in shared] == [repr(x) for x in alone]
-            else:
-                assert list(shared) == list(alone)
-                assert [repr(w) for w in shared.values()] == \
-                    [repr(w) for w in alone.values()]
-
-
-def test_verify_refuses_a_stencil_leaving_the_domain():
-    with pytest.raises(DomainError, match="oracle stencil of radius"):
-        verify_generated(MUTATION_SURFACES[1], n_points=5, oracle_step=1.0)
+    # one of each per point: perfbench's invariants.oracle.calls reads 20
+    assert [len(log) for log in calls.values()] == [20, 20]
+    for (args, shared), ((fr,), values) in zip(*calls.values()):
+        d = args[0]
+        fresh = dual_frames(point_data(gen.surface, d.p.u, d.c.v),
+                            gen.surface.directrix.phi_jet(d.c.v))
+        assert shared is fr and repr(shared) == repr(fresh)
+        assert values.epsilon == eps
+        assert [repr(x) for x in values] == [repr(x) for x in oracle_invariants(fresh)]
 
 
 def test_the_sampler_passes_over_a_point_whose_invariants_raise():
