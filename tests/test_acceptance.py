@@ -2,7 +2,7 @@
 
 Each test covers one headline guarantee of the package: reproduction of the
 five classified families at pinned tolerances, equivalence of the closed
-forms with the finite-difference oracle, the algebraic identity suite, the
+forms with the exact oracle, the algebraic identity suite, the
 frame derivative table, degenerate-point detection, and the CLI contract.
 """
 
@@ -370,8 +370,8 @@ GOLDEN_VERIFY = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
 def test_criterion_10_verify_reports_byte_identical(name, tmp_path):
     # The report's errors are differences of oracle and closed-form values
-    # at full precision, so any change to the bits of the frames, the
-    # stencil differences or the Richardson rows shows here.
+    # at full precision, so any change to the bits of the frames, their
+    # partials or the jet3 rows' differences shows here.
     out = tmp_path / "verify.json"
     assert main(["verify", *GOLDEN_VERIFY[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()

@@ -6,8 +6,8 @@ import re
 import pytest
 
 from meridian4.cli import build_surface, parse_family_spec
-from meridian4.errors import (DomainError, FlatPointError,
-                              MarginallyTrappedError, ProfileInvariantError)
+from meridian4.errors import (FlatPointError, MarginallyTrappedError,
+                              ProfileInvariantError)
 from meridian4.expressions import compile_expression
 from meridian4.invariants import (InvariantRecord, _derivative, _value, dual_frames,
                                   eight_invariants, oracle_invariants)

@@ -7,14 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from meridian4 import invariants, verification
+from meridian4 import verification
 from meridian4.cli import build_surface, parse_family_spec
-from meridian4.errors import DomainError, MeridianError
+from meridian4.errors import MeridianError
 from meridian4.expressions import compile_expression
 from meridian4.families import GeneratedSurface, ParallelA, generate
 from meridian4.invariants import Dual, dual_frames, eight_invariants, oracle_invariants
 from meridian4.jets import jet_function_from_derivs
-from meridian4.minkowski import Vec4
 from meridian4.profile import Directrix, DirectrixPoint, ProfileCurve, ProfilePoint
 from meridian4.surface import MeridianSurface, PointFrames, point_data
 from meridian4.verification import (_ORACLE_FIELDS, SAMPLE_SEED, CheckRecord,
