@@ -35,7 +35,7 @@ from .families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                        constant_kappa_directrix, generate)
 from .profile import (Directrix, ProfileCurve, directrix_point, g_from_f,
                       profile_point, sample_grid)
-from .surface import GENERAL, MeridianSurface, combine, embed
+from .surface import CLASSIFY_TOL, GENERAL, MeridianSurface, combine, embed
 
 INVARIANT_COLUMNS = ["gamma1", "gamma2", "nu1", "nu2", "lambda", "mu",
                      "beta1", "beta2", "K", "k", "varkappa", "H_norm",
@@ -400,7 +400,7 @@ _COMMON = {"--spec": _REQUIRED, "--f0": None, "--u": _REQUIRED, "--v": _REQUIRED
            "--out": _REQUIRED}
 _FLAGS = {
     "family": {**_COMMON, "--v": None},
-    "invariants": {**_COMMON, "--grid": None, "--tol": 1e-9},
+    "invariants": {**_COMMON, "--grid": None, "--tol": CLASSIFY_TOL},
     "verify": {**_COMMON, "--out": None, "--grid": None},
     "mesh": {**_COMMON, "--grid": None, "--fields": None, "--projection": "none"},
 }

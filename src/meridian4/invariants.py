@@ -7,7 +7,7 @@ partial derivatives. The frame's values are those of the point record the
 closed forms read: X and n2 read f' and g', Y and n1 read phi, phi' and D,
 b and l read the same kappa, q and disc. It checks the rest: H and every
 coefficient come from the derivatives of those fields, seeded from the
-3-jets of f and phi at the point; d kappa/dv comes from dual arithmetic,
+3-jets of f and phi in that record; d kappa/dv comes from dual arithmetic,
 not from kappa_dot. The third derivatives f''' and phi''' are shared with
 the closed forms; verify checks them against differences of f'' and phi''.
 """
@@ -17,7 +17,6 @@ from collections import namedtuple
 from types import SimpleNamespace
 
 from .errors import DomainError
-from .jets import Jet
 from .minkowski import Vec4, minkowski_dot
 from .profile import ProfilePoint, _finite
 from .records import Record
@@ -194,24 +193,23 @@ def _at_value(value: float, x: Dual) -> Dual:
     return Dual(value, x.du, x.dv)
 
 
-def dual_frames(d: PointData, pj: Jet) -> PointFrames:
+def dual_frames(d: PointData) -> PointFrames:
     """The frame at the general point of d over duals in (u, v):
     surface.frames run over d's fields as Duals, whose partials are each
     field's exact derivatives along u and v. The duals are seeded from the
-    3-jets at the point: f, f', f'' and f''' from d's profile record, phi and
-    phi' from its directrix record, and phi'' and phi''' from pj, the 3-jet
-    of phi at d's v. g', q, D, kappa and disc take their partials from their
-    record formulas run over those duals, and every field takes its value
-    from d, as the closed forms read it: the frame's values are frames(d)'s
-    bit for bit, and a field no closed form reads (g', phi, phi') still
-    reaches the frame. FlatPointError or MarginallyTrappedError where d is
-    not general."""
+    3-jets that d's records hold: f, f', f'' and f''' from its profile
+    record, phi, phi', phi'' and phi''' from its directrix record. g', q, D,
+    kappa and disc take their partials from their record formulas run over
+    those duals, and every field takes its value from d, as the closed
+    forms read it: the frame's values are frames(d)'s bit for bit, and a
+    field no closed form reads (g', phi, phi') still reaches the frame.
+    FlatPointError or MarginallyTrappedError where d is not general."""
     if d.case is not GENERAL:
         _require_general(d)
     p, c = d.p, d.c
     f, fp, fpp = Dual(p.f, p.fp, 0.0), Dual(p.fp, p.fpp, 0.0), Dual(p.fpp, p.fppp, 0.0)
-    phi, phid = Dual(c.phi, 0.0, c.phid), Dual(c.phid, 0.0, pj.d2)
-    phidd = Dual(pj.d2, 0.0, pj.d3)
+    phi, phid = Dual(c.phi, 0.0, c.phid), Dual(c.phid, 0.0, c.phidd)
+    phidd = Dual(c.phidd, 0.0, c.phiddd)
     q = _at_value(p.q, f * fpp + fp**2)
     D = _at_value(c.D, phid**2 + phi**2)
     kappa = _at_value(c.kappa, (phi * phidd - 2.0 * phid**2 - phi**2) / D**1.5)

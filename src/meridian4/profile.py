@@ -105,13 +105,13 @@ class ProfilePoint(Frozen):
 class DirectrixPoint(Frozen):
     """The scalars of a point record that depend on v alone."""
 
-    __slots__ = ("v", "phi", "phid",
+    __slots__ = ("v", "phi", "phid", "phidd", "phiddd",
                  "kappa",      # (phi phi'' - 2 phi'^2 - phi^2) / D^(3/2)
                  "kappa_dot",  # d kappa / dv
                  "D")          # phi'^2 + phi^2
 
-    def __init__(self, v, phi, phid, kappa, kappa_dot, D):
-        set_fields(self, v, phi, phid, kappa, kappa_dot, D)
+    def __init__(self, v, phi, phid, phidd, phiddd, kappa, kappa_dot, D):
+        set_fields(self, v, phi, phid, phidd, phiddd, kappa, kappa_dot, D)
 
 
 def profile_point(p: ProfileCurve, u: float) -> ProfilePoint:
@@ -150,7 +150,7 @@ def directrix_point(d: Directrix, v: float) -> DirectrixPoint:
                 raise DegenerateDirectrixError(f"phi'^2 + phi^2 = 0 at v = {v}")
             num_dot = pj.f * pj.d3 - 3.0 * pj.d1 * pj.d2 - 2.0 * pj.f * pj.d1
             D_dot = 2.0 * pj.d1 * pj.d2 + 2.0 * pj.f * pj.d1
-            fields = (v, pj.f, pj.d1, num / D**1.5,
+            fields = (v, pj.f, pj.d1, pj.d2, pj.d3, num / D**1.5,
                       num_dot / D**1.5 - 1.5 * num * D_dot / D**2.5, D)
         except OverflowError:
             fields = None

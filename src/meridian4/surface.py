@@ -88,7 +88,7 @@ def combine(p: ProfilePoint, c: DirectrixPoint,
     where disc or the bound that decides the case is not finite."""
     kappa, fp, q = c.kappa, p.fp, p.q
     try:
-        disc = kappa**2 * fp**2 - q**2
+        disc = (kappa * kappa) * (fp * fp) - q * q   # products: libm pow may misround
         if abs(kappa) <= tol:
             case = PointCase.HYPERPLANAR_FLAT
         elif abs(p.kappa_m) <= tol:

@@ -159,8 +159,7 @@ def _point_rows(s: MeridianSurface, pts) -> list:
     """The records of every per-point row over pts, (point record,
     closed-form record) pairs from _sample, in _POINT_ROWS order. Each
     point's rows read one frame over duals (invariants.dual_frames), seeded
-    from the point record and the 3-jet of phi at its v, and the point's
-    closed-form record. The rows:
+    from the point record, and the point's closed-form record. The rows:
     - oracle:<field>: |closed form - oracle| of each numeric field of the
       invariant record, at both signs of <H,H>;
     - the identities that relate independent closed forms: k against nu1,
@@ -169,7 +168,7 @@ def _point_rows(s: MeridianSurface, pts) -> list:
       the oracle rows test them on the oracle's own gamma2, nu2, varkappa);
     - frame-gram: the frame's (x, y, b, l) against diag(1, 1, eps, -eps);
     - deriv:<row>: |table - derivative| of each row of the frame derivative
-      table, the derivatives read from the frame's partials:
+      table, the derivatives from the frame's partials, the table from its values:
       D_X X = -kappa_m n2, D_X Y = 0, D_Y X = (f'/f) Y,
       D_Y Y = -(f'/f) X + (kappa/f) n1 - (f'/f) n2,
       D_X n1 = 0, D_Y n1 = -(kappa/f) Y, D_X n2 = -kappa_m X, D_Y n2 = -(f'/f) Y
@@ -180,14 +179,12 @@ def _point_rows(s: MeridianSurface, pts) -> list:
     rows = [[] for _ in _POINT_ROWS]
     for d, r in pts:
         p, c = d.p, d.c
-        pj = s.directrix.phi_jet(c.v)
-        fr = dual_frames(d, pj)
+        fr = dual_frames(d)
         o = oracle_invariants(fr)
         errs = [abs(getattr(r, name) - getattr(o, name)) for name in _ORACLE_FIELDS]
         errs.append(abs(r.k + 4.0 * r.nu1 * r.nu2 * r.mu**2))
         errs.append(abs(r.K - r.epsilon * (r.nu1 * r.nu2 - r.lam**2 + r.mu**2)))
 
-        X, Y, n1, n2 = (_value(w) for w in (fr.X, fr.Y, fr.n1, fr.n2))
         frame = [_value(w) for w in (fr.x, fr.y, fr.b, fr.l)]
         eps = float(fr.epsilon)
         target = (1.0, 1.0, eps, -eps)
@@ -199,6 +196,7 @@ def _point_rows(s: MeridianSurface, pts) -> list:
         cY = 1.0 / (p.f * math.sqrt(c.D))   # Y = cY d/dv
         # the table's rows as (field, coefficient) terms, summed from 0.0: that
         # changes at most the sign of a zero, which the error's abs drops
+        X, Y, n1, n2 = fr.X, fr.Y, fr.n1, fr.n2
         table = {"XX": ((n2, nkm),), "XY": (), "YX": ((Y, fof),),
                  "YY": ((X, -fof), (n1, kof), (n2, -fof)), "Xn1": (),
                  "Yn1": ((Y, -kof),), "Xn2": ((X, nkm),), "Yn2": ((Y, -fof),)}
@@ -208,14 +206,14 @@ def _point_rows(s: MeridianSurface, pts) -> list:
             for comp in Vec4.__slots__:
                 want = 0.0
                 for w, k in table[name]:
-                    want += getattr(w, comp) * k
+                    want += getattr(w, comp).a * k
                 x = getattr(field, comp)
                 err = abs((x.du if along_u else x.dv * cY) - want)
                 if err > worst or math.isnan(err):   # a NaN is the worst
                     worst = err
             errs.append(worst)
         errs.append(_jet3_error(s.profile.f_jet, p.u, p.fppp))
-        errs.append(_jet3_error(s.directrix.phi_jet, c.v, pj.d3))
+        errs.append(_jet3_error(s.directrix.phi_jet, c.v, c.phiddd))
         for row, err in zip(rows, errs):
             row.append((err, (p.u, c.v)))
     return [_record(name, row, tol) for (name, tol), row in zip(_POINT_ROWS, rows)]

@@ -183,7 +183,7 @@ def _oracle_sample():
 
 def oracle_frame(s, u, v):
     """The oracle's frame over duals at (u, v)."""
-    return dual_frames(point_data(s, u, v), s.directrix.phi_jet(v))
+    return dual_frames(point_data(s, u, v))
 
 
 def test_criterion_06_oracle_equivalence():

@@ -1,7 +1,7 @@
 """Each public per-point function evaluates the profile and directrix jets
-once per point it needs: the point's records for the closed forms and
-frames, and for the oracle's frame over duals also the 3-jet of phi at the
-point. Each curve keeps the records it evaluated, so a coordinate shared by
+once per point it needs: the point's records hold the 3-jets of f and phi
+that the closed forms, the frames and the oracle's frame over duals read.
+Each curve keeps the records it evaluated, so a coordinate shared by
 several points, or by several surfaces over the same curve, is evaluated
 once."""
 
@@ -46,14 +46,14 @@ def counted_surface():
 
 def oracle_frame(s, u, v):
     """The oracle's frame over duals at (u, v)."""
-    return invariants.dual_frames(surface.point_data(s, u, v), s.directrix.phi_jet(v))
+    return invariants.dual_frames(surface.point_data(s, u, v))
 
 
 @pytest.mark.parametrize("read, record, most", [
     (invariants.eight_invariants, surface.point_data, 1),
     (surface.frames, surface.point_data, 1),
-    (invariants.oracle_invariants, oracle_frame, 2),
-], ids=["eight_invariants-1", "frames-1", "oracle_invariants-2"])
+    (invariants.oracle_invariants, oracle_frame, 1),
+], ids=["eight_invariants-1", "frames-1", "oracle_invariants-1"])
 def test_jets_evaluated_once_per_point(read, record, most):
     s, f, phi = counted_surface()
     read(record(s, 1.2, 2.0))
@@ -126,13 +126,12 @@ def test_verify_evaluates_each_stencil_coordinate_once(monkeypatch):
     assert jets["f"] == 0 and jets["phi"] == 21, jets
     assert verify_generated(gen, 20).passed
     # generate reads the 21 v of its curvature check and no u; verify's 20
-    # points each read the jets at their u and v (the point's records, and
-    # for the oracle the 3-jet of phi) and at the four jet3 neighbours of
-    # each, u +- h and u +- h/2, v +- h and v +- h/2: 100 u and 120 v; the
-    # defining row builds the records of the 50 u rows that the
-    # family-target rows read again, and the target column is a sample
-    # point's v
-    assert jets["f"] == 150 and jets["phi"] == 141, jets
+    # points each read the jets at their u and v (the point's records, which
+    # also seed the oracle) and at the four jet3 neighbours of each, u +- h
+    # and u +- h/2, v +- h and v +- h/2: 100 u and 100 v; the defining row
+    # builds the records of the 50 u rows that the family-target rows read
+    # again, and the target column is a sample point's v
+    assert jets["f"] == 150 and jets["phi"] == 121, jets
 
 
 def test_verify_builds_each_stencil_frame_once(monkeypatch):
@@ -169,8 +168,9 @@ def test_verify_builds_each_vector_once(monkeypatch):
     assert verify_generated(gen, 20).passed
     # 20 points, each with one frame of 8 vectors (X, Y, x, y, n1, n2, b, l),
     # the oracle's values of those 8, its 5 directional derivatives and 1
-    # normal part, and the rows' values of the 8 again: 20 * 30
-    assert built[0] == 20 * (8 + 8 + 5 + 1 + 8) == 600
+    # normal part, and the frame-Gram row's values of x, y, b and l (the
+    # deriv: rows read X, Y, n1 and n2 at their duals' values): 20 * 26
+    assert built[0] == 20 * (8 + 8 + 5 + 1 + 4) == 520
 
 
 def test_verify_reads_the_jets_only_at_its_points_and_their_jet3_neighbours(monkeypatch):
@@ -189,12 +189,12 @@ def test_verify_reads_the_jets_only_at_its_points_and_their_jet3_neighbours(monk
 
     def neighbours(ts):
         return Counter(t + k for t in ts for k in (h, -h, 0.5 * h, -0.5 * h))
-    # the sample points' records were built before the count: u is read at
-    # each point's jet3 neighbours and the defining row's 50 u; v at each
-    # point, for the oracle's 3-jet of phi, and at its jet3 neighbours
+    # the sample points' records, which hold the 3-jets the oracle reads,
+    # were built before the count: u is read at each point's jet3
+    # neighbours and the defining row's 50 u, v at its jet3 neighbours only
     rows = Counter(sample_grid(gen.u_range, PROFILE_SAMPLES))
     assert jets["f"] == neighbours(us) + rows
-    assert jets["phi"] == Counter(vs) + neighbours(vs)
+    assert jets["phi"] == neighbours(vs)
 
 
 def test_verify_evaluates_the_closed_forms_once_per_point(monkeypatch):

@@ -131,7 +131,7 @@ def test_k_closed_form():
 
 def oracle_frame(s, u, v):
     """The oracle's frame over duals at (u, v)."""
-    return dual_frames(point_data(s, u, v), s.directrix.phi_jet(v))
+    return dual_frames(point_data(s, u, v))
 
 
 def test_oracle_matches_closed_forms():

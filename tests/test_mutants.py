@@ -59,8 +59,8 @@ FAULTS = {
                     "cross = c.kappa * p.q"),
     "eight:k": ("invariants", "eight_invariants", "k = nkm2 * kappa2 / f2",
                 "k = nkm2 * kappa / f2"),
-    "combine:disc": ("surface", "combine", "disc = kappa**2 * fp**2 - q**2",
-                     "disc = kappa**2 * fp - q**2"),
+    "combine:disc": ("surface", "combine", "disc = (kappa * kappa) * (fp * fp) - q * q",
+                     "disc = (kappa * kappa) * fp - q * q"),
     "frames:n1": ("surface", "frames", "(c.phid * sv + c.phi * cv) / rD",
                   "(c.phid * sv - c.phi * cv) / rD"),
     "frames:n2": ("surface", "frames", "- 2.0 * p.gp) / 2.0", "- p.gp) / 2.0"),
@@ -75,6 +75,10 @@ FAULTS = {
                           "- 2.0 * pj.d1 * pj.d2"),
     "directrix:D_dot": ("profile", "directrix_point", "D_dot = 2.0 * pj.d1 * pj.d2",
                         "D_dot = pj.d1 * pj.d2"),
+    "directrix:phidd": ("profile", "directrix_point", "pj.d1, pj.d2, pj.d3",
+                        "pj.d1, pj.d2 * 1.001, pj.d3"),
+    "directrix:phiddd": ("profile", "directrix_point", "pj.d2, pj.d3, num",
+                         "pj.d2, pj.d3 * 1.001, num"),
     "jets:_compose:d3": ("jets", "_compose", "+ 3.0 * g2 * u.d1 * u.d2",
                          "+ 2.0 * g2 * u.d1 * u.d2"),
     "jets:jcos:g3": ("jets", "jcos", "_compose(x, c, -s, -c, s)",
@@ -101,6 +105,10 @@ CAUGHT = {
     "directrix:D_dot": {"chen", "cmc", "cos", "gauss-", "k"},
     "directrix:num": {"chen", "cmc", "cos", "gauss-", "k", "pa"},
     "directrix:num_dot": {"chen", "cmc", "cos", "gauss-", "k"},
+    # phi'' and phi''' seed the oracle's partials in v; under gauss4's
+    # phi = 1 both are 0, which the fault's factor keeps 0
+    "directrix:phidd": set(SPECS) - {"gauss4"},
+    "directrix:phiddd": set(SPECS) - {"gauss4"},
     "eight:cross": {"chen", "cmc", "cos", "gauss-", "gauss4", "k"},
     "eight:k": {"cmc", "cos", "gauss-", "gauss4", "pa"},
     "eight:lam": set(SPECS),

@@ -142,7 +142,7 @@ def test_one_frame_builder_serves_every_reader(s, u, eps):
     # (compared by repr)
     v = 0.7
     nf = frame(s, u, v)
-    dual = dual_frames(point_data(s, u, v), s.directrix.phi_jet(v))
+    dual = dual_frames(point_data(s, u, v))
     assert nf.epsilon == dual.epsilon == eps
     for name in PointFrames.__slots__[1:-1]:
         assert repr(getattr(nf, name)) == repr(_value(getattr(dual, name))), name
@@ -156,8 +156,8 @@ def _family_point(spec, f0, u, v=0.2):
 def _signed_zero_point():
     # phi' = -0.0: z_v's third lightlike coordinate f phi phi' is -0.0
     p = record_pair(1.0, 1.0, 0.5)[0]
-    return combine(p, DirectrixPoint(v=1.0, phi=1.0, phid=-0.0, kappa=1.0,
-                                     kappa_dot=0.0, D=1.0))
+    return combine(p, DirectrixPoint(v=1.0, phi=1.0, phid=-0.0, phidd=2.0, phiddd=0.0,
+                                     kappa=1.0, kappa_dot=0.0, D=1.0))
 
 
 # (point, epsilon, sign of f'); epsilon None where b and l are undefined
@@ -270,12 +270,13 @@ def test_point_data_scalars():
 
 def record_pair(kappa, fp, q, f=1.0):
     """A profile record and a directrix record at (0.5, 1.0) with the given
-    kappa, f', q and f and kappa_m = 100."""
+    kappa, f', q and f and kappa_m = 100; phi = 1 and phi' = 0, so that
+    kappa = phi'' - 1."""
     p = ProfilePoint(u=0.5, f=f, fp=fp, fpp=100.0 * fp, fppp=0.0,
                      gp=-0.5 / fp, kappa_m=100.0, q=q, gamma1=fp / math.sqrt(2.0),
                      K=-100.0 * fp)
-    c = DirectrixPoint(v=1.0, phi=1.0, phid=0.0, kappa=kappa,
-                       kappa_dot=0.0, D=1.0)
+    c = DirectrixPoint(v=1.0, phi=1.0, phid=0.0, phidd=kappa + 1.0, phiddd=0.0,
+                       kappa=kappa, kappa_dot=0.0, D=1.0)
     return p, c
 
 

@@ -110,7 +110,6 @@ CLOSED_FORMS = [
     ("parallel-a", lambda t: ParallelA(1.0 / (t * t), 1.0 / (t * t), 0.5 * t), (0.0, 0.8)),
 ]
 FAMILY_N = 12
-DISC_FIELDS = ("nu1", "nu2", "lam", "mu", "beta1", "beta2", "H_norm")
 
 
 def _family(spec_at, t, u_range, phi):
@@ -131,24 +130,12 @@ def _family(spec_at, t, u_range, phi):
 
 
 @pytest.mark.parametrize("t", SCALES)
-@pytest.mark.parametrize("name, spec_at, u_range", CLOSED_FORMS,
+@pytest.mark.parametrize("spec_at, u_range", [c[1:] for c in CLOSED_FORMS],
                          ids=[c[0] for c in CLOSED_FORMS])
-def test_the_boost_moves_a_closed_form_family_by_its_parameters(name, spec_at, u_range, t):
+def test_the_boost_moves_a_closed_form_family_by_its_parameters(spec_at, u_range, t):
     phi = compile_expression("2+cos(v)", "v")
     rows, grid = _family(spec_at, 1.0, u_range, phi)
     got_rows, got_grid = _family(spec_at, t, u_range, phi)
     assert got_rows == [(u, f / t, fp / t, fpp / t, t * g) for u, f, fp, fpp, g in rows]
     want = {key: (case, r, kappa / t) for key, (case, r, kappa) in grid.items()}
-    if name != "gauss K<0 tanh" or t == 2.0:
-        assert got_grid == want
-        return
-    # here the fields read from sqrt(|disc|) come out up to 3 ulps apart;
-    # every case, kappa and other field is still bit for bit. combine's
-    # disc = kappa**2 fp**2 - q**2 squares q through libm pow, which is not
-    # correctly rounded everywhere: on the row u = 4/11, pow(q / t^2, 2)
-    # misses pow(q, 2) / t^4 by an ulp
-    assert [(c, k) for c, _, k in got_grid.values()] == [(c, k) for c, _, k in want.values()]
-    for (_, r, _), (_, w, _) in zip(got_grid.values(), want.values()):
-        for field, a, b in zip(r._fields, r, w):
-            assert a == b if field not in DISC_FIELDS else \
-                abs(a - b) <= 3 * math.ulp(b), field
+    assert got_grid == want

@@ -235,9 +235,9 @@ _BL = _oracle("beta1", "beta2", "k", "lam", "mu", "nu1", "nu2", "H_n2", "H_norm"
 _Y_ROWS = {"deriv:YX", "deriv:YY", "deriv:Yn1", "deriv:Yn2"}
 # the rows each record field fails when scaled by 1 + 1e-3 (offset by 1e-3
 # where it is 0), at both signs of <H,H>. The oracle's frame takes each
-# field's value from the record and its partials from the jets, so a field
-# whose partial the closed forms share (q' in beta, f''' everywhere) fails
-# the rows that read its value, and f''' only the jet3 row
+# field's value from the record and its partials from the record's 3-jets,
+# so a field whose partial the closed forms share (q' in beta, f'''
+# everywhere) fails the rows that read its value, and f''' only the jet3 row
 FIELD_ROWS = {
     # the record's coordinate: in no formula, but the jet3 row's differences
     # are taken around it
@@ -255,18 +255,24 @@ FIELD_ROWS = {
     "q": {GAUSS, *_BL - _oracle("beta1", "beta2")},
     "gamma1": _oracle("gamma1", "gamma2"),
     "K": {GAUSS, "K==-1.0", *_oracle("K")},
-    "v": {"deriv:YY", "deriv:Yn1", *_BL - _oracle("H_n2"), *_oracle("H_n1")},
+    # the record's coordinate: frames' cos v and sin v read it, but a
+    # rotation about the axis moves no invariant and no derivative row
+    "v": {"jet3:phi"},
     "phi": {"deriv:YY", "deriv:Yn1", "frame-gram", *_BL,
             *_oracle("K", "gamma1", "gamma2", "H_n1")},
     "phid": {"deriv:YY", "deriv:Yn1", "frame-gram", *_BL,
              *_oracle("K", "gamma1", "gamma2", "H_n1")},
+    # phi'' and phi''' only seed partials: d phi'/dv and d phi''/dv, and
+    # through them d kappa/dv
+    "phidd": {"deriv:YY", "deriv:Yn1", *_BL - _oracle("H_n2"), *_oracle("H_n1")},
+    "phiddd": {"jet3:phi", *_oracle("beta1", "beta2")},
     "kappa": {"deriv:YY", "deriv:Yn1", *_BL - _oracle("H_n2", "beta1", "beta2"),
               *_oracle("H_n1")},
     "kappa_dot": _oracle("beta1", "beta2"),
     "D": {"deriv:YY", "deriv:Yn1", "frame-gram", *_BL,
           *_oracle("K", "gamma1", "gamma2", "H_n1")},
 }
-FIELD_ROWS_AT_EPS_PLUS = {"q": _oracle("K"), "v": _oracle("K"), "kappa": _oracle("K")}
+FIELD_ROWS_AT_EPS_PLUS = {"q": _oracle("K"), "phidd": _oracle("K"), "kappa": _oracle("K")}
 
 
 @pytest.mark.parametrize("field", list(FIELD_ROWS))
@@ -274,9 +280,9 @@ FIELD_ROWS_AT_EPS_PLUS = {"q": _oracle("K"), "v": _oracle("K"), "kappa": _oracle
 def test_every_record_field_reaches_a_row(eps, field, monkeypatch):
     # The oracle's frame reads f, f', f'', g', phi, phi', D, kappa, q and
     # disc from the point records, as the closed forms do, and the partials
-    # of each from the jets at the point. A 1e-3 change in any field must
-    # still fail a named row: the oracle's H and coefficients come from the
-    # partials, not from the fields.
+    # of each from the 3-jets the records hold. A 1e-3 change in any field
+    # must still fail a named row: the oracle's H and coefficients come from
+    # the partials, not from the fields.
     spec, phi = parse_family_spec(FIELD_SURFACES[eps])
 
     def failed():
@@ -323,8 +329,7 @@ def test_shared_passes_give_the_standalone_oracle_values(gen, eps, monkeypatch):
     assert [len(log) for log in calls.values()] == [20, 20]
     for (args, shared), ((fr,), values) in zip(*calls.values()):
         d = args[0]
-        fresh = dual_frames(point_data(gen.surface, d.p.u, d.c.v),
-                            gen.surface.directrix.phi_jet(d.c.v))
+        fresh = dual_frames(point_data(gen.surface, d.p.u, d.c.v))
         assert shared is fr and repr(shared) == repr(fresh)
         assert values.epsilon == eps
         assert [repr(x) for x in values] == [repr(x) for x in oracle_invariants(fresh)]
