@@ -223,7 +223,7 @@ def build_surface(spec, phi_text, f0, u_range, v_range):
                                spec["g0"])
         directrix = Directrix(compile_expression(phi_text, "v"), v_range)
         surf = MeridianSurface(profile, directrix)
-        return GeneratedSurface(surf, None, "expression", u_range, False)
+        return GeneratedSurface(surf, None, u_range, False)
     b = spec.kappa_constant
     if b is None and phi_text == "1":
         b = -1.0
@@ -262,7 +262,7 @@ def cmd_family(args) -> int:
     echo = {"spec": _spec_dict(spec, phi_text),
             "realized_range": list(gen.u_range),
             "truncated": gen.truncated,
-            "f_source": gen.f_source}
+            "f_source": spec.f_source}
     _write(args.out, "\n".join(rows))
     import json  # only family, verify --out and mesh write JSON
     _write(args.out.removesuffix(".csv") + ".json", json.dumps(echo, indent=2))

@@ -53,18 +53,6 @@ def _require_sign(name, value):
         raise SpecMismatchError(f"{name} must be +1 or -1, got {value!r}")
 
 
-def _refuse_f0(spec, f0):
-    if f0 is not None:
-        raise SpecMismatchError(
-            f"{type(spec).__name__} is in closed form and takes no f0")
-
-
-def _require_f0(f0):
-    if f0 is None or not 0.0 < f0 < math.inf:
-        raise SpecMismatchError(
-            f"ODE variants need a finite starting value f0 > 0, got {f0!r}")
-
-
 def _relative(lhs: float, rhs: float, *scale: float) -> float:
     """|lhs - rhs| relative to the largest of |lhs|, |rhs|, scale and 1e-30."""
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), *scale, 1e-30)
@@ -80,9 +68,10 @@ class FamilySpec(Frozen):
     that depends on the family:
 
     - kappa_constant: the constant curvature b its directrix must have, or
-      None where any directrix will do;
-    - realize(f0, u_range): (profile, realized range, truncated), built as
-      f_source says: from the family's solve for a closed form, by
+      None where any directrix will do; a member takes f0 exactly where it
+      is not None;
+    - realize(f0, u_range): the ProfileCurve over the realized range, built
+      as f_source says: from the family's solve for a closed form, by
       integrating f' = y(f) for an ODE family;
     - residual(p): the relative residual of the family's defining relation
       at the ProfilePoint p;
@@ -101,7 +90,7 @@ class _ClosedForm(FamilySpec):
     closed form's arithmetic failing (a division by zero, an overflow, a
     math domain error) becomes a DomainError; a profile inadmissible at u0
     raises ProfileInvariantError. ConstantGauss and ParallelA take any
-    directrix and no f0."""
+    directrix and no f0 (solve is given None)."""
 
     __slots__ = ()
     kappa_constant = None
@@ -115,8 +104,8 @@ class _ClosedForm(FamilySpec):
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise DomainError(f"the closed form of {type(self).__name__} is not "
                               f"representable from u = {u0}: {exc}", t=u0) from None
-        realized, truncated = _closed_form_end(f, crossing, u_range, self._bound)
-        return ProfileCurve(f, realized, g0, g_eval=g), realized, truncated
+        end = _closed_form_end(f, crossing, u_range, self._bound)
+        return ProfileCurve(f, (u0, end), g0, g_eval=g)
 
 
 class _Autonomous(FamilySpec):
@@ -135,8 +124,7 @@ class _Autonomous(FamilySpec):
     def kappa_constant(self):
         return self.b
 
-    def realize(self, f0: float | None, u_range: tuple):
-        _require_f0(f0)
+    def realize(self, f0: float, u_range: tuple):
         y = self.y()
         path = integrate_autonomous(y, f0, u_range)
         err = path.yerr[-1]
@@ -144,7 +132,7 @@ class _Autonomous(FamilySpec):
         if not err <= bound:
             raise ProfileInvariantError(
                 f"f's summed error estimate {err:.3e} at u = {path.t1} exceeds {bound:.3e}")
-        return profile_from_path(path, y), (path.t0, path.t1), path.truncated
+        return profile_from_path(path, y)
 
 
 class _Solved(_ClosedForm):
@@ -162,7 +150,6 @@ class _Solved(_ClosedForm):
 
     def _start(self, f0: float) -> float:
         """y(f0), for a finite f0 > 0 where f and f' start inside the bounds."""
-        _require_f0(f0)
         y0 = _start_slope(self.y(), f0)
         if not (f0 <= _F_BOUND and abs(y0) <= _F_BOUND):
             raise ProfileInvariantError(
@@ -185,12 +172,11 @@ class ConstantGauss(_ClosedForm):
         _require_nonzero("alpha or beta", alpha or beta)   # else f = 0
         set_fields(self, K, alpha, beta)
 
-    def solve(self, f0: float | None, u0: float):
+    def solve(self, f0: None, u0: float):
         """g = scale (G(u) - G(u0)) for the antiderivative G of each case. The
         difference is never taken of two rounded values of G, and its step
         r (u - u0) comes from u - u0, so its error stays relative to g where
         the scale is large (small |K|, or P Q near 0)."""
-        _refuse_f0(self, f0)
         K, al, be = self.K, self.alpha, self.beta
         if K > 0:
             # f = alpha cos(r u) + beta sin(r u) = A cos(theta), theta = r u - delta,
@@ -340,7 +326,7 @@ class ConstantK(_Solved):
     def slope_quadratic(self, X: float) -> tuple:
         return self.branch * self.a / (2.0 * self.b), 0.0, self.c - X
 
-    def solve(self, f0: float | None, u0: float):
+    def solve(self, f0: float, u0: float):
         # f' = c + alpha f^2, a Riccati equation with constant coefficients
         y0, c = self._start(f0), self.c
         alpha = self.branch * self.a / (2.0 * self.b)
@@ -428,7 +414,7 @@ class Chen(_Solved):
         A, B = self._rates()
         return A, -X, B
 
-    def solve(self, f0: float | None, u0: float):
+    def solve(self, f0: float, u0: float):
         # f f' = A f^2 + B is linear in f^2: f^2 + beta = S e^(2 A (u - u0)),
         # beta = B / A > 0, S = f0^2 + beta
         self._start(f0)
@@ -471,8 +457,7 @@ class ParallelA(_ClosedForm):
         _require_sign("sign", sign)
         set_fields(self, c, d, a, sign)
 
-    def solve(self, f0: float | None, u0: float):
-        _refuse_f0(self, f0)
+    def solve(self, f0: None, u0: float):
         if self.sign != 1:
             raise SpecMismatchError(
                 "sign=-1 gives f < 0 everywhere; the profile requires f > 0")
@@ -524,15 +509,14 @@ class ParallelB(_Autonomous):
 
 
 class GeneratedSurface(Frozen):
-    """surface, its spec, f_source ("closed-form", "ode-integrated" or, for
-    a direct spec, "expression"), the realized u_range and whether it was
-    truncated."""
+    """surface, its spec (None for a direct spec), the realized u_range and
+    whether it was truncated."""
 
-    __slots__ = ("surface", "spec", "f_source", "u_range", "truncated")
+    __slots__ = ("surface", "spec", "u_range", "truncated")
 
     def __init__(self, surface: MeridianSurface, spec: FamilySpec | None,
-                 f_source: str, u_range: tuple, truncated: bool):
-        set_fields(self, surface, spec, f_source, u_range, truncated)
+                 u_range: tuple, truncated: bool):
+        set_fields(self, surface, spec, u_range, truncated)
 
 
 def _jlog_abs(x):
@@ -626,10 +610,10 @@ def _admissible(f, u: float, bound: float) -> bool:
     return 0.0 < fj.f <= bound and FPRIME_FLOOR <= abs(fj.d1) <= bound
 
 
-def _closed_form_end(f, crossing: float, u_range: tuple, bound: float):
-    """The realized range (u0, end) of a closed-form profile and whether it
-    was truncated: end is the largest u <= u1 with f and f' admissible
-    (_admissible under bound) on all of [u0, u].
+def _closed_form_end(f, crossing: float, u_range: tuple, bound: float) -> float:
+    """The end of a closed-form profile's realized range (u0, end): the
+    largest u <= u1 with f and f' admissible (_admissible under bound) on
+    all of [u0, u].
 
     The first crossing, from the closed form, is given; where rounding
     leaves it just outside the admissible set, it is stepped back by 1, 2,
@@ -647,7 +631,7 @@ def _closed_form_end(f, crossing: float, u_range: tuple, bound: float):
     if end <= u0 or not _admissible(f, end, bound):
         raise ProfileInvariantError(
             f"no admissible profile beyond the left end of {u_range}")
-    return (u0, end), end < u1
+    return end
 
 
 def _bounded(phi, v: float) -> bool:
@@ -722,24 +706,32 @@ def _log_tan_ratio(sin, cos, tan, a: float, b: float, h: float) -> float:
 
 def generate(spec: FamilySpec, f0: float | None, u_range: tuple,
              directrix: Directrix) -> GeneratedSurface:
-    """Build the family member over the given directrix.
+    """Build the family member over the given directrix: the one place that
+    checks the spec's inputs and reads its outcome off the profile.
 
-    For kappa-constrained variants the directrix curvature is verified to be
-    the required constant (tolerance 1e-8 on a v-grid). Constant Gauss and
-    parallel case a take no f0 (SpecMismatchError if one is given); the
-    f' = y(f) families start from f0. A closed-form profile ends exactly
-    where f reaches 0 or |f'| reaches FPRIME_FLOOR, or, for constant k and
-    Chen, where f or f' reaches the runaway bound (the largest u <= u1
-    admissible on all of [u0, u]); its arithmetic failing raises DomainError.
+    A spec without kappa_constant (constant Gauss, parallel case a) takes
+    no f0, the others need a finite f0 > 0 (SpecMismatchError, before the
+    directrix is read); for them the directrix curvature is verified to be
+    the required constant (tolerance 1e-8 on a v-grid). A closed-form
+    profile ends exactly where f reaches 0 or |f'| reaches FPRIME_FLOOR, or,
+    for constant k and Chen, where f or f' reaches the runaway bound (the
+    largest u <= u1 admissible on all of [u0, u]); its arithmetic failing
+    raises DomainError.
     An ODE profile ends where the integration stops, and raises
     ProfileInvariantError where the path's summed error estimate exceeds
     RESIDUAL_TOL max(1, max f over the nodes). No profile record is built.
-    An early end is reported via `truncated`, not as a failure; a profile
-    that fails at u0 itself raises ProfileInvariantError.
+    The realized u_range is the profile's domain; an early end is reported
+    via `truncated`, not as a failure; a profile that fails at u0 itself
+    raises ProfileInvariantError.
     """
-    required_kappa = spec.kappa_constant
-    if required_kappa is not None:
-        _check_directrix_kappa(directrix, required_kappa)
-    profile, realized, truncated = spec.realize(f0, u_range)
-    return GeneratedSurface(MeridianSurface(profile, directrix), spec,
-                            spec.f_source, realized, truncated)
+    b = spec.kappa_constant
+    if b is None:
+        if f0 is not None:
+            raise SpecMismatchError(f"{type(spec).__name__} is in closed form and takes no f0")
+    elif f0 is None or not 0.0 < f0 < math.inf:
+        raise SpecMismatchError(f"ODE variants need a finite starting value f0 > 0, got {f0!r}")
+    else:
+        _check_directrix_kappa(directrix, b)
+    profile = spec.realize(f0, u_range)
+    return GeneratedSurface(MeridianSurface(profile, directrix), spec, profile.domain,
+                            profile.domain[1] < u_range[1])

@@ -75,11 +75,10 @@ class DensePath(Frozen):
     g = integral from t0 of -1/(2 y').
     """
 
-    __slots__ = ("ts", "coef", "yerr", "gcoef", "gerr", "truncated")
+    __slots__ = ("ts", "coef", "yerr", "gcoef", "gerr")
 
-    def __init__(self, ts: tuple, coef: tuple, yerr: tuple, gcoef: tuple, gerr: tuple,
-                 truncated: bool = False):
-        set_fields(self, ts, coef, yerr, gcoef, gerr, truncated)
+    def __init__(self, ts: tuple, coef: tuple, yerr: tuple, gcoef: tuple, gerr: tuple):
+        set_fields(self, ts, coef, yerr, gcoef, gerr)
 
     @property
     def t0(self) -> float:
@@ -122,7 +121,7 @@ def dormand_prince(rhs, t0: float, t1: float, y0: float) -> DensePath:
     raises DomainError where y leaves its domain: a step whose stages raise
     it or give non-finite values is retried at a quarter of its length. When
     a rejected step would have to shrink below a fixed fraction of the span,
-    the path ends at the last accepted node with truncated=True. g is
+    the path ends at the last accepted node, before t1. g is
     integrated on the accepted steps' stage slopes; it does not steer the
     step size, and a stage slope of 0 makes g and its error estimate infinite
     from there on.
@@ -130,7 +129,7 @@ def dormand_prince(rhs, t0: float, t1: float, y0: float) -> DensePath:
     ts, coef, yerr, gcoef, gerr, _ = _steps(lambda t, y: rhs(y), t0, t1, y0, 0.0)
     if not coef:
         raise DomainError("integration could not complete a single step from t0", t=t0)
-    return DensePath(ts, coef, yerr, gcoef, gerr, truncated=ts[-1] < t1)
+    return DensePath(ts, coef, yerr, gcoef, gerr)
 
 
 def quadrature_path(F, t0: float, t1: float, tol: float) -> tuple:
@@ -150,8 +149,7 @@ def quadrature_path(F, t0: float, t1: float, tol: float) -> tuple:
     ts, coef, summed_err, _, _, failure = _steps(lambda t, y: F(t), t0, t1, 0.0, tol)
     stop = None if ts[-1] == t1 else failure or QuadratureLimitError(
         f"g's step fell below its floor, {_MIN_STEP} of the span, at t = {ts[-1]}")
-    return (DensePath(ts, coef, summed_err, coef, summed_err, stop is not None)
-            if coef else None), stop
+    return (DensePath(ts, coef, summed_err, coef, summed_err) if coef else None), stop
 
 
 def _steps(rhs, t0, t1, y0, tol):

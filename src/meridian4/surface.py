@@ -109,12 +109,10 @@ def combine(p: ProfilePoint, c: DirectrixPoint,
     return PointData(p, c, disc, case)
 
 
-def point_data(s: MeridianSurface, u: float, v: float,
-               tol: float = CLASSIFY_TOL) -> PointData:
-    """The record at (u, v), its case decided under tol; the frames, the
-    invariants and the oracle all derive from it."""
-    return combine(profile_point(s.profile, u), directrix_point(s.directrix, v),
-                   tol)
+def point_data(s: MeridianSurface, u: float, v: float) -> PointData:
+    """The record at (u, v), its case decided under CLASSIFY_TOL; the
+    frames, the invariants and the oracle all derive from it."""
+    return combine(profile_point(s.profile, u), directrix_point(s.directrix, v))
 
 
 def embed(d: PointData, g: float) -> Vec4:

@@ -8,9 +8,8 @@ import random
 
 from .errors import MeridianError
 from .families import PROFILE_SAMPLES, RESIDUAL_TOL, GeneratedSurface
-from .invariants import (InvariantRecord, _value, dual_frames, eight_invariants,
-                         oracle_invariants)
-from .minkowski import Vec4, minkowski_dot
+from .invariants import InvariantRecord, dual_frames, eight_invariants, oracle_invariants
+from .minkowski import Vec4
 from .profile import profile_point, sample_grid
 from .records import Frozen, Record, set_fields
 from .surface import GENERAL, MARGINALLY_TRAPPED, MeridianSurface, point_data
@@ -93,19 +92,15 @@ def _record(name, errs_locs, tol):
 
 
 def sample_general_points(s: MeridianSurface, n: int, rng) -> list:
-    """Draw n interior points classified General with rng.uniform(lo, hi)
-    (SAMPLE_MARGIN keeps them inside the domain, with room for the jet3
-    rows' differences, and a discriminant margin keeps them away from
-    marginally trapped ones). A domain narrower than twice the margin raises
-    MeridianError; too few points raise MeridianError, naming how many
-    points were passed over for each reason, and the first error a point
-    raised."""
-    return [(d.p.u, d.c.v) for d, _ in _sample(s, n, rng)]
-
-
-def _sample(s: MeridianSurface, n: int, rng) -> list:
-    """sample_general_points as (point record, closed-form record) pairs: a
-    point whose point record or closed-form record raises is passed over."""
+    """Draw n interior points classified General with rng.uniform(lo, hi),
+    as (point record, closed-form record) pairs; a point d is at
+    (d.p.u, d.c.v). SAMPLE_MARGIN keeps them inside the domain, with room
+    for the jet3 rows' differences, and a discriminant margin keeps them
+    away from marginally trapped ones; a point whose point record or
+    closed-form record raises is passed over. A domain narrower than twice
+    the margin raises MeridianError; too few points raise MeridianError,
+    naming how many points were passed over for each reason, and the first
+    error a point raised."""
     u0, u1 = s.profile.domain
     v0, v1 = s.directrix.domain
     for axis, lo, hi in (("u", u0, u1), ("v", v0, v1)):
@@ -157,9 +152,10 @@ def _jet3_error(jet, t: float, d3: float) -> float:
 
 def _point_rows(s: MeridianSurface, pts) -> list:
     """The records of every per-point row over pts, (point record,
-    closed-form record) pairs from _sample, in _POINT_ROWS order. Each
-    point's rows read one frame over duals (invariants.dual_frames), seeded
-    from the point record, and the point's closed-form record. The rows:
+    closed-form record) pairs from sample_general_points, in _POINT_ROWS
+    order. Each point's rows read one frame over duals
+    (invariants.dual_frames), seeded from the point record, and the point's
+    closed-form record. The rows:
     - oracle:<field>: |closed form - oracle| of each numeric field of the
       invariant record, at both signs of <H,H>;
     - the identities that relate independent closed forms: k against nu1,
@@ -185,10 +181,12 @@ def _point_rows(s: MeridianSurface, pts) -> list:
         errs.append(abs(r.k + 4.0 * r.nu1 * r.nu2 * r.mu**2))
         errs.append(abs(r.K - r.epsilon * (r.nu1 * r.nu2 - r.lam**2 + r.mu**2)))
 
-        frame = [_value(w) for w in (fr.x, fr.y, fr.b, fr.l)]
+        # the frame's values read in place, dotted in minkowski_dot's order
+        frame = (fr.x, fr.y, fr.b, fr.l)
         eps = float(fr.epsilon)
         target = (1.0, 1.0, eps, -eps)
-        errs.append(max(abs(minkowski_dot(a, b) - (target[i] if i == j else 0.0))
+        errs.append(max(abs(a.c1.a * b.c1.a + a.c2.a * b.c2.a + a.c3.a * b.c3.a
+                            - a.c4.a * b.c4.a - (target[i] if i == j else 0.0))
                         for i, a in enumerate(frame)
                         for j, b in enumerate(frame)))
 
@@ -250,7 +248,7 @@ def verify_generated(gen: GeneratedSurface, n_points: int = 50) -> VerificationR
     the first sample point, which is general."""
     if n_points < 1:
         raise MeridianError(f"verify needs at least one sample point, got {n_points}")
-    pts = _sample(gen.surface, n_points, random.Random(SAMPLE_SEED))
+    pts = sample_general_points(gen.surface, n_points, random.Random(SAMPLE_SEED))
     rows = _point_rows(gen.surface, pts)
     if gen.spec is not None:
         rows += [check_defining_property(gen), *check_family_targets(gen, pts[0][0].c.v)]

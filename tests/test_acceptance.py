@@ -24,8 +24,8 @@ from meridian4.invariants import (_derivative, _value, dual_frames,
                                   eight_invariants, oracle_invariants)
 from meridian4.jets import jcos, jsqrt
 from meridian4.minkowski import minkowski_dot
-from meridian4.profile import Directrix, ProfileCurve, profile_point
-from meridian4.surface import MeridianSurface, PointCase, frames, point_data
+from meridian4.profile import Directrix, ProfileCurve, directrix_point, profile_point
+from meridian4.surface import MeridianSurface, PointCase, combine, frames, point_data
 from meridian4.verification import sample_general_points
 
 TWO_PI = 2.0 * math.pi
@@ -176,7 +176,7 @@ def _oracle_sample():
     sample = []
     for s in _oracle_surfaces():
         pts = sample_general_points(s, 20, rng)
-        sample.extend((s, u, v) for (u, v) in pts)
+        sample.extend((s, d.p.u, d.c.v) for d, _ in pts)
     assert len(sample) == 100
     return sample
 
@@ -226,9 +226,9 @@ def test_criterion_08_derivative_formula_suite():
     rng = np.random.default_rng(3)
     surfaces = [_oracle_surfaces()[0], _oracle_surfaces()[2]]
     for s in surfaces:
-        for (u, v) in sample_general_points(s, 15, rng):
+        for d, _ in sample_general_points(s, 15, rng):
+            u, v = d.p.u, d.c.v
             fr = oracle_frame(s, u, v)
-            d = point_data(s, u, v)
             X, Y, n1, n2 = (_value(w) for w in (fr.X, fr.Y, fr.n1, fr.n2))
             p, kappa = d.p, d.c.kappa
             fof = p.fp / p.f
@@ -291,7 +291,8 @@ def test_criterion_09_case_detection():
             hi = mid
     u_star = 0.5 * (lo + hi)
     assert abs(u_star - math.pi / 6.0) <= 1e-9
-    assert point_data(trapped, u_star, 1.0, tol=1e-8).case is \
+    assert combine(profile_point(trapped.profile, u_star),
+                   directrix_point(trapped.directrix, 1.0), 1e-8).case is \
         PointCase.MARGINALLY_TRAPPED
     with pytest.raises(MarginallyTrappedError):
         invariants_at(trapped, u_star, 1.0)

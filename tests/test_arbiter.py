@@ -85,7 +85,7 @@ def _plane_curvature(phi):
                                      for u in entry[-1]])
 def test_the_profile_record_agrees_with_mpmath(name, u):
     spec, f0, u_range, f, _ = PROFILES[name]
-    profile = spec.realize(f0, u_range)[0]
+    profile = spec.realize(f0, u_range)
     p = profile_point(profile, u)
     assert p.u == u
     with mpmath.workdps(DIGITS):

@@ -78,6 +78,11 @@ def test_one_jet_per_coordinate_however_often_queried():
     assert (f.calls, phi.calls) == (2, 2)
 
 
+def point_under(s, u, v, tol):
+    """The record at (u, v), its case decided under tol."""
+    return surface.combine(profile_point(s.profile, u), directrix_point(s.directrix, v), tol)
+
+
 def test_records_of_a_used_surface_equal_those_of_a_fresh_one():
     used = counted_surface()[0]
     h = verification.JET3_STEP
@@ -91,8 +96,7 @@ def test_records_of_a_used_surface_equal_those_of_a_fresh_one():
     for tol in (surface.CLASSIFY_TOL, 1e-12, 10.0):
         for u, v in points:
             fresh = counted_surface()[0]
-            assert bits(surface.point_data(used, u, v, tol)) == \
-                bits(surface.point_data(fresh, u, v, tol))
+            assert bits(point_under(used, u, v, tol)) == bits(point_under(fresh, u, v, tol))
 
 
 def test_a_failed_evaluation_is_not_kept():
@@ -150,8 +154,7 @@ def test_verify_builds_each_stencil_frame_once(monkeypatch):
     assert verify_generated(gen, 20).passed
     # one frame per sample point, over duals, shared by the oracle, the
     # frame-Gram row and the derivative rows: no frame at any neighbour
-    profile = gen.surface.profile
-    assert frames == Counter((profile_point(profile, u).f, v) for u, v in pts)
+    assert frames == Counter((d.p.f, d.c.v) for d, _ in pts)
     assert sorted(set(frames.values())) == [1]
 
 
@@ -168,9 +171,9 @@ def test_verify_builds_each_vector_once(monkeypatch):
     assert verify_generated(gen, 20).passed
     # 20 points, each with one frame of 8 vectors (X, Y, x, y, n1, n2, b, l),
     # the oracle's values of those 8, its 5 directional derivatives and 1
-    # normal part, and the frame-Gram row's values of x, y, b and l (the
-    # deriv: rows read X, Y, n1 and n2 at their duals' values): 20 * 26
-    assert built[0] == 20 * (8 + 8 + 5 + 1 + 4) == 520
+    # normal part (the frame-Gram and deriv: rows read the frame's duals'
+    # values in place): 20 * 22
+    assert built[0] == 20 * (8 + 8 + 5 + 1) == 440
 
 
 def test_verify_reads_the_jets_only_at_its_points_and_their_jet3_neighbours(monkeypatch):
@@ -185,7 +188,7 @@ def test_verify_reads_the_jets_only_at_its_points_and_their_jet3_neighbours(monk
         monkeypatch.setattr(cls, method, counted)
     assert verify_generated(gen, 20).passed
     h = verification.JET3_STEP
-    us, vs = [u for u, _ in pts], [v for _, v in pts]
+    us, vs = [d.p.u for d, _ in pts], [d.c.v for d, _ in pts]
 
     def neighbours(ts):
         return Counter(t + k for t in ts for k in (h, -h, 0.5 * h, -0.5 * h))
@@ -212,7 +215,7 @@ def test_verify_evaluates_the_closed_forms_once_per_point(monkeypatch):
     assert verify_generated(gen, 20).passed
     # one record per sample point, built by the sampler and read by its
     # oracle and identity rows, and one per family-target row
-    assert [calls[p] for p in pts] == [1] * 20
+    assert [calls[(d.p.u, d.c.v)] for d, _ in pts] == [1] * 20
     assert sum(calls.values()) == 70
 
 

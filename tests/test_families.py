@@ -201,8 +201,9 @@ def generate_solved(spec, f0, u_range):
 def test_closed_form_profile_matches_the_integrated_one(spec, f0, u_range, truncates):
     gen = generate_solved(spec, f0, u_range)
     path = integrate_autonomous(spec.y(), f0, u_range)
-    assert gen.f_source == "closed-form"
-    assert gen.truncated is path.truncated is truncates
+    assert spec.f_source == "closed-form"
+    assert gen.u_range == gen.surface.profile.domain
+    assert gen.truncated is (path.t1 < u_range[1]) is truncates
     # the integrator ends within its step floor, 1e-6 of the span, of the crossing
     assert abs(gen.u_range[1] - path.t1) <= 1e-6 * (u_range[1] - u_range[0])
     profile = gen.surface.profile
@@ -233,6 +234,17 @@ def test_closed_form_families_integrate_nothing(monkeypatch):
 def test_closed_form_families_refuse_f0_that_is_not_finite_and_positive(spec, f0):
     with pytest.raises(SpecMismatchError, match="finite starting value f0 > 0"):
         generate_solved(spec, f0, (0.0, 1.0))
+
+
+def test_a_missing_f0_is_refused_before_the_directrix_is_read(monkeypatch):
+    # UNIT_PHI has kappa = -1, not b = -2: the f0 error comes first, and no
+    # directrix record is built for the curvature check
+    calls = []
+    monkeypatch.setattr(families, "directrix_point",
+                        lambda *args: calls.append(args) or directrix_point(*args))
+    with pytest.raises(SpecMismatchError, match="finite starting value f0 > 0, got None"):
+        generate(ParallelB(a=1.0, c=1.0, b=-2.0), None, (0.0, 1.0), UNIT_PHI)
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("spec, f0", [

@@ -22,7 +22,6 @@ import sys
 import pytest
 
 from meridian4.cli import build_surface, parse_family_spec
-from meridian4.surface import point_data
 from meridian4.verification import SAMPLE_SEED, sample_general_points, verify_generated
 
 TWO_PI = 2.0 * math.pi
@@ -184,8 +183,7 @@ def test_every_spec_passes_unpatched_at_its_signs():
         assert not _caught(name), name
         spec, phi = parse_family_spec(text)
         s = build_surface(spec, phi, f0, u_range, v_range).surface
-        ds = [point_data(s, u, v) for u, v in
-              sample_general_points(s, N_POINTS, random.Random(SAMPLE_SEED))]
+        ds = [d for d, _ in sample_general_points(s, N_POINTS, random.Random(SAMPLE_SEED))]
         assert ({1 if d.disc > 0 else -1 for d in ds},
                 {1 if d.p.fp > 0 else -1 for d in ds}) == SIGNS[name], name
 

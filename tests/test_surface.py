@@ -24,6 +24,11 @@ SQRT_SURFACE = MeridianSurface(
     UNIT_PHI)
 
 
+def point_under(s, u, v, tol):
+    """The record at (u, v), its case decided under tol."""
+    return combine(profile_point(s.profile, u), directrix_point(s.directrix, v), tol)
+
+
 def components(v):
     return (v.c1, v.c2, v.c3, v.c4)
 
@@ -173,8 +178,8 @@ OPERATOR_FRAME_POINTS = {
     "flat": (lambda: point_data(MeridianSurface(
         SQRT_SURFACE.profile, Directrix(compile_expression("sec(v)", "v"), (-1.0, 1.0))),
         1.0, 0.2), None, 1),
-    "trapped": (lambda: point_data(MeridianSurface(ProfileCurve(jcos, (0.05, 1.0)),
-                                                   UNIT_PHI), math.pi / 6.0, 1.0, tol=1e-8),
+    "trapped": (lambda: point_under(MeridianSurface(ProfileCurve(jcos, (0.05, 1.0)),
+                                                    UNIT_PHI), math.pi / 6.0, 1.0, 1e-8),
                 None, -1),
 }
 
@@ -244,7 +249,7 @@ def test_marginally_trapped_point_on_cosine_profile():
     # f = cos u, phi = 1: disc = sin^2 u - cos^2 2u vanishes at u = pi/6.
     s = MeridianSurface(ProfileCurve(jcos, (0.05, 1.0)), UNIT_PHI)
     u = math.pi / 6.0
-    d = point_data(s, u, 1.0, tol=1e-8)
+    d = point_under(s, u, 1.0, 1e-8)
     assert d.case is PointCase.MARGINALLY_TRAPPED
     with pytest.raises(MarginallyTrappedError):
         eight_invariants(d)

@@ -46,9 +46,10 @@ def _calls_on_rerun(tmp_path, monkeypatch, module, name, argv):
     ("invariants", "eight_invariants", INVARIANTS),
     ("families", "generate", FAMILY),
     ("families", "generate", VERIFY),
-    ("invariants", "oracle_invariants", VERIFY)],
+    ("invariants", "oracle_invariants", VERIFY),
+    ("verification", "sample_general_points", VERIFY)],
     ids=["mesh-embed", "invariants-eight_invariants", "family-generate",
-         "verify-generate", "verify-oracle_invariants"])
+         "verify-generate", "verify-oracle_invariants", "verify-sample_general_points"])
 def test_a_traced_boundary_fires(tmp_path, monkeypatch, module, name, argv):
     assert _calls_on_rerun(tmp_path, monkeypatch, module, name, argv)
 

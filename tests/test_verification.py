@@ -12,7 +12,7 @@ from meridian4.cli import build_surface, parse_family_spec
 from meridian4.errors import MeridianError
 from meridian4.expressions import compile_expression
 from meridian4.families import GeneratedSurface, ParallelA, generate
-from meridian4.invariants import Dual, dual_frames, eight_invariants, oracle_invariants
+from meridian4.invariants import Dual, dual_frames, oracle_invariants
 from meridian4.jets import jet_function_from_derivs
 from meridian4.profile import Directrix, DirectrixPoint, ProfileCurve, ProfilePoint
 from meridian4.surface import MeridianSurface, PointFrames, point_data
@@ -52,8 +52,9 @@ def test_a_row_with_no_points_fails():
 def test_sample_general_points_is_deterministic():
     gen = generate(ParallelA(c=1.0, d=1.0, a=0.0, sign=1), None,
                    (0.0, 3.0), UNIT_PHI)
-    a = sample_general_points(gen.surface, 10, np.random.default_rng(7))
-    b = sample_general_points(gen.surface, 10, np.random.default_rng(7))
+    a, b = ([(d.p.u, d.c.v) for d, _ in
+             sample_general_points(gen.surface, 10, np.random.default_rng(7))]
+            for _ in range(2))
     assert a == b
 
 
@@ -96,7 +97,7 @@ def test_verify_generated_parallel_a_passes():
 def test_verify_generated_direct_surface_skips_family_checks():
     s = MeridianSurface(ProfileCurve(compile_expression("sqrt(u+1)"), (0.0, 3.0)),
                         UNIT_PHI)
-    gen = GeneratedSurface(s, None, "expression", (0.0, 3.0), False)
+    gen = GeneratedSurface(s, None, (0.0, 3.0), False)
     report = verify_generated(gen, n_points=5)
     assert report.passed, "\n".join(report.lines())
     names = [c.name for c in report.checks]
@@ -141,7 +142,7 @@ def test_verify_generated_refuses_fewer_than_one_point(n_points):
 
 def _direct(f, domain):
     s = MeridianSurface(ProfileCurve(compile_expression(f), domain), UNIT_PHI)
-    return GeneratedSurface(s, None, "expression", domain, False)
+    return GeneratedSurface(s, None, domain, False)
 
 
 # sqrt(u+1) has <H,H> > 0 on its domain; cos(u) has <H,H> < 0 below pi/6
@@ -161,8 +162,7 @@ def test_every_row_fails_under_its_mutation(eps, monkeypatch):
     # row's check (DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978).
     gen = MUTATION_SURFACES[eps]
     pts = sample_general_points(gen.surface, 5, random.Random(SAMPLE_SEED))
-    assert {eight_invariants(point_data(gen.surface, u, v)).epsilon
-            for u, v in pts} == {eps}
+    assert {r.epsilon for _, r in pts} == {eps}
     assert _failed(gen) == set()
     closed = verification.eight_invariants
 
@@ -290,7 +290,7 @@ def test_every_record_field_reaches_a_row(eps, field, monkeypatch):
         return gen, {c.name for c in verify_generated(gen, 20).checks if not c.passed}
     gen, none = failed()
     pts = sample_general_points(gen.surface, 20, random.Random(SAMPLE_SEED))
-    assert {point_data(gen.surface, u, v).disc > 0 for u, v in pts} == {eps > 0}
+    assert {d.disc > 0 for d, _ in pts} == {eps > 0}
     assert none == set()
     cls = ProfilePoint if field in ProfilePoint.__slots__ else DirectrixPoint
     at, init = cls.__slots__.index(field), cls.__init__
@@ -342,7 +342,7 @@ def test_the_sampler_passes_over_a_point_whose_invariants_raise():
     f = jet_function_from_derivs(lambda t: (1e-5, 1e-9, 1e141, 0.0))
     s = MeridianSurface(ProfileCurve(f, (0.0, 1.0)),
                         Directrix(compile_expression("2+cos(v)", "v"), (0.0, 1.0)))
-    gen = GeneratedSurface(s, None, "expression", (0.0, 1.0), False)
+    gen = GeneratedSurface(s, None, (0.0, 1.0), False)
     with pytest.raises(MeridianError) as exc:
         verify_generated(gen, 5)
     assert str(exc.value) == (
