@@ -35,7 +35,7 @@ from .families import (Chen, ConstantGauss, ConstantK, ConstantMean,
                        constant_kappa_directrix, generate)
 from .profile import (Directrix, ProfileCurve, directrix_point, g_from_f,
                       profile_point, sample_grid)
-from .surface import CLASSIFY_TOL, GENERAL, MeridianSurface, combine, embed
+from .surface import CLASSIFY_TOL, MeridianSurface, PointCase, classify_row, embed
 
 INVARIANT_COLUMNS = ["gamma1", "gamma2", "nu1", "nu2", "lambda", "mu",
                      "beta1", "beta2", "K", "k", "varkappa", "H_norm",
@@ -280,8 +280,8 @@ def cmd_invariants(args) -> int:
     s = gen.surface
     n_u, n_v = _grid_counts(args, ustep, vstep, (u0, u1), (v0, v1))
     _check_grid(n_u, n_v, "rows")
-    cols = [(directrix_point(s.directrix, v), repr(v))
-            for v in sample_grid(s.directrix.domain, n_v)]
+    vs = sample_grid(s.directrix.domain, n_v)
+    cols, rvs = [directrix_point(s.directrix, v) for v in vs], [repr(v) for v in vs]
     blank = "," * (len(INVARIANT_COLUMNS) - 1)
     tol = args.tol
     rows = ["u,v," + ",".join(INVARIANT_COLUMNS) + ",case"]
@@ -290,17 +290,15 @@ def cmd_invariants(args) -> int:
         ru = repr(u)
         # gamma1, gamma2 = -gamma1, K and varkappa = 0 depend on u alone
         gammas, K = f"{p.gamma1!r},{-p.gamma1!r}", repr(p.K)
-        for c, rv in cols:
-            d = combine(p, c, tol)
-            if d.case is GENERAL:
-                r = eight_invariants(d)
+        for rv, r in zip(rvs, eight_invariants(p, cols, tol)):
+            if type(r) is PointCase:
+                rows.append(f"{ru},{rv},{blank},{r.value}")
+            else:
                 # nu1 = nu2 and H_norm = |nu|: one text for the three cells
                 nu = repr(r.nu1)
                 rows.append(f"{ru},{rv},{gammas},{nu},{nu},{r.lam!r},{r.mu!r},"
                             f"{r.beta1!r},{r.beta2!r},{K},{r.k!r},0.0,"
                             f"{nu.lstrip('-')},{r.epsilon!r},general")
-            else:
-                rows.append(f"{ru},{rv},{blank},{d.case.value}")
     _write(args.out, "\n".join(rows))
     return _truncation_code(gen, v1)
 
@@ -347,7 +345,8 @@ def cmd_mesh(args) -> int:
             raise SpecError(f"unknown mesh field {f!r}; choose from {MESH_FIELDS}")
         if f in wanted[:i]:
             raise SpecError(f"mesh field {f!r} is given more than once")
-    from .invariants import eight_invariants  # the records behind --fields
+    if wanted:
+        from .invariants import eight_invariants  # the records behind --fields
     cols = [directrix_point(s.directrix, v)
             for v in sample_grid(s.directrix.domain, nv)]
     vertices = []
@@ -356,18 +355,15 @@ def cmd_mesh(args) -> int:
     columns = [(fields[f], _record_attr(f)) for f in wanted]
     for u in sample_grid(gen.u_range, nu):
         g, p = g_from_f(s.profile, u), profile_point(s.profile, u)
-        for c in cols:
-            d = combine(p, c)
-            z = embed(d, g)
+        # per vertex its record, or its case where the record is undefined
+        # (every field is null there); without --fields only the case rule,
+        # for its errors
+        row = eight_invariants(p, cols) if wanted else classify_row(p, cols)
+        for c, r in zip(cols, row):
+            z = embed(p, c, g)
             vertices.append([z.c1, z.c2, z.c3] if drop_e4 else [z.c1, z.c2, z.c3, z.c4])
-            if wanted:
-                # one invariant record per vertex; every field is null where
-                # the record is undefined (flat or marginally trapped points)
-                rec = None
-                if d.case is GENERAL:
-                    rec = eight_invariants(d)
-                for column, attr in columns:
-                    column.append(None if rec is None else getattr(rec, attr))
+            for column, attr in columns:
+                column.append(None if type(r) is PointCase else getattr(r, attr))
     payload = {
         "spec": _spec_dict(spec, phi_text),
         "realized_range": list(gen.u_range),

@@ -20,7 +20,8 @@ from .errors import DomainError
 from .minkowski import Vec4, minkowski_dot
 from .profile import ProfilePoint, _finite
 from .records import Record
-from .surface import GENERAL, PointData, PointFrames, _require_general, frames
+from .surface import (CLASSIFY_TOL, GENERAL, PointData, PointFrames, _require_general,
+                      classify_row, frames)
 
 __all__ = [
     "InvariantRecord",
@@ -66,43 +67,50 @@ def _u_terms(p: ProfilePoint) -> tuple:
     return terms
 
 
-def eight_invariants(d: PointData) -> InvariantRecord:
-    """Closed-form record at the general point of d; H_norm is |nu| (H = nu b
-    with <b,b> = eps). DomainError where a value of the record is not
-    finite."""
-    if d.case is not GENERAL:
-        _require_general(d)
-    p, c, disc = d.p, d.c, d.disc
-    two_f, two_ffp, ffp, fp2, f2fpp2, fp4, q_du, h2, nkm2, f2 = \
-        p._terms or _u_terms(p)
-    kappa = c.kappa
-    kappa2 = kappa * kappa
-    eps = 1 if disc > 0 else -1
-    absdisc = abs(disc)     # eps * disc
-    root = math.sqrt(absdisc)
+def eight_invariants(p: ProfilePoint, cs, tol: float = CLASSIFY_TOL) -> list:
+    """The row kernel: for each directrix record c of cs, the closed-form
+    record at (p.u, c.v) where surface.classify_row finds the point general
+    under tol, else its PointCase; the u-only factors are read once per row.
+    H_norm is |nu| (H = nu b with <b,b> = eps). DomainError, the case rule's
+    or where a value of a record is not finite, at the row's first failure."""
+    out, terms = [], None
+    fpp, q, gamma1, K = p.fpp, p.q, p.gamma1, p.K
+    for c, disc, case in classify_row(p, cs, tol):
+        if case is not GENERAL:
+            out.append(case)
+            continue
+        if terms is None:
+            terms = p._terms or _u_terms(p)
+            two_f, two_ffp, ffp, fp2, f2fpp2, fp4, q_du, h2, nkm2, f2 = terms
+        kappa = c.kappa
+        kappa2 = kappa * kappa
+        eps = 1 if disc > 0 else -1
+        absdisc = abs(disc)     # eps * disc
+        root = math.sqrt(absdisc)
 
-    nu = root / two_ffp
-    lam = eps * (kappa2 * fp2 + f2fpp2 - fp4) / (two_ffp * root)
-    mu = kappa * p.fpp / root
-    cross = c.kappa_dot * p.q / (ffp * math.sqrt(c.D))
-    w = fp2 / (_SQRT2 * absdisc)
-    beta1 = -w * (kappa * q_du - cross)
-    beta2 = w * (kappa * q_du + cross)
-    k = nkm2 * kappa2 / f2
-    h1 = kappa / two_f
-    # x - x is 0.0 for a finite x and NaN for +-inf and NaN: one comparison
-    if (nu - nu) + (lam - lam) + (mu - mu) + (beta1 - beta1) + (beta2 - beta2) \
-            + (k - k) + (h1 - h1) != 0.0:
-        raise DomainError(
-            f"the invariants at (u, v) = ({p.u}, {c.v}) are not finite", t=p.u)
-    # the fields in order, through tuple.__new__: the named tuple's own
-    # __new__ is one more Python call per record
-    return _tuple_new(InvariantRecord, (
-        p.gamma1, -p.gamma1,                 # gamma1, gamma2
-        nu, nu, lam, mu, beta1, beta2,
-        p.K, k,                              # K, k
-        0.0,                                 # varkappa
-        h1, h2, abs(nu), eps))               # H_n1, H_n2, H_norm, epsilon
+        nu = root / two_ffp
+        lam = eps * (kappa2 * fp2 + f2fpp2 - fp4) / (two_ffp * root)
+        mu = kappa * fpp / root
+        cross = c.kappa_dot * q / (ffp * math.sqrt(c.D))
+        w = fp2 / (_SQRT2 * absdisc)
+        beta1 = -w * (kappa * q_du - cross)
+        beta2 = w * (kappa * q_du + cross)
+        k = nkm2 * kappa2 / f2
+        h1 = kappa / two_f
+        # x - x is 0.0 for a finite x and NaN for +-inf and NaN: one comparison
+        if (nu - nu) + (lam - lam) + (mu - mu) + (beta1 - beta1) + (beta2 - beta2) \
+                + (k - k) + (h1 - h1) != 0.0:
+            raise DomainError(
+                f"the invariants at (u, v) = ({p.u}, {c.v}) are not finite", t=p.u)
+        # the fields in order, through tuple.__new__: the named tuple's own
+        # __new__ is one more Python call per record
+        out.append(_tuple_new(InvariantRecord, (
+            gamma1, -gamma1,                     # gamma1, gamma2
+            nu, nu, lam, mu, beta1, beta2,
+            K, k,                                # K, k
+            0.0,                                 # varkappa
+            h1, h2, abs(nu), eps)))              # H_n1, H_n2, H_norm, epsilon
+    return out
 
 
 # --- the exact oracle: the frame over dual numbers ----------------------------

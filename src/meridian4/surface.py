@@ -21,6 +21,7 @@ __all__ = [
     "PointFrames",
     "frames",
     "embed",
+    "classify_row",
     "combine",
     "point_data",
 ]
@@ -82,30 +83,43 @@ class PointFrames(Frozen):
         set_fields(self, d, X, Y, x, y, n1, n2, b, l, epsilon)
 
 
+def classify_row(p: ProfilePoint, cs, tol: float = CLASSIFY_TOL):
+    """The one case rule: yield (c, disc, case) for each directrix record c
+    of cs in turn, disc = kappa^2 f'^2 - q^2 and the case of (p.u, c.v) under
+    tol. DomainError naming (u, v) where disc, or the bound that decides a
+    non-flat case, is not finite: a caller working point by point meets it
+    at its first failing point."""
+    fp, absq = p.fp, abs(p.q)
+    fp2, q2 = fp * fp, p.q * p.q   # products: libm pow may misround
+    developable = abs(p.kappa_m) <= tol
+    for c in cs:
+        kappa = c.kappa
+        try:
+            disc = (kappa * kappa) * fp2 - q2
+            if abs(kappa) <= tol:
+                case = PointCase.HYPERPLANAR_FLAT
+            elif developable:
+                case = PointCase.DEVELOPABLE_RULED_FLAT
+            else:
+                bound = tol * max(abs(kappa * fp), absq, tol)**2
+                if abs(disc) > bound:
+                    case = GENERAL
+                elif bound < math.inf:
+                    case = MARGINALLY_TRAPPED
+                else:
+                    case = None
+        except OverflowError:
+            case = None
+        if case is None or not math.isfinite(disc):
+            raise DomainError(
+                f"the point record at (u, v) = ({p.u}, {c.v}) is not finite", t=p.u)
+        yield c, disc, case
+
+
 def combine(p: ProfilePoint, c: DirectrixPoint,
             tol: float = CLASSIFY_TOL) -> PointData:
-    """The record at (p.u, c.v), its case decided under tol; DomainError
-    where disc or the bound that decides the case is not finite."""
-    kappa, fp, q = c.kappa, p.fp, p.q
-    try:
-        disc = (kappa * kappa) * (fp * fp) - q * q   # products: libm pow may misround
-        if abs(kappa) <= tol:
-            case = PointCase.HYPERPLANAR_FLAT
-        elif abs(p.kappa_m) <= tol:
-            case = PointCase.DEVELOPABLE_RULED_FLAT
-        else:
-            bound = tol * max(abs(kappa * fp), abs(q), tol)**2
-            if abs(disc) > bound:
-                case = GENERAL
-            elif bound < math.inf:
-                case = MARGINALLY_TRAPPED
-            else:
-                case = None
-    except OverflowError:
-        case = None
-    if case is None or not math.isfinite(disc):
-        raise DomainError(
-            f"the point record at (u, v) = ({p.u}, {c.v}) is not finite", t=p.u)
+    """The record at (p.u, c.v), its case decided by classify_row under tol."""
+    [(_, disc, case)] = classify_row(p, (c,), tol)
     return PointData(p, c, disc, case)
 
 
@@ -115,10 +129,11 @@ def point_data(s: MeridianSurface, u: float, v: float) -> PointData:
     return combine(profile_point(s.profile, u), directrix_point(s.directrix, v))
 
 
-def embed(d: PointData, g: float) -> Vec4:
-    """The point z(u, v) of d in e-coordinates; g is g(u), which a grid
-    walked row by row computes once per row."""
-    f, phi, v = d.p.f, d.c.phi, d.c.v
+def embed(p: ProfilePoint, c: DirectrixPoint, g: float) -> Vec4:
+    """The point z(u, v) in e-coordinates of the profile record p at u and
+    the directrix record c at v; g is g(u), which a grid walked row by row
+    computes once per row."""
+    f, phi, v = p.f, c.phi, c.v
     return from_lightlike(f * phi * math.cos(v), f * phi * math.sin(v),
                           f * phi**2 / 2.0 + g, f)
 

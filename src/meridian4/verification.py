@@ -10,7 +10,7 @@ from .errors import MeridianError
 from .families import PROFILE_SAMPLES, RESIDUAL_TOL, GeneratedSurface
 from .invariants import InvariantRecord, dual_frames, eight_invariants, oracle_invariants
 from .minkowski import Vec4
-from .profile import profile_point, sample_grid
+from .profile import directrix_point, profile_point, sample_grid
 from .records import Frozen, Record, set_fields
 from .surface import GENERAL, MARGINALLY_TRAPPED, MeridianSurface, point_data
 
@@ -125,7 +125,7 @@ def sample_general_points(s: MeridianSurface, n: int, rng) -> list:
                 # too close to marginally trapped for stable frames
                 reason = "inside the 1e-4 discriminant margin"
             else:
-                pts.append((d, eight_invariants(d)))
+                pts.append((d, eight_invariants(d.p, (d.c,))[0]))
                 continue
         except MeridianError as exc:
             reason = "raised"
@@ -231,11 +231,12 @@ def check_family_targets(gen: GeneratedSurface, v: float) -> list:
     PROFILE_SAMPLES rows at the column v. Samples whose point (u, v) is not
     general are skipped, as sample_general_points skips them, so each
     record's grid counts only the points evaluated."""
-    records = []
+    s, records = gen.surface, []
+    cs = (directrix_point(s.directrix, v),)
     for u in sample_grid(gen.u_range, PROFILE_SAMPLES):
-        d = point_data(gen.surface, u, v)
-        if d.case is GENERAL:
-            records.append(((u, v), eight_invariants(d)))
+        [r] = eight_invariants(profile_point(s.profile, u), cs)
+        if type(r) is InvariantRecord:
+            records.append(((u, v), r))
     return [_record(label, [(abs(getattr(r, field) - value), loc) for loc, r in records],
                     tol)
             for label, field, value, tol in gen.spec.targets]

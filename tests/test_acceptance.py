@@ -51,7 +51,8 @@ def report(name):
 
 
 def invariants_at(s, u, v):
-    return eight_invariants(point_data(s, u, v))
+    d = point_data(s, u, v)
+    return eight_invariants(d.p, (d.c,))[0]
 
 
 def components(v):
@@ -204,7 +205,7 @@ def test_criterion_06_oracle_equivalence():
 def test_criterion_07_identity_suite():
     for s, u, v in _oracle_sample():
         d = point_data(s, u, v)
-        r = eight_invariants(d)
+        r = eight_invariants(d.p, (d.c,))[0]
         assert abs(r.gamma1 + r.gamma2) <= 1e-9
         assert abs(r.nu1 - r.nu2) <= 1e-9
         assert abs(r.varkappa) <= 1e-9
@@ -294,8 +295,9 @@ def test_criterion_09_case_detection():
     assert combine(profile_point(trapped.profile, u_star),
                    directrix_point(trapped.directrix, 1.0), 1e-8).case is \
         PointCase.MARGINALLY_TRAPPED
+    assert invariants_at(trapped, u_star, 1.0) is PointCase.MARGINALLY_TRAPPED
     with pytest.raises(MarginallyTrappedError):
-        invariants_at(trapped, u_star, 1.0)
+        dual_frames(point_data(trapped, u_star, 1.0))
     report("criterion 9: hyperplanar-flat, developable-ruled and "
            "marginally-trapped points detected")
 

@@ -624,16 +624,17 @@ def test_verify_reports_when_the_range_ends_marginally_trapped(tmp_path):
 
 
 def test_one_point_data_per_grid_point(tmp_path, monkeypatch):
-    # one record per (u, v), from one profile jet per row and one directrix
-    # jet per column (the surface keeps both); eight_invariants builds none
-    # of its own, and computes the u-only factors once per row
+    # one case per (u, v), from one profile jet per row and one directrix
+    # jet per column (the surface keeps both); eight_invariants decides each
+    # case once, and computes the u-only factors once per row
     records, jets, terms, built = [], Counter(), [], []
-    real_combine, real_build = surface.combine, cli.build_surface
+    real_rule, real_build = surface.classify_row, cli.build_surface
     real_terms = invariants._u_terms
 
-    def combine(p, c, *tol):
-        records.append((p.u, c.v))
-        return real_combine(p, c, *tol)
+    def classify_row(p, cs, *tol):
+        for c, disc, case in real_rule(p, cs, *tol):
+            records.append((p.u, c.v))
+            yield c, disc, case
 
     def u_terms(p):
         terms.append(p.u)
@@ -650,8 +651,8 @@ def test_one_point_data_per_grid_point(tmp_path, monkeypatch):
             jets[name] += 1
             return method(self, t)
         return counted
-    for module in (surface, cli):   # wherever it is bound
-        monkeypatch.setattr(module, "combine", combine)
+    for module in (surface, invariants, cli):   # wherever it is bound
+        monkeypatch.setattr(module, "classify_row", classify_row)
     monkeypatch.setattr(cli, "build_surface", build)
     monkeypatch.setattr(invariants, "_u_terms", u_terms)
     monkeypatch.setattr(ProfileCurve, "f_jet", counting("f", ProfileCurve.f_jet))
@@ -702,7 +703,7 @@ def point_by_point(spec_text, f0, u, v, nu, nv):
             d = point_data(s, uu, vv)
             rec = None
             if d.case is PointCase.GENERAL:
-                rec = eight_invariants(d)
+                rec = eight_invariants(d.p, (d.c,))[0]
             cells = [repr(getattr(rec, cli._record_attr(c))) if rec else ""
                      for c in cli.INVARIANT_COLUMNS]
             lines.append(",".join([repr(uu), repr(vv), *cells, d.case.value]))

@@ -50,7 +50,7 @@ def oracle_frame(s, u, v):
 
 
 @pytest.mark.parametrize("read, record, most", [
-    (invariants.eight_invariants, surface.point_data, 1),
+    (lambda d: invariants.eight_invariants(d.p, (d.c,)), surface.point_data, 1),
     (surface.frames, surface.point_data, 1),
     (invariants.oracle_invariants, oracle_frame, 1),
 ], ids=["eight_invariants-1", "frames-1", "oracle_invariants-1"])
@@ -87,7 +87,8 @@ def test_records_of_a_used_surface_equal_those_of_a_fresh_one():
     used = counted_surface()[0]
     h = verification.JET3_STEP
     for u, v in ((1.2, 2.0), (0.0, 2.0), (1.2, 0.0)):
-        invariants.eight_invariants(surface.point_data(used, u, v))
+        d = surface.point_data(used, u, v)
+        invariants.eight_invariants(d.p, (d.c,))
     invariants.oracle_invariants(oracle_frame(used, 1.2, 2.0))
     for u, v in ((1.2 + h, 2.0), (1.2, 2.0 - h / 2.0)):
         surface.point_data(used, u, v)
@@ -208,9 +209,9 @@ def test_verify_evaluates_the_closed_forms_once_per_point(monkeypatch):
     calls = Counter()
     eight_invariants = verification.eight_invariants
 
-    def counted(d):
-        calls[(d.p.u, d.c.v)] += 1
-        return eight_invariants(d)
+    def counted(p, cs, *tol):
+        calls.update((p.u, c.v) for c in cs)
+        return eight_invariants(p, cs, *tol)
     monkeypatch.setattr(verification, "eight_invariants", counted)
     assert verify_generated(gen, 20).passed
     # one record per sample point, built by the sampler and read by its
@@ -254,3 +255,39 @@ def test_family_evaluates_the_profile_jet_once_per_row(tmp_path, monkeypatch):
     us = [float(row.split(",")[0]) for row in out.read_text().splitlines()[1:]]
     # the f, f', f'' columns and g's checks read the same record
     assert len(us) == 41 and calls == Counter(us)
+
+
+# --- the grid commands: one kernel call per row -------------------------------
+
+GRID = ["--spec", "constant-gauss K=1 alpha=1 beta=0 phi=2+cos(v)", "--u", "0.1:1.4",
+        "--v", "0:6.283185307179586", "--grid", "12x11"]
+
+
+@pytest.mark.parametrize("argv, kernel_rows", [
+    (["invariants", *GRID], 12),
+    (["mesh", *GRID, "--fields", "K"], 12),
+    (["mesh", *GRID], 0)], ids=["invariants", "mesh-fields", "mesh"])
+def test_a_grid_command_runs_the_kernel_once_per_row(tmp_path, monkeypatch, argv,
+                                                     kernel_rows):
+    calls = Counter()
+    kernel, rule, init = (invariants.eight_invariants, surface.classify_row,
+                          surface.PointData.__init__)
+
+    def counted_kernel(p, cs, *tol):
+        calls["kernel"] += 1
+        return kernel(p, cs, *tol)
+
+    def counted_rule(p, cs, *tol):
+        calls["rule"] += 1
+        return rule(p, cs, *tol)
+
+    def counted_init(self, *fields):
+        calls["PointData"] += 1
+        init(self, *fields)
+    monkeypatch.setattr(invariants, "eight_invariants", counted_kernel)
+    for module in (surface, invariants, cli):   # every module that binds it
+        monkeypatch.setattr(module, "classify_row", counted_rule)
+    monkeypatch.setattr(surface.PointData, "__init__", counted_init)
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+    # one case rule per row: the kernel's own where it runs, and none else
+    assert calls == Counter({"kernel": kernel_rows, "rule": 12})

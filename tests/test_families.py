@@ -23,7 +23,8 @@ UNIT_PHI = Directrix(compile_expression("1", "v"), (0.0, TWO_PI))
 
 
 def invariants_at(s, u, v):
-    return eight_invariants(point_data(s, u, v))
+    d = point_data(s, u, v)
+    return eight_invariants(d.p, (d.c,))[0]
 
 
 def u_samples(gen, n=25):

@@ -6,15 +6,16 @@ import re
 import pytest
 
 from meridian4.cli import build_surface, parse_family_spec
-from meridian4.errors import (FlatPointError, MarginallyTrappedError,
+from meridian4.errors import (DomainError, FlatPointError, MarginallyTrappedError,
                               ProfileInvariantError)
 from meridian4.expressions import compile_expression
 from meridian4.invariants import (InvariantRecord, _derivative, _value, dual_frames,
                                   eight_invariants, oracle_invariants)
 from meridian4.jets import jcos, jsqrt
-from meridian4.profile import Directrix, ProfileCurve, profile_point, sample_grid
+from meridian4.profile import (Directrix, DirectrixPoint, ProfileCurve, ProfilePoint,
+                               directrix_point, profile_point, sample_grid)
 from meridian4.minkowski import Vec4, minkowski_dot
-from meridian4.surface import (GENERAL, MeridianSurface, PointCase, frames,
+from meridian4.surface import (CLASSIFY_TOL, GENERAL, MeridianSurface, PointCase, frames,
                                point_data)
 
 TWO_PI = 2.0 * math.pi
@@ -29,7 +30,8 @@ WAVY_SURFACE = MeridianSurface(
 
 
 def invariants_at(s, u, v):
-    return eight_invariants(point_data(s, u, v))
+    d = point_data(s, u, v)
+    return eight_invariants(d.p, (d.c,))[0]
 
 
 def test_reference_record():
@@ -62,7 +64,7 @@ def test_H_norm_is_the_magnitude_of_nu():
                 d = point_data(s, u, v)
                 if d.case is not GENERAL:
                     continue
-                r = eight_invariants(d)
+                r = eight_invariants(d.p, (d.c,))[0]
                 assert math.copysign(1.0, r.H_norm) == 1.0
                 assert r.H_norm == abs(r.nu1), (spec, u, v)
                 assert r.H_norm == math.sqrt(abs(d.disc)) / (2.0 * d.p.f * abs(d.p.fp))
@@ -125,7 +127,7 @@ def test_k_closed_form():
     for (u, v) in ((0.5, 1.0), (2.0, 3.0)):
         d = point_data(SQRT_SURFACE, u, v)
         expected = -(d.p.kappa_m**2) * d.c.kappa**2 / d.p.f**2
-        assert eight_invariants(d).k == pytest.approx(
+        assert eight_invariants(d.p, (d.c,))[0].k == pytest.approx(
             expected, abs=1e-12)
 
 
@@ -190,13 +192,14 @@ def test_oracle_normal_components():
 
 
 def test_eight_invariants_rejects_degenerate_points():
+    # no record where the frame is undefined: the kernel gives the case
     flat = MeridianSurface(
         ProfileCurve(compile_expression("1 + 0.5*u"), (0.0, 2.0)), UNIT_PHI)
-    with pytest.raises(FlatPointError):
-        invariants_at(flat, 1.0, 1.0)
+    assert invariants_at(flat, 1.0, 1.0) is PointCase.DEVELOPABLE_RULED_FLAT
     trapped = MeridianSurface(ProfileCurve(jcos, (0.05, 1.0)), UNIT_PHI)
+    assert invariants_at(trapped, math.pi / 6.0, 1.0) is PointCase.MARGINALLY_TRAPPED
     with pytest.raises(MarginallyTrappedError):
-        invariants_at(trapped, math.pi / 6.0, 1.0)
+        oracle_frame(trapped, math.pi / 6.0, 1.0)
 
 
 def test_the_oracle_reads_no_neighbour_of_a_point():
@@ -253,3 +256,65 @@ def test_the_frame_partials_are_the_limit_of_central_differences(s, u, v):
         return worst
     assert gap(1e-4) <= 1e-6
     assert 50.0 <= gap(1e-2) / gap(1e-3) <= 200.0
+
+
+# --- the row kernel -------------------------------------------------------------
+
+def _row_cases():
+    """(name, profile record, directrix records) of the rows the kernel is
+    checked on: every row of the grid of test_acceptance.MIXED_ARGS (both
+    signs of eps and the flat column at v = pi), a developable row (f'' = 0)
+    and a row through the marginally trapped point of f = cos u, phi = 1."""
+    cases = []
+    for name, spec, u_range, v_range, nu, nv in (
+            ("mixed", "constant-gauss K=1 alpha=1 beta=0 phi=2+cos(v)", (0.1, 1.4),
+             (0.0, TWO_PI), 12, 11),
+            ("developable", "direct f=1+0.5*u phi=2+cos(v)", (0.0, 2.0), (0.0, TWO_PI),
+             3, 11)):
+        s = build_surface(*parse_family_spec(spec), None, u_range, v_range).surface
+        cs = [directrix_point(s.directrix, v) for v in sample_grid(v_range, nv)]
+        cases += [(name, profile_point(s.profile, u), cs) for u in sample_grid(u_range, nu)]
+    trapped = MeridianSurface(ProfileCurve(jcos, (0.05, 1.0)), UNIT_PHI)
+    cs = [directrix_point(trapped.directrix, v) for v in (0.5, 1.0, 2.0)]
+    return cases + [("trapped", profile_point(trapped.profile, u), cs)
+                    for u in (math.pi / 6.0, math.pi / 6.0 + 0.2)]
+
+
+def _bits(entry):
+    """An entry of the kernel in a form that tells apart any two different
+    floats (0.0 and -0.0 too)."""
+    if type(entry) is PointCase:
+        return entry
+    return type(entry), [repr(x) for x in entry]
+
+
+@pytest.mark.parametrize("tol", [0.0, CLASSIFY_TOL, 1e-3])
+def test_a_row_equals_its_one_column_calls(tol):
+    seen = set()
+    for name, p, cs in _row_cases():
+        row = eight_invariants(p, cs, tol)
+        assert len(row) == len(cs)
+        for c, entry in zip(cs, row):
+            [alone] = eight_invariants(p, (c,), tol)
+            assert _bits(entry) == _bits(alone), (name, p.u, c.v, tol)
+            seen.add(entry.epsilon if type(entry) is InvariantRecord else entry)
+    if tol:
+        # the rows hold every case and both signs of <H,H>
+        assert seen == {1, -1, *PointCase} - {GENERAL}, seen
+
+
+def test_a_row_raises_at_its_first_failing_point():
+    # k overflows at v = 2 (the invariants), disc at v = 3 (the case rule):
+    # the kernel names whichever comes first in the row
+    p = ProfilePoint(u=0.5, f=1.0, fp=1.0, fpp=100.0, fppp=0.0, gp=-0.5, kappa_m=100.0,
+                     q=0.5, gamma1=1.0 / math.sqrt(2.0), K=-100.0)
+    c1, c2, c3 = (DirectrixPoint(v=v, phi=1.0, phid=0.0, phidd=kappa + 1.0, phiddd=0.0,
+                                 kappa=kappa, kappa_dot=0.0, D=1.0)
+                  for v, kappa in ((1.0, 1.0), (2.0, 1e153), (3.0, 1e200)))
+    assert type(eight_invariants(p, (c1,))[0]) is InvariantRecord
+    with pytest.raises(DomainError, match=r"^the invariants at \(u, v\) = "
+                                          r"\(0.5, 2.0\) are not finite$"):
+        eight_invariants(p, (c1, c2, c3))
+    with pytest.raises(DomainError, match=r"^the point record at \(u, v\) = "
+                                          r"\(0.5, 3.0\) is not finite$"):
+        eight_invariants(p, (c1, c3, c2))

@@ -111,9 +111,15 @@ def test_the_cli_loads_no_json(tmp_path):
       "--out", "f.csv"], {"odeint"}),
     (["verify", "--spec", "constant-mean a=0.5 b=2 C=0 eps=+ branch=+", "--f0", "0.6",
       "--u", "0:0.15", "--v", "0:0.3", "--grid", "5x4"],
-     {"verification", "invariants", "odeint"})],
+     {"verification", "invariants", "odeint"}),
+    # g's pass runs odeint, and only --fields reads the invariant records
+    (["mesh", "--spec", "direct f=sqrt(u+1) phi=1", "--u", "0:3", "--v", "0:6.28",
+      "--grid", "3x4", "--out", "m.json"], {"expressions", "odeint"}),
+    (["mesh", "--spec", "direct f=sqrt(u+1) phi=1", "--u", "0:3", "--v", "0:6.28",
+      "--grid", "3x4", "--fields", "K,H_norm", "--out", "m.json"],
+     {"expressions", "invariants", "odeint"})],
     ids=["closed-form-family", "invariants-phi", "chen-family", "constant-k-family",
-         "ode-family", "verify"])
+         "ode-family", "verify", "mesh", "mesh-fields"])
 def test_a_command_loads_the_modules_it_runs(tmp_path, argv, loads):
     modules = loaded(tmp_path, argv=argv)
     assert package_modules(modules) & set(COMMAND_MODULES) == loads

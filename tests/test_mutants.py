@@ -52,14 +52,15 @@ FAULTS = {
     "eight:nu": ("invariants", "eight_invariants", "nu = root / two_ffp",
                  "nu = root / two_f"),
     "eight:lam": ("invariants", "eight_invariants", "f2fpp2 - fp4", "f2fpp2 + fp4"),
-    "eight:mu": ("invariants", "eight_invariants", "mu = kappa * p.fpp / root",
+    "eight:mu": ("invariants", "eight_invariants", "mu = kappa * fpp / root",
                  "mu = kappa * p.fp / root"),
-    "eight:cross": ("invariants", "eight_invariants", "cross = c.kappa_dot * p.q",
-                    "cross = c.kappa * p.q"),
+    "eight:cross": ("invariants", "eight_invariants", "cross = c.kappa_dot * q",
+                    "cross = c.kappa * q"),
     "eight:k": ("invariants", "eight_invariants", "k = nkm2 * kappa2 / f2",
                 "k = nkm2 * kappa / f2"),
-    "combine:disc": ("surface", "combine", "disc = (kappa * kappa) * (fp * fp) - q * q",
-                     "disc = (kappa * kappa) * fp - q * q"),
+    # the case rule that combine and the kernel run
+    "combine:disc": ("surface", "classify_row", "disc = (kappa * kappa) * fp2 - q2",
+                     "disc = (kappa * kappa) * fp - q2"),
     "frames:n1": ("surface", "frames", "(c.phid * sv + c.phi * cv) / rD",
                   "(c.phid * sv - c.phi * cv) / rD"),
     "frames:n2": ("surface", "frames", "- 2.0 * p.gp) / 2.0", "- p.gp) / 2.0"),

@@ -213,7 +213,7 @@ def test_a_point_record_references_and_prints_the_curve_records():
     # part of its value
     fresh = profile_point(ProfileCurve(jexp, (0.0, 1.0)), 0.5)
     assert p._terms is None
-    eight_invariants(d)
+    eight_invariants(d.p, (d.c,))[0]
     assert p._terms is not None and fresh._terms is None
     assert repr(p) == shown and p == fresh and hash(p) == hash(fresh)
     assert pickle.loads(pickle.dumps(p)) == p

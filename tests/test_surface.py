@@ -38,7 +38,8 @@ def vec_close(a: Vec4, b, abs_tol=1e-9):
 
 
 def z(s, u, v):
-    return embed(point_data(s, u, v), g_from_f(s.profile, u))
+    return embed(profile_point(s.profile, u), directrix_point(s.directrix, v),
+                 g_from_f(s.profile, u))
 
 
 def frame(s, u, v):
@@ -133,7 +134,7 @@ def test_frame_convention(spec, f0, u, eps, fp_sign):
     assert nf.epsilon == eps
     rows = [components(w) for w in (nf.x, nf.y, nf.b, nf.l)]
     assert np.linalg.det(np.array(rows)) == pytest.approx(-1.0, abs=1e-12)
-    r = eight_invariants(d)
+    r = eight_invariants(d.p, (d.c,))[0]
     vec_close(nf.b, components((r.H_n1 * nf.n1 + r.H_n2 * nf.n2) * (fp_sign / r.H_norm)),
               1e-12)
 
@@ -232,8 +233,9 @@ def test_hyperplanar_flat_from_secant_directrix():
     assert d.case is PointCase.HYPERPLANAR_FLAT
     tf = frames(d)
     assert tf.b is None and tf.l is None and tf.epsilon is None
+    assert eight_invariants(d.p, (d.c,)) == [PointCase.HYPERPLANAR_FLAT]
     with pytest.raises(FlatPointError):
-        eight_invariants(d)
+        dual_frames(d)
 
 
 def test_developable_from_linear_profile():
@@ -241,8 +243,9 @@ def test_developable_from_linear_profile():
         ProfileCurve(compile_expression("1 + 0.5*u"), (0.0, 2.0)), UNIT_PHI)
     d = point_data(s, 1.0, 1.0)
     assert d.case is PointCase.DEVELOPABLE_RULED_FLAT
+    assert eight_invariants(d.p, (d.c,)) == [PointCase.DEVELOPABLE_RULED_FLAT]
     with pytest.raises(FlatPointError):
-        eight_invariants(d)
+        dual_frames(d)
 
 
 def test_marginally_trapped_point_on_cosine_profile():
@@ -251,8 +254,9 @@ def test_marginally_trapped_point_on_cosine_profile():
     u = math.pi / 6.0
     d = point_under(s, u, 1.0, 1e-8)
     assert d.case is PointCase.MARGINALLY_TRAPPED
+    assert eight_invariants(d.p, (d.c,), 1e-8) == [PointCase.MARGINALLY_TRAPPED]
     with pytest.raises(MarginallyTrappedError):
-        eight_invariants(d)
+        dual_frames(d)
     # just off the degenerate meridian the frame exists again
     assert point_data(s, u + 0.2, 1.0).case is PointCase.GENERAL
 
@@ -309,7 +313,7 @@ def test_invariants_raise_where_a_u_factor_is_not_finite():
     for _ in range(2):   # and nothing is kept of the failed factors
         with pytest.raises(DomainError, match=r"^a factor of the invariants at "
                            r"u = 0.5 is not finite$"):
-            eight_invariants(d)
+            eight_invariants(d.p, (d.c,))[0]
     assert d.p._terms is None
 
 
@@ -328,7 +332,7 @@ def test_invariants_raise_where_the_record_is_not_finite(kappa, fp, q, f, messag
     d = combine(*record_pair(kappa, fp, q, f))
     assert d.case is PointCase.GENERAL
     with pytest.raises(DomainError, match=message):
-        eight_invariants(d)
+        eight_invariants(d.p, (d.c,))[0]
 
 
 @pytest.mark.parametrize("read", [lambda d: d, frames, eight_invariants],

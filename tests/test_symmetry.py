@@ -44,7 +44,7 @@ def _grid(s, scale=1.0):
     for u in sample_grid(U_RANGE, N):
         for v in sample_grid(V_RANGE, N):
             d = point_data(s, scale * u, v)
-            out[u, v] = d.case, eight_invariants(d)
+            out[u, v] = d.case, eight_invariants(d.p, (d.c,))[0]
     return out
 
 
@@ -125,7 +125,7 @@ def _family(spec_at, t, u_range, phi):
         rows.append((u, p.f, p.fp, p.fpp, g_from_f(s.profile, u)))
         for v in sample_grid(V_RANGE, FAMILY_N):
             d = point_data(s, u, v)
-            grid[u, v] = d.case, eight_invariants(d), d.c.kappa
+            grid[u, v] = d.case, eight_invariants(d.p, (d.c,))[0], d.c.kappa
     return rows, grid
 
 

@@ -12,7 +12,7 @@ from meridian4.cli import build_surface, parse_family_spec
 from meridian4.errors import MeridianError
 from meridian4.expressions import compile_expression
 from meridian4.families import GeneratedSurface, ParallelA, generate
-from meridian4.invariants import Dual, dual_frames, oracle_invariants
+from meridian4.invariants import Dual, InvariantRecord, dual_frames, oracle_invariants
 from meridian4.jets import jet_function_from_derivs
 from meridian4.profile import Directrix, DirectrixPoint, ProfileCurve, ProfilePoint
 from meridian4.surface import MeridianSurface, PointFrames, point_data
@@ -171,8 +171,8 @@ def test_every_row_fails_under_its_mutation(eps, monkeypatch):
 
     for field in _ORACLE_FIELDS:
         def mutated_record(*args, field=field):
-            r = closed(*args)
-            return r._replace(**{field: bump(getattr(r, field))})
+            return [r._replace(**{field: bump(getattr(r, field))})
+                    if type(r) is InvariantRecord else r for r in closed(*args)]
         with monkeypatch.context() as m:
             m.setattr(verification, "eight_invariants", mutated_record)
             assert f"oracle:{field}" in _failed(gen), field
